@@ -1,6 +1,8 @@
 """Cooperative formation controller over a directed topology.
 
-The planar control law is one matrix pipeline evaluated per step:
+The topology's sensing and actuation blocks are constant for a run, so
+`lift` builds their Kronecker lifts once and every law below reuses them.
+The planar control law is then one matrix pipeline evaluated per step:
 
 1. every agent's measured position is shifted by the signed reference
    (the negated waypoint), e_i = y_i - W;
@@ -12,7 +14,8 @@ The planar control law is one matrix pipeline evaluated per step:
 4. per-row gains scale the errors and the actuation block routes them back
    to agents: only an edge's tail steers to close that edge, reference
    agents additionally steer toward the waypoint;
-5. commands clip to the per-kind speed limits.
+5. commands clip to the per-agent speed caps, one array per run built by
+   `speed_caps` from the agents' kinds.
 
 Because the actuation block carries -1 at each tail, negative gains yield
 attracting (stable) corrections in both the edge and the reference channels.
@@ -49,6 +52,34 @@ class SaturationLimits:
         if kind == "uav":
             return self.uav_speed
         raise ValueError(f"unknown agent kind '{kind}'")
+
+
+@dataclass(frozen=True)
+class LiftedTopology:
+    """A topology's control blocks lifted to m coordinates per agent.
+
+    `sensing_t` is the transposed sensing block (stacked agent vector to
+    per-edge differences, then reference rows) and `actuation` routes gained
+    errors back to agents; both are `kron_expand` products, built once.
+    """
+
+    topology: NetworkTopology
+    m: int
+    sensing_t: np.ndarray
+    actuation: np.ndarray
+
+
+def lift(topology: NetworkTopology, m: int) -> LiftedTopology:
+    """Lift the topology's sensing and actuation blocks to m coordinates."""
+    sensing, actuation = kron_expand(topology, m)
+    return LiftedTopology(topology, m, sensing.T, actuation)
+
+
+def _require_m(lifted: LiftedTopology, m: int) -> NetworkTopology:
+    if lifted.m != m:
+        raise ValueError(f"this law needs a topology lifted to {m} "
+                         f"coordinates, got {lifted.m}")
+    return lifted.topology
 
 
 @dataclass(frozen=True)
@@ -101,13 +132,15 @@ def predict_master(master_velocity, dt: float) -> Prediction:
     return Prediction(float(v[0] * dt), float(v[1] * dt))
 
 
-def saturate(commands: np.ndarray, kinds, limits: SaturationLimits) -> np.ndarray:
-    """Clip each agent's planar command to its kind's per-axis speed limit."""
-    out = np.array(commands, dtype=float)
-    for i, kind in enumerate(kinds):
-        cap = limits.speed_for(kind)
-        out[i] = np.clip(out[i], -cap, cap)
-    return out
+def speed_caps(kinds, limits: SaturationLimits | None = None) -> np.ndarray:
+    """Per-agent per-axis speed caps (cm/s) as an (n, 1) column."""
+    limits = limits or SaturationLimits()
+    return np.array([[limits.speed_for(kind)] for kind in kinds], dtype=float)
+
+
+def saturate(commands: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Clip each agent's planar command to its per-axis speed cap."""
+    return np.clip(np.asarray(commands, dtype=float), -caps, caps)
 
 
 def _gain_vector(topology: NetworkTopology, gains: NiGains) -> np.ndarray:
@@ -118,24 +151,25 @@ def _gain_vector(topology: NetworkTopology, gains: NiGains) -> np.ndarray:
                            np.asarray(gains.reference, dtype=float)])
 
 
-def formation_errors(positions: np.ndarray, topology: NetworkTopology,
+def formation_errors(positions: np.ndarray, lifted: LiftedTopology,
                      offsets: np.ndarray, waypoint,
                      prediction: Prediction | None = None) -> np.ndarray:
     """Stacked gained-error vector: edge rows then reference rows (x, y each).
 
-    positions is (n, 2) in cm; offsets is (n_edges, 2), row e the desired
-    tail-minus-head displacement for edge e; waypoint is the reference
-    agents' target point.  The optional prediction is added on every edge
-    row (the head's anticipated displacement).
+    positions is (n, 2) in cm; lifted is the topology lifted to 2
+    coordinates; offsets is (n_edges, 2), row e the desired tail-minus-head
+    displacement for edge e; waypoint is the reference agents' target point.
+    The optional prediction is added on every edge row (the head's
+    anticipated displacement).
     """
+    topology = _require_m(lifted, 2)
     pos = np.asarray(positions, dtype=float)
     if pos.shape != (topology.n_agents, 2):
         raise ValueError(f"positions must be ({topology.n_agents}, 2)")
     offs = np.asarray(offsets, dtype=float).reshape(topology.n_edges, 2)
     shifted = pos - np.asarray(waypoint, dtype=float)
 
-    sensing, _ = kron_expand(topology, 2)
-    stacked = sensing.T @ shifted.ravel()
+    stacked = lifted.sensing_t @ shifted.ravel()
     feed = np.zeros_like(stacked)
     if topology.n_edges:
         edge_feed = offs.copy()
@@ -145,26 +179,27 @@ def formation_errors(positions: np.ndarray, topology: NetworkTopology,
     return stacked + feed
 
 
-def _planar_commands(positions, topology, gains, offsets, waypoint, kinds,
-                     limits, prediction):
-    errors = formation_errors(positions, topology, offsets, waypoint, prediction)
+def _route(errors, lifted: LiftedTopology, gains: NiGains, caps) -> np.ndarray:
+    """Gain the stacked errors, route them to agents and clip to the caps."""
+    topology = lifted.topology
     gained = _gain_vector(topology, gains) * errors
-    _, actuation = kron_expand(topology, 2)
-    raw = (actuation @ gained).reshape(topology.n_agents, 2)
-    return saturate(raw, kinds, limits)
+    raw = (lifted.actuation @ gained).reshape(topology.n_agents, 2)
+    return saturate(raw, caps)
 
 
-def baseline_control(positions, topology: NetworkTopology, gains: NiGains,
-                     offsets, waypoint, kinds,
-                     limits: SaturationLimits | None = None) -> np.ndarray:
-    """Planar commands without head-motion prediction; (n, 2) cm/s."""
-    return _planar_commands(positions, topology, gains, offsets, waypoint,
-                            kinds, limits or SaturationLimits(), None)
+def baseline_control(positions, lifted: LiftedTopology, gains: NiGains,
+                     offsets, waypoint, caps) -> np.ndarray:
+    """Planar commands without head-motion prediction; (n, 2) cm/s.
+
+    lifted is the topology lifted to 2 coordinates; caps the (n, 1)
+    per-agent speed caps from `speed_caps`.
+    """
+    errors = formation_errors(positions, lifted, offsets, waypoint)
+    return _route(errors, lifted, gains, caps)
 
 
-def enhanced_control(positions, velocities, topology: NetworkTopology,
-                     gains: NiGains, offsets, waypoint, kinds,
-                     limits: SaturationLimits | None = None, *,
+def enhanced_control(positions, velocities, lifted: LiftedTopology,
+                     gains: NiGains, offsets, waypoint, caps, *,
                      dt: float, prediction_horizon_steps: int = 1) -> np.ndarray:
     """Planar commands with per-edge head-motion prediction; (n, 2) cm/s.
 
@@ -173,16 +208,12 @@ def enhanced_control(positions, velocities, topology: NetworkTopology,
     """
     vel = np.asarray(velocities, dtype=float)
     tau = dt * prediction_horizon_steps
-    limits = limits or SaturationLimits()
-    errors = formation_errors(positions, topology, offsets, waypoint, None)
-    for e, (head, _tail) in enumerate(topology.edges):
+    errors = formation_errors(positions, lifted, offsets, waypoint)
+    for e, (head, _tail) in enumerate(lifted.topology.edges):
         p = predict_master(vel[head - 1], tau)
         errors[2 * e] += p.dx
         errors[2 * e + 1] += p.dy
-    gained = _gain_vector(topology, gains) * errors
-    _, actuation = kron_expand(topology, 2)
-    raw = (actuation @ gained).reshape(topology.n_agents, 2)
-    return saturate(raw, np.asarray(kinds), limits)
+    return _route(errors, lifted, gains, caps)
 
 
 def adaptive_gains(dis: np.ndarray, duration: float, start_errors: np.ndarray,
@@ -232,17 +263,19 @@ def heading_from_motion(target, current, previous_heading: float) -> float:
     return float(np.arctan2(d[1], d[0]))
 
 
-def yaw_consensus(yaws, yaw_rates, topology: NetworkTopology, gains: NiGains,
+def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: NiGains,
                   target_angle: float, offsets=None,
                   limits: SaturationLimits | None = None, *,
                   dt: float = 0.0, prediction_horizon_steps: int = 1,
                   enhanced: bool = False) -> np.ndarray:
     """Yaw-rate commands (rad/s) from the one-dimensional consensus pipeline.
 
-    Edge errors are the wrapped head-tail angle differences plus optional
-    per-edge offsets; reference agents track `target_angle`.  The enhanced
-    variant adds each head's predicted yaw travel over the horizon.
+    lifted is the yaw topology lifted to 1 coordinate.  Edge errors are the
+    wrapped head-tail angle differences plus optional per-edge offsets;
+    reference agents track `target_angle`.  The enhanced variant adds each
+    head's predicted yaw travel over the horizon.
     """
+    topology = _require_m(lifted, 1)
     yaw = np.asarray(yaws, dtype=float)
     rates = np.asarray(yaw_rates, dtype=float)
     limits = limits or SaturationLimits()
@@ -262,8 +295,7 @@ def yaw_consensus(yaws, yaw_rates, topology: NetworkTopology, gains: NiGains,
 
     gain_vec = np.concatenate([np.asarray(gains.yaw_consensus, dtype=float),
                                [gains.yaw_reference]])
-    _, actuation = kron_expand(topology, 1)
-    raw = actuation @ (gain_vec * errors)
+    raw = lifted.actuation @ (gain_vec * errors)
     return np.clip(raw, -limits.yaw_rate, limits.yaw_rate)
 
 

@@ -12,7 +12,9 @@ agents.  Three matrices drive the cooperative controller:
 * reference injection (n x 1): 1 at each reference agent.
 
 `kron_expand` lifts the stacked [incidence | reference] and
-[consensus | reference] blocks to m coordinates per agent.
+[consensus | reference] blocks to m coordinates per agent.  The blocks are
+constant for a run, so the controller lifts them once per run (planar m=2,
+yaw m=1; see `controller.lift`) rather than on every step.
 """
 
 from __future__ import annotations

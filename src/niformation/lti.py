@@ -4,7 +4,8 @@ Frequency-domain tools for single-input single-output rational transfer
 functions: pointwise evaluation on the imaginary axis, the negative-imaginary
 (NI / strictly-NI) frequency test, DC-gain internal-stability certificates for
 positive-feedback interconnections, additive composition, and bilinear
-discretization to a stepped state-space realization for fixed-step simulation.
+discretization to a stepped state-space realization for fixed-step simulation,
+with a bank that steps many such realizations as one batched update.
 
 Classification is grid-relative: a classification holds on the frequency grid
 it was evaluated on, nothing more.  The default grid covers the band the
@@ -308,7 +309,9 @@ class DiscretePlant:
 
     x[k+1] = A x[k] + B u[k];  y[k] = C x[k] + D u[k] (+ optional output noise).
     Stepping is sequential and single-owner; everything else here is
-    read-only after construction.
+    read-only after construction.  A simulation steps its plants through a
+    `PlantBank` built from them, which gives the same outputs as stepping
+    each plant in turn.
     """
 
     a: np.ndarray
@@ -351,6 +354,55 @@ class DiscretePlant:
         n = self.a.shape[0]
         gain = self.c @ np.linalg.solve(np.eye(n) - self.a, self.b)
         return float(gain[0, 0]) + self.d
+
+
+class PlantBank:
+    """Several discrete plants stepped together, one batched update a step.
+
+    The plants' matrices are stacked once (lower-order realizations are
+    zero-padded to the largest order) and each step evaluates every plant's
+    C x + D u and A x + B u as one batched matmul, with the same per-plant
+    arithmetic as `DiscretePlant.step`.  Output noise is one
+    `standard_normal` draw covering the noisy plants in bank order, which is
+    the draw sequence of stepping them one after another.  Noisy plants must
+    share one generator.  The bank copies the plants' states and never
+    writes them back.
+    """
+
+    def __init__(self, plants):
+        plants = list(plants)
+        if not plants:
+            raise ValueError("a plant bank needs at least one plant")
+        order = max(p.a.shape[0] for p in plants)
+        count = len(plants)
+        self.a = np.zeros((count, order, order))
+        self.b = np.zeros((count, order, 1))
+        self.c = np.zeros((count, 1, order))
+        self.state = np.zeros((count, order, 1))
+        for k, p in enumerate(plants):
+            n = p.a.shape[0]
+            self.a[k, :n, :n] = p.a
+            self.b[k, :n] = p.b
+            self.c[k, :, :n] = p.c
+            self.state[k, :n] = p.state
+        self.d = np.array([p.d for p in plants])
+        noise = np.array([p.noise_std for p in plants], dtype=float)
+        self.noisy = np.flatnonzero(noise)
+        self.noise_std = noise[self.noisy]
+        rngs = {id(plants[k].rng): plants[k].rng for k in self.noisy}
+        if len(rngs) > 1:
+            raise ValueError("noisy plants in one bank must share a generator")
+        self.rng = next(iter(rngs.values()), None)
+
+    def step(self, u) -> np.ndarray:
+        """Emit every plant's y[k] for its input u[k]; advance all states."""
+        u = np.asarray(u, dtype=float)
+        y = (self.c @ self.state)[:, 0, 0] + self.d * u
+        if self.noisy.size:
+            y[self.noisy] += self.noise_std * self.rng.standard_normal(
+                self.noisy.size)
+        self.state = self.a @ self.state + self.b * u[:, None, None]
+        return y
 
 
 def discretize(tfn: TransferFunction, sample_time: float,

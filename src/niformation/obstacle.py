@@ -147,36 +147,39 @@ def circle_from_observation(vertices, members=()) -> ObstacleCircle:
                           members=tuple(members))
 
 
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 def clip_polygon_to_disc(vertices, center, radius,
                          sides: int = FOOTPRINT_SIDES) -> np.ndarray:
     """Clip a polygon to the regular `sides`-gon inscribed approximation of
-    the disc (Sutherland-Hodgman against each polygon edge)."""
+    the disc (Sutherland-Hodgman against each polygon edge).
+
+    The clip loop runs on plain floats: it is called for every robot and
+    nearby obstacle each step, and numpy scalars would cost far more than
+    the arithmetic.
+    """
     c = np.asarray(center, dtype=float)
     theta = 2.0 * np.pi * np.arange(sides) / sides
-    clip = c + radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    output = [np.asarray(p, dtype=float) for p in np.asarray(vertices, dtype=float).reshape(-1, 2)]
+    clip = (c + radius * np.column_stack([np.cos(theta), np.sin(theta)])).tolist()
+    output = np.asarray(vertices, dtype=float).reshape(-1, 2).tolist()
     for k in range(sides):
-        a, b = clip[k], clip[(k + 1) % sides]
-        edge = b - a
+        ax, ay = clip[k]
+        bx, by = clip[(k + 1) % sides]
+        ex, ey = bx - ax, by - ay
         if not output:
             return np.zeros((0, 2))
         polygon, output = output, []
-        prev = polygon[-1]
-        prev_in = _cross2(edge, prev - a) >= 0.0
+        px, py = polygon[-1]
+        prev_in = ex * (py - ay) - ey * (px - ax) >= 0.0
         for point in polygon:
-            cur_in = _cross2(edge, point - a) >= 0.0
+            x, y = point
+            cur_in = ex * (y - ay) - ey * (x - ax) >= 0.0
             if cur_in != prev_in:
-                d = point - prev
-                denom = _cross2(edge, d)
-                t = _cross2(edge, a - prev) / denom if denom else 0.0
-                output.append(prev + t * d)
+                dx, dy = x - px, y - py
+                denom = ex * dy - ey * dx
+                t = (ex * (ay - py) - ey * (ax - px)) / denom if denom else 0.0
+                output.append([px + t * dx, py + t * dy])
             if cur_in:
                 output.append(point)
-            prev, prev_in = point, cur_in
+            px, py, prev_in = x, y, cur_in
     return np.array(output) if output else np.zeros((0, 2))
 
 

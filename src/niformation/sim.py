@@ -11,7 +11,10 @@ log files format floats with a fixed precision.
 Per-agent dynamics: each planar axis is the fitted velocity-to-position
 plant for the agent's kind, stepped with the (possibly delayed and
 saturated) velocity command; yaw is the first-order yaw-rate plant whose
-output is trapezoidally integrated and wrapped.
+output is trapezoidally integrated and wrapped.  Everything constant for a
+run is built once at construction: the lifted topology blocks of the planar
+and yaw laws, the per-agent speed caps, and one plant bank each for the
+planar axes and the yaw rates.
 
 State machine summary (evaluated in priority order each step):
 
@@ -38,7 +41,7 @@ import numpy as np
 from . import controller, obstacle
 from .formation import CONVERGED, IN_PROGRESS, TIMED_OUT, TransitionState, \
     check_convergence
-from .lti import discretize, load_model_library
+from .lti import PlantBank, discretize, load_model_library
 from .scenario import Scenario, load_scenario
 
 CONVERGENCE_BAND_CM = 5.0
@@ -140,27 +143,27 @@ class Simulator:
         self.master = scn.master_index
         self.kinds = scn.kinds
         self.origin = scn.starts()
+        self.planar_lift = controller.lift(scn.topology, 2)
+        self.speed_caps = controller.speed_caps(self.kinds, scn.saturation)
 
-        self.plants = []
-        for agent in scn.agents:
-            axes = []
-            for axis in ("x", "y"):
-                tf = models[f"{agent.kind}_vel{axis}"].transfer_function
-                axes.append(discretize(tf, scn.dt, noise_std=scn.noise_std,
-                                       rng=self.rng))
-            self.plants.append(axes)
+        # agent-major x, y: the order the noise draws have always been taken in
+        self.plants = PlantBank(
+            discretize(models[f"{agent.kind}_vel{axis}"].transfer_function,
+                       scn.dt, noise_std=scn.noise_std, rng=self.rng)
+            for agent in scn.agents for axis in ("x", "y"))
 
         self.yaw_agents = []
-        self.yaw_plants = {}
         if scn.yaw_control is not None:
             top = scn.yaw_control.topology
+            self.yaw_lift = controller.lift(top, 1)
             members = set(top.reference_agents)
             for head, tail in top.edges:
                 members.update((head, tail))
             self.yaw_agents = sorted(members)
+            self.yaw_rows = np.array(self.yaw_agents) - 1
             rate_tf = models["ugv_yaw_rate"].transfer_function
-            for agent in self.yaw_agents:
-                self.yaw_plants[agent] = discretize(rate_tf, scn.dt)
+            self.yaw_plants = PlantBank(discretize(rate_tf, scn.dt)
+                                        for _ in self.yaw_agents)
 
         self.positions = self.origin.copy()
         self.velocities = np.zeros((self.n, 2))
@@ -256,12 +259,10 @@ class Simulator:
                              "start": now, "mode": "glide",
                              "duration": scn.waypoint_glide_s}
 
-    def _slew_point(self, waypoint: np.ndarray, now: float | None) -> np.ndarray | None:
+    def _slew_point(self, waypoint: np.ndarray, now: float) -> np.ndarray | None:
         """Reference position along the active slew, or None once it lands."""
         slew = self.ref_slew
         start = np.asarray(slew["from"], dtype=float)
-        if now is None:
-            return None
         elapsed = now - slew["start"]
         if slew.get("mode", "glide") == "glide":
             if slew["duration"] <= 0 or elapsed >= slew["duration"]:
@@ -291,7 +292,7 @@ class Simulator:
             arc = distance - speed * ease * (u ** 3) * (1.0 - 0.5 * u)
         return start + (arc / distance) * leg
 
-    def _reference_point(self, now: float | None = None) -> np.ndarray:
+    def _reference_point(self, now: float) -> np.ndarray:
         scn = self.scn
         if self.avoidance is not None and self.avoidance.master_lateral is not None:
             # Ramp the detour over the phase's transition time: a step
@@ -301,7 +302,7 @@ class Simulator:
             # head brakes while the swing develops instead of outrunning it.
             ramp = self._phase_duration()
             frac = 1.0
-            if now is not None and ramp > 0:
+            if ramp > 0:
                 frac = min(1.0, (now - self.avoidance_started) / ramp)
             s_m, _ = self.avoidance.frame_coords(self.positions[self.master])
             return self.avoidance.to_world(
@@ -462,8 +463,8 @@ class Simulator:
                            "start_offsets": self.active_offsets.copy()}
         if self.scn.gains.adaptive:
             edge_errors = controller.formation_errors(
-                self.positions, scn.topology, new_offsets,
-                self._reference_point())[: 2 * scn.topology.n_edges]
+                self.positions, self.planar_lift, new_offsets,
+                self._reference_point(now))[: 2 * scn.topology.n_edges]
             self.effective_gains = controller.adaptive_gains(
                 delta, duration, edge_errors.reshape(-1, 2), scn.gains)
         if kind == "waypoint":
@@ -690,14 +691,14 @@ class Simulator:
         scn = self.scn
         if scn.control.mode == "enhanced":
             planar = controller.enhanced_control(
-                self.positions, self.velocities, scn.topology,
+                self.positions, self.velocities, self.planar_lift,
                 self.effective_gains, self.active_offsets, reference,
-                self.kinds, scn.saturation, dt=scn.dt,
+                self.speed_caps, dt=scn.dt,
                 prediction_horizon_steps=scn.control.prediction_horizon_steps)
         else:
             planar = controller.baseline_control(
-                self.positions, scn.topology, self.effective_gains,
-                self.active_offsets, reference, self.kinds, scn.saturation)
+                self.positions, self.planar_lift, self.effective_gains,
+                self.active_offsets, reference, self.speed_caps)
 
         yaw_cmds = np.zeros(self.n)
         cfg = scn.yaw_control
@@ -711,26 +712,30 @@ class Simulator:
                     reference, self.positions[self.master], self.last_heading)
                 self.last_heading = target
             yaw_cmds = controller.yaw_consensus(
-                self.yaws, self.yaw_rates, cfg.topology, self.effective_gains,
+                self.yaws, self.yaw_rates, self.yaw_lift, self.effective_gains,
                 target, cfg.offsets, scn.saturation, dt=scn.dt,
                 prediction_horizon_steps=scn.control.prediction_horizon_steps,
                 enhanced=(scn.control.mode == "enhanced"))
         return planar, yaw_cmds
 
     def _advance_plants(self, planar: np.ndarray, yaw_cmds: np.ndarray):
+        """Queue this step's commands, apply the delayed ones to the banks.
+
+        The planar bank takes the (n, 2) commands flattened agent-major and
+        returns each axis's displacement from the agent's start; the yaw bank
+        returns yaw rates, integrated trapezoidally into wrapped yaws.
+        """
         scn = self.scn
         self.delay_queue.append((planar, yaw_cmds))
         applied_planar, applied_yaw = self.delay_queue.popleft()
-        for i in range(self.n):
-            for axis in range(2):
-                out = self.plants[i][axis].step(float(applied_planar[i, axis]))
-                self.positions[i, axis] = self.origin[i, axis] + out
-        for agent in self.yaw_agents:
-            i = agent - 1
-            rate = self.yaw_plants[agent].step(float(applied_yaw[i]))
-            self.yaws[i] = controller.wrap_angle(
-                self.yaws[i] + scn.dt * 0.5 * (self.yaw_rates[i] + rate))
-            self.yaw_rates[i] = rate
+        out = self.plants.step(applied_planar.ravel())
+        self.positions[:] = self.origin + out.reshape(self.n, 2)
+        if self.yaw_agents:
+            rows = self.yaw_rows
+            rate = self.yaw_plants.step(applied_yaw[rows])
+            self.yaws[rows] = controller.wrap_angle(
+                self.yaws[rows] + scn.dt * 0.5 * (self.yaw_rates[rows] + rate))
+            self.yaw_rates[rows] = rate
         self.pos_history.append(self.positions.copy())
         span = len(self.pos_history) - 1
         if span > 0:

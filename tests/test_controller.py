@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from niformation import controller, graph, lti
 from niformation.controller import (NiGains, Prediction, SaturationLimits,
                                     adaptive_gains, baseline_control,
-                                    enhanced_control, heading_from_motion,
+                                    enhanced_control, heading_from_motion, lift,
                                     predict_master, prediction_path_tf,
-                                    saturate, wrap_angle, yaw_consensus)
+                                    saturate, speed_caps, wrap_angle,
+                                    yaw_consensus)
 
-STAR = graph.build_topology(3, [(1, 2), (1, 3)], [1])
-PAIR = graph.build_topology(2, [(1, 2)], [1])
-KINDS3 = ("uav", "ugv", "ugv")
+PAIR_TOPOLOGY = graph.build_topology(2, [(1, 2)], [1])
+STAR = lift(graph.build_topology(3, [(1, 2), (1, 3)], [1]), 2)
+PAIR = lift(PAIR_TOPOLOGY, 2)
+PAIR_YAW = lift(PAIR_TOPOLOGY, 1)
+CAPS3 = speed_caps(("uav", "ugv", "ugv"))
+CAPS_UGV2 = speed_caps(("ugv", "ugv"))
 
 
 def star_gains(kc=-0.5, kr=-0.002):
@@ -26,10 +30,10 @@ def star_gains(kc=-0.5, kr=-0.002):
 def test_reference_agent_steers_toward_waypoint():
     # head at the origin, waypoint 50 cm ahead on x, gain -0.002:
     # command = -0.002 * (0 - 50) = +0.1 cm/s toward the waypoint
-    top = graph.build_topology(1, [], [1])
+    top = lift(graph.build_topology(1, [], [1]), 2)
     gains = NiGains(reference=(-0.002, -0.002), consensus=())
     u = baseline_control([[0.0, 0.0]], top, gains, np.zeros((0, 2)),
-                         [50.0, 0.0], ("uav",))
+                         [50.0, 0.0], speed_caps(("uav",)))
     np.testing.assert_allclose(u, [[0.1, 0.0]])
 
 
@@ -37,7 +41,7 @@ def test_follower_steers_toward_its_slot():
     # follower 10 cm past the head with zero desired offset is pulled back
     gains = NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),))
     u = baseline_control([[0.0, 0.0], [10.0, 0.0]], PAIR, gains,
-                         [[0.0, 0.0]], [0.0, 0.0], ("ugv", "ugv"))
+                         [[0.0, 0.0]], [0.0, 0.0], CAPS_UGV2)
     np.testing.assert_allclose(u[1], [-5.0, 0.0])
     np.testing.assert_allclose(u[0], [0.0, 0.0])
 
@@ -46,7 +50,7 @@ def test_full_pipeline_matches_hand_computation():
     positions = [[0.0, 0.0], [120.0, 30.0], [-80.0, 60.0]]
     offsets = [[100.0, 50.0], [-100.0, 50.0]]
     u = baseline_control(positions, STAR, star_gains(), offsets,
-                         [50.0, 10.0], KINDS3)
+                         [50.0, 10.0], CAPS3)
     # shifted outputs: (-50,-10), (70,20), (-130,50)
     # edge errors + offsets: (-120,-30)+(100,50) = (-20,20);
     #                        (80,-60)+(-100,50) = (-20,-10)
@@ -59,14 +63,14 @@ def test_settled_formation_produces_zero_commands():
     waypoint = np.array([37.0, -12.0])
     offsets = np.array([[100.0, 50.0], [-100.0, 50.0]])
     positions = np.vstack([waypoint, waypoint + offsets[0], waypoint + offsets[1]])
-    u = baseline_control(positions, STAR, star_gains(), offsets, waypoint, KINDS3)
+    u = baseline_control(positions, STAR, star_gains(), offsets, waypoint, CAPS3)
     np.testing.assert_allclose(u, np.zeros((3, 2)), atol=1e-12)
 
 
 def test_zero_gains_give_zero_commands():
     gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0), (0.0, 0.0)))
     u = baseline_control([[5.0, 1.0], [2.0, 2.0], [3.0, 3.0]], STAR, gains,
-                         np.ones((2, 2)), [9.0, 9.0], KINDS3)
+                         np.ones((2, 2)), [9.0, 9.0], CAPS3)
     np.testing.assert_allclose(u, np.zeros((3, 2)))
 
 
@@ -74,13 +78,13 @@ def test_gain_count_mismatch_is_rejected():
     with pytest.raises(ValueError, match="consensus gain pairs"):
         baseline_control(np.zeros((3, 2)), STAR,
                          NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),)),
-                         np.zeros((2, 2)), [0.0, 0.0], KINDS3)
+                         np.zeros((2, 2)), [0.0, 0.0], CAPS3)
 
 
 def test_position_shape_mismatch_is_rejected():
     with pytest.raises(ValueError, match="positions"):
         baseline_control(np.zeros((2, 2)), STAR, star_gains(),
-                         np.zeros((2, 2)), [0.0, 0.0], KINDS3)
+                         np.zeros((2, 2)), [0.0, 0.0], CAPS3)
 
 
 # --------------------------------------------------------------- prediction
@@ -95,9 +99,9 @@ def test_enhanced_minus_baseline_equals_gained_prediction():
     velocities = [[10.0, -20.0], [0.0, 0.0], [0.0, 0.0]]
     offsets = [[100.0, 50.0], [-100.0, 50.0]]
     base = baseline_control(positions, STAR, star_gains(), offsets,
-                            [50.0, 10.0], KINDS3)
+                            [50.0, 10.0], CAPS3)
     enh = enhanced_control(positions, velocities, STAR, star_gains(), offsets,
-                           [50.0, 10.0], KINDS3, dt=0.02,
+                           [50.0, 10.0], CAPS3, dt=0.02,
                            prediction_horizon_steps=1)
     # each follower's command shifts by -(Kc * head displacement)
     np.testing.assert_allclose(enh[0], base[0])
@@ -110,13 +114,13 @@ def test_enhanced_prediction_scales_with_horizon():
     velocities = [[30.0, 0.0], [0.0, 0.0]]
     gains = NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),))
     one = enhanced_control(positions, velocities, PAIR, gains, [[0.0, 0.0]],
-                           [0.0, 0.0], ("ugv", "ugv"), dt=0.02,
+                           [0.0, 0.0], CAPS_UGV2, dt=0.02,
                            prediction_horizon_steps=1)
     sixty = enhanced_control(positions, velocities, PAIR, gains, [[0.0, 0.0]],
-                             [0.0, 0.0], ("ugv", "ugv"), dt=0.02,
+                             [0.0, 0.0], CAPS_UGV2, dt=0.02,
                              prediction_horizon_steps=60)
     base = baseline_control(positions, PAIR, gains, [[0.0, 0.0]],
-                            [0.0, 0.0], ("ugv", "ugv"))
+                            [0.0, 0.0], CAPS_UGV2)
     np.testing.assert_allclose(one[1] - base[1], [0.3, 0.0])
     np.testing.assert_allclose(sixty[1] - base[1], [18.0, 0.0])
 
@@ -125,9 +129,9 @@ def test_enhanced_with_zero_velocity_equals_baseline():
     positions = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
     offsets = [[10.0, 0.0], [0.0, 10.0]]
     base = baseline_control(positions, STAR, star_gains(), offsets,
-                            [0.0, 0.0], KINDS3)
+                            [0.0, 0.0], CAPS3)
     enh = enhanced_control(positions, np.zeros((3, 2)), STAR, star_gains(),
-                           offsets, [0.0, 0.0], KINDS3, dt=0.02)
+                           offsets, [0.0, 0.0], CAPS3, dt=0.02)
     np.testing.assert_allclose(enh, base)
 
 
@@ -136,7 +140,7 @@ def test_enhanced_with_zero_velocity_equals_baseline():
 def test_commands_clip_to_per_kind_limits():
     gains = NiGains(reference=(-10.0, -10.0), consensus=((-10.0, -10.0), (-10.0, -10.0)))
     u = baseline_control([[0.0, 0.0], [500.0, 0.0], [0.0, -500.0]], STAR, gains,
-                         np.zeros((2, 2)), [900.0, 0.0], ("uav", "ugv", "ugv"))
+                         np.zeros((2, 2)), [900.0, 0.0], CAPS3)
     assert abs(u[0][0]) == 200.0      # uav cap
     assert abs(u[1][0]) == 100.0      # ugv cap
     assert abs(u[2][1]) == 100.0
@@ -145,19 +149,20 @@ def test_commands_clip_to_per_kind_limits():
 def test_saturation_is_idempotent():
     limits = SaturationLimits()
     raw = np.array([[312.0, -45.0], [-150.0, 99.0]])
-    once = saturate(raw, ("uav", "ugv"), limits)
-    np.testing.assert_allclose(saturate(once, ("uav", "ugv"), limits), once)
+    caps = speed_caps(("uav", "ugv"), limits)
+    once = saturate(raw, caps)
+    np.testing.assert_allclose(saturate(once, caps), once)
 
 
 def test_unknown_kind_is_rejected():
     with pytest.raises(ValueError, match="kind"):
-        saturate(np.zeros((1, 2)), ("boat",), SaturationLimits())
+        speed_caps(("boat",), SaturationLimits())
 
 
 @given(vx=st.floats(-1e4, 1e4), vy=st.floats(-1e4, 1e4))
 @settings(max_examples=50, deadline=None)
 def test_saturated_commands_never_exceed_limits(vx, vy):
-    out = saturate(np.array([[vx, vy]]), ("ugv",), SaturationLimits())
+    out = saturate(np.array([[vx, vy]]), speed_caps(("ugv",), SaturationLimits()))
     assert np.all(np.abs(out) <= 100.0)
 
 
@@ -216,7 +221,7 @@ def test_wrap_angle_range_and_fixed_points():
 def test_yaw_reference_agent_turns_toward_target():
     gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
                     yaw_reference=-0.066, yaw_consensus=(-0.02,))
-    u = yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR, gains,
+    u = yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR_YAW, gains,
                       target_angle=np.pi / 2)
     assert u[0] == pytest.approx(-0.066 * (0.0 - np.pi / 2))
     assert u[1] == pytest.approx(0.0)
@@ -225,7 +230,7 @@ def test_yaw_reference_agent_turns_toward_target():
 def test_yaw_follower_aligns_with_head():
     gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
                     yaw_reference=-0.066, yaw_consensus=(-0.02,))
-    u = yaw_consensus([np.pi / 2, 0.0], [0.0, 0.0], PAIR, gains,
+    u = yaw_consensus([np.pi / 2, 0.0], [0.0, 0.0], PAIR_YAW, gains,
                       target_angle=np.pi / 2)
     # follower error pi/2, actuation sign flips: positive rate toward head
     assert u[1] == pytest.approx(0.02 * np.pi / 2)
@@ -236,22 +241,22 @@ def test_yaw_error_wraps_across_the_cut():
                     yaw_reference=-0.5, yaw_consensus=(-0.5,))
     # head at +175 deg, follower at -175 deg: the short way is +10 deg
     yaws = [np.deg2rad(175.0), np.deg2rad(-175.0)]
-    u = yaw_consensus(yaws, [0.0, 0.0], PAIR, gains, target_angle=np.deg2rad(175.0))
+    u = yaw_consensus(yaws, [0.0, 0.0], PAIR_YAW, gains, target_angle=np.deg2rad(175.0))
     assert u[1] == pytest.approx(0.5 * np.deg2rad(-10.0))
 
 
 def test_yaw_rate_commands_clip():
     gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
                     yaw_reference=-10.0, yaw_consensus=(-10.0,))
-    u = yaw_consensus([0.0, np.pi], [0.0, 0.0], PAIR, gains, target_angle=np.pi)
+    u = yaw_consensus([0.0, np.pi], [0.0, 0.0], PAIR_YAW, gains, target_angle=np.pi)
     assert np.all(np.abs(u) <= 1.5)
 
 
 def test_yaw_enhanced_adds_head_rate_lookahead():
     gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
                     yaw_reference=0.0, yaw_consensus=(-0.5,))
-    base = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR, gains, target_angle=0.0)
-    enh = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR, gains, target_angle=0.0,
+    base = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, target_angle=0.0)
+    enh = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, target_angle=0.0,
                         dt=0.02, prediction_horizon_steps=1, enhanced=True)
     assert base[1] == pytest.approx(0.0)
     assert enh[1] == pytest.approx(0.5 * 0.2 * 0.02)
@@ -281,3 +286,122 @@ def test_prediction_branch_composes_to_sni_with_its_plant():
     plant = models["uav_velx"].transfer_function
     branch = prediction_path_tf(plant, 0.02, 1)
     assert lti.series_ni_composition(plant, branch) == lti.SNI
+
+
+# ------------------------------------------- prebuilt lifts vs inline kron
+
+def inline_planar(positions, velocities, topology, gains, offsets, waypoint,
+                  kinds, tau):
+    """The planar law with its Kronecker blocks built on every call."""
+    sensing, actuation = graph.kron_expand(topology, 2)
+    shifted = np.asarray(positions, dtype=float) - np.asarray(waypoint, dtype=float)
+    stacked = sensing.T @ shifted.ravel()
+    feed = np.zeros_like(stacked)
+    if topology.n_edges:
+        feed[: 2 * topology.n_edges] = np.asarray(offsets, dtype=float).ravel()
+    errors = stacked + feed
+    if velocities is not None:
+        for e, (head, _tail) in enumerate(topology.edges):
+            errors[2 * e] += float(velocities[head - 1][0] * tau)
+            errors[2 * e + 1] += float(velocities[head - 1][1] * tau)
+    gain_vec = np.concatenate([np.asarray(gains.consensus, dtype=float).reshape(-1),
+                               np.asarray(gains.reference, dtype=float)])
+    out = (actuation @ (gain_vec * errors)).reshape(topology.n_agents, 2)
+    limits = SaturationLimits()
+    for i, kind in enumerate(kinds):
+        cap = limits.speed_for(kind)
+        out[i] = np.clip(out[i], -cap, cap)
+    return out
+
+
+def inline_yaw(yaws, rates, topology, gains, target, offsets, dt, horizon,
+               enhanced):
+    """The yaw law with its Kronecker block built on every call."""
+    _, actuation = graph.kron_expand(topology, 1)
+    errors = np.zeros(topology.n_edges + 1)
+    for e, (head, tail) in enumerate(topology.edges):
+        err = wrap_angle(yaws[head - 1] - yaws[tail - 1] + offsets[e])
+        if enhanced:
+            err += rates[head - 1] * dt * horizon
+        errors[e] = err
+    errors[-1] = wrap_angle(yaws[topology.reference_agents[0] - 1] - target)
+    gain_vec = np.concatenate([np.asarray(gains.yaw_consensus, dtype=float),
+                               [gains.yaw_reference]])
+    raw = actuation @ (gain_vec * errors)
+    return np.clip(raw, -1.5, 1.5)
+
+
+@st.composite
+def topologies(draw):
+    """A random directed tree over 2-5 agents rooted at agent 1."""
+    n = draw(st.integers(2, 5))
+    edges = [(draw(st.integers(1, tail - 1)), tail) for tail in range(2, n + 1)]
+    refs = draw(st.lists(st.integers(1, n), min_size=1, max_size=2))
+    return graph.build_topology(n, edges, refs)
+
+
+coords = st.floats(-500.0, 500.0)
+nonpositive = st.floats(-5.0, 0.0)
+
+
+@given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
+       horizon=st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_planar_laws_with_a_prebuilt_lift_equal_the_inline_products(
+        data, topology, enhanced, horizon):
+    n, n_edges = topology.n_agents, topology.n_edges
+    arrays = lambda rows: np.array(data.draw(  # noqa: E731
+        st.lists(st.tuples(coords, coords), min_size=rows, max_size=rows)),
+        dtype=float).reshape(rows, 2)
+    positions, velocities, offsets = arrays(n), arrays(n), arrays(n_edges)
+    waypoint = arrays(1)[0]
+    kinds = data.draw(st.lists(st.sampled_from(("ugv", "uav")),
+                               min_size=n, max_size=n))
+    gains = NiGains(reference=data.draw(st.tuples(nonpositive, nonpositive)),
+                    consensus=tuple(data.draw(st.tuples(nonpositive, nonpositive))
+                                    for _ in range(n_edges)))
+    lifted, caps = lift(topology, 2), speed_caps(kinds)
+    if enhanced:
+        got = enhanced_control(positions, velocities, lifted, gains, offsets,
+                               waypoint, caps, dt=0.02,
+                               prediction_horizon_steps=horizon)
+        want = inline_planar(positions, velocities, topology, gains, offsets,
+                             waypoint, kinds, 0.02 * horizon)
+    else:
+        got = baseline_control(positions, lifted, gains, offsets, waypoint, caps)
+        want = inline_planar(positions, None, topology, gains, offsets,
+                             waypoint, kinds, 0.0)
+    assert np.array_equal(got, want)
+
+
+@given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
+       target=st.floats(-4.0, 4.0))
+@settings(max_examples=80, deadline=None)
+def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
+        data, topology, enhanced, target):
+    n, n_edges = topology.n_agents, topology.n_edges
+    angles = st.floats(-7.0, 7.0)
+    yaws = np.array(data.draw(st.lists(angles, min_size=n, max_size=n)))
+    rates = np.array(data.draw(st.lists(angles, min_size=n, max_size=n)))
+    offsets = np.array(data.draw(st.lists(angles, min_size=n_edges,
+                                          max_size=n_edges)), dtype=float)
+    gains = NiGains(reference=(0.0, 0.0),
+                    consensus=((0.0, 0.0),) * n_edges,
+                    yaw_reference=data.draw(nonpositive),
+                    yaw_consensus=tuple(data.draw(nonpositive)
+                                        for _ in range(n_edges)))
+    got = yaw_consensus(yaws, rates, lift(topology, 1), gains, target, offsets,
+                        dt=0.02, prediction_horizon_steps=3, enhanced=enhanced)
+    want = inline_yaw(yaws, rates, topology, gains, target, offsets,
+                      0.02, 3, enhanced)
+    assert np.array_equal(got, want)
+
+
+def test_laws_reject_a_lift_of_the_wrong_width():
+    with pytest.raises(ValueError, match="lifted to 2"):
+        baseline_control(np.zeros((2, 2)), PAIR_YAW, star_gains(),
+                         np.zeros((1, 2)), [0.0, 0.0], CAPS_UGV2)
+    with pytest.raises(ValueError, match="lifted to 1"):
+        yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR, NiGains(
+            reference=(0.0, 0.0), consensus=((0.0, 0.0),),
+            yaw_consensus=(0.0,)), target_angle=0.0)

@@ -311,6 +311,40 @@ def test_reset_returns_to_rest(models):
     assert plant.step(0.0) == 0.0
 
 
+@given(data=st.data(), names=st.lists(st.sampled_from(VELOCITY_MODELS + ("lag",)),
+                                      min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_plant_bank_equals_stepping_each_plant_in_turn(data, names, seed):
+    # mixed orders (the lag is first order) and a per-plant noise on/off
+    library = lti.load_model_library()
+    noise = data.draw(st.lists(st.sampled_from((0.0, 0.5)),
+                               min_size=len(names), max_size=len(names)))
+
+    def build(rng):
+        return [lti.discretize(LAG if name == "lag"
+                               else library[name].transfer_function, 0.02,
+                               noise_std=std, rng=rng)
+                for name, std in zip(names, noise)]
+
+    one_by_one = build(np.random.default_rng(seed))
+    bank = lti.PlantBank(build(np.random.default_rng(seed)))
+    for _ in range(25):
+        u = np.array(data.draw(st.lists(st.floats(-200.0, 200.0),
+                                        min_size=len(names),
+                                        max_size=len(names))))
+        want = np.array([plant.step(float(v)) for plant, v in zip(one_by_one, u)])
+        assert np.array_equal(bank.step(u), want)
+
+
+def test_plant_bank_refuses_noisy_plants_on_two_generators(models):
+    m = models["ugv_velx"].transfer_function
+    plants = [lti.discretize(m, 0.02, noise_std=1.0,
+                             rng=np.random.default_rng(k)) for k in range(2)]
+    with pytest.raises(ValueError, match="share a generator"):
+        lti.PlantBank(plants)
+
+
 # ------------------------------------------------------------------- library
 
 def test_library_contents(models):

@@ -313,3 +313,84 @@ def test_grouping_matches_the_boundary_gap_rule(d, r1, r2):
     two = ObstacleCircle((d, 0.0), r2)
     got = group_or_separate(one, two, ROBOT_DIAMETER)
     assert (got is not None) == (d < ROBOT_DIAMETER + r1 + r2)
+
+
+# ------------------------------------- plain-float clip vs the numpy clip
+
+def numpy_clip(vertices, center, radius, sides=obstacle.FOOTPRINT_SIDES):
+    """Sutherland-Hodgman on numpy vectors: the reference the plain-float
+    clip must reproduce bit for bit."""
+    def cross2(a, b):
+        return float(a[0] * b[1] - a[1] * b[0])
+
+    c = np.asarray(center, dtype=float)
+    theta = 2.0 * np.pi * np.arange(sides) / sides
+    clip = c + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    output = [np.asarray(p, dtype=float)
+              for p in np.asarray(vertices, dtype=float).reshape(-1, 2)]
+    for k in range(sides):
+        a, b = clip[k], clip[(k + 1) % sides]
+        edge = b - a
+        if not output:
+            return np.zeros((0, 2))
+        polygon, output = output, []
+        prev = polygon[-1]
+        prev_in = cross2(edge, prev - a) >= 0.0
+        for point in polygon:
+            cur_in = cross2(edge, point - a) >= 0.0
+            if cur_in != prev_in:
+                d = point - prev
+                denom = cross2(edge, d)
+                t = cross2(edge, a - prev) / denom if denom else 0.0
+                output.append(prev + t * d)
+            if cur_in:
+                output.append(point)
+            prev, prev_in = point, cur_in
+    return np.array(output) if output else np.zeros((0, 2))
+
+
+def footprint_vertex(center, radius, k, sides=obstacle.FOOTPRINT_SIDES):
+    """Vertex k of the footprint polygon, computed as the clip computes it."""
+    theta = 2.0 * np.pi * np.arange(sides) / sides
+    ring = np.asarray(center, dtype=float) + radius * np.column_stack(
+        [np.cos(theta), np.sin(theta)])
+    return ring[k % sides]
+
+
+@st.composite
+def clip_cases(draw):
+    """A polygon near a footprint; some vertices lie on the footprint's own
+    vertices or edge midpoints, so boundary ties are exercised."""
+    center = (draw(st.floats(-300, 300)), draw(st.floats(-300, 300)))
+    radius = draw(st.floats(1.0, 150.0))
+    vertices = []
+    for _ in range(draw(st.integers(0, 7))):
+        where = draw(st.sampled_from(("free", "vertex", "midpoint")))
+        if where == "free":
+            vertices.append((center[0] + draw(st.floats(-2 * radius, 2 * radius)),
+                             center[1] + draw(st.floats(-2 * radius, 2 * radius))))
+        else:
+            k = draw(st.integers(0, obstacle.FOOTPRINT_SIDES - 1))
+            a = footprint_vertex(center, radius, k)
+            b = footprint_vertex(center, radius, k + 1)
+            point = a if where == "vertex" else a + 0.5 * (b - a)
+            vertices.append(tuple(float(v) for v in point))
+    return np.array(vertices, dtype=float).reshape(-1, 2), center, radius
+
+
+@given(case=clip_cases())
+@settings(max_examples=300, deadline=None)
+def test_plain_float_clip_equals_the_numpy_clip(case):
+    vertices, center, radius = case
+    got = clip_polygon_to_disc(vertices, center, radius)
+    want = numpy_clip(vertices, center, radius)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_clip_of_the_footprint_itself_is_bitwise_the_numpy_clip():
+    ring = np.array([footprint_vertex((12.5, -3.0), 110.0, k)
+                     for k in range(obstacle.FOOTPRINT_SIDES)])
+    got = clip_polygon_to_disc(ring, (12.5, -3.0), 110.0)
+    assert np.array_equal(got, numpy_clip(ring, (12.5, -3.0), 110.0))
+    assert got.shape[0] >= obstacle.FOOTPRINT_SIDES

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from niformation import obstacle, scenario, sim
+from niformation import scenario, sim
 
 # (status, waypoints completed, avoid_enter modes, sha256 of
 # trajectory_csv() + summary_json()) for every shipped scenario at its own
@@ -53,3 +53,21 @@ def test_shipped_scenario_matches_its_golden_run(name):
             if ev["event"] == "avoid_enter"] == modes
     text = log.trajectory_csv() + log.summary_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_adaptive_offset_switch_keeps_the_reference_glide():
+    # moving_leader_compare cruises to its waypoint on a slewed reference;
+    # an adaptive offset switch reads the reference point and must not
+    # cancel that slew
+    scn = scenario.load_scenario("moving_leader_compare")
+    scn = replace(scn, gains=replace(scn.gains, adaptive=True))
+    simulator = sim.Simulator(scn)
+    slew = simulator.ref_slew
+    assert slew is not None
+    now = 0.5
+    on_glide = simulator._reference_point(now)
+    simulator._switch_offsets(simulator.active_offsets + 40.0, now,
+                              kind="avoidance")
+    assert simulator.transition is not None
+    assert simulator.ref_slew is slew
+    assert np.array_equal(simulator._reference_point(now), on_glide)
