@@ -9,50 +9,75 @@ import pytest
 from niformation import scenario, sim
 
 # (status, waypoints completed, avoid_enter modes, sha256 of
-# trajectory_csv() + summary_json()) for every shipped scenario at its own
-# seed.  A hash may change only with a CHANGES.md entry explaining the diff.
+# trajectory_csv() + summary_json(), sha256 of events_csv()) for every
+# shipped scenario at its own seed, plus the entries of MODE_RUNS.  A hash
+# may change only with a CHANGES.md entry explaining the diff.
 GOLDEN = {
     "cluttered_course": (
         "completed", 2, [1, 2],
-        "33b391b8e5faee395ce949541064d405a8d738d99947faf4d0e22bc7aa082e3e"),
+        "33b391b8e5faee395ce949541064d405a8d738d99947faf4d0e22bc7aa082e3e",
+        "11933f35ef2ac899447a7e3950727c5cc4da60f75c3f35fa837fd1154770c712"),
     "corridor_squeeze": (
         "completed", 1, [2],
-        "c12ae7cb08af0a8489b8c0761245a8838cc69c2279616ff7398e17d9e123b9d6"),
+        "c12ae7cb08af0a8489b8c0761245a8838cc69c2279616ff7398e17d9e123b9d6",
+        "5203bc294ad65c5d07ec78c23de5d3265625c38e75988a1dc6f42fb09cbe59c1"),
     "moving_leader_compare": (
         "completed", 1, [],
-        "d76b97ce9731cc2d08f16593bab6c86edf934dfdd3acc87882d6f08336b5e056"),
+        "d76b97ce9731cc2d08f16593bab6c86edf934dfdd3acc87882d6f08336b5e056",
+        "42776816a663efe33d40f4cb9f295ace0336acbaf36ff277f9d4d33f943251b2"),
     "moving_leader_compare_baseline": (
         "completed", 1, [],
-        "c665ec35572a605e754b6a9a307907be48f7659e9873062f1bb387275e7557c9"),
+        "ea52e43c2313b2e0fa9f328f22b617453f26fc554e89920e300ebddd3a8d0b3d",
+        "42776816a663efe33d40f4cb9f295ace0336acbaf36ff277f9d4d33f943251b2"),
     "rect_varying_formation": (
         "completed", 3, [],
-        "c933b80b514b40d77150a816b472ac3604a850fb5f1866804ed68a9beeafdf1b"),
+        "c933b80b514b40d77150a816b472ac3604a850fb5f1866804ed68a9beeafdf1b",
+        "9ce3d16195fd8db78bc34fcaa509d4cd4e02f91e04ec15dc202f8945793b0590"),
     "single_obstacle_line": (
         "completed", 1, [1],
-        "b1a5f4f8831ee6af334980e688eb36092db3d3d274c7c87d0bfc726019a727b4"),
+        "b1a5f4f8831ee6af334980e688eb36092db3d3d274c7c87d0bfc726019a727b4",
+        "aab85bccf275271eb99df98d298c5e6b5d32c8e4b345fa7de65d95ca82eec02b"),
     "triangle_rect_patrol": (
         "completed", 4, [],
-        "f178f633d5be44cb32bfb351ad5fc36ea5589f5a6c5675bbb0f1650de8bafa1d"),
+        "f178f633d5be44cb32bfb351ad5fc36ea5589f5a6c5675bbb0f1650de8bafa1d",
+        "d14692535ec5a01b4158816c316431e8b2cd51cd108ba8be7e6550d39a4e7286"),
     "yaw_sync_pair": (
         "completed", 1, [],
-        "0fa88baf22e84604a0add4760cb0df25ff10f0c6f2ef42473edf5b9375ad06b4"),
+        "0fa88baf22e84604a0add4760cb0df25ff10f0c6f2ef42473edf5b9375ad06b4",
+        "0ed5390adc2cd571900885b5fd027f7d7bda0054e32c10b552382f4c8e0662e6"),
 }
+
+# golden entries that run a shipped scenario in another control mode
+MODE_RUNS = {"moving_leader_compare_baseline": ("moving_leader_compare", "baseline")}
+
+# scenarios with obstacles: no robot may touch one
+OBSTACLE_SCENARIOS = {"cluttered_course", "corridor_squeeze", "single_obstacle_line"}
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_golden_table_covers_every_shipped_scenario():
-    assert sorted(GOLDEN) == sorted(scenario.shipped_scenarios())
+    assert sorted(GOLDEN) == sorted([*scenario.shipped_scenarios(), *MODE_RUNS])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_matches_its_golden_run(name):
-    status, waypoints, modes, digest = GOLDEN[name]
-    log = sim.run_scenario(name)
+    status, waypoints, modes, run_digest, events_digest = GOLDEN[name]
+    source, mode = MODE_RUNS.get(name, (name, None))
+    log = sim.run_scenario(source, mode=mode)
     assert log.summary["status"] == status
     assert log.summary["waypoints_completed"] == waypoints
     assert [ev["mode"] for ev in log.events
             if ev["event"] == "avoid_enter"] == modes
-    text = log.trajectory_csv() + log.summary_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    clearance = log.summary["min_obstacle_clearance_cm"]
+    if name in OBSTACLE_SCENARIOS:
+        assert clearance > 0
+    else:
+        assert clearance is None
+    assert digest(log.trajectory_csv() + log.summary_json()) == run_digest
+    assert digest(log.events_csv()) == events_digest
 
 
 def test_adaptive_offset_switch_keeps_the_reference_glide():
