@@ -2,29 +2,31 @@
 
 The topology's sensing and actuation blocks are constant for a run, so
 `lift` builds their Kronecker lifts once and every law below reuses them.
-The planar control law is then one matrix pipeline evaluated per step:
+Both the planar and the yaw law are one pipeline evaluated per step:
 
-1. every agent's measured position is shifted by the signed reference
-   (the negated waypoint), e_i = y_i - W;
-2. the transposed sensing block maps the stacked shifted outputs to per-edge
-   differences (head - tail) followed by the reference-agent rows;
-3. desired tail-relative offsets are added on the edge rows, plus (enhanced
-   law only) the head agent's predicted displacement over the lookahead
-   horizon, so followers aim at where the head is about to be;
-4. per-row gains scale the errors and the actuation block routes them back
-   to agents: only an edge's tail steers to close that edge, reference
-   agents additionally steer toward the waypoint;
-5. commands clip to the per-agent speed caps, one array per run built by
-   `speed_caps` from the agents' kinds.
+1. sense: the errors are per-edge differences (head - tail) followed by the
+   reference-agent row.  The planar law gets them from the transposed
+   sensing block applied to the positions shifted by the waypoint,
+   e_i = y_i - W; the yaw law gathers wrapped angle differences through the
+   topology's edge index arrays.  Desired offsets are added on the edge
+   rows, plus (enhanced law only) the head agent's predicted travel over
+   the lookahead horizon, gathered as `velocities[heads]`, so followers aim
+   at where the head is about to be;
+2. gain and route: per-row gains, built once per `NiGains`, scale the
+   errors and the actuation block routes them back to agents: only an
+   edge's tail steers to close that edge, reference agents additionally
+   steer toward the waypoint;
+3. clip: commands clip to the per-agent speed caps (one array per run,
+   built by `speed_caps` from the agents' kinds) or to the yaw-rate cap.
 
-Because the actuation block carries -1 at each tail, negative gains yield
-attracting (stable) corrections in both the edge and the reference channels.
-The yaw law is the same pipeline in one dimension with angle wrapping.
+Steps 2 and 3 are one private route shared by every law.  Because the
+actuation block carries -1 at each tail, negative gains yield attracting
+(stable) corrections in both the edge and the reference channels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,7 +89,9 @@ class NiGains:
     """Loop gains: per-edge consensus pairs, reference pair, yaw gains.
 
     All gains must be nonpositive; the actuation block's tail signs turn
-    negative gains into attracting corrections.
+    negative gains into attracting corrections.  `planar` and `yaw` are the
+    per-row gain vectors of the two laws (edge rows, then the reference
+    row), built once here.
     """
 
     reference: tuple[float, float]
@@ -95,6 +99,8 @@ class NiGains:
     yaw_reference: float = 0.0
     yaw_consensus: tuple[float, ...] = ()
     adaptive: bool = False
+    planar: np.ndarray = field(init=False, repr=False, compare=False)
+    yaw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reference",
@@ -107,29 +113,11 @@ class NiGains:
                       self.yaw_reference, *self.yaw_consensus]
         if any(g > 0 for g in everything):
             raise ValueError("gains must be nonpositive")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Predicted planar displacement of an edge's head agent (cm)."""
-
-    dx: float
-    dy: float
-
-
-@dataclass(frozen=True)
-class ControlCommand:
-    """Per-agent velocity setpoints: planar (cm/s) and yaw rate (rad/s)."""
-
-    vx: float
-    vy: float
-    omega: float = 0.0
-
-
-def predict_master(master_velocity, dt: float) -> Prediction:
-    """Constant-velocity displacement prediction over dt seconds."""
-    v = np.asarray(master_velocity, dtype=float)
-    return Prediction(float(v[0] * dt), float(v[1] * dt))
+        object.__setattr__(self, "planar", np.concatenate(
+            [np.asarray(self.consensus, dtype=float).reshape(-1),
+             np.asarray(self.reference, dtype=float)]))
+        object.__setattr__(self, "yaw", np.concatenate(
+            [np.asarray(self.yaw_consensus, dtype=float), [self.yaw_reference]]))
 
 
 def speed_caps(kinds, limits: SaturationLimits | None = None) -> np.ndarray:
@@ -143,24 +131,13 @@ def saturate(commands: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(commands, dtype=float), -caps, caps)
 
 
-def _gain_vector(topology: NetworkTopology, gains: NiGains) -> np.ndarray:
-    if len(gains.consensus) != topology.n_edges:
-        raise ValueError(f"got {len(gains.consensus)} consensus gain pairs for "
-                         f"{topology.n_edges} edges")
-    return np.concatenate([np.asarray(gains.consensus, dtype=float).reshape(-1),
-                           np.asarray(gains.reference, dtype=float)])
-
-
 def formation_errors(positions: np.ndarray, lifted: LiftedTopology,
-                     offsets: np.ndarray, waypoint,
-                     prediction: Prediction | None = None) -> np.ndarray:
-    """Stacked gained-error vector: edge rows then reference rows (x, y each).
+                     offsets: np.ndarray, waypoint) -> np.ndarray:
+    """Stacked error vector: edge rows then reference rows (x, y each).
 
     positions is (n, 2) in cm; lifted is the topology lifted to 2
     coordinates; offsets is (n_edges, 2), row e the desired tail-minus-head
     displacement for edge e; waypoint is the reference agents' target point.
-    The optional prediction is added on every edge row (the head's
-    anticipated displacement).
     """
     topology = _require_m(lifted, 2)
     pos = np.asarray(positions, dtype=float)
@@ -171,20 +148,22 @@ def formation_errors(positions: np.ndarray, lifted: LiftedTopology,
 
     stacked = lifted.sensing_t @ shifted.ravel()
     feed = np.zeros_like(stacked)
-    if topology.n_edges:
-        edge_feed = offs.copy()
-        if prediction is not None:
-            edge_feed += np.array([prediction.dx, prediction.dy])
-        feed[: 2 * topology.n_edges] = edge_feed.ravel()
+    feed[: offs.size] = offs.ravel()
     return stacked + feed
 
 
-def _route(errors, lifted: LiftedTopology, gains: NiGains, caps) -> np.ndarray:
-    """Gain the stacked errors, route them to agents and clip to the caps."""
+def _route(errors, lifted: LiftedTopology, gains: np.ndarray, caps) -> np.ndarray:
+    """Gain the stacked errors, route them to agents and clip to the caps.
+
+    Returns one row per agent and one column per lifted coordinate.
+    """
     topology = lifted.topology
-    gained = _gain_vector(topology, gains) * errors
-    raw = (lifted.actuation @ gained).reshape(topology.n_agents, 2)
-    return saturate(raw, caps)
+    if gains.size != errors.size:
+        what = "consensus gain pairs" if lifted.m == 2 else "yaw consensus gains"
+        raise ValueError(f"got {gains.size // lifted.m - 1} {what} for "
+                         f"{topology.n_edges} edges")
+    raw = lifted.actuation @ (gains * errors)
+    return saturate(raw.reshape(topology.n_agents, lifted.m), caps)
 
 
 def baseline_control(positions, lifted: LiftedTopology, gains: NiGains,
@@ -195,7 +174,7 @@ def baseline_control(positions, lifted: LiftedTopology, gains: NiGains,
     per-agent speed caps from `speed_caps`.
     """
     errors = formation_errors(positions, lifted, offsets, waypoint)
-    return _route(errors, lifted, gains, caps)
+    return _route(errors, lifted, gains.planar, caps)
 
 
 def enhanced_control(positions, velocities, lifted: LiftedTopology,
@@ -206,14 +185,11 @@ def enhanced_control(positions, velocities, lifted: LiftedTopology,
     velocities is (n, 2): each edge row is fed the displacement its own head
     agent is predicted to cover over horizon*dt seconds.
     """
-    vel = np.asarray(velocities, dtype=float)
-    tau = dt * prediction_horizon_steps
     errors = formation_errors(positions, lifted, offsets, waypoint)
-    for e, (head, _tail) in enumerate(lifted.topology.edges):
-        p = predict_master(vel[head - 1], tau)
-        errors[2 * e] += p.dx
-        errors[2 * e + 1] += p.dy
-    return _route(errors, lifted, gains, caps)
+    heads = lifted.topology.heads
+    feed = np.asarray(velocities, dtype=float)[heads] * (dt * prediction_horizon_steps)
+    errors[: feed.size] += feed.ravel()
+    return _route(errors, lifted, gains.planar, caps)
 
 
 def adaptive_gains(dis: np.ndarray, duration: float, start_errors: np.ndarray,
@@ -232,17 +208,10 @@ def adaptive_gains(dis: np.ndarray, duration: float, start_errors: np.ndarray,
     err = np.asarray(start_errors, dtype=float).reshape(-1, 2)
     if dis.shape != err.shape or dis.shape[0] != len(base.consensus):
         raise ValueError("dis / start_errors must match the edge count")
-    new_pairs = []
-    for e, base_pair in enumerate(base.consensus):
-        pair = []
-        for axis in range(2):
-            d, x0 = dis[e, axis], err[e, axis]
-            if abs(d) < GAIN_EPS or abs(x0) < GAIN_EPS:
-                pair.append(base_pair[axis])
-            else:
-                pair.append(-abs(d / duration) / abs(x0))
-        new_pairs.append(tuple(pair))
-    return replace(base, consensus=tuple(new_pairs))
+    keep = (np.abs(dis) < GAIN_EPS) | (np.abs(err) < GAIN_EPS)
+    solved = -np.abs(dis / duration) / np.abs(np.where(keep, 1.0, err))
+    pairs = np.where(keep, np.reshape(base.consensus, (-1, 2)), solved)
+    return replace(base, consensus=tuple(map(tuple, pairs)))
 
 
 def wrap_angle(angle):
@@ -272,31 +241,24 @@ def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: NiGains,
 
     lifted is the yaw topology lifted to 1 coordinate.  Edge errors are the
     wrapped head-tail angle differences plus optional per-edge offsets;
-    reference agents track `target_angle`.  The enhanced variant adds each
-    head's predicted yaw travel over the horizon.
+    the reference row is the first reference agent's wrapped error to
+    `target_angle`.  The enhanced variant adds each head's predicted yaw
+    travel over the horizon.
     """
     topology = _require_m(lifted, 1)
+    heads, tails = topology.heads, topology.tails
     yaw = np.asarray(yaws, dtype=float)
-    rates = np.asarray(yaw_rates, dtype=float)
     limits = limits or SaturationLimits()
     offs = (np.zeros(topology.n_edges) if offsets is None
             else np.asarray(offsets, dtype=float).reshape(topology.n_edges))
-    if len(gains.yaw_consensus) != topology.n_edges:
-        raise ValueError(f"got {len(gains.yaw_consensus)} yaw consensus gains "
-                         f"for {topology.n_edges} edges")
 
-    errors = np.zeros(topology.n_edges + 1)
-    for e, (head, tail) in enumerate(topology.edges):
-        err = wrap_angle(yaw[head - 1] - yaw[tail - 1] + offs[e])
-        if enhanced:
-            err += rates[head - 1] * dt * prediction_horizon_steps
-        errors[e] = err
-    errors[-1] = wrap_angle(yaw[topology.reference_agents[0] - 1] - target_angle)
-
-    gain_vec = np.concatenate([np.asarray(gains.yaw_consensus, dtype=float),
-                               [gains.yaw_reference]])
-    raw = lifted.actuation @ (gain_vec * errors)
-    return np.clip(raw, -limits.yaw_rate, limits.yaw_rate)
+    edge_errors = wrap_angle(yaw[heads] - yaw[tails] + offs)
+    if enhanced:
+        rates = np.asarray(yaw_rates, dtype=float)
+        edge_errors = edge_errors + rates[heads] * dt * prediction_horizon_steps
+    errors = np.append(edge_errors, wrap_angle(
+        yaw[topology.reference_agents[0] - 1] - target_angle))
+    return _route(errors, lifted, gains.yaw, limits.yaw_rate).ravel()
 
 
 def prediction_path_tf(plant: TransferFunction, dt: float,

@@ -7,8 +7,12 @@ triggered by the count of waypoints the reference agent has completed;
 avoidance replanning overrides the schedule entirely while it is active.
 
 A transition records where the steered agents started, the displacement each
-one must cover, and the time budget; convergence is a first-entry test on
-the per-axis residuals against the transition's destination.
+one must cover, and the time budget.  One convergence test serves every
+transition: the caller passes each steered agent's per-axis residual
+(against the destination for a waypoint transition, against the target
+offsets for an avoidance override), and the transition converges once
+every participating agent has been inside the band together for a hold
+time, or times out after the deadline plus a grace window.
 """
 
 from __future__ import annotations
@@ -62,16 +66,9 @@ class FormationSpec:
     def n_edges(self) -> int:
         return len(self.phases[0].offsets)
 
-    def phase_for(self, completed_waypoints: int,
-                  avoidance_offsets=None) -> tuple[tuple[float, float], ...]:
-        """Offsets in force: avoidance overrides beat the waypoint schedule."""
-        if avoidance_offsets is not None:
-            return tuple((float(x), float(y)) for x, y in avoidance_offsets)
-        active = self.phases[0]
-        for phase in self.phases[1:]:
-            if phase.after_waypoints <= completed_waypoints:
-                active = phase
-        return active.offsets
+    def phase_for(self, completed_waypoints: int) -> tuple[tuple[float, float], ...]:
+        """Offsets the waypoint schedule holds after that many waypoints."""
+        return self.phases[self.phase_index(completed_waypoints)].offsets
 
     def phase_index(self, completed_waypoints: int) -> int:
         idx = 0
@@ -83,7 +80,12 @@ class FormationSpec:
 
 @dataclass
 class TransitionState:
-    """One in-flight offset change for a set of steered agents."""
+    """One in-flight offset change for a set of steered agents.
+
+    `label` names the kind of change.  An override that slews the offsets
+    keeps the offsets it starts from and lands on; `in_band_since` is when
+    the participating agents last entered the band together.
+    """
 
     start_time: float
     duration: float
@@ -91,7 +93,10 @@ class TransitionState:
     start_positions: np.ndarray          # (len(agents), 2) at activation
     dis: np.ndarray                      # (len(agents), 2) displacement to cover
     label: str = ""
+    start_offsets: np.ndarray | None = None
+    target_offsets: np.ndarray | None = None
     first_entry: dict[int, float] = field(default_factory=dict)
+    in_band_since: float | None = None
     converged_time: float | None = None
 
     def __post_init__(self):
@@ -118,42 +123,35 @@ class TransitionState:
                 if float(np.abs(self.dis[k]).max()) > 1e-12]
 
 
-def transition_velocities(transition: TransitionState) -> np.ndarray:
-    """Average velocity each steered agent must hold: dis / duration."""
-    return transition.dis / transition.duration
+def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
+                      *, tolerance: float, grace: float, hold: float) -> str:
+    """Band-hold convergence test on the steered agents' residuals.
 
-
-def check_convergence(transition: TransitionState, positions: np.ndarray,
-                      now: float, tolerance: float = 5.0,
-                      grace: float | None = None) -> str:
-    """First-entry convergence test against the transition destination.
-
-    positions is (len(agents), 2), current positions of the steered agents.
-    An agent has arrived once both axis residuals against its destination
-    are within `tolerance`; its first entry time is recorded.  The
-    transition converges when every participating agent has arrived, times
-    out when `now` passes the deadline plus the grace window (half the
-    duration by default) without that happening.
+    residual is (len(agents), 2), each steered agent's per-axis distance
+    from where the transition wants it.  An agent is inside the band when
+    both axes are within `tolerance`; its first entry time is recorded.
+    The transition converges once every participating agent has been inside
+    the band together for `hold` seconds (its converged time is when that
+    stretch began) and times out when `now` passes the deadline plus
+    `grace` without that happening.
     """
-    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    if pos.shape != transition.start_positions.shape:
-        raise ValueError("positions must match the transition agent list")
-    if grace is None:
-        grace = 0.5 * transition.duration
+    res = np.asarray(residual, dtype=float).reshape(-1, 2)
+    if res.shape != state.dis.shape:
+        raise ValueError("residual must match the transition agent list")
+    inside = np.all(np.abs(res) <= tolerance, axis=1)
+    for agent, entered in zip(state.agents, inside):
+        if entered:
+            state.first_entry.setdefault(agent, now)
 
-    residual = transition.destination - pos
-    for idx, agent in enumerate(transition.agents):
-        if agent in transition.first_entry:
-            continue
-        if np.all(np.abs(residual[idx]) <= tolerance):
-            transition.first_entry[agent] = now
-
-    moving = transition.participating()
-    done = all(transition.agents[k] in transition.first_entry for k in moving)
-    if done:
-        if transition.converged_time is None:
-            transition.converged_time = now
-        return CONVERGED
-    if now > transition.deadline + grace:
+    if all(inside[k] for k in state.participating()):
+        if state.in_band_since is None:
+            state.in_band_since = now
+        if now - state.in_band_since >= hold:
+            if state.converged_time is None:
+                state.converged_time = state.in_band_since
+            return CONVERGED
+        return IN_PROGRESS
+    state.in_band_since = None
+    if now > state.deadline + grace:
         return TIMED_OUT
     return IN_PROGRESS

@@ -11,6 +11,10 @@ agents.  Three matrices drive the cooperative controller:
   head -> tail.
 * reference injection (n x 1): 1 at each reference agent.
 
+The topology also keeps each edge's head and tail as 0-based index arrays,
+so per-edge quantities of stacked agent rows are one gather, for example
+`positions[tails] - positions[heads]`.
+
 `kron_expand` lifts the stacked [incidence | reference] and
 [consensus | reference] blocks to m coordinates per agent.  The blocks are
 constant for a run, so the controller lifts them once per run (planar m=2,
@@ -34,6 +38,8 @@ class NetworkTopology:
     incidence: np.ndarray
     consensus: np.ndarray
     reference: np.ndarray
+    heads: np.ndarray                       # (n_edges,) 0-based head rows
+    tails: np.ndarray                       # (n_edges,) 0-based tail rows
 
     @property
     def n_edges(self) -> int:
@@ -71,26 +77,20 @@ def build_topology(n_agents: int, edges, reference_agents) -> NetworkTopology:
         if not 1 <= agent <= n_agents:
             raise ValueError(f"reference agent {agent} out of range 1..{n_agents}")
 
-    n_edges = len(edge_list)
-    incidence = np.zeros((n_agents, n_edges))
-    consensus = np.zeros((n_agents, n_edges))
-    for col, (head, tail) in enumerate(edge_list):
-        incidence[head - 1, col] = 1.0
-        incidence[tail - 1, col] = -1.0
-        consensus[tail - 1, col] = -1.0
+    heads, tails = np.array(edge_list, dtype=int).reshape(-1, 2).T - 1
+    columns = np.arange(len(edge_list))
+    incidence = np.zeros((n_agents, len(edge_list)))
+    incidence[heads, columns] = 1.0
+    incidence[tails, columns] = -1.0
+    consensus = np.zeros((n_agents, len(edge_list)))
+    consensus[tails, columns] = -1.0
     reference = np.zeros((n_agents, 1))
-    for agent in refs:
-        reference[agent - 1, 0] = 1.0
+    reference[np.subtract(refs, 1), 0] = 1.0
 
     return NetworkTopology(n_agents=n_agents, edges=tuple(edge_list),
                            reference_agents=refs, incidence=incidence,
-                           consensus=consensus, reference=reference)
-
-
-def laplacian(topology: NetworkTopology) -> np.ndarray:
-    """Graph Laplacian of the underlying undirected graph."""
-    q = topology.incidence
-    return q @ q.T
+                           consensus=consensus, reference=reference,
+                           heads=heads, tails=tails)
 
 
 def kron_expand(topology: NetworkTopology, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ wider bands pass their own grid.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +76,6 @@ class TransferFunction:
     def proper(self) -> bool:
         return len(self.numerator) <= len(self.denominator)
 
-    @property
-    def strictly_proper(self) -> bool:
-        return len(self.numerator) < len(self.denominator)
-
     def limit_at_infinity(self) -> float:
         """lim_{s->inf} P(s); +-inf for improper transfer functions."""
         dn = len(self.numerator) - len(self.denominator)
@@ -93,10 +89,6 @@ class TransferFunction:
 def tf(numerator, denominator, label: str = "") -> TransferFunction:
     return TransferFunction(tuple(np.atleast_1d(numerator)),
                             tuple(np.atleast_1d(denominator)), label)
-
-
-def tf_constant(gain: float, label: str = "") -> TransferFunction:
-    return TransferFunction((float(gain),), (1.0,), label)
 
 
 def tf_add(a: TransferFunction, b: TransferFunction, label: str = "") -> TransferFunction:
@@ -332,10 +324,6 @@ class DiscretePlant:
             self.state = np.zeros((self.a.shape[0], 1))
         if self.noise_std and self.rng is None:
             raise ValueError("noise_std > 0 requires an rng")
-
-    def reset(self, state: np.ndarray | None = None) -> None:
-        self.state = (np.zeros((self.a.shape[0], 1)) if state is None
-                      else np.asarray(state, dtype=float).reshape(-1, 1))
 
     def output(self, u: float) -> float:
         """Current output for input u, without advancing the state."""

@@ -64,24 +64,6 @@ class ObstacleCircle:
 
 
 @dataclass(frozen=True)
-class RobotCircle:
-    """A robot's planar footprint."""
-
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center",
-                           (float(self.center[0]), float(self.center[1])))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-
-@dataclass(frozen=True)
 class AvoidanceEvent:
     """A planned avoidance maneuver in the reference agent's path frame.
 
@@ -181,21 +163,6 @@ def clip_polygon_to_disc(vertices, center, radius,
                 output.append(point)
             px, py, prev_in = x, y, cur_in
     return np.array(output) if output else np.zeros((0, 2))
-
-
-def visible_obstacles(polygons, viewer, fov: float) -> list[ObstacleCircle]:
-    """Wrap every polygon's portion visible inside the viewer footprint.
-
-    The footprint is a disc of diameter `fov` centered on the viewer.
-    Returns one circle per polygon with a non-degenerate visible portion,
-    tagged with the polygon's index.
-    """
-    found = []
-    for idx, poly in enumerate(polygons):
-        part = clip_polygon_to_disc(poly, viewer, fov / 2.0)
-        if part.shape[0] >= 3:
-            found.append(circle_from_observation(part, members=(idx,)))
-    return found
 
 
 # ---------------------------------------------------------------- grouping

@@ -133,15 +133,13 @@ class Scenario:
         return np.array([a.start for a in self.agents], dtype=float)
 
 
-def _expect(doc: dict, key: str, path: str, kind=None, default=None, required=True):
+def _expect(doc: dict, key: str, path: str, kind: type | None = None):
     if key not in doc:
-        if required:
-            raise ScenarioError(f"{path}{key}: missing required field")
-        return default
+        raise ScenarioError(f"{path}{key}: missing required field")
     value = doc[key]
     if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ScenarioError(f"{path}{key}: expected {names}, got {type(value).__name__}")
+        raise ScenarioError(f"{path}{key}: expected {kind.__name__}, "
+                            f"got {type(value).__name__}")
     return value
 
 
@@ -155,12 +153,48 @@ def _point(value, path: str) -> tuple[float, float]:
     return (x, y)
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: str, *, nonnegative: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {type(value).__name__}")
     if not np.isfinite(float(value)):
         raise ScenarioError(f"{path}: must be finite")
+    if nonnegative and value < 0:
+        raise ScenarioError(f"{path}: must be nonnegative")
     return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{path}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _section(doc: dict, key: str) -> dict:
+    """An optional mapping section; absent or empty reads as {}."""
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key}: expected a mapping")
+    return value
+
+
+def _edge_topology(doc: dict, section: str, n_agents: int) -> NetworkTopology:
+    """The [head, tail] edges and the single reference agent of a section."""
+    path = section + "."
+    edges = _expect(doc, "edges", path, list)
+    for k, edge in enumerate(edges):
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise ScenarioError(f"{path}edges[{k}]: expected a [head, tail] pair")
+        for end in edge:
+            _integer(end, f"{path}edges[{k}]")
+    refs = _expect(doc, "reference_agents", path, list)
+    if len(refs) != 1:
+        # the simulator steers only the first reference agent
+        raise ScenarioError(f"{path}reference_agents: expected exactly one agent")
+    try:
+        return build_topology(n_agents, edges,
+                              [_integer(refs[0], f"{path}reference_agents[0]")])
+    except ValueError as exc:
+        raise ScenarioError(f"{section}: {exc}") from exc
 
 
 def _agents(doc, path) -> tuple[AgentSpec, ...]:
@@ -172,7 +206,7 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
         p = f"agents[{i}]."
         if not isinstance(row, dict):
             raise ScenarioError(f"agents[{i}]: expected a mapping")
-        ident = _expect(row, "id", p, int)
+        ident = _integer(_expect(row, "id", p), p + "id")
         kind = _expect(row, "kind", p, str)
         if kind not in AGENT_KINDS:
             raise ScenarioError(f"{p}kind: must be one of {AGENT_KINDS}")
@@ -183,16 +217,6 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
     if ids != list(range(1, len(agents) + 1)):
         raise ScenarioError("agents: ids must be 1..n in order")
     return tuple(agents)
-
-
-def _topology(doc, n_agents) -> NetworkTopology:
-    top = _expect(doc, "topology", "", dict)
-    edges = _expect(top, "edges", "topology.", list)
-    refs = _expect(top, "reference_agents", "topology.", list)
-    try:
-        return build_topology(n_agents, [tuple(e) for e in edges], refs)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"topology: {exc}") from exc
 
 
 def _gains(doc, n_edges, yaw_doc) -> NiGains:
@@ -219,9 +243,7 @@ def _gains(doc, n_edges, yaw_doc) -> NiGains:
             yaw_consensus=yaw_cons,
             adaptive=bool(g.get("adaptive", False)),
         )
-    except (TypeError, IndexError) as exc:
-        raise ScenarioError(f"gains: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise ScenarioError(f"gains: {exc}") from exc
 
 
@@ -233,17 +255,16 @@ def _formation(doc, n_edges) -> FormationSpec:
     phases = []
     for i, row in enumerate(rows):
         p = f"formation.phases[{i}]."
+        if not isinstance(row, dict):
+            raise ScenarioError(f"formation.phases[{i}]: expected a mapping")
         offsets = _expect(row, "offsets", p, list)
         if len(offsets) != n_edges:
             raise ScenarioError(f"{p}offsets: expected {n_edges} pairs, got {len(offsets)}")
+        after = _integer(row.get("after_waypoints", 0), p + "after_waypoints")
+        points = tuple(_point(o, f"{p}offsets[{j}]") for j, o in enumerate(offsets))
+        duration = _number(row.get("transition_duration", 2.0), p + "transition_duration")
         try:
-            phases.append(FormationPhase(
-                after_waypoints=int(_number(row.get("after_waypoints", 0),
-                                            p + "after_waypoints")),
-                offsets=tuple(_point(o, f"{p}offsets[{j}]") for j, o in enumerate(offsets)),
-                transition_duration=_number(row.get("transition_duration", 2.0),
-                                            p + "transition_duration"),
-            ))
+            phases.append(FormationPhase(after, points, duration))
         except ValueError as exc:
             raise ScenarioError(f"{p}{exc}") from exc
     try:
@@ -258,14 +279,9 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
         return None
     if not isinstance(raw, dict):
         raise ScenarioError("yaw_control: expected a mapping")
-    edges = _expect(raw, "edges", "yaw_control.", list)
-    refs = _expect(raw, "reference_agents", "yaw_control.", list)
-    try:
-        top = build_topology(n_agents, [tuple(e) for e in edges], refs)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"yaw_control: {exc}") from exc
+    top = _edge_topology(raw, "yaw_control", n_agents)
     offsets_deg = raw.get("offsets", [0.0] * top.n_edges)
-    if len(offsets_deg) != top.n_edges:
+    if not isinstance(offsets_deg, list) or len(offsets_deg) != top.n_edges:
         raise ScenarioError(f"yaw_control.offsets: expected {top.n_edges} values")
     target_deg = raw.get("target")
     if target_deg is not None:
@@ -284,9 +300,7 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
 
 
 def _obstacles(doc) -> tuple[np.ndarray, ...]:
-    rows = doc.get("obstacles", [])
-    if rows is None:
-        return ()
+    rows = doc.get("obstacles") or []
     polygons = []
     for i, poly in enumerate(rows):
         p = f"obstacles[{i}]"
@@ -300,14 +314,15 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     name = str(doc.get("name", default_name))
-    dt = _number(_expect(doc, "dt", "", (int, float)), "dt")
-    duration = _number(_expect(doc, "duration", "", (int, float)), "duration")
+    dt = _number(_expect(doc, "dt", ""), "dt")
+    duration = _number(_expect(doc, "duration", ""), "duration")
     if dt <= 0 or duration <= 0:
         raise ScenarioError("dt/duration: must be positive")
-    seed = _expect(doc, "seed", "", int, default=0, required=False)
+    seed = _integer(doc.get("seed", 0), "seed")
 
     agents = _agents(doc, "")
-    topology = _topology(doc, len(agents))
+    topology = _edge_topology(_expect(doc, "topology", "", dict), "topology",
+                              len(agents))
     yaw_doc = doc.get("yaw_control")
     gains = _gains(doc, topology.n_edges, yaw_doc)
     yaw_control = _yaw_control(doc, len(agents))
@@ -322,15 +337,10 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     radius = _number(wp.get("radius", 10.0), "waypoints.radius")
     if radius <= 0:
         raise ScenarioError("waypoints.radius: must be positive")
-    glide = _number(wp.get("glide_s", 0.0), "waypoints.glide_s")
-    if glide < 0:
-        raise ScenarioError("waypoints.glide_s: must be nonnegative")
-    cruise = _number(wp.get("cruise_speed", 0.0), "waypoints.cruise_speed")
-    if cruise < 0:
-        raise ScenarioError("waypoints.cruise_speed: must be nonnegative")
-    ease = _number(wp.get("ease_s", 0.0), "waypoints.ease_s")
-    if ease < 0:
-        raise ScenarioError("waypoints.ease_s: must be nonnegative")
+    glide = _number(wp.get("glide_s", 0.0), "waypoints.glide_s", nonnegative=True)
+    cruise = _number(wp.get("cruise_speed", 0.0), "waypoints.cruise_speed",
+                     nonnegative=True)
+    ease = _number(wp.get("ease_s", 0.0), "waypoints.ease_s", nonnegative=True)
     if cruise > 0 and glide > 0:
         raise ScenarioError(
             "waypoints: glide_s and cruise_speed are mutually exclusive "
@@ -340,7 +350,7 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
 
     formation = _formation(doc, topology.n_edges)
 
-    sens = doc.get("sensing", {}) or {}
+    sens = _section(doc, "sensing")
     sensing = SensingConfig(
         fov=_number(sens.get("fov", 220.0), "sensing.fov"),
         look_ahead=_number(sens.get("look_ahead", 100.0), "sensing.look_ahead"),
@@ -349,14 +359,17 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
             sens.get("collision_radius", 25.0), "sensing.collision_radius"),
         carrot_advance=_number(sens.get("carrot_advance", 60.0), "sensing.carrot_advance"),
     )
-    ctl = doc.get("control", {}) or {}
+    ctl = _section(doc, "control")
     control = ControlConfig(
         mode=str(ctl.get("mode", "enhanced")),
-        prediction_horizon_steps=int(ctl.get("prediction_horizon_steps", 1)),
-        velocity_estimate_window=int(ctl.get("velocity_estimate_window", 1)),
-        command_delay_steps=int(ctl.get("command_delay_steps", 0)),
+        prediction_horizon_steps=_integer(ctl.get("prediction_horizon_steps", 1),
+                                          "control.prediction_horizon_steps"),
+        velocity_estimate_window=_integer(ctl.get("velocity_estimate_window", 1),
+                                          "control.velocity_estimate_window"),
+        command_delay_steps=_integer(ctl.get("command_delay_steps", 0),
+                                     "control.command_delay_steps"),
     )
-    sat = doc.get("saturation", {}) or {}
+    sat = _section(doc, "saturation")
     try:
         saturation = SaturationLimits(
             ugv_speed=_number(sat.get("ugv_speed", 100.0), "saturation.ugv_speed"),
@@ -366,13 +379,10 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"saturation: {exc}") from exc
 
-    noise_std = _number(doc.get("noise_std", 0.0), "noise_std")
-    if noise_std < 0:
-        raise ScenarioError("noise_std: must be nonnegative")
-    settle_time = _number(doc.get("settle_time", 5.0), "settle_time")
-    warmup = _number(doc.get("metrics_warmup_s", 0.0), "metrics_warmup_s")
-    if warmup < 0:
-        raise ScenarioError("metrics_warmup_s: must be nonnegative")
+    noise_std = _number(doc.get("noise_std", 0.0), "noise_std", nonnegative=True)
+    settle_time = _number(doc.get("settle_time", 5.0), "settle_time", nonnegative=True)
+    warmup = _number(doc.get("metrics_warmup_s", 0.0), "metrics_warmup_s",
+                     nonnegative=True)
 
     return Scenario(
         name=name, dt=dt, duration=duration, seed=seed, agents=agents,

@@ -14,7 +14,16 @@ saturated) velocity command; yaw is the first-order yaw-rate plant whose
 output is trapezoidally integrated and wrapped.  Everything constant for a
 run is built once at construction: the lifted topology blocks of the planar
 and yaw laws, the per-agent speed caps, and one plant bank each for the
-planar axes and the yaw rates.
+planar axes and the yaw rates.  Per-edge quantities (relative offsets,
+follower targets, the steered agents of a transition) are gathers through
+the topology's head and tail index arrays.
+
+The state machine's state is typed: the reference slew (`Slew`, a point as
+a function of time toward the current waypoint), the corner turn
+(`CornerTurn`) and the in-flight offset change (`formation.TransitionState`).
+The reference point is a pure function of that state and the time.  Every
+transition, waypoint or override, is tested for convergence by the one
+`formation.check_convergence`.
 
 State machine summary (evaluated in priority order each step):
 
@@ -33,14 +42,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import controller, obstacle
-from .formation import CONVERGED, IN_PROGRESS, TIMED_OUT, TransitionState, \
-    check_convergence
+from .formation import CONVERGED, TIMED_OUT, TransitionState, check_convergence
 from .lti import PlantBank, discretize, load_model_library
 from .scenario import Scenario, load_scenario
 
@@ -71,6 +79,62 @@ def _ease(u: float) -> float:
     """
     u = min(1.0, max(0.0, u))
     return u * u * (3.0 - 2.0 * u)
+
+
+@dataclass(frozen=True)
+class Slew:
+    """Reference profile from `origin` to the current waypoint from `start` on.
+
+    With a positive `speed` it is a cruise: a trapezoidal speed profile
+    that eases up over `ease_s`, holds `speed` and eases back down to land
+    on the waypoint.  Otherwise it is a glide: a smoothstep over `glide_s`.
+    """
+
+    origin: np.ndarray
+    start: float
+    glide_s: float = 0.0
+    speed: float = 0.0
+    ease_s: float = 0.0
+
+    def point(self, waypoint: np.ndarray, now: float) -> np.ndarray | None:
+        """Reference position at `now`, or None once the profile has landed."""
+        origin = self.origin
+        elapsed = now - self.start
+        if self.speed <= 0:
+            if elapsed >= self.glide_s:
+                return None
+            return origin + _ease(elapsed / self.glide_s) * (waypoint - origin)
+        leg = waypoint - origin
+        distance = float(np.hypot(*leg))
+        speed, ease = self.speed, self.ease_s
+        if distance <= 1e-9:
+            return None
+        if distance <= speed * ease:
+            # leg too short to reach cruise speed: plain ease over two ramps
+            total = 2.0 * ease
+            if elapsed >= total:
+                return None
+            return origin + _ease(elapsed / total) * leg
+        total = 2.0 * ease + (distance - speed * ease) / speed
+        if elapsed >= total:
+            return None
+        if elapsed < ease:
+            u = elapsed / ease
+            arc = speed * ease * (u ** 3) * (1.0 - 0.5 * u)
+        elif elapsed <= total - ease:
+            arc = 0.5 * speed * ease + speed * (elapsed - ease)
+        else:
+            u = (total - elapsed) / ease
+            arc = distance - speed * ease * (u ** 3) * (1.0 - 0.5 * u)
+        return origin + (arc / distance) * leg
+
+
+@dataclass(frozen=True)
+class CornerTurn:
+    """A corner turn in progress: realign to `heading` (rad) since `start`."""
+
+    heading: float
+    start: float
 
 
 @dataclass
@@ -141,10 +205,9 @@ class Simulator:
         self.rng = np.random.default_rng(scn.seed)
         self.n = scn.n_agents
         self.master = scn.master_index
-        self.kinds = scn.kinds
         self.origin = scn.starts()
         self.planar_lift = controller.lift(scn.topology, 2)
-        self.speed_caps = controller.speed_caps(self.kinds, scn.saturation)
+        self.speed_caps = controller.speed_caps(scn.kinds, scn.saturation)
 
         # agent-major x, y: the order the noise draws have always been taken in
         self.plants = PlantBank(
@@ -152,18 +215,15 @@ class Simulator:
                        scn.dt, noise_std=scn.noise_std, rng=self.rng)
             for agent in scn.agents for axis in ("x", "y"))
 
-        self.yaw_agents = []
+        self.yaw_rows = np.zeros(0, dtype=int)   # rows the yaw law steers
         if scn.yaw_control is not None:
             top = scn.yaw_control.topology
             self.yaw_lift = controller.lift(top, 1)
-            members = set(top.reference_agents)
-            for head, tail in top.edges:
-                members.update((head, tail))
-            self.yaw_agents = sorted(members)
-            self.yaw_rows = np.array(self.yaw_agents) - 1
+            self.yaw_rows = np.unique(np.concatenate(
+                [top.heads, top.tails, np.subtract(top.reference_agents, 1)]))
             rate_tf = models["ugv_yaw_rate"].transfer_function
             self.yaw_plants = PlantBank(discretize(rate_tf, scn.dt)
-                                        for _ in self.yaw_agents)
+                                        for _ in self.yaw_rows)
 
         self.positions = self.origin.copy()
         self.velocities = np.zeros((self.n, 2))
@@ -176,15 +236,11 @@ class Simulator:
 
         self.true_circles = [obstacle.circle_from_observation(poly, (i,))
                              for i, poly in enumerate(scn.obstacles)]
-        self._poly_reach = [c.radius for c in self.true_circles]
 
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
-        points = [self.origin]
-        points.append(np.asarray(scn.waypoints, dtype=float))
-        for poly in scn.obstacles:
-            points.append(np.asarray(poly, dtype=float))
-        cloud = np.vstack(points)
+        cloud = np.vstack([self.origin, np.asarray(scn.waypoints, dtype=float),
+                           *scn.obstacles])
         offset_reach = max((abs(v) for ph in scn.formation.phases
                             for pair in ph.offsets for v in pair), default=0.0)
         margin = offset_reach + 100.0
@@ -194,15 +250,15 @@ class Simulator:
         # ---- state machine
         self.completed = 0
         self.target_idx = 0
-        self.holding: int | None = None
-        self.corner: dict | None = None
-        self.transition: dict | None = None       # {"kind", "state", "target_offsets"}
+        self.holding = False      # dwelling at the reached target vertex
+        self.corner: CornerTurn | None = None
+        self.transition: TransitionState | None = None
         self.pending_offsets: np.ndarray | None = None   # awaiting dwell settle
         self.pending_since = 0.0
         self.settle_ok_since: float | None = None
         self.avoidance: obstacle.AvoidanceEvent | None = None
         self.avoidance_started = 0.0
-        self.ref_slew: dict | None = None
+        self.ref_slew: Slew | None = None
         self._begin_glide(0.0, self.positions[self.master].copy())
         self.phase_idx = scn.formation.phase_index(0)
         self.schedule_offsets = np.array(scn.formation.phase_for(0), dtype=float)
@@ -226,15 +282,10 @@ class Simulator:
     def _event(self, time: float, name: str, **detail):
         self.events.append({"time": time, "event": name, **detail})
 
-    def _edge_tails(self) -> list[int]:
-        return [tail for _head, tail in self.scn.topology.edges]
-
     def _relative_offsets(self) -> np.ndarray:
         """Current tail-minus-head displacement per edge (cm)."""
-        out = np.zeros((self.scn.topology.n_edges, 2))
-        for e, (head, tail) in enumerate(self.scn.topology.edges):
-            out[e] = self.positions[tail - 1] - self.positions[head - 1]
-        return out
+        top = self.scn.topology
+        return self.positions[top.tails] - self.positions[top.heads]
 
     def _phase_duration(self) -> float:
         return self.scn.formation.phases[
@@ -249,48 +300,12 @@ class Simulator:
         cruise speed (trapezoidal speed profile: ease up, hold, ease down).
         """
         scn = self.scn
+        origin = np.asarray(from_point, dtype=float)
         if scn.waypoint_cruise_speed > 0:
-            self.ref_slew = {"from": np.asarray(from_point, dtype=float),
-                             "start": now, "mode": "cruise",
-                             "speed": scn.waypoint_cruise_speed,
-                             "ease": scn.waypoint_ease_s}
+            self.ref_slew = Slew(origin, now, speed=scn.waypoint_cruise_speed,
+                                 ease_s=scn.waypoint_ease_s)
         elif scn.waypoint_glide_s > 0:
-            self.ref_slew = {"from": np.asarray(from_point, dtype=float),
-                             "start": now, "mode": "glide",
-                             "duration": scn.waypoint_glide_s}
-
-    def _slew_point(self, waypoint: np.ndarray, now: float) -> np.ndarray | None:
-        """Reference position along the active slew, or None once it lands."""
-        slew = self.ref_slew
-        start = np.asarray(slew["from"], dtype=float)
-        elapsed = now - slew["start"]
-        if slew.get("mode", "glide") == "glide":
-            if slew["duration"] <= 0 or elapsed >= slew["duration"]:
-                return None
-            return start + _ease(elapsed / slew["duration"]) * (waypoint - start)
-        leg = waypoint - start
-        distance = float(np.hypot(*leg))
-        speed, ease = slew["speed"], slew["ease"]
-        if distance <= 1e-9:
-            return None
-        if distance <= speed * ease:
-            # leg too short to reach cruise speed: plain ease over two ramps
-            total = 2.0 * ease
-            if elapsed >= total:
-                return None
-            return start + _ease(elapsed / total) * leg
-        total = 2.0 * ease + (distance - speed * ease) / speed
-        if elapsed >= total:
-            return None
-        if elapsed < ease:
-            u = elapsed / ease
-            arc = speed * ease * (u ** 3) * (1.0 - 0.5 * u)
-        elif elapsed <= total - ease:
-            arc = 0.5 * speed * ease + speed * (elapsed - ease)
-        else:
-            u = (total - elapsed) / ease
-            arc = distance - speed * ease * (u ** 3) * (1.0 - 0.5 * u)
-        return start + (arc / distance) * leg
+            self.ref_slew = Slew(origin, now, glide_s=scn.waypoint_glide_s)
 
     def _reference_point(self, now: float) -> np.ndarray:
         scn = self.scn
@@ -300,29 +315,22 @@ class Simulator:
             # ringing head drags every follower with it through the offset
             # coupling.  The pursuit-point advance grows quadratically so the
             # head brakes while the swing develops instead of outrunning it.
-            ramp = self._phase_duration()
-            frac = 1.0
-            if ramp > 0:
-                frac = min(1.0, (now - self.avoidance_started) / ramp)
+            frac = min(1.0, (now - self.avoidance_started) / self._phase_duration())
             s_m, _ = self.avoidance.frame_coords(self.positions[self.master])
             return self.avoidance.to_world(
                 s_m + _ease(frac * frac) * scn.sensing.carrot_advance,
                 _ease(frac) * self.avoidance.master_lateral)
-        idx = self.holding if self.holding is not None else self.target_idx
-        idx = min(idx, len(scn.waypoints) - 1)
-        waypoint = np.asarray(scn.waypoints[idx], dtype=float)
+        waypoint = np.asarray(scn.waypoints[self.target_idx], dtype=float)
         if self.ref_slew is not None:
-            point = self._slew_point(waypoint, now)
+            point = self.ref_slew.point(waypoint, now)
             if point is not None:
                 return point
-            self.ref_slew = None
         return waypoint
 
     def _slave_targets(self, reference: np.ndarray) -> np.ndarray:
         targets = np.zeros((self.n, 2))
         targets[self.master] = reference
-        for e, (_head, tail) in enumerate(self.scn.topology.edges):
-            targets[tail - 1] = reference + self.active_offsets[e]
+        targets[self.scn.topology.tails] = reference + self.active_offsets
         return targets
 
     # ------------------------------------------------------- avoidance
@@ -337,19 +345,15 @@ class Simulator:
         persistent map), which is fine because events freeze their geometry
         at detection time.
         """
-        scn = self.scn
+        reach = self.scn.sensing.fov / 2.0
         seen: set[int] = set()
-        for r in range(self.n):
-            viewer = self.positions[r]
-            for idx, poly in enumerate(scn.obstacles):
-                if idx in seen:
+        for viewer in self.positions:
+            for idx, circle in enumerate(self.true_circles):
+                if (idx in seen or np.linalg.norm(viewer - np.asarray(circle.center))
+                        > reach + circle.radius):
                     continue
-                center = np.asarray(self.true_circles[idx].center)
-                if (np.linalg.norm(viewer - center)
-                        > scn.sensing.fov / 2.0 + self._poly_reach[idx]):
-                    continue
-                part = obstacle.clip_polygon_to_disc(poly, viewer,
-                                                     scn.sensing.fov / 2.0)
+                part = obstacle.clip_polygon_to_disc(self.scn.obstacles[idx],
+                                                     viewer, reach)
                 if part.shape[0] >= 3:
                     seen.add(idx)
         return [self.true_circles[idx] for idx in sorted(seen)]
@@ -400,9 +404,8 @@ class Simulator:
                 # stepping it: the formation is cruising at the clear
                 # instant, and a step would ring everyone around the slots
                 if self.avoidance.master_lateral is not None:
-                    self.ref_slew = {"from": self._reference_point(now),
-                                     "start": now,
-                                     "duration": self._phase_duration()}
+                    self.ref_slew = Slew(self._reference_point(now), now,
+                                         glide_s=self._phase_duration())
                 self._event(now, "avoid_clear", mode=self.avoidance.mode)
                 self.avoidance_records[-1]["cleared_time"] = now
                 self.avoidance = None
@@ -451,16 +454,13 @@ class Simulator:
         if self.transition is not None:
             self._finish_transition(now, "superseded")
         scn = self.scn
-        tails = self._edge_tails()
-        duration = scn.formation.phases[
-            scn.formation.phase_index(self.completed)].transition_duration
-        state = TransitionState(
-            start_time=now, duration=duration, agents=tuple(tails),
-            start_positions=self.positions[[t - 1 for t in tails]].copy(),
-            dis=delta.copy(), label=kind)
-        self.transition = {"kind": kind, "state": state,
-                           "target_offsets": new_offsets.copy(),
-                           "start_offsets": self.active_offsets.copy()}
+        tails = scn.topology.tails
+        duration = self._phase_duration()
+        self.transition = TransitionState(
+            start_time=now, duration=duration, agents=tuple((tails + 1).tolist()),
+            start_positions=self.positions[tails], dis=delta, label=kind,
+            start_offsets=self.active_offsets.copy(),
+            target_offsets=new_offsets.copy())
         if self.scn.gains.adaptive:
             edge_errors = controller.formation_errors(
                 self.positions, self.planar_lift, new_offsets,
@@ -480,62 +480,38 @@ class Simulator:
         margin in narrow passages, so those offsets move along an eased ramp
         and the plants track it with bounded lag instead of overshooting.
         """
-        if self.transition is None or self.transition["kind"] == "waypoint":
+        state = self.transition
+        if state is None or state.label == "waypoint":
             return
-        state: TransitionState = self.transition["state"]
-        frac = 1.0
-        if state.duration > 0:
-            frac = min(1.0, (now - state.start_time) / state.duration)
-        start = self.transition["start_offsets"]
-        target = self.transition["target_offsets"]
-        self.active_offsets = start + _ease(frac) * (target - start)
+        frac = min(1.0, (now - state.start_time) / state.duration)
+        start = state.start_offsets
+        self.active_offsets = start + _ease(frac) * (state.target_offsets - start)
 
     def _transition_status(self, now: float) -> str | None:
         """Advance the active transition's bookkeeping; return its status."""
-        if self.transition is None:
+        state = self.transition
+        if state is None:
             return None
-        state: TransitionState = self.transition["state"]
-        kind = self.transition["kind"]
-        if kind == "waypoint":
-            # the head dwells, so absolute first-entry residuals are the
-            # transition-time measurement
-            rows = [agent - 1 for agent in state.agents]
-            return check_convergence(state, self.positions[rows], now,
-                                     tolerance=CONVERGENCE_BAND_CM)
-        # avoidance/restore transitions run while the head keeps moving:
-        # converge on the relative offsets instead
-        target = self.transition["target_offsets"]
-        residual = np.abs(self._relative_offsets() - target)
-        moving = state.participating()
-        in_band = True
-        for k in moving:
-            agent = state.agents[k]
-            if np.all(residual[k] <= CONVERGENCE_BAND_CM):
-                state.first_entry.setdefault(agent, now)
-            else:
-                in_band = False
-        # the offsets must sit inside the band together and stay there:
-        # a single sample can coincide with a zero crossing of a decaying
-        # swing, which is not a held formation
-        if in_band:
-            if self.transition.setdefault("in_band_since", now) is None:
-                self.transition["in_band_since"] = now
-            held_since = self.transition["in_band_since"]
-            if now - held_since >= OVERRIDE_HOLD_S:
-                if state.converged_time is None:
-                    state.converged_time = held_since
-                return CONVERGED
-            return IN_PROGRESS
-        self.transition["in_band_since"] = None
+        if state.label == "waypoint":
+            # the head dwells, so the residual to the destination frozen at
+            # the switch is the transition-time measurement
+            residual = state.destination - self.positions[self.scn.topology.tails]
+            return check_convergence(state, residual, now,
+                                     tolerance=CONVERGENCE_BAND_CM,
+                                     grace=0.5 * state.duration, hold=0.0)
+        # avoidance/restore transitions run while the head keeps moving, so
+        # they converge on the relative offsets, which must sit inside the
+        # band together and stay there (a single sample can coincide with a
+        # zero crossing of a decaying swing, which is not a held formation);
         # the per-axis band cannot close while the head is still cruising
         # (tracking lag scales with its speed), so overrides get extra time
-        if now > state.start_time + state.duration + OVERRIDE_GRACE_S:
-            return TIMED_OUT
-        return IN_PROGRESS
+        return check_convergence(state, self._relative_offsets() - state.target_offsets,
+                                 now, tolerance=CONVERGENCE_BAND_CM,
+                                 grace=OVERRIDE_GRACE_S, hold=OVERRIDE_HOLD_S)
 
     def _finish_transition(self, now: float, status: str):
-        state: TransitionState = self.transition["state"]
-        kind = self.transition["kind"]
+        state = self.transition
+        kind = state.label
         record = {
             "kind": kind,
             "start_time": float(state.start_time),
@@ -561,7 +537,7 @@ class Simulator:
         if kind != "waypoint" and status != "superseded":
             # land the slewed override on its target; a superseding
             # transition instead takes over from the mid-ramp value
-            self.active_offsets = self.transition["target_offsets"].copy()
+            self.active_offsets = state.target_offsets.copy()
         self.transition = None
         self.effective_gains = self.scn.gains
 
@@ -607,22 +583,15 @@ class Simulator:
             return
         # release a hold once the turn, the settle gate, and the transition
         # are all done
-        if self.holding is not None:
+        if self.holding:
             if (self.corner is None and self.transition is None
                     and self.pending_offsets is None):
-                if self.holding + 1 < len(scn.waypoints):
-                    self.target_idx = self.holding + 1
-                    self._begin_glide(
-                        now, np.asarray(scn.waypoints[self.holding],
-                                        dtype=float))
-                else:
-                    self.terminal_time = now
-                    self._event(now, "terminal", waypoints=self.completed)
-                self.holding = None
+                self._leave_vertex(now)
+                self.holding = False
             return
         # a restore transition may still be converging while the head
         # cruises; only an offset change tied to a waypoint freezes progress
-        if self.transition is not None and self.transition["kind"] == "waypoint":
+        if self.transition is not None and self.transition.label == "waypoint":
             return
         target = np.asarray(scn.waypoints[self.target_idx], dtype=float)
         gap = float(np.linalg.norm(self.positions[self.master] - target))
@@ -642,7 +611,7 @@ class Simulator:
                 scn.waypoints[self.target_idx + 1], target, incoming)
             change = controller.wrap_angle(outgoing - incoming)
             if abs(change) > yaw_cfg.corner_entry:
-                self.corner = {"heading": outgoing, "start": now}
+                self.corner = CornerTurn(outgoing, now)
                 self._event(now, "corner_turn_start",
                             heading_deg=float(np.rad2deg(outgoing)))
                 hold = True
@@ -660,11 +629,16 @@ class Simulator:
             self.pending_since = now
             hold = True
 
-        if hold:
-            self.holding = self.target_idx
-        elif self.target_idx + 1 < len(scn.waypoints):
+        self.holding = hold
+        if not hold:
+            self._leave_vertex(now)
+
+    def _leave_vertex(self, now: float):
+        """Glide on from the reached target to the next waypoint, or end."""
+        scn = self.scn
+        if self.target_idx + 1 < len(scn.waypoints):
+            self._begin_glide(now, scn.waypoints[self.target_idx])
             self.target_idx += 1
-            self._begin_glide(now, target)
         else:
             self.terminal_time = now
             self._event(now, "terminal", waypoints=self.completed)
@@ -672,13 +646,11 @@ class Simulator:
     def _update_corner(self, now: float):
         if self.corner is None:
             return
-        cfg = self.scn.yaw_control
-        target = self.corner["heading"]
-        errs = [abs(controller.wrap_angle(self.yaws[a - 1] - target))
-                for a in self.yaw_agents]
-        if errs and max(errs) < cfg.corner_exit:
+        target = self.corner.heading
+        errs = np.abs(controller.wrap_angle(self.yaws[self.yaw_rows] - target))
+        if errs.size and errs.max() < self.scn.yaw_control.corner_exit:
             self._event(now, "corner_turn_end",
-                        held=float(now - self.corner["start"]))
+                        held=float(now - self.corner.start))
             self.corner = None
             self.last_heading = target
 
@@ -704,7 +676,7 @@ class Simulator:
         cfg = scn.yaw_control
         if cfg is not None:
             if self.corner is not None:
-                target = self.corner["heading"]
+                target = self.corner.heading
             elif cfg.target is not None:
                 target = cfg.target
             else:
@@ -730,7 +702,7 @@ class Simulator:
         applied_planar, applied_yaw = self.delay_queue.popleft()
         out = self.plants.step(applied_planar.ravel())
         self.positions[:] = self.origin + out.reshape(self.n, 2)
-        if self.yaw_agents:
+        if self.yaw_rows.size:
             rows = self.yaw_rows
             rate = self.yaw_plants.step(applied_yaw[rows])
             self.yaws[rows] = controller.wrap_angle(

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from niformation import formation
 from niformation.formation import (CONVERGED, IN_PROGRESS, TIMED_OUT,
                                    FormationPhase, FormationSpec,
-                                   TransitionState, check_convergence,
-                                   transition_velocities)
+                                   TransitionState, check_convergence)
 
 
 def two_phase_spec():
@@ -26,6 +25,14 @@ def simple_transition(duration=2.0):
         dis=[[-50.0, 0.0], [50.0, 0.0]])
 
 
+def arrive(transition, positions, now, tolerance=5.0):
+    """The waypoint-transition test: residuals to the destination, no hold,
+    half the duration as grace."""
+    return check_convergence(transition, transition.destination - np.asarray(positions),
+                             now, tolerance=tolerance,
+                             grace=0.5 * transition.duration, hold=0.0)
+
+
 # ------------------------------------------------------------------- phases
 
 def test_phase_selection_follows_completed_waypoints():
@@ -35,12 +42,6 @@ def test_phase_selection_follows_completed_waypoints():
     assert spec.phase_for(5) == ((50.0, 50.0), (-50.0, 50.0))
     assert spec.phase_index(0) == 0
     assert spec.phase_index(3) == 1
-
-
-def test_avoidance_override_beats_the_schedule():
-    spec = two_phase_spec()
-    override = ((35.7, -100.0), (-35.7, -100.0))
-    assert spec.phase_for(1, avoidance_offsets=override) == override
 
 
 @pytest.mark.parametrize("phases, match", [
@@ -65,11 +66,6 @@ def test_phase_validation():
 
 # -------------------------------------------------------------- transitions
 
-def test_transition_velocities_are_displacement_over_time():
-    vel = transition_velocities(simple_transition())
-    np.testing.assert_allclose(vel, [[-25.0, 0.0], [25.0, 0.0]])
-
-
 def test_transition_destination():
     tr = simple_transition()
     np.testing.assert_allclose(tr.destination, [[50.0, 150.0], [-50.0, 150.0]])
@@ -93,26 +89,26 @@ def test_agents_with_zero_displacement_do_not_participate():
 
 def test_convergence_requires_entering_the_band():
     tr = simple_transition()
-    assert check_convergence(tr, [[90.0, 150.0], [-90.0, 150.0]], 10.5) == IN_PROGRESS
+    assert arrive(tr, [[90.0, 150.0], [-90.0, 150.0]], 10.5) == IN_PROGRESS
     assert tr.first_entry == {}
 
 
 def test_first_entry_time_is_recorded_once():
     tr = simple_transition()
-    check_convergence(tr, [[54.0, 150.0], [-90.0, 150.0]], 11.0)
+    arrive(tr, [[54.0, 150.0], [-90.0, 150.0]], 11.0)
     assert tr.first_entry == {2: 11.0}
     # agent 2 wandering back out does not reset its entry record
-    check_convergence(tr, [[70.0, 150.0], [-54.0, 151.0]], 11.5)
+    arrive(tr, [[70.0, 150.0], [-54.0, 151.0]], 11.5)
     assert tr.first_entry == {2: 11.0, 3: 11.5}
 
 
 def test_all_participants_in_band_converges():
     tr = simple_transition()
-    status = check_convergence(tr, [[52.0, 148.0], [-48.0, 152.0]], 11.8)
+    status = arrive(tr, [[52.0, 148.0], [-48.0, 152.0]], 11.8)
     assert status == CONVERGED
     assert tr.converged_time == pytest.approx(11.8)
     # status is sticky via the recorded entries
-    assert check_convergence(tr, [[52.0, 148.0], [-48.0, 152.0]], 12.5) == CONVERGED
+    assert arrive(tr, [[52.0, 148.0], [-48.0, 152.0]], 12.5) == CONVERGED
     assert tr.converged_time == pytest.approx(11.8)
 
 
@@ -120,7 +116,7 @@ def test_band_is_per_axis():
     tr = simple_transition()
     # (4, 4) off is inside the per-axis band even though its 2-norm exceeds
     # the tolerance; 6 off on a single axis is outside
-    check_convergence(tr, [[54.0, 154.0], [-44.0, 150.0]], 11.0, tolerance=5.0)
+    arrive(tr, [[54.0, 154.0], [-44.0, 150.0]], 11.0, tolerance=5.0)
     assert 2 in tr.first_entry
     assert 3 not in tr.first_entry
 
@@ -128,18 +124,45 @@ def test_band_is_per_axis():
 def test_timeout_after_deadline_plus_grace():
     tr = simple_transition()  # deadline 12, default grace 1
     far = [[100.0, 150.0], [-100.0, 150.0]]
-    assert check_convergence(tr, far, 12.9) == IN_PROGRESS
-    assert check_convergence(tr, far, 13.01) == TIMED_OUT
+    assert arrive(tr, far, 12.9) == IN_PROGRESS
+    assert arrive(tr, far, 13.01) == TIMED_OUT
 
 
 def test_zero_displacement_only_transition_converges_immediately():
     tr = TransitionState(0.0, 2.0, (2,), [[5.0, 5.0]], [[0.0, 0.0]])
-    assert check_convergence(tr, [[400.0, 400.0]], 0.0) == CONVERGED
+    assert arrive(tr, [[400.0, 400.0]], 0.0) == CONVERGED
 
 
 def test_position_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        check_convergence(simple_transition(), [[0.0, 0.0]], 10.0)
+        check_convergence(simple_transition(), [[0.0, 0.0]], 10.0,
+                          tolerance=5.0, grace=1.0, hold=0.0)
+
+
+def test_hold_needs_every_participant_in_band_together():
+    tr = simple_transition()
+    inside, outside = [[1.0, -1.0], [0.0, 2.0]], [[1.0, -1.0], [9.0, 0.0]]
+    check = lambda residual, now: check_convergence(  # noqa: E731
+        tr, residual, now, tolerance=5.0, grace=12.0, hold=1.0)
+    assert check(inside, 10.5) == IN_PROGRESS
+    assert tr.in_band_since == 10.5
+    # one agent leaving the band restarts the hold
+    assert check(outside, 11.0) == IN_PROGRESS
+    assert tr.in_band_since is None
+    assert check(inside, 11.2) == IN_PROGRESS
+    assert check(inside, 12.1) == IN_PROGRESS
+    assert check(inside, 12.2) == CONVERGED
+    assert tr.converged_time == 11.2
+    assert tr.first_entry == {2: 10.5, 3: 10.5}
+
+
+def test_hold_times_out_after_deadline_plus_grace():
+    tr = simple_transition()  # deadline 12
+    outside = [[1.0, -1.0], [9.0, 0.0]]
+    check = lambda now: check_convergence(  # noqa: E731
+        tr, outside, now, tolerance=5.0, grace=12.0, hold=1.0)
+    assert check(23.9) == IN_PROGRESS
+    assert check(24.01) == TIMED_OUT
 
 
 @given(dx=st.floats(-80.0, 80.0), dy=st.floats(-80.0, 80.0),
@@ -147,5 +170,5 @@ def test_position_shape_mismatch_rejected():
 @settings(max_examples=40, deadline=None)
 def test_moving_to_the_exact_destination_always_converges(dx, dy, t):
     tr = TransitionState(0.0, t, (2,), [[10.0, -10.0]], [[dx, dy]])
-    status = check_convergence(tr, tr.destination, t * 0.5)
+    status = arrive(tr, tr.destination, t * 0.5)
     assert status == CONVERGED

@@ -24,6 +24,8 @@ def test_star_matrices_match_hand_derivation():
                                                   [-1.0, 0.0],
                                                   [0.0, -1.0]])
     np.testing.assert_array_equal(top.reference, [[1.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(top.heads, [0, 0])
+    np.testing.assert_array_equal(top.tails, [1, 2])
 
 
 def test_pair_topology():
@@ -37,6 +39,7 @@ def test_single_agent_no_edges():
     top = graph.build_topology(1, [], [1])
     assert top.incidence.shape == (1, 0)
     assert top.consensus.shape == (1, 0)
+    assert top.heads.shape == top.tails.shape == (0,)
     np.testing.assert_array_equal(top.reference, [[1.0]])
 
 
@@ -61,15 +64,17 @@ def test_invalid_topologies_are_rejected(n, edges, refs, match):
 
 
 # ----------------------------------------------------------------- laplacian
+# incidence @ incidence.T is the Laplacian of the underlying undirected graph
 
 def test_pair_laplacian():
-    top = graph.build_topology(2, [(1, 2)], [1])
-    np.testing.assert_array_equal(graph.laplacian(top), [[1.0, -1.0],
-                                                         [-1.0, 1.0]])
+    q = graph.build_topology(2, [(1, 2)], [1]).incidence
+    np.testing.assert_array_equal(q @ q.T, [[1.0, -1.0],
+                                            [-1.0, 1.0]])
 
 
 def test_star_laplacian():
-    lap = graph.laplacian(star_three_agents())
+    q = star_three_agents().incidence
+    lap = q @ q.T
     np.testing.assert_array_equal(lap, [[2.0, -1.0, -1.0],
                                         [-1.0, 1.0, 0.0],
                                         [-1.0, 0.0, 1.0]])
@@ -150,7 +155,15 @@ def test_structural_properties(d):
         assert top.consensus[tail - 1, col] == -1.0
         assert np.count_nonzero(top.consensus[:, col]) == 1
 
-    lap = graph.laplacian(top)
+    # the index arrays name each edge's head and tail rows
+    np.testing.assert_array_equal(
+        np.column_stack([top.heads, top.tails]) + 1,
+        np.reshape(top.edges, (-1, 2)))
+    cols = np.arange(top.n_edges)
+    np.testing.assert_array_equal(top.incidence[top.heads, cols], 1.0)
+    np.testing.assert_array_equal(top.incidence[top.tails, cols], -1.0)
+
+    lap = top.incidence @ top.incidence.T
     np.testing.assert_allclose(lap, lap.T)
     np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
     assert np.linalg.eigvalsh(lap).min() >= -1e-10

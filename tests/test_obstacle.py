@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import obstacle
-from niformation.obstacle import (AvoidanceEvent, ObstacleCircle, RobotCircle,
-                                  UnsupportedManeuver, circle_from_observation,
+from niformation.obstacle import (ObstacleCircle, UnsupportedManeuver,
+                                  circle_from_observation,
                                   clip_polygon_to_disc, detect_mode,
                                   enclosing_circle, event_cleared, group_all,
                                   group_or_separate, point_segment_distance,
-                                  polygon_area_centroid, visible_obstacles)
+                                  polygon_area_centroid)
 
 
 def box(cx, cy, side):
@@ -77,19 +77,11 @@ def test_clip_vertices_stay_inside_the_disc():
     assert np.all(np.linalg.norm(clipped, axis=1) <= 50.0 + 1e-9)
 
 
-def test_visible_obstacles_tags_polygon_indices():
-    polys = [box(0.0, 60.0, 36.0), box(500.0, 0.0, 36.0)]
-    seen = visible_obstacles(polys, [0.0, 0.0], fov=220.0)
-    assert len(seen) == 1
-    assert seen[0].members == (0,)
-    assert seen[0].radius == pytest.approx(18.0 * np.sqrt(2.0))
-
-
 def test_partially_visible_obstacle_wraps_smaller():
-    polys = [box(0.0, 105.0, 36.0)]  # crosses the footprint edge at 110
-    seen = visible_obstacles(polys, [0.0, 0.0], fov=220.0)
-    assert len(seen) == 1
-    assert seen[0].radius < 18.0 * np.sqrt(2.0)
+    # crosses the edge of a 220 cm footprint at 110
+    part = clip_polygon_to_disc(box(0.0, 105.0, 36.0), [0.0, 0.0], 110.0)
+    assert part.shape[0] >= 3
+    assert circle_from_observation(part).radius < 18.0 * np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------- grouping
@@ -284,12 +276,6 @@ def test_point_segment_distance():
     assert point_segment_distance((0.0, 5.0), (-10.0, 0.0), (10.0, 0.0)) == pytest.approx(5.0)
     assert point_segment_distance((20.0, 0.0), (-10.0, 0.0), (10.0, 0.0)) == pytest.approx(10.0)
     assert point_segment_distance((3.0, 4.0), (0.0, 0.0), (0.0, 0.0)) == pytest.approx(5.0)
-
-
-def test_robot_circle_validation():
-    with pytest.raises(ValueError):
-        RobotCircle((0.0, 0.0), 0.0)
-    assert RobotCircle((0.0, 0.0), 32.0).diameter == pytest.approx(64.0)
 
 
 # --------------------------------------------------------------- properties

@@ -1,0 +1,96 @@
+"""Scenario documents: the shipped files load, malformed ones name the field."""
+
+import copy
+import importlib.resources
+import re
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from niformation import scenario
+from niformation.scenario import ScenarioError, scenario_from_dict
+
+SHIPPED = scenario.shipped_scenarios()
+
+
+def shipped_doc(name: str) -> dict:
+    resource = importlib.resources.files("niformation").joinpath(
+        f"scenarios/{name}.yaml")
+    return yaml.safe_load(resource.read_text())
+
+
+DOCS = {name: shipped_doc(name) for name in SHIPPED}
+YAW_SCENARIOS = sorted(name for name, doc in DOCS.items() if "yaw_control" in doc)
+
+# values of the wrong shape: truthy, so an optional section cannot read
+# them as absent
+scalars = st.one_of(st.integers(1, 10**6), st.floats(0.5, 1e6),
+                    st.text(min_size=1, max_size=8))
+non_mappings = st.one_of(scalars, st.lists(st.integers(), min_size=1, max_size=3))
+non_lists = st.one_of(scalars, st.dictionaries(st.text(max_size=3),
+                                               st.integers(), min_size=1))
+non_integers = st.one_of(
+    st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
+    st.booleans(), st.text(max_size=8))
+agent_ids = st.integers(1, 3)
+
+# field path -> (keys from the document root, wrong values, applies to yaw
+# scenarios only)
+MUTATIONS = {
+    "formation.phases[0]": (("formation", "phases", 0), non_mappings, False),
+    "sensing": (("sensing",), non_mappings, False),
+    "control.prediction_horizon_steps": (
+        ("control", "prediction_horizon_steps"), non_integers, False),
+    "control.command_delay_steps": (
+        ("control", "command_delay_steps"), non_integers, False),
+    "formation.phases[0].after_waypoints": (
+        ("formation", "phases", 0, "after_waypoints"), non_integers, False),
+    "yaw_control.offsets": (("yaw_control", "offsets"), non_lists, True),
+    "topology.edges[0]": (
+        ("topology", "edges", 0),
+        st.lists(agent_ids, min_size=3, max_size=4), False),
+    "seed": (("seed",), non_integers, False),
+    "settle_time": (("settle_time",), st.floats(-1e6, -1e-9), False),
+    "topology.reference_agents": (
+        ("topology", "reference_agents"),
+        st.lists(agent_ids, min_size=2, max_size=3), False),
+    "yaw_control.reference_agents": (
+        ("yaw_control", "reference_agents"),
+        st.lists(agent_ids, min_size=2, max_size=3), True),
+}
+
+
+def mutated(name: str, keys: tuple, value) -> dict:
+    doc = copy.deepcopy(DOCS[name])
+    node = doc
+    for key in keys[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_every_shipped_document_loads(name):
+    scn = scenario_from_dict(DOCS[name], name)
+    assert scn.name == name
+    assert len(scn.topology.reference_agents) == 1
+
+
+@pytest.mark.parametrize("field", sorted(MUTATIONS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_malformed_field_is_rejected_by_name(field, data):
+    keys, values, yaw_only = MUTATIONS[field]
+    name = data.draw(st.sampled_from(YAW_SCENARIOS if yaw_only else SHIPPED))
+    doc = mutated(name, keys, data.draw(values))
+    with pytest.raises(ScenarioError, match="^" + re.escape(field)):
+        scenario_from_dict(doc, name)
+
+
+def test_integral_counts_still_load():
+    doc = mutated("moving_leader_compare", ("control", "command_delay_steps"), 3)
+    assert scenario_from_dict(doc).control.command_delay_steps == 3
+    doc = mutated("moving_leader_compare", ("settle_time",), 0.0)
+    assert scenario_from_dict(doc).settle_time == 0.0

@@ -96,3 +96,30 @@ def test_adaptive_offset_switch_keeps_the_reference_glide():
     assert simulator.transition is not None
     assert simulator.ref_slew is slew
     assert np.array_equal(simulator._reference_point(now), on_glide)
+
+
+def test_reference_point_leaves_the_landed_slew_in_place():
+    scn = scenario.load_scenario("moving_leader_compare")
+    simulator = sim.Simulator(scn)
+    slew = simulator.ref_slew
+    waypoint = np.asarray(scn.waypoints[0], dtype=float)
+    # long after the cruise has landed the reference is the waypoint, and
+    # reading it changes no state
+    assert np.array_equal(simulator._reference_point(scn.duration * 10), waypoint)
+    assert simulator.ref_slew is slew
+    assert not np.array_equal(simulator._reference_point(1.0), waypoint)
+
+
+def test_observe_wraps_every_sensed_polygon_whole():
+    # a polygon counts as sensed while part of it lies inside some robot's
+    # footprint, and its circle wraps the whole polygon, not the sensed part
+    scn = scenario.load_scenario("single_obstacle_line")
+    reach = scn.sensing.fov / 2.0
+    square = np.array([[-18.0, -18.0], [18.0, -18.0], [18.0, 18.0], [-18.0, 18.0]])
+    polygons = (square + [0.0, reach - 5.0], square + [4.0 * reach, 0.0])
+    simulator = sim.Simulator(replace(scn, obstacles=polygons))
+    simulator.positions[:] = 0.0
+    seen = simulator._observe()
+    assert [circle.members for circle in seen] == [(0,)]
+    assert seen[0].radius == pytest.approx(18.0 * np.sqrt(2.0))
+    assert seen[0].center == pytest.approx((0.0, reach - 5.0))
