@@ -2,15 +2,17 @@
 
 Frequency-domain tools for single-input single-output rational transfer
 functions: pointwise evaluation on the imaginary axis, the negative-imaginary
-(NI / strictly-NI) frequency test, DC-gain internal-stability certificates for
-positive-feedback interconnections, additive composition, and bilinear
-discretization to a stepped state-space realization for fixed-step simulation,
-with a bank that steps many such realizations as one batched update.
+(NI / strictly-NI) test, internal-stability certificates for positive-feedback
+interconnections, additive composition, and bilinear discretization to a
+stepped state-space realization for fixed-step simulation, with a bank that
+steps many such realizations as one batched update.
 
-Classification is grid-relative: a classification holds on the frequency grid
-it was evaluated on, nothing more.  The default grid covers the band the
-shipped velocity models are certified on (1e-3 .. 2.0 rad/s); callers probing
-wider bands pass their own grid.
+Classification and certification are exact, not sampled.  For P = N/D the
+NI index -2*Im P(jw) has the sign of the real polynomial
+-Im[N(jw) * conj D(jw)], so the real roots of that polynomial decide the
+class on a frequency band (lo, hi], which may reach to infinity.  The default
+band, (0, 2] rad/s, is the one the shipped velocity models are certified on.
+A certificate's closed-loop poles are the roots of Dp*Dc - Np*Nc.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ import yaml
 from scipy import signal
 
 POLE_FLOOR = 1e-12
-DEFAULT_TOL = 1e-9
-DEFAULT_GRID_SPAN = (1e-3, 2.0)
-DEFAULT_GRID_POINTS = 400
+DEFAULT_BAND = (0.0, 2.0)
+# a root counts as real (a pole as on the axis) within this fraction of its
+# magnitude, and real roots closer than that count as one: `np.roots` splits
+# a double root into two about sqrt(eps) apart, along or across the line
+REAL_ROOT_TOL = 1e-6
 
 SNI = "SNI"
 NI = "NI"
@@ -76,15 +80,6 @@ class TransferFunction:
     def proper(self) -> bool:
         return len(self.numerator) <= len(self.denominator)
 
-    def limit_at_infinity(self) -> float:
-        """lim_{s->inf} P(s); +-inf for improper transfer functions."""
-        dn = len(self.numerator) - len(self.denominator)
-        if dn < 0:
-            return 0.0
-        if dn == 0:
-            return self.numerator[0] / self.denominator[0]
-        return float(np.sign(self.numerator[0] / self.denominator[0]) * np.inf)
-
 
 def tf(numerator, denominator, label: str = "") -> TransferFunction:
     return TransferFunction(tuple(np.atleast_1d(numerator)),
@@ -105,55 +100,17 @@ def tf_mul(a: TransferFunction, b: TransferFunction, label: str = "") -> Transfe
                             tuple(np.polymul(a.denominator, b.denominator)), label)
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Strictly increasing positive angular frequencies (rad/s)."""
-
-    omegas: tuple[float, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.omegas, dtype=float)
-        if arr.size == 0:
-            raise ValueError("frequency grid is empty")
-        if np.any(arr <= 0.0):
-            raise ValueError("frequency grid must be strictly positive")
-        if np.any(np.diff(arr) <= 0.0):
-            raise ValueError("frequency grid must be strictly increasing")
-        object.__setattr__(self, "omegas", tuple(arr))
-
-    @classmethod
-    def logspace(cls, lo: float, hi: float, n: int) -> "FrequencyGrid":
-        return cls(tuple(np.logspace(np.log10(lo), np.log10(hi), n)))
-
-    @classmethod
-    def default(cls) -> "FrequencyGrid":
-        lo, hi = DEFAULT_GRID_SPAN
-        return cls.logspace(lo, hi, DEFAULT_GRID_POINTS)
-
-    def __len__(self) -> int:
-        return len(self.omegas)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.omegas)
-
-
-def _response(tfn: TransferFunction, omegas: np.ndarray) -> np.ndarray:
-    s = 1j * omegas
-    den = np.polyval(tfn.denominator, s)
-    bad = np.abs(den) < POLE_FLOOR
-    if np.any(bad):
-        w = float(np.asarray(omegas).ravel()[np.argmax(np.atleast_1d(bad))])
-        raise PoleOnAxisError(
-            f"denominator magnitude below {POLE_FLOOR:g} at omega={w:g} rad/s"
-            + (f" for '{tfn.label}'" if tfn.label else ""))
-    return np.polyval(tfn.numerator, s) / den
-
-
 def evaluate(tfn: TransferFunction, omega: float) -> complex:
     """P(j*omega) by direct polynomial evaluation; omega >= 0."""
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    return complex(_response(tfn, np.asarray([float(omega)]))[0])
+    s = 1j * float(omega)
+    den = np.polyval(tfn.denominator, s)
+    if abs(den) < POLE_FLOOR:
+        raise PoleOnAxisError(
+            f"denominator magnitude below {POLE_FLOOR:g} at omega={omega:g} rad/s"
+            + (f" for '{tfn.label}'" if tfn.label else ""))
+    return complex(np.polyval(tfn.numerator, s) / den)
 
 
 def sni_index(tfn: TransferFunction, omega: float) -> float:
@@ -167,25 +124,48 @@ def sni_index(tfn: TransferFunction, omega: float) -> float:
     return -2.0 * evaluate(tfn, omega).imag
 
 
-def sni_index_grid(tfn: TransferFunction, grid: FrequencyGrid) -> np.ndarray:
-    return -2.0 * _response(tfn, grid.as_array()).imag
+def _on_axis(coeffs) -> np.ndarray:
+    """Coefficients of c(j*w) as a polynomial in w, descending powers."""
+    powers = np.arange(len(coeffs) - 1, -1, -1)
+    return np.asarray(coeffs) * np.array([1.0, 1j, -1.0, -1j])[powers % 4]
 
 
-def classify_ni(tfn: TransferFunction, grid: FrequencyGrid | None = None,
-                tol: float = DEFAULT_TOL) -> str:
-    """Grid-relative classification: SNI, NI, or neither.
+def _real_roots(poly, lo: float, hi: float) -> np.ndarray:
+    """Sorted distinct real roots of `poly` in (lo, hi]."""
+    roots = np.roots(poly)
+    real = roots[np.abs(roots.imag)
+                 <= REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))].real
+    real = np.sort(real[(real > lo) & (real <= hi)])
+    return real[np.diff(real, prepend=-np.inf)
+                > REAL_ROOT_TOL * np.maximum(1.0, np.abs(real))]
 
-    SNI when the index is > tol at every grid point; NI when it is >= -tol at
-    every grid point; neither otherwise.
+
+def classify_ni(tfn: TransferFunction, band=DEFAULT_BAND) -> str:
+    """Exact class on the band (lo, hi] in rad/s, `hi` possibly np.inf.
+
+    The index -2*Im P(jw) has the sign of the real polynomial
+    q(w) = -Im[N(jw) * conj D(jw)], whose real roots split the band into
+    intervals of constant sign; one sample per interval reads it.  SNI when
+    q > 0 on the whole band, NI when q >= 0, neither otherwise.  A pole on
+    j*(lo, hi] raises `PoleOnAxisError`.
     """
-    if grid is None:
-        grid = FrequencyGrid.default()
-    idx = sni_index_grid(tfn, grid)
-    if np.all(idx > tol):
-        return SNI
-    if np.all(idx >= -tol):
-        return NI
-    return NEITHER
+    lo, hi = (float(v) for v in band)
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"band must satisfy 0 <= lo < hi, got {band!r}")
+    axis_poles = _real_roots(_on_axis(tfn.denominator), lo, hi)
+    if axis_poles.size:
+        raise PoleOnAxisError(
+            f"pole on the imaginary axis at omega={axis_poles[0]:g} rad/s"
+            + (f" for '{tfn.label}'" if tfn.label else ""))
+    q = -np.polymul(_on_axis(tfn.numerator),
+                    np.conj(_on_axis(tfn.denominator))).imag
+    roots = _real_roots(q, lo, hi)
+    last = hi if np.isfinite(hi) else roots.max(initial=lo) + 2.0
+    edges = np.unique(np.concatenate([[lo], roots, [last]]))
+    signs = np.sign(np.polyval(q, (edges[:-1] + edges[1:]) / 2.0))
+    if np.any(signs < 0):
+        return NEITHER
+    return SNI if roots.size == 0 and np.all(signs > 0) else NI
 
 
 def dc_gain(tfn: TransferFunction) -> float:
@@ -198,17 +178,6 @@ def dc_gain(tfn: TransferFunction) -> float:
     return tfn.numerator[-1] / den0
 
 
-def _winding_number_around(points: np.ndarray, center: complex) -> int:
-    """Winding number of the closed polyline `points` around `center`."""
-    rel = points - center
-    if np.any(np.abs(rel) < 1e-30):
-        return 0
-    angles = np.angle(rel)
-    dangle = np.diff(angles, append=angles[:1])
-    dangle = (dangle + np.pi) % (2.0 * np.pi) - np.pi
-    return int(np.round(dangle.sum() / (2.0 * np.pi)))
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Internal-stability certificate for a positive-feedback pair."""
@@ -217,82 +186,67 @@ class Certificate:
     controller_class: str
     dc_product: float
     dc_condition_met: bool
-    encirclements_of_plus_one: int
-    loop_vanishes_at_infinity: bool
-    controller_nonnegative_at_infinity: bool
+    closed_loop_poles: tuple[complex, ...]
     stable: bool
     reasons: tuple[str, ...]
 
 
 def certify_interconnection(plant: TransferFunction, controller: TransferFunction,
-                            grid: FrequencyGrid | None = None,
-                            tol: float = DEFAULT_TOL) -> Certificate:
-    """DC-gain / encirclement certificate for the positive feedback loop.
+                            band=DEFAULT_BAND) -> Certificate:
+    """Internal-stability certificate for the positive feedback loop.
 
-    The pair must classify into complementary NI classes on the grid (at least
-    one strictly).  The certificate records the DC-gain product test
-    (product < 1), the winding number of the sampled loop response around
-    +1+0j (grid plus conjugate reflection; grid-resolution limited), and the
-    two asymptotic side conditions.  The side conditions are reported but do
-    not gate `stable`: finite-frequency behavior is what the sampled loop
-    sees, and constant negative controllers (which the shipped scenarios use)
-    fail the textbook sign condition while the loop remains demonstrably
-    stable.
+    The pair must classify into complementary NI classes on the band, at
+    least one strictly: the hypotheses of the NI stability theorem (Lanzon
+    & Petersen, IEEE TAC 2008; Xiong, Petersen & Lanzon, IEEE TAC 2010).
+    Under them the theorem's DC-gain condition, P(0) * C(0) < 1, gives
+    internal stability.  The certificate also carries the closed-loop poles,
+    the roots of Dp*Dc - Np*Nc, and `stable` holds when the DC-gain
+    condition holds and every pole has a negative real part.
     """
-    if grid is None:
-        grid = FrequencyGrid.default()
-    plant_class = classify_ni(plant, grid, tol)
-    controller_class = classify_ni(controller, grid, tol)
-    if plant_class == NEITHER:
-        raise ClassificationError(f"plant classifies 'neither' on the grid "
-                                  f"(label='{plant.label}')")
-    if controller_class == NEITHER:
-        raise ClassificationError(f"controller classifies 'neither' on the grid "
-                                  f"(label='{controller.label}')")
+    plant_class = classify_ni(plant, band)
+    controller_class = classify_ni(controller, band)
+    for role, tfn, cls in (("plant", plant, plant_class),
+                           ("controller", controller, controller_class)):
+        if cls == NEITHER:
+            raise ClassificationError(f"{role} classifies 'neither' on the band "
+                                      f"(label='{tfn.label}')")
     if SNI not in (plant_class, controller_class):
         raise ClassificationError("at least one of the pair must classify SNI")
 
     reasons: list[str] = []
     product = dc_gain(plant) * dc_gain(controller)
-    dc_ok = product < 1.0
+    dc_ok = bool(product < 1.0)
     if not dc_ok:
         reasons.append(f"dc gain product {product:.6g} >= 1")
 
-    omegas = grid.as_array()
-    loop = _response(plant, omegas) * _response(controller, omegas)
-    closed = np.concatenate([np.conj(loop[::-1]), loop])
-    winding = _winding_number_around(closed, 1.0 + 0.0j)
-    if winding != 0:
-        reasons.append(f"loop response encircles +1 ({winding} turns on the "
-                       f"sampled grid)")
-
-    loop_inf = plant.limit_at_infinity() * controller.limit_at_infinity()
-    ctrl_inf = controller.limit_at_infinity()
+    poles = np.sort_complex(np.roots(np.polysub(
+        np.polymul(plant.denominator, controller.denominator),
+        np.polymul(plant.numerator, controller.numerator))))
+    poles_ok = bool(np.all(poles.real < 0.0))
+    if not poles_ok:
+        reasons.append(f"closed-loop pole {poles[-1]:.6g} has Re >= 0")
     return Certificate(
         plant_class=plant_class,
         controller_class=controller_class,
         dc_product=float(product),
         dc_condition_met=dc_ok,
-        encirclements_of_plus_one=winding,
-        loop_vanishes_at_infinity=bool(loop_inf == 0.0),
-        controller_nonnegative_at_infinity=bool(ctrl_inf >= 0.0),
-        stable=bool(dc_ok and winding == 0),
+        closed_loop_poles=tuple(complex(p) for p in poles),
+        stable=dc_ok and poles_ok,
         reasons=tuple(reasons),
     )
 
 
 def series_ni_composition(sni: TransferFunction, ni: TransferFunction,
-                          grid: FrequencyGrid | None = None,
-                          tol: float = DEFAULT_TOL) -> str:
+                          band=DEFAULT_BAND) -> str:
     """Classify the additive positive connection of the two inputs.
 
     The declared contract is an SNI branch plus an NI branch; the inputs'
     own classes are the caller's responsibility and are not re-checked here
     (rate-like branches dip below the NI boundary near DC while the composite
     remains SNI, which is exactly the case this composition exists for).
-    Returns the composite's grid-relative classification.
+    Returns the composite's exact classification on the band.
     """
-    return classify_ni(tf_add(sni, ni, label=f"{sni.label}+{ni.label}"), grid, tol)
+    return classify_ni(tf_add(sni, ni, label=f"{sni.label}+{ni.label}"), band)
 
 
 @dataclass

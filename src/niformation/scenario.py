@@ -143,16 +143,6 @@ def _expect(doc: dict, key: str, path: str, kind: type | None = None):
     return value
 
 
-def _point(value, path: str) -> tuple[float, float]:
-    try:
-        x, y = float(value[0]), float(value[1])
-    except (TypeError, ValueError, IndexError):
-        raise ScenarioError(f"{path}: expected a [x, y] pair") from None
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ScenarioError(f"{path}: coordinates must be finite")
-    return (x, y)
-
-
 def _number(value, path: str, *, nonnegative: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {type(value).__name__}")
@@ -161,6 +151,19 @@ def _number(value, path: str, *, nonnegative: bool = False) -> float:
     if nonnegative and value < 0:
         raise ScenarioError(f"{path}: must be nonnegative")
     return float(value)
+
+
+def _pair(value, path: str) -> tuple[float, float]:
+    """A [x, y] list of two finite numbers: a point or a gain pair."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ScenarioError(f"{path}: expected a [x, y] pair")
+    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}: expected true or false, got {type(value).__name__}")
+    return value
 
 
 def _integer(value, path: str) -> int:
@@ -210,7 +213,7 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
         kind = _expect(row, "kind", p, str)
         if kind not in AGENT_KINDS:
             raise ScenarioError(f"{p}kind: must be one of {AGENT_KINDS}")
-        start = _point(_expect(row, "start", p, list), p + "start")
+        start = _pair(_expect(row, "start", p), p + "start")
         yaw = np.deg2rad(_number(row.get("yaw", 0.0), p + "yaw"))
         agents.append(AgentSpec(id=ident, kind=kind, start=start, yaw=float(yaw)))
     ids = [a.id for a in agents]
@@ -221,7 +224,7 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
 
 def _gains(doc, n_edges, yaw_doc) -> NiGains:
     g = _expect(doc, "gains", "", dict)
-    ref = _expect(g, "reference", "gains.", list)
+    reference = _pair(_expect(g, "reference", "gains."), "gains.reference")
     cons = _expect(g, "consensus", "gains.", list)
     if len(cons) != n_edges:
         raise ScenarioError(f"gains.consensus: expected {n_edges} pairs, got {len(cons)}")
@@ -232,18 +235,14 @@ def _gains(doc, n_edges, yaw_doc) -> NiGains:
         raw = _expect(yaw_doc, "consensus_gains", "yaw_control.", list)
         yaw_cons = tuple(_number(v, f"yaw_control.consensus_gains[{i}]")
                          for i, v in enumerate(raw))
+    consensus = tuple(_pair(pair, f"gains.consensus[{i}]")
+                      for i, pair in enumerate(cons))
+    adaptive = _flag(g.get("adaptive", False), "gains.adaptive")
     try:
-        return NiGains(
-            reference=(_number(ref[0], "gains.reference[0]"),
-                       _number(ref[1], "gains.reference[1]")),
-            consensus=tuple((_number(pair[0], f"gains.consensus[{i}][0]"),
-                             _number(pair[1], f"gains.consensus[{i}][1]"))
-                            for i, pair in enumerate(cons)),
-            yaw_reference=yaw_ref,
-            yaw_consensus=yaw_cons,
-            adaptive=bool(g.get("adaptive", False)),
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        return NiGains(reference=reference, consensus=consensus,
+                       yaw_reference=yaw_ref, yaw_consensus=yaw_cons,
+                       adaptive=adaptive)
+    except ValueError as exc:
         raise ScenarioError(f"gains: {exc}") from exc
 
 
@@ -261,7 +260,7 @@ def _formation(doc, n_edges) -> FormationSpec:
         if len(offsets) != n_edges:
             raise ScenarioError(f"{p}offsets: expected {n_edges} pairs, got {len(offsets)}")
         after = _integer(row.get("after_waypoints", 0), p + "after_waypoints")
-        points = tuple(_point(o, f"{p}offsets[{j}]") for j, o in enumerate(offsets))
+        points = tuple(_pair(o, f"{p}offsets[{j}]") for j, o in enumerate(offsets))
         duration = _number(row.get("transition_duration", 2.0), p + "transition_duration")
         try:
             phases.append(FormationPhase(after, points, duration))
@@ -291,7 +290,8 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
         offsets=tuple(np.deg2rad(_number(v, f"yaw_control.offsets[{i}]"))
                       for i, v in enumerate(offsets_deg)),
         target=None if target_deg is None else float(np.deg2rad(target_deg)),
-        corner_turns=bool(raw.get("corner_turns", False)),
+        corner_turns=_flag(raw.get("corner_turns", False),
+                           "yaw_control.corner_turns"),
         corner_entry=float(np.deg2rad(_number(raw.get("corner_entry", 30.0),
                                               "yaw_control.corner_entry"))),
         corner_exit=float(np.deg2rad(_number(raw.get("corner_exit", 3.0),
@@ -306,7 +306,7 @@ def _obstacles(doc) -> tuple[np.ndarray, ...]:
         p = f"obstacles[{i}]"
         if not isinstance(poly, list) or len(poly) < 3:
             raise ScenarioError(f"{p}: expected a polygon with at least 3 vertices")
-        polygons.append(np.array([_point(v, f"{p}[{j}]") for j, v in enumerate(poly)]))
+        polygons.append(np.array([_pair(v, f"{p}[{j}]") for j, v in enumerate(poly)]))
     return tuple(polygons)
 
 
@@ -333,7 +333,7 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     points = _expect(wp, "points", "waypoints.", list)
     if not points:
         raise ScenarioError("waypoints.points: at least one waypoint is required")
-    waypoints = tuple(_point(p, f"waypoints.points[{i}]") for i, p in enumerate(points))
+    waypoints = tuple(_pair(p, f"waypoints.points[{i}]") for i, p in enumerate(points))
     radius = _number(wp.get("radius", 10.0), "waypoints.radius")
     if radius <= 0:
         raise ScenarioError("waypoints.radius: must be positive")

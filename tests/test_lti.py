@@ -76,25 +76,26 @@ def test_index_requires_positive_frequency():
         lti.sni_index(LAG, 0.0)
 
 
-# -------------------------------------------------------------------- grids
+# -------------------------------------------------------------------- bands
 
-def test_default_grid_span():
-    grid = lti.FrequencyGrid.default()
-    assert len(grid) == 400
-    assert grid.omegas[0] == pytest.approx(1e-3)
-    assert grid.omegas[-1] == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("omegas", [(), (0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
-def test_grid_validation_rejects_bad_inputs(omegas):
+@pytest.mark.parametrize("band", [(1.0,), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                  (0.0, np.nan)])
+def test_band_validation_rejects_bad_inputs(band):
     with pytest.raises(ValueError):
-        lti.FrequencyGrid(omegas)
+        lti.classify_ni(LAG, band)
 
 
 def test_classification_propagates_pole_on_grid():
     osc = lti.tf((1.0,), (1.0, 0.0, 1.0))
     with pytest.raises(lti.PoleOnAxisError):
-        lti.classify_ni(osc, lti.FrequencyGrid((0.5, 1.0, 1.5)))
+        lti.classify_ni(osc, band=(0.5, 1.5))
+
+
+def test_pole_outside_the_band_is_classified():
+    # 1/(s^2+1) is real on the axis away from its poles at +-j: the index
+    # vanishes everywhere, so it is NI, and the band's open end excludes w=1
+    osc = lti.tf((1.0,), (1.0, 0.0, 1.0))
+    assert lti.classify_ni(osc, band=(1.0, np.inf)) == lti.NI
 
 
 # ----------------------------------------------------------- classification
@@ -112,21 +113,20 @@ def test_nonminimum_phase_allpass_is_neither():
     # P = (s-1)/(s+1): Im P(jw) = 2w/(1+w^2) > 0, so the index is negative
     # at every positive frequency.
     allpass = lti.tf((1.0, -1.0), (1.0, 1.0))
-    wide = lti.FrequencyGrid.logspace(1e-3, 1e4, 400)
-    assert lti.classify_ni(allpass, wide) == lti.NEITHER
+    assert lti.classify_ni(allpass, band=(1e-3, 1e4)) == lti.NEITHER
 
 
 def test_velocity_models_classify_sni_on_default_grid(models):
-    grid = lti.FrequencyGrid.default()
-    # minima frozen from an independent sweep of the frequency response
+    # minima frozen from an independent sweep of the frequency response on
+    # 400 log-spaced points over 1e-3 .. 2 rad/s
+    sweep = np.logspace(-3.0, np.log10(2.0), 400)
     expected_min = {"ugv_velx": 0.094391, "ugv_vely": 0.142429,
                     "uav_velx": 0.062850, "uav_vely": 0.039261}
     for name in VELOCITY_MODELS:
         m = models[name].transfer_function
-        assert lti.classify_ni(m, grid) == lti.SNI, name
-        idx = lti.sni_index_grid(m, grid)
+        assert lti.classify_ni(m) == lti.SNI, name
+        idx = np.array([lti.sni_index(m, w) for w in sweep])
         assert idx.min() == pytest.approx(expected_min[name], abs=1e-5), name
-        assert idx.min() > lti.DEFAULT_TOL
 
 
 def test_velocity_models_lose_sni_above_the_certified_band(models):
@@ -138,8 +138,61 @@ def test_velocity_models_lose_sni_above_the_certified_band(models):
         m = models[name].transfer_function
         assert lti.sni_index(m, lo) > 0.0, name
         assert lti.sni_index(m, hi) < 0.0, name
-        wide = lti.FrequencyGrid.logspace(1e-3, 10.0, 400)
-        assert lti.classify_ni(m, wide) == lti.NEITHER, name
+        assert lti.classify_ni(m, band=(1e-3, 10.0)) == lti.NEITHER, name
+
+
+def test_velocity_models_are_sni_up_to_the_first_index_root(models):
+    # the sign-flip brackets above, and the first positive root of the index
+    # polynomial to 4 decimals
+    brackets = {"ugv_velx": (3.89, 3.90, 3.8957), "ugv_vely": (5.25, 5.26, 5.2505),
+                "uav_velx": (8.56, 8.58, 8.5677), "uav_vely": (3.33, 3.34, 3.3335)}
+    for name, (lo, hi, root) in brackets.items():
+        m = models[name].transfer_function
+        assert lti.classify_ni(m, band=(0.0, lo)) == lti.SNI, name
+        assert lti.classify_ni(m, band=(0.0, hi)) == lti.NEITHER, name
+        assert lti.classify_ni(m, band=(0.0, root - 1e-4)) == lti.SNI, name
+        assert lti.classify_ni(m, band=(0.0, root + 1e-4)) == lti.NEITHER, name
+
+
+def test_dip_between_sample_points_is_neither():
+    # a lag minus a faint, sharp resonance at w0: the index dips to about -9
+    # over a few 1e-4 rad/s around w0, which falls between the points of a
+    # 400-point log sweep over 1e-3 .. 2 rad/s
+    w0 = 0.9978
+    dip = lti.tf_add(LAG, lti.tf(-1e-3, (1.0, 2e-4 * w0, w0 ** 2)))
+    assert lti.sni_index(dip, w0) == pytest.approx(-9.04, abs=0.01)
+    sweep = np.logspace(-3.0, np.log10(2.0), 400)
+    assert min(lti.sni_index(dip, w) for w in sweep) > 0.0
+    assert lti.classify_ni(dip) == lti.NEITHER
+    assert lti.classify_ni(dip, band=(0.0, 0.99)) == lti.SNI
+
+
+@pytest.mark.parametrize("w0", [0.5, 0.77, 1.0, 1.3])
+def test_index_touching_zero_is_ni_not_sni(w0):
+    # P = (s^2 + w0^2)^2 / (s + 1) has index polynomial w*(w0^2 - w^2)^2: a
+    # double root at w0, where the index touches zero without changing sign
+    touch = lti.tf(np.polymul((1.0, 0.0, w0 ** 2), (1.0, 0.0, w0 ** 2)), (1.0, 1.0))
+    assert lti.classify_ni(touch) == lti.NI
+    assert lti.classify_ni(touch, band=(0.0, 0.99 * w0)) == lti.SNI
+
+
+@given(a=st.floats(0.05, 10.0), c=st.floats(-1.0, 1.0),
+       zeta=st.floats(0.01, 1.0), w=st.floats(0.05, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_exact_class_agrees_with_dense_sampling(a, c, zeta, w):
+    # oracle: the index sampled on 20000 points of the default band; a
+    # negative sample rules out NI, and an NI or SNI class rules out any
+    # negative sample (up to rounding)
+    plant = lti.tf_add(lti.tf((1.0,), (1.0, a)),
+                       lti.tf((c,), (1.0, 2.0 * zeta * w, w * w)))
+    cls = lti.classify_ni(plant)
+    s = 1j * np.linspace(2.0 / 20000, 2.0, 20000)
+    idx = -2.0 * (np.polyval(plant.numerator, s)
+                  / np.polyval(plant.denominator, s)).imag
+    if idx.min() < -1e-9:
+        assert cls == lti.NEITHER
+    if cls == lti.SNI:
+        assert idx.min() > -1e-9
 
 
 # ------------------------------------------------------------------ dc gain
@@ -167,11 +220,8 @@ def test_velocity_model_with_shipped_gain_certifies_stable(models):
     assert cert.plant_class == lti.SNI
     assert cert.controller_class == lti.NI
     assert cert.dc_product == pytest.approx(-20.006, abs=0.01)
-    assert cert.encirclements_of_plus_one == 0
-    assert cert.loop_vanishes_at_infinity
-    # a constant negative gain fails the sign-at-infinity side condition;
-    # it is reported, not gating
-    assert not cert.controller_nonnegative_at_infinity
+    assert len(cert.closed_loop_poles) == 4
+    assert max(p.real for p in cert.closed_loop_poles) == pytest.approx(-0.2257, abs=1e-4)
     assert cert.reasons == ()
 
 
@@ -180,6 +230,36 @@ def test_all_library_models_certify_against_their_shipped_gains(models):
         cert = lti.certify_interconnection(rec.transfer_function,
                                            lti.tf(rec.certification_gain, 1.0))
         assert cert.stable, rec.name
+
+
+@pytest.mark.parametrize("gain", [-0.7, -1.0, -2.0, -3.2])
+def test_closed_loop_poles_are_the_eigenvalues_of_the_closed_loop(models, gain):
+    # oracle: the state matrix A + k*B*C of the plant's realization under the
+    # positive feedback u = k*y (the velocity models are strictly proper)
+    for name in VELOCITY_MODELS:
+        m = models[name].transfer_function
+        a, b, c, _ = signal.tf2ss(m.numerator, m.denominator)
+        want = np.sort_complex(np.linalg.eigvals(a + gain * b @ c))
+        cert = lti.certify_interconnection(m, lti.tf(gain, 1.0))
+        assert cert.stable, (name, gain)
+        np.testing.assert_allclose(cert.closed_loop_poles, want, rtol=1e-8)
+        slow = sorted(cert.closed_loop_poles, key=lambda p: p.real)[-2:]
+        assert all(-0.45 < p.real < -0.18 for p in slow), (name, gain)
+
+
+def test_unstable_closed_loop_fails_despite_the_dc_condition():
+    # 1/(s+2)^3 is SNI on the default band (its phase reaches -180 degrees at
+    # 2*sqrt(3) rad/s), and with k = -70 the DC-gain product is -8.75; the
+    # loop (s+2)^3 + 70 still has poles at -2 + 70^(1/3)*exp(+-j*pi/3), that
+    # is 0.06 +- 3.57j, above the band
+    cubic = lti.tf((1.0,), np.poly([-2.0, -2.0, -2.0]))
+    cert = lti.certify_interconnection(cubic, lti.tf(-70.0, 1.0))
+    assert cert.plant_class == lti.SNI
+    assert cert.dc_condition_met
+    assert not cert.stable
+    assert max(p.real for p in cert.closed_loop_poles) == pytest.approx(
+        -2.0 + 70.0 ** (1.0 / 3.0) / 2.0)
+    assert any("closed-loop pole" in r for r in cert.reasons)
 
 
 def test_dc_product_at_or_above_one_fails_certificate():
@@ -207,8 +287,7 @@ def test_two_sni_branches_are_an_acceptable_pair():
 def test_unclassifiable_plant_is_rejected():
     allpass = lti.tf((1.0, -1.0), (1.0, 1.0))
     with pytest.raises(lti.ClassificationError):
-        lti.certify_interconnection(allpass, lti.tf(-0.5, 1.0),
-                                    lti.FrequencyGrid.logspace(1e-3, 1e4, 200))
+        lti.certify_interconnection(allpass, lti.tf(-0.5, 1.0), band=(1e-3, 1e4))
 
 
 def test_two_plain_ni_branches_are_rejected():
@@ -226,6 +305,16 @@ def test_additive_composition_of_velocity_model_and_rate_branch(models):
         m = models[name].transfer_function
         rate = lti.tf_mul(lti.tf((tau, 0.0), (1.0,)), m)
         assert lti.series_ni_composition(m, rate) == lti.SNI, name
+
+
+@pytest.mark.parametrize("horizon", [1, 22, 55])
+def test_prediction_composites_are_sni_at_the_shipped_horizons(models, horizon):
+    # (1 + 0.02*h*s)*P for the horizons of the shipped comparison (22) and
+    # the widest calibration sweep cell (55)
+    for name in VELOCITY_MODELS:
+        m = models[name].transfer_function
+        composite = lti.tf_mul(lti.tf((0.02 * horizon, 1.0), (1.0,)), m)
+        assert lti.classify_ni(composite) == lti.SNI, (name, horizon)
 
 
 def test_composition_with_zero_branch_is_identity(models):

@@ -35,6 +35,14 @@ non_integers = st.one_of(
     st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
     st.booleans(), st.text(max_size=8))
 agent_ids = st.integers(1, 3)
+gain_values = st.floats(-5.0, 0.0)
+wrong_pairs = st.one_of(scalars, st.lists(gain_values, max_size=1),
+                        st.lists(gain_values, min_size=3, max_size=4))
+non_numbers = st.one_of(st.text(max_size=8), st.booleans(),
+                        st.lists(gain_values, max_size=2))
+# YAML reads `no` and `false` as booleans, but "no" and "false" as strings
+non_booleans = st.one_of(st.integers(), st.floats(allow_nan=False),
+                         st.text(max_size=8), st.sampled_from(["no", "false"]))
 
 # field path -> (keys from the document root, wrong values, applies to yaw
 # scenarios only)
@@ -59,6 +67,12 @@ MUTATIONS = {
     "yaw_control.reference_agents": (
         ("yaw_control", "reference_agents"),
         st.lists(agent_ids, min_size=2, max_size=3), True),
+    "gains.reference": (("gains", "reference"), wrong_pairs, False),
+    "gains.consensus[0]": (("gains", "consensus", 0), wrong_pairs, False),
+    "gains.reference[0]": (("gains", "reference", 0), non_numbers, False),
+    "gains.consensus[0][1]": (("gains", "consensus", 0, 1), non_numbers, False),
+    "gains.adaptive": (("gains", "adaptive"), non_booleans, False),
+    "yaw_control.corner_turns": (("yaw_control", "corner_turns"), non_booleans, True),
 }
 
 

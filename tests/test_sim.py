@@ -53,6 +53,19 @@ MODE_RUNS = {"moving_leader_compare_baseline": ("moving_leader_compare", "baseli
 # scenarios with obstacles: no robot may touch one
 OBSTACLE_SCENARIOS = {"cluttered_course", "corridor_squeeze", "single_obstacle_line"}
 
+# the planned maneuver of every avoid_enter event (its fields other than
+# the time) and the (kind, status) of every transition that ended, in order;
+# scenarios not named here have neither
+MODE1 = {"mode": 1, "strategy": 2, "threatened": 1}
+MODE2 = {"mode": 2, "sub_case": 2}
+AVOID_AND_RESTORE = [("avoidance", "superseded"), ("restore", "converged")]
+EVENTS = {
+    "cluttered_course": ([MODE1, MODE2], AVOID_AND_RESTORE * 2),
+    "corridor_squeeze": ([MODE2], AVOID_AND_RESTORE),
+    "single_obstacle_line": ([MODE1], AVOID_AND_RESTORE),
+    "rect_varying_formation": ([], [("waypoint", "converged")] * 3),
+}
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -71,6 +84,12 @@ def test_shipped_scenario_matches_its_golden_run(name):
     assert log.summary["waypoints_completed"] == waypoints
     assert [ev["mode"] for ev in log.events
             if ev["event"] == "avoid_enter"] == modes
+    maneuvers, transitions = EVENTS.get(name, ([], []))
+    assert [{k: v for k, v in ev.items() if k not in ("time", "event")}
+            for ev in log.events if ev["event"] == "avoid_enter"] == maneuvers
+    assert [(ev["kind"], ev["event"].removeprefix("transition_"))
+            for ev in log.events if ev["event"].startswith("transition_")
+            and ev["event"] != "transition_start"] == transitions
     clearance = log.summary["min_obstacle_clearance_cm"]
     if name in OBSTACLE_SCENARIOS:
         assert clearance > 0
@@ -78,6 +97,21 @@ def test_shipped_scenario_matches_its_golden_run(name):
         assert clearance is None
     assert digest(log.trajectory_csv() + log.summary_json()) == run_digest
     assert digest(log.events_csv()) == events_digest
+
+
+@pytest.mark.parametrize("name", ["triangle_rect_patrol", "rect_varying_formation",
+                                  "single_obstacle_line"])
+def test_runs_converge_as_the_step_shrinks(name):
+    # at dt 0.02, 0.01 and 0.005 a run ends the same way, and its final
+    # positions approach the finest run's as dt halves
+    runs = {dt: sim.run_scenario(name, dt=dt).summary for dt in (0.02, 0.01, 0.005)}
+    assert len({(s["status"], s["waypoints_completed"]) for s in runs.values()}) == 1
+    finest = np.array(runs[0.005]["final_positions_m"])
+    gap_cm = {dt: 100.0 * np.linalg.norm(np.array(runs[dt]["final_positions_m"])
+                                         - finest, axis=1).max()
+              for dt in (0.02, 0.01)}
+    assert gap_cm[0.01] < gap_cm[0.02]
+    assert gap_cm[0.01] < 1.0
 
 
 def test_adaptive_offset_switch_keeps_the_reference_glide():
