@@ -13,10 +13,11 @@ plant for the agent's kind, stepped with the (possibly delayed and
 saturated) velocity command; yaw is the first-order yaw-rate plant whose
 output is trapezoidally integrated and wrapped.  Everything constant for a
 run is built once at construction: the lifted topology blocks of the planar
-and yaw laws, the per-agent speed caps, and one plant bank each for the
-planar axes and the yaw rates.  Per-edge quantities (relative offsets,
-follower targets, the steered agents of a transition) are gathers through
-the topology's head and tail index arrays.
+and yaw laws, the per-agent speed caps, one plant bank each for the planar
+axes and the yaw rates, and the `obstacle.ObstacleField` that senses every
+obstacle in whole arrays.  Per-edge quantities (relative offsets, follower
+targets, the steered agents of a transition) are gathers through the
+topology's head and tail index arrays.
 
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
@@ -185,7 +186,8 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
     def summary_json(self) -> str:
-        return json.dumps(self.summary, indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.summary, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     def write(self, outdir: str | Path) -> Path:
         out = Path(outdir)
@@ -234,8 +236,8 @@ class Simulator:
         self.delay_queue = deque(
             [(np.zeros((self.n, 2)), np.zeros(self.n))] * scn.control.command_delay_steps)
 
-        self.true_circles = [obstacle.circle_from_observation(poly, (i,))
-                             for i, poly in enumerate(scn.obstacles)]
+        self.obstacles = obstacle.ObstacleField(scn.obstacles,
+                                                scn.sensing.fov / 2.0)
 
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
@@ -341,22 +343,11 @@ class Simulator:
         A polygon counts as sensed while part of it lies inside some robot's
         footprint; its circle is then the full-boundary wrap, since a sliver
         seen at first contact would undersize every clearance computed from
-        it.  Once sensed, membership is re-evaluated every step (there is no
-        persistent map), which is fine because events freeze their geometry
-        at detection time.
+        it.  One `ObstacleField.sensed` call decides every robot and polygon.
+        Membership is re-evaluated every step (there is no persistent map),
+        which is fine because events freeze their geometry at detection time.
         """
-        reach = self.scn.sensing.fov / 2.0
-        seen: set[int] = set()
-        for viewer in self.positions:
-            for idx, circle in enumerate(self.true_circles):
-                if (idx in seen or np.linalg.norm(viewer - np.asarray(circle.center))
-                        > reach + circle.radius):
-                    continue
-                part = obstacle.clip_polygon_to_disc(self.scn.obstacles[idx],
-                                                     viewer, reach)
-                if part.shape[0] >= 3:
-                    seen.add(idx)
-        return [self.true_circles[idx] for idx in sorted(seen)]
+        return self.obstacles.sensed(self.positions)
 
     def _avoidance_offsets(self, event: obstacle.AvoidanceEvent) -> np.ndarray:
         along = np.asarray(event.path_along)
@@ -722,20 +713,19 @@ class Simulator:
         if rel.size and now >= self.scn.metrics_warmup_s:
             self.rel_err_max = np.maximum(self.rel_err_max,
                                           np.linalg.norm(rel, axis=1))
-        for circle in self.true_circles:
-            center = np.asarray(circle.center)
-            dist = np.linalg.norm(self.positions - center, axis=1)
-            # contact is judged against the physical footprint; the larger
-            # planning radius holds back slack for tracking transients
-            clearance = dist - circle.radius - self.scn.sensing.collision_radius
-            self.min_clearance = min(self.min_clearance, float(clearance.min()))
+        # contact is judged against the physical footprint; the larger
+        # planning radius holds back slack for tracking transients.
+        # Subtracting after the min is exact: rounding is monotone
+        if self.obstacles.circles:
+            gap = obstacle.nearest_boundary(self.positions,
+                                            self.obstacles.centers,
+                                            self.obstacles.radii)
+            self.min_clearance = min(self.min_clearance,
+                                     gap - self.scn.sensing.collision_radius)
         if self.avoidance is not None:
-            for circle in self.avoidance.obstacles:
-                center = np.asarray(circle.center)
-                dist = np.linalg.norm(self.positions - center, axis=1)
-                boundary = dist - circle.radius
-                self.min_boundary_clearance = min(self.min_boundary_clearance,
-                                                  float(boundary.min()))
+            circles = obstacle.circle_arrays(self.avoidance.obstacles)
+            gap = obstacle.nearest_boundary(self.positions, *circles)
+            self.min_boundary_clearance = min(self.min_boundary_clearance, gap)
 
     def _check_safety(self, now: float) -> bool:
         if self.min_clearance < 0.0:
@@ -840,8 +830,9 @@ class Simulator:
                                       for e, v in enumerate(self.rel_err_max)},
             "relative_error_max_overall_cm": (float(self.rel_err_max.max())
                                               if self.rel_err_max.size else 0.0),
-            "min_obstacle_clearance_cm": (None if not self.true_circles
-                                          else float(self.min_clearance)),
+            "min_obstacle_clearance_cm": (
+                None if not np.isfinite(self.min_clearance)
+                else float(self.min_clearance)),
             "avoidance_min_boundary_clearance_cm": (
                 None if not np.isfinite(self.min_boundary_clearance)
                 else float(self.min_boundary_clearance)),

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import obstacle
-from niformation.obstacle import (ObstacleCircle, UnsupportedManeuver,
+from niformation.obstacle import (ObstacleCircle, ObstacleField,
+                                  UnsupportedManeuver, circle_arrays,
                                   circle_from_observation,
                                   clip_polygon_to_disc, detect_mode,
                                   enclosing_circle, event_cleared, group_all,
-                                  group_or_separate, point_segment_distance,
+                                  group_or_separate, nearest_boundary,
+                                  point_segment_distance,
                                   polygon_area_centroid)
 
 
@@ -343,25 +345,49 @@ def footprint_vertex(center, radius, k, sides=obstacle.FOOTPRINT_SIDES):
     return ring[k % sides]
 
 
+# relative offsets about the sensing band's edges: ties, rounding, and
+# either side of the band margin
+BAND_OFFSETS = (-1e-7, -3e-8, -1e-8, -1e-12, 0.0, 1e-12, 1e-8, 3e-8, 1e-7)
+
+
+@st.composite
+def polygon_near(draw, center, radius, places=("free", "vertex", "midpoint"),
+                 sizes=(0, 7)):
+    """Vertices near the footprint about `center`: free, on the footprint's
+    own vertices or edge midpoints, or ('incircle', 'rim') a tiny relative
+    offset from the footprint's incircle or the disc, at the angles where
+    each touches the footprint or at a free angle."""
+    vertices = []
+    for _ in range(draw(st.integers(*sizes))):
+        where = draw(st.sampled_from(places))
+        if where == "free":
+            vertices.append((center[0] + draw(st.floats(-2 * radius, 2 * radius)),
+                             center[1] + draw(st.floats(-2 * radius, 2 * radius))))
+        elif where in ("vertex", "midpoint"):
+            k = draw(st.integers(0, obstacle.FOOTPRINT_SIDES - 1))
+            a = footprint_vertex(center, radius, k)
+            b = footprint_vertex(center, radius, k + 1)
+            point = a if where == "vertex" else a + 0.5 * (b - a)
+            vertices.append(tuple(float(v) for v in point))
+        else:
+            scale = (np.cos(np.pi / obstacle.FOOTPRINT_SIDES)
+                     if where == "incircle" else 1.0)
+            dist = radius * scale * (1.0 + draw(st.sampled_from(BAND_OFFSETS)))
+            k = draw(st.integers(0, 2 * obstacle.FOOTPRINT_SIDES - 1))
+            angle = draw(st.one_of(st.just(np.pi * k / obstacle.FOOTPRINT_SIDES),
+                                   st.floats(0.0, 2.0 * np.pi)))
+            vertices.append((center[0] + dist * np.cos(angle),
+                             center[1] + dist * np.sin(angle)))
+    return np.array(vertices, dtype=float).reshape(-1, 2)
+
+
 @st.composite
 def clip_cases(draw):
     """A polygon near a footprint; some vertices lie on the footprint's own
     vertices or edge midpoints, so boundary ties are exercised."""
     center = (draw(st.floats(-300, 300)), draw(st.floats(-300, 300)))
     radius = draw(st.floats(1.0, 150.0))
-    vertices = []
-    for _ in range(draw(st.integers(0, 7))):
-        where = draw(st.sampled_from(("free", "vertex", "midpoint")))
-        if where == "free":
-            vertices.append((center[0] + draw(st.floats(-2 * radius, 2 * radius)),
-                             center[1] + draw(st.floats(-2 * radius, 2 * radius))))
-        else:
-            k = draw(st.integers(0, obstacle.FOOTPRINT_SIDES - 1))
-            a = footprint_vertex(center, radius, k)
-            b = footprint_vertex(center, radius, k + 1)
-            point = a if where == "vertex" else a + 0.5 * (b - a)
-            vertices.append(tuple(float(v) for v in point))
-    return np.array(vertices, dtype=float).reshape(-1, 2), center, radius
+    return draw(polygon_near(center, radius)), center, radius
 
 
 @given(case=clip_cases())
@@ -380,3 +406,131 @@ def test_clip_of_the_footprint_itself_is_bitwise_the_numpy_clip():
     got = clip_polygon_to_disc(ring, (12.5, -3.0), 110.0)
     assert np.array_equal(got, numpy_clip(ring, (12.5, -3.0), 110.0))
     assert got.shape[0] >= obstacle.FOOTPRINT_SIDES
+
+
+# ----------------------------- stacked sensing and clearance vs the loops
+
+def sensed_by_loop(polygons, viewers, reach):
+    """The viewer x obstacle loop `ObstacleField.sensed` replaces: the
+    reference it must reproduce exactly."""
+    circles = [circle_from_observation(p, (i,)) for i, p in enumerate(polygons)]
+    seen = set()
+    for viewer in viewers:
+        for idx, circle in enumerate(circles):
+            if (idx in seen or np.linalg.norm(viewer - np.asarray(circle.center))
+                    > reach + circle.radius):
+                continue
+            if clip_polygon_to_disc(polygons[idx], viewer, reach).shape[0] >= 3:
+                seen.add(idx)
+    return [circles[idx] for idx in sorted(seen)]
+
+
+@st.composite
+def sensing_cases(draw):
+    """Viewers and polygons about one footprint (see `clip_cases`), with
+    vertices packed at both band edges, and viewers placed a few ulps either
+    side of some wrap circle's gate limit."""
+    first, center, reach = draw(clip_cases())
+    places = ("free", "vertex", "midpoint", "incircle", "rim")
+    polygons = [first] * (first.shape[0] > 0) + [
+        draw(polygon_near(center, reach, places, sizes=(1, 7)))
+        for _ in range(draw(st.integers(1, 3)))]
+    viewers = [center] + [
+        (center[0] + draw(st.floats(-2 * reach, 2 * reach)),
+         center[1] + draw(st.floats(-2 * reach, 2 * reach)))
+        for _ in range(draw(st.integers(0, 2)))]
+    field = ObstacleField(polygons, reach)
+    for circle in draw(st.lists(st.sampled_from(field.circles), max_size=2)):
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        dist = (reach + circle.radius) * (1.0 + draw(st.integers(-8, 8)) * 2.0 ** -52)
+        viewers.append((circle.center[0] + dist * np.cos(angle),
+                        circle.center[1] + dist * np.sin(angle)))
+    return polygons, np.array(viewers, dtype=float), reach
+
+
+@given(case=sensing_cases())
+@settings(max_examples=300, deadline=None)
+def test_field_senses_what_the_viewer_obstacle_loop_senses(case):
+    polygons, viewers, reach = case
+    assert (ObstacleField(polygons, reach).sensed(viewers)
+            == sensed_by_loop(polygons, viewers, reach))
+
+
+@given(case=sensing_cases())
+@settings(max_examples=150, deadline=None)
+def test_vertices_in_the_footprint_pass_every_half_plane_test(case):
+    polygons, viewers, reach = case
+    field = ObstacleField(polygons, reach)
+    inside = field.vertices_in_footprint(viewers)
+    # a single vertex survives the clip exactly when it passes all its tests
+    want = [[clip_polygon_to_disc(p, v, reach).shape[0] == 1
+             for p in field.vertices] for v in viewers]
+    assert np.array_equal(inside, want)
+    # the lemma: a polygon with a vertex in clips to at least 3 vertices
+    for v, viewer in enumerate(viewers):
+        for i, polygon in enumerate(field.polygons):
+            start = field.starts[i]
+            if (polygon.shape[0] >= 3
+                    and inside[v, start:start + polygon.shape[0]].any()):
+                assert clip_polygon_to_disc(polygon, viewer, reach).shape[0] >= 3
+
+
+def test_gate_at_its_limit_is_the_scalar_norms(monkeypatch):
+    # a viewer a few ulps either side of the wrap circle's gate limit has
+    # no vertex in its footprint, so the field clips exactly the pairs
+    # whose gate passes: those must be the pairs the scalar norm passes,
+    # although the squared distance decides many of them the other way
+    polygon = box(3.3, -7.1, 36.0)
+    circle = circle_from_observation(polygon)
+    center = np.asarray(circle.center)
+    clip = obstacle.clip_polygon_to_disc
+    clipped = []
+
+    def recording_clip(vertices, viewer, reach):
+        clipped.append(viewer)
+        return clip(vertices, viewer, reach)
+
+    monkeypatch.setattr(obstacle, "clip_polygon_to_disc", recording_clip)
+    rng = np.random.default_rng(5)
+    squared_differs = 0
+    for _ in range(300):
+        reach = rng.uniform(1.0, 150.0)
+        limit = reach + circle.radius
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        stretch = 1.0 + int(rng.integers(-4, 5)) * 2.0 ** -52
+        viewer = center + limit * stretch * np.array([np.cos(angle), np.sin(angle)])
+        diff = viewer - center
+        passes = not (np.linalg.norm(diff) > limit)
+        squared_differs += passes != (diff[0] * diff[0] + diff[1] * diff[1]
+                                      <= limit * limit)
+        clipped.clear()
+        assert ObstacleField([polygon], reach).sensed(viewer[None]) == []
+        assert len(clipped) == passes
+    assert squared_differs > 0
+
+
+def test_a_field_without_polygons_senses_nothing():
+    field = ObstacleField([], 110.0)
+    assert field.sensed(np.zeros((3, 2))) == []
+    assert nearest_boundary(np.zeros((3, 2)), field.centers, field.radii) == np.inf
+
+
+@given(positions=st.lists(st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
+                          min_size=1, max_size=4),
+       circles=st.lists(st.tuples(st.floats(-500, 500), st.floats(-500, 500),
+                                  st.floats(0.0, 100.0)), min_size=1, max_size=5),
+       collision_radius=st.floats(0.0, 40.0))
+@settings(max_examples=200, deadline=None)
+def test_stacked_clearance_equals_the_per_circle_loop(positions, circles,
+                                                      collision_radius):
+    positions = np.array(positions)
+    circles = [ObstacleCircle((cx, cy), r) for cx, cy, r in circles]
+    boundary = clearance = np.inf
+    for circle in circles:
+        dist = np.linalg.norm(positions - np.asarray(circle.center), axis=1)
+        boundary = min(boundary, float((dist - circle.radius).min()))
+        clearance = min(clearance, float(
+            (dist - circle.radius - collision_radius).min()))
+    gap = nearest_boundary(positions, *circle_arrays(circles))
+    assert gap == boundary
+    assert gap - collision_radius == clearance

@@ -1,12 +1,13 @@
 """End-to-end runs of the shipped scenarios: golden outputs and regressions."""
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from niformation import scenario, sim
+from niformation import obstacle, scenario, sim
 
 # (status, waypoints completed, avoid_enter modes, sha256 of
 # trajectory_csv() + summary_json(), sha256 of events_csv()) for every
@@ -144,16 +145,47 @@ def test_reference_point_leaves_the_landed_slew_in_place():
     assert not np.array_equal(simulator._reference_point(1.0), waypoint)
 
 
-def test_observe_wraps_every_sensed_polygon_whole():
+def test_observe_wraps_every_sensed_polygon_whole(monkeypatch):
     # a polygon counts as sensed while part of it lies inside some robot's
     # footprint, and its circle wraps the whole polygon, not the sensed part
     scn = scenario.load_scenario("single_obstacle_line")
     reach = scn.sensing.fov / 2.0
     square = np.array([[-18.0, -18.0], [18.0, -18.0], [18.0, 18.0], [-18.0, 18.0]])
-    polygons = (square + [0.0, reach - 5.0], square + [4.0 * reach, 0.0])
+    # a long wall whose near edge crosses the footprint with every vertex
+    # outside it, and a box inside the gate (centre within reach plus its
+    # wrap radius) whose near face stays 4 cm beyond the footprint
+    wall = np.array([[-3.0 * reach, reach - 10.0], [3.0 * reach, reach - 10.0],
+                     [3.0 * reach, reach + 30.0], [-3.0 * reach, reach + 30.0]])
+    polygons = (square + [0.0, reach - 5.0], square + [4.0 * reach, 0.0],
+                wall, square + [reach + 22.0, 0.0])
     simulator = sim.Simulator(replace(scn, obstacles=polygons))
     simulator.positions[:] = 0.0
+    clipped = {}
+    clip = obstacle.clip_polygon_to_disc
+
+    def recording_clip(vertices, center, radius):
+        part = clip(vertices, center, radius)
+        index = next(i for i, p in enumerate(polygons) if np.array_equal(p, vertices))
+        clipped[index] = part.shape[0]
+        return part
+
+    monkeypatch.setattr(obstacle, "clip_polygon_to_disc", recording_clip)
     seen = simulator._observe()
-    assert [circle.members for circle in seen] == [(0,)]
+    assert [circle.members for circle in seen] == [(0,), (2,)]
     assert seen[0].radius == pytest.approx(18.0 * np.sqrt(2.0))
     assert seen[0].center == pytest.approx((0.0, reach - 5.0))
+    # a vertex in the footprint settles the square; the wall and the box
+    # have none, so the clip decides them
+    assert sorted(clipped) == [2, 3]
+    assert clipped[2] >= 3 and clipped[3] < 3
+
+
+def test_summary_of_a_run_that_logs_no_step_is_json():
+    log = sim.run_scenario("single_obstacle_line", duration=0.005)
+    assert len(log.times) == 0
+
+    def reject(constant):
+        raise ValueError(f"summary holds {constant}")
+
+    summary = json.loads(log.summary_json(), parse_constant=reject)
+    assert summary["min_obstacle_clearance_cm"] is None
