@@ -22,10 +22,24 @@ Both the planar and the yaw law are one pipeline evaluated per step:
 Steps 2 and 3 are one private route shared by every law.  Because the
 actuation block carries -1 at each tail, negative gains yield attracting
 (stable) corrections in both the edge and the reference channels.
+
+The laws run every step on arrays of a few elements, so they avoid numpy
+calls that do no arithmetic, but every product and sum keeps the order the
+logged runs were recorded with.  Three conditions must hold for the output
+to stay the same bit for bit:
+
+* the planar reference rows get `+ 0.0` after the sensing product, which
+  turns a -0.0 into +0.0;
+* the yaw head feed is `(rate * dt) * horizon` and the planar head feed is
+  `velocity * (dt * horizon)`, each rounded in that order;
+* each law keeps its own sensing and actuation products, and the simulator
+  keeps its planar and yaw plant banks apart: a fused matmul sums in
+  another order and can change the sign of a zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +48,7 @@ from .graph import NetworkTopology, kron_expand
 from .lti import TransferFunction, tf_mul
 
 GAIN_EPS = 1e-12
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -126,9 +141,9 @@ def speed_caps(kinds, limits: SaturationLimits | None = None) -> np.ndarray:
     return np.array([[limits.speed_for(kind)] for kind in kinds], dtype=float)
 
 
-def saturate(commands: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Clip each agent's planar command to its per-axis speed cap."""
-    return np.clip(np.asarray(commands, dtype=float), -caps, caps)
+def saturate(commands: np.ndarray, caps) -> np.ndarray:
+    """Clip each command to its speed cap; as caps are > 0, `np.clip` bit for bit."""
+    return np.minimum(np.maximum(commands, -caps), caps)
 
 
 def formation_errors(positions: np.ndarray, lifted: LiftedTopology,
@@ -146,10 +161,11 @@ def formation_errors(positions: np.ndarray, lifted: LiftedTopology,
     offs = np.asarray(offsets, dtype=float).reshape(topology.n_edges, 2)
     shifted = pos - np.asarray(waypoint, dtype=float)
 
-    stacked = lifted.sensing_t @ shifted.ravel()
-    feed = np.zeros_like(stacked)
-    feed[: offs.size] = offs.ravel()
-    return stacked + feed
+    errors = lifted.sensing_t @ shifted.ravel()
+    edge_rows, reference_rows = errors[: offs.size], errors[offs.size:]
+    edge_rows += offs.ravel()
+    reference_rows += 0.0   # a -0.0 from the product becomes +0.0
+    return errors
 
 
 def _route(errors, lifted: LiftedTopology, gains: np.ndarray, caps) -> np.ndarray:
@@ -215,10 +231,16 @@ def adaptive_gains(dis: np.ndarray, duration: float, start_errors: np.ndarray,
 
 
 def wrap_angle(angle):
-    """Wrap angles into (-pi, pi]."""
-    wrapped = np.remainder(np.asarray(angle, dtype=float), 2.0 * np.pi)
-    wrapped = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+    """Wrap angles into (-pi, pi]: a float for a scalar, else a new array."""
+    wrapped = wrap_in_place(np.array(angle, dtype=float))
     return float(wrapped) if np.isscalar(angle) else wrapped
+
+
+def wrap_in_place(angles: np.ndarray) -> np.ndarray:
+    """Wrap a float array into (-pi, pi] in place and return it."""
+    np.remainder(angles, TWO_PI, out=angles)
+    np.subtract(angles, TWO_PI, out=angles, where=angles > math.pi)
+    return angles
 
 
 def heading_from_motion(target, current, previous_heading: float) -> float:
@@ -234,7 +256,7 @@ def heading_from_motion(target, current, previous_heading: float) -> float:
 
 def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: NiGains,
                   target_angle: float, offsets=None,
-                  limits: SaturationLimits | None = None, *,
+                  limits: SaturationLimits = SaturationLimits(), *,
                   dt: float = 0.0, prediction_horizon_steps: int = 1,
                   enhanced: bool = False) -> np.ndarray:
     """Yaw-rate commands (rad/s) from the one-dimensional consensus pipeline.
@@ -246,18 +268,20 @@ def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: NiGains,
     travel over the horizon.
     """
     topology = _require_m(lifted, 1)
-    heads, tails = topology.heads, topology.tails
+    heads, n_edges = topology.heads, topology.n_edges
     yaw = np.asarray(yaws, dtype=float)
-    limits = limits or SaturationLimits()
-    offs = (np.zeros(topology.n_edges) if offsets is None
-            else np.asarray(offsets, dtype=float).reshape(topology.n_edges))
-
-    edge_errors = wrap_angle(yaw[heads] - yaw[tails] + offs)
+    # edge rows then the reference row, wrapped together; the wrap maps a
+    # zero of either sign to +0.0, so a missing offset needs no zero vector
+    errors = np.empty(n_edges + 1)
+    edge_rows = errors[:n_edges]
+    np.subtract(yaw[heads], yaw[topology.tails], out=edge_rows)
+    if offsets is not None:
+        edge_rows += np.asarray(offsets, dtype=float).reshape(n_edges)
+    errors[n_edges] = yaw[topology.reference_agents[0] - 1] - target_angle
+    wrap_in_place(errors)
     if enhanced:
         rates = np.asarray(yaw_rates, dtype=float)
-        edge_errors = edge_errors + rates[heads] * dt * prediction_horizon_steps
-    errors = np.append(edge_errors, wrap_angle(
-        yaw[topology.reference_agents[0] - 1] - target_angle))
+        edge_rows += rates[heads] * dt * prediction_horizon_steps
     return _route(errors, lifted, gains.yaw, limits.yaw_rate).ravel()
 
 

@@ -32,6 +32,9 @@ DEFAULT_BAND = (0.0, 2.0)
 # a double root into two about sqrt(eps) apart, along or across the line
 REAL_ROOT_TOL = 1e-6
 
+# libyaml's loader builds the same documents as the pure-Python one, faster
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 SNI = "SNI"
 NI = "NI"
 NEITHER = "neither"
@@ -309,6 +312,12 @@ class PlantBank:
     the draw sequence of stepping them one after another.  Noisy plants must
     share one generator.  The bank copies the plants' states and never
     writes them back.
+
+    Stepped output stays the same bit for bit only while the products keep
+    their batched shapes and their order, C x + D u and then A x + B u, and
+    while banks stay apart (a simulator keeps its planar and yaw banks
+    separate): a fused or merged product sums in another order, which can
+    change the last bit or the sign of a zero.
     """
 
     def __init__(self, plants):
@@ -336,14 +345,15 @@ class PlantBank:
             raise ValueError("noisy plants in one bank must share a generator")
         self.rng = next(iter(rngs.values()), None)
 
-    def step(self, u) -> np.ndarray:
-        """Emit every plant's y[k] for its input u[k]; advance all states."""
-        u = np.asarray(u, dtype=float)
-        y = (self.c @ self.state)[:, 0, 0] + self.d * u
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """Emit every plant's y[k] for its float array u[k]; advance all states."""
+        y = (self.c @ self.state).ravel() + self.d * u
         if self.noisy.size:
             y[self.noisy] += self.noise_std * self.rng.standard_normal(
                 self.noisy.size)
-        self.state = self.a @ self.state + self.b * u[:, None, None]
+        state = self.a @ self.state
+        state += self.b * u.reshape(-1, 1, 1)
+        self.state = state
         return y
 
 
@@ -368,6 +378,11 @@ def discretize(tfn: TransferFunction, sample_time: float,
                          sample_time, noise_std=noise_std, rng=rng)
 
 
+def parse_yaml(text: str):
+    """Parse one YAML document with the safe loader `YAML_LOADER`."""
+    return yaml.load(text, Loader=YAML_LOADER)
+
+
 @dataclass(frozen=True)
 class ModelRecord:
     """One named plant from the model library."""
@@ -390,7 +405,7 @@ def load_model_library(path: str | Path | None = None) -> dict[str, ModelRecord]
         text = source.read_text()
     else:
         text = Path(path).read_text()
-    doc = yaml.safe_load(text)
+    doc = parse_yaml(text)
     if not isinstance(doc, dict) or "models" not in doc or not doc["models"]:
         raise ValueError("model library must contain a nonempty 'models' mapping")
     records: dict[str, ModelRecord] = {}

@@ -23,6 +23,7 @@ import yaml
 from .controller import NiGains, SaturationLimits
 from .formation import FormationPhase, FormationSpec
 from .graph import NetworkTopology, build_topology
+from .lti import parse_yaml
 
 AGENT_KINDS = ("ugv", "uav")
 CONTROL_MODES = ("enhanced", "baseline")
@@ -419,7 +420,7 @@ def load_scenario(source: str | Path) -> Scenario:
         text = resource.read_text()
         default_name = name
     try:
-        doc = yaml.safe_load(text)
+        doc = parse_yaml(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"invalid YAML: {exc}") from exc
     return scenario_from_dict(doc, default_name)

@@ -14,10 +14,12 @@ saturated) velocity command; yaw is the first-order yaw-rate plant whose
 output is trapezoidally integrated and wrapped.  Everything constant for a
 run is built once at construction: the lifted topology blocks of the planar
 and yaw laws, the per-agent speed caps, one plant bank each for the planar
-axes and the yaw rates, and the `obstacle.ObstacleField` that senses every
-obstacle in whole arrays.  Per-edge quantities (relative offsets, follower
-targets, the steered agents of a transition) are gathers through the
-topology's head and tail index arrays.
+axes and the yaw rates, the `obstacle.ObstacleField` that senses every
+obstacle in whole arrays, the read-only (W, 2) waypoint array, and the
+velocity ring, a preallocated buffer of the last `velocity_estimate_window`
++ 1 measured positions that the finite-difference velocities read.  Per-edge
+quantities (relative offsets, follower targets, the steered agents of a
+transition) are gathers through the topology's head and tail index arrays.
 
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
@@ -42,8 +44,9 @@ State machine summary (evaluated in priority order each step):
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,30 +87,37 @@ def _ease(u: float) -> float:
 
 @dataclass(frozen=True)
 class Slew:
-    """Reference profile from `origin` to the current waypoint from `start` on.
+    """Reference profile from `origin` to `destination` from `start` on.
 
     With a positive `speed` it is a cruise: a trapezoidal speed profile
     that eases up over `ease_s`, holds `speed` and eases back down to land
-    on the waypoint.  Otherwise it is a glide: a smoothstep over `glide_s`.
+    on the destination.  Otherwise it is a glide: a smoothstep over
+    `glide_s`.  The leg and its length are computed once.
     """
 
     origin: np.ndarray
+    destination: np.ndarray
     start: float
     glide_s: float = 0.0
     speed: float = 0.0
     ease_s: float = 0.0
+    leg: np.ndarray = field(init=False, repr=False, compare=False)
+    distance: float = field(init=False, repr=False, compare=False)
 
-    def point(self, waypoint: np.ndarray, now: float) -> np.ndarray | None:
+    def __post_init__(self):
+        leg = self.destination - self.origin
+        object.__setattr__(self, "leg", leg)
+        object.__setattr__(self, "distance", float(np.hypot(*leg)))
+
+    def point(self, now: float) -> np.ndarray | None:
         """Reference position at `now`, or None once the profile has landed."""
-        origin = self.origin
+        origin, leg = self.origin, self.leg
         elapsed = now - self.start
         if self.speed <= 0:
             if elapsed >= self.glide_s:
                 return None
-            return origin + _ease(elapsed / self.glide_s) * (waypoint - origin)
-        leg = waypoint - origin
-        distance = float(np.hypot(*leg))
-        speed, ease = self.speed, self.ease_s
+            return origin + _ease(elapsed / self.glide_s) * leg
+        distance, speed, ease = self.distance, self.speed, self.ease_s
         if distance <= 1e-9:
             return None
         if distance <= speed * ease:
@@ -156,24 +166,25 @@ class RunLog:
     summary: dict
 
     def trajectory_csv(self) -> str:
-        n = self.positions.shape[1]
+        """One row a step: time, six columns an agent, phase and avoid mode.
+
+        Positions and commands are written in meters.  The rows are one
+        stacked float table, each formatted with one `%` template; the two
+        integer columns are exact in it.
+        """
+        steps, n = self.positions.shape[:2]
         cols = ["time"]
         for i in range(1, n + 1):
             cols += [f"a{i}_x_m", f"a{i}_y_m", f"a{i}_cmd_vx_mps",
                      f"a{i}_cmd_vy_mps", f"a{i}_yaw_rad", f"a{i}_cmd_yaw_radps"]
         cols += ["phase", "avoid_mode"]
-        lines = [",".join(cols)]
-        for k in range(len(self.times)):
-            row = [_fmt(self.times[k])]
-            for i in range(n):
-                row += [_fmt(self.positions[k, i, 0] / 100.0),
-                        _fmt(self.positions[k, i, 1] / 100.0),
-                        _fmt(self.commands[k, i, 0] / 100.0),
-                        _fmt(self.commands[k, i, 1] / 100.0),
-                        _fmt(self.yaws[k, i]),
-                        _fmt(self.yaw_commands[k, i])]
-            row += [str(int(self.phases[k])), str(int(self.avoid_modes[k]))]
-            lines.append(",".join(row))
+        table = np.column_stack([self.times, np.concatenate(
+            [self.positions / 100.0, self.commands / 100.0, self.yaws[..., None],
+             self.yaw_commands[..., None]], axis=2).reshape(steps, 6 * n),
+            self.phases, self.avoid_modes])
+        row = ",".join(["%.6f"] * (1 + 6 * n) + ["%d", "%d"])
+        lines = [",".join(cols), *(row % tuple(values.tolist()) for values in table)]
+        del table   # freed before the join, so the peak is the text's alone
         return "\n".join(lines) + "\n"
 
     def events_csv(self) -> str:
@@ -208,6 +219,8 @@ class Simulator:
         self.n = scn.n_agents
         self.master = scn.master_index
         self.origin = scn.starts()
+        self.waypoints = np.array(scn.waypoints, dtype=float)
+        self.waypoints.flags.writeable = False
         self.planar_lift = controller.lift(scn.topology, 2)
         self.speed_caps = controller.speed_caps(scn.kinds, scn.saturation)
 
@@ -223,6 +236,7 @@ class Simulator:
             self.yaw_lift = controller.lift(top, 1)
             self.yaw_rows = np.unique(np.concatenate(
                 [top.heads, top.tails, np.subtract(top.reference_agents, 1)]))
+            self.yaw_offsets = np.asarray(scn.yaw_control.offsets, dtype=float)
             rate_tf = models["ugv_yaw_rate"].transfer_function
             self.yaw_plants = PlantBank(discretize(rate_tf, scn.dt)
                                         for _ in self.yaw_rows)
@@ -231,8 +245,12 @@ class Simulator:
         self.velocities = np.zeros((self.n, 2))
         self.yaws = np.array([a.yaw for a in scn.agents], dtype=float)
         self.yaw_rates = np.zeros(self.n)
+        # the last window + 1 positions, the newest at `ring_head`, and the
+        # steps from the oldest kept to the newest
         window = scn.control.velocity_estimate_window
-        self.pos_history = deque([self.positions.copy()], maxlen=window + 1)
+        self.pos_ring = np.empty((window + 1, self.n, 2))
+        self.pos_ring[0] = self.positions
+        self.ring_head = self.ring_span = 0
         self.delay_queue = deque(
             [(np.zeros((self.n, 2)), np.zeros(self.n))] * scn.control.command_delay_steps)
 
@@ -241,8 +259,7 @@ class Simulator:
 
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
-        cloud = np.vstack([self.origin, np.asarray(scn.waypoints, dtype=float),
-                           *scn.obstacles])
+        cloud = np.vstack([self.origin, self.waypoints, *scn.obstacles])
         offset_reach = max((abs(v) for ph in scn.formation.phases
                             for pair in ph.offsets for v in pair), default=0.0)
         margin = offset_reach + 100.0
@@ -294,7 +311,7 @@ class Simulator:
             self.scn.formation.phase_index(self.completed)].transition_duration
 
     def _begin_glide(self, now: float, from_point: np.ndarray):
-        """Ease the reference toward the current waypoint from a fixed point.
+        """Ease the reference to the current waypoint from a fixed point.
 
         Engaging a waypoint with a stepped reference rings the lightly
         damped head plant; scenarios that care about a smooth head velocity
@@ -303,11 +320,17 @@ class Simulator:
         """
         scn = self.scn
         origin = np.asarray(from_point, dtype=float)
+        waypoint = self.waypoints[self.target_idx]
         if scn.waypoint_cruise_speed > 0:
-            self.ref_slew = Slew(origin, now, speed=scn.waypoint_cruise_speed,
+            self.ref_slew = Slew(origin, waypoint, now,
+                                 speed=scn.waypoint_cruise_speed,
                                  ease_s=scn.waypoint_ease_s)
         elif scn.waypoint_glide_s > 0:
-            self.ref_slew = Slew(origin, now, glide_s=scn.waypoint_glide_s)
+            self.ref_slew = Slew(origin, waypoint, now,
+                                 glide_s=scn.waypoint_glide_s)
+        elif self.ref_slew is not None:
+            # a glide-back still in flight lands on the new waypoint
+            self.ref_slew = replace(self.ref_slew, destination=waypoint)
 
     def _reference_point(self, now: float) -> np.ndarray:
         scn = self.scn
@@ -322,12 +345,11 @@ class Simulator:
             return self.avoidance.to_world(
                 s_m + _ease(frac * frac) * scn.sensing.carrot_advance,
                 _ease(frac) * self.avoidance.master_lateral)
-        waypoint = np.asarray(scn.waypoints[self.target_idx], dtype=float)
         if self.ref_slew is not None:
-            point = self.ref_slew.point(waypoint, now)
+            point = self.ref_slew.point(now)
             if point is not None:
                 return point
-        return waypoint
+        return self.waypoints[self.target_idx]
 
     def _slave_targets(self, reference: np.ndarray) -> np.ndarray:
         targets = np.zeros((self.n, 2))
@@ -395,7 +417,8 @@ class Simulator:
                 # stepping it: the formation is cruising at the clear
                 # instant, and a step would ring everyone around the slots
                 if self.avoidance.master_lateral is not None:
-                    self.ref_slew = Slew(self._reference_point(now), now,
+                    self.ref_slew = Slew(self._reference_point(now),
+                                         self.waypoints[self.target_idx], now,
                                          glide_s=self._phase_duration())
                 self._event(now, "avoid_clear", mode=self.avoidance.mode)
                 self.avoidance_records[-1]["cleared_time"] = now
@@ -537,7 +560,7 @@ class Simulator:
     def _previous_vertex(self) -> np.ndarray:
         if self.completed <= 0 or self.target_idx == 0:
             return self.origin[self.master]
-        return np.asarray(self.scn.waypoints[self.target_idx - 1], dtype=float)
+        return self.waypoints[self.target_idx - 1]
 
     def _update_settle(self, now: float):
         """Start a pending waypoint transition once the dwell has settled.
@@ -584,9 +607,9 @@ class Simulator:
         # cruises; only an offset change tied to a waypoint freezes progress
         if self.transition is not None and self.transition.label == "waypoint":
             return
-        target = np.asarray(scn.waypoints[self.target_idx], dtype=float)
-        gap = float(np.linalg.norm(self.positions[self.master] - target))
-        if gap > scn.waypoint_radius:
+        target = self.waypoints[self.target_idx]
+        d = self.positions[self.master] - target
+        if math.sqrt(d.dot(d)) > scn.waypoint_radius:
             return
         self.completed += 1
         self._event(now, "waypoint_reached", index=self.target_idx,
@@ -595,11 +618,11 @@ class Simulator:
 
         yaw_cfg = scn.yaw_control
         if (yaw_cfg is not None and yaw_cfg.corner_turns
-                and self.target_idx + 1 < len(scn.waypoints)):
+                and self.target_idx + 1 < len(self.waypoints)):
             incoming = controller.heading_from_motion(
                 target, self._previous_vertex(), self.last_heading)
             outgoing = controller.heading_from_motion(
-                scn.waypoints[self.target_idx + 1], target, incoming)
+                self.waypoints[self.target_idx + 1], target, incoming)
             change = controller.wrap_angle(outgoing - incoming)
             if abs(change) > yaw_cfg.corner_entry:
                 self.corner = CornerTurn(outgoing, now)
@@ -626,10 +649,9 @@ class Simulator:
 
     def _leave_vertex(self, now: float):
         """Glide on from the reached target to the next waypoint, or end."""
-        scn = self.scn
-        if self.target_idx + 1 < len(scn.waypoints):
-            self._begin_glide(now, scn.waypoints[self.target_idx])
+        if self.target_idx + 1 < len(self.waypoints):
             self.target_idx += 1
+            self._begin_glide(now, self.waypoints[self.target_idx - 1])
         else:
             self.terminal_time = now
             self._event(now, "terminal", waypoints=self.completed)
@@ -663,22 +685,22 @@ class Simulator:
                 self.positions, self.planar_lift, self.effective_gains,
                 self.active_offsets, reference, self.speed_caps)
 
-        yaw_cmds = np.zeros(self.n)
         cfg = scn.yaw_control
-        if cfg is not None:
-            if self.corner is not None:
-                target = self.corner.heading
-            elif cfg.target is not None:
-                target = cfg.target
-            else:
-                target = controller.heading_from_motion(
-                    reference, self.positions[self.master], self.last_heading)
-                self.last_heading = target
-            yaw_cmds = controller.yaw_consensus(
-                self.yaws, self.yaw_rates, self.yaw_lift, self.effective_gains,
-                target, cfg.offsets, scn.saturation, dt=scn.dt,
-                prediction_horizon_steps=scn.control.prediction_horizon_steps,
-                enhanced=(scn.control.mode == "enhanced"))
+        if cfg is None:
+            return planar, np.zeros(self.n)
+        if self.corner is not None:
+            target = self.corner.heading
+        elif cfg.target is not None:
+            target = cfg.target
+        else:
+            target = controller.heading_from_motion(
+                reference, self.positions[self.master], self.last_heading)
+            self.last_heading = target
+        yaw_cmds = controller.yaw_consensus(
+            self.yaws, self.yaw_rates, self.yaw_lift, self.effective_gains,
+            target, self.yaw_offsets, scn.saturation, dt=scn.dt,
+            prediction_horizon_steps=scn.control.prediction_horizon_steps,
+            enhanced=(scn.control.mode == "enhanced"))
         return planar, yaw_cmds
 
     def _advance_plants(self, planar: np.ndarray, yaw_cmds: np.ndarray):
@@ -692,17 +714,21 @@ class Simulator:
         self.delay_queue.append((planar, yaw_cmds))
         applied_planar, applied_yaw = self.delay_queue.popleft()
         out = self.plants.step(applied_planar.ravel())
-        self.positions[:] = self.origin + out.reshape(self.n, 2)
+        np.add(self.origin, out.reshape(self.n, 2), out=self.positions)
         if self.yaw_rows.size:
             rows = self.yaw_rows
             rate = self.yaw_plants.step(applied_yaw[rows])
-            self.yaws[rows] = controller.wrap_angle(
+            self.yaws[rows] = controller.wrap_in_place(
                 self.yaws[rows] + scn.dt * 0.5 * (self.yaw_rates[rows] + rate))
             self.yaw_rates[rows] = rate
-        self.pos_history.append(self.positions.copy())
-        span = len(self.pos_history) - 1
-        if span > 0:
-            self.velocities = (self.pos_history[-1] - self.pos_history[0]) / (span * scn.dt)
+        ring = self.pos_ring
+        self.ring_head = (self.ring_head + 1) % len(ring)
+        ring[self.ring_head] = self.positions
+        span = self.ring_span = min(self.ring_span + 1, len(ring) - 1)
+        # a negative index reads the ring from its end
+        np.subtract(self.positions, ring[self.ring_head - span],
+                    out=self.velocities)
+        self.velocities /= span * scn.dt
         return applied_planar, applied_yaw
 
     def _update_metrics(self, now: float):
@@ -711,8 +737,11 @@ class Simulator:
         # declare a warmup so the spin-up transient every mode shares does
         # not mask the differences under study
         if rel.size and now >= self.scn.metrics_warmup_s:
-            self.rel_err_max = np.maximum(self.rel_err_max,
-                                          np.linalg.norm(rel, axis=1))
+            # the arithmetic of np.linalg.norm(rel, axis=1)
+            rel *= rel
+            edge_err = np.add.reduce(rel, axis=1)
+            np.sqrt(edge_err, out=edge_err)
+            np.maximum(self.rel_err_max, edge_err, out=self.rel_err_max)
         # contact is judged against the physical footprint; the larger
         # planning radius holds back slack for tracking transients.
         # Subtracting after the min is exact: rounding is monotone
@@ -734,7 +763,7 @@ class Simulator:
             return False
         outside = np.logical_or(self.positions < self.box_low,
                                 self.positions > self.box_high)
-        if bool(outside.any()):
+        if np.logical_or.reduce(outside, axis=None):
             agent = int(np.argwhere(outside)[0][0]) + 1
             self.status = STATUS_DIVERGED
             self._event(now, "divergence", agent=agent)
@@ -781,8 +810,7 @@ class Simulator:
             commands[k] = applied_planar
             yaws[k] = self.yaws
             yaw_commands[k] = applied_yaw
-            phases[k] = (-1 if self.avoidance is not None
-                         else scn.formation.phase_index(self.completed))
+            phases[k] = -1 if self.avoidance is not None else self.phase_idx
             avoid_modes[k] = 0 if self.avoidance is None else self.avoidance.mode
             logged = k + 1
 

@@ -251,6 +251,34 @@ def test_wrap_angle_range_and_fixed_points():
     assert wrap_angle(-0.1) == pytest.approx(-0.1)
 
 
+def numpy_wrap(angle):
+    """The numpy wrap formula, frozen here as the oracle of `wrap_angle`."""
+    wrapped = np.remainder(np.asarray(angle, dtype=float), 2.0 * np.pi)
+    wrapped = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+    return float(wrapped) if np.isscalar(angle) else wrapped
+
+
+# signed zeros, odd multiples of pi (the cut) and anything up to 1e6 rad
+angles = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]),
+                   st.integers(-2000, 1999).map(lambda k: (2 * k + 1) * np.pi))
+
+
+@given(values=st.lists(angles, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_wrap_angle_equals_the_numpy_formula_bit_for_bit(values):
+    head = values[0]
+    for scalar in (head, np.float64(head), int(head)):
+        got = wrap_angle(scalar)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(numpy_wrap(scalar)).tobytes()
+    for array in (np.array(values), np.array(head)):
+        before = array.tobytes()
+        got = wrap_angle(array)
+        assert type(got) is np.ndarray and got.shape == array.shape
+        assert got.tobytes() == numpy_wrap(array).tobytes()
+        assert array.tobytes() == before
+
+
 def test_yaw_reference_agent_turns_toward_target():
     gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
                     yaw_reference=-0.066, yaw_consensus=(-0.02,))
@@ -353,11 +381,11 @@ def inline_yaw(yaws, rates, topology, gains, target, offsets, dt, horizon,
     _, actuation = graph.kron_expand(topology, 1)
     errors = np.zeros(topology.n_edges + 1)
     for e, (head, tail) in enumerate(topology.edges):
-        err = wrap_angle(yaws[head - 1] - yaws[tail - 1] + offsets[e])
+        err = numpy_wrap(yaws[head - 1] - yaws[tail - 1] + offsets[e])
         if enhanced:
             err += rates[head - 1] * dt * horizon
         errors[e] = err
-    errors[-1] = wrap_angle(yaws[topology.reference_agents[0] - 1] - target)
+    errors[-1] = numpy_wrap(yaws[topology.reference_agents[0] - 1] - target)
     gain_vec = np.concatenate([np.asarray(gains.yaw_consensus, dtype=float),
                                [gains.yaw_reference]])
     raw = actuation @ (gain_vec * errors)
@@ -373,8 +401,13 @@ def topologies(draw):
     return graph.build_topology(n, edges, refs)
 
 
-coords = st.floats(-500.0, 500.0)
-nonpositive = st.floats(-5.0, 0.0)
+coords = st.one_of(st.floats(-500.0, 500.0), st.just(-0.0))
+nonpositive = st.one_of(st.floats(-5.0, 0.0), st.just(-0.0))
+
+
+def same_bits(got, want):
+    """Equal shapes and bytes: -0.0 and +0.0 count as different."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
@@ -388,6 +421,11 @@ def test_planar_laws_with_a_prebuilt_lift_equal_the_inline_products(
         dtype=float).reshape(rows, 2)
     positions, velocities, offsets = arrays(n), arrays(n), arrays(n_edges)
     waypoint = arrays(1)[0]
+    if data.draw(st.booleans()):
+        # -0.0 inputs on the reference agents; the sensing product still
+        # sums them to +0.0, so the test below pins the `+ 0.0`
+        positions[np.subtract(topology.reference_agents, 1)] = -0.0
+        waypoint[:] = 0.0
     kinds = data.draw(st.lists(st.sampled_from(("ugv", "uav")),
                                min_size=n, max_size=n))
     gains = NiGains(reference=data.draw(st.tuples(nonpositive, nonpositive)),
@@ -404,7 +442,7 @@ def test_planar_laws_with_a_prebuilt_lift_equal_the_inline_products(
         got = baseline_control(positions, lifted, gains, offsets, waypoint, caps)
         want = inline_planar(positions, None, topology, gains, offsets,
                              waypoint, kinds, 0.0)
-    assert np.array_equal(got, want)
+    assert same_bits(got, want)
 
 
 @given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
@@ -423,11 +461,45 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
                     yaw_reference=data.draw(nonpositive),
                     yaw_consensus=tuple(data.draw(nonpositive)
                                         for _ in range(n_edges)))
+    if data.draw(st.booleans()):
+        # -0.0 - +0.0 on the reference row before it is wrapped
+        yaws[topology.reference_agents[0] - 1] = -0.0
+        target = 0.0
     got = yaw_consensus(yaws, rates, lift(topology, 1), gains, target, offsets,
                         dt=0.02, prediction_horizon_steps=3, enhanced=enhanced)
     want = inline_yaw(yaws, rates, topology, gains, target, offsets,
                       0.02, 3, enhanced)
-    assert np.array_equal(got, want)
+    assert same_bits(got, want)
+
+
+class NegativeZeroProduct:
+    """A sensing block whose product gives -0.0 wherever it gives a zero.
+
+    The BLAS product here sums from +0.0 and never returns -0.0; another
+    summation order can, and the error vector must not depend on it.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __matmul__(self, vector):
+        product = self.matrix @ vector
+        return np.where(product == 0.0, -0.0, product)
+
+
+def test_formation_errors_turn_a_negative_zero_product_positive():
+    negative_zero = controller.LiftedTopology(
+        STAR.topology, 2, NegativeZeroProduct(STAR.sensing_t), STAR.actuation)
+    positions = np.array([[5.0, 0.0], [0.0, 3.0], [5.0, 3.0]])
+    offsets = np.zeros((2, 2))
+    errors = controller.formation_errors(positions, negative_zero, offsets,
+                                         [5.0, 0.0])
+    # the reference formula: the product plus a zero feed on every row
+    stacked = negative_zero.sensing_t @ (positions - [5.0, 0.0]).ravel()
+    want = stacked + np.concatenate([offsets.ravel(), np.zeros(2)])
+    assert np.signbit(stacked[-2:]).all()
+    assert errors.tobytes() == want.tobytes()
+    assert not np.signbit(errors[-2:]).any()
 
 
 def test_laws_reject_a_lift_of_the_wrong_width():

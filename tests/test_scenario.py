@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from niformation import scenario
+from niformation import lti, scenario
 from niformation.scenario import ScenarioError, scenario_from_dict
 
 SHIPPED = scenario.shipped_scenarios()
@@ -108,3 +108,29 @@ def test_integral_counts_still_load():
     assert scenario_from_dict(doc).control.command_delay_steps == 3
     doc = mutated("moving_leader_compare", ("settle_time",), 0.0)
     assert scenario_from_dict(doc).settle_time == 0.0
+
+
+# ------------------------------------------------------------------ loaders
+
+def shipped_yaml_texts() -> dict[str, str]:
+    root = importlib.resources.files("niformation")
+    texts = {name: root.joinpath(f"scenarios/{name}.yaml").read_text()
+             for name in SHIPPED}
+    texts["models"] = root.joinpath("data/models.yaml").read_text()
+    return texts
+
+
+@pytest.mark.parametrize("name", [*SHIPPED, "models"])
+def test_libyaml_and_python_loaders_build_equal_documents(name):
+    text = shipped_yaml_texts()[name]
+    assert lti.parse_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, lti.YAML_LOADER])
+def test_malformed_yaml_raises_scenario_error_with_either_loader(
+        loader, monkeypatch, tmp_path):
+    monkeypatch.setattr(lti, "YAML_LOADER", loader)
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: broken\nagents: [{id: 1, kind: ugv\n")
+    with pytest.raises(ScenarioError, match="^invalid YAML"):
+        scenario.load_scenario(path)

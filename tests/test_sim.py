@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,26 @@ def test_reference_point_leaves_the_landed_slew_in_place():
     assert not np.array_equal(simulator._reference_point(1.0), waypoint)
 
 
+def test_a_glide_back_in_flight_lands_on_the_next_waypoint():
+    # cluttered_course declares neither a glide nor a cruise, so reaching a
+    # waypoint keeps the avoidance glide-back in flight; it must ease on to
+    # the next waypoint, not finish on the reached one and step from there
+    scn = scenario.load_scenario("cluttered_course")
+    simulator = sim.Simulator(scn)
+    assert simulator.ref_slew is None and len(scn.waypoints) > 1
+    start, now = 2.0, 2.5
+    simulator.ref_slew = sim.Slew(simulator._reference_point(start),
+                                  simulator.waypoints[0], start,
+                                  glide_s=simulator._phase_duration())
+    origin, glide_s = simulator.ref_slew.origin, simulator.ref_slew.glide_s
+    simulator._leave_vertex(now)
+    following = np.asarray(scn.waypoints[1], dtype=float)
+    for t in (now, start + 0.5 * glide_s, start + 0.99 * glide_s):
+        want = origin + sim._ease((t - start) / glide_s) * (following - origin)
+        assert simulator._reference_point(t).tobytes() == want.tobytes()
+    assert np.array_equal(simulator._reference_point(start + glide_s), following)
+
+
 def test_observe_wraps_every_sensed_polygon_whole(monkeypatch):
     # a polygon counts as sensed while part of it lies inside some robot's
     # footprint, and its circle wraps the whole polygon, not the sensed part
@@ -189,3 +210,72 @@ def test_summary_of_a_run_that_logs_no_step_is_json():
 
     summary = json.loads(log.summary_json(), parse_constant=reject)
     assert summary["min_obstacle_clearance_cm"] is None
+
+
+def per_cell_trajectory_csv(log: sim.RunLog) -> str:
+    """The trajectory CSV formatted cell by cell, the oracle of the table."""
+    def fmt(value):
+        return f"{value:.6f}"
+
+    n = log.positions.shape[1]
+    cols = ["time"]
+    for i in range(1, n + 1):
+        cols += [f"a{i}_x_m", f"a{i}_y_m", f"a{i}_cmd_vx_mps",
+                 f"a{i}_cmd_vy_mps", f"a{i}_yaw_rad", f"a{i}_cmd_yaw_radps"]
+    cols += ["phase", "avoid_mode"]
+    lines = [",".join(cols)]
+    for k in range(len(log.times)):
+        row = [fmt(log.times[k])]
+        for i in range(n):
+            row += [fmt(log.positions[k, i, 0] / 100.0),
+                    fmt(log.positions[k, i, 1] / 100.0),
+                    fmt(log.commands[k, i, 0] / 100.0),
+                    fmt(log.commands[k, i, 1] / 100.0),
+                    fmt(log.yaws[k, i]),
+                    fmt(log.yaw_commands[k, i])]
+        row += [str(int(log.phases[k])), str(int(log.avoid_modes[k]))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40])
+def test_trajectory_csv_equals_the_per_cell_format(steps):
+    # signed zeros, negatives, values that round to -0.000000, and values
+    # far beyond any arena, in every column
+    rng = np.random.default_rng(steps)
+    special = np.array([-0.0, 0.0, -1e-9, -4e-7, 5e-7, -123.4567895,
+                        2.5e-7, 1e15, -3.7e12, 0.0000005])
+    n = 3
+
+    def draw(*shape):
+        values = rng.choice(special, size=shape)
+        return np.where(rng.random(shape) < 0.5, values,
+                        rng.normal(0.0, 1e3, size=shape))
+
+    log = sim.RunLog(
+        scenario_name="table", mode="baseline", dt=0.02,
+        times=draw(steps), positions=draw(steps, n, 2),
+        commands=draw(steps, n, 2), yaws=draw(steps, n),
+        yaw_commands=draw(steps, n),
+        phases=rng.integers(-1, 4, size=steps),
+        avoid_modes=rng.integers(0, 3, size=steps), events=[], summary={})
+    assert log.trajectory_csv() == per_cell_trajectory_csv(log)
+
+
+@pytest.mark.parametrize("window", [1, 5, 300])
+@pytest.mark.parametrize("steps", [3, 120, 340])
+def test_velocity_ring_equals_a_deque_of_positions(window, steps):
+    # the finite-difference velocities over a deque of position copies, the
+    # oracle of the preallocated ring, under random commands and noise
+    scn = scenario.load_scenario("moving_leader_compare")
+    scn = replace(scn, control=replace(scn.control, velocity_estimate_window=window))
+    simulator = sim.Simulator(scn)
+    history = deque([simulator.positions.copy()], maxlen=window + 1)
+    rng = np.random.default_rng(window + steps)
+    for _ in range(steps):
+        planar = rng.normal(0.0, 50.0, size=(simulator.n, 2))
+        simulator._advance_plants(planar, np.zeros(simulator.n))
+        history.append(simulator.positions.copy())
+        span = len(history) - 1
+        want = (history[-1] - history[0]) / (span * scn.dt)
+        assert simulator.velocities.tobytes() == want.tobytes()
