@@ -4,10 +4,11 @@ Obstacles are boundary polygons wrapped in circles (polygon centroid, radius
 to the farthest vertex).  A robot senses a polygon when its clip to the
 robot's footprint, the `FOOTPRINT_SIDES`-gon inscribed in the sensor disc,
 keeps at least three vertices; `ObstacleField` decides that for a whole team
-at once, bit for bit as the clip would.  Nearby circles whose boundary gap
-is too narrow for a robot merge into enclosing circles.  Against the merged
-circles two maneuver families are planned in the frame of the reference
-agent's motion:
+at once, bit for bit as the clip would, and gives each robot a radius it
+may move within before that decision may change.  Nearby circles whose
+boundary gap is too narrow for a robot merge into enclosing circles.
+Against the merged circles two maneuver families are planned in the frame
+of the reference agent's motion:
 
 * single obstacle (mode 1): whichever robot's straight run is blocked dodges
   to a lateral line clearing the circle by its own radius plus a margin --
@@ -52,6 +53,20 @@ STRATEGY_REFERENCE = 2
 
 class UnsupportedManeuver(ValueError):
     """The detected geometry calls for a maneuver this planner does not do."""
+
+
+@dataclass(frozen=True)
+class Sensing:
+    """A full sensing decision and each viewer's squared reuse radius."""
+
+    circles: list[ObstacleCircle]
+    viewers: np.ndarray
+    reuse2: np.ndarray
+
+    def holds(self, viewers) -> bool:
+        """Every viewer moved less than its reuse radius (NaN never does)."""
+        moved2 = np.add.reduce((viewers - self.viewers) ** 2, axis=1)
+        return bool((moved2 < self.reuse2).all())
 
 
 @dataclass(frozen=True)
@@ -202,6 +217,16 @@ class ObstacleField:
     and a stage outputs its whole input or its in-vertices plus a crossing
     per in/out change around the cycle, p and at least 2 more.  So only
     gate-passing pairs with no vertex in, or under 3 vertices, are clipped.
+
+    Reuse: v's decision on P_i cannot flip while v moves less than the
+    larger of `norm(v - c_i) - (reach + r_i)`, which keeps the gate failing,
+    and, for P_i of 3 or more vertices, the inner bound less the nearest
+    vertex's distance, which keeps that vertex the lemma's witness (and the
+    gate passing: it lies within r_i of c_i).  Each such slack loses
+    `SENSING_MARGIN` * (largest vertex coordinate + 2*reach + norm(v - c_i)),
+    far above the few ulps of those distances, the displacement and its
+    test, and of pairs within `GATE_ULPS` of the gate.  v's reuse radius is
+    its least slack, clamped at 0; a NaN stays NaN and never passes.
     """
 
     def __init__(self, polygons, reach: float):
@@ -214,16 +239,18 @@ class ObstacleField:
         self.starts, self.solid = np.cumsum(counts) - counts, counts >= 3
         self.vertices = np.concatenate([np.zeros((0, 2)), *self.polygons])
         self.reach = float(reach)
-        self.limits2 = (self.reach + self.radii) ** 2
-        margin = SENSING_MARGIN * (np.abs(self.vertices).max(initial=0.0)
-                                   + 2.0 * self.reach)
-        self.inner2 = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES)
-                          - margin, 0.0) ** 2
+        self.limits = self.reach + self.radii
+        self.limits2 = self.limits ** 2
+        self.scale = np.abs(self.vertices).max(initial=0.0) + 2.0 * self.reach
+        margin = SENSING_MARGIN * self.scale
+        self.inner = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES) - margin, 0.0)
+        self.inner2 = self.inner ** 2
         self.outer2 = (self.reach + margin) ** 2
 
-    def vertices_in_footprint(self, viewers) -> np.ndarray:
+    def vertices_in_footprint(self, viewers) -> tuple[np.ndarray, np.ndarray]:
         """(n, vertices) for (n, 2) viewers: the vertex passes all the
-        half-plane tests of `clip_polygon_to_disc(_, viewer, reach)`."""
+        half-plane tests of `clip_polygon_to_disc(_, viewer, reach)`; and the
+        squared distances from each viewer to each vertex."""
         diff = self.vertices - viewers[:, None, :]
         dist2 = np.add.reduce(diff * diff, axis=2)
         inside = dist2 < self.inner2
@@ -235,14 +262,15 @@ class ObstacleField:
             x, y = self.vertices[p, 0, None], self.vertices[p, 1, None]
             test = edge[..., 0] * (y - ring[..., 1]) - edge[..., 1] * (x - ring[..., 0])
             inside[v, p] = (test >= 0.0).all(axis=1)
-        return inside
+        return inside, dist2
 
-    def sensed(self, viewers) -> list[ObstacleCircle]:
+    def sensed(self, viewers) -> Sensing:
         """Circles of the polygons i that some viewer v senses: v passes the
         gate `not norm(v - c_i) > reach + r_i` and the clip of P_i to v's
         footprint keeps at least 3 vertices.  Squared gate distances within
         `GATE_ULPS` ulps of the squared limit (the squared norms differ by
-        about 10 u at most) are re-decided by the scalar norm."""
+        about 10 u at most) are re-decided by the scalar norm.  Each viewer
+        also gets its reuse radius."""
         diff = viewers[:, None, :] - self.centers
         centre2 = np.add.reduce(diff * diff, axis=2)
         gate = centre2 <= self.limits2
@@ -250,14 +278,21 @@ class ObstacleField:
         for v, i in zip(*(abs(centre2 - self.limits2) <= tol).nonzero()):
             gate[v, i] = not (np.linalg.norm(viewers[v] - self.centers[i])
                               > self.reach + self.radii[i])
-        hit = self.solid & np.logical_or.reduceat(
-            self.vertices_in_footprint(viewers), self.starts, axis=1)
+        inside, dist2 = self.vertices_in_footprint(viewers)
+        hit = self.solid & np.logical_or.reduceat(inside, self.starts, axis=1)
         seen = (gate & hit).any(axis=0)
         for v, i in zip(*(gate & ~hit).nonzero()):
             if not seen[i]:
                 seen[i] = clip_polygon_to_disc(self.polygons[i], viewers[v],
                                                self.reach).shape[0] >= 3
-        return [self.circles[i] for i in seen.nonzero()[0]]
+        dist = np.sqrt(centre2)
+        near = np.sqrt(np.minimum.reduceat(dist2, self.starts, axis=1))
+        witness = np.where(self.solid, self.inner - near, 0.0)
+        slack = np.maximum(dist - self.limits, witness)
+        slack -= SENSING_MARGIN * (dist + self.scale)
+        reuse = np.maximum(slack.min(axis=1, initial=np.inf), 0.0)
+        return Sensing([self.circles[i] for i in seen.nonzero()[0]],
+                       viewers.copy(), reuse * reuse)
 
 
 # ---------------------------------------------------------------- grouping

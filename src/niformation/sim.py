@@ -20,6 +20,10 @@ velocity ring, a preallocated buffer of the last `velocity_estimate_window`
 + 1 measured positions that the finite-difference velocities read.  Per-edge
 quantities (relative offsets, follower targets, the steered agents of a
 transition) are gathers through the topology's head and tail index arrays.
+An avoidance event's constants are built once when it fires.  Sensing is
+re-decided only when a robot may have changed it, that is, has left the
+reuse radius (margin included) that the last full decision gave it, so it
+stays bit for bit a fresh decision; grouping re-runs only on a change.
 
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
@@ -256,6 +260,9 @@ class Simulator:
 
         self.obstacles = obstacle.ObstacleField(scn.obstacles,
                                                 scn.sensing.fov / 2.0)
+        # no decision yet: a zero reuse radius never holds
+        self.sensing = obstacle.Sensing([], self.positions.copy(), np.zeros(self.n))
+        self.grouped_from = self.grouped = []   # sensed circles, their group_all
 
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
@@ -277,6 +284,9 @@ class Simulator:
         self.settle_ok_since: float | None = None
         self.avoidance: obstacle.AvoidanceEvent | None = None
         self.avoidance_started = 0.0
+        # the event's circles as arrays, and the progress each must fall behind
+        self.avoidance_circles = obstacle.circle_arrays(())
+        self.avoidance_passed = np.zeros(0)
         self.ref_slew: Slew | None = None
         self._begin_glide(0.0, self.positions[self.master].copy())
         self.phase_idx = scn.formation.phase_index(0)
@@ -365,11 +375,13 @@ class Simulator:
         A polygon counts as sensed while part of it lies inside some robot's
         footprint; its circle is then the full-boundary wrap, since a sliver
         seen at first contact would undersize every clearance computed from
-        it.  One `ObstacleField.sensed` call decides every robot and polygon.
-        Membership is re-evaluated every step (there is no persistent map),
-        which is fine because events freeze their geometry at detection time.
+        it.  One `ObstacleField.sensed` call decides every robot and polygon,
+        and is reused while it holds.  There is no persistent map, which is
+        fine because events freeze their geometry at detection time.
         """
-        return self.obstacles.sensed(self.positions)
+        if not self.sensing.holds(self.positions):
+            self.sensing = self.obstacles.sensed(self.positions)
+        return self.sensing.circles
 
     def _avoidance_offsets(self, event: obstacle.AvoidanceEvent) -> np.ndarray:
         along = np.asarray(event.path_along)
@@ -400,12 +412,7 @@ class Simulator:
             return False
         along = np.array([event.frame_coords(self.positions[r])[0]
                           for r in range(self.n)])
-        for circle in event.obstacles:
-            s_oc, _ = event.frame_coords(circle.center)
-            passed = s_oc + circle.radius + scn.sensing.robot_radius
-            if bool((along <= passed).any()):
-                return False
-        return True
+        return not (along[:, None] <= self.avoidance_passed).any()
 
     def _update_avoidance(self, now: float):
         scn = self.scn
@@ -425,20 +432,26 @@ class Simulator:
                 self.avoidance = None
                 self._switch_offsets(self.schedule_offsets, now, kind="restore")
             return
-        circles = obstacle.group_all(self._observe(),
-                                     2.0 * scn.sensing.robot_radius)
-        if not circles:
+        sensed = self._observe()
+        if sensed != self.grouped_from:
+            self.grouped_from = sensed
+            self.grouped = obstacle.group_all(sensed, 2.0 * scn.sensing.robot_radius)
+        if not self.grouped:
             return
         reference = self._reference_point(now)
         targets = self._slave_targets(reference)
         event = obstacle.detect_mode(self.positions, targets,
                                      [scn.sensing.robot_radius] * self.n,
-                                     self.master, circles, scn.sensing.fov,
+                                     self.master, self.grouped, scn.sensing.fov,
                                      scn.sensing.look_ahead)
         if event is None:
             return
         self.avoidance = event
         self.avoidance_started = now
+        self.avoidance_circles = obstacle.circle_arrays(event.obstacles)
+        self.avoidance_passed = np.array([
+            event.frame_coords(c.center)[0] + c.radius + scn.sensing.robot_radius
+            for c in event.obstacles])
         self.ref_slew = None
         detail = {"mode": event.mode}
         if event.sub_case is not None:
@@ -752,8 +765,7 @@ class Simulator:
             self.min_clearance = min(self.min_clearance,
                                      gap - self.scn.sensing.collision_radius)
         if self.avoidance is not None:
-            circles = obstacle.circle_arrays(self.avoidance.obstacles)
-            gap = obstacle.nearest_boundary(self.positions, *circles)
+            gap = obstacle.nearest_boundary(self.positions, *self.avoidance_circles)
             self.min_boundary_clearance = min(self.min_boundary_clearance, gap)
 
     def _check_safety(self, now: float) -> bool:
@@ -761,10 +773,11 @@ class Simulator:
             self.status = STATUS_COLLISION
             self._event(now, "collision", clearance_cm=float(self.min_clearance))
             return False
-        outside = np.logical_or(self.positions < self.box_low,
-                                self.positions > self.box_high)
-        if np.logical_or.reduce(outside, axis=None):
-            agent = int(np.argwhere(outside)[0][0]) + 1
+        # "not inside", so that a NaN position diverges too
+        inside = np.logical_and(self.positions >= self.box_low,
+                                self.positions <= self.box_high)
+        if not np.logical_and.reduce(inside, axis=None):
+            agent = int(np.argwhere(~inside)[0][0]) + 1
             self.status = STATUS_DIVERGED
             self._event(now, "divergence", agent=agent)
             return False
@@ -858,17 +871,14 @@ class Simulator:
                                       for e, v in enumerate(self.rel_err_max)},
             "relative_error_max_overall_cm": (float(self.rel_err_max.max())
                                               if self.rel_err_max.size else 0.0),
-            "min_obstacle_clearance_cm": (
-                None if not np.isfinite(self.min_clearance)
-                else float(self.min_clearance)),
-            "avoidance_min_boundary_clearance_cm": (
-                None if not np.isfinite(self.min_boundary_clearance)
-                else float(self.min_boundary_clearance)),
+            "min_obstacle_clearance_cm": float(self.min_clearance),
+            "avoidance_min_boundary_clearance_cm": float(self.min_boundary_clearance),
             "transitions": self.transition_records,
             "avoidance_events": self.avoidance_records,
             "restorations": self.restoration_records,
         }
-        return summary
+        # JSON has no NaN or Infinity: every non-finite number becomes null
+        return json.loads(json.dumps(summary), parse_constant=lambda _: None)
 
 
 def run_scenario(source: str | Path | Scenario, *, mode: str | None = None,

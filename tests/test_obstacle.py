@@ -452,7 +452,7 @@ def sensing_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_field_senses_what_the_viewer_obstacle_loop_senses(case):
     polygons, viewers, reach = case
-    assert (ObstacleField(polygons, reach).sensed(viewers)
+    assert (ObstacleField(polygons, reach).sensed(viewers).circles
             == sensed_by_loop(polygons, viewers, reach))
 
 
@@ -461,11 +461,12 @@ def test_field_senses_what_the_viewer_obstacle_loop_senses(case):
 def test_vertices_in_the_footprint_pass_every_half_plane_test(case):
     polygons, viewers, reach = case
     field = ObstacleField(polygons, reach)
-    inside = field.vertices_in_footprint(viewers)
+    inside, dist2 = field.vertices_in_footprint(viewers)
     # a single vertex survives the clip exactly when it passes all its tests
     want = [[clip_polygon_to_disc(p, v, reach).shape[0] == 1
              for p in field.vertices] for v in viewers]
     assert np.array_equal(inside, want)
+    assert np.array_equal(dist2, ((field.vertices - viewers[:, None]) ** 2).sum(axis=2))
     # the lemma: a polygon with a vertex in clips to at least 3 vertices
     for v, viewer in enumerate(viewers):
         for i, polygon in enumerate(field.polygons):
@@ -504,14 +505,14 @@ def test_gate_at_its_limit_is_the_scalar_norms(monkeypatch):
         squared_differs += passes != (diff[0] * diff[0] + diff[1] * diff[1]
                                       <= limit * limit)
         clipped.clear()
-        assert ObstacleField([polygon], reach).sensed(viewer[None]) == []
+        assert ObstacleField([polygon], reach).sensed(viewer[None]).circles == []
         assert len(clipped) == passes
     assert squared_differs > 0
 
 
 def test_a_field_without_polygons_senses_nothing():
     field = ObstacleField([], 110.0)
-    assert field.sensed(np.zeros((3, 2))) == []
+    assert field.sensed(np.zeros((3, 2))).circles == []
     assert nearest_boundary(np.zeros((3, 2)), field.centers, field.radii) == np.inf
 
 
@@ -534,3 +535,133 @@ def test_stacked_clearance_equals_the_per_circle_loop(positions, circles,
     gap = nearest_boundary(positions, *circle_arrays(circles))
     assert gap == boundary
     assert gap - collision_radius == clearance
+
+
+# ------------------------------- reused sensing vs a fresh decision
+
+# what a walk step does to one viewer: stay, move a fraction of its current
+# reuse radius (mostly less than all of it), jump anywhere near the field,
+# or become NaN
+REUSE_FRACTIONS = (0.25, 0.5, 0.9, 0.999999, 1.0 - 2.0 ** -40, 1.0,
+                   1.0 + 2.0 ** -40, 1.000001, 1.5, 3.0)
+STAY = st.just(("stay",))
+REUSE = st.tuples(st.just("reuse"), st.sampled_from(REUSE_FRACTIONS),
+                  st.sampled_from(("angle", "toward", "away")),
+                  st.floats(0.0, 2.0 * np.pi))
+MOVES = st.one_of(STAY, STAY, REUSE, REUSE, REUSE,
+                  st.tuples(st.just("jump"), st.floats(-2.0, 2.0),
+                            st.floats(-2.0, 2.0)),
+                  st.just(("nan",)))
+
+
+@st.composite
+def sensing_walks(draw):
+    """A field from `sensing_cases`, 1 to 3 viewers and a walk: a move per
+    viewer per step.  Besides that case's viewers (some a few ulps either
+    side of a gate limit), viewers may start at a gate limit, or put a
+    vertex at the footprint's inner or outer bound, offset by a few ulps
+    and by 0, 1.5 or 3 rounding margins either way, or anywhere within 4
+    reaches of the field."""
+    polygons, candidates, reach = draw(sensing_cases())
+    field = ObstacleField(polygons, reach)
+    margin = obstacle.SENSING_MARGIN * field.scale
+    candidates = list(candidates)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(field.circles) - 1))
+            anchor, bound = field.centers[k], field.limits[k]
+        else:
+            anchor = field.vertices[draw(st.integers(0, len(field.vertices) - 1))]
+            bound = draw(st.sampled_from((field.inner, np.sqrt(field.outer2))))
+        dist = (bound * (1.0 + draw(st.integers(-8, 8)) * 2.0 ** -52)
+                + draw(st.sampled_from((-3.0, -1.5, 0.0, 1.5, 3.0))) * margin)
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        candidates.append(anchor + dist * np.array([np.cos(angle), np.sin(angle)]))
+    for _ in range(draw(st.integers(0, 3))):
+        candidates.append(field.centers[0] + reach * np.array(
+            [draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))]))
+    picked = draw(st.lists(st.integers(0, len(candidates) - 1), min_size=1,
+                           max_size=draw(st.sampled_from((1, 1, 1, 2, 3))),
+                           unique=True))
+    viewers = np.array([candidates[i] for i in picked], dtype=float)
+    steps = draw(st.lists(st.lists(MOVES, min_size=len(viewers),
+                                   max_size=len(viewers)), max_size=12))
+    return field, viewers, steps, np.asarray(field.circles[0].center)
+
+
+def walk_step(field, viewers, moves, held, center):
+    """The viewers after one step of moves; `reuse` moves are sized by the
+    held decision's reuse radius and aimed at a random angle, or toward or
+    away from the nearest circle centre."""
+    out = viewers.copy()
+    for v, move in enumerate(moves):
+        if move[0] == "reuse":
+            _, fraction, aim, angle = move
+            radius = np.sqrt(held.reuse2[v])
+            if not np.isfinite(radius) or not np.isfinite(viewers[v]).all():
+                continue
+            if aim != "angle":
+                to = field.centers - viewers[v]
+                to = to[np.argmin(np.add.reduce(to * to, axis=1))]
+                angle = np.arctan2(to[1], to[0]) + (np.pi if aim == "away" else 0.0)
+            out[v] += fraction * radius * np.array([np.cos(angle), np.sin(angle)])
+        elif move[0] == "jump":
+            out[v] = center + field.reach * np.array(move[1:])
+        elif move[0] == "nan":
+            out[v] = np.nan
+    return out
+
+
+@given(walk=sensing_walks())
+@settings(max_examples=300, deadline=None)
+def test_reused_sensing_equals_a_fresh_decision_along_walks(walk):
+    # the decision a simulator keeps while it holds must be the one a fresh
+    # decision would give, at every step
+    field, viewers, steps, center = walk
+    held = field.sensed(viewers)
+    for moves in steps:
+        viewers = walk_step(field, viewers, moves, held, center)
+        if not held.holds(viewers):
+            held = field.sensed(viewers)
+        assert held.circles == field.sensed(viewers).circles
+
+
+def test_reuse_radius_is_the_least_slack_less_the_margin():
+    reach = 100.0
+    segment = [[150.0, 150.0], [170.0, 150.0]]       # wrap: (160, 150), 10
+    field = ObstacleField([box(0.0, 0.0, 36.0), box(0.0, -400.0, 36.0),
+                           segment], reach)
+    scale = 418.0 + 2.0 * reach       # box 1's far edge is the largest coordinate
+
+    def margin(dist):
+        return obstacle.SENSING_MARGIN * (dist + scale)
+
+    viewers = np.array([
+        [0.0, 300.0],      # outside every gate, nearest to the segment's
+        [30.0, 0.0],       # a vertex of box 0 deep in its footprint
+        [0.0, 120.0],      # inside box 0's gate with no vertex in: clipped
+        [150.0, 130.0],    # inside the segment's gate; it has 2 vertices
+        [np.nan, 0.0]])
+    sensing = field.sensed(viewers)
+    assert [c.members for c in sensing.circles] == [(0,)]
+    to_segment = np.hypot(160.0, 150.0)
+    want = [to_segment - (reach + 10.0) - margin(to_segment),
+            field.inner - np.hypot(12.0, 18.0) - margin(30.0),
+            0.0, 0.0]
+    assert np.allclose(np.sqrt(sensing.reuse2[:4]), want, rtol=0.0, atol=1e-10)
+    assert np.isnan(sensing.reuse2[4])
+    assert np.array_equal(sensing.viewers, viewers, equal_nan=True)
+
+    # a decision holds only while every viewer moves strictly less than its
+    # radius: a zero radius never holds, even standing still, nor does NaN
+    def held(v, at):
+        return obstacle.Sensing(sensing.circles, viewers[v:v + 1],
+                                sensing.reuse2[v:v + 1]).holds(at[None])
+
+    assert held(1, viewers[1]) and not held(2, viewers[2])
+    assert not held(4, viewers[4])
+    radius = np.sqrt(sensing.reuse2[0])
+    for step, holds in ((radius, False), (np.nextafter(radius, 0.0), True)):
+        moved = viewers[0] + [step, 0.0]
+        assert moved[0] - viewers[0, 0] == step
+        assert held(0, moved) == holds

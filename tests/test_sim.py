@@ -212,6 +212,59 @@ def test_summary_of_a_run_that_logs_no_step_is_json():
     assert summary["min_obstacle_clearance_cm"] is None
 
 
+def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
+    # a NaN position is outside the divergence box, and every non-finite
+    # number in the summary is written as null
+    scn = scenario.load_scenario("single_obstacle_line")
+    simulator = sim.Simulator(replace(scn, duration=1.0))
+    simulator.plants.state[:] = np.nan
+    log = simulator.run()
+    assert log.summary["status"] == sim.STATUS_DIVERGED
+    assert [ev["event"] for ev in log.events] == ["divergence"]
+    assert len(log.times) == 1
+
+    def reject(constant):
+        raise ValueError(f"summary holds {constant}")
+
+    summary = json.loads(log.summary_json(), parse_constant=reject)
+    assert summary == log.summary
+    assert summary["final_positions_m"] == [[None, None]] * simulator.n
+    assert summary["min_obstacle_clearance_cm"] is None
+
+
+def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch):
+    # on cluttered_course the sensed circles change a few dozen times; a
+    # full decision must stay rare, and grouping must run only on a change
+    observed, counts = [], {"sensed": 0, "group_all": 0}
+    sensed, group_all = obstacle.ObstacleField.sensed, obstacle.group_all
+    observe = sim.Simulator._observe
+
+    def counting_sensed(self, viewers):
+        counts["sensed"] += 1
+        return sensed(self, viewers)
+
+    def counting_group_all(*args, **kwargs):
+        counts["group_all"] += 1
+        return group_all(*args, **kwargs)
+
+    def recording_observe(self):
+        circles = observe(self)
+        # the held decision is the one a fresh decision gives
+        assert circles == sensed(self.obstacles, self.positions).circles
+        observed.append(tuple(c.members for c in circles))
+        return circles
+
+    monkeypatch.setattr(obstacle.ObstacleField, "sensed", counting_sensed)
+    monkeypatch.setattr(obstacle, "group_all", counting_group_all)
+    monkeypatch.setattr(sim.Simulator, "_observe", recording_observe)
+    log = sim.run_scenario("cluttered_course")
+    assert log.summary["status"] == "completed"
+    changes = sum(now != before for before, now in zip([()] + observed, observed))
+    assert len(observed) == 1781
+    assert counts["sensed"] <= 0.15 * len(observed)
+    assert counts["group_all"] == changes == 22
+
+
 def per_cell_trajectory_csv(log: sim.RunLog) -> str:
     """The trajectory CSV formatted cell by cell, the oracle of the table."""
     def fmt(value):
