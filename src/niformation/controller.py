@@ -40,14 +40,13 @@ to stay the same bit for bit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import NetworkTopology, kron_expand
 from .lti import TransferFunction, tf_mul
 
-GAIN_EPS = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
@@ -113,7 +112,6 @@ class NiGains:
     consensus: tuple[tuple[float, float], ...]
     yaw_reference: float = 0.0
     yaw_consensus: tuple[float, ...] = ()
-    adaptive: bool = False
     planar: np.ndarray = field(init=False, repr=False, compare=False)
     yaw: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -206,28 +204,6 @@ def enhanced_control(positions, velocities, lifted: LiftedTopology,
     feed = np.asarray(velocities, dtype=float)[heads] * (dt * prediction_horizon_steps)
     errors[: feed.size] += feed.ravel()
     return _route(errors, lifted, gains.planar, caps)
-
-
-def adaptive_gains(dis: np.ndarray, duration: float, start_errors: np.ndarray,
-                   base: NiGains) -> NiGains:
-    """Per-transition consensus gains from commanded displacement and time.
-
-    For each edge and axis with a nonzero displacement `dis` and a nonzero
-    error at transition start, the gain magnitude is the required average
-    speed (|dis|/duration) divided by the start error magnitude, applied
-    with negative sign; rows with zero displacement or zero start error keep
-    the base gain.  Gains are frozen for the life of the transition.
-    """
-    if duration <= 0:
-        raise ValueError("transition duration must be positive")
-    dis = np.asarray(dis, dtype=float).reshape(-1, 2)
-    err = np.asarray(start_errors, dtype=float).reshape(-1, 2)
-    if dis.shape != err.shape or dis.shape[0] != len(base.consensus):
-        raise ValueError("dis / start_errors must match the edge count")
-    keep = (np.abs(dis) < GAIN_EPS) | (np.abs(err) < GAIN_EPS)
-    solved = -np.abs(dis / duration) / np.abs(np.where(keep, 1.0, err))
-    pairs = np.where(keep, np.reshape(base.consensus, (-1, 2)), solved)
-    return replace(base, consensus=tuple(map(tuple, pairs)))
 
 
 def wrap_angle(angle):

@@ -62,14 +62,6 @@ class FormationSpec:
         if len(edges) != 1:
             raise ValueError("every phase must cover the same edge count")
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.phases[0].offsets)
-
-    def phase_for(self, completed_waypoints: int) -> tuple[tuple[float, float], ...]:
-        """Offsets the waypoint schedule holds after that many waypoints."""
-        return self.phases[self.phase_index(completed_waypoints)].offsets
-
     def phase_index(self, completed_waypoints: int) -> int:
         idx = 0
         for k, phase in enumerate(self.phases[1:], start=1):

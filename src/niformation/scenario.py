@@ -8,7 +8,8 @@ Positions are centimeters; angles in the file are degrees (converted to
 radians on load); times are seconds.
 
 `load_scenario` accepts a filesystem path or the bare name of a shipped
-scenario.  Validation errors name the offending field path.
+scenario.  Validation errors name the offending field path, and a key the
+loader does not read is refused rather than ignored.
 """
 
 from __future__ import annotations
@@ -107,13 +108,9 @@ class Scenario:
     noise_std: float = 0.0
     settle_time: float = 5.0
     metrics_warmup_s: float = 0.0
-    # reference eases from the previous point to each new waypoint over this
-    # many seconds (0 = step); a stepped reference rings the lightly damped
-    # head plant, a glide keeps its velocity smooth
-    waypoint_glide_s: float = 0.0
     # trapezoidal reference profile: ease up to cruise_speed (cm/s) over
-    # ease_s seconds, hold it, ease back down to land on the waypoint;
-    # mutually exclusive with glide_s (which shapes time, not speed)
+    # ease_s seconds, hold it, ease back down to land on the waypoint
+    # (0 = step; a stepped reference rings the lightly damped head plant)
     waypoint_cruise_speed: float = 0.0
     waypoint_ease_s: float = 0.0
 
@@ -173,17 +170,28 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _section(doc: dict, key: str) -> dict:
+def _only(doc: dict, path: str, *fields: str) -> dict:
+    """The mapping itself, once every key in it is one of `fields`."""
+    for key in doc:
+        if key not in fields:
+            raise ScenarioError(f"{path}{key}: unknown field")
+    return doc
+
+
+def _section(doc: dict, key: str, *fields: str) -> dict:
     """An optional mapping section; absent or empty reads as {}."""
     value = doc.get(key) or {}
     if not isinstance(value, dict):
         raise ScenarioError(f"{key}: expected a mapping")
-    return value
+    return _only(value, key + ".", *fields)
 
 
-def _edge_topology(doc: dict, section: str, n_agents: int) -> NetworkTopology:
-    """The [head, tail] edges and the single reference agent of a section."""
+def _edge_topology(doc: dict, section: str, n_agents: int,
+                   *fields: str) -> NetworkTopology:
+    """The [head, tail] edges and the single reference agent of a section
+    whose other keys are `fields`."""
     path = section + "."
+    _only(doc, path, "edges", "reference_agents", *fields)
     edges = _expect(doc, "edges", path, list)
     for k, edge in enumerate(edges):
         if not (isinstance(edge, list) and len(edge) == 2):
@@ -210,6 +218,7 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
         p = f"agents[{i}]."
         if not isinstance(row, dict):
             raise ScenarioError(f"agents[{i}]: expected a mapping")
+        _only(row, p, "id", "kind", "start", "yaw")
         ident = _integer(_expect(row, "id", p), p + "id")
         kind = _expect(row, "kind", p, str)
         if kind not in AGENT_KINDS:
@@ -224,7 +233,7 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
 
 
 def _gains(doc, n_edges, yaw_doc) -> NiGains:
-    g = _expect(doc, "gains", "", dict)
+    g = _only(_expect(doc, "gains", "", dict), "gains.", "reference", "consensus")
     reference = _pair(_expect(g, "reference", "gains."), "gains.reference")
     cons = _expect(g, "consensus", "gains.", list)
     if len(cons) != n_edges:
@@ -238,17 +247,15 @@ def _gains(doc, n_edges, yaw_doc) -> NiGains:
                          for i, v in enumerate(raw))
     consensus = tuple(_pair(pair, f"gains.consensus[{i}]")
                       for i, pair in enumerate(cons))
-    adaptive = _flag(g.get("adaptive", False), "gains.adaptive")
     try:
         return NiGains(reference=reference, consensus=consensus,
-                       yaw_reference=yaw_ref, yaw_consensus=yaw_cons,
-                       adaptive=adaptive)
+                       yaw_reference=yaw_ref, yaw_consensus=yaw_cons)
     except ValueError as exc:
         raise ScenarioError(f"gains: {exc}") from exc
 
 
 def _formation(doc, n_edges) -> FormationSpec:
-    f = _expect(doc, "formation", "", dict)
+    f = _only(_expect(doc, "formation", "", dict), "formation.", "phases")
     rows = _expect(f, "phases", "formation.", list)
     if not rows:
         raise ScenarioError("formation.phases: at least one phase is required")
@@ -257,6 +264,7 @@ def _formation(doc, n_edges) -> FormationSpec:
         p = f"formation.phases[{i}]."
         if not isinstance(row, dict):
             raise ScenarioError(f"formation.phases[{i}]: expected a mapping")
+        _only(row, p, "after_waypoints", "offsets", "transition_duration")
         offsets = _expect(row, "offsets", p, list)
         if len(offsets) != n_edges:
             raise ScenarioError(f"{p}offsets: expected {n_edges} pairs, got {len(offsets)}")
@@ -279,7 +287,9 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
         return None
     if not isinstance(raw, dict):
         raise ScenarioError("yaw_control: expected a mapping")
-    top = _edge_topology(raw, "yaw_control", n_agents)
+    top = _edge_topology(raw, "yaw_control", n_agents, "offsets", "target",
+                         "corner_turns", "corner_entry", "corner_exit",
+                         "reference_gain", "consensus_gains")
     offsets_deg = raw.get("offsets", [0.0] * top.n_edges)
     if not isinstance(offsets_deg, list) or len(offsets_deg) != top.n_edges:
         raise ScenarioError(f"yaw_control.offsets: expected {top.n_edges} values")
@@ -314,6 +324,10 @@ def _obstacles(doc) -> tuple[np.ndarray, ...]:
 def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
+    _only(doc, "", "name", "dt", "duration", "seed", "agents", "topology",
+          "gains", "yaw_control", "waypoints", "formation", "obstacles",
+          "sensing", "control", "saturation", "noise_std", "settle_time",
+          "metrics_warmup_s")
     name = str(doc.get("name", default_name))
     dt = _number(_expect(doc, "dt", ""), "dt")
     duration = _number(_expect(doc, "duration", ""), "duration")
@@ -324,13 +338,14 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     agents = _agents(doc, "")
     topology = _edge_topology(_expect(doc, "topology", "", dict), "topology",
                               len(agents))
-    yaw_doc = doc.get("yaw_control")
-    gains = _gains(doc, topology.n_edges, yaw_doc)
+    # the yaw section is checked to be a mapping before its gains are read
     yaw_control = _yaw_control(doc, len(agents))
+    gains = _gains(doc, topology.n_edges, doc.get("yaw_control"))
     if yaw_control is not None and len(gains.yaw_consensus) != yaw_control.topology.n_edges:
         raise ScenarioError("yaw_control.consensus_gains: must match the yaw edge count")
 
-    wp = _expect(doc, "waypoints", "", dict)
+    wp = _only(_expect(doc, "waypoints", "", dict), "waypoints.",
+               "points", "radius", "cruise_speed", "ease_s")
     points = _expect(wp, "points", "waypoints.", list)
     if not points:
         raise ScenarioError("waypoints.points: at least one waypoint is required")
@@ -338,20 +353,16 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     radius = _number(wp.get("radius", 10.0), "waypoints.radius")
     if radius <= 0:
         raise ScenarioError("waypoints.radius: must be positive")
-    glide = _number(wp.get("glide_s", 0.0), "waypoints.glide_s", nonnegative=True)
     cruise = _number(wp.get("cruise_speed", 0.0), "waypoints.cruise_speed",
                      nonnegative=True)
     ease = _number(wp.get("ease_s", 0.0), "waypoints.ease_s", nonnegative=True)
-    if cruise > 0 and glide > 0:
-        raise ScenarioError(
-            "waypoints: glide_s and cruise_speed are mutually exclusive "
-            "(one shapes travel time, the other travel speed)")
     if cruise > 0 and ease <= 0:
         raise ScenarioError("waypoints.ease_s: must be positive with cruise_speed")
 
     formation = _formation(doc, topology.n_edges)
 
-    sens = _section(doc, "sensing")
+    sens = _section(doc, "sensing", "fov", "look_ahead", "robot_radius",
+                    "collision_radius", "carrot_advance")
     sensing = SensingConfig(
         fov=_number(sens.get("fov", 220.0), "sensing.fov"),
         look_ahead=_number(sens.get("look_ahead", 100.0), "sensing.look_ahead"),
@@ -360,7 +371,8 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
             sens.get("collision_radius", 25.0), "sensing.collision_radius"),
         carrot_advance=_number(sens.get("carrot_advance", 60.0), "sensing.carrot_advance"),
     )
-    ctl = _section(doc, "control")
+    ctl = _section(doc, "control", "mode", "prediction_horizon_steps",
+                   "velocity_estimate_window", "command_delay_steps")
     control = ControlConfig(
         mode=str(ctl.get("mode", "enhanced")),
         prediction_horizon_steps=_integer(ctl.get("prediction_horizon_steps", 1),
@@ -370,7 +382,7 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
         command_delay_steps=_integer(ctl.get("command_delay_steps", 0),
                                      "control.command_delay_steps"),
     )
-    sat = _section(doc, "saturation")
+    sat = _section(doc, "saturation", "ugv_speed", "uav_speed", "yaw_rate")
     try:
         saturation = SaturationLimits(
             ugv_speed=_number(sat.get("ugv_speed", 100.0), "saturation.ugv_speed"),
@@ -392,8 +404,7 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
         obstacles=_obstacles(doc), sensing=sensing, control=control,
         saturation=saturation, yaw_control=yaw_control, noise_std=noise_std,
         settle_time=settle_time, metrics_warmup_s=warmup,
-        waypoint_glide_s=glide, waypoint_cruise_speed=cruise,
-        waypoint_ease_s=ease,
+        waypoint_cruise_speed=cruise, waypoint_ease_s=ease,
     )
 
 

@@ -216,9 +216,9 @@ class RunLog:
 class Simulator:
     """Stateful engine for a single run of one scenario."""
 
-    def __init__(self, scn: Scenario, models=None):
+    def __init__(self, scn: Scenario):
         self.scn = scn
-        models = models or load_model_library()
+        models = load_model_library()
         self.rng = np.random.default_rng(scn.seed)
         self.n = scn.n_agents
         self.master = scn.master_index
@@ -290,9 +290,9 @@ class Simulator:
         self.ref_slew: Slew | None = None
         self._begin_glide(0.0, self.positions[self.master].copy())
         self.phase_idx = scn.formation.phase_index(0)
-        self.schedule_offsets = np.array(scn.formation.phase_for(0), dtype=float)
+        self.schedule_offsets = np.array(scn.formation.phases[self.phase_idx].offsets,
+                                         dtype=float)
         self.active_offsets = self.schedule_offsets.copy()
-        self.effective_gains = scn.gains
         self.last_heading = scn.agents[self.master].yaw
         self.terminal_time: float | None = None
         self.status = STATUS_DURATION
@@ -317,27 +317,23 @@ class Simulator:
         return self.positions[top.tails] - self.positions[top.heads]
 
     def _phase_duration(self) -> float:
-        return self.scn.formation.phases[
-            self.scn.formation.phase_index(self.completed)].transition_duration
+        return self.scn.formation.phases[self.phase_idx].transition_duration
 
     def _begin_glide(self, now: float, from_point: np.ndarray):
         """Ease the reference to the current waypoint from a fixed point.
 
         Engaging a waypoint with a stepped reference rings the lightly
         damped head plant; scenarios that care about a smooth head velocity
-        declare either a glide time (smoothstep over a fixed duration) or a
-        cruise speed (trapezoidal speed profile: ease up, hold, ease down).
+        declare a cruise speed (trapezoidal speed profile: ease up, hold,
+        ease down).  Without one the reference steps to the waypoint, or an
+        avoidance glide-back still in flight lands on it.
         """
         scn = self.scn
-        origin = np.asarray(from_point, dtype=float)
         waypoint = self.waypoints[self.target_idx]
         if scn.waypoint_cruise_speed > 0:
-            self.ref_slew = Slew(origin, waypoint, now,
+            self.ref_slew = Slew(np.asarray(from_point, dtype=float), waypoint, now,
                                  speed=scn.waypoint_cruise_speed,
                                  ease_s=scn.waypoint_ease_s)
-        elif scn.waypoint_glide_s > 0:
-            self.ref_slew = Slew(origin, waypoint, now,
-                                 glide_s=scn.waypoint_glide_s)
         elif self.ref_slew is not None:
             # a glide-back still in flight lands on the new waypoint
             self.ref_slew = replace(self.ref_slew, destination=waypoint)
@@ -480,20 +476,13 @@ class Simulator:
             return
         if self.transition is not None:
             self._finish_transition(now, "superseded")
-        scn = self.scn
-        tails = scn.topology.tails
+        tails = self.scn.topology.tails
         duration = self._phase_duration()
         self.transition = TransitionState(
             start_time=now, duration=duration, agents=tuple((tails + 1).tolist()),
             start_positions=self.positions[tails], dis=delta, label=kind,
             start_offsets=self.active_offsets.copy(),
             target_offsets=new_offsets.copy())
-        if self.scn.gains.adaptive:
-            edge_errors = controller.formation_errors(
-                self.positions, self.planar_lift, new_offsets,
-                self._reference_point(now))[: 2 * scn.topology.n_edges]
-            self.effective_gains = controller.adaptive_gains(
-                delta, duration, edge_errors.reshape(-1, 2), scn.gains)
         if kind == "waypoint":
             # formation morphs apply as a step: the switch instant is the
             # timing datum for the first-entry measurement
@@ -566,7 +555,6 @@ class Simulator:
             # transition instead takes over from the mid-ramp value
             self.active_offsets = state.target_offsets.copy()
         self.transition = None
-        self.effective_gains = self.scn.gains
 
     # -------------------------------------------------------- waypoints
 
@@ -649,7 +637,7 @@ class Simulator:
             # the previous ones: scenarios use a repeated phase to force the
             # formation to settle before tackling what comes next
             self.phase_idx = new_phase
-            new_offsets = np.asarray(scn.formation.phase_for(self.completed),
+            new_offsets = np.asarray(scn.formation.phases[new_phase].offsets,
                                      dtype=float)
             self.schedule_offsets = new_offsets
             self.pending_offsets = new_offsets
@@ -690,12 +678,12 @@ class Simulator:
         if scn.control.mode == "enhanced":
             planar = controller.enhanced_control(
                 self.positions, self.velocities, self.planar_lift,
-                self.effective_gains, self.active_offsets, reference,
+                scn.gains, self.active_offsets, reference,
                 self.speed_caps, dt=scn.dt,
                 prediction_horizon_steps=scn.control.prediction_horizon_steps)
         else:
             planar = controller.baseline_control(
-                self.positions, self.planar_lift, self.effective_gains,
+                self.positions, self.planar_lift, scn.gains,
                 self.active_offsets, reference, self.speed_caps)
 
         cfg = scn.yaw_control
@@ -710,7 +698,7 @@ class Simulator:
                 reference, self.positions[self.master], self.last_heading)
             self.last_heading = target
         yaw_cmds = controller.yaw_consensus(
-            self.yaws, self.yaw_rates, self.yaw_lift, self.effective_gains,
+            self.yaws, self.yaw_rates, self.yaw_lift, scn.gains,
             target, self.yaw_offsets, scn.saturation, dt=scn.dt,
             prediction_horizon_steps=scn.control.prediction_horizon_steps,
             enhanced=(scn.control.mode == "enhanced"))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from niformation import controller, graph, lti
 from niformation.controller import (NiGains, SaturationLimits,
-                                    adaptive_gains, baseline_control,
-                                    enhanced_control, heading_from_motion, lift,
+                                    baseline_control, enhanced_control,
+                                    heading_from_motion, lift,
                                     prediction_path_tf, saturate, speed_caps,
                                     wrap_angle, yaw_consensus)
 
@@ -174,69 +174,6 @@ def test_gain_vectors_are_built_with_the_gains():
                     yaw_reference=-0.5, yaw_consensus=(-0.6, -0.7))
     np.testing.assert_array_equal(gains.planar, [-1.0, -2.0, -3.0, -4.0, -0.1, -0.2])
     np.testing.assert_array_equal(gains.yaw, [-0.6, -0.7, -0.5])
-    # adaptive gains are a replaced copy, whose vectors follow the new pairs
-    got = adaptive_gains([[50.0, 0.0], [0.0, 0.0]], 2.0,
-                         [[-50.0, 3.0], [1.0, 1.0]], gains)
-    np.testing.assert_array_equal(got.planar, [-0.5, -2.0, -3.0, -4.0, -0.1, -0.2])
-
-
-def test_adaptive_gain_solves_for_required_speed():
-    base = NiGains(reference=(-0.5, -0.5), consensus=((-1.0, -1.0),))
-    got = adaptive_gains([[50.0, 0.0]], 2.0, [[-50.0, 3.0]], base)
-    # x: 25 cm/s needed over a 50 cm start error; y displacement is zero
-    assert got.consensus[0][0] == pytest.approx(-0.5)
-    assert got.consensus[0][1] == pytest.approx(-1.0)
-    assert got.reference == (-0.5, -0.5)
-
-
-def test_adaptive_gain_keeps_base_when_start_error_vanishes():
-    base = NiGains(reference=(0.0, 0.0), consensus=((-1.0, -1.0),))
-    got = adaptive_gains([[50.0, 50.0]], 2.0, [[0.0, -25.0]], base)
-    assert got.consensus[0][0] == pytest.approx(-1.0)
-    assert got.consensus[0][1] == pytest.approx(-1.0)
-
-
-def test_adaptive_gains_reject_nonpositive_duration():
-    base = NiGains(reference=(0.0, 0.0), consensus=((-1.0, -1.0),))
-    with pytest.raises(ValueError):
-        adaptive_gains([[50.0, 0.0]], 0.0, [[-50.0, 0.0]], base)
-
-
-@given(d=st.floats(-100.0, 100.0), t=st.floats(0.1, 10.0),
-       e0=st.floats(-200.0, 200.0))
-@settings(max_examples=50, deadline=None)
-def test_adaptive_gains_are_never_positive(d, t, e0):
-    base = NiGains(reference=(0.0, 0.0), consensus=((-1.0, -1.0),))
-    got = adaptive_gains([[d, 0.0]], t, [[e0, 0.0]], base)
-    assert got.consensus[0][0] <= 0.0
-
-
-def loop_adaptive_pairs(dis, duration, start_errors, base):
-    """The per-edge, per-axis rule of adaptive_gains written as a loop."""
-    pairs = []
-    for e, base_pair in enumerate(base.consensus):
-        pair = []
-        for axis in range(2):
-            d, x0 = dis[e][axis], start_errors[e][axis]
-            if abs(d) < controller.GAIN_EPS or abs(x0) < controller.GAIN_EPS:
-                pair.append(base_pair[axis])
-            else:
-                pair.append(-abs(d / duration) / abs(x0))
-        pairs.append(tuple(pair))
-    return tuple(pairs)
-
-
-@given(data=st.data(), n_edges=st.integers(0, 4), duration=st.floats(0.1, 10.0))
-@settings(max_examples=60, deadline=None)
-def test_adaptive_gains_equal_the_per_axis_rule(data, n_edges, duration):
-    values = st.one_of(st.just(0.0), st.floats(-200.0, 200.0))
-    rows = lambda: [data.draw(st.tuples(values, values))  # noqa: E731
-                    for _ in range(n_edges)]
-    dis, start_errors = rows(), rows()
-    base = NiGains(reference=(-0.5, -0.5), consensus=tuple(
-        data.draw(st.tuples(nonpositive, nonpositive)) for _ in range(n_edges)))
-    got = adaptive_gains(dis, duration, start_errors, base)
-    assert got.consensus == loop_adaptive_pairs(dis, duration, start_errors, base)
 
 
 # --------------------------------------------------------------------- yaw

@@ -37,9 +37,12 @@ def arrive(transition, positions, now, tolerance=5.0):
 
 def test_phase_selection_follows_completed_waypoints():
     spec = two_phase_spec()
-    assert spec.phase_for(0) == ((100.0, 50.0), (-100.0, 50.0))
-    assert spec.phase_for(1) == ((50.0, 50.0), (-50.0, 50.0))
-    assert spec.phase_for(5) == ((50.0, 50.0), (-50.0, 50.0))
+    def offsets(completed):
+        return spec.phases[spec.phase_index(completed)].offsets
+
+    assert offsets(0) == ((100.0, 50.0), (-100.0, 50.0))
+    assert offsets(1) == ((50.0, 50.0), (-50.0, 50.0))
+    assert offsets(5) == ((50.0, 50.0), (-50.0, 50.0))
     assert spec.phase_index(0) == 0
     assert spec.phase_index(3) == 1
 

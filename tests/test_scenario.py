@@ -49,6 +49,7 @@ non_booleans = st.one_of(st.integers(), st.floats(allow_nan=False),
 MUTATIONS = {
     "formation.phases[0]": (("formation", "phases", 0), non_mappings, False),
     "sensing": (("sensing",), non_mappings, False),
+    "yaw_control": (("yaw_control",), non_mappings, True),
     "control.prediction_horizon_steps": (
         ("control", "prediction_horizon_steps"), non_integers, False),
     "control.command_delay_steps": (
@@ -71,9 +72,46 @@ MUTATIONS = {
     "gains.consensus[0]": (("gains", "consensus", 0), wrong_pairs, False),
     "gains.reference[0]": (("gains", "reference", 0), non_numbers, False),
     "gains.consensus[0][1]": (("gains", "consensus", 0, 1), non_numbers, False),
-    "gains.adaptive": (("gains", "adaptive"), non_booleans, False),
     "yaw_control.corner_turns": (("yaw_control", "corner_turns"), non_booleans, True),
 }
+
+
+# every mapping the loader reads: path prefix -> (keys from the document
+# root, the fields it reads, applies to yaw scenarios only)
+SCHEMA = {
+    "": ((), ("name", "dt", "duration", "seed", "agents", "topology", "gains",
+              "yaw_control", "waypoints", "formation", "obstacles", "sensing",
+              "control", "saturation", "noise_std", "settle_time",
+              "metrics_warmup_s"), False),
+    "agents[0].": (("agents", 0), ("id", "kind", "start", "yaw"), False),
+    "topology.": (("topology",), ("edges", "reference_agents"), False),
+    "gains.": (("gains",), ("reference", "consensus"), False),
+    "waypoints.": (("waypoints",),
+                   ("points", "radius", "cruise_speed", "ease_s"), False),
+    "formation.": (("formation",), ("phases",), False),
+    "formation.phases[0].": (("formation", "phases", 0),
+                             ("after_waypoints", "offsets",
+                              "transition_duration"), False),
+    "sensing.": (("sensing",), ("fov", "look_ahead", "robot_radius",
+                                "collision_radius", "carrot_advance"), False),
+    "control.": (("control",), ("mode", "prediction_horizon_steps",
+                                "velocity_estimate_window",
+                                "command_delay_steps"), False),
+    "saturation.": (("saturation",), ("ugv_speed", "uav_speed", "yaw_rate"),
+                    False),
+    "yaw_control.": (("yaw_control",), ("edges", "reference_agents", "offsets",
+                                        "target", "corner_turns", "corner_entry",
+                                        "corner_exit", "reference_gain",
+                                        "consensus_gains"), True),
+}
+
+
+def near_misses(fields: tuple) -> st.SearchStrategy:
+    """A field with one letter doubled or dropped, as a typo makes it."""
+    def typos(name):
+        return st.integers(0, len(name) - 1).flatmap(lambda i: st.sampled_from(
+            [name[:i] + name[i] + name[i:], name[:i] + name[i + 1:]]))
+    return st.sampled_from(fields).flatmap(typos)
 
 
 def mutated(name: str, keys: tuple, value) -> dict:
@@ -101,6 +139,42 @@ def test_malformed_field_is_rejected_by_name(field, data):
     doc = mutated(name, keys, data.draw(values))
     with pytest.raises(ScenarioError, match="^" + re.escape(field)):
         scenario_from_dict(doc, name)
+
+
+@pytest.mark.parametrize("mapping", sorted(SCHEMA),
+                         ids=lambda m: m.rstrip(".") or "top")
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_unknown_key_is_rejected_by_name(mapping, data):
+    keys, fields, yaw_only = SCHEMA[mapping]
+    name = data.draw(st.sampled_from(YAW_SCENARIOS if yaw_only else SHIPPED))
+    key = data.draw(st.one_of(
+        st.from_regex(r"[a-z][a-z_]{0,15}", fullmatch=True),
+        near_misses(fields)).filter(lambda k: k not in fields))
+    doc = mutated(name, (*keys, key), data.draw(scalars))
+    with pytest.raises(ScenarioError,
+                       match=f"^{re.escape(mapping + key)}: unknown field$"):
+        scenario_from_dict(doc, name)
+
+
+# retired options and typos: field path -> (keys from the document root,
+# a value the option once took or the field means)
+UNREAD = {
+    "gains.adaptive": (("gains", "adaptive"), True),
+    "waypoints.glide_s": (("waypoints", "glide_s"), 3.0),
+    "durration": (("durration",), 90.0),
+    "formation.phases[0].transiton_duration": (
+        ("formation", "phases", 0, "transiton_duration"), 2.0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(UNREAD))
+def test_retired_or_misspelt_key_is_rejected_by_name(field):
+    # a document that sets a retired option must not load as if it had not
+    keys, value = UNREAD[field]
+    doc = mutated("rect_varying_formation", keys, value)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: unknown field$"):
+        scenario_from_dict(doc)
 
 
 def test_integral_counts_still_load():

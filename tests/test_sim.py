@@ -116,13 +116,10 @@ def test_runs_converge_as_the_step_shrinks(name):
     assert gap_cm[0.01] < 1.0
 
 
-def test_adaptive_offset_switch_keeps_the_reference_glide():
+def test_offset_switch_keeps_the_reference_glide():
     # moving_leader_compare cruises to its waypoint on a slewed reference;
-    # an adaptive offset switch reads the reference point and must not
-    # cancel that slew
-    scn = scenario.load_scenario("moving_leader_compare")
-    scn = replace(scn, gains=replace(scn.gains, adaptive=True))
-    simulator = sim.Simulator(scn)
+    # an offset switch must not cancel that slew
+    simulator = sim.Simulator(scenario.load_scenario("moving_leader_compare"))
     slew = simulator.ref_slew
     assert slew is not None
     now = 0.5
