@@ -18,6 +18,7 @@ time, or times out after the deadline plus a grace window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -76,7 +77,8 @@ class TransitionState:
 
     `label` names the kind of change.  An override that slews the offsets
     keeps the offsets it starts from and lands on; `in_band_since` is when
-    the participating agents last entered the band together.
+    the participating agents last entered the band together.  `moving`
+    indexes the agents that participate, worked out once from `dis`.
     """
 
     start_time: float
@@ -90,6 +92,7 @@ class TransitionState:
     first_entry: dict[int, float] = field(default_factory=dict)
     in_band_since: float | None = None
     converged_time: float | None = None
+    moving: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.start_positions = np.asarray(self.start_positions, dtype=float).reshape(-1, 2)
@@ -100,6 +103,7 @@ class TransitionState:
             raise ValueError("start_positions must match the agent list")
         if self.dis.shape != (len(self.agents), 2):
             raise ValueError("dis must match the agent list")
+        self.moving = np.flatnonzero(np.abs(self.dis).max(axis=1) > 1e-12)
 
     @property
     def destination(self) -> np.ndarray:
@@ -111,8 +115,7 @@ class TransitionState:
 
     def participating(self) -> list[int]:
         """Indices (into the agent list) that actually move."""
-        return [k for k in range(len(self.agents))
-                if float(np.abs(self.dis[k]).max()) > 1e-12]
+        return self.moving.tolist()
 
 
 def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
@@ -131,11 +134,12 @@ def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
     if res.shape != state.dis.shape:
         raise ValueError("residual must match the transition agent list")
     inside = np.all(np.abs(res) <= tolerance, axis=1)
-    for agent, entered in zip(state.agents, inside):
-        if entered:
-            state.first_entry.setdefault(agent, now)
+    if inside.any():
+        # an agent's earlier entry wins over this one
+        state.first_entry = (dict.fromkeys(compress(state.agents, inside.tolist()), now)
+                             | state.first_entry)
 
-    if all(inside[k] for k in state.participating()):
+    if inside[state.moving].all():
         if state.in_band_since is None:
             state.in_band_since = now
         if now - state.in_band_since >= hold:

@@ -5,7 +5,9 @@ to the farthest vertex).  A robot senses a polygon when its clip to the
 robot's footprint, the `FOOTPRINT_SIDES`-gon inscribed in the sensor disc,
 keeps at least three vertices; `ObstacleField` decides that for a whole team
 at once, bit for bit as the clip would, and gives each robot a radius it
-may move within before that decision may change.  Nearby circles whose
+may move within before that decision may change.  `running_clearance`
+gives such a radius for the nearest-boundary minimum, and `all_behind`
+tells a step on which `detect_mode` plans nothing.  Nearby circles whose
 boundary gap is too narrow for a robot merge into enclosing circles.
 Against the merged circles two maneuver families are planned in the frame
 of the reference agent's motion:
@@ -39,7 +41,8 @@ FOOTPRINT_SIDES = 64
 # a footprint of radius r about c is the polygon c + r * FOOTPRINT_RING
 _ANGLES = 2.0 * np.pi * np.arange(FOOTPRINT_SIDES) / FOOTPRINT_SIDES
 FOOTPRINT_RING = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
-SENSING_MARGIN = 1e-8   # sensing band half-width per cm of reach and extent
+SENSING_MARGIN = 1e-8   # rounding margin per cm (per cm^2 for a product) of
+                        # the lengths a reuse or skip bound is computed from
 GATE_ULPS = 64          # squared gate distances this close are re-decided
 
 MODE_SINGLE = 1
@@ -57,7 +60,9 @@ class UnsupportedManeuver(ValueError):
 
 @dataclass(frozen=True)
 class Sensing:
-    """A full sensing decision and each viewer's squared reuse radius."""
+    """A full decision made at `viewers`, and each viewer's squared reuse
+    radius: the decision stands while every viewer stays inside its radius.
+    `circles` are the sensed circles; a clearance anchor has none."""
 
     circles: list[ObstacleCircle]
     viewers: np.ndarray
@@ -94,14 +99,15 @@ class AvoidanceEvent:
     the motion).  `master_lateral` is the lateral line the reference agent
     should ride while the event is active (None: keep its own line);
     `slave_laterals` are absolute lateral stations per steered follower id.
-    `geometry` carries the named construction points for logs.
+    `geometry` carries the named construction points for logs.  The frame
+    vectors are stored once as read-only float arrays.
     """
 
     mode: int
     obstacles: tuple[ObstacleCircle, ...]
-    path_origin: tuple[float, float]
-    path_along: tuple[float, float]
-    path_lateral: tuple[float, float]
+    path_origin: np.ndarray
+    path_along: np.ndarray
+    path_lateral: np.ndarray
     sub_case: int | None = None
     strategy: int | None = None
     threatened: int | None = None                 # 1-based agent id
@@ -109,15 +115,18 @@ class AvoidanceEvent:
     slave_laterals: dict[int, float] = field(default_factory=dict)
     geometry: dict[str, tuple[float, float]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("path_origin", "path_along", "path_lateral"):
+            vector = np.array(getattr(self, name), dtype=float)
+            vector.flags.writeable = False
+            object.__setattr__(self, name, vector)
+
     def to_world(self, along: float, lateral: float) -> np.ndarray:
-        return (np.asarray(self.path_origin)
-                + along * np.asarray(self.path_along)
-                + lateral * np.asarray(self.path_lateral))
+        return self.path_origin + along * self.path_along + lateral * self.path_lateral
 
     def frame_coords(self, point) -> tuple[float, float]:
-        d = np.asarray(point, dtype=float) - np.asarray(self.path_origin)
-        return (float(d @ np.asarray(self.path_along)),
-                float(d @ np.asarray(self.path_lateral)))
+        d = np.asarray(point, dtype=float) - self.path_origin
+        return float(d @ self.path_along), float(d @ self.path_lateral)
 
 
 # ----------------------------------------------------------- observations
@@ -192,10 +201,34 @@ def circle_arrays(circles) -> tuple[np.ndarray, np.ndarray]:
 
 def nearest_boundary(positions, centers, radii) -> float:
     """min |p - c| - r over positions and circles (inf without circles),
-    equal bit for bit to the minimum of per-circle `norm(axis=1)` minima."""
+    equal bit for bit to the minimum of per-circle `norm(axis=1)` minima.
+
+    The simulator calls it through `running_clearance`, and skips the call
+    while the team stays inside the last call's reuse radius."""
     diff = positions[:, None, :] - centers
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2))   # norm(axis=2)
     return float((dist - radii).min(initial=np.inf))
+
+
+def running_clearance(least: float, positions, centers, radii,
+                      floor: float) -> tuple[float, Sensing]:
+    """The running minimum `least` lowered to this evaluation's `gap` =
+    `nearest_boundary(positions, centers, radii) - floor`, and the anchor
+    that says when to evaluate again.
+
+    A robot's distance to a boundary shrinks by at most its displacement,
+    so no later gap falls below `least` while every robot stays less than
+    the slack `gap - least` from `positions`.  The reuse radius is that
+    slack less `SENSING_MARGIN` * (|gap| + |least| + |floor| + the largest
+    radius), far above the few ulps by which the gaps, the slack and the
+    displacement test are rounded, clamped at 0: a team that has just set
+    the minimum gets a zero radius, which never holds.  A NaN position
+    gives a NaN radius, which never holds either."""
+    gap = nearest_boundary(positions, centers, radii) - floor
+    least = min(least, gap)
+    scale = abs(gap) + abs(least) + abs(floor) + float(radii.max(initial=0.0))
+    reuse = np.maximum(gap - least - SENSING_MARGIN * scale, 0.0)
+    return least, Sensing([], positions.copy(), np.full(len(positions), reuse * reuse))
 
 
 class ObstacleField:
@@ -357,6 +390,23 @@ def group_all(circles, robot_diameter: float,
 
 # --------------------------------------------------------------- detection
 
+def all_behind(centers, head, target) -> bool:
+    """Every centre lies behind `head` on its run toward `target`, by more
+    than a rounding margin, so `detect_mode` plans nothing.
+
+    `detect_mode` passes over every circle whose along-track coordinate
+    (c - head) @ (target - head) / |target - head| is <= 0, and plans only
+    with the others.  This tests the unnormalised product instead; a
+    product below -`SENSING_MARGIN` * |c - head| @ |target - head| (the
+    absolute values taken per axis) stays negative through the rounding of
+    both forms, which is a few ulps of that sum.  A NaN or a zero heading
+    never passes.
+    """
+    rel = centers - head
+    heading = target - head
+    return bool((rel @ heading < -SENSING_MARGIN * (np.abs(rel) @ np.abs(heading))).all())
+
+
 def point_segment_distance(point, seg_a, seg_b) -> float:
     p = np.asarray(point, dtype=float)
     a = np.asarray(seg_a, dtype=float)
@@ -391,7 +441,9 @@ def detect_mode(positions, targets, radii, master_index: int, obstacles,
     positions/targets are (n, 2): each robot's location and the point its
     straight run currently aims at; radii is length n.  `obstacles` are the
     already-grouped circles.  A facing pair outranks a single obstacle.
-    Returns None when nothing within range threatens anyone.
+    Returns None when nothing within range threatens anyone.  The simulator
+    skips the call on a step where `all_behind` holds for the grouped
+    circles, the reference agent and its target, since it would return None.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
     tgt = np.asarray(targets, dtype=float).reshape(-1, 2)
@@ -491,9 +543,8 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
     geometry = {"inner_a": tuple(inner_a), "inner_b": tuple(inner_b),
                 "line_a": tuple(sp_a), "line_b": tuple(sp_b),
                 "mid": tuple(mid_c)}
-    common = dict(mode=MODE_FACING, obstacles=(c1, c2),
-                  path_origin=tuple(master_pos), path_along=tuple(along),
-                  path_lateral=tuple(lateral), geometry=geometry)
+    common = dict(mode=MODE_FACING, obstacles=(c1, c2), path_origin=master_pos,
+                  path_along=along, path_lateral=lateral, geometry=geometry)
 
     if gap > pass_floor:
         return AvoidanceEvent(sub_case=SUB_PASS, **common)
@@ -527,9 +578,8 @@ def _plan_single(pos, rad, master_index, robot, circle, margin, master_pos,
                  along, lateral, coords) -> AvoidanceEvent:
     s_oc, l_oc = coords(circle.center)
     clearance = circle.radius + rad[robot] + margin
-    common = dict(mode=MODE_SINGLE, obstacles=(circle,),
-                  path_origin=tuple(master_pos), path_along=tuple(along),
-                  path_lateral=tuple(lateral), threatened=robot + 1)
+    common = dict(mode=MODE_SINGLE, obstacles=(circle,), path_origin=master_pos,
+                  path_along=along, path_lateral=lateral, threatened=robot + 1)
 
     if robot == master_index:
         side = 1.0 if abs(l_oc) < 1e-9 else -float(np.sign(l_oc))

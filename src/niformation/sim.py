@@ -23,7 +23,18 @@ transition) are gathers through the topology's head and tail index arrays.
 An avoidance event's constants are built once when it fires.  Sensing is
 re-decided only when a robot may have changed it, that is, has left the
 reuse radius (margin included) that the last full decision gave it, so it
-stays bit for bit a fresh decision; grouping re-runs only on a change.
+stays bit for bit a fresh decision; grouping re-runs only on a change.  Two
+more kinds of work are skipped only where their outcome cannot change, so
+a run stays bit for bit the same:
+
+* planning: an avoidance-free step calls `obstacle.detect_mode` only when
+  some grouped circle is not behind the reference agent, on its way to the
+  reference point, by more than a rounding margin (`obstacle.all_behind`);
+  with every circle behind it, planning returns None;
+* clearance: each running minimum (the field's and the active event's) is
+  evaluated again only once some robot has moved at least the last
+  evaluation's slack, the gap less the minimum, less a rounding margin
+  (`obstacle.running_clearance`); the event's anchor resets when it fires.
 
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
@@ -261,8 +272,10 @@ class Simulator:
         self.obstacles = obstacle.ObstacleField(scn.obstacles,
                                                 scn.sensing.fov / 2.0)
         # no decision yet: a zero reuse radius never holds
-        self.sensing = obstacle.Sensing([], self.positions.copy(), np.zeros(self.n))
+        self.undecided = obstacle.Sensing([], self.positions.copy(), np.zeros(self.n))
+        self.sensing = self.undecided
         self.grouped_from = self.grouped = []   # sensed circles, their group_all
+        self.grouped_centers = np.zeros((0, 2))
 
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
@@ -305,6 +318,8 @@ class Simulator:
         self.rel_err_max = np.zeros(scn.topology.n_edges)
         self.min_clearance = np.inf
         self.min_boundary_clearance = np.inf
+        # where each clearance minimum was last evaluated
+        self.field_anchor = self.event_anchor = self.undecided
 
     # ------------------------------------------------------------ helpers
 
@@ -380,8 +395,7 @@ class Simulator:
         return self.sensing.circles
 
     def _avoidance_offsets(self, event: obstacle.AvoidanceEvent) -> np.ndarray:
-        along = np.asarray(event.path_along)
-        lateral = np.asarray(event.path_lateral)
+        along, lateral = event.path_along, event.path_lateral
         master_lat = event.master_lateral if event.master_lateral is not None else 0.0
         out = self.schedule_offsets.copy()
         for e, (_head, tail) in enumerate(self.scn.topology.edges):
@@ -432,9 +446,13 @@ class Simulator:
         if sensed != self.grouped_from:
             self.grouped_from = sensed
             self.grouped = obstacle.group_all(sensed, 2.0 * scn.sensing.robot_radius)
+            self.grouped_centers = obstacle.circle_arrays(self.grouped)[0]
         if not self.grouped:
             return
         reference = self._reference_point(now)
+        if obstacle.all_behind(self.grouped_centers, self.positions[self.master],
+                               reference):
+            return
         targets = self._slave_targets(reference)
         event = obstacle.detect_mode(self.positions, targets,
                                      [scn.sensing.robot_radius] * self.n,
@@ -445,6 +463,7 @@ class Simulator:
         self.avoidance = event
         self.avoidance_started = now
         self.avoidance_circles = obstacle.circle_arrays(event.obstacles)
+        self.event_anchor = self.undecided
         self.avoidance_passed = np.array([
             event.frame_coords(c.center)[0] + c.radius + scn.sensing.robot_radius
             for c in event.obstacles])
@@ -745,16 +764,18 @@ class Simulator:
             np.maximum(self.rel_err_max, edge_err, out=self.rel_err_max)
         # contact is judged against the physical footprint; the larger
         # planning radius holds back slack for tracking transients.
-        # Subtracting after the min is exact: rounding is monotone
-        if self.obstacles.circles:
-            gap = obstacle.nearest_boundary(self.positions,
-                                            self.obstacles.centers,
-                                            self.obstacles.radii)
-            self.min_clearance = min(self.min_clearance,
-                                     gap - self.scn.sensing.collision_radius)
-        if self.avoidance is not None:
-            gap = obstacle.nearest_boundary(self.positions, *self.avoidance_circles)
-            self.min_boundary_clearance = min(self.min_boundary_clearance, gap)
+        # Subtracting after the min is exact: rounding is monotone.  Each
+        # minimum is evaluated again only once some robot has left its
+        # anchor's reuse radius, the last evaluation's slack (gap less the
+        # minimum) less a rounding margin: inside it no gap can fall below
+        # the minimum
+        if self.obstacles.circles and not self.field_anchor.holds(self.positions):
+            self.min_clearance, self.field_anchor = obstacle.running_clearance(
+                self.min_clearance, self.positions, self.obstacles.centers,
+                self.obstacles.radii, self.scn.sensing.collision_radius)
+        if self.avoidance is not None and not self.event_anchor.holds(self.positions):
+            self.min_boundary_clearance, self.event_anchor = obstacle.running_clearance(
+                self.min_boundary_clearance, self.positions, *self.avoidance_circles, 0.0)
 
     def _check_safety(self, now: float) -> bool:
         if self.min_clearance < 0.0:

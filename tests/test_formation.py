@@ -175,3 +175,85 @@ def test_moving_to_the_exact_destination_always_converges(dx, dy, t):
     tr = TransitionState(0.0, t, (2,), [[10.0, -10.0]], [[dx, dy]])
     status = arrive(tr, tr.destination, t * 0.5)
     assert status == CONVERGED
+
+
+# ------------------------------------------ the per-agent loop as the oracle
+
+def participating_by_loop(state):
+    return [k for k in range(len(state.agents))
+            if float(np.abs(state.dis[k]).max()) > 1e-12]
+
+
+def check_convergence_by_loop(state, residual, now, *, tolerance, grace, hold):
+    """`check_convergence` as a per-agent loop that re-derives the
+    participating agents on every call: the reference it must reproduce."""
+    res = np.asarray(residual, dtype=float).reshape(-1, 2)
+    inside = np.all(np.abs(res) <= tolerance, axis=1)
+    for agent, entered in zip(state.agents, inside):
+        if entered:
+            state.first_entry.setdefault(agent, now)
+    if all(inside[k] for k in participating_by_loop(state)):
+        if state.in_band_since is None:
+            state.in_band_since = now
+        if now - state.in_band_since >= hold:
+            if state.converged_time is None:
+                state.converged_time = state.in_band_since
+            return CONVERGED
+        return IN_PROGRESS
+    state.in_band_since = None
+    if now > state.deadline + grace:
+        return TIMED_OUT
+    return IN_PROGRESS
+
+
+TOLERANCE = 5.0
+# displacements about the participation threshold, and none at all
+DISPLACEMENTS = st.one_of(
+    st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (1e-12, -1e-12),
+                     (0.0, float(np.nextafter(1e-12, 1.0))), (-1e-13, 3e-13),
+                     (float("nan"), 0.0)]),
+    st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0)))
+# a residual axis inside the band, on its edge, outside it, or NaN
+AXIS = st.one_of(st.floats(-TOLERANCE, TOLERANCE),
+                 st.sampled_from([TOLERANCE, -TOLERANCE,
+                                  float(np.nextafter(TOLERANCE, 9.0)), float("nan")]),
+                 st.floats(-40.0, 40.0))
+
+
+@st.composite
+def convergence_walks(draw):
+    """A transition of 1 to 4 agents, some with zero displacement, and a
+    run of residuals at increasing times that enter, leave and re-enter
+    the band, with no hold or a hold."""
+    n = draw(st.integers(1, 4))
+    dis = np.array(draw(st.lists(DISPLACEMENTS, min_size=n, max_size=n)))
+    duration = draw(st.floats(0.1, 3.0))
+    times = np.cumsum(draw(st.lists(st.sampled_from([0.01, 0.02, 0.3, 1.0]),
+                                    min_size=1, max_size=30)))
+    residuals = [draw(st.lists(st.tuples(AXIS, AXIS), min_size=n, max_size=n))
+                 for _ in times]
+    hold = draw(st.sampled_from([0.0, 0.0, 0.02, 0.05, 1.0]))
+    grace = draw(st.sampled_from([0.0, 0.5, 12.0]))
+    return dis, duration, list(zip(times.tolist(), residuals)), hold, grace
+
+
+@given(walk=convergence_walks())
+@settings(max_examples=300, deadline=None)
+def test_convergence_equals_the_per_agent_loop(walk):
+    dis, duration, steps, hold, grace = walk
+    agents = tuple(range(2, 2 + len(dis)))
+
+    def transition():
+        return TransitionState(0.0, duration, agents, np.zeros_like(dis), dis)
+
+    got, want = transition(), transition()
+    assert got.participating() == participating_by_loop(want)
+    for now, residual in steps:
+        status = check_convergence(got, residual, now, tolerance=TOLERANCE,
+                                   grace=grace, hold=hold)
+        assert status == check_convergence_by_loop(
+            want, residual, now, tolerance=TOLERANCE, grace=grace, hold=hold)
+        assert got.first_entry == want.first_entry
+        assert (got.in_band_since, got.converged_time) == (want.in_band_since,
+                                                           want.converged_time)
+    assert got.participating() == participating_by_loop(want)

@@ -1,5 +1,7 @@
 """Obstacle geometry: observations, grouping, and maneuver planning."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,13 @@ from hypothesis import strategies as st
 
 from niformation import obstacle
 from niformation.obstacle import (ObstacleCircle, ObstacleField,
-                                  UnsupportedManeuver, circle_arrays,
+                                  UnsupportedManeuver, all_behind, circle_arrays,
                                   circle_from_observation,
                                   clip_polygon_to_disc, detect_mode,
                                   enclosing_circle, event_cleared, group_all,
                                   group_or_separate, nearest_boundary,
                                   point_segment_distance,
-                                  polygon_area_centroid)
+                                  polygon_area_centroid, running_clearance)
 
 
 def box(cx, cy, side):
@@ -270,6 +272,80 @@ def test_event_clears_only_behind_and_outside_the_footprint():
     assert not event_cleared(event, (-100.0, 35.0), 220.0)   # ahead but close
     assert not event_cleared(event, (-100.0, -90.0), 220.0)  # still approaching
     assert event_cleared(event, (-100.0, 145.0), 220.0)      # past and outside
+
+
+# how far a drawn centre sits ahead of the perpendicular through the head,
+# in rounding margins
+MARGIN_STEPS = (-3.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 3.0)
+
+
+@st.composite
+def plan_cases(draw):
+    """A head, its target (zero, tiny or real headings) and 1 to 3 circles
+    whose centres sit a few ulps or a few rounding margins either side of
+    the perpendicular through the head, or anywhere near it; a circle
+    blocks the head's run when it is ahead and its lateral offset is below
+    its radius plus the robot's.  Two followers run parallel.  A head near
+    the origin keeps the centres' rounding below the offsets in ulps."""
+    coordinate = st.one_of(st.floats(-500.0, 500.0), st.floats(-2.0, 2.0))
+    head = np.array([draw(coordinate), draw(coordinate)])
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    along = np.array([np.cos(angle), np.sin(angle)])
+    length = draw(st.one_of(st.sampled_from([0.0, 1e-12, 1e-9]),
+                            st.floats(1e-3, 400.0)))
+    target = head + length * along
+    circles = []
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        lateral = draw(st.floats(-90.0, 90.0))
+        place = draw(st.sampled_from(["ulps", "ulps", "margin", "free"]))
+        if place == "ulps":
+            ahead = draw(st.integers(-4, 4)) * np.spacing(np.abs(head).max()
+                                                          + abs(lateral))
+        elif place == "margin":
+            ahead = (draw(st.sampled_from(MARGIN_STEPS)) * obstacle.SENSING_MARGIN
+                     * (abs(lateral) + 1.0))
+        else:
+            ahead = draw(st.floats(-300.0, 300.0))
+        center = head + lateral * np.array([-along[1], along[0]]) + ahead * along
+        circles.append(ObstacleCircle(tuple(center), draw(st.floats(5.0, 60.0))))
+    followers = [head + [draw(st.floats(-150.0, 150.0)), draw(st.floats(-150.0, 150.0))]
+                 for _ in range(2)]
+    return head, target, circles, np.array([head, *followers])
+
+
+@given(case=plan_cases())
+@settings(max_examples=500, deadline=None)
+def test_detect_mode_plans_nothing_where_every_centre_is_behind(case):
+    head, target, circles, positions = case
+    centers = circle_arrays(circles)[0]
+    skipped = all_behind(centers, head, target)
+    if skipped:
+        assert detect_mode(positions, positions + (target - head),
+                           [ROBOT_RADIUS] * 3, 0, circles,
+                           fov=220.0, look_ahead=100.0) is None
+    # in exact arithmetic: with every centre behind by two margins or more,
+    # the step is skipped
+    heading = [Fraction(t) - Fraction(h) for t, h in zip(target, head)]
+
+    def well_behind(center):
+        terms = [(Fraction(c) - Fraction(h)) * d
+                 for c, h, d in zip(center, head, heading)]
+        scale = sum(abs(term) for term in terms)
+        return scale > 0 and sum(terms) <= -2 * Fraction(obstacle.SENSING_MARGIN) * scale
+
+    if all(well_behind(center) for center in centers):
+        assert skipped
+
+
+def test_nothing_ahead_and_a_zero_heading_are_told_apart():
+    head, target = np.array([10.0, -4.0]), np.array([10.0, 96.0])
+    behind = np.array([[10.0, -4.0 - 1e-3], [-60.0, -5.0]])
+    assert all_behind(behind, head, target)
+    # one centre ahead, on the perpendicular, or NaN, or no heading at all
+    for extra in ([70.0, -3.9], [70.0, -4.0], [np.nan, 0.0]):
+        assert not all_behind(np.vstack([behind, extra]), head, target)
+    assert not all_behind(behind, head, head)
+    assert not all_behind(behind, np.array([np.nan, 0.0]), target)
 
 
 # ------------------------------------------------------------- small tools
@@ -665,3 +741,102 @@ def test_reuse_radius_is_the_least_slack_less_the_margin():
         moved = viewers[0] + [step, 0.0]
         assert moved[0] - viewers[0, 0] == step
         assert held(0, moved) == holds
+
+
+# ------------------------------- reused clearance vs a per-step evaluation
+
+@st.composite
+def clearance_walks(draw):
+    """1 to 4 circles, 1 to 3 robots near them, a floor (0 as for an event's
+    circles, or a collision radius), a minimum carried in (none, or one
+    from earlier circles) and a walk of `REUSE_FRACTIONS`-sized moves and
+    the other `MOVES`."""
+    circles = draw(st.lists(st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0),
+                                      st.floats(0.0, 80.0)), min_size=1, max_size=4))
+    centers, radii = np.array(circles)[:, :2], np.array(circles)[:, 2]
+    positions = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(circles) - 1))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        dist = radii[k] + draw(st.floats(-10.0, 150.0))
+        positions.append(centers[k] + dist * np.array([np.cos(angle), np.sin(angle)]))
+    floor = draw(st.one_of(st.sampled_from([0.0, 0.0, 22.0]), st.floats(0.0, 40.0)))
+    least = draw(st.one_of(st.just(np.inf), st.floats(-10.0, 150.0)))
+    steps = draw(st.lists(st.lists(MOVES, min_size=len(positions),
+                                   max_size=len(positions)), max_size=15))
+    return centers, radii, floor, least, np.array(positions), steps
+
+
+def clearance_step(centers, radii, positions, moves, anchor):
+    """The robots after one step of moves; `reuse` moves are sized by the
+    anchor's reuse radius and aimed at a random angle, or toward or away
+    from the robot's nearest boundary's centre."""
+    out = positions.copy()
+    radius = np.sqrt(anchor.reuse2[0])
+    for r, move in enumerate(moves):
+        if move[0] == "reuse":
+            _, fraction, aim, angle = move
+            if not np.isfinite(radius) or not np.isfinite(positions[r]).all():
+                continue
+            if aim != "angle":
+                to = centers - positions[r]
+                to = to[np.argmin(np.hypot(to[:, 0], to[:, 1]) - radii)]
+                angle = np.arctan2(to[1], to[0]) + (np.pi if aim == "away" else 0.0)
+            out[r] += fraction * radius * np.array([np.cos(angle), np.sin(angle)])
+        elif move[0] == "jump":
+            out[r] = centers[0] + 150.0 * np.array(move[1:])
+        elif move[0] == "nan":
+            out[r] = np.nan
+    return out
+
+
+@given(walk=clearance_walks())
+@settings(max_examples=300, deadline=None)
+def test_running_clearance_equals_a_per_step_evaluation_along_walks(walk):
+    # the minimum a simulator keeps while its anchor holds must be the one
+    # an evaluation at every step gives, bit for bit
+    centers, radii, floor, least, positions, steps = walk
+
+    def fresh(least):
+        return min(least, nearest_boundary(positions, centers, radii) - floor)
+
+    want = fresh(least)
+    least, anchor = running_clearance(least, positions, centers, radii, floor)
+    for moves in [None, *steps]:
+        if moves is not None:
+            positions = clearance_step(centers, radii, positions, moves, anchor)
+            if not anchor.holds(positions):
+                least, anchor = running_clearance(least, positions, centers,
+                                                  radii, floor)
+            want = fresh(want)
+        assert np.float64(least).tobytes() == np.float64(want).tobytes()
+
+
+def test_a_zero_or_clamped_clearance_radius_never_holds():
+    centers, radii, floor = np.array([[0.0, 0.0]]), np.array([10.0]), 7.5
+    positions = np.array([[30.0, 40.0], [-60.0, 0.0]])   # gaps 40 and 50
+
+    def anchor(least, at=positions):
+        return running_clearance(least, at, centers, radii, floor)
+
+    def margin(least):
+        return obstacle.SENSING_MARGIN * (32.5 + abs(least) + floor + 10.0)
+
+    # the robot that has just set the minimum gets a zero radius
+    least, held = anchor(np.inf)
+    assert least == 32.5 and held.reuse2.tolist() == [0.0, 0.0]
+    assert not held.holds(positions)
+    # a slack inside the margin is clamped to zero, not squared
+    least, held = anchor(32.5 - 1e-9)
+    assert least == 32.5 - 1e-9 and held.reuse2.tolist() == [0.0, 0.0]
+    assert not held.holds(positions)
+    # a slack beyond it holds strictly inside the radius it leaves
+    least, held = anchor(30.0)
+    radius = np.sqrt(held.reuse2[0])
+    assert radius == pytest.approx(2.5 - margin(30.0), rel=0.0, abs=1e-12)
+    for step, holds in ((radius, False), (np.nextafter(radius, 0.0), True)):
+        assert held.holds(positions - [[0.0, 0.0], [0.0, step]]) == holds
+    # a NaN position keeps the minimum and never holds
+    least, held = anchor(30.0, positions + [np.nan, 0.0])
+    assert least == 30.0 and np.isnan(held.reuse2).all()
+    assert not held.holds(positions + [np.nan, 0.0])

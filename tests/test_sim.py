@@ -262,6 +262,81 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
     assert counts["group_all"] == changes == 22
 
 
+@pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
+def test_planning_is_skipped_only_where_detect_mode_plans_nothing(monkeypatch, name):
+    # an avoidance-free step with circles sensed plans only when some
+    # grouped circle is not behind the head; on a skipped step detect_mode,
+    # called anyway, must plan nothing, and on cluttered_course it must
+    # stay rare
+    detect_mode, all_behind = obstacle.detect_mode, obstacle.all_behind
+    simulator = sim.Simulator(scenario.load_scenario(name))
+    counts = {"sensed": 0, "planned": 0}
+
+    def checking_all_behind(centers, head, reference):
+        counts["sensed"] += 1
+        assert np.array_equal(centers, obstacle.circle_arrays(simulator.grouped)[0])
+        skipped = all_behind(centers, head, reference)
+        if skipped:
+            sensing = simulator.scn.sensing
+            assert detect_mode(simulator.positions, simulator._slave_targets(reference),
+                               [sensing.robot_radius] * simulator.n, simulator.master,
+                               simulator.grouped, sensing.fov, sensing.look_ahead) is None
+        return skipped
+
+    def counting_detect_mode(*args, **kwargs):
+        counts["planned"] += 1
+        return detect_mode(*args, **kwargs)
+
+    monkeypatch.setattr(obstacle, "all_behind", checking_all_behind)
+    monkeypatch.setattr(obstacle, "detect_mode", counting_detect_mode)
+    assert simulator.run().summary["status"] == "completed"
+    assert 0 < counts["planned"] < counts["sensed"]
+    if name == "cluttered_course":
+        assert counts["sensed"] == 913
+        assert counts["planned"] <= 0.1 * counts["sensed"]
+
+
+@pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
+def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch, name):
+    # both running minima equal an evaluation at every step, bit for bit,
+    # and on cluttered_course few of those evaluations are made
+    nearest_boundary, update_metrics = obstacle.nearest_boundary, sim.Simulator._update_metrics
+    calls = {"made": 0, "per_step": 0}
+    fresh = {"field": np.inf, "event": np.inf}
+
+    def counting_nearest_boundary(*args):
+        calls["made"] += 1
+        return nearest_boundary(*args)
+
+    def checking_update_metrics(self, now):
+        update_metrics(self, now)
+        calls["per_step"] += 1
+        fresh["field"] = min(fresh["field"], nearest_boundary(
+            self.positions, self.obstacles.centers, self.obstacles.radii)
+            - self.scn.sensing.collision_radius)
+        if self.avoidance is not None:
+            calls["per_step"] += 1
+            fresh["event"] = min(fresh["event"], nearest_boundary(
+                self.positions, *self.avoidance_circles))
+        assert (np.float64(self.min_clearance).tobytes()
+                == np.float64(fresh["field"]).tobytes())
+        assert (np.float64(self.min_boundary_clearance).tobytes()
+                == np.float64(fresh["event"]).tobytes())
+
+    monkeypatch.setattr(obstacle, "nearest_boundary", counting_nearest_boundary)
+    monkeypatch.setattr(sim.Simulator, "_update_metrics", checking_update_metrics)
+    simulator = sim.Simulator(scenario.load_scenario(name))
+    # an anchor left from other circles says nothing about an event's: one
+    # that holds anywhere must be dropped when the event fires
+    simulator.event_anchor = obstacle.Sensing([], simulator.positions.copy(),
+                                              np.full(simulator.n, np.inf))
+    assert simulator.run().summary["status"] == "completed"
+    assert calls["made"] < calls["per_step"]
+    if name == "cluttered_course":
+        assert calls["per_step"] == 3225
+        assert calls["made"] <= 0.3 * calls["per_step"]
+
+
 def per_cell_trajectory_csv(log: sim.RunLog) -> str:
     """The trajectory CSV formatted cell by cell, the oracle of the table."""
     def fmt(value):
