@@ -9,8 +9,8 @@ may move within before that decision may change.  `running_clearance`
 gives such a radius for the nearest-boundary minimum, and `all_behind`
 tells a step on which `detect_mode` plans nothing.  Nearby circles whose
 boundary gap is too narrow for a robot merge into enclosing circles.
-Against the merged circles two maneuver families are planned in the frame
-of the reference agent's motion:
+Against the merged circles two maneuver families are planned in the
+reference agent's path frame (`PathFrame`):
 
 * single obstacle (mode 1): whichever robot's straight run is blocked dodges
   to a lateral line clearing the circle by its own radius plus a margin --
@@ -24,7 +24,9 @@ of the reference agent's motion:
   than one robot: a single-file queue, which this toolkit does not plan
   (sub-case 3, rejected).
 
-All coordinates are centimeters.
+`event_cleared` ends an event once its circles have left the reference
+agent's footprint and every robot has passed them along the frame.  All
+coordinates are centimeters.
 """
 
 from __future__ import annotations
@@ -91,42 +93,51 @@ class ObstacleCircle:
 
 
 @dataclass(frozen=True)
+class PathFrame:
+    """The reference agent's path frame: origin where it stood, `along` its
+    unit heading, `lateral` that heading turned +90 degrees, stored once as
+    read-only float arrays.  `coords` and `to_world` map one point at a
+    time; a batched product over many points may round differently."""
+
+    origin: np.ndarray
+    along: np.ndarray
+    lateral: np.ndarray
+
+    def __post_init__(self):
+        for name in ("origin", "along", "lateral"):
+            vector = np.array(getattr(self, name), dtype=float)
+            vector.flags.writeable = False
+            object.__setattr__(self, name, vector)
+
+    def coords(self, point) -> tuple[float, float]:
+        """A world point's (along-track, lateral) coordinates."""
+        d = np.asarray(point, dtype=float) - self.origin
+        return float(d @ self.along), float(d @ self.lateral)
+
+    def to_world(self, s: float, lateral: float) -> np.ndarray:
+        return self.origin + s * self.along + lateral * self.lateral
+
+
+@dataclass(frozen=True)
 class AvoidanceEvent:
     """A planned avoidance maneuver in the reference agent's path frame.
 
-    `path_origin`/`path_along`/`path_lateral` fix the frame (origin at the
-    reference agent when the event fired; lateral is along +90 degrees from
-    the motion).  `master_lateral` is the lateral line the reference agent
-    should ride while the event is active (None: keep its own line);
-    `slave_laterals` are absolute lateral stations per steered follower id.
-    `geometry` carries the named construction points for logs.  The frame
-    vectors are stored once as read-only float arrays.
+    `frame` is that frame when the event fired.  `master_lateral` is the
+    lateral line the reference agent should ride while the event is active
+    (None: keep its own line); `slave_laterals` are absolute lateral
+    stations per steered follower id.  `geometry` carries the named
+    construction points for logs.  `event_cleared` decides its end.
     """
 
     mode: int
     obstacles: tuple[ObstacleCircle, ...]
-    path_origin: np.ndarray
-    path_along: np.ndarray
-    path_lateral: np.ndarray
+    frame: PathFrame
     sub_case: int | None = None
     strategy: int | None = None
     threatened: int | None = None                 # 1-based agent id
     master_lateral: float | None = None
     slave_laterals: dict[int, float] = field(default_factory=dict)
     geometry: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("path_origin", "path_along", "path_lateral"):
-            vector = np.array(getattr(self, name), dtype=float)
-            vector.flags.writeable = False
-            object.__setattr__(self, name, vector)
-
-    def to_world(self, along: float, lateral: float) -> np.ndarray:
-        return self.path_origin + along * self.path_along + lateral * self.path_lateral
-
-    def frame_coords(self, point) -> tuple[float, float]:
-        d = np.asarray(point, dtype=float) - self.path_origin
-        return float(d @ self.path_along), float(d @ self.path_lateral)
 
 
 # ----------------------------------------------------------- observations
@@ -423,14 +434,13 @@ def segment_blocked(seg_a, seg_b, circle: ObstacleCircle, robot_radius: float) -
     return point_segment_distance(circle.center, seg_a, seg_b) < circle.radius + robot_radius
 
 
-def _path_frame(origin, target):
+def _path_frame(origin, target) -> PathFrame | None:
     d = np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)
     norm = float(np.linalg.norm(d))
     if norm < 1e-9:
         return None
     along = d / norm
-    lateral = np.array([-along[1], along[0]])
-    return along, lateral
+    return PathFrame(origin, along, np.array([-along[1], along[0]]))
 
 
 def detect_mode(positions, targets, radii, master_index: int, obstacles,
@@ -449,30 +459,22 @@ def detect_mode(positions, targets, radii, master_index: int, obstacles,
     tgt = np.asarray(targets, dtype=float).reshape(-1, 2)
     rad = np.asarray(radii, dtype=float).reshape(-1)
     n = pos.shape[0]
-    master_pos = pos[master_index]
-    frame = _path_frame(master_pos, tgt[master_index])
+    frame = _path_frame(pos[master_index], tgt[master_index])
     if frame is None or not obstacles:
         return None
-    along, lateral = frame
-
-    def coords(point):
-        d = np.asarray(point, dtype=float) - master_pos
-        return float(d @ along), float(d @ lateral)
-
     followers = [i for i in range(n) if i != master_index]
 
     # ---- facing pair (mode 2)
     if len(followers) == 2:
-        pair = _detect_facing_pair(pos, tgt, rad, master_index, followers,
-                                   obstacles, fov, look_ahead, margin,
-                                   master_pos, along, lateral, coords)
+        pair = _detect_facing_pair(pos, rad, master_index, followers, obstacles,
+                                   fov, look_ahead, margin, frame)
         if pair is not None:
             return pair
 
     # ---- single obstacle (mode 1)
     for robot in [master_index] + followers:
         for circle in obstacles:
-            s_oc, _ = coords(circle.center)
+            s_oc, _ = frame.coords(circle.center)
             if s_oc <= 0:
                 continue  # behind the formation's motion
             reach = float(np.linalg.norm(pos[robot] - np.asarray(circle.center)))
@@ -485,20 +487,18 @@ def detect_mode(positions, targets, radii, master_index: int, obstacles,
                 for c in obstacles if c is not circle)
             if others_near:
                 continue  # not an isolated single: leave it to the pair logic
-            return _plan_single(pos, rad, master_index, robot, circle, margin,
-                                master_pos, along, lateral, coords)
+            return _plan_single(pos, rad, master_index, robot, circle, margin, frame)
     return None
 
 
-def _detect_facing_pair(pos, tgt, rad, master_index, followers, obstacles,
-                        fov, look_ahead, margin, master_pos, along, lateral,
-                        coords):
+def _detect_facing_pair(pos, rad, master_index, followers, obstacles, fov,
+                        look_ahead, margin, frame: PathFrame):
     candidates = []
     for idx, circle in enumerate(obstacles):
-        s, l = coords(circle.center)
+        s, l = frame.coords(circle.center)
         if s <= 0:
             continue
-        reach = float(np.linalg.norm(master_pos - np.asarray(circle.center)))
+        reach = float(np.linalg.norm(frame.origin - np.asarray(circle.center)))
         if reach - circle.radius <= look_ahead + rad[master_index]:
             candidates.append((idx, circle, s, l))
     for i in range(len(candidates)):
@@ -511,12 +511,12 @@ def _detect_facing_pair(pos, tgt, rad, master_index, followers, obstacles,
             if span >= fov:
                 continue
             return _plan_facing(pos, rad, master_index, followers, c1, c2,
-                                margin, master_pos, along, lateral, coords)
+                                margin, frame)
     return None
 
 
 def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
-                 master_pos, along, lateral, coords) -> AvoidanceEvent:
+                 frame: PathFrame) -> AvoidanceEvent:
     p1, p2 = np.asarray(c1.center), np.asarray(c2.center)
     axis = p2 - p1
     span = float(np.linalg.norm(axis))
@@ -543,8 +543,8 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
     geometry = {"inner_a": tuple(inner_a), "inner_b": tuple(inner_b),
                 "line_a": tuple(sp_a), "line_b": tuple(sp_b),
                 "mid": tuple(mid_c)}
-    common = dict(mode=MODE_FACING, obstacles=(c1, c2), path_origin=master_pos,
-                  path_along=along, path_lateral=lateral, geometry=geometry)
+    common = dict(mode=MODE_FACING, obstacles=(c1, c2), frame=frame,
+                  geometry=geometry)
 
     if gap > pass_floor:
         return AvoidanceEvent(sub_case=SUB_PASS, **common)
@@ -562,8 +562,8 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
             inward = mid_line - point
             inward_len = float(np.linalg.norm(inward))
             station = point + (rad[robot] + margin) * (inward / inward_len)
-            slave_laterals[robot + 1] = coords(station)[1]
-        _, master_lat = coords(mid_c)
+            slave_laterals[robot + 1] = frame.coords(station)[1]
+        _, master_lat = frame.coords(mid_c)
         return AvoidanceEvent(sub_case=SUB_SQUEEZE, master_lateral=master_lat,
                               slave_laterals=slave_laterals, **common)
     if gap > master_diameter:
@@ -574,51 +574,53 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
                               f"reference agent's diameter")
 
 
-def _plan_single(pos, rad, master_index, robot, circle, margin, master_pos,
-                 along, lateral, coords) -> AvoidanceEvent:
-    s_oc, l_oc = coords(circle.center)
+def _plan_single(pos, rad, master_index, robot, circle, margin,
+                 frame: PathFrame) -> AvoidanceEvent:
+    s_oc, l_oc = frame.coords(circle.center)
     clearance = circle.radius + rad[robot] + margin
-    common = dict(mode=MODE_SINGLE, obstacles=(circle,), path_origin=master_pos,
-                  path_along=along, path_lateral=lateral, threatened=robot + 1)
+    common = dict(mode=MODE_SINGLE, obstacles=(circle,), frame=frame,
+                  threatened=robot + 1)
 
     if robot == master_index:
         side = 1.0 if abs(l_oc) < 1e-9 else -float(np.sign(l_oc))
         master_lat = l_oc + side * clearance
-        geometry = {"detour": tuple(np.asarray(master_pos)
-                                    + s_oc * np.asarray(along)
-                                    + master_lat * np.asarray(lateral))}
+        geometry = {"detour": tuple(frame.to_world(s_oc, master_lat))}
         # followers hold their current lateral stations while the reference
         # agent sidesteps
-        slave_laterals = {i + 1: coords(pos[i])[1]
+        slave_laterals = {i + 1: frame.coords(pos[i])[1]
                           for i in range(pos.shape[0]) if i != master_index}
         return AvoidanceEvent(strategy=STRATEGY_REFERENCE,
                               master_lateral=master_lat,
                               slave_laterals=slave_laterals,
                               geometry=geometry, **common)
 
-    _, l_robot = coords(pos[robot])
+    _, l_robot = frame.coords(pos[robot])
     rel = l_robot - l_oc
     side = 1.0 if abs(rel) < 1e-9 else float(np.sign(rel))
     station = l_oc + side * clearance
-    geometry = {"station": tuple(np.asarray(master_pos)
-                                 + s_oc * np.asarray(along)
-                                 + station * np.asarray(lateral))}
+    geometry = {"station": tuple(frame.to_world(s_oc, station))}
     return AvoidanceEvent(strategy=STRATEGY_FOLLOWER,
                           slave_laterals={robot + 1: station},
                           geometry=geometry, **common)
 
 
-def event_cleared(event: AvoidanceEvent, master_position, fov: float) -> bool:
-    """The maneuver ends once every involved obstacle has left the reference
-    agent's sensor footprint and fallen behind its progress along the
-    original path."""
-    p = np.asarray(master_position, dtype=float)
-    s_master, _ = event.frame_coords(p)
+def event_cleared(event: AvoidanceEvent, positions, master: int, fov: float,
+                  robot_radius: float) -> bool:
+    """The maneuver ends once no involved circle lies within fov/2 of robot
+    `master`, the reference agent, and every robot's along-track coordinate
+    is above every circle's plus its radius and `robot_radius`.  The
+    reference agent's progress alone is not enough: followers stationed
+    behind it are still alongside the hazards when it passes, and
+    re-expanding the schedule then would sweep them into the walls.  The
+    reference agent is one of the robots, so it is also past every centre.
+    A NaN coordinate passes both tests."""
+    pos = np.asarray(positions, dtype=float)
+    head = pos[master]
     for circle in event.obstacles:
-        dist = float(np.linalg.norm(p - np.asarray(circle.center)))
-        if dist <= fov / 2.0:
+        if float(np.linalg.norm(head - np.asarray(circle.center))) <= fov / 2.0:
             return False
-        s_oc, _ = event.frame_coords(circle.center)
-        if s_oc >= s_master:
-            return False
-    return True
+    frame = event.frame
+    passed = [frame.coords(c.center)[0] + c.radius + robot_radius
+              for c in event.obstacles]
+    along = [frame.coords(p)[0] for p in pos]
+    return not any(s <= bar for s in along for bar in passed)

@@ -179,8 +179,8 @@ def _only(doc: dict, path: str, *fields: str) -> dict:
 
 
 def _section(doc: dict, key: str, *fields: str) -> dict:
-    """An optional mapping section; absent or empty reads as {}."""
-    value = doc.get(key) or {}
+    """An optional mapping section; absent or null reads as {}."""
+    value = {} if doc.get(key) is None else doc[key]
     if not isinstance(value, dict):
         raise ScenarioError(f"{key}: expected a mapping")
     return _only(value, key + ".", *fields)
@@ -311,7 +311,10 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
 
 
 def _obstacles(doc) -> tuple[np.ndarray, ...]:
-    rows = doc.get("obstacles") or []
+    """The obstacle polygons; absent or null reads as none."""
+    rows = [] if doc.get("obstacles") is None else doc["obstacles"]
+    if not isinstance(rows, list):
+        raise ScenarioError("obstacles: expected a list of polygons")
     polygons = []
     for i, poly in enumerate(rows):
         p = f"obstacles[{i}]"

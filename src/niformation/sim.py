@@ -20,7 +20,7 @@ velocity ring, a preallocated buffer of the last `velocity_estimate_window`
 + 1 measured positions that the finite-difference velocities read.  Per-edge
 quantities (relative offsets, follower targets, the steered agents of a
 transition) are gathers through the topology's head and tail index arrays.
-An avoidance event's constants are built once when it fires.  Sensing is
+An avoidance event's circle arrays are built once when it fires.  Sensing is
 re-decided only when a robot may have changed it, that is, has left the
 reuse radius (margin included) that the last full decision gave it, so it
 stays bit for bit a fresh decision; grouping re-runs only on a change.  Two
@@ -48,7 +48,8 @@ State machine summary (evaluated in priority order each step):
 * collision / divergence abort the run with a nonzero status;
 * an active avoidance event overrides formation offsets and, for reference
   detours, replaces the waypoint reference with a pursuit point that slides
-  along the planned lateral line; waypoint progress is frozen;
+  along the planned lateral line, both in the event's path frame; waypoint
+  progress is frozen until `obstacle.event_cleared` ends the event;
 * corner turns (when enabled) zero the planar commands at a sharp vertex
   and realign every yaw-steered agent to the next leg's heading;
 * reaching a waypoint that starts a new formation phase holds ("dwells")
@@ -297,9 +298,7 @@ class Simulator:
         self.settle_ok_since: float | None = None
         self.avoidance: obstacle.AvoidanceEvent | None = None
         self.avoidance_started = 0.0
-        # the event's circles as arrays, and the progress each must fall behind
-        self.avoidance_circles = obstacle.circle_arrays(())
-        self.avoidance_passed = np.zeros(0)
+        self.avoidance_circles = obstacle.circle_arrays(())   # the event's circles
         self.ref_slew: Slew | None = None
         self._begin_glide(0.0, self.positions[self.master].copy())
         self.phase_idx = scn.formation.phase_index(0)
@@ -362,8 +361,8 @@ class Simulator:
             # coupling.  The pursuit-point advance grows quadratically so the
             # head brakes while the swing develops instead of outrunning it.
             frac = min(1.0, (now - self.avoidance_started) / self._phase_duration())
-            s_m, _ = self.avoidance.frame_coords(self.positions[self.master])
-            return self.avoidance.to_world(
+            s_m, _ = self.avoidance.frame.coords(self.positions[self.master])
+            return self.avoidance.frame.to_world(
                 s_m + _ease(frac * frac) * scn.sensing.carrot_advance,
                 _ease(frac) * self.avoidance.master_lateral)
         if self.ref_slew is not None:
@@ -395,7 +394,7 @@ class Simulator:
         return self.sensing.circles
 
     def _avoidance_offsets(self, event: obstacle.AvoidanceEvent) -> np.ndarray:
-        along, lateral = event.path_along, event.path_lateral
+        along, lateral = event.frame.along, event.frame.lateral
         master_lat = event.master_lateral if event.master_lateral is not None else 0.0
         out = self.schedule_offsets.copy()
         for e, (_head, tail) in enumerate(self.scn.topology.edges):
@@ -407,29 +406,13 @@ class Simulator:
                       + (event.slave_laterals[tail] - master_lat) * lateral)
         return out
 
-    def _avoidance_cleared(self) -> bool:
-        """The event ends when the head has left it behind and every robot
-        is past the hazards along the frozen path.
-
-        The head's own check is not enough: followers stationed behind it
-        are still alongside the hazards when it passes, and re-expanding the
-        schedule at that instant would sweep them into the walls.
-        """
-        event = self.avoidance
-        scn = self.scn
-        if not obstacle.event_cleared(event, self.positions[self.master],
-                                      scn.sensing.fov):
-            return False
-        along = np.array([event.frame_coords(self.positions[r])[0]
-                          for r in range(self.n)])
-        return not (along[:, None] <= self.avoidance_passed).any()
-
     def _update_avoidance(self, now: float):
         scn = self.scn
         if not scn.obstacles:
             return
         if self.avoidance is not None:
-            if self._avoidance_cleared():
+            if obstacle.event_cleared(self.avoidance, self.positions, self.master,
+                                      scn.sensing.fov, scn.sensing.robot_radius):
                 # glide the reference back to the waypoint instead of
                 # stepping it: the formation is cruising at the clear
                 # instant, and a step would ring everyone around the slots
@@ -464,24 +447,15 @@ class Simulator:
         self.avoidance_started = now
         self.avoidance_circles = obstacle.circle_arrays(event.obstacles)
         self.event_anchor = self.undecided
-        self.avoidance_passed = np.array([
-            event.frame_coords(c.center)[0] + c.radius + scn.sensing.robot_radius
-            for c in event.obstacles])
         self.ref_slew = None
-        detail = {"mode": event.mode}
-        if event.sub_case is not None:
-            detail["sub_case"] = event.sub_case
-        if event.strategy is not None:
-            detail["strategy"] = event.strategy
-        if event.threatened is not None:
-            detail["threatened"] = int(event.threatened)
-        self._event(now, "avoid_enter", **detail)
-        self.avoidance_records.append({
-            "time": now, "mode": event.mode, "sub_case": event.sub_case,
-            "strategy": event.strategy, "threatened": event.threatened,
-            "obstacles": [list(c.members) for c in event.obstacles],
-            "cleared_time": None,
-        })
+        record = {"time": now, "mode": event.mode, "sub_case": event.sub_case,
+                  "strategy": event.strategy, "threatened": event.threatened,
+                  "obstacles": [list(c.members) for c in event.obstacles],
+                  "cleared_time": None}
+        self.avoidance_records.append(record)
+        self._event(now, "avoid_enter", **{
+            key: record[key] for key in ("mode", "sub_case", "strategy", "threatened")
+            if record[key] is not None})
         if event.slave_laterals:
             self._switch_offsets(self._avoidance_offsets(event), now,
                                  kind="avoidance")

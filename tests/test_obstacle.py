@@ -1,5 +1,6 @@
 """Obstacle geometry: observations, grouping, and maneuver planning."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_reference_agent_detour_plan():
     # followers hold their stations: lateral of (0,-100) wrt path +y is -100
     assert event.slave_laterals[2] == pytest.approx(-100.0)
     assert event.slave_laterals[3] == pytest.approx(100.0)
-    detour = event.to_world(130.0, event.master_lateral)
+    detour = event.frame.to_world(130.0, event.master_lateral)
     assert abs(detour[0] - (-100.0)) == pytest.approx(clearance)
     assert detour[1] == pytest.approx(30.0)
 
@@ -209,7 +210,7 @@ def test_follower_dodge_plan():
     assert event.threatened == 2
     assert set(event.slave_laterals) == {2}
     # the follower dodges outward: 75 + (20 + 32 + 2) = 129 in world x
-    station = event.to_world(0.0, event.slave_laterals[2])
+    station = event.frame.to_world(0.0, event.slave_laterals[2])
     assert station[0] == pytest.approx(129.0)
     assert event.master_lateral is None
 
@@ -233,7 +234,7 @@ def test_facing_pair_squeeze_plan():
     assert got == pytest.approx([-pulled, pulled])
     assert event.master_lateral == pytest.approx(0.0)
     # world check: follower 2 (at x=0) squeezes to the right inner station
-    station = event.to_world(0.0, event.slave_laterals[2])
+    station = event.frame.to_world(0.0, event.slave_laterals[2])
     assert station[0] == pytest.approx(-100.0 + pulled)
 
 
@@ -268,10 +269,235 @@ def test_event_clears_only_behind_and_outside_the_footprint():
     event = detect_mode(positions, line_targets(positions),
                         [ROBOT_RADIUS] * 3, 0, circles,
                         fov=220.0, look_ahead=100.0)
-    assert not event_cleared(event, (-169.0, 30.0), 220.0)   # abeam, inside
-    assert not event_cleared(event, (-100.0, 35.0), 220.0)   # ahead but close
-    assert not event_cleared(event, (-100.0, -90.0), 220.0)  # still approaching
-    assert event_cleared(event, (-100.0, 145.0), 220.0)      # past and outside
+
+    def cleared(head):
+        return event_cleared(event, [head], 0, 220.0, ROBOT_RADIUS)
+
+    assert not cleared((-169.0, 30.0))   # abeam, inside
+    assert not cleared((-100.0, 35.0))   # ahead but close
+    assert not cleared((-100.0, -90.0))  # still approaching
+    assert cleared((-100.0, 145.0))      # past and outside
+
+
+# ------------------------------------------------- the path frame and end
+
+def old_frame_coords(frame, point):
+    # the arithmetic of the former `AvoidanceEvent.frame_coords`
+    d = np.asarray(point, dtype=float) - frame.origin
+    return float(d @ frame.along), float(d @ frame.lateral)
+
+
+def old_event_end(event, positions, master, fov, robot_radius):
+    """The end decision as it was split: the former `event_cleared` on the
+    head, then the simulator's per-robot test over the "passed" bars."""
+    p = np.asarray(positions[master], dtype=float)
+    s_master, _ = old_frame_coords(event.frame, p)
+    for circle in event.obstacles:
+        dist = float(np.linalg.norm(p - np.asarray(circle.center)))
+        if dist <= fov / 2.0:
+            return False
+        s_oc, _ = old_frame_coords(event.frame, circle.center)
+        if s_oc >= s_master:
+            return False
+    passed = np.array([old_frame_coords(event.frame, c.center)[0] + c.radius
+                       + robot_radius for c in event.obstacles])
+    along = np.array([old_frame_coords(event.frame, positions[r])[0]
+                      for r in range(len(positions))])
+    return not (along[:, None] <= passed).any()
+
+
+SQUARE_HALF_DIAGONAL = 25.0 * np.sqrt(2.0)
+# (mode, sub_case, strategy) -> positions, targets, circles as (x, y, r),
+# fov and look-ahead, with the reference agent (robot 0) heading along +y
+FAMILIES = {
+    (obstacle.MODE_SINGLE, None, obstacle.STRATEGY_REFERENCE): (
+        [(-100.0, -100.0), (0.0, -100.0), (-200.0, -100.0)],
+        [(-100.0, 220.0), (0.0, 220.0), (-200.0, 220.0)],
+        [(-100.0, 30.0, SQUARE_HALF_DIAGONAL)], 220.0, 100.0),
+    (obstacle.MODE_SINGLE, None, obstacle.STRATEGY_FOLLOWER): (
+        [(0.0, 0.0), (80.0, -50.0), (-80.0, -50.0)],
+        [(0.0, 300.0), (80.0, 250.0), (-80.0, 250.0)],
+        [(75.0, 100.0, 20.0)], 220.0, 200.0),
+    (obstacle.MODE_FACING, obstacle.SUB_PASS, None): (
+        [(0.0, 0.0), (60.0, -80.0), (-60.0, -80.0)],
+        [(0.0, 400.0), (60.0, 320.0), (-60.0, 320.0)],
+        [(-210.0, 100.0, 20.0), (200.0, 100.0, 20.0)], 500.0, 200.0),
+    (obstacle.MODE_FACING, obstacle.SUB_SQUEEZE, None): (
+        [(-100.0, -60.0), (0.0, -160.0), (-200.0, -160.0)],
+        [(-100.0, 220.0), (0.0, 120.0), (-200.0, 120.0)],
+        [(-205.0, 30.0, SQUARE_HALF_DIAGONAL), (5.0, 30.0, SQUARE_HALF_DIAGONAL)],
+        220.0, 100.0),
+}
+
+
+@st.composite
+def planned_events(draw):
+    """A maneuver of each family, planned by `detect_mode` from its set-up
+    turned by any angle, moved anywhere within 2000 cm, and with each robot
+    and its target moved by up to 1 cm: (event, positions, targets, fov)."""
+    family = draw(st.sampled_from(list(FAMILIES)))
+    positions, targets, circles, fov, look_ahead = FAMILIES[family]
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    shift = np.array([draw(st.floats(-2000.0, 2000.0)) for _ in range(2)])
+    jitter = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(6)]).reshape(3, 2)
+
+    def place(points):
+        return np.asarray(points, dtype=float) @ turn.T + shift
+
+    pos, tgt = place(positions) + jitter, place(targets) + jitter
+    obstacles = [ObstacleCircle(tuple(place(c[:2])), c[2], (i,))
+                 for i, c in enumerate(circles)]
+    event = detect_mode(pos, tgt, [ROBOT_RADIUS] * 3, 0, obstacles,
+                        fov=fov, look_ahead=look_ahead)
+    assert (event.mode, event.sub_case, event.strategy) == family
+    return event, pos, tgt, fov
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(case=planned_events())
+@settings(max_examples=300, deadline=None)
+def test_path_frame_plans_what_the_hand_built_frame_planned(case):
+    # the planner's former frame, `coords` closure and hand-built sums,
+    # inline; no golden includes `geometry`, so this pins it
+    event, pos, tgt, _ = case
+    master_pos = pos[0]
+    d = tgt[0] - master_pos
+    along = d / float(np.linalg.norm(d))
+    lateral = np.array([-along[1], along[0]])
+
+    def coords(point):
+        d = np.asarray(point, dtype=float) - master_pos
+        return float(d @ along), float(d @ lateral)
+
+    frame = event.frame
+    for got, want in ((frame.origin, master_pos), (frame.along, along),
+                      (frame.lateral, lateral)):
+        assert same_bits(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    point = tuple(pos[1])
+    assert all(same_bits(a, b) for a, b in zip(frame.coords(point), coords(point)))
+    geometry = event.geometry
+    clearance = ROBOT_RADIUS + obstacle.DEFAULT_MARGIN
+    if event.strategy == obstacle.STRATEGY_REFERENCE:
+        (circle,) = event.obstacles
+        s_oc, l_oc = coords(circle.center)
+        side = 1.0 if abs(l_oc) < 1e-9 else -float(np.sign(l_oc))
+        master_lat = l_oc + side * (circle.radius + clearance)
+        assert same_bits(event.master_lateral, master_lat)
+        assert same_bits(geometry["detour"], tuple(master_pos + s_oc * along
+                                                   + master_lat * lateral))
+        assert list(event.slave_laterals) == [2, 3]
+        assert all(same_bits(event.slave_laterals[i + 1], coords(pos[i])[1])
+                   for i in (1, 2))
+    elif event.strategy == obstacle.STRATEGY_FOLLOWER:
+        (circle,) = event.obstacles
+        s_oc, l_oc = coords(circle.center)
+        robot = event.threatened - 1
+        rel = coords(pos[robot])[1] - l_oc
+        side = 1.0 if abs(rel) < 1e-9 else float(np.sign(rel))
+        station = l_oc + side * (circle.radius + clearance)
+        assert list(event.slave_laterals) == [robot + 1]
+        assert same_bits(event.slave_laterals[robot + 1], station)
+        assert same_bits(geometry["station"], tuple(master_pos + s_oc * along
+                                                    + station * lateral))
+    elif event.sub_case == obstacle.SUB_SQUEEZE:
+        sp_a, sp_b = np.array(geometry["line_a"]), np.array(geometry["line_b"])
+        sc1, sc2 = pos[1], pos[2]
+        mid_line = 0.5 * (sp_a + sp_b)
+        if (np.linalg.norm(sc1 - sp_a) + np.linalg.norm(sc2 - sp_b)
+                <= np.linalg.norm(sc1 - sp_b) + np.linalg.norm(sc2 - sp_a)):
+            assignment = [(1, sp_a), (2, sp_b)]
+        else:
+            assignment = [(1, sp_b), (2, sp_a)]
+        for robot, point in assignment:
+            inward = mid_line - point
+            station = point + clearance * (inward / float(np.linalg.norm(inward)))
+            assert same_bits(event.slave_laterals[robot + 1], coords(station)[1])
+        assert same_bits(event.master_lateral, coords(np.array(geometry["mid"]))[1])
+    else:
+        assert event.master_lateral is None and event.slave_laterals == {}
+
+
+ULP_STEPS = [(i, j) for i in range(-4, 5) for j in range(-4, 5)]
+
+
+@st.composite
+def end_cases(draw):
+    """A planned event and a team about its end, with the robot radius 0,
+    32, 32.1 cm or any in [0, 50] and, at times, every circle shrunk to
+    radius 0, where a robot's bar (its circle's along-track coordinate plus
+    both radii) is the centre's own coordinate.  Each robot sits a few ulps
+    either side of a circle's along-track coordinate or its bar (summed in
+    either order, which may round apart), well past every bar, anywhere
+    near, or at NaN; the head may also sit a few ulps either side of fov/2
+    from a centre.  A few-ulps point is at times the nearest one right on
+    its boundary, when there is one."""
+    event, _, _, fov = draw(planned_events())
+    radius = draw(st.one_of(st.sampled_from([0.0, ROBOT_RADIUS, 32.1]),
+                            st.floats(0.0, 50.0)))
+    if draw(st.booleans()):
+        event = dataclasses.replace(event, obstacles=tuple(
+            ObstacleCircle(c.center, 0.0, c.members) for c in event.obstacles))
+    frame = event.frame
+
+    def near(point, on_boundary):
+        moved = [point + np.multiply(step, np.spacing(point)) for step in ULP_STEPS]
+        hits = [p for p in moved if on_boundary(p)]
+        if hits and draw(st.booleans()):
+            return min(hits, key=lambda p: np.abs(p - point).sum())
+        return draw(st.sampled_from(moved))
+
+    def robot(head, kind):
+        circle = draw(st.sampled_from(event.obstacles))
+        center = np.asarray(circle.center)
+        s_c = old_frame_coords(frame, center)[0]
+        kind = kind or draw(st.sampled_from(["past", "past", "past", "centre", "bar",
+                                             "regrouped", "near", "nan"]
+                                            + ["ring"] * head))
+        if kind == "nan":
+            return np.array([np.nan, draw(st.sampled_from([np.nan, 0.0]))])
+        if kind == "ring":
+            angle = draw(st.floats(0.0, 2.0 * np.pi))
+            return near(center + fov / 2.0 * np.array([np.cos(angle), np.sin(angle)]),
+                        lambda p: float(np.linalg.norm(p - center)) == fov / 2.0)
+        s = {"past": s_c + 2.0 * fov, "centre": s_c,
+             "bar": s_c + circle.radius + radius,
+             "regrouped": s_c + (circle.radius + radius),
+             "near": s_c + draw(st.floats(-fov, fov))}[kind]
+        return near(frame.to_world(s, draw(st.floats(-2.0 * fov, 2.0 * fov))),
+                    lambda p: old_frame_coords(frame, p)[0] == s)
+
+    # with a focus robot, the others are well past and it alone decides
+    focus = draw(st.sampled_from([None, 0, 1, 2]))
+    team = [robot(r == 0, "past" if focus not in (None, r) else None) for r in range(3)]
+    return event, np.array(team), fov, radius
+
+
+@given(case=end_cases())
+@settings(max_examples=600, deadline=None)
+def test_event_end_is_the_former_head_and_per_robot_decision(case):
+    event, positions, fov, radius = case
+    assert (event_cleared(event, positions, 0, fov, radius)
+            == old_event_end(event, positions, 0, fov, radius))
+
+
+def test_a_robot_right_on_its_bar_has_not_passed_it():
+    # the bar is (s_c + r_c) + robot_radius, summed in that order; here it
+    # rounds above s_c + (r_c + robot_radius)
+    frame = obstacle.PathFrame((0.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+    circle = ObstacleCircle((0.0, 100.3), SQUARE_HALF_DIAGONAL)
+    event = obstacle.AvoidanceEvent(obstacle.MODE_SINGLE, (circle,), frame)
+    bar = 100.3 + SQUARE_HALF_DIAGONAL + 32.1
+    assert 100.3 + (SQUARE_HALF_DIAGONAL + 32.1) < bar
+    for along, cleared in ((bar, False), (np.nextafter(bar, np.inf), True)):
+        assert event_cleared(event, [(300.0, along)], 0, 220.0, 32.1) is cleared
 
 
 # how far a drawn centre sits ahead of the perpendicular through the head,

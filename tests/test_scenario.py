@@ -24,13 +24,14 @@ def shipped_doc(name: str) -> dict:
 DOCS = {name: shipped_doc(name) for name in SHIPPED}
 YAW_SCENARIOS = sorted(name for name, doc in DOCS.items() if "yaw_control" in doc)
 
-# values of the wrong shape: truthy, so an optional section cannot read
-# them as absent
+# values of the wrong shape, falsy ones included: only an absent key or
+# null reads as an absent optional section
 scalars = st.one_of(st.integers(1, 10**6), st.floats(0.5, 1e6),
                     st.text(min_size=1, max_size=8))
-non_mappings = st.one_of(scalars, st.lists(st.integers(), min_size=1, max_size=3))
-non_lists = st.one_of(scalars, st.dictionaries(st.text(max_size=3),
-                                               st.integers(), min_size=1))
+falsy = st.sampled_from([0, 0.0, False, ""])
+non_mappings = st.one_of(falsy, scalars, st.lists(st.integers(), max_size=3))
+non_lists = st.one_of(falsy, scalars, st.dictionaries(st.text(max_size=3),
+                                                      st.integers()))
 non_integers = st.one_of(
     st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
     st.booleans(), st.text(max_size=8))
@@ -49,6 +50,9 @@ non_booleans = st.one_of(st.integers(), st.floats(allow_nan=False),
 MUTATIONS = {
     "formation.phases[0]": (("formation", "phases", 0), non_mappings, False),
     "sensing": (("sensing",), non_mappings, False),
+    "control": (("control",), non_mappings, False),
+    "saturation": (("saturation",), non_mappings, False),
+    "obstacles": (("obstacles",), non_lists, False),
     "yaw_control": (("yaw_control",), non_mappings, True),
     "control.prediction_horizon_steps": (
         ("control", "prediction_horizon_steps"), non_integers, False),
@@ -175,6 +179,15 @@ def test_retired_or_misspelt_key_is_rejected_by_name(field):
     doc = mutated("rect_varying_formation", keys, value)
     with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: unknown field$"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("section", ["sensing", "control", "saturation",
+                                     "yaw_control", "obstacles"])
+def test_a_null_section_reads_as_an_absent_one(section):
+    doc = mutated("cluttered_course", (section,), None)
+    null = scenario_from_dict(doc)
+    del doc[section]
+    assert repr(getattr(null, section)) == repr(getattr(scenario_from_dict(doc), section))
 
 
 def test_integral_counts_still_load():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from niformation import obstacle, scenario, sim
+from test_obstacle import old_event_end
 
 # (status, waypoints completed, avoid_enter modes, sha256 of
 # trajectory_csv() + summary_json(), sha256 of events_csv()) for every
@@ -335,6 +336,26 @@ def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch,
     if name == "cluttered_course":
         assert calls["per_step"] == 3225
         assert calls["made"] <= 0.3 * calls["per_step"]
+
+
+@pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
+def test_event_end_is_the_former_split_decision_on_every_event_step(monkeypatch, name):
+    # `event_cleared` decides as the former head test plus the simulator's
+    # per-robot test did, on every step of every avoidance event
+    event_cleared = obstacle.event_cleared
+    decided = []
+
+    def checking_event_cleared(event, positions, master, fov, robot_radius):
+        cleared = event_cleared(event, positions, master, fov, robot_radius)
+        assert cleared == old_event_end(event, positions, master, fov, robot_radius)
+        decided.append(cleared)
+        return cleared
+
+    monkeypatch.setattr(obstacle, "event_cleared", checking_event_cleared)
+    records = sim.Simulator(scenario.load_scenario(name)).run().summary["avoidance_events"]
+    cleared = [r for r in records if r["cleared_time"] is not None]
+    assert decided.count(True) == len(cleared) > 0
+    assert len(decided) > len(cleared)
 
 
 def per_cell_trajectory_csv(log: sim.RunLog) -> str:
