@@ -46,6 +46,7 @@ FOOTPRINT_RING = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
 SENSING_MARGIN = 1e-8   # rounding margin per cm (per cm^2 for a product) of
                         # the lengths a reuse or skip bound is computed from
 GATE_ULPS = 64          # squared gate distances this close are re-decided
+_TINY_SCALE = 2.0 ** -900  # `all_behind` rescales rows whose products fall below
 
 MODE_SINGLE = 1
 MODE_FACING = 2
@@ -411,10 +412,19 @@ def all_behind(centers, head, target) -> bool:
     product below -`SENSING_MARGIN` * |c - head| @ |target - head| (the
     absolute values taken per axis) stays negative through the rounding of
     both forms, which is a few ulps of that sum.  A NaN or a zero heading
-    never passes.
+    never passes.  Products below the normal range round to a fixed grid
+    rather than to an ulp, so rows that fail there are tested again with
+    each row and the heading scaled up, exactly, by a power of two.
     """
     rel = centers - head
     heading = target - head
+    scale = np.abs(rel) @ np.abs(heading)
+    if (rel @ heading < -SENSING_MARGIN * scale).all():
+        return True
+    if not scale.min() < _TINY_SCALE:
+        return False
+    rel = np.ldexp(rel, -np.minimum(np.frexp(np.abs(rel).max(axis=1))[1], 0)[:, None])
+    heading = np.ldexp(heading, -min(int(np.frexp(np.abs(heading).max())[1]), 0))
     return bool((rel @ heading < -SENSING_MARGIN * (np.abs(rel) @ np.abs(heading))).all())
 
 

@@ -574,6 +574,17 @@ def test_nothing_ahead_and_a_zero_heading_are_told_apart():
     assert not all_behind(behind, np.array([np.nan, 0.0]), target)
 
 
+def test_a_centre_behind_by_subnormals_is_behind():
+    # the products underflow to zero unless the row and heading are rescaled
+    head = np.zeros(2)
+    tiny = np.nextafter(0.0, 1.0)
+    for target in ([1e-12, 0.0], [1e-300, -1e-300], [3.0, 4.0]):
+        target = np.array(target)
+        assert all_behind(np.array([[-tiny, 0.0], [-5.0, 1.0]]), head, target)
+        assert not all_behind(np.array([[tiny, 0.0], [-5.0, 1.0]]), head, target)
+        assert not all_behind(np.array([[0.0, 0.0]]), head, target)
+
+
 # ------------------------------------------------------------- small tools
 
 def test_point_segment_distance():
