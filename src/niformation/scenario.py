@@ -420,7 +420,7 @@ def shipped_scenarios() -> list[str]:
 def load_scenario(source: str | Path) -> Scenario:
     """Load a scenario from a YAML path or a shipped scenario name."""
     path = Path(source)
-    if path.suffix in (".yaml", ".yml") or path.exists():
+    if path.suffix in (".yaml", ".yml") or path.is_file():
         text = path.read_text()
         default_name = path.stem
     else:

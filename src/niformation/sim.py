@@ -55,10 +55,17 @@ State machine summary (evaluated in priority order each step):
 * reaching a waypoint that starts a new formation phase holds ("dwells")
   the reference agent at the reached vertex until the offset transition
   converges, so transition timing is measured against a stationary head.
+
+The event stream `Simulator.events` is the run's only record, and no event
+changes once logged.  The summary's `transitions`, `avoidance_events` and
+`restorations` are a projection of it; `events.csv` writes each event's
+other fields as `key=value` in its detail column (format in `RunLog`).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from collections import deque
@@ -86,8 +93,11 @@ STATUS_DIVERGED = "diverged"
 STATUS_UNSUPPORTED = "unsupported-maneuver"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def _fmt(value) -> str:
+    """An events.csv value: floats fixed-point, lists and dicts compact JSON."""
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, separators=(",", ":"))
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def _ease(u: float) -> float:
@@ -166,11 +176,13 @@ class CornerTurn:
 
 @dataclass
 class RunLog:
-    """Complete record of one simulation run."""
+    """Complete record of one simulation run: `events` is the record, and
+    the summary's `transitions`, `avoidance_events` and `restorations` are a
+    projection of it.  The `events.csv` detail column holds an event's other
+    fields as space-separated `key=value`, floats to six decimals and lists
+    and dicts as compact JSON, quoted by `csv` only where it needs quoting.
+    """
 
-    scenario_name: str
-    mode: str
-    dt: float
     times: np.ndarray
     positions: np.ndarray      # (T, n, 2) measured, cm
     commands: np.ndarray       # (T, n, 2) applied planar commands, cm/s
@@ -204,13 +216,12 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
     def events_csv(self) -> str:
-        lines = ["time,event,detail"]
-        for ev in self.events:
-            detail = " ".join(
-                f"{key}={_fmt(val) if isinstance(val, float) else val}"
-                for key, val in ev.items() if key not in ("time", "event"))
-            lines.append(f"{_fmt(ev['time'])},{ev['event']},{detail}")
-        return "\n".join(lines) + "\n"
+        rows = [(_fmt(ev["time"]), ev["event"], " ".join(
+            f"{key}={_fmt(val)}" for key, val in ev.items() if key not in ("time", "event")))
+            for ev in self.events]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([("time", "event", "detail"), *rows])
+        return out.getvalue()
 
     def summary_json(self) -> str:
         return json.dumps(self.summary, indent=2, sort_keys=True,
@@ -311,9 +322,6 @@ class Simulator:
 
         # ---- records
         self.events: list[dict] = []
-        self.transition_records: list[dict] = []
-        self.avoidance_records: list[dict] = []
-        self.restoration_records: list[dict] = []
         self.rel_err_max = np.zeros(scn.topology.n_edges)
         self.min_clearance = np.inf
         self.min_boundary_clearance = np.inf
@@ -421,7 +429,6 @@ class Simulator:
                                          self.waypoints[self.target_idx], now,
                                          glide_s=self._phase_duration())
                 self._event(now, "avoid_clear", mode=self.avoidance.mode)
-                self.avoidance_records[-1]["cleared_time"] = now
                 self.avoidance = None
                 self._switch_offsets(self.schedule_offsets, now, kind="restore")
             return
@@ -448,14 +455,10 @@ class Simulator:
         self.avoidance_circles = obstacle.circle_arrays(event.obstacles)
         self.event_anchor = self.undecided
         self.ref_slew = None
-        record = {"time": now, "mode": event.mode, "sub_case": event.sub_case,
-                  "strategy": event.strategy, "threatened": event.threatened,
-                  "obstacles": [list(c.members) for c in event.obstacles],
-                  "cleared_time": None}
-        self.avoidance_records.append(record)
-        self._event(now, "avoid_enter", **{
-            key: record[key] for key in ("mode", "sub_case", "strategy", "threatened")
-            if record[key] is not None})
+        planned = {"mode": event.mode, "sub_case": event.sub_case,
+                   "strategy": event.strategy, "threatened": event.threatened}
+        self._event(now, "avoid_enter", **{k: v for k, v in planned.items() if v is not None},
+                    obstacles=[list(c.members) for c in event.obstacles])
         if event.slave_laterals:
             self._switch_offsets(self._avoidance_offsets(event), now,
                                  kind="avoidance")
@@ -521,28 +524,15 @@ class Simulator:
     def _finish_transition(self, now: float, status: str):
         state = self.transition
         kind = state.label
-        record = {
-            "kind": kind,
-            "start_time": float(state.start_time),
-            "duration": float(state.duration),
-            "agents": [int(a) for a in state.agents],
-            "participating": [int(state.agents[k]) for k in state.participating()],
-            "first_entry": {str(a): float(t) for a, t in sorted(state.first_entry.items())},
-            "converged_time": None if state.converged_time is None
-            else float(state.converged_time),
-            "status": status,
-        }
-        self.transition_records.append(record)
-        self._event(now, f"transition_{status}", kind=kind)
+        restored = {}
         if kind == "restore":
-            error = float(np.abs(self._relative_offsets()
-                                 - self.schedule_offsets).max())
-            self.restoration_records.append({
-                "start_time": float(state.start_time),
-                "measured_time": now,
-                "offset_error_cm": error,
-                "status": "restored" if status == CONVERGED else status,
-            })
+            restored["offset_error_cm"] = float(np.abs(
+                self._relative_offsets() - self.schedule_offsets).max())
+        self._event(now, f"transition_{status}", kind=kind, start_time=state.start_time,
+                    duration=state.duration, agents=list(state.agents),
+                    participating=[state.agents[k] for k in state.participating()],
+                    first_entry={str(a): t for a, t in sorted(state.first_entry.items())},
+                    converged_time=state.converged_time, **restored)
         if kind != "waypoint" and status != "superseded":
             # land the slewed override on its target; a superseding
             # transition instead takes over from the mid-ramp value
@@ -590,16 +580,13 @@ class Simulator:
         if self.avoidance is not None or self.terminal_time is not None:
             return
         # release a hold once the turn, the settle gate, and the transition
-        # are all done
+        # are all done; a waypoint transition runs only under a hold, so
+        # only a restore may still be converging while the head cruises on
         if self.holding:
             if (self.corner is None and self.transition is None
                     and self.pending_offsets is None):
                 self._leave_vertex(now)
                 self.holding = False
-            return
-        # a restore transition may still be converging while the head
-        # cruises; only an offset change tied to a waypoint freezes progress
-        if self.transition is not None and self.transition.label == "waypoint":
             return
         target = self.waypoints[self.target_idx]
         d = self.positions[self.master] - target
@@ -771,7 +758,6 @@ class Simulator:
     def run(self) -> RunLog:
         scn = self.scn
         steps = int(round(scn.duration / scn.dt))
-        times = np.zeros(steps)
         positions = np.zeros((steps, self.n, 2))
         commands = np.zeros((steps, self.n, 2))
         yaws = np.zeros((steps, self.n))
@@ -786,8 +772,7 @@ class Simulator:
                 self._update_avoidance(now)
             except obstacle.UnsupportedManeuver as exc:
                 self.status = STATUS_UNSUPPORTED
-                self._event(now, "unsupported_maneuver",
-                            reason=str(exc).replace(",", ";"))
+                self._event(now, "unsupported_maneuver", reason=str(exc))
                 break
             status = self._transition_status(now)
             if status in (CONVERGED, TIMED_OUT):
@@ -801,7 +786,6 @@ class Simulator:
             planar, yaw_cmds = self._commands(now, reference)
             applied_planar, applied_yaw = self._advance_plants(planar, yaw_cmds)
 
-            times[k] = now
             positions[k] = self.positions
             commands[k] = applied_planar
             yaws[k] = self.yaws
@@ -825,18 +809,36 @@ class Simulator:
         if self.transition is not None:
             self._finish_transition(logged * scn.dt, "interrupted")
 
-        summary = self._summary(logged * scn.dt)
+        # the step times are k * dt, exactly as `now` was computed
         return RunLog(
-            scenario_name=scn.name, mode=scn.control.mode, dt=scn.dt,
-            times=times[:logged], positions=positions[:logged],
+            times=np.arange(logged) * scn.dt, positions=positions[:logged],
             commands=commands[:logged], yaws=yaws[:logged],
             yaw_commands=yaw_commands[:logged], phases=phases[:logged],
             avoid_modes=avoid_modes[:logged], events=self.events,
-            summary=summary)
+            summary=self._summary(logged * scn.dt))
 
     def _summary(self, final_time: float) -> dict:
         scn = self.scn
         rel_final = np.abs(self._relative_offsets() - self.schedule_offsets)
+        transitions, avoidance, restorations = [], [], []
+        for k, ev in enumerate(self.events):
+            name = ev["event"]
+            detail = {key: val for key, val in ev.items() if key not in ("time", "event")}
+            if name == "avoid_enter":
+                # avoidance events do not overlap: the next clear ends this one
+                cleared = next((later["time"] for later in self.events[k:]
+                                if later["event"] == "avoid_clear"), None)
+                avoidance.append({**dict.fromkeys(("sub_case", "strategy", "threatened")),
+                                  **detail, "time": ev["time"], "cleared_time": cleared})
+            elif name.startswith("transition_") and name != "transition_start":
+                status = name.removeprefix("transition_")
+                error = detail.pop("offset_error_cm", None)
+                transitions.append({**detail, "status": status})
+                if ev["kind"] == "restore":
+                    restorations.append({
+                        "start_time": ev["start_time"], "measured_time": ev["time"],
+                        "offset_error_cm": error,
+                        "status": "restored" if status == CONVERGED else status})
         summary = {
             "scenario": scn.name,
             "mode": scn.control.mode,
@@ -845,20 +847,17 @@ class Simulator:
             "status": self.status,
             "final_time": float(final_time),
             "waypoints_completed": int(self.completed),
-            "final_positions_m": [[float(v) / 100.0 for v in row]
-                                  for row in self.positions],
+            "final_positions_m": (self.positions / 100.0).tolist(),
             "final_yaw_deg": [float(np.rad2deg(y)) for y in self.yaws],
-            "final_offset_error_cm": (float(rel_final.max())
-                                      if rel_final.size else 0.0),
+            "final_offset_error_cm": float(rel_final.max(initial=0.0)),
             "relative_error_max_cm": {f"edge_{e}": float(v)
                                       for e, v in enumerate(self.rel_err_max)},
-            "relative_error_max_overall_cm": (float(self.rel_err_max.max())
-                                              if self.rel_err_max.size else 0.0),
+            "relative_error_max_overall_cm": float(self.rel_err_max.max(initial=0.0)),
             "min_obstacle_clearance_cm": float(self.min_clearance),
             "avoidance_min_boundary_clearance_cm": float(self.min_boundary_clearance),
-            "transitions": self.transition_records,
-            "avoidance_events": self.avoidance_records,
-            "restorations": self.restoration_records,
+            "transitions": transitions,
+            "avoidance_events": avoidance,
+            "restorations": restorations,
         }
         # JSON has no NaN or Infinity: every non-finite number becomes null
         return json.loads(json.dumps(summary), parse_constant=lambda _: None)

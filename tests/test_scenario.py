@@ -221,3 +221,16 @@ def test_malformed_yaml_raises_scenario_error_with_either_loader(
     path.write_text("name: broken\nagents: [{id: 1, kind: ugv\n")
     with pytest.raises(ScenarioError, match="^invalid YAML"):
         scenario.load_scenario(path)
+
+
+def test_only_a_file_in_the_working_directory_is_read_as_a_path(monkeypatch, tmp_path):
+    # a directory named like a shipped scenario does not shadow it, and a
+    # file without a YAML suffix is still read as a path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cluttered_course").mkdir()
+    shipped = scenario_from_dict(DOCS["cluttered_course"], "cluttered_course")
+    assert repr(scenario.load_scenario("cluttered_course")) == repr(shipped)
+    doc = copy.deepcopy(DOCS["corridor_squeeze"])
+    doc["seed"] = 99
+    (tmp_path / "corridor_copy").write_text(yaml.safe_dump(doc))
+    assert scenario.load_scenario("corridor_copy").seed == 99

@@ -1,6 +1,9 @@
 """End-to-end runs of the shipped scenarios: golden outputs and regressions."""
 
+import copy
+import csv
 import hashlib
+import io
 import json
 from collections import deque
 from dataclasses import replace
@@ -19,11 +22,11 @@ GOLDEN = {
     "cluttered_course": (
         "completed", 2, [1, 2],
         "33b391b8e5faee395ce949541064d405a8d738d99947faf4d0e22bc7aa082e3e",
-        "11933f35ef2ac899447a7e3950727c5cc4da60f75c3f35fa837fd1154770c712"),
+        "7944495f1596b41fe741eeede4429ed277bad4482b855aaa8316696664cab414"),
     "corridor_squeeze": (
         "completed", 1, [2],
         "c12ae7cb08af0a8489b8c0761245a8838cc69c2279616ff7398e17d9e123b9d6",
-        "5203bc294ad65c5d07ec78c23de5d3265625c38e75988a1dc6f42fb09cbe59c1"),
+        "d79bbc5343c2226b10954db6528475b4ea008bd716f647367f29d0be6af43a04"),
     "moving_leader_compare": (
         "completed", 1, [],
         "d76b97ce9731cc2d08f16593bab6c86edf934dfdd3acc87882d6f08336b5e056",
@@ -35,11 +38,11 @@ GOLDEN = {
     "rect_varying_formation": (
         "completed", 3, [],
         "c933b80b514b40d77150a816b472ac3604a850fb5f1866804ed68a9beeafdf1b",
-        "9ce3d16195fd8db78bc34fcaa509d4cd4e02f91e04ec15dc202f8945793b0590"),
+        "b750a6138ec5f9d97ef282f7a1185942402f160e8957e81b73d3888b872b4a78"),
     "single_obstacle_line": (
         "completed", 1, [1],
         "b1a5f4f8831ee6af334980e688eb36092db3d3d274c7c87d0bfc726019a727b4",
-        "aab85bccf275271eb99df98d298c5e6b5d32c8e4b345fa7de65d95ca82eec02b"),
+        "dc8cd9ac140d413af8be0b059aaca85ece77355beec20c68e814670ba8a5a84c"),
     "triangle_rect_patrol": (
         "completed", 4, [],
         "f178f633d5be44cb32bfb351ad5fc36ea5589f5a6c5675bbb0f1650de8bafa1d",
@@ -56,16 +59,17 @@ MODE_RUNS = {"moving_leader_compare_baseline": ("moving_leader_compare", "baseli
 # scenarios with obstacles: no robot may touch one
 OBSTACLE_SCENARIOS = {"cluttered_course", "corridor_squeeze", "single_obstacle_line"}
 
-# the planned maneuver of every avoid_enter event (its fields other than
-# the time) and the (kind, status) of every transition that ended, in order;
-# scenarios not named here have neither
+# the planned maneuver and circle members of every avoid_enter event (its
+# fields other than the time) and the (kind, status) of every transition
+# that ended, in order; scenarios not named here have neither
 MODE1 = {"mode": 1, "strategy": 2, "threatened": 1}
 MODE2 = {"mode": 2, "sub_case": 2}
 AVOID_AND_RESTORE = [("avoidance", "superseded"), ("restore", "converged")]
 EVENTS = {
-    "cluttered_course": ([MODE1, MODE2], AVOID_AND_RESTORE * 2),
-    "corridor_squeeze": ([MODE2], AVOID_AND_RESTORE),
-    "single_obstacle_line": ([MODE1], AVOID_AND_RESTORE),
+    "cluttered_course": ([{**MODE1, "obstacles": [[0]]}, {**MODE2, "obstacles": [[2], [3]]}],
+                         AVOID_AND_RESTORE * 2),
+    "corridor_squeeze": ([{**MODE2, "obstacles": [[0], [1]]}], AVOID_AND_RESTORE),
+    "single_obstacle_line": ([{**MODE1, "obstacles": [[0]]}], AVOID_AND_RESTORE),
     "rect_varying_formation": ([], [("waypoint", "converged")] * 3),
 }
 
@@ -79,10 +83,29 @@ def test_golden_table_covers_every_shipped_scenario():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_shipped_scenario_matches_its_golden_run(name):
+def test_shipped_scenario_matches_its_golden_run(monkeypatch, name):
     status, waypoints, modes, run_digest, events_digest = GOLDEN[name]
     source, mode = MODE_RUNS.get(name, (name, None))
+    logged, held = [], []
+    log_event, update_waypoints = sim.Simulator._event, sim.Simulator._update_waypoints
+
+    def copying_event(self, *args, **detail):
+        log_event(self, *args, **detail)
+        logged.append(copy.deepcopy(self.events[-1]))
+
+    def checking_update_waypoints(self, now):
+        # a waypoint transition starts only from a settled hold, and the
+        # hold is released only once no transition runs
+        state = self.transition
+        held.append(state is None or state.label != "waypoint" or self.holding)
+        update_waypoints(self, now)
+
+    monkeypatch.setattr(sim.Simulator, "_event", copying_event)
+    monkeypatch.setattr(sim.Simulator, "_update_waypoints", checking_update_waypoints)
     log = sim.run_scenario(source, mode=mode)
+    # no event changes once logged, and a waypoint transition is always held
+    assert log.events == logged
+    assert len(held) == len(log.times) and all(held)
     assert log.summary["status"] == status
     assert log.summary["waypoints_completed"] == waypoints
     assert [ev["mode"] for ev in log.events
@@ -100,6 +123,11 @@ def test_shipped_scenario_matches_its_golden_run(name):
         assert clearance is None
     assert digest(log.trajectory_csv() + log.summary_json()) == run_digest
     assert digest(log.events_csv()) == events_digest
+    rows = list(csv.reader(io.StringIO(log.events_csv())))
+    assert rows[0] == ["time", "event", "detail"]
+    assert {len(row) for row in rows} == {3}
+    assert [row[:2] for row in rows[1:]] == [[f"{ev['time']:.6f}", ev["event"]]
+                                             for ev in log.events]
 
 
 @pytest.mark.parametrize("name", ["triangle_rect_patrol", "rect_varying_formation",
@@ -399,13 +427,32 @@ def test_trajectory_csv_equals_the_per_cell_format(steps):
                         rng.normal(0.0, 1e3, size=shape))
 
     log = sim.RunLog(
-        scenario_name="table", mode="baseline", dt=0.02,
         times=draw(steps), positions=draw(steps, n, 2),
         commands=draw(steps, n, 2), yaws=draw(steps, n),
         yaw_commands=draw(steps, n),
         phases=rng.integers(-1, 4, size=steps),
         avoid_modes=rng.integers(0, 3, size=steps), events=[], summary={})
     assert log.trajectory_csv() == per_cell_trajectory_csv(log)
+
+
+def test_events_csv_quotes_a_detail_only_where_it_needs_it():
+    # a comma, a double quote and a nested list read back unchanged through
+    # csv.reader; a detail with none of them is written bare
+    events = [{"time": 1.25, "event": "unsupported_maneuver",
+               "reason": 'gap 3.5, "narrow"', "obstacles": [[0, 1], [2]],
+               "first_entry": {"2": 0.5}, "clearance_cm": -0.0},
+              {"time": 2.0, "event": "terminal", "waypoints": 1}]
+    log = sim.RunLog(times=np.zeros(0), positions=np.zeros((0, 1, 2)),
+                     commands=np.zeros((0, 1, 2)), yaws=np.zeros((0, 1)),
+                     yaw_commands=np.zeros((0, 1)), phases=np.zeros(0, dtype=int),
+                     avoid_modes=np.zeros(0, dtype=int), events=events, summary={})
+    text = log.events_csv()
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["time", "event", "detail"],
+        ["1.250000", "unsupported_maneuver", 'reason=gap 3.5, "narrow" '
+         'obstacles=[[0,1],[2]] first_entry={"2":0.5} clearance_cm=-0.000000'],
+        ["2.000000", "terminal", "waypoints=1"]]
+    assert text.splitlines()[2] == "2.000000,terminal,waypoints=1"
 
 
 @pytest.mark.parametrize("window", [1, 5, 300])
