@@ -6,8 +6,11 @@ from niformation.scenario import load_scenario
 
 name = sys.argv[1]
 scn = load_scenario(name)
-log = run_scenario(name)
 circles = [obstacle.circle_from_observation(p) for p in scn.obstacles]
+if not circles:
+    print(f"{name}: the run has no obstacles")
+    sys.exit(0)
+log = run_scenario(name)
 T, n, _ = log.positions.shape
 worst = (1e9, None)
 for k in range(T):

@@ -4,13 +4,10 @@ Obstacles are boundary polygons wrapped in circles (polygon centroid, radius
 to the farthest vertex).  A robot senses a polygon when its clip to the
 robot's footprint, the `FOOTPRINT_SIDES`-gon inscribed in the sensor disc,
 keeps at least three vertices; `ObstacleField` decides that for a whole team
-at once, bit for bit as the clip would, and gives each robot a radius it
-may move within before that decision may change.  `running_clearance`
-gives such a radius for the nearest-boundary minimum, and `all_behind`
-tells a step on which `detect_mode` plans nothing.  Nearby circles whose
-boundary gap is too narrow for a robot merge into enclosing circles.
-Against the merged circles two maneuver families are planned in the
-reference agent's path frame (`PathFrame`):
+at once, bit for bit as the clip would.  Nearby circles whose boundary gap
+is too narrow for a robot merge into enclosing circles.  Against the merged
+circles two maneuver families are planned in the reference agent's path
+frame (`PathFrame`):
 
 * single obstacle (mode 1): whichever robot's straight run is blocked dodges
   to a lateral line clearing the circle by its own radius plus a margin --
@@ -21,12 +18,14 @@ reference agent's path frame (`PathFrame`):
   for the whole formation: pass through unchanged (sub-case 1); narrower:
   the followers squeeze onto pulled-in stations while the reference agent
   rides the gap midline (sub-case 2); narrower than the formation but wider
-  than one robot: a single-file queue, which this toolkit does not plan
-  (sub-case 3, rejected).
+  than one robot: a single-file queue, which is not planned (sub-case 3).
 
 `event_cleared` ends an event once its circles have left the reference
-agent's footprint and every robot has passed them along the frame.  All
-coordinates are centimeters.
+agent's footprint and every robot has passed them along the frame.  Each
+decision on positions alone comes with radii within which it cannot change
+(`ObstacleField.sensed`, `running_clearance`, `behind_radius` for the
+planning skip `all_behind`, `end_radius`), held in one `MotionBudget`.
+All coordinates are centimeters.
 """
 
 from __future__ import annotations
@@ -61,20 +60,56 @@ class UnsupportedManeuver(ValueError):
     """The detected geometry calls for a maneuver this planner does not do."""
 
 
-@dataclass(frozen=True)
-class Sensing:
-    """A full decision made at `viewers`, and each viewer's squared reuse
-    radius: the decision stands while every viewer stays inside its radius.
-    `circles` are the sensed circles; a clearance anchor has none."""
+class MotionBudget:
+    """One anchor for every decision held on the robots' positions alone.
 
-    circles: list[ObstacleCircle]
-    viewers: np.ndarray
-    reuse2: np.ndarray
+    Row k of `radii` is decision k's radius per robot about `anchor`: its
+    outcome stands while every robot stays strictly inside it (NaN never
+    does).  A `stale` row holds nothing; its decision is made again when
+    next needed.  The budget, each robot's least radius, is tested once a
+    step.  Once it is spent the anchor moves to the team: each row the team
+    has left goes stale and each other shrinks by the distance moved (the
+    triangle inequality) and by `SENSING_MARGIN` of that distance and its
+    radius, far above the few ulps a displacement and its test round by.
+    An expired row limits the budget until the next renewal.
+    """
 
-    def holds(self, viewers) -> bool:
-        """Every viewer moved less than its reuse radius (NaN never does)."""
-        moved2 = np.add.reduce((viewers - self.viewers) ** 2, axis=1)
-        return bool((moved2 < self.reuse2).all())
+    def __init__(self, positions, rows: int):
+        self.radii = np.full((rows, len(positions)), np.inf)
+        self.stale, self.budget2 = [True] * rows, [np.inf] * len(positions)
+        self.anchor, self.moved2 = np.asarray(positions).tolist(), None
+
+    def spend(self, positions):
+        """Test new positions against the budget on plain floats (numpy
+        calls cost more than the arithmetic); renew it if spent."""
+        self.moved2 = [(x - a) * (x - a) + (y - b) * (y - b)
+                       for (x, y), (a, b) in zip(positions.tolist(), self.anchor)]
+        for moved, budget in zip(self.moved2, self.budget2):
+            if not moved < budget:
+                return self.renew(positions)
+
+    def renew(self, positions, row: int | None = None, radius=None):
+        """Move the anchor to `positions`, the last spent, then hold decision
+        `row`, just made there, within `radius` (one, or one per robot).  A
+        radius not above 0 everywhere (NaN included) holds nothing: the row
+        stays stale, and neither the anchor nor the budget moves."""
+        if row is not None and not np.all(radius > 0.0):
+            return self.expire(row)
+        if self.moved2 is not None:
+            moved2 = np.array(self.moved2)
+            left = ~(moved2 < self.radii * self.radii).all(axis=1)
+            self.radii = np.maximum((1.0 - SENSING_MARGIN) * self.radii
+                                    - (1.0 + SENSING_MARGIN) * np.sqrt(moved2), 0.0)
+            for stale in left.nonzero()[0]:
+                self.expire(stale)
+            self.anchor, self.moved2 = positions.tolist(), None
+        if row is not None:
+            self.radii[row], self.stale[row] = radius, False
+        least = np.minimum.reduce(self.radii, axis=0)
+        self.budget2 = (least * least).tolist()
+
+    def expire(self, row: int):
+        self.radii[row], self.stale[row] = np.inf, True
 
 
 @dataclass(frozen=True)
@@ -216,31 +251,25 @@ def nearest_boundary(positions, centers, radii) -> float:
     equal bit for bit to the minimum of per-circle `norm(axis=1)` minima.
 
     The simulator calls it through `running_clearance`, and skips the call
-    while the team stays inside the last call's reuse radius."""
+    while the budget holds the minimum."""
     diff = positions[:, None, :] - centers
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2))   # norm(axis=2)
     return float((dist - radii).min(initial=np.inf))
 
 
 def running_clearance(least: float, positions, centers, radii,
-                      floor: float) -> tuple[float, Sensing]:
+                      floor: float) -> tuple[float, float]:
     """The running minimum `least` lowered to this evaluation's `gap` =
-    `nearest_boundary(positions, centers, radii) - floor`, and the anchor
-    that says when to evaluate again.
-
-    A robot's distance to a boundary shrinks by at most its displacement,
-    so no later gap falls below `least` while every robot stays less than
-    the slack `gap - least` from `positions`.  The reuse radius is that
-    slack less `SENSING_MARGIN` * (|gap| + |least| + |floor| + the largest
-    radius), far above the few ulps by which the gaps, the slack and the
-    displacement test are rounded, clamped at 0: a team that has just set
-    the minimum gets a zero radius, which never holds.  A NaN position
-    gives a NaN radius, which never holds either."""
+    `nearest_boundary(positions, centers, radii) - floor`, and the radius
+    within which no robot can set a lower one: a distance to a boundary
+    shrinks by at most the displacement, so it is the slack `gap - least`
+    less `SENSING_MARGIN` * (|gap| + |least| + |floor| + the largest radius),
+    far above the few ulps the gaps and the slack round by, clamped at 0 (a
+    team that has just set the minimum never holds).  NaN stays NaN."""
     gap = nearest_boundary(positions, centers, radii) - floor
     least = min(least, gap)
     scale = abs(gap) + abs(least) + abs(floor) + float(radii.max(initial=0.0))
-    reuse = np.maximum(gap - least - SENSING_MARGIN * scale, 0.0)
-    return least, Sensing([], positions.copy(), np.full(len(positions), reuse * reuse))
+    return least, float(np.maximum(gap - least - SENSING_MARGIN * scale, 0.0))
 
 
 class ObstacleField:
@@ -270,8 +299,9 @@ class ObstacleField:
     gate passing: it lies within r_i of c_i).  Each such slack loses
     `SENSING_MARGIN` * (largest vertex coordinate + 2*reach + norm(v - c_i)),
     far above the few ulps of those distances, the displacement and its
-    test, and of pairs within `GATE_ULPS` of the gate.  v's reuse radius is
-    its least slack, clamped at 0; a NaN stays NaN and never passes.
+    test, and of pairs within `GATE_ULPS` of the gate.  v's reuse radius,
+    which `sensed` returns for a `MotionBudget` row, is its least slack,
+    clamped at 0; a NaN stays NaN and never passes.
     """
 
     def __init__(self, polygons, reach: float):
@@ -309,7 +339,7 @@ class ObstacleField:
             inside[v, p] = (test >= 0.0).all(axis=1)
         return inside, dist2
 
-    def sensed(self, viewers) -> Sensing:
+    def sensed(self, viewers) -> tuple[list[ObstacleCircle], np.ndarray]:
         """Circles of the polygons i that some viewer v senses: v passes the
         gate `not norm(v - c_i) > reach + r_i` and the clip of P_i to v's
         footprint keeps at least 3 vertices.  Squared gate distances within
@@ -335,9 +365,8 @@ class ObstacleField:
         witness = np.where(self.solid, self.inner - near, 0.0)
         slack = np.maximum(dist - self.limits, witness)
         slack -= SENSING_MARGIN * (dist + self.scale)
-        reuse = np.maximum(slack.min(axis=1, initial=np.inf), 0.0)
-        return Sensing([self.circles[i] for i in seen.nonzero()[0]],
-                       viewers.copy(), reuse * reuse)
+        return ([self.circles[i] for i in seen.nonzero()[0]],
+                np.maximum(slack.min(axis=1, initial=np.inf), 0.0))
 
 
 # ---------------------------------------------------------------- grouping
@@ -426,6 +455,23 @@ def all_behind(centers, head, target) -> bool:
     rel = np.ldexp(rel, -np.minimum(np.frexp(np.abs(rel).max(axis=1))[1], 0)[:, None])
     heading = np.ldexp(heading, -min(int(np.frexp(np.abs(heading).max())[1]), 0))
     return bool((rel @ heading < -SENSING_MARGIN * (np.abs(rel) @ np.abs(heading))).all())
+
+
+def behind_radius(centers, head, target) -> float:
+    """How far `head` and `target` may each move with `all_behind`, which
+    holds for them, still true.
+
+    With a = c - head, b = target - head and both moves below r, a.b and
+    the margin term each change by at most 2r|a| + r|b| + 2r^2.  A radius
+    r = slack / (4|a| + 3|b|), the slack being -a.b less twice the margin
+    term, is at most |a|/3, so that change stays under 3/4 of the slack:
+    the rest covers rounding.  A NaN stays NaN.
+    """
+    rel = centers - head
+    heading = target - head
+    slack = -(rel @ heading) - 2.0 * SENSING_MARGIN * (np.abs(rel) @ np.abs(heading))
+    length = 4.0 * np.sqrt(np.add.reduce(rel * rel, axis=1)) + 3.0 * np.sqrt(heading @ heading)
+    return float((slack / length).min())
 
 
 def point_segment_distance(point, seg_a, seg_b) -> float:
@@ -634,3 +680,30 @@ def event_cleared(event: AvoidanceEvent, positions, master: int, fov: float,
               for c in event.obstacles]
     along = [frame.coords(p)[0] for p in pos]
     return not any(s <= bar for s in along for bar in passed)
+
+
+def end_radius(event: AvoidanceEvent, positions, master: int, fov: float,
+               robot_radius: float) -> np.ndarray:
+    """Radii per robot within which an event `event_cleared` has not ended
+    stays so: the head's slack fov/2 - min |head - c| keeps a circle within
+    fov/2 of it or, if larger, the largest along-track gap bar - s of any
+    robot at or below the highest bar keeps it there (`along` is a unit
+    vector).  The others may move anywhere.  Each slack loses
+    `SENSING_MARGIN` of the lengths it is computed from; NaN never holds."""
+    pos = np.asarray(positions, dtype=float)
+    centers, radii = circle_arrays(event.obstacles)
+    origin, along = event.frame.origin, event.frame.along
+    rel = pos[master] - centers
+    head = fov / 2.0 - np.sqrt(np.add.reduce(rel * rel, axis=1)).min()
+    bar = float(((centers - origin) @ along + radii).max()) + robot_radius
+    gaps = bar - (pos - origin) @ along
+    robot = int(np.argmax(gaps))
+    scale = (np.abs(centers - origin).sum() + radii.sum() + robot_radius
+             + np.abs(pos[robot] - origin).sum())
+    head, gap = head - SENSING_MARGIN * fov, gaps[robot] - SENSING_MARGIN * scale
+    radius = np.full(len(pos), np.inf)
+    if head >= gap:
+        radius[master] = head
+    else:
+        radius[robot] = gap
+    return radius

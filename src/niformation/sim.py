@@ -17,24 +17,21 @@ and yaw laws, the per-agent speed caps, one plant bank each for the planar
 axes and the yaw rates, the `obstacle.ObstacleField` that senses every
 obstacle in whole arrays, the read-only (W, 2) waypoint array, and the
 velocity ring, a preallocated buffer of the last `velocity_estimate_window`
-+ 1 measured positions that the finite-difference velocities read.  Per-edge
-quantities (relative offsets, follower targets, the steered agents of a
-transition) are gathers through the topology's head and tail index arrays.
-An avoidance event's circle arrays are built once when it fires.  Sensing is
-re-decided only when a robot may have changed it, that is, has left the
-reuse radius (margin included) that the last full decision gave it, so it
-stays bit for bit a fresh decision; grouping re-runs only on a change.  Two
-more kinds of work are skipped only where their outcome cannot change, so
-a run stays bit for bit the same:
++ 1 measured positions (never more than the run's steps) that the
+finite-difference velocities read.  Per-edge quantities (relative offsets,
+follower targets, the steered agents of a transition) are gathers through
+the topology's head and tail index arrays.  An avoidance event's circle
+arrays are built once when it fires.
 
-* planning: an avoidance-free step calls `obstacle.detect_mode` only when
-  some grouped circle is not behind the reference agent, on its way to the
-  reference point, by more than a rounding margin (`obstacle.all_behind`);
-  with every circle behind it, planning returns None;
-* clearance: each running minimum (the field's and the active event's) is
-  evaluated again only once some robot has moved at least the last
-  evaluation's slack, the gap less the minimum, less a rounding margin
-  (`obstacle.running_clearance`); the event's anchor resets when it fires.
+Every decision on the robots' positions alone is held in one
+`obstacle.MotionBudget` and made again only once the team may have changed
+its outcome, so a run stays bit for bit the same: sensing (and grouping,
+when the sensed circles change), the planning skip (`obstacle.all_behind`:
+every grouped circle behind the reference agent on its way to the
+reference point, so `detect_mode` would plan nothing; the reference point's
+own motion is charged apart), both clearance minima, the event's end and
+the divergence box.  A step tests one displacement; `obstacle` derives
+each radius and its rounding margin.
 
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
@@ -91,6 +88,8 @@ STATUS_DURATION = "duration"
 STATUS_COLLISION = "collision"
 STATUS_DIVERGED = "diverged"
 STATUS_UNSUPPORTED = "unsupported-maneuver"
+# the rows of `Simulator.budget`, one a position-only decision
+SENSED, PLAN_SKIP, FIELD_MIN, EVENT_MIN, EVENT_END, IN_BOX = range(6)
 
 
 def _fmt(value) -> str:
@@ -273,21 +272,23 @@ class Simulator:
         self.yaws = np.array([a.yaw for a in scn.agents], dtype=float)
         self.yaw_rates = np.zeros(self.n)
         # the last window + 1 positions, the newest at `ring_head`, and the
-        # steps from the oldest kept to the newest
-        window = scn.control.velocity_estimate_window
+        # steps from the oldest kept to the newest; a run never reads more
+        # than its steps back, nor takes more commands from the delay line
+        self.steps = int(round(scn.duration / scn.dt))
+        window = min(scn.control.velocity_estimate_window, self.steps)
         self.pos_ring = np.empty((window + 1, self.n, 2))
         self.pos_ring[0] = self.positions
         self.ring_head = self.ring_span = 0
-        self.delay_queue = deque(
-            [(np.zeros((self.n, 2)), np.zeros(self.n))] * scn.control.command_delay_steps)
+        self.delay_queue = deque([(np.zeros((self.n, 2)), np.zeros(self.n))]
+                                 * min(scn.control.command_delay_steps, self.steps))
 
         self.obstacles = obstacle.ObstacleField(scn.obstacles,
                                                 scn.sensing.fov / 2.0)
-        # no decision yet: a zero reuse radius never holds
-        self.undecided = obstacle.Sensing([], self.positions.copy(), np.zeros(self.n))
-        self.sensing = self.undecided
-        self.grouped_from = self.grouped = []   # sensed circles, their group_all
-        self.grouped_centers = np.zeros((0, 2))
+        self.budget = obstacle.MotionBudget(self.positions, IN_BOX + 1)
+        self.sensed = self.grouped = []   # sensed circles, their group_all
+        # the reference point the planning skip was decided at, and the
+        # square of how far it may move with the skip held
+        self.skip_reference, self.skip_reach2 = None, 0.0
 
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
@@ -297,6 +298,8 @@ class Simulator:
         margin = offset_reach + 100.0
         self.box_low = cloud.min(axis=0) - margin
         self.box_high = cloud.max(axis=0) + margin
+        self.box_margin = obstacle.SENSING_MARGIN * np.abs(
+            [self.box_low, self.box_high]).max()
 
         # ---- state machine
         self.completed = 0
@@ -325,8 +328,6 @@ class Simulator:
         self.rel_err_max = np.zeros(scn.topology.n_edges)
         self.min_clearance = np.inf
         self.min_boundary_clearance = np.inf
-        # where each clearance minimum was last evaluated
-        self.field_anchor = self.event_anchor = self.undecided
 
     # ------------------------------------------------------------ helpers
 
@@ -388,18 +389,25 @@ class Simulator:
     # ------------------------------------------------------- avoidance
 
     def _observe(self) -> list[obstacle.ObstacleCircle]:
-        """Obstacles any robot currently senses, as full boundary circles.
+        """Obstacles any robot currently senses, as full boundary circles,
+        grouped again when they change.
 
         A polygon counts as sensed while part of it lies inside some robot's
         footprint; its circle is then the full-boundary wrap, since a sliver
         seen at first contact would undersize every clearance computed from
         it.  One `ObstacleField.sensed` call decides every robot and polygon,
-        and is reused while it holds.  There is no persistent map, which is
+        and is held in the budget.  There is no persistent map, which is
         fine because events freeze their geometry at detection time.
         """
-        if not self.sensing.holds(self.positions):
-            self.sensing = self.obstacles.sensed(self.positions)
-        return self.sensing.circles
+        budget = self.budget
+        if budget.stale[SENSED]:
+            sensed, reuse = self.obstacles.sensed(self.positions)
+            budget.renew(self.positions, SENSED, reuse)
+            if sensed != self.sensed:
+                self.sensed = sensed
+                self.grouped = obstacle.group_all(sensed, 2.0 * self.scn.sensing.robot_radius)
+                budget.expire(PLAN_SKIP)
+        return self.sensed
 
     def _avoidance_offsets(self, event: obstacle.AvoidanceEvent) -> np.ndarray:
         along, lateral = event.frame.along, event.frame.lateral
@@ -418,31 +426,43 @@ class Simulator:
         scn = self.scn
         if not scn.obstacles:
             return
+        budget = self.budget
         if self.avoidance is not None:
-            if obstacle.event_cleared(self.avoidance, self.positions, self.master,
-                                      scn.sensing.fov, scn.sensing.robot_radius):
-                # glide the reference back to the waypoint instead of
-                # stepping it: the formation is cruising at the clear
-                # instant, and a step would ring everyone around the slots
-                if self.avoidance.master_lateral is not None:
-                    self.ref_slew = Slew(self._reference_point(now),
-                                         self.waypoints[self.target_idx], now,
-                                         glide_s=self._phase_duration())
-                self._event(now, "avoid_clear", mode=self.avoidance.mode)
-                self.avoidance = None
-                self._switch_offsets(self.schedule_offsets, now, kind="restore")
+            if not budget.stale[EVENT_END]:
+                return
+            end = (self.avoidance, self.positions, self.master, scn.sensing.fov,
+                   scn.sensing.robot_radius)
+            if not obstacle.event_cleared(*end):
+                budget.renew(self.positions, EVENT_END, obstacle.end_radius(*end))
+                return
+            # glide the reference back to the waypoint instead of stepping
+            # it: the formation is cruising at the clear instant, and a step
+            # would ring everyone around the slots
+            if self.avoidance.master_lateral is not None:
+                self.ref_slew = Slew(self._reference_point(now),
+                                     self.waypoints[self.target_idx], now,
+                                     glide_s=self._phase_duration())
+            self._event(now, "avoid_clear", mode=self.avoidance.mode)
+            self.avoidance = None
+            self._switch_offsets(self.schedule_offsets, now, kind="restore")
             return
-        sensed = self._observe()
-        if sensed != self.grouped_from:
-            self.grouped_from = sensed
-            self.grouped = obstacle.group_all(sensed, 2.0 * scn.sensing.robot_radius)
-            self.grouped_centers = obstacle.circle_arrays(self.grouped)[0]
+        self._observe()
         if not self.grouped:
             return
         reference = self._reference_point(now)
-        if obstacle.all_behind(self.grouped_centers, self.positions[self.master],
-                               reference):
+        if not budget.stale[PLAN_SKIP]:
+            moved = reference - self.skip_reference
+            if moved @ moved < self.skip_reach2:
+                return
+        head, centers = self.positions[self.master], obstacle.circle_arrays(self.grouped)[0]
+        if obstacle.all_behind(centers, head, reference):
+            reach = obstacle.behind_radius(centers, head, reference)
+            radius = np.full(self.n, np.inf)
+            radius[self.master] = reach
+            budget.renew(self.positions, PLAN_SKIP, radius)
+            self.skip_reference, self.skip_reach2 = reference, reach * reach
             return
+        budget.expire(PLAN_SKIP)
         targets = self._slave_targets(reference)
         event = obstacle.detect_mode(self.positions, targets,
                                      [scn.sensing.robot_radius] * self.n,
@@ -453,7 +473,7 @@ class Simulator:
         self.avoidance = event
         self.avoidance_started = now
         self.avoidance_circles = obstacle.circle_arrays(event.obstacles)
-        self.event_anchor = self.undecided
+        budget.expire(EVENT_MIN)   # its end is stale: only a stale end clears
         self.ref_slew = None
         planned = {"mode": event.mode, "sub_case": event.sub_case,
                    "strategy": event.strategy, "threatened": event.threatened}
@@ -696,6 +716,7 @@ class Simulator:
         applied_planar, applied_yaw = self.delay_queue.popleft()
         out = self.plants.step(applied_planar.ravel())
         np.add(self.origin, out.reshape(self.n, 2), out=self.positions)
+        self.budget.spend(self.positions)
         if self.yaw_rows.size:
             rows = self.yaw_rows
             rate = self.yaw_plants.step(applied_yaw[rows])
@@ -726,38 +747,41 @@ class Simulator:
         # contact is judged against the physical footprint; the larger
         # planning radius holds back slack for tracking transients.
         # Subtracting after the min is exact: rounding is monotone.  Each
-        # minimum is evaluated again only once some robot has left its
-        # anchor's reuse radius, the last evaluation's slack (gap less the
-        # minimum) less a rounding margin: inside it no gap can fall below
-        # the minimum
-        if self.obstacles.circles and not self.field_anchor.holds(self.positions):
-            self.min_clearance, self.field_anchor = obstacle.running_clearance(
+        # minimum is evaluated again only once its budget row has gone stale
+        budget = self.budget
+        if self.obstacles.circles and budget.stale[FIELD_MIN]:
+            self.min_clearance, radius = obstacle.running_clearance(
                 self.min_clearance, self.positions, self.obstacles.centers,
                 self.obstacles.radii, self.scn.sensing.collision_radius)
-        if self.avoidance is not None and not self.event_anchor.holds(self.positions):
-            self.min_boundary_clearance, self.event_anchor = obstacle.running_clearance(
+            budget.renew(self.positions, FIELD_MIN, radius)
+        if self.avoidance is not None and budget.stale[EVENT_MIN]:
+            self.min_boundary_clearance, radius = obstacle.running_clearance(
                 self.min_boundary_clearance, self.positions, *self.avoidance_circles, 0.0)
+            budget.renew(self.positions, EVENT_MIN, radius)
 
     def _check_safety(self, now: float) -> bool:
         if self.min_clearance < 0.0:
             self.status = STATUS_COLLISION
             self._event(now, "collision", clearance_cm=float(self.min_clearance))
             return False
-        # "not inside", so that a NaN position diverges too
-        inside = np.logical_and(self.positions >= self.box_low,
-                                self.positions <= self.box_high)
-        if not np.logical_and.reduce(inside, axis=None):
-            agent = int(np.argwhere(~inside)[0][0]) + 1
+        if not self.budget.stale[IN_BOX]:
+            return True
+        # each robot's distance to the box's nearest face, "not inside" it
+        # below 0, so that a NaN position diverges too
+        positions = self.positions
+        faces = np.minimum(positions - self.box_low, self.box_high - positions).min(axis=1)
+        if not (faces >= 0.0).all():
             self.status = STATUS_DIVERGED
-            self._event(now, "divergence", agent=agent)
+            self._event(now, "divergence", agent=int(np.argmin(faces >= 0.0)) + 1)
             return False
+        self.budget.renew(positions, IN_BOX, faces - self.box_margin)
         return True
 
     # --------------------------------------------------------------- run
 
     def run(self) -> RunLog:
         scn = self.scn
-        steps = int(round(scn.duration / scn.dt))
+        steps = self.steps
         positions = np.zeros((steps, self.n, 2))
         commands = np.zeros((steps, self.n, 2))
         yaws = np.zeros((steps, self.n))

@@ -765,7 +765,7 @@ def sensing_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_field_senses_what_the_viewer_obstacle_loop_senses(case):
     polygons, viewers, reach = case
-    assert (ObstacleField(polygons, reach).sensed(viewers).circles
+    assert (ObstacleField(polygons, reach).sensed(viewers)[0]
             == sensed_by_loop(polygons, viewers, reach))
 
 
@@ -818,14 +818,14 @@ def test_gate_at_its_limit_is_the_scalar_norms(monkeypatch):
         squared_differs += passes != (diff[0] * diff[0] + diff[1] * diff[1]
                                       <= limit * limit)
         clipped.clear()
-        assert ObstacleField([polygon], reach).sensed(viewer[None]).circles == []
+        assert ObstacleField([polygon], reach).sensed(viewer[None])[0] == []
         assert len(clipped) == passes
     assert squared_differs > 0
 
 
 def test_a_field_without_polygons_senses_nothing():
     field = ObstacleField([], 110.0)
-    assert field.sensed(np.zeros((3, 2))).circles == []
+    assert field.sensed(np.zeros((3, 2)))[0] == []
     assert nearest_boundary(np.zeros((3, 2)), field.centers, field.radii) == np.inf
 
 
@@ -902,15 +902,15 @@ def sensing_walks(draw):
     return field, viewers, steps, np.asarray(field.circles[0].center)
 
 
-def walk_step(field, viewers, moves, held, center):
+def walk_step(field, viewers, moves, sizes, center):
     """The viewers after one step of moves; `reuse` moves are sized by the
-    held decision's reuse radius and aimed at a random angle, or toward or
-    away from the nearest circle centre."""
+    viewer's entry of `sizes` and aimed at a random angle, or toward or away
+    from the nearest circle centre."""
     out = viewers.copy()
     for v, move in enumerate(moves):
         if move[0] == "reuse":
             _, fraction, aim, angle = move
-            radius = np.sqrt(held.reuse2[v])
+            radius = sizes[v]
             if not np.isfinite(radius) or not np.isfinite(viewers[v]).all():
                 continue
             if aim != "angle":
@@ -931,12 +931,23 @@ def test_reused_sensing_equals_a_fresh_decision_along_walks(walk):
     # the decision a simulator keeps while it holds must be the one a fresh
     # decision would give, at every step
     field, viewers, steps, center = walk
-    held = field.sensed(viewers)
-    for moves in steps:
-        viewers = walk_step(field, viewers, moves, held, center)
-        if not held.holds(viewers):
-            held = field.sensed(viewers)
-        assert held.circles == field.sensed(viewers).circles
+    budget = obstacle.MotionBudget(viewers, 1)
+    for moves in [None, *steps]:
+        if moves is not None:
+            viewers = walk_step(field, viewers, moves, np.sqrt(budget.budget2), center)
+            budget.spend(viewers)
+        if budget.stale[0]:
+            circles, reuse = field.sensed(viewers)
+            budget.renew(viewers, 0, reuse)
+        assert circles == field.sensed(viewers)[0]
+
+
+def held_at(radius, anchor, at) -> bool:
+    """A decision made at `anchor` with `radius` still holds at `at`."""
+    budget = obstacle.MotionBudget(anchor, 1)
+    budget.renew(anchor, 0, radius)
+    budget.spend(at)
+    return not budget.stale[0]
 
 
 def test_reuse_radius_is_the_least_slack_less_the_margin():
@@ -955,25 +966,23 @@ def test_reuse_radius_is_the_least_slack_less_the_margin():
         [0.0, 120.0],      # inside box 0's gate with no vertex in: clipped
         [150.0, 130.0],    # inside the segment's gate; it has 2 vertices
         [np.nan, 0.0]])
-    sensing = field.sensed(viewers)
-    assert [c.members for c in sensing.circles] == [(0,)]
+    circles, reuse = field.sensed(viewers)
+    assert [c.members for c in circles] == [(0,)]
     to_segment = np.hypot(160.0, 150.0)
     want = [to_segment - (reach + 10.0) - margin(to_segment),
             field.inner - np.hypot(12.0, 18.0) - margin(30.0),
             0.0, 0.0]
-    assert np.allclose(np.sqrt(sensing.reuse2[:4]), want, rtol=0.0, atol=1e-10)
-    assert np.isnan(sensing.reuse2[4])
-    assert np.array_equal(sensing.viewers, viewers, equal_nan=True)
+    assert np.allclose(reuse[:4], want, rtol=0.0, atol=1e-10)
+    assert np.isnan(reuse[4])
 
     # a decision holds only while every viewer moves strictly less than its
     # radius: a zero radius never holds, even standing still, nor does NaN
     def held(v, at):
-        return obstacle.Sensing(sensing.circles, viewers[v:v + 1],
-                                sensing.reuse2[v:v + 1]).holds(at[None])
+        return held_at(reuse[v:v + 1], viewers[v:v + 1], at[None])
 
     assert held(1, viewers[1]) and not held(2, viewers[2])
     assert not held(4, viewers[4])
-    radius = np.sqrt(sensing.reuse2[0])
+    radius = reuse[0]
     for step, holds in ((radius, False), (np.nextafter(radius, 0.0), True)):
         moved = viewers[0] + [step, 0.0]
         assert moved[0] - viewers[0, 0] == step
@@ -1004,15 +1013,15 @@ def clearance_walks(draw):
     return centers, radii, floor, least, np.array(positions), steps
 
 
-def clearance_step(centers, radii, positions, moves, anchor):
+def clearance_step(centers, radii, positions, moves, budget):
     """The robots after one step of moves; `reuse` moves are sized by the
-    anchor's reuse radius and aimed at a random angle, or toward or away
-    from the robot's nearest boundary's centre."""
+    robot's budget and aimed at a random angle, or toward or away from the
+    robot's nearest boundary's centre."""
     out = positions.copy()
-    radius = np.sqrt(anchor.reuse2[0])
     for r, move in enumerate(moves):
         if move[0] == "reuse":
             _, fraction, aim, angle = move
+            radius = np.sqrt(budget.budget2[r])
             if not np.isfinite(radius) or not np.isfinite(positions[r]).all():
                 continue
             if aim != "angle":
@@ -1038,14 +1047,15 @@ def test_running_clearance_equals_a_per_step_evaluation_along_walks(walk):
         return min(least, nearest_boundary(positions, centers, radii) - floor)
 
     want = fresh(least)
-    least, anchor = running_clearance(least, positions, centers, radii, floor)
+    budget = obstacle.MotionBudget(positions, 1)
     for moves in [None, *steps]:
         if moves is not None:
-            positions = clearance_step(centers, radii, positions, moves, anchor)
-            if not anchor.holds(positions):
-                least, anchor = running_clearance(least, positions, centers,
-                                                  radii, floor)
+            positions = clearance_step(centers, radii, positions, moves, budget)
+            budget.spend(positions)
             want = fresh(want)
+        if budget.stale[0]:
+            least, radius = running_clearance(least, positions, centers, radii, floor)
+            budget.renew(positions, 0, radius)
         assert np.float64(least).tobytes() == np.float64(want).tobytes()
 
 
@@ -1060,20 +1070,233 @@ def test_a_zero_or_clamped_clearance_radius_never_holds():
         return obstacle.SENSING_MARGIN * (32.5 + abs(least) + floor + 10.0)
 
     # the robot that has just set the minimum gets a zero radius
-    least, held = anchor(np.inf)
-    assert least == 32.5 and held.reuse2.tolist() == [0.0, 0.0]
-    assert not held.holds(positions)
+    least, radius = anchor(np.inf)
+    assert least == 32.5 and radius == 0.0
+    assert not held_at(radius, positions, positions)
     # a slack inside the margin is clamped to zero, not squared
-    least, held = anchor(32.5 - 1e-9)
-    assert least == 32.5 - 1e-9 and held.reuse2.tolist() == [0.0, 0.0]
-    assert not held.holds(positions)
+    least, radius = anchor(32.5 - 1e-9)
+    assert least == 32.5 - 1e-9 and radius == 0.0
+    assert not held_at(radius, positions, positions)
     # a slack beyond it holds strictly inside the radius it leaves
-    least, held = anchor(30.0)
-    radius = np.sqrt(held.reuse2[0])
+    least, radius = anchor(30.0)
     assert radius == pytest.approx(2.5 - margin(30.0), rel=0.0, abs=1e-12)
     for step, holds in ((radius, False), (np.nextafter(radius, 0.0), True)):
-        assert held.holds(positions - [[0.0, 0.0], [0.0, step]]) == holds
+        assert held_at(radius, positions, positions - [[0.0, 0.0], [0.0, step]]) == holds
     # a NaN position keeps the minimum and never holds
-    least, held = anchor(30.0, positions + [np.nan, 0.0])
-    assert least == 30.0 and np.isnan(held.reuse2).all()
-    assert not held.holds(positions + [np.nan, 0.0])
+    nan = positions + [np.nan, 0.0]
+    least, radius = anchor(30.0, nan)
+    assert least == 30.0 and np.isnan(radius)
+    assert not held_at(radius, nan, nan)
+
+
+# ----------------------------- one budget over every decision vs fresh ones
+
+def test_a_budget_row_holds_only_within_its_radius_of_its_decision():
+    # rows decided at the origin with radii 10 and 5: spending the budget
+    # 6 cm away expires the second and shrinks the first to under 4 cm, so
+    # 4.5 cm on, 10.5 cm from its decision, the first expires too
+    def at(x):
+        return np.array([[x, 0.0]])
+
+    budget = obstacle.MotionBudget(at(0.0), 2)
+    assert budget.stale == [True, True] and budget.budget2 == [np.inf]
+    budget.renew(at(0.0), 0, 10.0)
+    budget.renew(at(0.0), 1, 5.0)
+    assert budget.budget2 == [25.0]
+    budget.spend(at(6.0))
+    assert budget.stale == [False, True] and budget.anchor == [[6.0, 0.0]]
+    assert 4.0 - 1e-6 < budget.radii[0, 0] < 4.0
+    assert budget.budget2 == [budget.radii[0, 0] ** 2]
+    budget.spend(at(10.5))
+    assert budget.stale == [True, True] and budget.budget2 == [np.inf]
+    # a row decided where the budget still holds moves the anchor there
+    budget.renew(at(10.5), 0, 10.0)
+    budget.spend(at(13.0))
+    budget.renew(at(13.0), 1, 2.0)
+    assert budget.anchor == [[13.0, 0.0]] and budget.radii[1, 0] == 2.0
+    assert 7.5 - 1e-6 < budget.radii[0, 0] < 7.5
+    budget.spend(at(14.9))
+    assert budget.stale == [False, False] and budget.anchor == [[13.0, 0.0]]
+    budget.spend(at(15.1))
+    assert budget.stale == [False, True] and budget.anchor == [[15.1, 0.0]]
+    # an expired row limits nothing from the next renewal on; NaN spends all
+    budget.expire(0)
+    budget.renew(at(15.1), 1, 3.0)
+    assert budget.stale == [True, False] and budget.budget2 == [9.0]
+    # a radius not above 0 holds nothing and moves neither anchor nor budget
+    budget.spend(at(16.0))
+    for radius in (0.0, np.array([-1.0]), np.nan):
+        budget.renew(at(16.0), 0, radius)
+        assert budget.stale == [True, False] and budget.anchor == [[15.1, 0.0]]
+        assert budget.budget2 == [9.0]
+    budget.spend(at(np.nan))
+    assert budget.stale == [True, True]
+
+
+# the rows of a budget holding every decision the simulator holds
+SENSED, PLAN, FIELD, EVENT, END, BOX = range(6)
+
+
+@st.composite
+def decision_walks(draw):
+    """A `sensing_walks` field, team and walk (3 steps or more), and every
+    other decision a simulator holds on them: the field's clearance minimum
+    (floor 0 or a collision radius) and an event's on one or two field
+    circles, each with a minimum carried in or none, the event's end in a
+    frame through the first robot (the head), the planning skip over the
+    event's circles toward a reference point at any angle from the first
+    one's centre, often near a right angle, and a box about the field.
+    Each step's `reuse` moves are sized by one drawn row's radii (by the
+    budget where the row limits nothing).  The reference point walks too,
+    by `MOVES` sized by how far the held skip lets it move."""
+    field, team, steps, center = draw(sensing_walks())
+    steps = steps + draw(st.lists(st.lists(MOVES, min_size=len(team), max_size=len(team)),
+                                  min_size=max(3 - len(steps), 0), max_size=6))
+    first = draw(st.integers(0, len(field.circles) - 1))
+    circles = tuple(field.circles[first:first + draw(st.integers(1, 2))])
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    along = np.array([np.cos(angle), np.sin(angle)])
+    event = obstacle.AvoidanceEvent(obstacle.MODE_SINGLE, circles, obstacle.PathFrame(
+        team[0], along, np.array([-along[1], along[0]])))
+    away = team[0] - np.asarray(circles[0].center)
+    if draw(st.booleans()):
+        turn = draw(st.floats(-2.0, 2.0))
+    else:
+        turn = draw(st.sampled_from([-1.0, 1.0])) * (
+            np.pi / 2.0 - draw(st.sampled_from([1e-9, 1e-4, 0.05])))
+    angle = np.arctan2(away[1], away[0]) + turn
+    reference = team[0] + field.reach * draw(st.floats(0.0, 3.0)) * np.array(
+        [np.cos(angle), np.sin(angle)])
+    half = field.reach * draw(st.floats(0.5, 3.0))
+    carried = st.one_of(st.just(np.inf), st.floats(-10.0, 150.0))
+    return dict(field=field, team=team, steps=steps, center=center, event=event,
+                reference=reference, box=(center - half, center + half),
+                floor=draw(st.sampled_from([0.0, 25.0])), least=(draw(carried), draw(carried)),
+                robot_radius=draw(st.sampled_from([0.0, 32.0, 32.1])),
+                reference_moves=draw(st.lists(MOVES, min_size=len(steps),
+                                              max_size=len(steps))),
+                rows=draw(st.lists(st.integers(SENSED, BOX), min_size=len(steps),
+                                   max_size=len(steps))))
+
+
+def reference_step(reference, move, reach, center, field_reach):
+    """The reference point after one of `MOVES`, a reuse move sized by the
+    held skip's reach."""
+    if move[0] == "reuse":
+        _, fraction, _, angle = move
+        if np.isfinite(reach):
+            return reference + fraction * reach * np.array([np.cos(angle), np.sin(angle)])
+    elif move[0] == "jump":
+        return center + field_reach * np.array(move[1:])
+    elif move[0] == "nan":
+        return np.full(2, np.nan)
+    return reference
+
+
+@given(walk=decision_walks())
+@settings(max_examples=150, deadline=None)
+def test_one_budget_holds_every_decision_as_a_fresh_one_along_walks(walk):
+    # re-deciding only the rows gone stale, as the simulator does, every
+    # held outcome must be the one a fresh decision gives, at every step
+    field, team, center, event = walk["field"], walk["team"], walk["center"], walk["event"]
+    reference, (low, high), floor = walk["reference"], walk["box"], walk["floor"]
+    fov, robot_radius = 2.0 * field.reach, walk["robot_radius"]
+    minima = {FIELD: ((field.centers, field.radii), floor),
+              EVENT: (circle_arrays(event.obstacles), 0.0)}
+    least = dict(zip((FIELD, EVENT), walk["least"]))
+    want = dict(least)
+    plan_centers = minima[EVENT][0][0]
+    box_margin = obstacle.SENSING_MARGIN * np.abs([low, high]).max()
+    budget = obstacle.MotionBudget(team, BOX + 1)
+    skip_from, skip_reach = None, np.nan
+    for moves, ref_move, row in zip([None, *walk["steps"]], [None, *walk["reference_moves"]],
+                                    [None, *walk["rows"]]):
+        if moves is not None:
+            sizes = np.where(np.isfinite(budget.radii[row]), budget.radii[row],
+                             np.sqrt(budget.budget2))
+            team = walk_step(field, team, moves, sizes, center)
+            reference = reference_step(reference, ref_move, skip_reach, center, field.reach)
+            budget.spend(team)
+        if budget.stale[SENSED]:
+            circles, reuse = field.sensed(team)
+            budget.renew(team, SENSED, reuse)
+        assert circles == field.sensed(team)[0]
+        for row, ((centers, radii), row_floor) in minima.items():
+            if budget.stale[row]:
+                least[row], radius = running_clearance(least[row], team, centers,
+                                                       radii, row_floor)
+                budget.renew(team, row, radius)
+            want[row] = min(want[row], nearest_boundary(team, centers, radii) - row_floor)
+            assert np.float64(least[row]).tobytes() == np.float64(want[row]).tobytes()
+        end = (event, team, 0, fov, robot_radius)
+        if budget.stale[END]:
+            if not event_cleared(*end):
+                budget.renew(team, END, obstacle.end_radius(*end))
+        else:
+            assert not event_cleared(*end)
+        behind = all_behind(plan_centers, team[0], reference)
+        moved = reference - skip_from if skip_from is not None else np.full(2, np.nan)
+        if not budget.stale[PLAN] and moved @ moved < skip_reach * skip_reach:
+            assert behind
+        elif behind:
+            skip_reach = obstacle.behind_radius(plan_centers, team[0], reference)
+            budget.renew(team, PLAN, np.where(np.arange(len(team)) == 0, skip_reach, np.inf))
+            skip_from = reference
+        else:
+            budget.expire(PLAN)
+        inside = bool(((team >= low) & (team <= high)).all())
+        if not budget.stale[BOX]:
+            assert inside
+        elif inside:
+            faces = np.minimum(team - low, high - team)
+            budget.renew(team, BOX, faces.min(axis=1) - box_margin)
+
+
+@given(case=plan_cases(), fraction=st.sampled_from([0.5, 0.99, 1.0 - 2.0 ** -20]),
+       angle=st.floats(0.0, 2.0 * np.pi))
+@settings(max_examples=200, deadline=None)
+def test_moves_within_the_behind_radius_keep_every_centre_behind(case, fraction, angle):
+    # the head and the target each moving less than the radius, in the
+    # directions that raise a centre's product the most or anywhere, leave
+    # every centre behind
+    head, target, circles, _ = case
+    centers = circle_arrays(circles)[0]
+    if not all_behind(centers, head, target):
+        return
+    step = fraction * max(obstacle.behind_radius(centers, head, target), 0.0)
+    anywhere = np.array([np.cos(angle), np.sin(angle)])
+    for center in centers:
+        rel, heading = center - head, target - head
+        units = [v / np.linalg.norm(v) for v in (rel, rel + heading, heading)
+                 if np.linalg.norm(v) > 0.0]
+        for head_move in [-u for u in units] + [anywhere]:
+            for target_move in units + [anywhere]:
+                assert all_behind(centers, head + step * head_move,
+                                  target + step * target_move)
+
+
+@given(case=end_cases(), fraction=st.sampled_from([0.5, 0.99, 1.0 - 2.0 ** -20]),
+       angle=st.floats(0.0, 2.0 * np.pi))
+@settings(max_examples=200, deadline=None)
+def test_moves_within_the_end_radius_keep_the_event(case, fraction, angle):
+    # a robot with a finite radius moving less than it, away from the
+    # nearest circle, forward along the frame or anywhere, keeps the event
+    # going while every other robot passes far beyond the circles
+    event, positions, fov, radius = case
+    if event_cleared(event, positions, 0, fov, radius):
+        return
+    radii = np.maximum(obstacle.end_radius(event, positions, 0, fov, radius), 0.0)
+    if np.isnan(radii).any():
+        return
+    frame = event.frame
+    beyond = max(frame.coords(c.center)[0] + c.radius for c in event.obstacles) + 2.0 * fov
+    for robot in np.isfinite(radii).nonzero()[0]:
+        away = positions[robot] - min((np.asarray(c.center) for c in event.obstacles),
+                                      key=lambda c: np.linalg.norm(positions[robot] - c))
+        directions = [frame.along, np.array([np.cos(angle), np.sin(angle)])]
+        if np.linalg.norm(away) > 0.0:
+            directions.append(away / np.linalg.norm(away))
+        for direction in directions:
+            moved = np.array([frame.to_world(beyond + radius, 0.0)] * len(positions))
+            moved[robot] = positions[robot] + fraction * radii[robot] * direction
+            assert not event_cleared(event, moved, 0, fov, radius)

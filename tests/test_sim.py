@@ -130,6 +130,34 @@ def test_shipped_scenario_matches_its_golden_run(monkeypatch, name):
                                              for ev in log.events]
 
 
+# shifts of every start, waypoint and obstacle (cm), and how far a shifted
+# run's positions may stray from the run's plus the shift (4.2e-13 cm seen)
+SHIFTS = [(1024.0, -512.0), (333.3, 77.7)]
+SHIFT_TOLERANCE_CM = 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
+def test_a_shifted_obstacle_run_is_the_run_shifted(name):
+    # the team plans only on relative distances, so moving the whole course
+    # moves the run: the same events at the same times, the positions
+    # shifted to rounding; this pins every rounding margin away from the
+    # origin
+    scn = scenario.load_scenario(name)
+    base = sim.Simulator(scn).run()
+    for shift in SHIFTS:
+        moved = replace(
+            scn, agents=tuple(replace(a, start=tuple(np.add(a.start, shift)))
+                              for a in scn.agents),
+            waypoints=tuple(tuple(np.add(w, shift)) for w in scn.waypoints),
+            obstacles=tuple(p + shift for p in scn.obstacles))
+        log = sim.Simulator(moved).run()
+        assert log.summary["status"] == base.summary["status"]
+        assert ([(ev["event"], ev["time"]) for ev in log.events]
+                == [(ev["event"], ev["time"]) for ev in base.events])
+        assert log.positions.shape == base.positions.shape
+        assert np.abs(log.positions - shift - base.positions).max() <= SHIFT_TOLERANCE_CM
+
+
 @pytest.mark.parametrize("name", ["triangle_rect_patrol", "rect_varying_formation",
                                   "single_obstacle_line"])
 def test_runs_converge_as_the_step_shrinks(name):
@@ -276,7 +304,7 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
     def recording_observe(self):
         circles = observe(self)
         # the held decision is the one a fresh decision gives
-        assert circles == sensed(self.obstacles, self.positions).circles
+        assert circles == sensed(self.obstacles, self.positions)[0]
         observed.append(tuple(c.members for c in circles))
         return circles
 
@@ -294,35 +322,84 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
 @pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
 def test_planning_is_skipped_only_where_detect_mode_plans_nothing(monkeypatch, name):
     # an avoidance-free step with circles sensed plans only when some
-    # grouped circle is not behind the head; on a skipped step detect_mode,
-    # called anyway, must plan nothing, and on cluttered_course it must
-    # stay rare
+    # grouped circle is not behind the head; on a skipped step, whether
+    # held or decided, a fresh `all_behind` holds and detect_mode, called
+    # anyway, plans nothing.  On cluttered_course planning stays rare, and
+    # the skip is mostly held rather than decided
     detect_mode, all_behind = obstacle.detect_mode, obstacle.all_behind
-    simulator = sim.Simulator(scenario.load_scenario(name))
-    counts = {"sensed": 0, "planned": 0}
+    sensed, group_all = obstacle.ObstacleField.sensed, obstacle.group_all
+    update_avoidance = sim.Simulator._update_avoidance
+    counts = {"sensed": 0, "planned": 0, "decided": 0}
 
-    def checking_all_behind(centers, head, reference):
-        counts["sensed"] += 1
-        assert np.array_equal(centers, obstacle.circle_arrays(simulator.grouped)[0])
-        skipped = all_behind(centers, head, reference)
-        if skipped:
-            sensing = simulator.scn.sensing
-            assert detect_mode(simulator.positions, simulator._slave_targets(reference),
-                               [sensing.robot_radius] * simulator.n, simulator.master,
-                               simulator.grouped, sensing.fov, sensing.look_ahead) is None
-        return skipped
+    def counting_all_behind(*args):
+        counts["decided"] += 1
+        return all_behind(*args)
 
     def counting_detect_mode(*args, **kwargs):
         counts["planned"] += 1
         return detect_mode(*args, **kwargs)
 
-    monkeypatch.setattr(obstacle, "all_behind", checking_all_behind)
+    def checking_update_avoidance(self, now):
+        planned, free = counts["planned"], self.avoidance is None
+        update_avoidance(self, now)
+        if not free or not self.grouped:
+            return
+        counts["sensed"] += 1
+        # the grouped circles are those of the circles sensed now
+        assert self.grouped == group_all(sensed(self.obstacles, self.positions)[0],
+                                         2.0 * self.scn.sensing.robot_radius)
+        centers = obstacle.circle_arrays(self.grouped)[0]
+        if counts["planned"] == planned:
+            reference = self._reference_point(now)
+            assert all_behind(centers, self.positions[self.master], reference)
+            sensing = self.scn.sensing
+            assert detect_mode(self.positions, self._slave_targets(reference),
+                               [sensing.robot_radius] * self.n, self.master,
+                               self.grouped, sensing.fov, sensing.look_ahead) is None
+
+    monkeypatch.setattr(obstacle, "all_behind", counting_all_behind)
     monkeypatch.setattr(obstacle, "detect_mode", counting_detect_mode)
-    assert simulator.run().summary["status"] == "completed"
-    assert 0 < counts["planned"] < counts["sensed"]
+    monkeypatch.setattr(sim.Simulator, "_update_avoidance", checking_update_avoidance)
+    assert sim.run_scenario(name).summary["status"] == "completed"
+    assert 0 < counts["planned"] < counts["decided"] < counts["sensed"]
     if name == "cluttered_course":
         assert counts["sensed"] == 913
         assert counts["planned"] <= 0.1 * counts["sensed"]
+        assert counts["decided"] <= 0.2 * counts["sensed"]
+
+
+def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypatch):
+    # the team stands 80 cm past the box while the reference point glides
+    # from ahead of the head to behind the box: the skip, held while the
+    # reference moves little, must give way to planning once the box is no
+    # longer behind the head on its run to the reference
+    detect_mode, all_behind = obstacle.detect_mode, obstacle.all_behind
+    simulator = sim.Simulator(scenario.load_scenario("single_obstacle_line"))
+    simulator.positions[:] = [[-100.0, 110.0], [0.0, 110.0], [-200.0, 110.0]]
+    simulator.budget.spend(simulator.positions)
+    simulator.ref_slew = sim.Slew(np.array([-100.0, 310.0]), np.array([-100.0, -290.0]),
+                                  0.0, glide_s=10.0)
+    calls = {"planned": 0, "decided": 0}
+
+    def counting_all_behind(*args):
+        calls["decided"] += 1
+        return all_behind(*args)
+
+    def counting_detect_mode(*args, **kwargs):
+        calls["planned"] += 1
+
+    monkeypatch.setattr(obstacle, "all_behind", counting_all_behind)
+    monkeypatch.setattr(obstacle, "detect_mode", counting_detect_mode)
+    skipped = []
+    for now in np.arange(0.0, 10.0, 0.125):
+        planned = calls["planned"]
+        simulator._update_avoidance(now)
+        skipped.append(calls["planned"] == planned)
+        centers = obstacle.circle_arrays(simulator.grouped)[0]
+        assert skipped[-1] == all_behind(centers, simulator.positions[0],
+                                         simulator._reference_point(now))
+    assert 0 < skipped.count(True) < len(skipped)
+    assert calls["decided"] < len(skipped)
 
 
 @pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
@@ -355,10 +432,9 @@ def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch,
     monkeypatch.setattr(obstacle, "nearest_boundary", counting_nearest_boundary)
     monkeypatch.setattr(sim.Simulator, "_update_metrics", checking_update_metrics)
     simulator = sim.Simulator(scenario.load_scenario(name))
-    # an anchor left from other circles says nothing about an event's: one
-    # that holds anywhere must be dropped when the event fires
-    simulator.event_anchor = obstacle.Sensing([], simulator.positions.copy(),
-                                              np.full(simulator.n, np.inf))
+    # a budget row left from other circles says nothing about an event's:
+    # one that holds anywhere must be dropped when the event fires
+    simulator.budget.renew(simulator.positions, sim.EVENT_MIN, np.inf)
     assert simulator.run().summary["status"] == "completed"
     assert calls["made"] < calls["per_step"]
     if name == "cluttered_course":
@@ -368,10 +444,12 @@ def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch,
 
 @pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
 def test_event_end_is_the_former_split_decision_on_every_event_step(monkeypatch, name):
-    # `event_cleared` decides as the former head test plus the simulator's
-    # per-robot test did, on every step of every avoidance event
-    event_cleared = obstacle.event_cleared
-    decided = []
+    # an event ends, whether its end is held or decided by `event_cleared`,
+    # exactly when the former head test plus the simulator's per-robot test
+    # would have ended it, on every step of every avoidance event; most
+    # steps hold the decision
+    event_cleared, update_avoidance = obstacle.event_cleared, sim.Simulator._update_avoidance
+    decided, steps = [], []
 
     def checking_event_cleared(event, positions, master, fov, robot_radius):
         cleared = event_cleared(event, positions, master, fov, robot_radius)
@@ -379,11 +457,23 @@ def test_event_end_is_the_former_split_decision_on_every_event_step(monkeypatch,
         decided.append(cleared)
         return cleared
 
+    def checking_update_avoidance(self, now):
+        event = self.avoidance
+        if event is None:
+            return update_avoidance(self, now)
+        sensing = self.scn.sensing
+        ends = old_event_end(event, self.positions, self.master, sensing.fov,
+                             sensing.robot_radius)
+        update_avoidance(self, now)
+        assert (self.avoidance is None) == ends
+        steps.append(ends)
+
     monkeypatch.setattr(obstacle, "event_cleared", checking_event_cleared)
+    monkeypatch.setattr(sim.Simulator, "_update_avoidance", checking_update_avoidance)
     records = sim.Simulator(scenario.load_scenario(name)).run().summary["avoidance_events"]
     cleared = [r for r in records if r["cleared_time"] is not None]
-    assert decided.count(True) == len(cleared) > 0
-    assert len(decided) > len(cleared)
+    assert decided.count(True) == steps.count(True) == len(cleared) > 0
+    assert len(cleared) < len(decided) < 0.1 * len(steps)
 
 
 def per_cell_trajectory_csv(log: sim.RunLog) -> str:
@@ -472,3 +562,20 @@ def test_velocity_ring_equals_a_deque_of_positions(window, steps):
         span = len(history) - 1
         want = (history[-1] - history[0]) / (span * scn.dt)
         assert simulator.velocities.tobytes() == want.tobytes()
+
+
+def test_the_velocity_ring_and_delay_line_are_sized_by_the_run():
+    # a run never reads more than its steps back nor takes more than its
+    # steps of commands from the delay line, so knobs far beyond a 10-step
+    # run change nothing and allocate nothing large
+    scn = replace(scenario.load_scenario("moving_leader_compare"), duration=0.2)
+
+    def run_digest(knob):
+        control = replace(scn.control, velocity_estimate_window=knob, command_delay_steps=knob)
+        simulator = sim.Simulator(replace(scn, control=control))
+        assert len(simulator.pos_ring) == 11 and len(simulator.delay_queue) == 10
+        log = simulator.run()
+        assert len(log.times) == 10
+        return digest(log.trajectory_csv() + log.summary_json())
+
+    assert run_digest(10 ** 13) == run_digest(10)
