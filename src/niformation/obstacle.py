@@ -161,8 +161,8 @@ class AvoidanceEvent:
     `frame` is that frame when the event fired.  `master_lateral` is the
     lateral line the reference agent should ride while the event is active
     (None: keep its own line); `slave_laterals` are absolute lateral
-    stations per steered follower id.  `geometry` carries the named
-    construction points for logs.  `event_cleared` decides its end.
+    stations per steered follower id.  `geometry` names the plan's
+    construction points; no log carries it.  `event_cleared` decides its end.
     """
 
     mode: int

@@ -1285,8 +1285,8 @@ def test_moves_within_the_end_radius_keep_the_event(case, fraction, angle):
     event, positions, fov, radius = case
     if event_cleared(event, positions, 0, fov, radius):
         return
-    radii = np.maximum(obstacle.end_radius(event, positions, 0, fov, radius), 0.0)
-    if np.isnan(radii).any():
+    radii = obstacle.end_radius(event, positions, 0, fov, radius)
+    if not (radii > 0.0).all():      # then `MotionBudget.renew` holds nothing
         return
     frame = event.frame
     beyond = max(frame.coords(c.center)[0] + c.radius for c in event.obstacles) + 2.0 * fov

@@ -1,12 +1,15 @@
-"""End-to-end runs of the shipped scenarios: golden outputs and regressions."""
+"""End-to-end runs of the shipped scenarios and the console script: golden
+outputs and regressions."""
 
 import copy
 import csv
 import hashlib
+import importlib
 import io
 import json
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,6 +528,16 @@ def test_trajectory_csv_equals_the_per_cell_format(steps):
     assert log.trajectory_csv() == per_cell_trajectory_csv(log)
 
 
+def test_write_puts_the_three_exports_in_the_directory(tmp_path):
+    log = sim.run_scenario("cluttered_course", duration=0.1)
+    assert log.events                     # avoid_enter at t = 0
+    out = log.write(tmp_path / "run")
+    assert out == tmp_path / "run"
+    assert (out / "trajectory.csv").read_bytes() == log.trajectory_csv().encode()
+    assert (out / "events.csv").read_bytes() == log.events_csv().encode()
+    assert (out / "summary.json").read_bytes() == log.summary_json().encode()
+
+
 def test_events_csv_quotes_a_detail_only_where_it_needs_it():
     # a comma, a double quote and a nested list read back unchanged through
     # csv.reader; a detail with none of them is written bare
@@ -579,3 +592,66 @@ def test_the_velocity_ring_and_delay_line_are_sized_by_the_run():
         return digest(log.trajectory_csv() + log.summary_json())
 
     assert run_digest(10 ** 13) == run_digest(10)
+
+
+# ------------------------------------------- the declared console script
+
+def entry_point():
+    """The `[project.scripts]` target of `pyproject.toml`, imported."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    toml = pytest.importorskip("tomllib").loads(pyproject.read_text())
+    target = toml["project"]["scripts"]["niformation"]
+    module, _, name = target.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
+def test_inspect_reports_the_worst_boundary_approach(capsys):
+    assert entry_point()(["inspect", "cluttered_course"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("=== cluttered_course: status=completed wp=2 t=50.06\n")
+    assert "ev 26.08 avoid_enter {'mode': 2, 'sub_case': 2, 'obstacles': [[2], [3]]}" in out
+    log = sim.run_scenario("cluttered_course")
+    field = obstacle.ObstacleField(scenario.load_scenario("cluttered_course").obstacles, 0.0)
+    worst = min(obstacle.nearest_boundary(p, field.centers, field.radii)
+                for p in log.positions)
+    assert worst == 29.333726053762845
+    assert (f"worst boundary {worst:.3f} cm at t=32.40 s, agent 3, obstacle 2, "
+            "pos=(-138.21, 229.55)\n") in out
+    # the default window: 1.5 s either side at stride 15, each row with its
+    # least boundary distance
+    rows = [line for line in out.splitlines() if line.startswith("t=")]
+    assert [line[2:8] for line in rows] == [f"{30.9 + 0.3 * k:6.2f}" for k in range(11)]
+    assert rows[5].startswith("t= 32.40 ph=-1 av=2 a1=(  -99.27,  311.19) c=(    0.2,   80.0)")
+    assert rows[5].endswith("a3=( -138.21,  229.55) c=(   13.5,   74.0) boundary= 29.33")
+
+
+def test_inspect_of_a_run_without_obstacles_prints_no_window(capsys):
+    assert entry_point()(["inspect", "yaw_sync_pair"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("=== yaw_sync_pair: status=completed wp=1 t=300.00\n")
+    assert out.endswith("yaw_sync_pair: the run has no obstacles\n")
+
+
+def test_sweep_prints_the_baseline_the_cell_and_the_ratio(capsys):
+    assert entry_point()(["sweep", "--horizons", "22", "--windows", "300"]) == 0
+    out = capsys.readouterr().out
+    assert "baseline worst-case relative error: 21.70 cm\n" in out
+    assert "      22     300      5.34   4.06\n" in out
+    assert out.endswith("best: horizon=22 window=300 enhanced=5.34 ratio=4.06\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["inspect", "no_such_course"], "unknown scenario 'no_such_course'"),
+    (["inspect", "missing.yaml"], "No such file or directory: 'missing.yaml'"),
+    (["inspect", "cluttered_course", "--stride", "0"], "--stride must be at least 1"),
+    (["sweep", "--scenario", "no_such_course"], "unknown scenario 'no_such_course'"),
+])
+def test_bad_input_ends_with_one_error_line_and_status_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        entry_point()(argv)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("niformation: error: ") and message in last
