@@ -110,6 +110,8 @@ def main(argv=None) -> int:
 
     if args.command == "inspect" and args.stride < 1:
         parser.error("--stride must be at least 1")
+    if args.command == "inspect" and args.window and not args.window[0] <= args.window[1]:
+        parser.error("--window needs T0 <= T1, got {:g} {:g}".format(*args.window))
     try:
         if args.command == "inspect":
             runs = [load_scenario(name) for name in args.scenario]

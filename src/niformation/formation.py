@@ -92,7 +92,7 @@ class TransitionState:
     first_entry: dict[int, float] = field(default_factory=dict)
     in_band_since: float | None = None
     converged_time: float | None = None
-    moving: np.ndarray = field(init=False, repr=False, compare=False)
+    moving: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.start_positions = np.asarray(self.start_positions, dtype=float).reshape(-1, 2)
@@ -103,7 +103,7 @@ class TransitionState:
             raise ValueError("start_positions must match the agent list")
         if self.dis.shape != (len(self.agents), 2):
             raise ValueError("dis must match the agent list")
-        self.moving = np.flatnonzero(np.abs(self.dis).max(axis=1) > 1e-12)
+        self.moving = tuple(np.flatnonzero(np.abs(self.dis).max(axis=1) > 1e-12).tolist())
 
     @property
     def destination(self) -> np.ndarray:
@@ -115,7 +115,7 @@ class TransitionState:
 
     def participating(self) -> list[int]:
         """Indices (into the agent list) that actually move."""
-        return self.moving.tolist()
+        return list(self.moving)
 
 
 def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
@@ -133,13 +133,14 @@ def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
     res = np.asarray(residual, dtype=float).reshape(-1, 2)
     if res.shape != state.dis.shape:
         raise ValueError("residual must match the transition agent list")
-    inside = np.all(np.abs(res) <= tolerance, axis=1)
-    if inside.any():
+    # plain floats: the same booleans as numpy's, NaN outside the band
+    inside = [abs(x) <= tolerance and abs(y) <= tolerance for x, y in res.tolist()]
+    if any(inside):
         # an agent's earlier entry wins over this one
-        state.first_entry = (dict.fromkeys(compress(state.agents, inside.tolist()), now)
+        state.first_entry = (dict.fromkeys(compress(state.agents, inside), now)
                              | state.first_entry)
 
-    if inside[state.moving].all():
+    if all(inside[k] for k in state.moving):
         if state.in_band_since is None:
             state.in_band_since = now
         if now - state.in_band_since >= hold:

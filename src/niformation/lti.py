@@ -17,6 +17,7 @@ A certificate's closed-loop poles are the roots of Dp*Dc - Np*Nc.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -357,10 +358,25 @@ class PlantBank:
         return y
 
 
+# keyed on the coefficients' exact bits, so 0.0 and -0.0 never share an entry
+@functools.lru_cache(maxsize=64)
+def _bilinear(numerator: bytes, denominator: bytes, sample_time: float):
+    a, b, c, d = signal.tf2ss(np.frombuffer(numerator), np.frombuffer(denominator))
+    ad, bd, cd, dd, _ = signal.cont2discrete((a, b, c, d), sample_time,
+                                             method="bilinear")
+    for matrix in (ad, bd, cd):
+        matrix.flags.writeable = False
+    return ad, bd, cd, float(np.asarray(dd).ravel()[0])
+
+
 def discretize(tfn: TransferFunction, sample_time: float,
                noise_std: float = 0.0,
                rng: np.random.Generator | None = None) -> DiscretePlant:
-    """Bilinear (trapezoidal) discretization of a proper transfer function."""
+    """Bilinear (trapezoidal) discretization of a proper transfer function.
+
+    Each exact (numerator, denominator, sample_time) is realized once per
+    process and its read-only A, B and C are shared; state and noise are not.
+    """
     if sample_time <= 0:
         raise ValueError("sample_time must be positive")
     if not tfn.proper:
@@ -371,11 +387,9 @@ def discretize(tfn: TransferFunction, sample_time: float,
         return DiscretePlant(np.zeros((1, 1)), np.zeros((1, 1)),
                              np.zeros((1, 1)), gain, sample_time,
                              noise_std=noise_std, rng=rng)
-    a, b, c, d = signal.tf2ss(tfn.numerator, tfn.denominator)
-    ad, bd, cd, dd, _ = signal.cont2discrete((a, b, c, d), sample_time,
-                                             method="bilinear")
-    return DiscretePlant(ad, bd, cd, float(np.asarray(dd).ravel()[0]),
-                         sample_time, noise_std=noise_std, rng=rng)
+    realization = _bilinear(np.array(tfn.numerator).tobytes(),
+                            np.array(tfn.denominator).tobytes(), float(sample_time))
+    return DiscretePlant(*realization, sample_time, noise_std=noise_std, rng=rng)
 
 
 def parse_yaml(text: str):
@@ -398,13 +412,22 @@ def load_model_library(path: str | Path | None = None) -> dict[str, ModelRecord]
     """Load the named transfer-function library (YAML).
 
     Defaults to the library shipped with the package: the fitted velocity
-    models for both vehicle kinds plus the first-order yaw-rate model.
+    models for both vehicle kinds plus the first-order yaw-rate model.  The
+    shipped file is parsed once per process, and each call returns a new
+    dict of the same frozen records; a `path` is read on every call.
     """
     if path is None:
-        source = importlib.resources.files("niformation").joinpath("data/models.yaml")
-        text = source.read_text()
-    else:
-        text = Path(path).read_text()
+        return dict(_shipped_library())
+    return _parse_library(Path(path).read_text())
+
+
+@functools.lru_cache(maxsize=1)
+def _shipped_library() -> dict[str, ModelRecord]:
+    source = importlib.resources.files("niformation").joinpath("data/models.yaml")
+    return _parse_library(source.read_text())
+
+
+def _parse_library(text: str) -> dict[str, ModelRecord]:
     doc = parse_yaml(text)
     if not isinstance(doc, dict) or "models" not in doc or not doc["models"]:
         raise ValueError("model library must contain a nonempty 'models' mapping")

@@ -21,7 +21,9 @@ velocity ring, a preallocated buffer of the last `velocity_estimate_window`
 finite-difference velocities read.  Per-edge quantities (relative offsets,
 follower targets, the steered agents of a transition) are gathers through
 the topology's head and tail index arrays.  An avoidance event's circle
-arrays are built once when it fires.
+arrays are built once when it fires.  Per process, `lti` shares what
+depends only on the shipped files and `dt`: the parsed model library and
+each (model, `dt`) realization, whose matrices are read-only.
 
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed

@@ -426,6 +426,55 @@ def test_plant_bank_refuses_noisy_plants_on_two_generators(models):
         lti.PlantBank(plants)
 
 
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.005])
+def test_shared_realizations_equal_a_direct_discretization(models, dt):
+    lti._bilinear.cache_clear()
+    for _ in ("cold", "warm"):
+        for rec in models.values():
+            tfn = rec.transfer_function
+            want = signal.cont2discrete(signal.tf2ss(tfn.numerator, tfn.denominator),
+                                        dt, method="bilinear")
+            plant = lti.discretize(tfn, dt)
+            for got, ref in zip((plant.a, plant.b, plant.c, plant.d), want):
+                assert np.shape(got) == np.shape(ref) or np.size(ref) == 1
+                assert bits(got) == bits(ref), (rec.name, dt)
+    assert lti._bilinear.cache_info().hits == len(models)
+
+
+def test_coefficients_that_differ_in_the_sign_of_a_zero_share_no_entry():
+    lti._bilinear.cache_clear()
+    lti.discretize(lti.tf((1.0, 0.0), (1.0, 2.0, 1.0)), 0.02)
+    lti.discretize(lti.tf((1.0, -0.0), (1.0, 2.0, 1.0)), 0.02)
+    assert lti._bilinear.cache_info().misses == 2
+
+
+def test_shared_matrices_are_read_only(models):
+    plant = lti.discretize(models["ugv_velx"].transfer_function, 0.02)
+    for matrix in (plant.a, plant.b, plant.c):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+
+
+def test_noisy_plants_from_one_entry_keep_their_own_states(models):
+    m = models["ugv_velx"].transfer_function
+
+    def alone(seed, u):
+        lti._bilinear.cache_clear()
+        plant = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(seed))
+        return [plant.step(u) for _ in range(20)]
+
+    one = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(1))
+    two = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(2))
+    assert one.a is two.a
+    ys = [(one.step(1.0), two.step(-1.0)) for _ in range(20)]
+    assert [y for y, _ in ys] == alone(1, 1.0)
+    assert [y for _, y in ys] == alone(2, -1.0)
+
+
 # ------------------------------------------------------------------- library
 
 def test_library_contents(models):
@@ -445,6 +494,22 @@ def test_library_rejects_malformed_documents(tmp_path):
     bad.write_text("models:\n  broken:\n    numerator: [1.0]\n")
     with pytest.raises(ValueError, match="broken"):
         lti.load_model_library(bad)
+
+
+def test_a_changed_library_dict_leaves_the_next_load_as_shipped():
+    first = lti.load_model_library()
+    shipped = dict(first)
+    first["ugv_vely"] = first.pop("uav_vely")
+    first.clear()
+    assert lti.load_model_library() == shipped
+
+
+def test_a_library_path_is_read_on_every_call(tmp_path):
+    path = tmp_path / "models.yaml"
+    for pole in (1.0, 2.0):
+        path.write_text(f"models:\n  lag:\n    numerator: [1.0]\n"
+                        f"    denominator: [1.0, {pole}]\n")
+        assert lti.load_model_library(path)["lag"].transfer_function.denominator == (1.0, pole)
 
 
 # --------------------------------------------------------------- properties

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from niformation import obstacle, scenario, sim
+from niformation import lti, obstacle, scenario, sim
 from test_obstacle import old_event_end
 
 # (status, waypoints completed, avoid_enter modes, sha256 of
@@ -131,6 +131,20 @@ def test_shipped_scenario_matches_its_golden_run(monkeypatch, name):
     assert {len(row) for row in rows} == {3}
     assert [row[:2] for row in rows[1:]] == [[f"{ev['time']:.6f}", ev["event"]]
                                              for ev in log.events]
+
+
+def test_a_cold_and_a_warm_build_give_the_golden_run():
+    # the first build after clearing the memos computes what the second reuses
+    lti._bilinear.cache_clear()
+    lti._shipped_library.cache_clear()
+    scn = scenario.load_scenario("moving_leader_compare")
+    assert scn.noise_std > 0 and scn.control.command_delay_steps > 0
+    texts = []
+    for _ in ("cold", "warm"):
+        log = sim.Simulator(scn).run()
+        texts.append(log.trajectory_csv() + log.summary_json())
+    assert texts[0] == texts[1]
+    assert digest(texts[0]) == GOLDEN["moving_leader_compare"][3]
 
 
 # shifts of every start, waypoint and obstacle (cm), and how far a shifted
@@ -645,6 +659,8 @@ def test_sweep_prints_the_baseline_the_cell_and_the_ratio(capsys):
     (["inspect", "missing.yaml"], "No such file or directory: 'missing.yaml'"),
     (["inspect", "cluttered_course", "--stride", "0"], "--stride must be at least 1"),
     (["sweep", "--scenario", "no_such_course"], "unknown scenario 'no_such_course'"),
+    (["inspect", "cluttered_course", "--window", "5", "1"], "--window needs T0 <= T1"),
+    (["inspect", "cluttered_course", "--window", "nan", "1"], "--window needs T0 <= T1"),
 ])
 def test_bad_input_ends_with_one_error_line_and_status_2(capsys, argv, message):
     with pytest.raises(SystemExit) as stop:
