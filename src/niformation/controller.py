@@ -12,7 +12,7 @@ Both the planar and the yaw law are one pipeline evaluated per step:
    rows, plus (enhanced law only) the head agent's predicted travel over
    the lookahead horizon, gathered as `velocities[heads]`, so followers aim
    at where the head is about to be;
-2. gain and route: per-row gains, built once per `NiGains`, scale the
+2. gain and route: per-row gain arrays, built once with the gains, scale the
    errors and the actuation block routes them back to agents: only an
    edge's tail steers to close that edge, reference agents additionally
    steer toward the waypoint;
@@ -100,37 +100,30 @@ def _require_m(lifted: LiftedTopology, m: int) -> NetworkTopology:
 
 @dataclass(frozen=True)
 class NiGains:
-    """Loop gains: per-edge consensus pairs, reference pair, yaw gains.
+    """Planar loop gains: per-edge consensus pairs and the reference pair.
 
     All gains must be nonpositive; the actuation block's tail signs turn
-    negative gains into attracting corrections.  `planar` and `yaw` are the
-    per-row gain vectors of the two laws (edge rows, then the reference
-    row), built once here.
+    negative gains into attracting corrections.  `planar` is the per-row
+    gain vector of the planar law (edge rows, then the reference row),
+    built once here.  The yaw law's gains are the scenario's
+    `YawControlConfig.gains`.
     """
 
     reference: tuple[float, float]
     consensus: tuple[tuple[float, float], ...]
-    yaw_reference: float = 0.0
-    yaw_consensus: tuple[float, ...] = ()
     planar: np.ndarray = field(init=False, repr=False, compare=False)
-    yaw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reference",
                            (float(self.reference[0]), float(self.reference[1])))
         object.__setattr__(self, "consensus",
                            tuple((float(a), float(b)) for a, b in self.consensus))
-        object.__setattr__(self, "yaw_consensus",
-                           tuple(float(g) for g in self.yaw_consensus))
-        everything = [*self.reference, *(g for pair in self.consensus for g in pair),
-                      self.yaw_reference, *self.yaw_consensus]
+        everything = [*self.reference, *(g for pair in self.consensus for g in pair)]
         if any(g > 0 for g in everything):
             raise ValueError("gains must be nonpositive")
         object.__setattr__(self, "planar", np.concatenate(
             [np.asarray(self.consensus, dtype=float).reshape(-1),
              np.asarray(self.reference, dtype=float)]))
-        object.__setattr__(self, "yaw", np.concatenate(
-            [np.asarray(self.yaw_consensus, dtype=float), [self.yaw_reference]]))
 
 
 def speed_caps(kinds, limits: SaturationLimits | None = None) -> np.ndarray:
@@ -230,14 +223,16 @@ def heading_from_motion(target, current, previous_heading: float) -> float:
     return float(np.arctan2(d[1], d[0]))
 
 
-def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: NiGains,
+def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: np.ndarray,
                   target_angle: float, offsets=None,
                   limits: SaturationLimits = SaturationLimits(), *,
                   dt: float = 0.0, prediction_horizon_steps: int = 1,
                   enhanced: bool = False) -> np.ndarray:
     """Yaw-rate commands (rad/s) from the one-dimensional consensus pipeline.
 
-    lifted is the yaw topology lifted to 1 coordinate.  Edge errors are the
+    lifted is the yaw topology lifted to 1 coordinate; gains is the per-row
+    gain array, one nonpositive gain per yaw edge and then the reference
+    gain (a scenario's `YawControlConfig.gains`).  Edge errors are the
     wrapped head-tail angle differences plus optional per-edge offsets;
     the reference row is the first reference agent's wrapped error to
     `target_angle`.  The enhanced variant adds each head's predicted yaw
@@ -258,7 +253,7 @@ def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: NiGains,
     if enhanced:
         rates = np.asarray(yaw_rates, dtype=float)
         edge_rows += rates[heads] * dt * prediction_horizon_steps
-    return _route(errors, lifted, gains.yaw, limits.yaw_rate).ravel()
+    return _route(errors, lifted, gains, limits.yaw_rate).ravel()
 
 
 def prediction_path_tf(plant: TransferFunction, dt: float,

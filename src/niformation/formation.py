@@ -113,10 +113,6 @@ class TransitionState:
     def deadline(self) -> float:
         return self.start_time + self.duration
 
-    def participating(self) -> list[int]:
-        """Indices (into the agent list) that actually move."""
-        return list(self.moving)
-
 
 def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
                       *, tolerance: float, grace: float, hold: float) -> str:

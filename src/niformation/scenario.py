@@ -7,6 +7,11 @@ obstacle polygons, sensing geometry, and the integration/noise settings.
 Positions are centimeters; angles in the file are degrees (converted to
 radians on load); times are seconds.
 
+Each section's keys, defaults and bounds are declared once, on its
+dataclass: the loader reads `sensing`, `control` and `saturation` from their
+dataclasses' fields, and a `Scenario` checks its own bounds, so one built
+with `dataclasses.replace` is checked by the same code as a loaded one.
+
 `load_scenario` accepts a filesystem path or the bare name of a shipped
 scenario.  Validation errors name the offending field path, and a key the
 loader does not read is refused rather than ignored.
@@ -15,7 +20,7 @@ loader does not read is refused rather than ignored.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +85,28 @@ class ControlConfig:
 
 @dataclass(frozen=True)
 class YawControlConfig:
+    """The yaw law's topology, offsets, target, gains and corner turns.
+
+    `gains` is the law's per-row gain array: one nonpositive gain per yaw
+    edge, then the reference agent's gain.
+    """
+
     topology: NetworkTopology
     offsets: tuple[float, ...]          # radians, per yaw edge
     target: float | None                # radians; None tracks motion heading
+    gains: np.ndarray
     corner_turns: bool = False
-    corner_entry: float = np.deg2rad(30.0)
-    corner_exit: float = np.deg2rad(3.0)
+    corner_entry: float = float(np.deg2rad(30.0))
+    corner_exit: float = float(np.deg2rad(3.0))
+
+    def __post_init__(self):
+        gains = np.array(self.gains, dtype=float)
+        if gains.shape != (self.topology.n_edges + 1,):
+            raise ScenarioError(
+                "yaw_control.consensus_gains: must match the yaw edge count")
+        if not np.all(gains <= 0):
+            raise ScenarioError("yaw_control: gains must be nonpositive")
+        object.__setattr__(self, "gains", gains)
 
 
 @dataclass(frozen=True)
@@ -93,13 +114,13 @@ class Scenario:
     name: str
     dt: float
     duration: float
-    seed: int
     agents: tuple[AgentSpec, ...]
     topology: NetworkTopology
     gains: NiGains
     waypoints: tuple[tuple[float, float], ...]
-    waypoint_radius: float
     formation: FormationSpec
+    seed: int = 0
+    waypoint_radius: float = 10.0
     obstacles: tuple[np.ndarray, ...] = ()
     sensing: SensingConfig = field(default_factory=SensingConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
@@ -113,6 +134,22 @@ class Scenario:
     # (0 = step; a stepped reference rings the lightly damped head plant)
     waypoint_cruise_speed: float = 0.0
     waypoint_ease_s: float = 0.0
+
+    def __post_init__(self):
+        # `not value > 0` rather than `value <= 0`, so that NaN fails too
+        for path, value in (("dt", self.dt), ("duration", self.duration),
+                            ("waypoints.radius", self.waypoint_radius)):
+            if not value > 0:
+                raise ScenarioError(f"{path}: must be positive")
+        for path, value in (("seed", self.seed), ("noise_std", self.noise_std),
+                            ("settle_time", self.settle_time),
+                            ("metrics_warmup_s", self.metrics_warmup_s),
+                            ("waypoints.cruise_speed", self.waypoint_cruise_speed),
+                            ("waypoints.ease_s", self.waypoint_ease_s)):
+            if not value >= 0:
+                raise ScenarioError(f"{path}: must be nonnegative")
+        if self.waypoint_cruise_speed > 0 and not self.waypoint_ease_s > 0:
+            raise ScenarioError("waypoints.ease_s: must be positive with cruise_speed")
 
     @property
     def n_agents(self) -> int:
@@ -141,70 +178,79 @@ def _expect(doc: dict, key: str, path: str, kind: type | None = None):
     return value
 
 
-def _number(value, path: str, *, nonnegative: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {type(value).__name__}")
-    if not np.isfinite(float(value)):
+# the Python types a value of each field type may be given as, and its name
+_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _scalar(value, path: str, kind: type = float):
+    """`value` read as a `kind`: a boolean is never a number, and a number
+    must be finite."""
+    accepted, name = _TYPES[kind]
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, accepted):
+        raise ScenarioError(f"{path}: expected {name}, got {type(value).__name__}")
+    if kind is float and not np.isfinite(float(value)):
         raise ScenarioError(f"{path}: must be finite")
-    if nonnegative and value < 0:
-        raise ScenarioError(f"{path}: must be nonnegative")
-    return float(value)
+    return kind(value)
 
 
 def _pair(value, path: str) -> tuple[float, float]:
     """A [x, y] list of two finite numbers: a point or a gain pair."""
     if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioError(f"{path}: expected a [x, y] pair")
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    return (_scalar(value[0], f"{path}[0]"), _scalar(value[1], f"{path}[1]"))
 
 
-def _flag(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected true or false, got {type(value).__name__}")
-    return value
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}: expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _only(doc: dict, path: str, *fields: str) -> dict:
-    """The mapping itself, once every key in it is one of `fields`."""
+def _only(doc: dict, path: str, *keys: str) -> dict:
+    """The mapping itself, once every key in it is one of `keys`."""
     for key in doc:
-        if key not in fields:
+        if key not in keys:
             raise ScenarioError(f"{path}{key}: unknown field")
     return doc
 
 
-def _section(doc: dict, key: str, *fields: str) -> dict:
-    """An optional mapping section; absent or null reads as {}."""
-    value = {} if doc.get(key) is None else doc[key]
-    if not isinstance(value, dict):
+def _scalars(cls, doc: dict, path: str, keys, prefix: str = "") -> dict:
+    """The `keys` that `doc` sets, each read as the type of the default of
+    `cls`'s field `prefix + key`; an absent key is left to that default."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {prefix + key: _scalar(doc[key], path + key, type(defaults[prefix + key]))
+            for key in keys if key in doc}
+
+
+def _section(cls, doc: dict, key: str):
+    """The optional section `key` read into `cls`, whose field names are the
+    keys it accepts; absent or null reads as `cls()`."""
+    raw = {} if doc.get(key) is None else doc[key]
+    if not isinstance(raw, dict):
         raise ScenarioError(f"{key}: expected a mapping")
-    return _only(value, key + ".", *fields)
+    names = [f.name for f in fields(cls)]
+    try:
+        return cls(**_scalars(cls, _only(raw, key + ".", *names), key + ".", names))
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: {exc}") from exc
 
 
 def _edge_topology(doc: dict, section: str, n_agents: int,
-                   *fields: str) -> NetworkTopology:
+                   *keys: str) -> NetworkTopology:
     """The [head, tail] edges and the single reference agent of a section
-    whose other keys are `fields`."""
+    whose other keys are `keys`."""
     path = section + "."
-    _only(doc, path, "edges", "reference_agents", *fields)
+    _only(doc, path, "edges", "reference_agents", *keys)
     edges = _expect(doc, "edges", path, list)
     for k, edge in enumerate(edges):
         if not (isinstance(edge, list) and len(edge) == 2):
             raise ScenarioError(f"{path}edges[{k}]: expected a [head, tail] pair")
         for end in edge:
-            _integer(end, f"{path}edges[{k}]")
+            _scalar(end, f"{path}edges[{k}]", int)
     refs = _expect(doc, "reference_agents", path, list)
     if len(refs) != 1:
         # the simulator steers only the first reference agent
         raise ScenarioError(f"{path}reference_agents: expected exactly one agent")
     try:
         return build_topology(n_agents, edges,
-                              [_integer(refs[0], f"{path}reference_agents[0]")])
+                              [_scalar(refs[0], f"{path}reference_agents[0]", int)])
     except ValueError as exc:
         raise ScenarioError(f"{section}: {exc}") from exc
 
@@ -219,12 +265,12 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
         if not isinstance(row, dict):
             raise ScenarioError(f"agents[{i}]: expected a mapping")
         _only(row, p, "id", "kind", "start", "yaw")
-        ident = _integer(_expect(row, "id", p), p + "id")
+        ident = _scalar(_expect(row, "id", p), p + "id", int)
         kind = _expect(row, "kind", p, str)
         if kind not in AGENT_KINDS:
             raise ScenarioError(f"{p}kind: must be one of {AGENT_KINDS}")
         start = _pair(_expect(row, "start", p), p + "start")
-        yaw = np.deg2rad(_number(row.get("yaw", 0.0), p + "yaw"))
+        yaw = np.deg2rad(_scalar(row.get("yaw", 0.0), p + "yaw"))
         agents.append(AgentSpec(id=ident, kind=kind, start=start, yaw=float(yaw)))
     ids = [a.id for a in agents]
     if ids != list(range(1, len(agents) + 1)):
@@ -232,24 +278,16 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
     return tuple(agents)
 
 
-def _gains(doc, n_edges, yaw_doc) -> NiGains:
+def _gains(doc, n_edges) -> NiGains:
     g = _only(_expect(doc, "gains", "", dict), "gains.", "reference", "consensus")
     reference = _pair(_expect(g, "reference", "gains."), "gains.reference")
     cons = _expect(g, "consensus", "gains.", list)
     if len(cons) != n_edges:
         raise ScenarioError(f"gains.consensus: expected {n_edges} pairs, got {len(cons)}")
-    yaw_ref, yaw_cons = 0.0, ()
-    if yaw_doc is not None:
-        yaw_ref = _number(_expect(yaw_doc, "reference_gain", "yaw_control."),
-                          "yaw_control.reference_gain")
-        raw = _expect(yaw_doc, "consensus_gains", "yaw_control.", list)
-        yaw_cons = tuple(_number(v, f"yaw_control.consensus_gains[{i}]")
-                         for i, v in enumerate(raw))
     consensus = tuple(_pair(pair, f"gains.consensus[{i}]")
                       for i, pair in enumerate(cons))
     try:
-        return NiGains(reference=reference, consensus=consensus,
-                       yaw_reference=yaw_ref, yaw_consensus=yaw_cons)
+        return NiGains(reference=reference, consensus=consensus)
     except ValueError as exc:
         raise ScenarioError(f"gains: {exc}") from exc
 
@@ -268,11 +306,11 @@ def _formation(doc, n_edges) -> FormationSpec:
         offsets = _expect(row, "offsets", p, list)
         if len(offsets) != n_edges:
             raise ScenarioError(f"{p}offsets: expected {n_edges} pairs, got {len(offsets)}")
-        after = _integer(row.get("after_waypoints", 0), p + "after_waypoints")
+        after = _scalar(row.get("after_waypoints", 0), p + "after_waypoints", int)
         points = tuple(_pair(o, f"{p}offsets[{j}]") for j, o in enumerate(offsets))
-        duration = _number(row.get("transition_duration", 2.0), p + "transition_duration")
+        timing = _scalars(FormationPhase, row, p, ("transition_duration",))
         try:
-            phases.append(FormationPhase(after, points, duration))
+            phases.append(FormationPhase(after, points, **timing))
         except ValueError as exc:
             raise ScenarioError(f"{p}{exc}") from exc
     try:
@@ -290,23 +328,23 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
     top = _edge_topology(raw, "yaw_control", n_agents, "offsets", "target",
                          "corner_turns", "corner_entry", "corner_exit",
                          "reference_gain", "consensus_gains")
+    p = "yaw_control."
     offsets_deg = raw.get("offsets", [0.0] * top.n_edges)
     if not isinstance(offsets_deg, list) or len(offsets_deg) != top.n_edges:
-        raise ScenarioError(f"yaw_control.offsets: expected {top.n_edges} values")
-    target_deg = raw.get("target")
-    if target_deg is not None:
-        target_deg = _number(target_deg, "yaw_control.target")
+        raise ScenarioError(f"{p}offsets: expected {top.n_edges} values")
+    reference = _scalar(_expect(raw, "reference_gain", p), p + "reference_gain")
+    gains = [_scalar(v, f"{p}consensus_gains[{i}]")
+             for i, v in enumerate(_expect(raw, "consensus_gains", p, list))]
     return YawControlConfig(
         topology=top,
-        offsets=tuple(np.deg2rad(_number(v, f"yaw_control.offsets[{i}]"))
+        offsets=tuple(np.deg2rad(_scalar(v, f"{p}offsets[{i}]"))
                       for i, v in enumerate(offsets_deg)),
-        target=None if target_deg is None else float(np.deg2rad(target_deg)),
-        corner_turns=_flag(raw.get("corner_turns", False),
-                           "yaw_control.corner_turns"),
-        corner_entry=float(np.deg2rad(_number(raw.get("corner_entry", 30.0),
-                                              "yaw_control.corner_entry"))),
-        corner_exit=float(np.deg2rad(_number(raw.get("corner_exit", 3.0),
-                                             "yaw_control.corner_exit"))),
+        target=None if raw.get("target") is None
+        else float(np.deg2rad(_scalar(raw["target"], p + "target"))),
+        gains=[*gains, reference],
+        **_scalars(YawControlConfig, raw, p, ("corner_turns",)),
+        **{key: float(np.deg2rad(degrees)) for key, degrees in _scalars(
+            YawControlConfig, raw, p, ("corner_entry", "corner_exit")).items()},
     )
 
 
@@ -331,83 +369,29 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
           "gains", "yaw_control", "waypoints", "formation", "obstacles",
           "sensing", "control", "saturation", "noise_std", "settle_time",
           "metrics_warmup_s")
-    name = str(doc.get("name", default_name))
-    dt = _number(_expect(doc, "dt", ""), "dt")
-    duration = _number(_expect(doc, "duration", ""), "duration")
-    if dt <= 0 or duration <= 0:
-        raise ScenarioError("dt/duration: must be positive")
-    seed = _integer(doc.get("seed", 0), "seed")
-
     agents = _agents(doc, "")
     topology = _edge_topology(_expect(doc, "topology", "", dict), "topology",
                               len(agents))
-    # the yaw section is checked to be a mapping before its gains are read
-    yaw_control = _yaw_control(doc, len(agents))
-    gains = _gains(doc, topology.n_edges, doc.get("yaw_control"))
-    if yaw_control is not None and len(gains.yaw_consensus) != yaw_control.topology.n_edges:
-        raise ScenarioError("yaw_control.consensus_gains: must match the yaw edge count")
-
     wp = _only(_expect(doc, "waypoints", "", dict), "waypoints.",
                "points", "radius", "cruise_speed", "ease_s")
     points = _expect(wp, "points", "waypoints.", list)
     if not points:
         raise ScenarioError("waypoints.points: at least one waypoint is required")
-    waypoints = tuple(_pair(p, f"waypoints.points[{i}]") for i, p in enumerate(points))
-    radius = _number(wp.get("radius", 10.0), "waypoints.radius")
-    if radius <= 0:
-        raise ScenarioError("waypoints.radius: must be positive")
-    cruise = _number(wp.get("cruise_speed", 0.0), "waypoints.cruise_speed",
-                     nonnegative=True)
-    ease = _number(wp.get("ease_s", 0.0), "waypoints.ease_s", nonnegative=True)
-    if cruise > 0 and ease <= 0:
-        raise ScenarioError("waypoints.ease_s: must be positive with cruise_speed")
-
-    formation = _formation(doc, topology.n_edges)
-
-    sens = _section(doc, "sensing", "fov", "look_ahead", "robot_radius",
-                    "collision_radius", "carrot_advance")
-    sensing = SensingConfig(
-        fov=_number(sens.get("fov", 220.0), "sensing.fov"),
-        look_ahead=_number(sens.get("look_ahead", 100.0), "sensing.look_ahead"),
-        robot_radius=_number(sens.get("robot_radius", 32.0), "sensing.robot_radius"),
-        collision_radius=_number(
-            sens.get("collision_radius", 25.0), "sensing.collision_radius"),
-        carrot_advance=_number(sens.get("carrot_advance", 60.0), "sensing.carrot_advance"),
-    )
-    ctl = _section(doc, "control", "mode", "prediction_horizon_steps",
-                   "velocity_estimate_window", "command_delay_steps")
-    control = ControlConfig(
-        mode=str(ctl.get("mode", "enhanced")),
-        prediction_horizon_steps=_integer(ctl.get("prediction_horizon_steps", 1),
-                                          "control.prediction_horizon_steps"),
-        velocity_estimate_window=_integer(ctl.get("velocity_estimate_window", 1),
-                                          "control.velocity_estimate_window"),
-        command_delay_steps=_integer(ctl.get("command_delay_steps", 0),
-                                     "control.command_delay_steps"),
-    )
-    sat = _section(doc, "saturation", "ugv_speed", "uav_speed", "yaw_rate")
-    try:
-        saturation = SaturationLimits(
-            ugv_speed=_number(sat.get("ugv_speed", 100.0), "saturation.ugv_speed"),
-            uav_speed=_number(sat.get("uav_speed", 200.0), "saturation.uav_speed"),
-            yaw_rate=_number(sat.get("yaw_rate", 1.5), "saturation.yaw_rate"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"saturation: {exc}") from exc
-
-    noise_std = _number(doc.get("noise_std", 0.0), "noise_std", nonnegative=True)
-    settle_time = _number(doc.get("settle_time", 5.0), "settle_time", nonnegative=True)
-    warmup = _number(doc.get("metrics_warmup_s", 0.0), "metrics_warmup_s",
-                     nonnegative=True)
-
     return Scenario(
-        name=name, dt=dt, duration=duration, seed=seed, agents=agents,
-        topology=topology, gains=gains, waypoints=waypoints,
-        waypoint_radius=radius, formation=formation,
-        obstacles=_obstacles(doc), sensing=sensing, control=control,
-        saturation=saturation, yaw_control=yaw_control, noise_std=noise_std,
-        settle_time=settle_time, metrics_warmup_s=warmup,
-        waypoint_cruise_speed=cruise, waypoint_ease_s=ease,
+        name=str(doc.get("name", default_name)),
+        dt=_scalar(_expect(doc, "dt", ""), "dt"),
+        duration=_scalar(_expect(doc, "duration", ""), "duration"),
+        agents=agents, topology=topology, gains=_gains(doc, topology.n_edges),
+        waypoints=tuple(_pair(p, f"waypoints.points[{i}]") for i, p in enumerate(points)),
+        formation=_formation(doc, topology.n_edges), obstacles=_obstacles(doc),
+        sensing=_section(SensingConfig, doc, "sensing"),
+        control=_section(ControlConfig, doc, "control"),
+        saturation=_section(SaturationLimits, doc, "saturation"),
+        yaw_control=_yaw_control(doc, len(agents)),
+        **_scalars(Scenario, doc, "", ("seed", "noise_std", "settle_time",
+                                       "metrics_warmup_s")),
+        **_scalars(Scenario, wp, "waypoints.", ("radius", "cruise_speed", "ease_s"),
+                   "waypoint_"),
     )
 
 

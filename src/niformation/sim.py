@@ -552,7 +552,7 @@ class Simulator:
                 self._relative_offsets() - self.schedule_offsets).max())
         self._event(now, f"transition_{status}", kind=kind, start_time=state.start_time,
                     duration=state.duration, agents=list(state.agents),
-                    participating=[state.agents[k] for k in state.participating()],
+                    participating=[state.agents[k] for k in state.moving],
                     first_entry={str(a): t for a, t in sorted(state.first_entry.items())},
                     converged_time=state.converged_time, **restored)
         if kind != "waypoint" and status != "superseded":
@@ -700,7 +700,7 @@ class Simulator:
                 reference, self.positions[self.master], self.last_heading)
             self.last_heading = target
         yaw_cmds = controller.yaw_consensus(
-            self.yaws, self.yaw_rates, self.yaw_lift, scn.gains,
+            self.yaws, self.yaw_rates, self.yaw_lift, cfg.gains,
             target, self.yaw_offsets, scn.saturation, dt=scn.dt,
             prediction_horizon_steps=scn.control.prediction_horizon_steps,
             enhanced=(scn.control.mode == "enhanced"))

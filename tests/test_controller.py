@@ -170,10 +170,8 @@ def test_positive_gains_are_rejected():
 
 
 def test_gain_vectors_are_built_with_the_gains():
-    gains = NiGains(reference=(-0.1, -0.2), consensus=((-1.0, -2.0), (-3.0, -4.0)),
-                    yaw_reference=-0.5, yaw_consensus=(-0.6, -0.7))
+    gains = NiGains(reference=(-0.1, -0.2), consensus=((-1.0, -2.0), (-3.0, -4.0)))
     np.testing.assert_array_equal(gains.planar, [-1.0, -2.0, -3.0, -4.0, -0.1, -0.2])
-    np.testing.assert_array_equal(gains.yaw, [-0.6, -0.7, -0.5])
 
 
 # --------------------------------------------------------------------- yaw
@@ -217,8 +215,7 @@ def test_wrap_angle_equals_the_numpy_formula_bit_for_bit(values):
 
 
 def test_yaw_reference_agent_turns_toward_target():
-    gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
-                    yaw_reference=-0.066, yaw_consensus=(-0.02,))
+    gains = np.array([-0.02, -0.066])
     u = yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR_YAW, gains,
                       target_angle=np.pi / 2)
     assert u[0] == pytest.approx(-0.066 * (0.0 - np.pi / 2))
@@ -226,8 +223,7 @@ def test_yaw_reference_agent_turns_toward_target():
 
 
 def test_yaw_follower_aligns_with_head():
-    gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
-                    yaw_reference=-0.066, yaw_consensus=(-0.02,))
+    gains = np.array([-0.02, -0.066])
     u = yaw_consensus([np.pi / 2, 0.0], [0.0, 0.0], PAIR_YAW, gains,
                       target_angle=np.pi / 2)
     # follower error pi/2, actuation sign flips: positive rate toward head
@@ -235,8 +231,7 @@ def test_yaw_follower_aligns_with_head():
 
 
 def test_yaw_error_wraps_across_the_cut():
-    gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
-                    yaw_reference=-0.5, yaw_consensus=(-0.5,))
+    gains = np.array([-0.5, -0.5])
     # head at +175 deg, follower at -175 deg: the short way is +10 deg
     yaws = [np.deg2rad(175.0), np.deg2rad(-175.0)]
     u = yaw_consensus(yaws, [0.0, 0.0], PAIR_YAW, gains, target_angle=np.deg2rad(175.0))
@@ -244,15 +239,13 @@ def test_yaw_error_wraps_across_the_cut():
 
 
 def test_yaw_rate_commands_clip():
-    gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
-                    yaw_reference=-10.0, yaw_consensus=(-10.0,))
+    gains = np.array([-10.0, -10.0])
     u = yaw_consensus([0.0, np.pi], [0.0, 0.0], PAIR_YAW, gains, target_angle=np.pi)
     assert np.all(np.abs(u) <= 1.5)
 
 
 def test_yaw_enhanced_adds_head_rate_lookahead():
-    gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0),),
-                    yaw_reference=0.0, yaw_consensus=(-0.5,))
+    gains = np.array([-0.5, 0.0])
     base = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, target_angle=0.0)
     enh = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, target_angle=0.0,
                         dt=0.02, prediction_horizon_steps=1, enhanced=True)
@@ -323,9 +316,7 @@ def inline_yaw(yaws, rates, topology, gains, target, offsets, dt, horizon,
             err += rates[head - 1] * dt * horizon
         errors[e] = err
     errors[-1] = numpy_wrap(yaws[topology.reference_agents[0] - 1] - target)
-    gain_vec = np.concatenate([np.asarray(gains.yaw_consensus, dtype=float),
-                               [gains.yaw_reference]])
-    raw = actuation @ (gain_vec * errors)
+    raw = actuation @ (np.asarray(gains, dtype=float) * errors)
     return np.clip(raw, -1.5, 1.5)
 
 
@@ -393,11 +384,8 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
     rates = np.array(data.draw(st.lists(angles, min_size=n, max_size=n)))
     offsets = np.array(data.draw(st.lists(angles, min_size=n_edges,
                                           max_size=n_edges)), dtype=float)
-    gains = NiGains(reference=(0.0, 0.0),
-                    consensus=((0.0, 0.0),) * n_edges,
-                    yaw_reference=data.draw(nonpositive),
-                    yaw_consensus=tuple(data.draw(nonpositive)
-                                        for _ in range(n_edges)))
+    # the edge gains, then the reference gain
+    gains = np.array([data.draw(nonpositive) for _ in range(n_edges + 1)])
     if data.draw(st.booleans()):
         # -0.0 - +0.0 on the reference row before it is wrapped
         yaws[topology.reference_agents[0] - 1] = -0.0
@@ -444,6 +432,4 @@ def test_laws_reject_a_lift_of_the_wrong_width():
         baseline_control(np.zeros((2, 2)), PAIR_YAW, star_gains(),
                          np.zeros((1, 2)), [0.0, 0.0], CAPS_UGV2)
     with pytest.raises(ValueError, match="lifted to 1"):
-        yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR, NiGains(
-            reference=(0.0, 0.0), consensus=((0.0, 0.0),),
-            yaw_consensus=(0.0,)), target_angle=0.0)
+        yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR, np.zeros(2), target_angle=0.0)

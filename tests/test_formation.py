@@ -85,7 +85,7 @@ def test_transition_validation():
 def test_agents_with_zero_displacement_do_not_participate():
     tr = TransitionState(0.0, 2.0, (2, 3), np.zeros((2, 2)),
                          [[0.0, 0.0], [10.0, 0.0]])
-    assert tr.participating() == [1]
+    assert tr.moving == (1,)
 
 
 # -------------------------------------------------------------- convergence
@@ -247,7 +247,7 @@ def test_convergence_equals_the_per_agent_loop(walk):
         return TransitionState(0.0, duration, agents, np.zeros_like(dis), dis)
 
     got, want = transition(), transition()
-    assert got.participating() == participating_by_loop(want)
+    assert list(got.moving) == participating_by_loop(want)
     for now, residual in steps:
         status = check_convergence(got, residual, now, tolerance=TOLERANCE,
                                    grace=grace, hold=hold)
@@ -256,4 +256,4 @@ def test_convergence_equals_the_per_agent_loop(walk):
         assert got.first_entry == want.first_entry
         assert (got.in_band_since, got.converged_time) == (want.in_band_since,
                                                            want.converged_time)
-    assert got.participating() == participating_by_loop(want)
+    assert list(got.moving) == participating_by_loop(want)

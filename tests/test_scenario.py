@@ -1,6 +1,7 @@
 """Scenario documents: the shipped files load, malformed ones name the field."""
 
 import copy
+import dataclasses
 import importlib.resources
 import re
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import lti, scenario
-from niformation.scenario import ScenarioError, scenario_from_dict
+from niformation.controller import SaturationLimits
+from niformation.scenario import (ControlConfig, ScenarioError, SensingConfig,
+                                  scenario_from_dict)
 
 SHIPPED = scenario.shipped_scenarios()
 
@@ -64,7 +67,7 @@ MUTATIONS = {
     "topology.edges[0]": (
         ("topology", "edges", 0),
         st.lists(agent_ids, min_size=3, max_size=4), False),
-    "seed": (("seed",), non_integers, False),
+    "seed": (("seed",), st.one_of(non_integers, st.integers(max_value=-1)), False),
     "settle_time": (("settle_time",), st.floats(-1e6, -1e-9), False),
     "topology.reference_agents": (
         ("topology", "reference_agents"),
@@ -77,6 +80,8 @@ MUTATIONS = {
     "gains.reference[0]": (("gains", "reference", 0), non_numbers, False),
     "gains.consensus[0][1]": (("gains", "consensus", 0, 1), non_numbers, False),
     "yaw_control.corner_turns": (("yaw_control", "corner_turns"), non_booleans, True),
+    "yaw_control.consensus_gains[0]": (
+        ("yaw_control", "consensus_gains", 0), non_numbers, True),
 }
 
 
@@ -181,13 +186,48 @@ def test_retired_or_misspelt_key_is_rejected_by_name(field):
         scenario_from_dict(doc)
 
 
+# the sections whose every key has a default, and the section with none set
+DEFAULT_SECTIONS = {"sensing": SensingConfig(), "control": ControlConfig(),
+                    "saturation": SaturationLimits()}
+
+
 @pytest.mark.parametrize("section", ["sensing", "control", "saturation",
                                      "yaw_control", "obstacles"])
 def test_a_null_section_reads_as_an_absent_one(section):
     doc = mutated("cluttered_course", (section,), None)
     null = scenario_from_dict(doc)
     del doc[section]
-    assert repr(getattr(null, section)) == repr(getattr(scenario_from_dict(doc), section))
+    absent = getattr(scenario_from_dict(doc), section)
+    assert repr(getattr(null, section)) == repr(absent)
+    if section in DEFAULT_SECTIONS:
+        assert absent == DEFAULT_SECTIONS[section]
+
+
+def test_yaw_gains_are_the_edge_gains_then_the_reference_gain():
+    scn = scenario_from_dict(DOCS["triangle_rect_patrol"])
+    assert scn.yaw_control.gains.tolist() == [-0.5, -0.5]
+    doc = mutated("yaw_sync_pair", ("yaw_control", "consensus_gains"), [-0.02, -0.02])
+    with pytest.raises(ScenarioError, match="^yaw_control.consensus_gains: must match"):
+        scenario_from_dict(doc)
+    doc = mutated("yaw_sync_pair", ("yaw_control", "reference_gain"), 0.5)
+    with pytest.raises(ScenarioError, match="^yaw_control: gains must be nonpositive"):
+        scenario_from_dict(doc)
+
+
+# a replaced field, a value out of its bounds and the field path the error
+# names: an override is checked by the code that checks a loaded document
+OVERRIDES = [("dt", 0.0, "dt"), ("dt", float("nan"), "dt"),
+             ("duration", -1.0, "duration"), ("noise_std", -1.0, "noise_std"),
+             ("settle_time", -1.0, "settle_time"),
+             ("metrics_warmup_s", -1.0, "metrics_warmup_s"), ("seed", -1, "seed"),
+             ("waypoint_radius", 0.0, "waypoints.radius")]
+
+
+@pytest.mark.parametrize("field, bad, path", OVERRIDES)
+def test_an_override_out_of_bounds_is_rejected_by_name(field, bad, path):
+    scn = scenario_from_dict(DOCS["moving_leader_compare"])
+    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: must be"):
+        dataclasses.replace(scn, **{field: bad})
 
 
 def test_integral_counts_still_load():

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from niformation import lti, obstacle, scenario, sim
 from test_obstacle import old_event_end
+from test_scenario import DOCS
 
 # (status, waypoints completed, avoid_enter modes, sha256 of
 # trajectory_csv() + summary_json(), sha256 of events_csv()) for every
@@ -281,6 +283,13 @@ def test_summary_of_a_run_that_logs_no_step_is_json():
 
     summary = json.loads(log.summary_json(), parse_constant=reject)
     assert summary["min_obstacle_clearance_cm"] is None
+
+
+@pytest.mark.parametrize("override, path", [({"duration": -1.0}, "duration"),
+                                            ({"noise_std": -1.0}, "noise_std")])
+def test_run_scenario_rejects_an_override_out_of_bounds_by_name(override, path):
+    with pytest.raises(scenario.ScenarioError, match=f"^{path}: must be "):
+        sim.run_scenario("moving_leader_compare", **override)
 
 
 def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
@@ -661,8 +670,14 @@ def test_sweep_prints_the_baseline_the_cell_and_the_ratio(capsys):
     (["sweep", "--scenario", "no_such_course"], "unknown scenario 'no_such_course'"),
     (["inspect", "cluttered_course", "--window", "5", "1"], "--window needs T0 <= T1"),
     (["inspect", "cluttered_course", "--window", "nan", "1"], "--window needs T0 <= T1"),
+    (["inspect", "negative_seed.yaml"], "seed: must be nonnegative"),
+    (["sweep", "--scenario", "negative_seed.yaml"], "seed: must be nonnegative"),
 ])
-def test_bad_input_ends_with_one_error_line_and_status_2(capsys, argv, message):
+def test_bad_input_ends_with_one_error_line_and_status_2(capsys, monkeypatch, tmp_path,
+                                                         argv, message):
+    monkeypatch.chdir(tmp_path)
+    doc = {**DOCS["moving_leader_compare"], "seed": -1}
+    (tmp_path / "negative_seed.yaml").write_text(yaml.safe_dump(doc))
     with pytest.raises(SystemExit) as stop:
         entry_point()(argv)
     assert stop.value.code == 2
