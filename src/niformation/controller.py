@@ -2,43 +2,44 @@
 
 The topology's sensing and actuation blocks are constant for a run, so
 `lift` builds their Kronecker lifts once and every law below reuses them.
-Both the planar and the yaw law are one pipeline evaluated per step:
+Both the planar and the yaw law are one pipeline evaluated per step on
+stacked floats, each agent's (or edge's) coordinates in turn:
 
 1. sense: the errors are per-edge differences (head - tail) followed by the
    reference-agent row.  The planar law gets them from the transposed
    sensing block applied to the positions shifted by the waypoint,
    e_i = y_i - W; the yaw law gathers wrapped angle differences through the
-   topology's edge index arrays.  Desired offsets are added on the edge
+   lift's (head, tail) `pairs`.  Desired offsets are added on the edge
    rows, plus (enhanced law only) the head agent's predicted travel over
-   the lookahead horizon, gathered as `velocities[heads]`, so followers aim
-   at where the head is about to be;
-2. gain and route: per-row gain arrays, built once with the gains, scale the
+   the lookahead horizon, so followers aim at where the head is about to be;
+2. gain and route: per-row gains, built once with the gains, scale the
    errors and the actuation block routes them back to agents: only an
    edge's tail steers to close that edge, reference agents additionally
    steer toward the waypoint;
-3. clip: commands clip to the per-agent speed caps (one array per run,
-   built by `speed_caps` from the agents' kinds) or to the yaw-rate cap.
+3. clip: commands clip to the per-axis speed caps (built once a run by
+   `speed_caps` from the agents' kinds) or to the yaw-rate cap.
 
 Steps 2 and 3 are one private route shared by every law.  Because the
 actuation block carries -1 at each tail, negative gains yield attracting
 (stable) corrections in both the edge and the reference channels.
 
-The laws run every step on arrays of a few elements, so they avoid numpy
-calls that do no arithmetic, but every product and sum keeps the order the
-logged runs were recorded with.  Three conditions must hold for the output
-to stay the same bit for bit:
-
-* the planar reference rows get `+ 0.0` after the sensing product, which
-  turns a -0.0 into +0.0;
-* the yaw head feed is `(rate * dt) * horizon` and the planar head feed is
-  `velocity * (dt * horizon)`, each rounded in that order;
-* each law keeps its own sensing and actuation products, and the simulator
-  keeps its planar and yaw plant banks apart: a fused matmul sums in
-  another order and can change the sign of a zero.
+The laws see a few numbers a step, where a numpy call costs more than its
+arithmetic, so every elementwise step runs on Python floats, which round
+as numpy's ufuncs do.  One rule keeps the output bit for bit: each law's
+two matrix products, sensing times shifted positions and actuation times
+gained errors, stay numpy products of their recorded shapes and order.  A
+product summed in Python, or fused across the planar and yaw laws, adds in
+another order than the BLAS kernel and can change the last bit or the sign
+of a zero.  The elementwise steps keep their order too: `+ 0.0` on the
+planar reference rows after the sensing product (a -0.0 becomes +0.0
+whatever order the product summed in), and the head feeds
+`velocity * (dt * horizon)` (planar) and `(rate * dt) * horizon` (yaw).
+Only a NaN's sign bit may differ from numpy's, where two NaNs meet.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,7 @@ class SaturationLimits:
     yaw_rate: float = 1.5
 
     def __post_init__(self):
-        if min(self.ugv_speed, self.uav_speed, self.yaw_rate) <= 0:
+        if not all(limit > 0 for limit in (self.ugv_speed, self.uav_speed, self.yaw_rate)):
             raise ValueError("saturation limits must be positive")
 
     def speed_for(self, kind: str) -> float:
@@ -84,6 +85,11 @@ class LiftedTopology:
     sensing_t: np.ndarray
     actuation: np.ndarray
 
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's 0-based (head, tail) agent rows, as plain ints."""
+        return tuple((head - 1, tail - 1) for head, tail in self.topology.edges)
+
 
 def lift(topology: NetworkTopology, m: int) -> LiftedTopology:
     """Lift the topology's sensing and actuation blocks to m coordinates."""
@@ -104,81 +110,81 @@ class NiGains:
 
     All gains must be nonpositive; the actuation block's tail signs turn
     negative gains into attracting corrections.  `planar` is the per-row
-    gain vector of the planar law (edge rows, then the reference row),
-    built once here.  The yaw law's gains are the scenario's
+    gains of the planar law (edge rows, then the reference row), built once
+    here.  The yaw law's gains are the scenario's
     `YawControlConfig.gains`.
     """
 
     reference: tuple[float, float]
     consensus: tuple[tuple[float, float], ...]
-    planar: np.ndarray = field(init=False, repr=False, compare=False)
+    planar: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reference",
                            (float(self.reference[0]), float(self.reference[1])))
         object.__setattr__(self, "consensus",
                            tuple((float(a), float(b)) for a, b in self.consensus))
-        everything = [*self.reference, *(g for pair in self.consensus for g in pair)]
-        if any(g > 0 for g in everything):
+        planar = (*(g for pair in self.consensus for g in pair), *self.reference)
+        if any(g > 0 for g in planar):
             raise ValueError("gains must be nonpositive")
-        object.__setattr__(self, "planar", np.concatenate(
-            [np.asarray(self.consensus, dtype=float).reshape(-1),
-             np.asarray(self.reference, dtype=float)]))
+        object.__setattr__(self, "planar", planar)
 
 
-def speed_caps(kinds, limits: SaturationLimits | None = None) -> np.ndarray:
-    """Per-agent per-axis speed caps (cm/s) as an (n, 1) column."""
+def speed_caps(kinds, limits: SaturationLimits | None = None) -> tuple[float, ...]:
+    """Per-axis speed caps (cm/s): x and y of each agent in turn."""
     limits = limits or SaturationLimits()
-    return np.array([[limits.speed_for(kind)] for kind in kinds], dtype=float)
+    return tuple(limits.speed_for(kind) for kind in kinds for _axis in "xy")
 
 
-def saturate(commands: np.ndarray, caps) -> np.ndarray:
-    """Clip each command to its speed cap; as caps are > 0, `np.clip` bit for bit."""
-    return np.minimum(np.maximum(commands, -caps), caps)
+def saturate(commands, caps) -> list[float]:
+    """Clip each command to its cap: for caps > 0 the bits of
+    `np.minimum(np.maximum(command, -cap), cap)`, NaN and -0.0 included."""
+    clipped = []
+    for command, cap in zip(commands, caps, strict=True):
+        command = -cap if command < -cap else command
+        clipped.append(cap if command > cap else command)
+    return clipped
 
 
-def formation_errors(positions: np.ndarray, lifted: LiftedTopology,
-                     offsets: np.ndarray, waypoint) -> np.ndarray:
+def formation_errors(positions, lifted: LiftedTopology, offsets, waypoint) -> list[float]:
     """Stacked error vector: edge rows then reference rows (x, y each).
 
-    positions is (n, 2) in cm; lifted is the topology lifted to 2
-    coordinates; offsets is (n_edges, 2), row e the desired tail-minus-head
-    displacement for edge e; waypoint is the reference agents' target point.
+    positions are the n agents' stacked (x, y) in cm; lifted is the
+    topology lifted to 2 coordinates; offsets are stacked per edge, edge e's
+    the desired tail-minus-head displacement; waypoint is the reference
+    agents' target point.
     """
     topology = _require_m(lifted, 2)
-    pos = np.asarray(positions, dtype=float)
-    if pos.shape != (topology.n_agents, 2):
-        raise ValueError(f"positions must be ({topology.n_agents}, 2)")
-    offs = np.asarray(offsets, dtype=float).reshape(topology.n_edges, 2)
-    shifted = pos - np.asarray(waypoint, dtype=float)
-
-    errors = lifted.sensing_t @ shifted.ravel()
-    edge_rows, reference_rows = errors[: offs.size], errors[offs.size:]
-    edge_rows += offs.ravel()
-    reference_rows += 0.0   # a -0.0 from the product becomes +0.0
-    return errors
+    if (len(positions), len(offsets)) != (2 * topology.n_agents, 2 * topology.n_edges):
+        raise ValueError(f"positions and offsets must stack {topology.n_agents} "
+                         f"and {topology.n_edges} (x, y)")
+    wx, wy = map(float, waypoint)
+    shifted = [p - w for p, w in zip(positions, (wx, wy) * topology.n_agents)]
+    errors = (lifted.sensing_t @ shifted).tolist()
+    # a -0.0 from the product becomes +0.0 on the reference rows
+    return ([e + o for e, o in zip(errors, offsets)]
+            + [e + 0.0 for e in errors[len(offsets):]])
 
 
-def _route(errors, lifted: LiftedTopology, gains: np.ndarray, caps) -> np.ndarray:
+def _route(errors, lifted: LiftedTopology, gains, caps) -> list[float]:
     """Gain the stacked errors, route them to agents and clip to the caps.
 
-    Returns one row per agent and one column per lifted coordinate.
+    Returns each agent's lifted coordinates in turn.
     """
-    topology = lifted.topology
-    if gains.size != errors.size:
+    if len(gains) != len(errors):
         what = "consensus gain pairs" if lifted.m == 2 else "yaw consensus gains"
-        raise ValueError(f"got {gains.size // lifted.m - 1} {what} for "
-                         f"{topology.n_edges} edges")
-    raw = lifted.actuation @ (gains * errors)
-    return saturate(raw.reshape(topology.n_agents, lifted.m), caps)
+        raise ValueError(f"got {len(gains) // lifted.m - 1} {what} for "
+                         f"{lifted.topology.n_edges} edges")
+    routed = lifted.actuation @ [g * e for g, e in zip(gains, errors)]
+    return saturate(routed.tolist(), caps)
 
 
 def baseline_control(positions, lifted: LiftedTopology, gains: NiGains,
-                     offsets, waypoint, caps) -> np.ndarray:
-    """Planar commands without head-motion prediction; (n, 2) cm/s.
+                     offsets, waypoint, caps) -> list[float]:
+    """Planar commands without head-motion prediction, stacked (vx, vy) in cm/s.
 
-    lifted is the topology lifted to 2 coordinates; caps the (n, 1)
-    per-agent speed caps from `speed_caps`.
+    lifted is the topology lifted to 2 coordinates; caps the per-axis
+    speed caps from `speed_caps`.
     """
     errors = formation_errors(positions, lifted, offsets, waypoint)
     return _route(errors, lifted, gains.planar, caps)
@@ -186,30 +192,33 @@ def baseline_control(positions, lifted: LiftedTopology, gains: NiGains,
 
 def enhanced_control(positions, velocities, lifted: LiftedTopology,
                      gains: NiGains, offsets, waypoint, caps, *,
-                     dt: float, prediction_horizon_steps: int = 1) -> np.ndarray:
-    """Planar commands with per-edge head-motion prediction; (n, 2) cm/s.
+                     dt: float, prediction_horizon_steps: int = 1) -> list[float]:
+    """Planar commands with per-edge head-motion prediction, stacked (vx, vy) in cm/s.
 
-    velocities is (n, 2): each edge row is fed the displacement its own head
-    agent is predicted to cover over horizon*dt seconds.
+    velocities are stacked like positions: each edge row is fed the
+    displacement its own head agent is predicted to cover over horizon*dt
+    seconds.
     """
     errors = formation_errors(positions, lifted, offsets, waypoint)
-    heads = lifted.topology.heads
-    feed = np.asarray(velocities, dtype=float)[heads] * (dt * prediction_horizon_steps)
-    errors[: feed.size] += feed.ravel()
+    tau = dt * prediction_horizon_steps
+    for row, (head, _tail) in enumerate(lifted.pairs):
+        errors[2 * row] += velocities[2 * head] * tau
+        errors[2 * row + 1] += velocities[2 * head + 1] * tau
     return _route(errors, lifted, gains.planar, caps)
+
+
+def wrap(angle: float) -> float:
+    """Wrap one angle into (-pi, pi]; `%` on floats is numpy's `remainder`."""
+    angle %= TWO_PI
+    return angle - TWO_PI if angle > math.pi else angle
 
 
 def wrap_angle(angle):
     """Wrap angles into (-pi, pi]: a float for a scalar, else a new array."""
-    wrapped = wrap_in_place(np.array(angle, dtype=float))
-    return float(wrapped) if np.isscalar(angle) else wrapped
-
-
-def wrap_in_place(angles: np.ndarray) -> np.ndarray:
-    """Wrap a float array into (-pi, pi] in place and return it."""
-    np.remainder(angles, TWO_PI, out=angles)
-    np.subtract(angles, TWO_PI, out=angles, where=angles > math.pi)
-    return angles
+    if np.isscalar(angle):
+        return wrap(float(angle))
+    angles = np.array(angle, dtype=float)
+    return np.reshape([wrap(a) for a in angles.ravel().tolist()], angles.shape)
 
 
 def heading_from_motion(target, current, previous_heading: float) -> float:
@@ -223,37 +232,37 @@ def heading_from_motion(target, current, previous_heading: float) -> float:
     return float(np.arctan2(d[1], d[0]))
 
 
-def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains: np.ndarray,
+def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains,
                   target_angle: float, offsets=None,
                   limits: SaturationLimits = SaturationLimits(), *,
                   dt: float = 0.0, prediction_horizon_steps: int = 1,
-                  enhanced: bool = False) -> np.ndarray:
-    """Yaw-rate commands (rad/s) from the one-dimensional consensus pipeline.
+                  enhanced: bool = False) -> list[float]:
+    """Yaw-rate commands (rad/s), one per agent, from the one-dimensional
+    consensus pipeline.
 
-    lifted is the yaw topology lifted to 1 coordinate; gains is the per-row
-    gain array, one nonpositive gain per yaw edge and then the reference
-    gain (a scenario's `YawControlConfig.gains`).  Edge errors are the
-    wrapped head-tail angle differences plus optional per-edge offsets;
-    the reference row is the first reference agent's wrapped error to
+    lifted is the yaw topology lifted to 1 coordinate; gains holds the
+    per-row gains, one nonpositive gain per yaw edge and then the reference
+    gain (a scenario's `YawControlConfig.gains`).  Edge errors are the wrapped
+    head-tail angle differences plus optional per-edge offsets; the
+    reference row is the first reference agent's wrapped error to
     `target_angle`.  The enhanced variant adds each head's predicted yaw
     travel over the horizon.
     """
     topology = _require_m(lifted, 1)
-    heads, n_edges = topology.heads, topology.n_edges
-    yaw = np.asarray(yaws, dtype=float)
-    # edge rows then the reference row, wrapped together; the wrap maps a
-    # zero of either sign to +0.0, so a missing offset needs no zero vector
-    errors = np.empty(n_edges + 1)
-    edge_rows = errors[:n_edges]
-    np.subtract(yaw[heads], yaw[topology.tails], out=edge_rows)
+    pairs = lifted.pairs
+    edges = [yaws[head] - yaws[tail] for head, tail in pairs]
     if offsets is not None:
-        edge_rows += np.asarray(offsets, dtype=float).reshape(n_edges)
-    errors[n_edges] = yaw[topology.reference_agents[0] - 1] - target_angle
-    wrap_in_place(errors)
+        if len(offsets) != len(pairs):
+            raise ValueError(f"offsets must be {len(pairs)} yaw offsets")
+        edges = [e + o for e, o in zip(edges, offsets)]
+    # the wrap maps a zero of either sign to +0.0, so a missing offset needs
+    # no zero
+    errors = [wrap(e) for e in edges]
     if enhanced:
-        rates = np.asarray(yaw_rates, dtype=float)
-        edge_rows += rates[heads] * dt * prediction_horizon_steps
-    return _route(errors, lifted, gains, limits.yaw_rate).ravel()
+        errors = [e + yaw_rates[head] * dt * prediction_horizon_steps
+                  for e, (head, _tail) in zip(errors, pairs)]
+    errors.append(wrap(yaws[topology.reference_agents[0] - 1] - target_angle))
+    return _route(errors, lifted, gains, (limits.yaw_rate,) * topology.n_agents)
 
 
 def prediction_path_tf(plant: TransferFunction, dt: float,

@@ -23,23 +23,24 @@ yaw m=1; see `controller.lift`) rather than on every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Validated directed topology with its derived control matrices."""
+    """Validated directed topology with its derived control matrices, which
+    `==` skips: they are functions of the first three fields."""
 
     n_agents: int
     edges: tuple[tuple[int, int], ...]      # (head, tail), 1-based agent ids
     reference_agents: tuple[int, ...]
-    incidence: np.ndarray
-    consensus: np.ndarray
-    reference: np.ndarray
-    heads: np.ndarray                       # (n_edges,) 0-based head rows
-    tails: np.ndarray                       # (n_edges,) 0-based tail rows
+    incidence: np.ndarray = field(compare=False)
+    consensus: np.ndarray = field(compare=False)
+    reference: np.ndarray = field(compare=False)
+    heads: np.ndarray = field(compare=False)   # (n_edges,) 0-based head rows
+    tails: np.ndarray = field(compare=False)   # (n_edges,) 0-based tail rows
 
     @property
     def n_edges(self) -> int:

@@ -307,8 +307,10 @@ class PlantBank:
 
     The plants' matrices are stacked once (lower-order realizations are
     zero-padded to the largest order) and each step evaluates every plant's
-    C x + D u and A x + B u as one batched matmul, with the same per-plant
-    arithmetic as `DiscretePlant.step`.  Output noise is one
+    C x and A x as one batched matmul and B u as one batched product, with
+    the same per-plant arithmetic as `DiscretePlant.step`; D u and the
+    output noise are added on Python floats, which cost less than numpy
+    calls at this size and round as they do.  Output noise is one
     `standard_normal` draw covering the noisy plants in bank order, which is
     the draw sequence of stepping them one after another.  Noisy plants must
     share one generator.  The bank copies the plants' states and never
@@ -337,23 +339,24 @@ class PlantBank:
             self.b[k, :n] = p.b
             self.c[k, :, :n] = p.c
             self.state[k, :n] = p.state
-        self.d = np.array([p.d for p in plants])
-        noise = np.array([p.noise_std for p in plants], dtype=float)
-        self.noisy = np.flatnonzero(noise)
-        self.noise_std = noise[self.noisy]
+        self.d = [p.d for p in plants]
+        self.noisy = [k for k, p in enumerate(plants) if p.noise_std]
+        self.noise_std = [plants[k].noise_std for k in self.noisy]
         rngs = {id(plants[k].rng): plants[k].rng for k in self.noisy}
         if len(rngs) > 1:
             raise ValueError("noisy plants in one bank must share a generator")
         self.rng = next(iter(rngs.values()), None)
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """Emit every plant's y[k] for its float array u[k]; advance all states."""
-        y = (self.c @ self.state).ravel() + self.d * u
-        if self.noisy.size:
-            y[self.noisy] += self.noise_std * self.rng.standard_normal(
-                self.noisy.size)
+    def step(self, u) -> list[float]:
+        """Emit every plant's y[k] for its input u[k], a float each; advance all states."""
+        outputs = (self.c @ self.state).ravel().tolist()
+        y = [cx + d * v for cx, d, v in zip(outputs, self.d, u, strict=True)]
+        if self.noisy:
+            draws = self.rng.standard_normal(len(self.noisy)).tolist()
+            for k, std, z in zip(self.noisy, self.noise_std, draws):
+                y[k] += std * z
         state = self.a @ self.state
-        state += self.b * u.reshape(-1, 1, 1)
+        state += self.b * np.array(u, dtype=float)[:, None, None]
         self.state = state
         return y
 

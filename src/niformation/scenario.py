@@ -87,14 +87,14 @@ class ControlConfig:
 class YawControlConfig:
     """The yaw law's topology, offsets, target, gains and corner turns.
 
-    `gains` is the law's per-row gain array: one nonpositive gain per yaw
-    edge, then the reference agent's gain.
+    `gains` is the law's per-row gains as floats: one nonpositive gain per
+    yaw edge, then the reference agent's gain.
     """
 
     topology: NetworkTopology
     offsets: tuple[float, ...]          # radians, per yaw edge
     target: float | None                # radians; None tracks motion heading
-    gains: np.ndarray
+    gains: tuple[float, ...]
     corner_turns: bool = False
     corner_entry: float = float(np.deg2rad(30.0))
     corner_exit: float = float(np.deg2rad(3.0))
@@ -106,7 +106,7 @@ class YawControlConfig:
                 "yaw_control.consensus_gains: must match the yaw edge count")
         if not np.all(gains <= 0):
             raise ScenarioError("yaw_control: gains must be nonpositive")
-        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "gains", tuple(gains.tolist()))
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class Scenario:
     formation: FormationSpec
     seed: int = 0
     waypoint_radius: float = 10.0
-    obstacles: tuple[np.ndarray, ...] = ()
+    obstacles: tuple[np.ndarray, ...] = field(default=(), compare=False)
     sensing: SensingConfig = field(default_factory=SensingConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
     saturation: SaturationLimits = field(default_factory=SaturationLimits)
@@ -134,8 +134,12 @@ class Scenario:
     # (0 = step; a stepped reference rings the lightly damped head plant)
     waypoint_cruise_speed: float = 0.0
     waypoint_ease_s: float = 0.0
+    # the obstacle polygons' values, which `==` compares in their place
+    obstacle_values: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "obstacle_values", tuple(
+            np.asarray(p, dtype=float).tolist() for p in self.obstacles))
         # `not value > 0` rather than `value <= 0`, so that NaN fails too
         for path, value in (("dt", self.dt), ("duration", self.duration),
                             ("waypoints.radius", self.waypoint_radius)):

@@ -16,7 +16,7 @@ run is built once at construction: the lifted topology blocks of the planar
 and yaw laws, the per-agent speed caps, one plant bank each for the planar
 axes and the yaw rates, the `obstacle.ObstacleField` that senses every
 obstacle in whole arrays, the read-only (W, 2) waypoint array, and the
-velocity ring, a preallocated buffer of the last `velocity_estimate_window`
+velocity ring, a preallocated list of the last `velocity_estimate_window`
 + 1 measured positions (never more than the run's steps) that the
 finite-difference velocities read.  Per-edge quantities (relative offsets,
 follower targets, the steered agents of a transition) are gathers through
@@ -24,6 +24,13 @@ the topology's head and tail index arrays.  An avoidance event's circle
 arrays are built once when it fires.  Per process, `lti` shares what
 depends only on the shipped files and `dt`: the parsed model library and
 each (model, `dt`) realization, whose matrices are read-only.
+
+A step's team arithmetic (the laws, the plant outputs, the delay line, the
+velocity ring and the yaw integration) runs on stacked Python floats, each
+agent's coordinates in turn, which round as numpy's ufuncs do and cost less
+than numpy calls on a few agents; see `controller` for the products that
+stay numpy.  `positions` stays the (n, 2) array that the obstacle layer and
+the state machine read, written once a step.
 
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
@@ -247,6 +254,7 @@ class Simulator:
         self.n = scn.n_agents
         self.master = scn.master_index
         self.origin = scn.starts()
+        self.stacked_origin = self.origin.ravel().tolist()
         self.waypoints = np.array(scn.waypoints, dtype=float)
         self.waypoints.flags.writeable = False
         self.planar_lift = controller.lift(scn.topology, 2)
@@ -258,30 +266,30 @@ class Simulator:
                        scn.dt, noise_std=scn.noise_std, rng=self.rng)
             for agent in scn.agents for axis in ("x", "y"))
 
-        self.yaw_rows = np.zeros(0, dtype=int)   # rows the yaw law steers
+        self.yaw_rows = []   # rows the yaw law steers
         if scn.yaw_control is not None:
             top = scn.yaw_control.topology
             self.yaw_lift = controller.lift(top, 1)
             self.yaw_rows = np.unique(np.concatenate(
-                [top.heads, top.tails, np.subtract(top.reference_agents, 1)]))
-            self.yaw_offsets = np.asarray(scn.yaw_control.offsets, dtype=float)
+                [top.heads, top.tails, np.subtract(top.reference_agents, 1)])).tolist()
+            self.yaw_offsets = np.asarray(scn.yaw_control.offsets, dtype=float).tolist()
             rate_tf = models["ugv_yaw_rate"].transfer_function
             self.yaw_plants = PlantBank(discretize(rate_tf, scn.dt)
                                         for _ in self.yaw_rows)
 
         self.positions = self.origin.copy()
-        self.velocities = np.zeros((self.n, 2))
-        self.yaws = np.array([a.yaw for a in scn.agents], dtype=float)
-        self.yaw_rates = np.zeros(self.n)
-        # the last window + 1 positions, the newest at `ring_head`, and the
-        # steps from the oldest kept to the newest; a run never reads more
-        # than its steps back, nor takes more commands from the delay line
+        self.velocities = [0.0] * (2 * self.n)   # stacked (vx, vy)
+        self.yaws = [float(a.yaw) for a in scn.agents]
+        self.yaw_rates = [0.0] * self.n
+        # the last window + 1 stacked positions, the newest (`positions` as
+        # floats) at `ring_head`, and the steps from the oldest kept to the
+        # newest; a run never reads more than its steps back, nor takes
+        # more commands from the delay line
         self.steps = int(round(scn.duration / scn.dt))
         window = min(scn.control.velocity_estimate_window, self.steps)
-        self.pos_ring = np.empty((window + 1, self.n, 2))
-        self.pos_ring[0] = self.positions
+        self.pos_ring = [self.stacked_origin] * (window + 1)
         self.ring_head = self.ring_span = 0
-        self.delay_queue = deque([(np.zeros((self.n, 2)), np.zeros(self.n))]
+        self.delay_queue = deque([([0.0] * (2 * self.n), [0.0] * self.n)]
                                  * min(scn.control.command_delay_steps, self.steps))
 
         self.obstacles = obstacle.ObstacleField(scn.obstacles,
@@ -327,7 +335,7 @@ class Simulator:
 
         # ---- records
         self.events: list[dict] = []
-        self.rel_err_max = np.zeros(scn.topology.n_edges)
+        self.rel_err_max = [0.0] * scn.topology.n_edges
         self.min_clearance = np.inf
         self.min_boundary_clearance = np.inf
 
@@ -578,7 +586,7 @@ class Simulator:
         """
         if self.pending_offsets is None or self.avoidance is not None:
             return
-        speed = float(np.linalg.norm(self.velocities, axis=1).max())
+        speed = float(np.linalg.norm(np.reshape(self.velocities, (self.n, 2)), axis=1).max())
         residual = np.abs(self._relative_offsets() - self.active_offsets)
         quiet = (speed <= SETTLE_SPEED_CM_S
                  and (residual.size == 0
@@ -662,9 +670,9 @@ class Simulator:
     def _update_corner(self, now: float):
         if self.corner is None:
             return
-        target = self.corner.heading
-        errs = np.abs(controller.wrap_angle(self.yaws[self.yaw_rows] - target))
-        if errs.size and errs.max() < self.scn.yaw_control.corner_exit:
+        target, exit_angle = self.corner.heading, self.scn.yaw_control.corner_exit
+        if all(abs(controller.wrap(self.yaws[row] - target)) < exit_angle
+               for row in self.yaw_rows):
             self._event(now, "corner_turn_end",
                         held=float(now - self.corner.start))
             self.corner = None
@@ -677,20 +685,22 @@ class Simulator:
         # vertex, so the position loop station-keeps there while yaw realigns
         # (a zero velocity command would let the leaky plants drift home)
         scn = self.scn
+        positions = self.pos_ring[self.ring_head]
+        offsets = self.active_offsets.ravel().tolist()
         if scn.control.mode == "enhanced":
             planar = controller.enhanced_control(
-                self.positions, self.velocities, self.planar_lift,
-                scn.gains, self.active_offsets, reference,
+                positions, self.velocities, self.planar_lift,
+                scn.gains, offsets, reference,
                 self.speed_caps, dt=scn.dt,
                 prediction_horizon_steps=scn.control.prediction_horizon_steps)
         else:
             planar = controller.baseline_control(
-                self.positions, self.planar_lift, scn.gains,
-                self.active_offsets, reference, self.speed_caps)
+                positions, self.planar_lift, scn.gains,
+                offsets, reference, self.speed_caps)
 
         cfg = scn.yaw_control
         if cfg is None:
-            return planar, np.zeros(self.n)
+            return planar, [0.0] * self.n
         if self.corner is not None:
             target = self.corner.heading
         elif cfg.target is not None:
@@ -706,46 +716,49 @@ class Simulator:
             enhanced=(scn.control.mode == "enhanced"))
         return planar, yaw_cmds
 
-    def _advance_plants(self, planar: np.ndarray, yaw_cmds: np.ndarray):
+    def _advance_plants(self, planar: list[float], yaw_cmds: list[float]):
         """Queue this step's commands, apply the delayed ones to the banks.
 
-        The planar bank takes the (n, 2) commands flattened agent-major and
-        returns each axis's displacement from the agent's start; the yaw bank
-        returns yaw rates, integrated trapezoidally into wrapped yaws.
+        The planar bank takes the stacked (vx, vy) commands and returns each
+        axis's displacement from the agent's start; the yaw bank returns yaw
+        rates, integrated trapezoidally into wrapped yaws.
         """
         scn = self.scn
         self.delay_queue.append((planar, yaw_cmds))
         applied_planar, applied_yaw = self.delay_queue.popleft()
-        out = self.plants.step(applied_planar.ravel())
-        np.add(self.origin, out.reshape(self.n, 2), out=self.positions)
+        positions = [start + moved for start, moved in
+                     zip(self.stacked_origin, self.plants.step(applied_planar))]
+        self.positions.flat = positions
         self.budget.spend(self.positions)
-        if self.yaw_rows.size:
-            rows = self.yaw_rows
-            rate = self.yaw_plants.step(applied_yaw[rows])
-            self.yaws[rows] = controller.wrap_in_place(
-                self.yaws[rows] + scn.dt * 0.5 * (self.yaw_rates[rows] + rate))
-            self.yaw_rates[rows] = rate
+        if self.yaw_rows:
+            rates = self.yaw_plants.step([applied_yaw[row] for row in self.yaw_rows])
+            for row, rate in zip(self.yaw_rows, rates):
+                self.yaws[row] = controller.wrap(
+                    self.yaws[row] + scn.dt * 0.5 * (self.yaw_rates[row] + rate))
+                self.yaw_rates[row] = rate
         ring = self.pos_ring
         self.ring_head = (self.ring_head + 1) % len(ring)
-        ring[self.ring_head] = self.positions
+        ring[self.ring_head] = positions
         span = self.ring_span = min(self.ring_span + 1, len(ring) - 1)
         # a negative index reads the ring from its end
-        np.subtract(self.positions, ring[self.ring_head - span],
-                    out=self.velocities)
-        self.velocities /= span * scn.dt
+        elapsed = span * scn.dt
+        self.velocities = [(new - old) / elapsed for new, old in
+                           zip(positions, ring[self.ring_head - span])]
         return applied_planar, applied_yaw
 
     def _update_metrics(self, now: float):
-        rel = self._relative_offsets() - self.active_offsets
         # the error maxima are steady-behaviour metrics: a scenario may
         # declare a warmup so the spin-up transient every mode shares does
         # not mask the differences under study
-        if rel.size and now >= self.scn.metrics_warmup_s:
-            # the arithmetic of np.linalg.norm(rel, axis=1)
-            rel *= rel
-            edge_err = np.add.reduce(rel, axis=1)
-            np.sqrt(edge_err, out=edge_err)
-            np.maximum(self.rel_err_max, edge_err, out=self.rel_err_max)
+        if self.rel_err_max and now >= self.scn.metrics_warmup_s:
+            positions = self.pos_ring[self.ring_head]
+            offsets = self.active_offsets.ravel().tolist()
+            for e, (head, tail) in enumerate(self.planar_lift.pairs):
+                # the arithmetic of np.linalg.norm, then np.maximum's NaN
+                dx = positions[2 * tail] - positions[2 * head] - offsets[2 * e]
+                dy = positions[2 * tail + 1] - positions[2 * head + 1] - offsets[2 * e + 1]
+                err, worst = math.sqrt(dx * dx + dy * dy), self.rel_err_max[e]
+                self.rel_err_max[e] = worst if worst >= err or worst != worst else err
         # contact is judged against the physical footprint; the larger
         # planning radius holds back slack for tracking transients.
         # Subtracting after the min is exact: rounding is monotone.  Each
@@ -785,7 +798,7 @@ class Simulator:
         scn = self.scn
         steps = self.steps
         positions = np.zeros((steps, self.n, 2))
-        commands = np.zeros((steps, self.n, 2))
+        commands = np.zeros((steps, 2 * self.n))   # stacked, as the laws give them
         yaws = np.zeros((steps, self.n))
         yaw_commands = np.zeros((steps, self.n))
         phases = np.zeros(steps, dtype=int)
@@ -838,7 +851,7 @@ class Simulator:
         # the step times are k * dt, exactly as `now` was computed
         return RunLog(
             times=np.arange(logged) * scn.dt, positions=positions[:logged],
-            commands=commands[:logged], yaws=yaws[:logged],
+            commands=commands[:logged].reshape(logged, self.n, 2), yaws=yaws[:logged],
             yaw_commands=yaw_commands[:logged], phases=phases[:logged],
             avoid_modes=avoid_modes[:logged], events=self.events,
             summary=self._summary(logged * scn.dt))
@@ -878,7 +891,7 @@ class Simulator:
             "final_offset_error_cm": float(rel_final.max(initial=0.0)),
             "relative_error_max_cm": {f"edge_{e}": float(v)
                                       for e, v in enumerate(self.rel_err_max)},
-            "relative_error_max_overall_cm": float(self.rel_err_max.max(initial=0.0)),
+            "relative_error_max_overall_cm": float(np.max(self.rel_err_max, initial=0.0)),
             "min_obstacle_clearance_cm": float(self.min_clearance),
             "avoidance_min_boundary_clearance_cm": float(self.min_boundary_clearance),
             "transitions": transitions,

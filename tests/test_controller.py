@@ -1,5 +1,7 @@
 """Formation controller pipeline: hand-worked examples and properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,25 @@ CAPS3 = speed_caps(("uav", "ugv", "ugv"))
 CAPS_UGV2 = speed_caps(("ugv", "ugv"))
 
 
+def stack_rows(rows) -> list[float]:
+    """(x, y) rows as the laws take them: each row's coordinates in turn."""
+    return np.ravel(rows).tolist()
+
+
+def baseline_rows(positions, lifted, gains, offsets, waypoint, caps) -> np.ndarray:
+    """`baseline_control` on (x, y) rows, its commands as (n, 2) rows."""
+    return np.reshape(baseline_control(stack_rows(positions), lifted, gains,
+                                       stack_rows(offsets), waypoint, caps), (-1, 2))
+
+
+def enhanced_rows(positions, velocities, lifted, gains, offsets, waypoint, caps,
+                  **timing) -> np.ndarray:
+    """`enhanced_control` on (x, y) rows, its commands as (n, 2) rows."""
+    return np.reshape(enhanced_control(stack_rows(positions), stack_rows(velocities),
+                                       lifted, gains, stack_rows(offsets), waypoint,
+                                       caps, **timing), (-1, 2))
+
+
 def star_gains(kc=-0.5, kr=-0.002):
     return NiGains(reference=(kr, kr), consensus=((kc, kc), (kc, kc)))
 
@@ -31,16 +52,16 @@ def test_reference_agent_steers_toward_waypoint():
     # command = -0.002 * (0 - 50) = +0.1 cm/s toward the waypoint
     top = lift(graph.build_topology(1, [], [1]), 2)
     gains = NiGains(reference=(-0.002, -0.002), consensus=())
-    u = baseline_control([[0.0, 0.0]], top, gains, np.zeros((0, 2)),
-                         [50.0, 0.0], speed_caps(("uav",)))
+    u = baseline_rows([[0.0, 0.0]], top, gains, np.zeros((0, 2)),
+                      [50.0, 0.0], speed_caps(("uav",)))
     np.testing.assert_allclose(u, [[0.1, 0.0]])
 
 
 def test_follower_steers_toward_its_slot():
     # follower 10 cm past the head with zero desired offset is pulled back
     gains = NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),))
-    u = baseline_control([[0.0, 0.0], [10.0, 0.0]], PAIR, gains,
-                         [[0.0, 0.0]], [0.0, 0.0], CAPS_UGV2)
+    u = baseline_rows([[0.0, 0.0], [10.0, 0.0]], PAIR, gains,
+                      [[0.0, 0.0]], [0.0, 0.0], CAPS_UGV2)
     np.testing.assert_allclose(u[1], [-5.0, 0.0])
     np.testing.assert_allclose(u[0], [0.0, 0.0])
 
@@ -48,8 +69,8 @@ def test_follower_steers_toward_its_slot():
 def test_full_pipeline_matches_hand_computation():
     positions = [[0.0, 0.0], [120.0, 30.0], [-80.0, 60.0]]
     offsets = [[100.0, 50.0], [-100.0, 50.0]]
-    u = baseline_control(positions, STAR, star_gains(), offsets,
-                         [50.0, 10.0], CAPS3)
+    u = baseline_rows(positions, STAR, star_gains(), offsets,
+                      [50.0, 10.0], CAPS3)
     # shifted outputs: (-50,-10), (70,20), (-130,50)
     # edge errors + offsets: (-120,-30)+(100,50) = (-20,20);
     #                        (80,-60)+(-100,50) = (-20,-10)
@@ -62,28 +83,36 @@ def test_settled_formation_produces_zero_commands():
     waypoint = np.array([37.0, -12.0])
     offsets = np.array([[100.0, 50.0], [-100.0, 50.0]])
     positions = np.vstack([waypoint, waypoint + offsets[0], waypoint + offsets[1]])
-    u = baseline_control(positions, STAR, star_gains(), offsets, waypoint, CAPS3)
+    u = baseline_rows(positions, STAR, star_gains(), offsets, waypoint, CAPS3)
     np.testing.assert_allclose(u, np.zeros((3, 2)), atol=1e-12)
 
 
 def test_zero_gains_give_zero_commands():
     gains = NiGains(reference=(0.0, 0.0), consensus=((0.0, 0.0), (0.0, 0.0)))
-    u = baseline_control([[5.0, 1.0], [2.0, 2.0], [3.0, 3.0]], STAR, gains,
-                         np.ones((2, 2)), [9.0, 9.0], CAPS3)
+    u = baseline_rows([[5.0, 1.0], [2.0, 2.0], [3.0, 3.0]], STAR, gains,
+                      np.ones((2, 2)), [9.0, 9.0], CAPS3)
     np.testing.assert_allclose(u, np.zeros((3, 2)))
 
 
 def test_gain_count_mismatch_is_rejected():
     with pytest.raises(ValueError, match="consensus gain pairs"):
-        baseline_control(np.zeros((3, 2)), STAR,
+        baseline_control([0.0] * 6, STAR,
                          NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),)),
-                         np.zeros((2, 2)), [0.0, 0.0], CAPS3)
+                         [0.0] * 4, [0.0, 0.0], CAPS3)
 
 
 def test_position_shape_mismatch_is_rejected():
     with pytest.raises(ValueError, match="positions"):
-        baseline_control(np.zeros((2, 2)), STAR, star_gains(),
-                         np.zeros((2, 2)), [0.0, 0.0], CAPS3)
+        baseline_control([0.0] * 4, STAR, star_gains(), [0.0] * 4, [0.0, 0.0], CAPS3)
+
+
+def test_offset_and_cap_count_mismatches_are_rejected():
+    with pytest.raises(ValueError, match="offsets"):
+        baseline_control([0.0] * 6, STAR, star_gains(), [0.0] * 2, [0.0, 0.0], CAPS3)
+    with pytest.raises(ValueError):   # a cap missing
+        baseline_control([0.0] * 6, STAR, star_gains(), [0.0] * 4, [0.0, 0.0], CAPS3[:-1])
+    with pytest.raises(ValueError, match="offsets"):
+        yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR_YAW, [-0.5, -0.5], 0.0, [0.0, 0.0])
 
 
 # --------------------------------------------------------------- prediction
@@ -92,11 +121,11 @@ def test_enhanced_minus_baseline_equals_gained_prediction():
     positions = [[0.0, 0.0], [120.0, 30.0], [-80.0, 60.0]]
     velocities = [[10.0, -20.0], [0.0, 0.0], [0.0, 0.0]]
     offsets = [[100.0, 50.0], [-100.0, 50.0]]
-    base = baseline_control(positions, STAR, star_gains(), offsets,
-                            [50.0, 10.0], CAPS3)
-    enh = enhanced_control(positions, velocities, STAR, star_gains(), offsets,
-                           [50.0, 10.0], CAPS3, dt=0.02,
-                           prediction_horizon_steps=1)
+    base = baseline_rows(positions, STAR, star_gains(), offsets,
+                         [50.0, 10.0], CAPS3)
+    enh = enhanced_rows(positions, velocities, STAR, star_gains(), offsets,
+                        [50.0, 10.0], CAPS3, dt=0.02,
+                        prediction_horizon_steps=1)
     # each follower's command shifts by -(Kc * head displacement)
     np.testing.assert_allclose(enh[0], base[0])
     np.testing.assert_allclose(enh[1] - base[1], [0.1, -0.2])
@@ -107,14 +136,14 @@ def test_enhanced_prediction_scales_with_horizon():
     positions = [[0.0, 0.0], [50.0, 0.0]]
     velocities = [[30.0, 0.0], [0.0, 0.0]]
     gains = NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),))
-    one = enhanced_control(positions, velocities, PAIR, gains, [[0.0, 0.0]],
-                           [0.0, 0.0], CAPS_UGV2, dt=0.02,
-                           prediction_horizon_steps=1)
-    sixty = enhanced_control(positions, velocities, PAIR, gains, [[0.0, 0.0]],
-                             [0.0, 0.0], CAPS_UGV2, dt=0.02,
-                             prediction_horizon_steps=60)
-    base = baseline_control(positions, PAIR, gains, [[0.0, 0.0]],
-                            [0.0, 0.0], CAPS_UGV2)
+    one = enhanced_rows(positions, velocities, PAIR, gains, [[0.0, 0.0]],
+                        [0.0, 0.0], CAPS_UGV2, dt=0.02,
+                        prediction_horizon_steps=1)
+    sixty = enhanced_rows(positions, velocities, PAIR, gains, [[0.0, 0.0]],
+                          [0.0, 0.0], CAPS_UGV2, dt=0.02,
+                          prediction_horizon_steps=60)
+    base = baseline_rows(positions, PAIR, gains, [[0.0, 0.0]],
+                         [0.0, 0.0], CAPS_UGV2)
     np.testing.assert_allclose(one[1] - base[1], [0.3, 0.0])
     np.testing.assert_allclose(sixty[1] - base[1], [18.0, 0.0])
 
@@ -122,10 +151,10 @@ def test_enhanced_prediction_scales_with_horizon():
 def test_enhanced_with_zero_velocity_equals_baseline():
     positions = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
     offsets = [[10.0, 0.0], [0.0, 10.0]]
-    base = baseline_control(positions, STAR, star_gains(), offsets,
-                            [0.0, 0.0], CAPS3)
-    enh = enhanced_control(positions, np.zeros((3, 2)), STAR, star_gains(),
-                           offsets, [0.0, 0.0], CAPS3, dt=0.02)
+    base = baseline_rows(positions, STAR, star_gains(), offsets,
+                         [0.0, 0.0], CAPS3)
+    enh = enhanced_rows(positions, np.zeros((3, 2)), STAR, star_gains(),
+                        offsets, [0.0, 0.0], CAPS3, dt=0.02)
     np.testing.assert_allclose(enh, base)
 
 
@@ -133,8 +162,8 @@ def test_enhanced_with_zero_velocity_equals_baseline():
 
 def test_commands_clip_to_per_kind_limits():
     gains = NiGains(reference=(-10.0, -10.0), consensus=((-10.0, -10.0), (-10.0, -10.0)))
-    u = baseline_control([[0.0, 0.0], [500.0, 0.0], [0.0, -500.0]], STAR, gains,
-                         np.zeros((2, 2)), [900.0, 0.0], CAPS3)
+    u = baseline_rows([[0.0, 0.0], [500.0, 0.0], [0.0, -500.0]], STAR, gains,
+                      np.zeros((2, 2)), [900.0, 0.0], CAPS3)
     assert abs(u[0][0]) == 200.0      # uav cap
     assert abs(u[1][0]) == 100.0      # ugv cap
     assert abs(u[2][1]) == 100.0
@@ -142,10 +171,10 @@ def test_commands_clip_to_per_kind_limits():
 
 def test_saturation_is_idempotent():
     limits = SaturationLimits()
-    raw = np.array([[312.0, -45.0], [-150.0, 99.0]])
+    raw = [312.0, -45.0, -150.0, 99.0]
     caps = speed_caps(("uav", "ugv"), limits)
     once = saturate(raw, caps)
-    np.testing.assert_allclose(saturate(once, caps), once)
+    assert once == [200.0, -45.0, -100.0, 99.0] and saturate(once, caps) == once
 
 
 def test_unknown_kind_is_rejected():
@@ -156,7 +185,7 @@ def test_unknown_kind_is_rejected():
 @given(vx=st.floats(-1e4, 1e4), vy=st.floats(-1e4, 1e4))
 @settings(max_examples=50, deadline=None)
 def test_saturated_commands_never_exceed_limits(vx, vy):
-    out = saturate(np.array([[vx, vy]]), speed_caps(("ugv",), SaturationLimits()))
+    out = saturate([vx, vy], speed_caps(("ugv",), SaturationLimits()))
     assert np.all(np.abs(out) <= 100.0)
 
 
@@ -361,13 +390,12 @@ def test_planar_laws_with_a_prebuilt_lift_equal_the_inline_products(
                                     for _ in range(n_edges)))
     lifted, caps = lift(topology, 2), speed_caps(kinds)
     if enhanced:
-        got = enhanced_control(positions, velocities, lifted, gains, offsets,
-                               waypoint, caps, dt=0.02,
-                               prediction_horizon_steps=horizon)
+        got = enhanced_rows(positions, velocities, lifted, gains, offsets,
+                            waypoint, caps, dt=0.02, prediction_horizon_steps=horizon)
         want = inline_planar(positions, velocities, topology, gains, offsets,
                              waypoint, kinds, 0.02 * horizon)
     else:
-        got = baseline_control(positions, lifted, gains, offsets, waypoint, caps)
+        got = baseline_rows(positions, lifted, gains, offsets, waypoint, caps)
         want = inline_planar(positions, None, topology, gains, offsets,
                              waypoint, kinds, 0.0)
     assert same_bits(got, want)
@@ -390,8 +418,9 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
         # -0.0 - +0.0 on the reference row before it is wrapped
         yaws[topology.reference_agents[0] - 1] = -0.0
         target = 0.0
-    got = yaw_consensus(yaws, rates, lift(topology, 1), gains, target, offsets,
-                        dt=0.02, prediction_horizon_steps=3, enhanced=enhanced)
+    got = np.array(yaw_consensus(yaws, rates, lift(topology, 1), gains, target,
+                                 offsets, dt=0.02, prediction_horizon_steps=3,
+                                 enhanced=enhanced))
     want = inline_yaw(yaws, rates, topology, gains, target, offsets,
                       0.02, 3, enhanced)
     assert same_bits(got, want)
@@ -417,8 +446,8 @@ def test_formation_errors_turn_a_negative_zero_product_positive():
         STAR.topology, 2, NegativeZeroProduct(STAR.sensing_t), STAR.actuation)
     positions = np.array([[5.0, 0.0], [0.0, 3.0], [5.0, 3.0]])
     offsets = np.zeros((2, 2))
-    errors = controller.formation_errors(positions, negative_zero, offsets,
-                                         [5.0, 0.0])
+    errors = np.array(controller.formation_errors(stack_rows(positions), negative_zero,
+                                                  stack_rows(offsets), [5.0, 0.0]))
     # the reference formula: the product plus a zero feed on every row
     stacked = negative_zero.sensing_t @ (positions - [5.0, 0.0]).ravel()
     want = stacked + np.concatenate([offsets.ravel(), np.zeros(2)])
@@ -433,3 +462,154 @@ def test_laws_reject_a_lift_of_the_wrong_width():
                          np.zeros((1, 2)), [0.0, 0.0], CAPS_UGV2)
     with pytest.raises(ValueError, match="lifted to 1"):
         yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR, np.zeros(2), target_angle=0.0)
+
+
+# ------------------------------------- the float laws vs the numpy laws
+#
+# The laws as they were on numpy arrays, copied here as the oracles of the
+# float laws: every elementwise step a numpy ufunc, the same two products.
+
+def numpy_route(errors, lifted, gains, caps):
+    raw = lifted.actuation @ (np.asarray(gains, dtype=float) * errors)
+    return np.minimum(np.maximum(raw.reshape(lifted.topology.n_agents, lifted.m),
+                                 -caps), caps)
+
+
+def numpy_planar(positions, velocities, lifted, gains, offsets, waypoint, caps,
+                 dt, horizon):
+    """`baseline_control` (velocities None) or `enhanced_control` on (n, 2)
+    arrays; caps is the (n, 1) column of per-agent speed caps."""
+    topology = lifted.topology
+    offs = np.asarray(offsets, dtype=float).reshape(topology.n_edges, 2)
+    shifted = np.asarray(positions, dtype=float) - np.asarray(waypoint, dtype=float)
+    errors = lifted.sensing_t @ shifted.ravel()
+    edge_rows, reference_rows = errors[: offs.size], errors[offs.size:]
+    edge_rows += offs.ravel()
+    reference_rows += 0.0
+    if velocities is not None:
+        feed = np.asarray(velocities, dtype=float)[topology.heads] * (dt * horizon)
+        errors[: feed.size] += feed.ravel()
+    return numpy_route(errors, lifted, gains.planar, caps)
+
+
+def numpy_wrap_in_place(angles):
+    np.remainder(angles, 2.0 * np.pi, out=angles)
+    np.subtract(angles, 2.0 * np.pi, out=angles, where=angles > np.pi)
+    return angles
+
+
+def numpy_yaw(yaws, yaw_rates, lifted, gains, target, offsets, dt, horizon,
+              enhanced):
+    topology = lifted.topology
+    heads, n_edges = topology.heads, topology.n_edges
+    yaw = np.asarray(yaws, dtype=float)
+    errors = np.empty(n_edges + 1)
+    edge_rows = errors[:n_edges]
+    np.subtract(yaw[heads], yaw[topology.tails], out=edge_rows)
+    edge_rows += np.asarray(offsets, dtype=float).reshape(n_edges)
+    errors[n_edges] = yaw[topology.reference_agents[0] - 1] - target
+    numpy_wrap_in_place(errors)
+    if enhanced:
+        edge_rows += np.asarray(yaw_rates, dtype=float)[heads] * dt * horizon
+    return numpy_route(errors, lifted, gains, SaturationLimits().yaw_rate).ravel()
+
+
+def one_nan(values):
+    """The values with every NaN made numpy's `nan`.  Where two NaNs meet in
+    an add or a multiply, numpy's ufunc keeps the sign bit of the first and
+    Python's float operator that of the second; a NaN stays a NaN either way,
+    and no log or summary writes its sign."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values)
+
+
+# signed zeros, NaN, infinities and both caps of each sign, so that a
+# command can tie a cap exactly
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 100.0, -100.0, 200.0, -200.0]
+finite = st.floats(-300.0, 300.0)
+specials = st.one_of(finite, st.sampled_from(SPECIAL))
+# gains small enough that most commands stay inside their caps, and -1.0
+special_gains = st.one_of(st.floats(-0.2, 0.0), st.sampled_from([-1.0, -0.0, 0.0]))
+# the cut at +-pi and multiples of 2 pi, where the remainder lands on 0
+finite_angles = st.floats(-20.0, 20.0)
+cut_angles = st.one_of(finite_angles, st.sampled_from(SPECIAL[:5]),
+                       st.integers(-8, 8).map(lambda k: k * np.pi))
+# half the examples draw finite values alone: a NaN or an infinity spreads
+# through the products and would mask a rounding difference elsewhere
+only_finite = st.booleans()
+
+
+def speed_column(kinds):
+    return np.array([[SaturationLimits().speed_for(kind)] for kind in kinds])
+
+
+@given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
+       horizon=st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_float_planar_laws_equal_the_numpy_laws_bit_for_bit(
+        data, topology, enhanced, horizon):
+    n, n_edges = topology.n_agents, topology.n_edges
+    values = finite if data.draw(only_finite) else specials
+    arrays = lambda rows: np.array(data.draw(  # noqa: E731
+        st.lists(values, min_size=2 * rows, max_size=2 * rows))).reshape(rows, 2)
+    positions, velocities, offsets = arrays(n), arrays(n), arrays(n_edges)
+    waypoint = arrays(1)[0]
+    kinds = data.draw(st.lists(st.sampled_from(("ugv", "uav")), min_size=n, max_size=n))
+    gains = NiGains(reference=data.draw(st.tuples(special_gains, special_gains)),
+                    consensus=tuple(data.draw(st.tuples(special_gains, special_gains))
+                                    for _ in range(n_edges)))
+    lifted = lift(topology, 2)
+    with np.errstate(all="ignore"):
+        want = numpy_planar(positions, velocities if enhanced else None, lifted,
+                            gains, offsets, waypoint, speed_column(kinds), 0.02,
+                            horizon)
+        caps = speed_caps(kinds)
+        if enhanced:
+            got = enhanced_rows(positions, velocities, lifted, gains, offsets,
+                                waypoint, caps, dt=0.02,
+                                prediction_horizon_steps=horizon)
+        else:
+            got = baseline_rows(positions, lifted, gains, offsets, waypoint, caps)
+    assert same_bits(one_nan(got), one_nan(want))
+
+
+@given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
+       horizon=st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_float_yaw_law_equals_the_numpy_law_bit_for_bit(
+        data, topology, enhanced, horizon):
+    n, n_edges = topology.n_agents, topology.n_edges
+    angles, rates = ((finite_angles, finite) if data.draw(only_finite)
+                     else (cut_angles, specials))
+    draw = lambda values, size: data.draw(  # noqa: E731
+        st.lists(values, min_size=size, max_size=size))
+    yaws, rates, offsets = draw(angles, n), draw(rates, n), draw(angles, n_edges)
+    target = data.draw(angles)
+    gains = draw(special_gains, n_edges + 1)
+    lifted = lift(topology, 1)
+    with np.errstate(all="ignore"):
+        want = numpy_yaw(yaws, rates, lifted, gains, target, offsets, 0.02, horizon,
+                         enhanced)
+        got = yaw_consensus(yaws, rates, lifted, gains, target, offsets, dt=0.02,
+                            prediction_horizon_steps=horizon, enhanced=enhanced)
+    assert same_bits(one_nan(got), one_nan(want))
+
+
+@given(values=st.lists(cut_angles, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_float_wrap_equals_the_numpy_wrap_bit_for_bit(values):
+    with np.errstate(all="ignore"):
+        want = numpy_wrap_in_place(np.array(values))
+    assert np.array([controller.wrap(v) for v in values]).tobytes() == want.tobytes()
+
+
+@given(data=st.data(), kinds=st.lists(st.sampled_from(("ugv", "uav")),
+                                      min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_float_clip_equals_the_numpy_clip_bit_for_bit(data, kinds):
+    commands = np.array(data.draw(st.lists(specials, min_size=2 * len(kinds),
+                                           max_size=2 * len(kinds)))).reshape(-1, 2)
+    column = speed_column(kinds)
+    want = np.minimum(np.maximum(commands, -column), column)
+    got = saturate(stack_rows(commands), speed_caps(kinds))
+    assert same_bits(np.reshape(got, (-1, 2)), want)

@@ -7,7 +7,7 @@ import hashlib
 import importlib
 import io
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from niformation import lti, obstacle, scenario, sim
+from niformation import controller, lti, obstacle, scenario, sim
 from test_obstacle import old_event_end
 from test_scenario import DOCS
 
@@ -592,12 +592,34 @@ def test_velocity_ring_equals_a_deque_of_positions(window, steps):
     history = deque([simulator.positions.copy()], maxlen=window + 1)
     rng = np.random.default_rng(window + steps)
     for _ in range(steps):
-        planar = rng.normal(0.0, 50.0, size=(simulator.n, 2))
-        simulator._advance_plants(planar, np.zeros(simulator.n))
+        planar = rng.normal(0.0, 50.0, size=2 * simulator.n).tolist()
+        simulator._advance_plants(planar, [0.0] * simulator.n)
         history.append(simulator.positions.copy())
         span = len(history) - 1
         want = (history[-1] - history[0]) / (span * scn.dt)
-        assert simulator.velocities.tobytes() == want.tobytes()
+        assert np.array(simulator.velocities).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, mode", [("moving_leader_compare", "enhanced"),
+                                        ("moving_leader_compare", "baseline"),
+                                        ("yaw_sync_pair", "enhanced")])
+def test_each_logged_step_calls_each_law_once_through_the_module(monkeypatch, name, mode):
+    # per-layer timing wraps the laws by their `controller` attributes and
+    # takes a step's time between planar calls: a law inlined into the
+    # simulator, or called twice a step, would empty or skew those figures
+    calls = Counter()
+    for law in ("baseline_control", "enhanced_control", "yaw_consensus"):
+        def counted(*args, _law=law, _call=getattr(controller, law), **kwargs):
+            calls[_law] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(controller, law, counted)
+    scn = scenario.load_scenario(name)
+    log = sim.run_scenario(scn, mode=mode)
+    steps = len(log.times)
+    assert steps > 0 and calls[f"{mode}_control"] == steps
+    assert sum(calls.values()) == steps * (1 if scn.yaw_control is None else 2)
+    if scn.yaw_control is not None:
+        assert calls["yaw_consensus"] == steps
 
 
 def test_the_velocity_ring_and_delay_line_are_sized_by_the_run():
