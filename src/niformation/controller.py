@@ -1,7 +1,8 @@
 """Cooperative formation controller over a directed topology.
 
-The topology's sensing and actuation blocks are constant for a run, so
-`lift` builds their Kronecker lifts once and every law below reuses them.
+The topology's sensing and actuation blocks are constant, so `lift` builds
+their read-only Kronecker lifts once per (topology, m) per process and every
+law below reuses them.
 Both the planar and the yaw law are one pipeline evaluated per step on
 stacked floats, each agent's (or edge's) coordinates in turn:
 
@@ -77,7 +78,8 @@ class LiftedTopology:
 
     `sensing_t` is the transposed sensing block (stacked agent vector to
     per-edge differences, then reference rows) and `actuation` routes gained
-    errors back to agents; both are `kron_expand` products, built once.
+    errors back to agents; both are read-only `kron_expand` products, built
+    once per process and shared by every equal topology's lift.
     """
 
     topology: NetworkTopology
@@ -91,9 +93,12 @@ class LiftedTopology:
         return tuple((head - 1, tail - 1) for head, tail in self.topology.edges)
 
 
+@functools.lru_cache(maxsize=64)
 def lift(topology: NetworkTopology, m: int) -> LiftedTopology:
     """Lift the topology's sensing and actuation blocks to m coordinates."""
     sensing, actuation = kron_expand(topology, m)
+    for matrix in (sensing, actuation):
+        matrix.flags.writeable = False
     return LiftedTopology(topology, m, sensing.T, actuation)
 
 

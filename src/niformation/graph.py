@@ -17,8 +17,8 @@ so per-edge quantities of stacked agent rows are one gather, for example
 
 `kron_expand` lifts the stacked [incidence | reference] and
 [consensus | reference] blocks to m coordinates per agent.  The blocks are
-constant for a run, so the controller lifts them once per run (planar m=2,
-yaw m=1; see `controller.lift`) rather than on every step.
+constant, so the controller lifts them once per topology per process
+(planar m=2, yaw m=1; see `controller.lift`) rather than on every step.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Validated directed topology with its derived control matrices, which
-    `==` skips: they are functions of the first three fields."""
+    """Validated directed topology with its derived, read-only control
+    matrices, which `==` and `hash` skip: they are functions of the first
+    three fields."""
 
     n_agents: int
     edges: tuple[tuple[int, int], ...]      # (head, tail), 1-based agent ids
@@ -87,6 +88,8 @@ def build_topology(n_agents: int, edges, reference_agents) -> NetworkTopology:
     consensus[tails, columns] = -1.0
     reference = np.zeros((n_agents, 1))
     reference[np.subtract(refs, 1), 0] = 1.0
+    for array in (incidence, consensus, reference, heads, tails):
+        array.flags.writeable = False
 
     return NetworkTopology(n_agents=n_agents, edges=tuple(edge_list),
                            reference_agents=refs, incidence=incidence,

@@ -13,12 +13,16 @@ dataclasses' fields, and a `Scenario` checks its own bounds, so one built
 with `dataclasses.replace` is checked by the same code as a loaded one.
 
 `load_scenario` accepts a filesystem path or the bare name of a shipped
-scenario.  Validation errors name the offending field path, and a key the
-loader does not read is refused rather than ignored.
+scenario.  A shipped name is read and validated once per process, and every
+call returns that one `Scenario`, immutable all the way down (its arrays are
+read-only); a path is read again on every call.  Validation errors name the
+offending field path, and a key the loader does not read is refused rather
+than ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -88,7 +92,7 @@ class YawControlConfig:
     """The yaw law's topology, offsets, target, gains and corner turns.
 
     `gains` is the law's per-row gains as floats: one nonpositive gain per
-    yaw edge, then the reference agent's gain.
+    yaw edge, then the reference agent's gain; `offsets` are floats too.
     """
 
     topology: NetworkTopology
@@ -107,6 +111,7 @@ class YawControlConfig:
         if not np.all(gains <= 0):
             raise ScenarioError("yaw_control: gains must be nonpositive")
         object.__setattr__(self, "gains", tuple(gains.tolist()))
+        object.__setattr__(self, "offsets", tuple(map(float, self.offsets)))
 
 
 @dataclass(frozen=True)
@@ -134,12 +139,13 @@ class Scenario:
     # (0 = step; a stepped reference rings the lightly damped head plant)
     waypoint_cruise_speed: float = 0.0
     waypoint_ease_s: float = 0.0
-    # the obstacle polygons' values, which `==` compares in their place
+    # the obstacle polygons' values, which `==` and `hash` see in their place
     obstacle_values: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacle_values", tuple(
-            np.asarray(p, dtype=float).tolist() for p in self.obstacles))
+            tuple(map(tuple, np.asarray(p, dtype=float).tolist()))
+            for p in self.obstacles))
         # `not value > 0` rather than `value <= 0`, so that NaN fails too
         for path, value in (("dt", self.dt), ("duration", self.duration),
                             ("waypoints.radius", self.waypoint_radius)):
@@ -353,7 +359,7 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
 
 
 def _obstacles(doc) -> tuple[np.ndarray, ...]:
-    """The obstacle polygons; absent or null reads as none."""
+    """The read-only obstacle polygons; absent or null reads as none."""
     rows = [] if doc.get("obstacles") is None else doc["obstacles"]
     if not isinstance(rows, list):
         raise ScenarioError("obstacles: expected a list of polygons")
@@ -363,6 +369,7 @@ def _obstacles(doc) -> tuple[np.ndarray, ...]:
         if not isinstance(poly, list) or len(poly) < 3:
             raise ScenarioError(f"{p}: expected a polygon with at least 3 vertices")
         polygons.append(np.array([_pair(v, f"{p}[{j}]") for j, v in enumerate(poly)]))
+        polygons[-1].flags.writeable = False
     return tuple(polygons)
 
 
@@ -406,21 +413,30 @@ def shipped_scenarios() -> list[str]:
 
 
 def load_scenario(source: str | Path) -> Scenario:
-    """Load a scenario from a YAML path or a shipped scenario name."""
+    """Load a scenario from a YAML path or a shipped scenario name.
+
+    A `.yaml`/`.yml` path, or a file in the working directory, is read on
+    every call.  Any other source names a shipped scenario, which is read
+    once per process: every call returns the same read-only `Scenario`.
+    """
     path = Path(source)
     if path.suffix in (".yaml", ".yml") or path.is_file():
-        text = path.read_text()
-        default_name = path.stem
-    else:
-        name = str(source)
-        resource = importlib.resources.files("niformation").joinpath(
-            f"scenarios/{name}.yaml")
-        if not resource.is_file():
-            raise ScenarioError(
-                f"unknown scenario '{name}'; shipped scenarios: "
-                f"{', '.join(shipped_scenarios())}")
-        text = resource.read_text()
-        default_name = name
+        return _parse(path.read_text(), path.stem)
+    return _shipped(str(source))
+
+
+@functools.lru_cache(maxsize=32)
+def _shipped(name: str) -> Scenario:
+    resource = importlib.resources.files("niformation").joinpath(
+        f"scenarios/{name}.yaml")
+    if not resource.is_file():
+        raise ScenarioError(
+            f"unknown scenario '{name}'; shipped scenarios: "
+            f"{', '.join(shipped_scenarios())}")
+    return _parse(resource.read_text(), name)
+
+
+def _parse(text: str, default_name: str) -> Scenario:
     try:
         doc = parse_yaml(text)
     except yaml.YAMLError as exc:

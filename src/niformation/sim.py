@@ -21,9 +21,11 @@ velocity ring, a preallocated list of the last `velocity_estimate_window`
 finite-difference velocities read.  Per-edge quantities (relative offsets,
 follower targets, the steered agents of a transition) are gathers through
 the topology's head and tail index arrays.  An avoidance event's circle
-arrays are built once when it fires.  Per process, `lti` shares what
-depends only on the shipped files and `dt`: the parsed model library and
-each (model, `dt`) realization, whose matrices are read-only.
+arrays are built once when it fires.  Per process, what depends only on the
+shipped files, `dt` or a topology is shared and read-only: each shipped
+scenario that `load_scenario` returns, each lifted topology
+(`controller.lift`), and in `lti` the parsed model library and each (model,
+`dt`) realization.
 
 A step's team arithmetic (the laws, the plant outputs, the delay line, the
 velocity ring and the yaw integration) runs on stacked Python floats, each
@@ -272,7 +274,6 @@ class Simulator:
             self.yaw_lift = controller.lift(top, 1)
             self.yaw_rows = np.unique(np.concatenate(
                 [top.heads, top.tails, np.subtract(top.reference_agents, 1)])).tolist()
-            self.yaw_offsets = np.asarray(scn.yaw_control.offsets, dtype=float).tolist()
             rate_tf = models["ugv_yaw_rate"].transfer_function
             self.yaw_plants = PlantBank(discretize(rate_tf, scn.dt)
                                         for _ in self.yaw_rows)
@@ -711,7 +712,7 @@ class Simulator:
             self.last_heading = target
         yaw_cmds = controller.yaw_consensus(
             self.yaws, self.yaw_rates, self.yaw_lift, cfg.gains,
-            target, self.yaw_offsets, scn.saturation, dt=scn.dt,
+            target, cfg.offsets, scn.saturation, dt=scn.dt,
             prediction_horizon_steps=scn.control.prediction_horizon_steps,
             enhanced=(scn.control.mode == "enhanced"))
         return planar, yaw_cmds

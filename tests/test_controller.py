@@ -464,6 +464,22 @@ def test_laws_reject_a_lift_of_the_wrong_width():
         yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR, np.zeros(2), target_angle=0.0)
 
 
+def test_equal_topologies_share_one_read_only_lift_per_width():
+    one, twin = (graph.build_topology(2, [(1, 2)], [1]) for _ in range(2))
+    assert one is not twin
+    planar, yaw = lift(one, 2), lift(one, 1)
+    assert lift(twin, 2) is planar and lift(twin, 1) is yaw
+    assert planar is not yaw
+    for lifted in (STAR, planar, yaw):
+        for matrix in (lifted.sensing_t, lifted.actuation):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+        # still the transposed view of the C-ordered sensing product, so the
+        # sensing product reads its operand in the recorded order
+        assert lifted.sensing_t.strides == (8, 8 * lifted.sensing_t.shape[0])
+        assert lifted.actuation.flags.c_contiguous
+
+
 # ------------------------------------- the float laws vs the numpy laws
 #
 # The laws as they were on numpy arrays, copied here as the oracles of the

@@ -5,6 +5,7 @@ import dataclasses
 import importlib.resources
 import re
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -142,13 +143,45 @@ def test_every_shipped_document_loads(name):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_two_loads_are_equal_and_a_replaced_field_is_not(name):
     # the topology compares its edges, the yaw gains and the obstacle
-    # polygons their values, so no field's array makes `==` ambiguous
+    # polygons their values, so no field's array makes `==` or `hash`
+    # ambiguous; a fresh parse is another object of equal value
     scn = scenario.load_scenario(name)
-    assert scn == scenario.load_scenario(name)
+    fresh = scenario_from_dict(lti.parse_yaml(shipped_yaml_texts()[name]), name)
+    assert fresh is not scn
+    assert scn == fresh and hash(scn) == hash(fresh)
     assert scn != dataclasses.replace(scn, seed=scn.seed + 1)
     if scn.obstacles:
         moved = tuple(polygon + [0.0, 1.0] for polygon in scn.obstacles)
         assert scn != dataclasses.replace(scn, obstacles=moved)
+
+
+def reachable(value, path="scenario"):
+    """(path, value) of every leaf of a scenario: its arrays and scalars."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from reachable(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from reachable(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_shipped_name_is_loaded_once_into_an_immutable_scenario(name):
+    scn = scenario.load_scenario(name)
+    assert scenario.load_scenario(name) is scn
+    leaves = dict(reachable(scn))
+    arrays = {path: value for path, value in leaves.items()
+              if isinstance(value, np.ndarray)}
+    # no list, dict or numpy scalar: every other leaf is a plain immutable
+    assert all(type(value) in (int, float, str, bool, type(None))
+               for path, value in leaves.items() if path not in arrays)
+    assert "scenario.topology.incidence" in arrays
+    assert len(arrays) == 5 * (1 + (scn.yaw_control is not None)) + len(scn.obstacles)
+    for array in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @pytest.mark.parametrize("field", sorted(MUTATIONS))
@@ -277,12 +310,33 @@ def test_malformed_yaml_raises_scenario_error_with_either_loader(
 
 def test_only_a_file_in_the_working_directory_is_read_as_a_path(monkeypatch, tmp_path):
     # a directory named like a shipped scenario does not shadow it, and a
-    # file without a YAML suffix is still read as a path
+    # file without a YAML suffix is still read as a path, even one named
+    # like a shipped scenario that is already loaded
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cluttered_course").mkdir()
     shipped = scenario_from_dict(DOCS["cluttered_course"], "cluttered_course")
     assert scenario.load_scenario("cluttered_course") == shipped
+    warm = scenario.load_scenario("corridor_squeeze")
     doc = copy.deepcopy(DOCS["corridor_squeeze"])
-    doc["seed"] = 99
-    (tmp_path / "corridor_copy").write_text(yaml.safe_dump(doc))
-    assert scenario.load_scenario("corridor_copy").seed == 99
+    doc["seed"] = warm.seed + 99
+    (tmp_path / "corridor_squeeze").write_text(yaml.safe_dump(doc))
+    assert scenario.load_scenario("corridor_squeeze").seed == warm.seed + 99
+    (tmp_path / "corridor_squeeze").unlink()
+    assert scenario.load_scenario("corridor_squeeze") is warm
+
+
+def test_a_path_is_read_again_after_an_edit(tmp_path):
+    path = tmp_path / "edited.yaml"
+    doc = copy.deepcopy(DOCS["yaw_sync_pair"])
+    path.write_text(yaml.safe_dump(doc))
+    first = scenario.load_scenario(path)
+    doc["seed"] = first.seed + 1
+    path.write_text(yaml.safe_dump(doc))
+    assert scenario.load_scenario(path).seed == first.seed + 1
+    assert scenario.load_scenario(str(path)) is not scenario.load_scenario(str(path))
+
+
+def test_an_unknown_name_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="^unknown scenario 'no_such_course'"):
+            scenario.load_scenario("no_such_course")

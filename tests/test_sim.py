@@ -136,17 +136,26 @@ def test_shipped_scenario_matches_its_golden_run(monkeypatch, name):
 
 
 def test_a_cold_and_a_warm_build_give_the_golden_run():
-    # the first build after clearing the memos computes what the second reuses
-    lti._bilinear.cache_clear()
-    lti._shipped_library.cache_clear()
+    # the first load and build after clearing the memos computes what the
+    # second reuses: the scenario, its lifts, the plants and the library
+    memos = (lti._bilinear, lti._shipped_library, scenario._shipped, controller.lift)
+    for name in ("moving_leader_compare", "yaw_sync_pair"):
+        for memo in memos:
+            memo.cache_clear()
+        texts, loaded = [], []
+        for warm in (False, True):
+            misses = [memo.cache_info().misses for memo in memos]
+            loaded.append(scenario.load_scenario(name))
+            log = sim.Simulator(loaded[-1]).run()
+            texts.append(log.trajectory_csv() + log.summary_json())
+            missed = [memo.cache_info().misses > m for memo, m in zip(memos, misses)]
+            assert missed == [not warm] * len(memos)
+        assert loaded[0] is loaded[1]
+        assert texts[0] == texts[1]
+        assert digest(texts[0]) == GOLDEN[name][3]
     scn = scenario.load_scenario("moving_leader_compare")
     assert scn.noise_std > 0 and scn.control.command_delay_steps > 0
-    texts = []
-    for _ in ("cold", "warm"):
-        log = sim.Simulator(scn).run()
-        texts.append(log.trajectory_csv() + log.summary_json())
-    assert texts[0] == texts[1]
-    assert digest(texts[0]) == GOLDEN["moving_leader_compare"][3]
+    assert scenario.load_scenario("yaw_sync_pair").yaw_control is not None
 
 
 # shifts of every start, waypoint and obstacle (cm), and how far a shifted
