@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from niformation import obstacle
 from niformation.scenario import ScenarioError, load_scenario
 from niformation.sim import Simulator
 
@@ -41,10 +42,8 @@ def inspect(scn, window, stride: int) -> None:
         print(f"      ev {ev['time']:.2f} {ev['event']} {extras}")
 
     field = simulator.obstacles
-    # (T, n, m) distance of every logged position to every wrap circle's
-    # boundary, with `obstacle.nearest_boundary`'s arithmetic
-    diff = log.positions[:, :, None, :] - field.centers
-    bound = np.sqrt(np.add.reduce(diff * diff, axis=3)) - field.radii
+    # (T, n, m): every logged position against every wrap circle
+    bound = obstacle.boundary_distances(log.positions, field.centers, field.radii)
     if bound.size:
         k, i, j = np.unravel_index(np.argmin(bound), bound.shape)
         x, y = log.positions[k, i].tolist()

@@ -218,14 +218,6 @@ def wrap(angle: float) -> float:
     return angle - TWO_PI if angle > math.pi else angle
 
 
-def wrap_angle(angle):
-    """Wrap angles into (-pi, pi]: a float for a scalar, else a new array."""
-    if np.isscalar(angle):
-        return wrap(float(angle))
-    angles = np.array(angle, dtype=float)
-    return np.reshape([wrap(a) for a in angles.ravel().tolist()], angles.shape)
-
-
 def heading_from_motion(target, current, previous_heading: float) -> float:
     """Heading of the motion from `current` toward `target` (radians).
 

@@ -25,7 +25,9 @@ agent's footprint and every robot has passed them along the frame.  Each
 decision on positions alone comes with radii within which it cannot change
 (`ObstacleField.sensed`, `running_clearance`, `behind_radius` for the
 planning skip `all_behind`, `end_radius`), held in one `MotionBudget`.
-All coordinates are centimeters.
+`boundary_distances` is the one home of a robot's distance to a circle's
+boundary: the running clearances take its minimum, and `niformation
+inspect` reads it over a whole logged run.  All coordinates are centimeters.
 """
 
 from __future__ import annotations
@@ -246,15 +248,19 @@ def circle_arrays(circles) -> tuple[np.ndarray, np.ndarray]:
             np.array([c.radius for c in circles], dtype=float))
 
 
-def nearest_boundary(positions, centers, radii) -> float:
-    """min |p - c| - r over positions and circles (inf without circles),
-    equal bit for bit to the minimum of per-circle `norm(axis=1)` minima.
+def boundary_distances(positions, centers, radii) -> np.ndarray:
+    """|p - c| - r for every position p and circle (c, r): shape (..., n, m)
+    for (..., n, 2) positions, so a whole logged run at once.  Each distance
+    is `norm` of p - c, bit for bit."""
+    diff = positions[..., None, :] - centers
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1)) - radii
 
-    The simulator calls it through `running_clearance`, and skips the call
-    while the budget holds the minimum."""
-    diff = positions[:, None, :] - centers
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=2))   # norm(axis=2)
-    return float((dist - radii).min(initial=np.inf))
+
+def nearest_boundary(positions, centers, radii) -> float:
+    """The least `boundary_distances` (inf without circles).  The simulator
+    calls it through `running_clearance`, and skips the call while the
+    budget holds the minimum."""
+    return float(boundary_distances(positions, centers, radii).min(initial=np.inf))
 
 
 def running_clearance(least: float, positions, centers, radii,
@@ -386,23 +392,16 @@ def enclosing_circle(one: ObstacleCircle, two: ObstacleCircle) -> ObstacleCircle
     return ObstacleCircle(tuple(center), radius, members)
 
 
-def group_or_separate(one: ObstacleCircle, two: ObstacleCircle,
-                      robot_diameter: float) -> ObstacleCircle | None:
-    """Merge the pair when a robot cannot fit through their boundary gap."""
-    gap = float(np.linalg.norm(np.asarray(two.center) - np.asarray(one.center)))
-    if gap < robot_diameter + one.radius + two.radius:
-        return enclosing_circle(one, two)
-    return None
-
-
 def group_all(circles, robot_diameter: float,
               radius_cap: float = DEFAULT_GROUP_RADIUS_CAP,
               max_members: int = DEFAULT_GROUP_MAX_MEMBERS) -> list[ObstacleCircle]:
     """Merge circles pairwise to a fixpoint, tightest pairs first.
 
-    A merge happens only when the pair is too narrow to pass, the merged
-    radius stays within `radius_cap`, and the merged member count stays
-    within `max_members`.
+    A merge happens only when the pair is too narrow to pass (its boundary
+    gap, the centre gap less both radii, is under `robot_diameter`), the
+    merged radius stays within `radius_cap`, and the merged member count
+    stays within `max_members`.  The tightest pair has the least boundary
+    gap.
     """
     pool = [c if c.members else ObstacleCircle(c.center, c.radius, (i,))
             for i, c in enumerate(circles)]
@@ -411,16 +410,13 @@ def group_all(circles, robot_diameter: float,
         for i in range(len(pool)):
             for j in range(i + 1, len(pool)):
                 a, b = pool[i], pool[j]
-                merged = group_or_separate(a, b, robot_diameter)
-                if merged is None:
+                gap = float(np.linalg.norm(np.asarray(b.center) - np.asarray(a.center)))
+                if not gap < robot_diameter + a.radius + b.radius:
                     continue
-                if merged.radius > radius_cap:
+                merged = enclosing_circle(a, b)
+                if merged.radius > radius_cap or len(merged.members) > max_members:
                     continue
-                if len(merged.members) > max_members:
-                    continue
-                boundary_gap = (float(np.linalg.norm(np.asarray(b.center)
-                                                     - np.asarray(a.center)))
-                                - a.radius - b.radius)
+                boundary_gap = gap - a.radius - b.radius
                 if best is None or boundary_gap < best[0]:
                     best = (boundary_gap, i, j, merged)
         if best is None:

@@ -14,16 +14,18 @@ with `dataclasses.replace` is checked by the same code as a loaded one.
 
 `load_scenario` accepts a filesystem path or the bare name of a shipped
 scenario.  A shipped name is read and validated once per process, and every
-call returns that one `Scenario`, immutable all the way down (its arrays are
-read-only); a path is read again on every call.  Validation errors name the
-offending field path, and a key the loader does not read is refused rather
-than ignored.
+call returns that one `Scenario`, immutable all the way down: its arrays are
+read-only, and each obstacle polygon is held once, as float (x, y) tuples
+that `==` and `hash` compare by value.  A path is read again on every call.
+Validation errors name the offending field path, and a key the loader does
+not read is refused rather than ignored.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.resources
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -126,7 +128,7 @@ class Scenario:
     formation: FormationSpec
     seed: int = 0
     waypoint_radius: float = 10.0
-    obstacles: tuple[np.ndarray, ...] = field(default=(), compare=False)
+    obstacles: tuple[tuple[tuple[float, float], ...], ...] = ()
     sensing: SensingConfig = field(default_factory=SensingConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
     saturation: SaturationLimits = field(default_factory=SaturationLimits)
@@ -139,23 +141,26 @@ class Scenario:
     # (0 = step; a stepped reference rings the lightly damped head plant)
     waypoint_cruise_speed: float = 0.0
     waypoint_ease_s: float = 0.0
-    # the obstacle polygons' values, which `==` and `hash` see in their place
-    obstacle_values: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "obstacle_values", tuple(
+        # polygons given as arrays or lists are held as float tuples
+        object.__setattr__(self, "obstacles", tuple(
             tuple(map(tuple, np.asarray(p, dtype=float).tolist()))
             for p in self.obstacles))
-        # `not value > 0` rather than `value <= 0`, so that NaN fails too
-        for path, value in (("dt", self.dt), ("duration", self.duration),
-                            ("waypoints.radius", self.waypoint_radius)):
+        positive = (("dt", self.dt), ("duration", self.duration),
+                    ("waypoints.radius", self.waypoint_radius))
+        nonnegative = (("noise_std", self.noise_std), ("settle_time", self.settle_time),
+                       ("metrics_warmup_s", self.metrics_warmup_s),
+                       ("waypoints.cruise_speed", self.waypoint_cruise_speed),
+                       ("waypoints.ease_s", self.waypoint_ease_s))
+        # the loader refuses what is not finite, NaN included, and so does this
+        for path, value in positive + nonnegative:
+            if not math.isfinite(value):
+                raise ScenarioError(f"{path}: must be finite")
+        for path, value in positive:
             if not value > 0:
                 raise ScenarioError(f"{path}: must be positive")
-        for path, value in (("seed", self.seed), ("noise_std", self.noise_std),
-                            ("settle_time", self.settle_time),
-                            ("metrics_warmup_s", self.metrics_warmup_s),
-                            ("waypoints.cruise_speed", self.waypoint_cruise_speed),
-                            ("waypoints.ease_s", self.waypoint_ease_s)):
+        for path, value in (("seed", self.seed), *nonnegative):
             if not value >= 0:
                 raise ScenarioError(f"{path}: must be nonnegative")
         if self.waypoint_cruise_speed > 0 and not self.waypoint_ease_s > 0:
@@ -358,8 +363,8 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
     )
 
 
-def _obstacles(doc) -> tuple[np.ndarray, ...]:
-    """The read-only obstacle polygons; absent or null reads as none."""
+def _obstacles(doc) -> tuple[tuple[tuple[float, float], ...], ...]:
+    """The obstacle polygons; absent or null reads as none."""
     rows = [] if doc.get("obstacles") is None else doc["obstacles"]
     if not isinstance(rows, list):
         raise ScenarioError("obstacles: expected a list of polygons")
@@ -368,8 +373,7 @@ def _obstacles(doc) -> tuple[np.ndarray, ...]:
         p = f"obstacles[{i}]"
         if not isinstance(poly, list) or len(poly) < 3:
             raise ScenarioError(f"{p}: expected a polygon with at least 3 vertices")
-        polygons.append(np.array([_pair(v, f"{p}[{j}]") for j, v in enumerate(poly)]))
-        polygons[-1].flags.writeable = False
+        polygons.append(tuple(_pair(v, f"{p}[{j}]") for j, v in enumerate(poly)))
     return tuple(polygons)
 
 

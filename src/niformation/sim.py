@@ -16,11 +16,11 @@ run is built once at construction: the lifted topology blocks of the planar
 and yaw laws, the per-agent speed caps, one plant bank each for the planar
 axes and the yaw rates, the `obstacle.ObstacleField` that senses every
 obstacle in whole arrays, the read-only (W, 2) waypoint array, and the
-velocity ring, a preallocated list of the last `velocity_estimate_window`
-+ 1 measured positions (never more than the run's steps) that the
-finite-difference velocities read.  Per-edge quantities (relative offsets,
-follower targets, the steered agents of a transition) are gathers through
-the topology's head and tail index arrays.  An avoidance event's circle
+velocity ring, a deque of the last `velocity_estimate_window` + 1 measured
+positions, whose oldest and newest the finite-difference velocities read.
+Per-edge quantities (relative offsets, follower targets, the steered agents
+of a transition) are gathers through the topology's head and tail index
+arrays.  An avoidance event's circle
 arrays are built once when it fires.  Per process, what depends only on the
 shipped files, `dt` or a topology is shared and read-only: each shipped
 scenario that `load_scenario` returns, each lifted topology
@@ -283,13 +283,11 @@ class Simulator:
         self.yaws = [float(a.yaw) for a in scn.agents]
         self.yaw_rates = [0.0] * self.n
         # the last window + 1 stacked positions, the newest (`positions` as
-        # floats) at `ring_head`, and the steps from the oldest kept to the
-        # newest; a run never reads more than its steps back, nor takes
-        # more commands from the delay line
+        # floats) at the right; a run never holds more than its steps + 1,
+        # nor takes more commands from the delay line
         self.steps = int(round(scn.duration / scn.dt))
-        window = min(scn.control.velocity_estimate_window, self.steps)
-        self.pos_ring = [self.stacked_origin] * (window + 1)
-        self.ring_head = self.ring_span = 0
+        self.pos_ring = deque([self.stacked_origin], maxlen=min(
+            scn.control.velocity_estimate_window, self.steps) + 1)
         self.delay_queue = deque([([0.0] * (2 * self.n), [0.0] * self.n)]
                                  * min(scn.control.command_delay_steps, self.steps))
 
@@ -303,7 +301,7 @@ class Simulator:
 
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
-        cloud = np.vstack([self.origin, self.waypoints, *scn.obstacles])
+        cloud = np.vstack([self.origin, self.waypoints, self.obstacles.vertices])
         offset_reach = max((abs(v) for ph in scn.formation.phases
                             for pair in ph.offsets for v in pair), default=0.0)
         margin = offset_reach + 100.0
@@ -318,8 +316,8 @@ class Simulator:
         self.holding = False      # dwelling at the reached target vertex
         self.corner: CornerTurn | None = None
         self.transition: TransitionState | None = None
-        self.pending_offsets: np.ndarray | None = None   # awaiting dwell settle
-        self.pending_since = 0.0
+        # the dwell's start while `schedule_offsets` await its settle
+        self.pending_since: float | None = None
         self.settle_ok_since: float | None = None
         self.avoidance: obstacle.AvoidanceEvent | None = None
         self.avoidance_started = 0.0
@@ -585,7 +583,7 @@ class Simulator:
         stopped ringing at the vertex and every edge is back inside the
         convergence band around the outgoing offsets.
         """
-        if self.pending_offsets is None or self.avoidance is not None:
+        if self.pending_since is None or self.avoidance is not None:
             return
         speed = float(np.linalg.norm(np.reshape(self.velocities, (self.n, 2)), axis=1).max())
         residual = np.abs(self._relative_offsets() - self.active_offsets)
@@ -601,10 +599,8 @@ class Simulator:
         if held or now - self.pending_since > SETTLE_TIMEOUT_S:
             if not held:
                 self._event(now, "settle_timeout")
-            offsets = self.pending_offsets
-            self.pending_offsets = None
-            self.settle_ok_since = None
-            self._switch_offsets(offsets, now, kind="waypoint")
+            self.pending_since = self.settle_ok_since = None
+            self._switch_offsets(self.schedule_offsets, now, kind="waypoint")
 
     def _update_waypoints(self, now: float):
         scn = self.scn
@@ -615,7 +611,7 @@ class Simulator:
         # only a restore may still be converging while the head cruises on
         if self.holding:
             if (self.corner is None and self.transition is None
-                    and self.pending_offsets is None):
+                    and self.pending_since is None):
                 self._leave_vertex(now)
                 self.holding = False
             return
@@ -635,7 +631,7 @@ class Simulator:
                 target, self._previous_vertex(), self.last_heading)
             outgoing = controller.heading_from_motion(
                 self.waypoints[self.target_idx + 1], target, incoming)
-            change = controller.wrap_angle(outgoing - incoming)
+            change = controller.wrap(outgoing - incoming)
             if abs(change) > yaw_cfg.corner_entry:
                 self.corner = CornerTurn(outgoing, now)
                 self._event(now, "corner_turn_start",
@@ -648,10 +644,8 @@ class Simulator:
             # the previous ones: scenarios use a repeated phase to force the
             # formation to settle before tackling what comes next
             self.phase_idx = new_phase
-            new_offsets = np.asarray(scn.formation.phases[new_phase].offsets,
-                                     dtype=float)
-            self.schedule_offsets = new_offsets
-            self.pending_offsets = new_offsets
+            self.schedule_offsets = np.asarray(scn.formation.phases[new_phase].offsets,
+                                               dtype=float)
             self.pending_since = now
             hold = True
 
@@ -686,7 +680,7 @@ class Simulator:
         # vertex, so the position loop station-keeps there while yaw realigns
         # (a zero velocity command would let the leaky plants drift home)
         scn = self.scn
-        positions = self.pos_ring[self.ring_head]
+        positions = self.pos_ring[-1]
         offsets = self.active_offsets.ravel().tolist()
         if scn.control.mode == "enhanced":
             planar = controller.enhanced_control(
@@ -738,13 +732,9 @@ class Simulator:
                     self.yaws[row] + scn.dt * 0.5 * (self.yaw_rates[row] + rate))
                 self.yaw_rates[row] = rate
         ring = self.pos_ring
-        self.ring_head = (self.ring_head + 1) % len(ring)
-        ring[self.ring_head] = positions
-        span = self.ring_span = min(self.ring_span + 1, len(ring) - 1)
-        # a negative index reads the ring from its end
-        elapsed = span * scn.dt
-        self.velocities = [(new - old) / elapsed for new, old in
-                           zip(positions, ring[self.ring_head - span])]
+        ring.append(positions)
+        elapsed = (len(ring) - 1) * scn.dt
+        self.velocities = [(new - old) / elapsed for new, old in zip(positions, ring[0])]
         return applied_planar, applied_yaw
 
     def _update_metrics(self, now: float):
@@ -752,7 +742,7 @@ class Simulator:
         # declare a warmup so the spin-up transient every mode shares does
         # not mask the differences under study
         if self.rel_err_max and now >= self.scn.metrics_warmup_s:
-            positions = self.pos_ring[self.ring_head]
+            positions = self.pos_ring[-1]
             offsets = self.active_offsets.ravel().tolist()
             for e, (head, tail) in enumerate(self.planar_lift.pairs):
                 # the arithmetic of np.linalg.norm, then np.maximum's NaN

@@ -14,7 +14,7 @@ from niformation.obstacle import (ObstacleCircle, ObstacleField,
                                   circle_from_observation,
                                   clip_polygon_to_disc, detect_mode,
                                   enclosing_circle, event_cleared, group_all,
-                                  group_or_separate, nearest_boundary,
+                                  nearest_boundary,
                                   point_segment_distance,
                                   polygon_area_centroid, running_clearance)
 
@@ -110,15 +110,16 @@ def test_enclosing_circle_handles_containment():
 
 def test_grouping_threshold_is_the_robot_diameter():
     r = 25.0
-    near = group_or_separate(ObstacleCircle((0.0, 0.0), r),
-                             ObstacleCircle((100.0, 0.0), r), ROBOT_DIAMETER)
-    assert near is not None  # boundary gap 50 < 64
-    far = group_or_separate(ObstacleCircle((0.0, 0.0), r),
-                            ObstacleCircle((120.0, 0.0), r), ROBOT_DIAMETER)
-    assert far is None       # boundary gap 70 > 64
-    exact = group_or_separate(ObstacleCircle((0.0, 0.0), r),
-                              ObstacleCircle((114.0, 0.0), r), ROBOT_DIAMETER)
-    assert exact is None     # strict inequality at the threshold
+
+    def pair(d):
+        return group_all([ObstacleCircle((0.0, 0.0), r, (0,)),
+                          ObstacleCircle((d, 0.0), r, (1,))], ROBOT_DIAMETER)
+
+    near = pair(100.0)
+    assert [c.members for c in near] == [(0, 1)]  # boundary gap 50 < 64
+    assert near[0].radius == 75.0
+    assert len(pair(120.0)) == 2   # boundary gap 70 > 64
+    assert len(pair(114.0)) == 2   # strict inequality at the threshold
 
 
 def test_group_all_merges_the_stacked_pair_only():
@@ -610,10 +611,12 @@ def test_enclosing_circle_contains_both_inputs(cx, cy, r1, r2, d):
 @given(d=st.floats(0.0, 300.0), r1=st.floats(1.0, 60.0), r2=st.floats(1.0, 60.0))
 @settings(max_examples=60, deadline=None)
 def test_grouping_matches_the_boundary_gap_rule(d, r1, r2):
-    one = ObstacleCircle((0.0, 0.0), r1)
-    two = ObstacleCircle((d, 0.0), r2)
-    got = group_or_separate(one, two, ROBOT_DIAMETER)
-    assert (got is not None) == (d < ROBOT_DIAMETER + r1 + r2)
+    # no radius cap, so the gap rule alone decides the merge
+    one = ObstacleCircle((0.0, 0.0), r1, (0,))
+    two = ObstacleCircle((d, 0.0), r2, (1,))
+    got = group_all([one, two], ROBOT_DIAMETER, radius_cap=np.inf)
+    merged = d < ROBOT_DIAMETER + r1 + r2
+    assert got == ([enclosing_circle(one, two)] if merged else [one, two])
 
 
 # ------------------------------------- plain-float clip vs the numpy clip

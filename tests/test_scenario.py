@@ -151,7 +151,7 @@ def test_two_loads_are_equal_and_a_replaced_field_is_not(name):
     assert scn == fresh and hash(scn) == hash(fresh)
     assert scn != dataclasses.replace(scn, seed=scn.seed + 1)
     if scn.obstacles:
-        moved = tuple(polygon + [0.0, 1.0] for polygon in scn.obstacles)
+        moved = tuple(np.add(polygon, [0.0, 1.0]) for polygon in scn.obstacles)
         assert scn != dataclasses.replace(scn, obstacles=moved)
 
 
@@ -178,7 +178,10 @@ def test_a_shipped_name_is_loaded_once_into_an_immutable_scenario(name):
     assert all(type(value) in (int, float, str, bool, type(None))
                for path, value in leaves.items() if path not in arrays)
     assert "scenario.topology.incidence" in arrays
-    assert len(arrays) == 5 * (1 + (scn.yaw_control is not None)) + len(scn.obstacles)
+    # the topologies' arrays; each polygon is float tuples, held once
+    assert len(arrays) == 5 * (1 + (scn.yaw_control is not None))
+    assert all(type(v) is tuple and len(v) == 2
+               for polygon in scn.obstacles for v in polygon)
     for array in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -265,13 +268,22 @@ OVERRIDES = [("dt", 0.0, "dt"), ("dt", float("nan"), "dt"),
              ("duration", -1.0, "duration"), ("noise_std", -1.0, "noise_std"),
              ("settle_time", -1.0, "settle_time"),
              ("metrics_warmup_s", -1.0, "metrics_warmup_s"), ("seed", -1, "seed"),
-             ("waypoint_radius", 0.0, "waypoints.radius")]
+             ("waypoint_radius", 0.0, "waypoints.radius"),
+             ("duration", float("inf"), "duration"), ("dt", float("inf"), "dt"),
+             ("waypoint_radius", float("inf"), "waypoints.radius"),
+             ("noise_std", float("inf"), "noise_std"),
+             ("settle_time", float("nan"), "settle_time"),
+             ("metrics_warmup_s", float("inf"), "metrics_warmup_s"),
+             ("waypoint_cruise_speed", float("inf"), "waypoints.cruise_speed"),
+             ("waypoint_ease_s", float("-inf"), "waypoints.ease_s")]
 
 
 @pytest.mark.parametrize("field, bad, path", OVERRIDES)
 def test_an_override_out_of_bounds_is_rejected_by_name(field, bad, path):
     scn = scenario_from_dict(DOCS["moving_leader_compare"])
-    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: must be"):
+    # what is not finite is refused as the loader refuses it
+    reason = "must be" if np.isfinite(bad) else "must be finite"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: {reason}"):
         dataclasses.replace(scn, **{field: bad})
 
 

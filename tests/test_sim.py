@@ -177,7 +177,7 @@ def test_a_shifted_obstacle_run_is_the_run_shifted(name):
             scn, agents=tuple(replace(a, start=tuple(np.add(a.start, shift)))
                               for a in scn.agents),
             waypoints=tuple(tuple(np.add(w, shift)) for w in scn.waypoints),
-            obstacles=tuple(p + shift for p in scn.obstacles))
+            obstacles=tuple(np.add(p, shift) for p in scn.obstacles))
         log = sim.Simulator(moved).run()
         assert log.summary["status"] == base.summary["status"]
         assert ([(ev["event"], ev["time"]) for ev in log.events]
@@ -319,6 +319,66 @@ def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
     assert summary == log.summary
     assert summary["final_positions_m"] == [[None, None]] * simulator.n
     assert summary["min_obstacle_clearance_cm"] is None
+
+
+def test_a_run_cut_mid_transition_logs_it_interrupted():
+    # rect_varying_formation starts its first waypoint transition at 22.1 s;
+    # a run that ends 0.5 s later closes it as interrupted
+    log = sim.run_scenario("rect_varying_formation", duration=22.6)
+    assert log.summary["status"] == sim.STATUS_DURATION
+    assert [ev["time"] for ev in log.events
+            if ev["event"] == "transition_start"] == [pytest.approx(22.1)]
+    last = log.events[-1]
+    assert last["event"] == "transition_interrupted" and last["kind"] == "waypoint"
+    assert last["time"] == pytest.approx(22.6)
+    assert log.summary["transitions"][-1]["status"] == "interrupted"
+
+
+@pytest.mark.parametrize("inward, status", [(20.0, sim.STATUS_UNSUPPORTED),
+                                            (40.0, sim.STATUS_COLLISION)])
+def test_a_narrowed_corridor_ends_the_run(inward, status):
+    # corridor_squeeze with each wall moved inward: at 20 cm the gap only
+    # admits single file, which is not planned; at 40 cm the squeeze is
+    # planned and a robot touches a wall
+    scn = scenario.load_scenario("corridor_squeeze")
+    left, right = scn.obstacles
+    walls = (np.add(left, [inward, 0.0]), np.add(right, [-inward, 0.0]))
+    log = sim.Simulator(replace(scn, obstacles=walls)).run()
+    assert log.summary["status"] == status
+    names = [ev["event"] for ev in log.events]
+    if status == sim.STATUS_UNSUPPORTED:
+        assert names[-1] == "unsupported_maneuver"
+        assert log.events[-1]["reason"].startswith(
+            "gap 99.3 cm only admits single-file passage")
+    else:
+        # the squeeze still in flight closes after the contact
+        assert names[-2:] == ["collision", "transition_interrupted"]
+        assert log.events[-2]["clearance_cm"] < 0.0
+        assert log.summary["min_obstacle_clearance_cm"] < 0.0
+
+
+def test_a_dwell_that_never_settles_times_out_into_the_pending_offsets():
+    # a dwell waits for the team to settle; a team that keeps moving starts
+    # the waypoint transition to the schedule's offsets anyway once
+    # SETTLE_TIMEOUT_S has passed, and logs the timeout first
+    scn = scenario.load_scenario("rect_varying_formation")
+    simulator = sim.Simulator(scn)
+    start, target = 3.0, simulator.schedule_offsets + 40.0
+    simulator.schedule_offsets, simulator.pending_since = target, start
+    simulator.velocities = [2.0 * sim.SETTLE_SPEED_CM_S] * (2 * simulator.n)
+    now = start
+    while now - start <= sim.SETTLE_TIMEOUT_S:
+        simulator._update_settle(now)
+        assert simulator.events == [] and simulator.transition is None
+        assert simulator.settle_ok_since is None
+        now += scn.dt
+    simulator._update_settle(now)
+    assert [(ev["time"], ev["event"]) for ev in simulator.events] == [
+        (now, "settle_timeout"), (now, "transition_start")]
+    assert simulator.events[-1]["kind"] == "waypoint"
+    assert simulator.pending_since is None
+    assert np.array_equal(simulator.transition.target_offsets, target)
+    assert np.array_equal(simulator.active_offsets, target)
 
 
 def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch):
@@ -594,7 +654,7 @@ def test_events_csv_quotes_a_detail_only_where_it_needs_it():
 @pytest.mark.parametrize("steps", [3, 120, 340])
 def test_velocity_ring_equals_a_deque_of_positions(window, steps):
     # the finite-difference velocities over a deque of position copies, the
-    # oracle of the preallocated ring, under random commands and noise
+    # oracle of the ring of stacked floats, under random commands and noise
     scn = scenario.load_scenario("moving_leader_compare")
     scn = replace(scn, control=replace(scn.control, velocity_estimate_window=window))
     simulator = sim.Simulator(scn)
@@ -640,7 +700,7 @@ def test_the_velocity_ring_and_delay_line_are_sized_by_the_run():
     def run_digest(knob):
         control = replace(scn.control, velocity_estimate_window=knob, command_delay_steps=knob)
         simulator = sim.Simulator(replace(scn, control=control))
-        assert len(simulator.pos_ring) == 11 and len(simulator.delay_queue) == 10
+        assert simulator.pos_ring.maxlen == 11 and len(simulator.delay_queue) == 10
         log = simulator.run()
         assert len(log.times) == 10
         return digest(log.trajectory_csv() + log.summary_json())
