@@ -10,15 +10,16 @@ stacked floats, each agent's (or edge's) coordinates in turn:
    reference-agent row.  The planar law gets them from the transposed
    sensing block applied to the positions shifted by the waypoint,
    e_i = y_i - W; the yaw law gathers wrapped angle differences through the
-   lift's (head, tail) `pairs`.  Desired offsets are added on the edge
-   rows, plus (enhanced law only) the head agent's predicted travel over
-   the lookahead horizon, so followers aim at where the head is about to be;
+   lift's (head, tail) `pairs`, so the agents align on one heading.  The
+   planar law adds the desired offsets on the edge rows, and the enhanced
+   laws the head agent's predicted travel over the lookahead horizon, so
+   followers aim at where the head is about to be;
 2. gain and route: per-row gains, built once with the gains, scale the
    errors and the actuation block routes them back to agents: only an
    edge's tail steers to close that edge, reference agents additionally
    steer toward the waypoint;
 3. clip: commands clip to the per-axis speed caps (built once a run by
-   `speed_caps` from the agents' kinds) or to the yaw-rate cap.
+   `speed_caps` from the agents' kinds) or to `YAW_RATE_CAP`.
 
 Steps 2 and 3 are one private route shared by every law.  Because the
 actuation block carries -1 at each tail, negative gains yield attracting
@@ -50,26 +51,9 @@ from .graph import NetworkTopology, kron_expand
 from .lti import TransferFunction, tf_mul
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SaturationLimits:
-    """Per-axis speed clamps (cm/s) and the yaw-rate clamp (rad/s)."""
-
-    ugv_speed: float = 100.0
-    uav_speed: float = 200.0
-    yaw_rate: float = 1.5
-
-    def __post_init__(self):
-        if not all(limit > 0 for limit in (self.ugv_speed, self.uav_speed, self.yaw_rate)):
-            raise ValueError("saturation limits must be positive")
-
-    def speed_for(self, kind: str) -> float:
-        if kind == "ugv":
-            return self.ugv_speed
-        if kind == "uav":
-            return self.uav_speed
-        raise ValueError(f"unknown agent kind '{kind}'")
+# the per-axis speed cap (cm/s) of each agent kind: the one list of kinds
+SPEED_CAPS = {"ugv": 100.0, "uav": 200.0}
+YAW_RATE_CAP = 1.5   # rad/s
 
 
 @dataclass(frozen=True)
@@ -113,10 +97,10 @@ def _require_m(lifted: LiftedTopology, m: int) -> NetworkTopology:
 class NiGains:
     """Planar loop gains: per-edge consensus pairs and the reference pair.
 
-    All gains must be nonpositive; the actuation block's tail signs turn
-    negative gains into attracting corrections.  `planar` is the per-row
-    gains of the planar law (edge rows, then the reference row), built once
-    here.  The yaw law's gains are the scenario's
+    All gains must be finite and nonpositive; the actuation block's tail
+    signs turn negative gains into attracting corrections.  `planar` is the
+    per-row gains of the planar law (edge rows, then the reference row),
+    built once here.  The yaw law's gains are the scenario's
     `YawControlConfig.gains`.
     """
 
@@ -130,15 +114,14 @@ class NiGains:
         object.__setattr__(self, "consensus",
                            tuple((float(a), float(b)) for a, b in self.consensus))
         planar = (*(g for pair in self.consensus for g in pair), *self.reference)
-        if any(g > 0 for g in planar):
-            raise ValueError("gains must be nonpositive")
+        if not all(-math.inf < g <= 0 for g in planar):
+            raise ValueError("gains must be finite and nonpositive")
         object.__setattr__(self, "planar", planar)
 
 
-def speed_caps(kinds, limits: SaturationLimits | None = None) -> tuple[float, ...]:
+def speed_caps(kinds) -> tuple[float, ...]:
     """Per-axis speed caps (cm/s): x and y of each agent in turn."""
-    limits = limits or SaturationLimits()
-    return tuple(limits.speed_for(kind) for kind in kinds for _axis in "xy")
+    return tuple(SPEED_CAPS[kind] for kind in kinds for _axis in "xy")
 
 
 def saturate(commands, caps) -> list[float]:
@@ -230,36 +213,27 @@ def heading_from_motion(target, current, previous_heading: float) -> float:
 
 
 def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains,
-                  target_angle: float, offsets=None,
-                  limits: SaturationLimits = SaturationLimits(), *,
-                  dt: float = 0.0, prediction_horizon_steps: int = 1,
+                  target_angle: float, *, dt: float = 0.0,
+                  prediction_horizon_steps: int = 1,
                   enhanced: bool = False) -> list[float]:
     """Yaw-rate commands (rad/s), one per agent, from the one-dimensional
     consensus pipeline.
 
     lifted is the yaw topology lifted to 1 coordinate; gains holds the
     per-row gains, one nonpositive gain per yaw edge and then the reference
-    gain (a scenario's `YawControlConfig.gains`).  Edge errors are the wrapped
-    head-tail angle differences plus optional per-edge offsets; the
-    reference row is the first reference agent's wrapped error to
-    `target_angle`.  The enhanced variant adds each head's predicted yaw
-    travel over the horizon.
+    gain (a scenario's `YawControlConfig.gains`).  Edge errors are the
+    wrapped head-tail angle differences; the reference row is the first
+    reference agent's wrapped error to `target_angle`.  The enhanced
+    variant adds each head's predicted yaw travel over the horizon.
     """
     topology = _require_m(lifted, 1)
     pairs = lifted.pairs
-    edges = [yaws[head] - yaws[tail] for head, tail in pairs]
-    if offsets is not None:
-        if len(offsets) != len(pairs):
-            raise ValueError(f"offsets must be {len(pairs)} yaw offsets")
-        edges = [e + o for e, o in zip(edges, offsets)]
-    # the wrap maps a zero of either sign to +0.0, so a missing offset needs
-    # no zero
-    errors = [wrap(e) for e in edges]
+    errors = [wrap(yaws[head] - yaws[tail]) for head, tail in pairs]
     if enhanced:
         errors = [e + yaw_rates[head] * dt * prediction_horizon_steps
                   for e, (head, _tail) in zip(errors, pairs)]
     errors.append(wrap(yaws[topology.reference_agents[0] - 1] - target_angle))
-    return _route(errors, lifted, gains, (limits.yaw_rate,) * topology.n_agents)
+    return _route(errors, lifted, gains, (YAW_RATE_CAP,) * topology.n_agents)
 
 
 def prediction_path_tf(plant: TransferFunction, dt: float,

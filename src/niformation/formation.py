@@ -17,6 +17,7 @@ time, or times out after the deadline plus a grace window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -38,8 +39,8 @@ class FormationPhase:
     def __post_init__(self):
         if self.after_waypoints < 0:
             raise ValueError("after_waypoints must be nonnegative")
-        if self.transition_duration <= 0:
-            raise ValueError("transition_duration must be positive")
+        if not 0 < self.transition_duration < math.inf:
+            raise ValueError("transition_duration: must be finite and positive")
         object.__setattr__(self, "offsets",
                            tuple((float(x), float(y)) for x, y in self.offsets))
 

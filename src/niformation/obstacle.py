@@ -27,7 +27,8 @@ decision on positions alone comes with radii within which it cannot change
 planning skip `all_behind`, `end_radius`), held in one `MotionBudget`.
 `boundary_distances` is the one home of a robot's distance to a circle's
 boundary: the running clearances take its minimum, and `niformation
-inspect` reads it over a whole logged run.  All coordinates are centimeters.
+inspect` reads it over a whole logged run.  Every simulated team plans with
+the footprints `FOV` and `ROBOT_RADIUS`.  All coordinates are centimeters.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ DEGENERATE_AREA = 1e-9
 DEFAULT_MARGIN = 2.0
 DEFAULT_GROUP_RADIUS_CAP = 150.0
 DEFAULT_GROUP_MAX_MEMBERS = 3
+# the one sensor and robot footprint every team plans with (cm)
+FOV = 220.0               # sensor footprint diameter
+LOOK_AHEAD = 100.0        # obstacle reaction range
+ROBOT_RADIUS = 32.0       # planning footprint of every robot
+COLLISION_RADIUS = 25.0   # physical footprint: contact below this
 FOOTPRINT_SIDES = 64
 # a footprint of radius r about c is the polygon c + r * FOOTPRINT_RING
 _ANGLES = 2.0 * np.pi * np.arange(FOOTPRINT_SIDES) / FOOTPRINT_SIDES

@@ -3,14 +3,15 @@
 A scenario YAML names the agents (kind, start pose), the interconnection
 topology and loop gains, the reference agent's waypoint list, the phase
 schedule of formation offsets, optional yaw-alignment control, optional
-obstacle polygons, sensing geometry, and the integration/noise settings.
-Positions are centimeters; angles in the file are degrees (converted to
-radians on load); times are seconds.
+obstacle polygons, the detour pursuit lead, and the integration/noise
+settings.  Positions are centimeters; angles in the file are degrees
+(converted to radians on load); times are seconds.
 
 Each section's keys, defaults and bounds are declared once, on its
-dataclass: the loader reads `sensing`, `control` and `saturation` from their
-dataclasses' fields, and a `Scenario` checks its own bounds, so one built
-with `dataclasses.replace` is checked by the same code as a loaded one.
+dataclass, and each part of a `Scenario` checks its own values, so one built
+directly or with `dataclasses.replace` is checked as a loaded one is.  What
+no scenario varies is a constant, not a key: the footprints (`obstacle`), the
+speed and yaw-rate caps (`controller`) and the corner-turn angles (`sim`).
 
 `load_scenario` accepts a filesystem path or the bare name of a shipped
 scenario.  A shipped name is read and validated once per process, and every
@@ -25,19 +26,18 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .controller import NiGains, SaturationLimits
+from .controller import SPEED_CAPS, NiGains
 from .formation import FormationPhase, FormationSpec
 from .graph import NetworkTopology, build_topology
 from .lti import parse_yaml
 
-AGENT_KINDS = ("ugv", "uav")
+AGENT_KINDS = tuple(SPEED_CAPS)
 CONTROL_MODES = ("enhanced", "baseline")
 
 
@@ -52,23 +52,27 @@ class AgentSpec:
     start: tuple[float, float]
     yaw: float = 0.0  # radians
 
+    def __post_init__(self):
+        if self.kind not in AGENT_KINDS:
+            raise ScenarioError(f"kind: must be one of {AGENT_KINDS}")
+
+
+def _typed(section, key: str):
+    """Read each field of a frozen section as the type of its default, as
+    the loader reads the section's keys."""
+    for f in fields(section):
+        object.__setattr__(section, f.name, _scalar(
+            getattr(section, f.name), f"{key}.{f.name}", type(f.default)))
+
 
 @dataclass(frozen=True)
 class SensingConfig:
-    fov: float = 220.0             # sensor footprint diameter (cm)
-    look_ahead: float = 100.0      # obstacle reaction range (cm)
-    robot_radius: float = 32.0     # planning footprint of every robot (cm)
-    collision_radius: float = 25.0  # physical footprint: contact below this
     carrot_advance: float = 60.0   # detour pursuit point lead (cm)
 
     def __post_init__(self):
-        if min(self.fov, self.look_ahead, self.robot_radius,
-               self.collision_radius, self.carrot_advance) <= 0:
-            raise ScenarioError("sensing values must be positive")
-        if self.collision_radius > self.robot_radius:
-            raise ScenarioError(
-                "sensing.collision_radius cannot exceed the planning "
-                "robot_radius")
+        _typed(self, "sensing")
+        if self.carrot_advance <= 0:
+            raise ScenarioError("sensing.carrot_advance: must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ class ControlConfig:
     command_delay_steps: int = 0
 
     def __post_init__(self):
+        _typed(self, "control")
         if self.mode not in CONTROL_MODES:
             raise ScenarioError(f"control.mode must be one of {CONTROL_MODES}")
         if self.prediction_horizon_steps < 1:
@@ -91,19 +96,16 @@ class ControlConfig:
 
 @dataclass(frozen=True)
 class YawControlConfig:
-    """The yaw law's topology, offsets, target, gains and corner turns.
+    """The yaw law's topology, target, gains and corner turns.
 
     `gains` is the law's per-row gains as floats: one nonpositive gain per
-    yaw edge, then the reference agent's gain; `offsets` are floats too.
+    yaw edge, then the reference agent's gain.
     """
 
     topology: NetworkTopology
-    offsets: tuple[float, ...]          # radians, per yaw edge
     target: float | None                # radians; None tracks motion heading
     gains: tuple[float, ...]
     corner_turns: bool = False
-    corner_entry: float = float(np.deg2rad(30.0))
-    corner_exit: float = float(np.deg2rad(3.0))
 
     def __post_init__(self):
         gains = np.array(self.gains, dtype=float)
@@ -113,7 +115,6 @@ class YawControlConfig:
         if not np.all(gains <= 0):
             raise ScenarioError("yaw_control: gains must be nonpositive")
         object.__setattr__(self, "gains", tuple(gains.tolist()))
-        object.__setattr__(self, "offsets", tuple(map(float, self.offsets)))
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,6 @@ class Scenario:
     obstacles: tuple[tuple[tuple[float, float], ...], ...] = ()
     sensing: SensingConfig = field(default_factory=SensingConfig)
     control: ControlConfig = field(default_factory=ControlConfig)
-    saturation: SaturationLimits = field(default_factory=SaturationLimits)
     yaw_control: YawControlConfig | None = None
     noise_std: float = 0.0
     settle_time: float = 5.0
@@ -153,10 +153,11 @@ class Scenario:
                        ("metrics_warmup_s", self.metrics_warmup_s),
                        ("waypoints.cruise_speed", self.waypoint_cruise_speed),
                        ("waypoints.ease_s", self.waypoint_ease_s))
-        # the loader refuses what is not finite, NaN included, and so does this
+        # each value is read as the loader reads it: a number that is not
+        # finite, NaN included, or a seed that is no integer is refused
         for path, value in positive + nonnegative:
-            if not math.isfinite(value):
-                raise ScenarioError(f"{path}: must be finite")
+            _scalar(value, path)
+        _scalar(self.seed, "seed", int)
         for path, value in positive:
             if not value > 0:
                 raise ScenarioError(f"{path}: must be positive")
@@ -238,13 +239,7 @@ def _section(cls, doc: dict, key: str):
     raw = {} if doc.get(key) is None else doc[key]
     if not isinstance(raw, dict):
         raise ScenarioError(f"{key}: expected a mapping")
-    names = [f.name for f in fields(cls)]
-    try:
-        return cls(**_scalars(cls, _only(raw, key + ".", *names), key + ".", names))
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: {exc}") from exc
+    return cls(**_only(raw, key + ".", *(f.name for f in fields(cls))))
 
 
 def _edge_topology(doc: dict, section: str, n_agents: int,
@@ -282,11 +277,12 @@ def _agents(doc, path) -> tuple[AgentSpec, ...]:
         _only(row, p, "id", "kind", "start", "yaw")
         ident = _scalar(_expect(row, "id", p), p + "id", int)
         kind = _expect(row, "kind", p, str)
-        if kind not in AGENT_KINDS:
-            raise ScenarioError(f"{p}kind: must be one of {AGENT_KINDS}")
         start = _pair(_expect(row, "start", p), p + "start")
         yaw = np.deg2rad(_scalar(row.get("yaw", 0.0), p + "yaw"))
-        agents.append(AgentSpec(id=ident, kind=kind, start=start, yaw=float(yaw)))
+        try:
+            agents.append(AgentSpec(id=ident, kind=kind, start=start, yaw=float(yaw)))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{p}{exc}") from None
     ids = [a.id for a in agents]
     if ids != list(range(1, len(agents) + 1)):
         raise ScenarioError("agents: ids must be 1..n in order")
@@ -340,26 +336,18 @@ def _yaw_control(doc, n_agents) -> YawControlConfig | None:
         return None
     if not isinstance(raw, dict):
         raise ScenarioError("yaw_control: expected a mapping")
-    top = _edge_topology(raw, "yaw_control", n_agents, "offsets", "target",
-                         "corner_turns", "corner_entry", "corner_exit",
+    top = _edge_topology(raw, "yaw_control", n_agents, "target", "corner_turns",
                          "reference_gain", "consensus_gains")
     p = "yaw_control."
-    offsets_deg = raw.get("offsets", [0.0] * top.n_edges)
-    if not isinstance(offsets_deg, list) or len(offsets_deg) != top.n_edges:
-        raise ScenarioError(f"{p}offsets: expected {top.n_edges} values")
     reference = _scalar(_expect(raw, "reference_gain", p), p + "reference_gain")
     gains = [_scalar(v, f"{p}consensus_gains[{i}]")
              for i, v in enumerate(_expect(raw, "consensus_gains", p, list))]
     return YawControlConfig(
         topology=top,
-        offsets=tuple(np.deg2rad(_scalar(v, f"{p}offsets[{i}]"))
-                      for i, v in enumerate(offsets_deg)),
         target=None if raw.get("target") is None
         else float(np.deg2rad(_scalar(raw["target"], p + "target"))),
         gains=[*gains, reference],
         **_scalars(YawControlConfig, raw, p, ("corner_turns",)),
-        **{key: float(np.deg2rad(degrees)) for key, degrees in _scalars(
-            YawControlConfig, raw, p, ("corner_entry", "corner_exit")).items()},
     )
 
 
@@ -382,8 +370,7 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
         raise ScenarioError("scenario document must be a mapping")
     _only(doc, "", "name", "dt", "duration", "seed", "agents", "topology",
           "gains", "yaw_control", "waypoints", "formation", "obstacles",
-          "sensing", "control", "saturation", "noise_std", "settle_time",
-          "metrics_warmup_s")
+          "sensing", "control", "noise_std", "settle_time", "metrics_warmup_s")
     agents = _agents(doc, "")
     topology = _edge_topology(_expect(doc, "topology", "", dict), "topology",
                               len(agents))
@@ -401,7 +388,6 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
         formation=_formation(doc, topology.n_edges), obstacles=_obstacles(doc),
         sensing=_section(SensingConfig, doc, "sensing"),
         control=_section(ControlConfig, doc, "control"),
-        saturation=_section(SaturationLimits, doc, "saturation"),
         yaw_control=_yaw_control(doc, len(agents)),
         **_scalars(Scenario, doc, "", ("seed", "noise_std", "settle_time",
                                        "metrics_warmup_s")),

@@ -58,8 +58,9 @@ State machine summary (evaluated in priority order each step):
   detours, replaces the waypoint reference with a pursuit point that slides
   along the planned lateral line, both in the event's path frame; waypoint
   progress is frozen until `obstacle.event_cleared` ends the event;
-* corner turns (when enabled) zero the planar commands at a sharp vertex
-  and realign every yaw-steered agent to the next leg's heading;
+* corner turns (when enabled) zero the planar commands at a vertex whose
+  heading change exceeds `CORNER_ENTRY` and realign every yaw-steered agent
+  to within `CORNER_EXIT` of the next leg's heading;
 * reaching a waypoint that starts a new formation phase holds ("dwells")
   the reference agent at the reached vertex until the offset transition
   converges, so transition timing is measured against a stationary head.
@@ -92,6 +93,8 @@ SETTLE_SPEED_CM_S = 3.0     # every agent this slow counts toward settling
 SETTLE_BAND_CM = 2.5        # max per-axis offset residual while settling
 SETTLE_HOLD_S = 1.0         # both conditions must hold this long
 SETTLE_TIMEOUT_S = 25.0     # start the transition anyway after this long
+CORNER_ENTRY = math.radians(30.0)   # a sharper heading change is a corner turn
+CORNER_EXIT = math.radians(3.0)     # it ends once every yaw is this close
 OVERRIDE_GRACE_S = 12.0     # extra time for avoidance/restore convergence
 OVERRIDE_HOLD_S = 1.0       # offsets must stay inside the band this long
 STATUS_COMPLETED = "completed"
@@ -260,7 +263,7 @@ class Simulator:
         self.waypoints = np.array(scn.waypoints, dtype=float)
         self.waypoints.flags.writeable = False
         self.planar_lift = controller.lift(scn.topology, 2)
-        self.speed_caps = controller.speed_caps(scn.kinds, scn.saturation)
+        self.speed_caps = controller.speed_caps(scn.kinds)
 
         # agent-major x, y: the order the noise draws have always been taken in
         self.plants = PlantBank(
@@ -291,8 +294,7 @@ class Simulator:
         self.delay_queue = deque([([0.0] * (2 * self.n), [0.0] * self.n)]
                                  * min(scn.control.command_delay_steps, self.steps))
 
-        self.obstacles = obstacle.ObstacleField(scn.obstacles,
-                                                scn.sensing.fov / 2.0)
+        self.obstacles = obstacle.ObstacleField(scn.obstacles, obstacle.FOV / 2.0)
         self.budget = obstacle.MotionBudget(self.positions, IN_BOX + 1)
         self.sensed = self.grouped = []   # sensed circles, their group_all
         # the reference point the planning skip was decided at, and the
@@ -414,7 +416,7 @@ class Simulator:
             budget.renew(self.positions, SENSED, reuse)
             if sensed != self.sensed:
                 self.sensed = sensed
-                self.grouped = obstacle.group_all(sensed, 2.0 * self.scn.sensing.robot_radius)
+                self.grouped = obstacle.group_all(sensed, 2.0 * obstacle.ROBOT_RADIUS)
                 budget.expire(PLAN_SKIP)
         return self.sensed
 
@@ -439,8 +441,8 @@ class Simulator:
         if self.avoidance is not None:
             if not budget.stale[EVENT_END]:
                 return
-            end = (self.avoidance, self.positions, self.master, scn.sensing.fov,
-                   scn.sensing.robot_radius)
+            end = (self.avoidance, self.positions, self.master, obstacle.FOV,
+                   obstacle.ROBOT_RADIUS)
             if not obstacle.event_cleared(*end):
                 budget.renew(self.positions, EVENT_END, obstacle.end_radius(*end))
                 return
@@ -474,9 +476,9 @@ class Simulator:
         budget.expire(PLAN_SKIP)
         targets = self._slave_targets(reference)
         event = obstacle.detect_mode(self.positions, targets,
-                                     [scn.sensing.robot_radius] * self.n,
-                                     self.master, self.grouped, scn.sensing.fov,
-                                     scn.sensing.look_ahead)
+                                     [obstacle.ROBOT_RADIUS] * self.n,
+                                     self.master, self.grouped, obstacle.FOV,
+                                     obstacle.LOOK_AHEAD)
         if event is None:
             return
         self.avoidance = event
@@ -624,15 +626,14 @@ class Simulator:
                     completed=self.completed)
         hold = False
 
-        yaw_cfg = scn.yaw_control
-        if (yaw_cfg is not None and yaw_cfg.corner_turns
+        if (scn.yaw_control is not None and scn.yaw_control.corner_turns
                 and self.target_idx + 1 < len(self.waypoints)):
             incoming = controller.heading_from_motion(
                 target, self._previous_vertex(), self.last_heading)
             outgoing = controller.heading_from_motion(
                 self.waypoints[self.target_idx + 1], target, incoming)
             change = controller.wrap(outgoing - incoming)
-            if abs(change) > yaw_cfg.corner_entry:
+            if abs(change) > CORNER_ENTRY:
                 self.corner = CornerTurn(outgoing, now)
                 self._event(now, "corner_turn_start",
                             heading_deg=float(np.rad2deg(outgoing)))
@@ -665,8 +666,8 @@ class Simulator:
     def _update_corner(self, now: float):
         if self.corner is None:
             return
-        target, exit_angle = self.corner.heading, self.scn.yaw_control.corner_exit
-        if all(abs(controller.wrap(self.yaws[row] - target)) < exit_angle
+        target = self.corner.heading
+        if all(abs(controller.wrap(self.yaws[row] - target)) < CORNER_EXIT
                for row in self.yaw_rows):
             self._event(now, "corner_turn_end",
                         held=float(now - self.corner.start))
@@ -706,7 +707,7 @@ class Simulator:
             self.last_heading = target
         yaw_cmds = controller.yaw_consensus(
             self.yaws, self.yaw_rates, self.yaw_lift, cfg.gains,
-            target, cfg.offsets, scn.saturation, dt=scn.dt,
+            target, dt=scn.dt,
             prediction_horizon_steps=scn.control.prediction_horizon_steps,
             enhanced=(scn.control.mode == "enhanced"))
         return planar, yaw_cmds
@@ -758,7 +759,7 @@ class Simulator:
         if self.obstacles.circles and budget.stale[FIELD_MIN]:
             self.min_clearance, radius = obstacle.running_clearance(
                 self.min_clearance, self.positions, self.obstacles.centers,
-                self.obstacles.radii, self.scn.sensing.collision_radius)
+                self.obstacles.radii, obstacle.COLLISION_RADIUS)
             budget.renew(self.positions, FIELD_MIN, radius)
         if self.avoidance is not None and budget.stale[EVENT_MIN]:
             self.min_boundary_clearance, radius = obstacle.running_clearance(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import controller, graph, lti
-from niformation.controller import (NiGains, SaturationLimits,
+from niformation.controller import (SPEED_CAPS, YAW_RATE_CAP, NiGains,
                                     baseline_control, enhanced_control,
                                     heading_from_motion, lift,
                                     prediction_path_tf, saturate, speed_caps,
@@ -111,8 +111,6 @@ def test_offset_and_cap_count_mismatches_are_rejected():
         baseline_control([0.0] * 6, STAR, star_gains(), [0.0] * 2, [0.0, 0.0], CAPS3)
     with pytest.raises(ValueError):   # a cap missing
         baseline_control([0.0] * 6, STAR, star_gains(), [0.0] * 4, [0.0, 0.0], CAPS3[:-1])
-    with pytest.raises(ValueError, match="offsets"):
-        yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR_YAW, [-0.5, -0.5], 0.0, [0.0, 0.0])
 
 
 # --------------------------------------------------------------- prediction
@@ -170,22 +168,23 @@ def test_commands_clip_to_per_kind_limits():
 
 
 def test_saturation_is_idempotent():
-    limits = SaturationLimits()
     raw = [312.0, -45.0, -150.0, 99.0]
-    caps = speed_caps(("uav", "ugv"), limits)
+    caps = speed_caps(("uav", "ugv"))
     once = saturate(raw, caps)
     assert once == [200.0, -45.0, -100.0, 99.0] and saturate(once, caps) == once
 
 
 def test_unknown_kind_is_rejected():
-    with pytest.raises(ValueError, match="kind"):
-        speed_caps(("boat",), SaturationLimits())
+    # a scenario's agents are checked where they are built; the caps know
+    # only the kinds in `SPEED_CAPS`
+    with pytest.raises(KeyError, match="boat"):
+        speed_caps(("boat",))
 
 
 @given(vx=st.floats(-1e4, 1e4), vy=st.floats(-1e4, 1e4))
 @settings(max_examples=50, deadline=None)
 def test_saturated_commands_never_exceed_limits(vx, vy):
-    out = saturate([vx, vy], speed_caps(("ugv",), SaturationLimits()))
+    out = saturate([vx, vy], speed_caps(("ugv",)))
     assert np.all(np.abs(out) <= 100.0)
 
 
@@ -325,20 +324,18 @@ def inline_planar(positions, velocities, topology, gains, offsets, waypoint,
     gain_vec = np.concatenate([np.asarray(gains.consensus, dtype=float).reshape(-1),
                                np.asarray(gains.reference, dtype=float)])
     out = (actuation @ (gain_vec * errors)).reshape(topology.n_agents, 2)
-    limits = SaturationLimits()
     for i, kind in enumerate(kinds):
-        cap = limits.speed_for(kind)
+        cap = SPEED_CAPS[kind]
         out[i] = np.clip(out[i], -cap, cap)
     return out
 
 
-def inline_yaw(yaws, rates, topology, gains, target, offsets, dt, horizon,
-               enhanced):
+def inline_yaw(yaws, rates, topology, gains, target, dt, horizon, enhanced):
     """The yaw law with its Kronecker block built on every call."""
     _, actuation = graph.kron_expand(topology, 1)
     errors = np.zeros(topology.n_edges + 1)
     for e, (head, tail) in enumerate(topology.edges):
-        err = numpy_wrap(yaws[head - 1] - yaws[tail - 1] + offsets[e])
+        err = numpy_wrap(yaws[head - 1] - yaws[tail - 1])
         if enhanced:
             err += rates[head - 1] * dt * horizon
         errors[e] = err
@@ -408,8 +405,6 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
     angles = st.floats(-7.0, 7.0)
     yaws = np.array(data.draw(st.lists(angles, min_size=n, max_size=n)))
     rates = np.array(data.draw(st.lists(angles, min_size=n, max_size=n)))
-    offsets = np.array(data.draw(st.lists(angles, min_size=n_edges,
-                                          max_size=n_edges)), dtype=float)
     # the edge gains, then the reference gain
     gains = np.array([data.draw(nonpositive) for _ in range(n_edges + 1)])
     if data.draw(st.booleans()):
@@ -417,10 +412,9 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
         yaws[topology.reference_agents[0] - 1] = -0.0
         target = 0.0
     got = np.array(yaw_consensus(yaws, rates, lift(topology, 1), gains, target,
-                                 offsets, dt=0.02, prediction_horizon_steps=3,
+                                 dt=0.02, prediction_horizon_steps=3,
                                  enhanced=enhanced))
-    want = inline_yaw(yaws, rates, topology, gains, target, offsets,
-                      0.02, 3, enhanced)
+    want = inline_yaw(yaws, rates, topology, gains, target, 0.02, 3, enhanced)
     assert same_bits(got, want)
 
 
@@ -512,20 +506,18 @@ def numpy_wrap_in_place(angles):
     return angles
 
 
-def numpy_yaw(yaws, yaw_rates, lifted, gains, target, offsets, dt, horizon,
-              enhanced):
+def numpy_yaw(yaws, yaw_rates, lifted, gains, target, dt, horizon, enhanced):
     topology = lifted.topology
     heads, n_edges = topology.heads, topology.n_edges
     yaw = np.asarray(yaws, dtype=float)
     errors = np.empty(n_edges + 1)
     edge_rows = errors[:n_edges]
     np.subtract(yaw[heads], yaw[topology.tails], out=edge_rows)
-    edge_rows += np.asarray(offsets, dtype=float).reshape(n_edges)
     errors[n_edges] = yaw[topology.reference_agents[0] - 1] - target
     numpy_wrap_in_place(errors)
     if enhanced:
         edge_rows += np.asarray(yaw_rates, dtype=float)[heads] * dt * horizon
-    return numpy_route(errors, lifted, gains, SaturationLimits().yaw_rate).ravel()
+    return numpy_route(errors, lifted, gains, YAW_RATE_CAP).ravel()
 
 
 def one_nan(values):
@@ -554,7 +546,7 @@ only_finite = st.booleans()
 
 
 def speed_column(kinds):
-    return np.array([[SaturationLimits().speed_for(kind)] for kind in kinds])
+    return np.array([[SPEED_CAPS[kind]] for kind in kinds])
 
 
 @given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
@@ -597,14 +589,13 @@ def test_float_yaw_law_equals_the_numpy_law_bit_for_bit(
                      else (cut_angles, specials))
     draw = lambda values, size: data.draw(  # noqa: E731
         st.lists(values, min_size=size, max_size=size))
-    yaws, rates, offsets = draw(angles, n), draw(rates, n), draw(angles, n_edges)
+    yaws, rates = draw(angles, n), draw(rates, n)
     target = data.draw(angles)
     gains = draw(special_gains, n_edges + 1)
     lifted = lift(topology, 1)
     with np.errstate(all="ignore"):
-        want = numpy_yaw(yaws, rates, lifted, gains, target, offsets, 0.02, horizon,
-                         enhanced)
-        got = yaw_consensus(yaws, rates, lifted, gains, target, offsets, dt=0.02,
+        want = numpy_yaw(yaws, rates, lifted, gains, target, 0.02, horizon, enhanced)
+        got = yaw_consensus(yaws, rates, lifted, gains, target, dt=0.02,
                             prediction_horizon_steps=horizon, enhanced=enhanced)
     assert same_bits(one_nan(got), one_nan(want))
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib.resources
+import math
 import re
 
 import numpy as np
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import lti, scenario
-from niformation.controller import SaturationLimits
-from niformation.scenario import (ControlConfig, ScenarioError, SensingConfig,
-                                  scenario_from_dict)
+from niformation.controller import NiGains
+from niformation.formation import FormationPhase
+from niformation.scenario import (AgentSpec, ControlConfig, ScenarioError,
+                                  SensingConfig, scenario_from_dict)
 
 SHIPPED = scenario.shipped_scenarios()
 
@@ -55,7 +57,6 @@ MUTATIONS = {
     "formation.phases[0]": (("formation", "phases", 0), non_mappings, False),
     "sensing": (("sensing",), non_mappings, False),
     "control": (("control",), non_mappings, False),
-    "saturation": (("saturation",), non_mappings, False),
     "obstacles": (("obstacles",), non_lists, False),
     "yaw_control": (("yaw_control",), non_mappings, True),
     "control.prediction_horizon_steps": (
@@ -64,7 +65,10 @@ MUTATIONS = {
         ("control", "command_delay_steps"), non_integers, False),
     "formation.phases[0].after_waypoints": (
         ("formation", "phases", 0, "after_waypoints"), non_integers, False),
-    "yaw_control.offsets": (("yaw_control", "offsets"), non_lists, True),
+    "agents[0].kind": (
+        ("agents", 0, "kind"),
+        st.one_of(scalars, st.just("UGV")).filter(
+            lambda k: k not in scenario.AGENT_KINDS), False),
     "topology.edges[0]": (
         ("topology", "edges", 0),
         st.lists(agent_ids, min_size=3, max_size=4), False),
@@ -91,8 +95,7 @@ MUTATIONS = {
 SCHEMA = {
     "": ((), ("name", "dt", "duration", "seed", "agents", "topology", "gains",
               "yaw_control", "waypoints", "formation", "obstacles", "sensing",
-              "control", "saturation", "noise_std", "settle_time",
-              "metrics_warmup_s"), False),
+              "control", "noise_std", "settle_time", "metrics_warmup_s"), False),
     "agents[0].": (("agents", 0), ("id", "kind", "start", "yaw"), False),
     "topology.": (("topology",), ("edges", "reference_agents"), False),
     "gains.": (("gains",), ("reference", "consensus"), False),
@@ -102,16 +105,12 @@ SCHEMA = {
     "formation.phases[0].": (("formation", "phases", 0),
                              ("after_waypoints", "offsets",
                               "transition_duration"), False),
-    "sensing.": (("sensing",), ("fov", "look_ahead", "robot_radius",
-                                "collision_radius", "carrot_advance"), False),
+    "sensing.": (("sensing",), ("carrot_advance",), False),
     "control.": (("control",), ("mode", "prediction_horizon_steps",
                                 "velocity_estimate_window",
                                 "command_delay_steps"), False),
-    "saturation.": (("saturation",), ("ugv_speed", "uav_speed", "yaw_rate"),
-                    False),
-    "yaw_control.": (("yaw_control",), ("edges", "reference_agents", "offsets",
-                                        "target", "corner_turns", "corner_entry",
-                                        "corner_exit", "reference_gain",
+    "yaw_control.": (("yaw_control",), ("edges", "reference_agents", "target",
+                                        "corner_turns", "reference_gain",
                                         "consensus_gains"), True),
 }
 
@@ -222,25 +221,37 @@ UNREAD = {
     "durration": (("durration",), 90.0),
     "formation.phases[0].transiton_duration": (
         ("formation", "phases", 0, "transiton_duration"), 2.0),
+    "sensing.fov": (("sensing", "fov"), 220.0),
+    "sensing.look_ahead": (("sensing", "look_ahead"), 100.0),
+    "sensing.robot_radius": (("sensing", "robot_radius"), 32.0),
+    "sensing.collision_radius": (("sensing", "collision_radius"), 25.0),
+    "saturation": (("saturation",), None),
+    "saturation.ugv_speed": (("saturation", "ugv_speed"), 100.0),
+    "saturation.uav_speed": (("saturation", "uav_speed"), 200.0),
+    "saturation.yaw_rate": (("saturation", "yaw_rate"), 1.5),
+    "yaw_control.offsets": (("yaw_control", "offsets"), [0.0]),
+    "yaw_control.corner_entry": (("yaw_control", "corner_entry"), 30.0),
+    "yaw_control.corner_exit": (("yaw_control", "corner_exit"), 3.0),
 }
 
 
 @pytest.mark.parametrize("field", sorted(UNREAD))
 def test_retired_or_misspelt_key_is_rejected_by_name(field):
-    # a document that sets a retired option must not load as if it had not
+    # a document that sets a retired option must not load as if it had not;
+    # a key of the retired `saturation` section is refused as that section
     keys, value = UNREAD[field]
+    named = "saturation" if keys[0] == "saturation" else field
     doc = mutated("rect_varying_formation", keys, value)
-    with pytest.raises(ScenarioError, match=f"^{re.escape(field)}: unknown field$"):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(named)}: unknown field$"):
         scenario_from_dict(doc)
 
 
 # the sections whose every key has a default, and the section with none set
-DEFAULT_SECTIONS = {"sensing": SensingConfig(), "control": ControlConfig(),
-                    "saturation": SaturationLimits()}
+DEFAULT_SECTIONS = {"sensing": SensingConfig(), "control": ControlConfig()}
 
 
-@pytest.mark.parametrize("section", ["sensing", "control", "saturation",
-                                     "yaw_control", "obstacles"])
+@pytest.mark.parametrize("section", ["sensing", "control", "yaw_control",
+                                     "obstacles"])
 def test_a_null_section_reads_as_an_absent_one(section):
     doc = mutated("cluttered_course", (section,), None)
     null = scenario_from_dict(doc)
@@ -275,16 +286,49 @@ OVERRIDES = [("dt", 0.0, "dt"), ("dt", float("nan"), "dt"),
              ("settle_time", float("nan"), "settle_time"),
              ("metrics_warmup_s", float("inf"), "metrics_warmup_s"),
              ("waypoint_cruise_speed", float("inf"), "waypoints.cruise_speed"),
-             ("waypoint_ease_s", float("-inf"), "waypoints.ease_s")]
+             ("waypoint_ease_s", float("-inf"), "waypoints.ease_s"),
+             ("seed", 1.5, "seed"), ("seed", float("inf"), "seed"),
+             ("seed", True, "seed")]
 
 
 @pytest.mark.parametrize("field, bad, path", OVERRIDES)
 def test_an_override_out_of_bounds_is_rejected_by_name(field, bad, path):
     scn = scenario_from_dict(DOCS["moving_leader_compare"])
-    # what is not finite is refused as the loader refuses it
-    reason = "must be" if np.isfinite(bad) else "must be finite"
+    # what is not finite, and a seed that is no integer, is refused as the
+    # loader refuses it
+    if field == "seed" and type(bad) is not int:
+        reason = "expected an integer"
+    else:
+        reason = "must be" if np.isfinite(bad) else "must be finite"
     with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: {reason}"):
         dataclasses.replace(scn, **{field: bad})
+
+
+# a part of a scenario built directly (or with `dataclasses.replace`), a
+# value the loader refuses in it, and the wording the refusal starts with
+DIRECT = {
+    "sensing": (SensingConfig, {"carrot_advance": math.nan},
+                "^sensing.carrot_advance: must be finite$"),
+    "control": (ControlConfig, {"velocity_estimate_window": 1.5},
+                "^control.velocity_estimate_window: expected an integer, got float$"),
+    "phase": (FormationPhase, {"after_waypoints": 0, "offsets": ((100.0, 0.0),),
+                               "transition_duration": math.nan},
+              "^transition_duration: must be finite"),
+    "gains.reference": (NiGains, {"reference": (-1.0, math.nan), "consensus": ()},
+                        "^gains must be finite"),
+    "gains.consensus": (NiGains, {"reference": (-1.0, -1.0),
+                                  "consensus": ((-math.inf, -1.0),)},
+                        "^gains must be finite"),
+    "agent": (AgentSpec, {"id": 1, "kind": "boat", "start": (0.0, 0.0)},
+              "^kind: must be one of"),
+}
+
+
+@pytest.mark.parametrize("part", sorted(DIRECT))
+def test_a_part_built_directly_is_checked_as_the_loader_checks_it(part):
+    cls, values, message = DIRECT[part]
+    with pytest.raises(ValueError, match=message):
+        cls(**values)
 
 
 def test_integral_counts_still_load():

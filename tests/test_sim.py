@@ -252,7 +252,7 @@ def test_observe_wraps_every_sensed_polygon_whole(monkeypatch):
     # a polygon counts as sensed while part of it lies inside some robot's
     # footprint, and its circle wraps the whole polygon, not the sensed part
     scn = scenario.load_scenario("single_obstacle_line")
-    reach = scn.sensing.fov / 2.0
+    reach = obstacle.FOV / 2.0
     square = np.array([[-18.0, -18.0], [18.0, -18.0], [18.0, 18.0], [-18.0, 18.0]])
     # a long wall whose near edge crosses the footprint with every vertex
     # outside it, and a box inside the gate (centre within reach plus its
@@ -442,15 +442,14 @@ def test_planning_is_skipped_only_where_detect_mode_plans_nothing(monkeypatch, n
         counts["sensed"] += 1
         # the grouped circles are those of the circles sensed now
         assert self.grouped == group_all(sensed(self.obstacles, self.positions)[0],
-                                         2.0 * self.scn.sensing.robot_radius)
+                                         2.0 * obstacle.ROBOT_RADIUS)
         centers = obstacle.circle_arrays(self.grouped)[0]
         if counts["planned"] == planned:
             reference = self._reference_point(now)
             assert all_behind(centers, self.positions[self.master], reference)
-            sensing = self.scn.sensing
             assert detect_mode(self.positions, self._slave_targets(reference),
-                               [sensing.robot_radius] * self.n, self.master,
-                               self.grouped, sensing.fov, sensing.look_ahead) is None
+                               [obstacle.ROBOT_RADIUS] * self.n, self.master,
+                               self.grouped, obstacle.FOV, obstacle.LOOK_AHEAD) is None
 
     monkeypatch.setattr(obstacle, "all_behind", counting_all_behind)
     monkeypatch.setattr(obstacle, "detect_mode", counting_detect_mode)
@@ -514,7 +513,7 @@ def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch,
         calls["per_step"] += 1
         fresh["field"] = min(fresh["field"], nearest_boundary(
             self.positions, self.obstacles.centers, self.obstacles.radii)
-            - self.scn.sensing.collision_radius)
+            - obstacle.COLLISION_RADIUS)
         if self.avoidance is not None:
             calls["per_step"] += 1
             fresh["event"] = min(fresh["event"], nearest_boundary(
@@ -556,9 +555,8 @@ def test_event_end_is_the_former_split_decision_on_every_event_step(monkeypatch,
         event = self.avoidance
         if event is None:
             return update_avoidance(self, now)
-        sensing = self.scn.sensing
-        ends = old_event_end(event, self.positions, self.master, sensing.fov,
-                             sensing.robot_radius)
+        ends = old_event_end(event, self.positions, self.master, obstacle.FOV,
+                             obstacle.ROBOT_RADIUS)
         update_avoidance(self, now)
         assert (self.avoidance is None) == ends
         steps.append(ends)
