@@ -14,10 +14,11 @@ stacked floats, each agent's (or edge's) coordinates in turn:
    planar law adds the desired offsets on the edge rows, and the enhanced
    laws the head agent's predicted travel over the lookahead horizon, so
    followers aim at where the head is about to be;
-2. gain and route: per-row gains, built once with the gains, scale the
-   errors and the actuation block routes them back to agents: only an
-   edge's tail steers to close that edge, reference agents additionally
-   steer toward the waypoint;
+2. gain and route: per-row gains, derived once when a scenario reads its
+   gains (`NiGains.planar`, `YawControlConfig.gains`), scale the errors
+   and the actuation block routes them back to agents: only an edge's tail
+   steers to close that edge, reference agents additionally steer toward
+   the waypoint;
 3. clip: commands clip to the per-axis speed caps (built once a run by
    `speed_caps` from the agents' kinds) or to `YAW_RATE_CAP`.
 
@@ -43,12 +44,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import NetworkTopology, kron_expand
 from .lti import TransferFunction, tf_mul
+
+if TYPE_CHECKING:
+    from .scenario import NiGains
 
 TWO_PI = 2.0 * math.pi
 # the per-axis speed cap (cm/s) of each agent kind: the one list of kinds
@@ -91,32 +96,6 @@ def _require_m(lifted: LiftedTopology, m: int) -> NetworkTopology:
         raise ValueError(f"this law needs a topology lifted to {m} "
                          f"coordinates, got {lifted.m}")
     return lifted.topology
-
-
-@dataclass(frozen=True)
-class NiGains:
-    """Planar loop gains: per-edge consensus pairs and the reference pair.
-
-    All gains must be finite and nonpositive; the actuation block's tail
-    signs turn negative gains into attracting corrections.  `planar` is the
-    per-row gains of the planar law (edge rows, then the reference row),
-    built once here.  The yaw law's gains are the scenario's
-    `YawControlConfig.gains`.
-    """
-
-    reference: tuple[float, float]
-    consensus: tuple[tuple[float, float], ...]
-    planar: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "reference",
-                           (float(self.reference[0]), float(self.reference[1])))
-        object.__setattr__(self, "consensus",
-                           tuple((float(a), float(b)) for a, b in self.consensus))
-        planar = (*(g for pair in self.consensus for g in pair), *self.reference)
-        if not all(-math.inf < g <= 0 for g in planar):
-            raise ValueError("gains must be finite and nonpositive")
-        object.__setattr__(self, "planar", planar)
 
 
 def speed_caps(kinds) -> tuple[float, ...]:

@@ -1,10 +1,7 @@
-"""Time-varying formation schedules and transition bookkeeping.
+"""Transition bookkeeping for time-varying formations.
 
-A formation specification is an ordered list of phases; each phase carries
-the per-edge desired offsets (tail relative to head, cm) plus the nominal
-transition duration used when the schedule switches into it.  Phases are
-triggered by the count of waypoints the reference agent has completed;
-avoidance replanning overrides the schedule entirely while it is active.
+The phase schedule is part of a scenario (`scenario.FormationSpec`), and
+avoidance replanning overrides it entirely while it is active.
 
 A transition records where the steered agents started, the displacement each
 one must cover, and the time budget.  One convergence test serves every
@@ -17,7 +14,6 @@ time, or times out after the deadline plus a grace window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -26,50 +22,6 @@ import numpy as np
 CONVERGED = "converged"
 IN_PROGRESS = "in-progress"
 TIMED_OUT = "timed-out"
-
-
-@dataclass(frozen=True)
-class FormationPhase:
-    """Offsets to hold once `after_waypoints` waypoints have been completed."""
-
-    after_waypoints: int
-    offsets: tuple[tuple[float, float], ...]
-    transition_duration: float = 2.0
-
-    def __post_init__(self):
-        if self.after_waypoints < 0:
-            raise ValueError("after_waypoints must be nonnegative")
-        if not 0 < self.transition_duration < math.inf:
-            raise ValueError("transition_duration: must be finite and positive")
-        object.__setattr__(self, "offsets",
-                           tuple((float(x), float(y)) for x, y in self.offsets))
-
-
-@dataclass(frozen=True)
-class FormationSpec:
-    """Ordered phase schedule; phase 0 must be active from the start."""
-
-    phases: tuple[FormationPhase, ...]
-
-    def __post_init__(self):
-        if not self.phases:
-            raise ValueError("formation needs at least one phase")
-        object.__setattr__(self, "phases", tuple(self.phases))
-        counts = [p.after_waypoints for p in self.phases]
-        if counts[0] != 0:
-            raise ValueError("the first phase must start at zero completed waypoints")
-        if any(b <= a for a, b in zip(counts, counts[1:])):
-            raise ValueError("phase triggers must strictly increase")
-        edges = {len(p.offsets) for p in self.phases}
-        if len(edges) != 1:
-            raise ValueError("every phase must cover the same edge count")
-
-    def phase_index(self, completed_waypoints: int) -> int:
-        idx = 0
-        for k, phase in enumerate(self.phases[1:], start=1):
-            if phase.after_waypoints <= completed_waypoints:
-                idx = k
-        return idx
 
 
 @dataclass

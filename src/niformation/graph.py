@@ -55,7 +55,7 @@ def build_topology(n_agents: int, edges, reference_agents) -> NetworkTopology:
     head.  Reference agents receive the external reference injection.
     """
     if n_agents < 1:
-        raise ValueError("topology needs at least one agent")
+        raise ValueError("at least one agent is required")
     edge_list: list[tuple[int, int]] = []
     seen: set[frozenset[int]] = set()
     for k, edge in enumerate(edges):

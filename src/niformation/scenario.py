@@ -7,33 +7,36 @@ obstacle polygons, the detour pursuit lead, and the integration/noise
 settings.  Positions are centimeters; angles in the file are degrees
 (converted to radians on load); times are seconds.
 
-Each section's keys, defaults and bounds are declared once, on its
-dataclass, and each part of a `Scenario` checks its own values, so one built
-directly or with `dataclasses.replace` is checked as a loaded one is.  What
-no scenario varies is a constant, not a key: the footprints (`obstacle`), the
-speed and yaw-rate caps (`controller`) and the corner-turn angles (`sim`).
+Each part of a `Scenario` is a frozen dataclass whose fields are its
+section's keys, with their defaults.  Each part reads its own values
+(`_scalar`, `_pair`) and names the failing field; `Scenario` reads the
+waypoints and polygons and checks the counts across parts.  So a part built
+directly or with `dataclasses.replace` is checked as a loaded one is.  The
+loader only routes keys: it refuses an unknown key, reports a missing
+required one, converts the yaw angles from degrees and puts a list
+element's path in front of its part's message.  What no scenario varies is
+a constant, not a key: the footprints (`obstacle`), the speed and yaw-rate
+caps (`controller`) and the corner-turn angles (`sim`).
 
 `load_scenario` accepts a filesystem path or the bare name of a shipped
 scenario.  A shipped name is read and validated once per process, and every
 call returns that one `Scenario`, immutable all the way down: its arrays are
-read-only, and each obstacle polygon is held once, as float (x, y) tuples
-that `==` and `hash` compare by value.  A path is read again on every call.
-Validation errors name the offending field path, and a key the loader does
-not read is refused rather than ignored.
+read-only, and its points, gains and polygons are float tuples that `==`
+and `hash` compare by value.  A path is read again on every call.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.resources
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .controller import SPEED_CAPS, NiGains
-from .formation import FormationPhase, FormationSpec
+from .controller import SPEED_CAPS
 from .graph import NetworkTopology, build_topology
 from .lti import parse_yaml
 
@@ -43,6 +46,57 @@ CONTROL_MODES = ("enhanced", "baseline")
 
 class ScenarioError(ValueError):
     """A scenario document failed validation; the message names the field."""
+
+
+# the Python types a value of each field type may be given as, and its name
+_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a number"), str: ((str,), "a string")}
+# what a list of the file may be given as when a part is built directly
+_SEQUENCES = (list, tuple, np.ndarray)
+
+
+def _scalar(value, path: str, kind: type = float):
+    """`value` read as a `kind`: a boolean is never a number, and a number
+    must be finite (an integer too large for a float is not)."""
+    accepted, name = _TYPES[kind]
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, accepted):
+        raise ScenarioError(f"{path}: expected {name}, got {type(value).__name__}")
+    try:
+        value = kind(value)
+        if kind is float and not math.isfinite(value):
+            raise OverflowError
+    except OverflowError:
+        raise ScenarioError(f"{path}: must be finite") from None
+    return value
+
+
+def _gain(value, path: str) -> float:
+    """A loop gain: finite and nonpositive."""
+    gain = _scalar(value, path)
+    if gain > 0:
+        raise ScenarioError(f"{path}: must be nonpositive")
+    return gain
+
+
+def _pair(value, path: str, read=_scalar) -> tuple[float, float]:
+    """A [x, y] pair, each number read by `read`: a point or a gain pair."""
+    if not (isinstance(value, _SEQUENCES) and len(value) == 2):
+        raise ScenarioError(f"{path}: expected a [x, y] pair")
+    return (read(value[0], f"{path}[0]"), read(value[1], f"{path}[1]"))
+
+
+def _pairs(rows, path: str, least: int = 0, what: str = "a list of pairs",
+           read=_scalar) -> tuple[tuple[float, float], ...]:
+    """A list of at least `least` pairs, each read by `_pair`."""
+    if not (isinstance(rows, _SEQUENCES) and len(rows) >= least):
+        raise ScenarioError(f"{path}: expected {what}")
+    return tuple(_pair(row, f"{path}[{i}]", read) for i, row in enumerate(rows))
+
+
+def _hold(part, **values) -> None:
+    """Hold each read value on the frozen `part`."""
+    for name, value in values.items():
+        object.__setattr__(part, name, value)
 
 
 @dataclass(frozen=True)
@@ -55,14 +109,85 @@ class AgentSpec:
     def __post_init__(self):
         if self.kind not in AGENT_KINDS:
             raise ScenarioError(f"kind: must be one of {AGENT_KINDS}")
+        _hold(self, id=_scalar(self.id, "id", int), start=_pair(self.start, "start"),
+              yaw=_scalar(self.yaw, "yaw"))
+
+
+@dataclass(frozen=True)
+class NiGains:
+    """Planar loop gains: per-edge consensus pairs and the reference pair.
+
+    All gains must be finite and nonpositive; the actuation block's tail
+    signs turn negative gains into attracting corrections.  `planar` is
+    derived from them: the per-row gains of the planar law (edge rows, then
+    the reference row).
+    """
+
+    reference: tuple[float, float]
+    consensus: tuple[tuple[float, float], ...]
+    planar: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _hold(self, reference=_pair(self.reference, "gains.reference", _gain),
+              consensus=_pairs(self.consensus, "gains.consensus", read=_gain))
+        _hold(self, planar=(*(g for pair in self.consensus for g in pair),
+                            *self.reference))
+
+
+@dataclass(frozen=True)
+class FormationPhase:
+    """Offsets to hold once `after_waypoints` waypoints have been completed:
+    per edge, the desired tail-minus-head displacement (cm), reached over
+    `transition_duration` seconds when the schedule switches into it."""
+
+    after_waypoints: int
+    offsets: tuple[tuple[float, float], ...]
+    transition_duration: float = 2.0
+
+    def __post_init__(self):
+        _hold(self, after_waypoints=_scalar(self.after_waypoints, "after_waypoints", int),
+              offsets=_pairs(self.offsets, "offsets"),
+              transition_duration=_scalar(self.transition_duration,
+                                          "transition_duration"))
+        if self.after_waypoints < 0:
+            raise ScenarioError("after_waypoints: must be nonnegative")
+        if not self.transition_duration > 0:
+            raise ScenarioError("transition_duration: must be positive")
+
+
+@dataclass(frozen=True)
+class FormationSpec:
+    """Ordered phase schedule; phase 0 must be active from the start."""
+
+    phases: tuple[FormationPhase, ...]
+
+    def __post_init__(self):
+        p = "formation.phases"
+        if not self.phases:
+            raise ScenarioError(f"{p}: at least one phase is required")
+        _hold(self, phases=tuple(self.phases))
+        counts = [phase.after_waypoints for phase in self.phases]
+        if counts[0] != 0:
+            raise ScenarioError(f"{p}: phase 0 must start at zero completed waypoints")
+        if any(b <= a for a, b in zip(counts, counts[1:])):
+            raise ScenarioError(f"{p}: phase triggers must strictly increase")
+        for i, phase in enumerate(self.phases):
+            if len(phase.offsets) != len(self.phases[0].offsets):
+                raise ScenarioError(f"{p}[{i}].offsets: every phase must cover the "
+                                    "same edge count")
+
+    def phase_index(self, completed_waypoints: int) -> int:
+        idx = 0
+        for k, phase in enumerate(self.phases[1:], start=1):
+            if phase.after_waypoints <= completed_waypoints:
+                idx = k
+        return idx
 
 
 def _typed(section, key: str):
-    """Read each field of a frozen section as the type of its default, as
-    the loader reads the section's keys."""
-    for f in fields(section):
-        object.__setattr__(section, f.name, _scalar(
-            getattr(section, f.name), f"{key}.{f.name}", type(f.default)))
+    """Read each field of a frozen section as the type of its default."""
+    _hold(section, **{f.name: _scalar(getattr(section, f.name), f"{key}.{f.name}",
+                                      type(f.default)) for f in fields(section)})
 
 
 @dataclass(frozen=True)
@@ -85,36 +210,44 @@ class ControlConfig:
     def __post_init__(self):
         _typed(self, "control")
         if self.mode not in CONTROL_MODES:
-            raise ScenarioError(f"control.mode must be one of {CONTROL_MODES}")
+            raise ScenarioError(f"control.mode: must be one of {CONTROL_MODES}")
         if self.prediction_horizon_steps < 1:
-            raise ScenarioError("control.prediction_horizon_steps must be >= 1")
+            raise ScenarioError("control.prediction_horizon_steps: must be at least 1")
         if self.velocity_estimate_window < 1:
-            raise ScenarioError("control.velocity_estimate_window must be >= 1")
+            raise ScenarioError("control.velocity_estimate_window: must be at least 1")
         if self.command_delay_steps < 0:
-            raise ScenarioError("control.command_delay_steps must be >= 0")
+            raise ScenarioError("control.command_delay_steps: must be nonnegative")
 
 
 @dataclass(frozen=True)
 class YawControlConfig:
     """The yaw law's topology, target, gains and corner turns.
 
-    `gains` is the law's per-row gains as floats: one nonpositive gain per
-    yaw edge, then the reference agent's gain.
+    `gains` is derived from the gains as the file spells them: the law's
+    per-row gains, one nonpositive gain per yaw edge, then the reference
+    agent's.
     """
 
     topology: NetworkTopology
-    target: float | None                # radians; None tracks motion heading
-    gains: tuple[float, ...]
+    reference_gain: float
+    consensus_gains: tuple[float, ...]
+    target: float | None = None         # radians; None tracks motion heading
     corner_turns: bool = False
+    gains: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gains = np.array(self.gains, dtype=float)
-        if gains.shape != (self.topology.n_edges + 1,):
-            raise ScenarioError(
-                "yaw_control.consensus_gains: must match the yaw edge count")
-        if not np.all(gains <= 0):
-            raise ScenarioError("yaw_control: gains must be nonpositive")
-        object.__setattr__(self, "gains", tuple(gains.tolist()))
+        p = "yaw_control."
+        if not (isinstance(self.consensus_gains, _SEQUENCES)
+                and len(self.consensus_gains) == self.topology.n_edges):
+            raise ScenarioError(f"{p}consensus_gains: must match the yaw edge count")
+        consensus = tuple(_gain(g, f"{p}consensus_gains[{i}]")
+                          for i, g in enumerate(self.consensus_gains))
+        reference = _gain(self.reference_gain, p + "reference_gain")
+        _hold(self, target=None if self.target is None
+              else _scalar(self.target, p + "target"),
+              reference_gain=reference, consensus_gains=consensus,
+              corner_turns=_scalar(self.corner_turns, p + "corner_turns", bool),
+              gains=(*consensus, reference))
 
 
 @dataclass(frozen=True)
@@ -143,18 +276,12 @@ class Scenario:
     waypoint_ease_s: float = 0.0
 
     def __post_init__(self):
-        # polygons given as arrays or lists are held as float tuples
-        object.__setattr__(self, "obstacles", tuple(
-            tuple(map(tuple, np.asarray(p, dtype=float).tolist()))
-            for p in self.obstacles))
         positive = (("dt", self.dt), ("duration", self.duration),
                     ("waypoints.radius", self.waypoint_radius))
         nonnegative = (("noise_std", self.noise_std), ("settle_time", self.settle_time),
                        ("metrics_warmup_s", self.metrics_warmup_s),
                        ("waypoints.cruise_speed", self.waypoint_cruise_speed),
                        ("waypoints.ease_s", self.waypoint_ease_s))
-        # each value is read as the loader reads it: a number that is not
-        # finite, NaN included, or a seed that is no integer is refused
         for path, value in positive + nonnegative:
             _scalar(value, path)
         _scalar(self.seed, "seed", int)
@@ -166,6 +293,24 @@ class Scenario:
                 raise ScenarioError(f"{path}: must be nonnegative")
         if self.waypoint_cruise_speed > 0 and not self.waypoint_ease_s > 0:
             raise ScenarioError("waypoints.ease_s: must be positive with cruise_speed")
+        if not isinstance(self.obstacles, _SEQUENCES):
+            raise ScenarioError("obstacles: expected a list of polygons")
+        _hold(self, waypoints=_pairs(self.waypoints, "waypoints.points", 1,
+                                     "at least one waypoint"),
+              obstacles=tuple(_pairs(polygon, f"obstacles[{i}]", 3,
+                                     "a polygon with at least 3 vertices")
+                              for i, polygon in enumerate(self.obstacles)))
+        # the counts across parts: an id per topology agent, a pair per edge
+        n, n_edges = self.topology.n_agents, self.topology.n_edges
+        if [a.id for a in self.agents] != list(range(1, n + 1)):
+            raise ScenarioError(f"agents: ids must be 1..{n} in order, as in the topology")
+        if self.yaw_control is not None and self.yaw_control.topology.n_agents != n:
+            raise ScenarioError(f"yaw_control: expected a topology of {n} agents")
+        for path, pairs in (("gains.consensus", self.gains.consensus), *(
+                (f"formation.phases[{i}].offsets", phase.offsets)
+                for i, phase in enumerate(self.formation.phases))):
+            if len(pairs) != n_edges:
+                raise ScenarioError(f"{path}: expected {n_edges} pairs, got {len(pairs)}")
 
     @property
     def n_agents(self) -> int:
@@ -194,29 +339,6 @@ def _expect(doc: dict, key: str, path: str, kind: type | None = None):
     return value
 
 
-# the Python types a value of each field type may be given as, and its name
-_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-          float: ((int, float), "a number"), str: ((str,), "a string")}
-
-
-def _scalar(value, path: str, kind: type = float):
-    """`value` read as a `kind`: a boolean is never a number, and a number
-    must be finite."""
-    accepted, name = _TYPES[kind]
-    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, accepted):
-        raise ScenarioError(f"{path}: expected {name}, got {type(value).__name__}")
-    if kind is float and not np.isfinite(float(value)):
-        raise ScenarioError(f"{path}: must be finite")
-    return kind(value)
-
-
-def _pair(value, path: str) -> tuple[float, float]:
-    """A [x, y] list of two finite numbers: a point or a gain pair."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ScenarioError(f"{path}: expected a [x, y] pair")
-    return (_scalar(value[0], f"{path}[0]"), _scalar(value[1], f"{path}[1]"))
-
-
 def _only(doc: dict, path: str, *keys: str) -> dict:
     """The mapping itself, once every key in it is one of `keys`."""
     for key in doc:
@@ -225,29 +347,43 @@ def _only(doc: dict, path: str, *keys: str) -> dict:
     return doc
 
 
-def _scalars(cls, doc: dict, path: str, keys, prefix: str = "") -> dict:
-    """The `keys` that `doc` sets, each read as the type of the default of
-    `cls`'s field `prefix + key`; an absent key is left to that default."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    return {prefix + key: _scalar(doc[key], path + key, type(defaults[prefix + key]))
-            for key in keys if key in doc}
+def _optional(doc: dict, key: str):
+    """The section `key` of `doc`; absent or null reads as empty."""
+    return {} if doc.get(key) is None else doc[key]
 
 
-def _section(cls, doc: dict, key: str):
-    """The optional section `key` read into `cls`, whose field names are the
-    keys it accepts; absent or null reads as `cls()`."""
-    raw = {} if doc.get(key) is None else doc[key]
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{key}: expected a mapping")
-    return cls(**_only(raw, key + ".", *(f.name for f in fields(cls))))
+def _part(cls, doc, path: str, *keys: str, element: bool = False,
+          degrees: tuple[str, ...] = (), read=None):
+    """`cls` built from the mapping `doc` at `path`, whose keys are the
+    fields of `cls` and the `keys` that `read(doc)` turns into fields.
+
+    A field named in `degrees` is an angle, given in degrees.  Every field
+    without a default must be set.  An element of a list does not know its
+    index, so its part's message gets `path` in front.
+    """
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path[:-1]}: expected a mapping")
+    names = [f.name for f in fields(cls) if f.init]
+    _only(doc, path, *names, *keys)
+    values = {key: doc[key] for key in names if key in doc}
+    values |= {key: float(np.deg2rad(_scalar(doc[key], path + key)))
+               for key in degrees if doc.get(key) is not None}
+    values |= read(doc) if read else {}
+    for f in fields(cls):
+        if (f.init and f.name not in values
+                and f.default is MISSING and f.default_factory is MISSING):
+            raise ScenarioError(f"{path}{f.name}: missing required field")
+    try:
+        return cls(**values)
+    except ScenarioError as exc:
+        if not element:
+            raise
+        raise ScenarioError(f"{path}{exc}") from None
 
 
-def _edge_topology(doc: dict, section: str, n_agents: int,
-                   *keys: str) -> NetworkTopology:
-    """The [head, tail] edges and the single reference agent of a section
-    whose other keys are `keys`."""
+def _edge_topology(doc: dict, section: str, n_agents: int) -> NetworkTopology:
+    """The [head, tail] edges and the single reference agent of a section."""
     path = section + "."
-    _only(doc, path, "edges", "reference_agents", *keys)
     edges = _expect(doc, "edges", path, list)
     for k, edge in enumerate(edges):
         if not (isinstance(edge, list) and len(edge) == 2):
@@ -265,134 +401,42 @@ def _edge_topology(doc: dict, section: str, n_agents: int,
         raise ScenarioError(f"{section}: {exc}") from exc
 
 
-def _agents(doc, path) -> tuple[AgentSpec, ...]:
-    rows = _expect(doc, "agents", path, list)
-    if not rows:
-        raise ScenarioError("agents: at least one agent is required")
-    agents = []
-    for i, row in enumerate(rows):
-        p = f"agents[{i}]."
-        if not isinstance(row, dict):
-            raise ScenarioError(f"agents[{i}]: expected a mapping")
-        _only(row, p, "id", "kind", "start", "yaw")
-        ident = _scalar(_expect(row, "id", p), p + "id", int)
-        kind = _expect(row, "kind", p, str)
-        start = _pair(_expect(row, "start", p), p + "start")
-        yaw = np.deg2rad(_scalar(row.get("yaw", 0.0), p + "yaw"))
-        try:
-            agents.append(AgentSpec(id=ident, kind=kind, start=start, yaw=float(yaw)))
-        except ScenarioError as exc:
-            raise ScenarioError(f"{p}{exc}") from None
-    ids = [a.id for a in agents]
-    if ids != list(range(1, len(agents) + 1)):
-        raise ScenarioError("agents: ids must be 1..n in order")
-    return tuple(agents)
-
-
-def _gains(doc, n_edges) -> NiGains:
-    g = _only(_expect(doc, "gains", "", dict), "gains.", "reference", "consensus")
-    reference = _pair(_expect(g, "reference", "gains."), "gains.reference")
-    cons = _expect(g, "consensus", "gains.", list)
-    if len(cons) != n_edges:
-        raise ScenarioError(f"gains.consensus: expected {n_edges} pairs, got {len(cons)}")
-    consensus = tuple(_pair(pair, f"gains.consensus[{i}]")
-                      for i, pair in enumerate(cons))
-    try:
-        return NiGains(reference=reference, consensus=consensus)
-    except ValueError as exc:
-        raise ScenarioError(f"gains: {exc}") from exc
-
-
-def _formation(doc, n_edges) -> FormationSpec:
-    f = _only(_expect(doc, "formation", "", dict), "formation.", "phases")
-    rows = _expect(f, "phases", "formation.", list)
-    if not rows:
-        raise ScenarioError("formation.phases: at least one phase is required")
-    phases = []
-    for i, row in enumerate(rows):
-        p = f"formation.phases[{i}]."
-        if not isinstance(row, dict):
-            raise ScenarioError(f"formation.phases[{i}]: expected a mapping")
-        _only(row, p, "after_waypoints", "offsets", "transition_duration")
-        offsets = _expect(row, "offsets", p, list)
-        if len(offsets) != n_edges:
-            raise ScenarioError(f"{p}offsets: expected {n_edges} pairs, got {len(offsets)}")
-        after = _scalar(row.get("after_waypoints", 0), p + "after_waypoints", int)
-        points = tuple(_pair(o, f"{p}offsets[{j}]") for j, o in enumerate(offsets))
-        timing = _scalars(FormationPhase, row, p, ("transition_duration",))
-        try:
-            phases.append(FormationPhase(after, points, **timing))
-        except ValueError as exc:
-            raise ScenarioError(f"{p}{exc}") from exc
-    try:
-        return FormationSpec(phases=tuple(phases))
-    except ValueError as exc:
-        raise ScenarioError(f"formation: {exc}") from exc
-
-
-def _yaw_control(doc, n_agents) -> YawControlConfig | None:
-    raw = doc.get("yaw_control")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ScenarioError("yaw_control: expected a mapping")
-    top = _edge_topology(raw, "yaw_control", n_agents, "target", "corner_turns",
-                         "reference_gain", "consensus_gains")
-    p = "yaw_control."
-    reference = _scalar(_expect(raw, "reference_gain", p), p + "reference_gain")
-    gains = [_scalar(v, f"{p}consensus_gains[{i}]")
-             for i, v in enumerate(_expect(raw, "consensus_gains", p, list))]
-    return YawControlConfig(
-        topology=top,
-        target=None if raw.get("target") is None
-        else float(np.deg2rad(_scalar(raw["target"], p + "target"))),
-        gains=[*gains, reference],
-        **_scalars(YawControlConfig, raw, p, ("corner_turns",)),
-    )
-
-
-def _obstacles(doc) -> tuple[tuple[tuple[float, float], ...], ...]:
-    """The obstacle polygons; absent or null reads as none."""
-    rows = [] if doc.get("obstacles") is None else doc["obstacles"]
-    if not isinstance(rows, list):
-        raise ScenarioError("obstacles: expected a list of polygons")
-    polygons = []
-    for i, poly in enumerate(rows):
-        p = f"obstacles[{i}]"
-        if not isinstance(poly, list) or len(poly) < 3:
-            raise ScenarioError(f"{p}: expected a polygon with at least 3 vertices")
-        polygons.append(tuple(_pair(v, f"{p}[{j}]") for j, v in enumerate(poly)))
-    return tuple(polygons)
-
-
 def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     _only(doc, "", "name", "dt", "duration", "seed", "agents", "topology",
           "gains", "yaw_control", "waypoints", "formation", "obstacles",
           "sensing", "control", "noise_std", "settle_time", "metrics_warmup_s")
-    agents = _agents(doc, "")
-    topology = _edge_topology(_expect(doc, "topology", "", dict), "topology",
-                              len(agents))
+    agents = tuple(_part(AgentSpec, row, f"agents[{i}].", element=True, degrees=("yaw",))
+                   for i, row in enumerate(_expect(doc, "agents", "", list)))
+    formation = _only(_expect(doc, "formation", "", dict), "formation.", "phases")
+    phases = tuple(
+        _part(FormationPhase, row, f"formation.phases[{i}].", element=True,
+              read=lambda row: {"after_waypoints": row.get("after_waypoints", 0)})
+        for i, row in enumerate(_expect(formation, "phases", "formation.", list)))
     wp = _only(_expect(doc, "waypoints", "", dict), "waypoints.",
                "points", "radius", "cruise_speed", "ease_s")
-    points = _expect(wp, "points", "waypoints.", list)
-    if not points:
-        raise ScenarioError("waypoints.points: at least one waypoint is required")
+    yaw = None if doc.get("yaw_control") is None else _part(
+        YawControlConfig, doc["yaw_control"], "yaw_control.", "edges",
+        "reference_agents", degrees=("target",), read=lambda raw: {
+            "topology": _edge_topology(raw, "yaw_control", len(agents))})
     return Scenario(
         name=str(doc.get("name", default_name)),
-        dt=_scalar(_expect(doc, "dt", ""), "dt"),
-        duration=_scalar(_expect(doc, "duration", ""), "duration"),
-        agents=agents, topology=topology, gains=_gains(doc, topology.n_edges),
-        waypoints=tuple(_pair(p, f"waypoints.points[{i}]") for i, p in enumerate(points)),
-        formation=_formation(doc, topology.n_edges), obstacles=_obstacles(doc),
-        sensing=_section(SensingConfig, doc, "sensing"),
-        control=_section(ControlConfig, doc, "control"),
-        yaw_control=_yaw_control(doc, len(agents)),
-        **_scalars(Scenario, doc, "", ("seed", "noise_std", "settle_time",
-                                       "metrics_warmup_s")),
-        **_scalars(Scenario, wp, "waypoints.", ("radius", "cruise_speed", "ease_s"),
-                   "waypoint_"),
+        dt=_expect(doc, "dt", ""), duration=_expect(doc, "duration", ""),
+        agents=agents, topology=_edge_topology(_only(
+            _expect(doc, "topology", "", dict), "topology.", "edges",
+            "reference_agents"), "topology", len(agents)),
+        gains=_part(NiGains, _expect(doc, "gains", ""), "gains."),
+        waypoints=_expect(wp, "points", "waypoints."),
+        formation=FormationSpec(phases),
+        obstacles=() if doc.get("obstacles") is None else doc["obstacles"],
+        sensing=_part(SensingConfig, _optional(doc, "sensing"), "sensing."),
+        control=_part(ControlConfig, _optional(doc, "control"), "control."),
+        yaw_control=yaw,
+        **{key: doc[key] for key in ("seed", "noise_std", "settle_time",
+                                     "metrics_warmup_s") if key in doc},
+        **{"waypoint_" + key: wp[key] for key in ("radius", "cruise_speed", "ease_s")
+           if key in wp},
     )
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import controller, graph, lti
-from niformation.controller import (SPEED_CAPS, YAW_RATE_CAP, NiGains,
+from niformation.controller import (SPEED_CAPS, YAW_RATE_CAP,
                                     baseline_control, enhanced_control,
                                     heading_from_motion, lift,
                                     prediction_path_tf, saturate, speed_caps,
                                     wrap, yaw_consensus)
+from niformation.scenario import NiGains
 
 PAIR_TOPOLOGY = graph.build_topology(2, [(1, 2)], [1])
 STAR = lift(graph.build_topology(3, [(1, 2), (1, 3)], [1]), 2)

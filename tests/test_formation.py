@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from niformation import formation
 from niformation.formation import (CONVERGED, IN_PROGRESS, TIMED_OUT,
-                                   FormationPhase, FormationSpec,
                                    TransitionState, check_convergence)
+from niformation.scenario import FormationPhase, FormationSpec
 
 
 def two_phase_spec():

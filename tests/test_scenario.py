@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import functools
 import importlib.resources
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import lti, scenario
-from niformation.controller import NiGains
-from niformation.formation import FormationPhase
-from niformation.scenario import (AgentSpec, ControlConfig, ScenarioError,
-                                  SensingConfig, scenario_from_dict)
+from niformation.scenario import (AgentSpec, ControlConfig, FormationPhase,
+                                  FormationSpec, NiGains, ScenarioError,
+                                  SensingConfig, YawControlConfig,
+                                  scenario_from_dict)
 
 SHIPPED = scenario.shipped_scenarios()
 
@@ -269,7 +271,8 @@ def test_yaw_gains_are_the_edge_gains_then_the_reference_gain():
     with pytest.raises(ScenarioError, match="^yaw_control.consensus_gains: must match"):
         scenario_from_dict(doc)
     doc = mutated("yaw_sync_pair", ("yaw_control", "reference_gain"), 0.5)
-    with pytest.raises(ScenarioError, match="^yaw_control: gains must be nonpositive"):
+    with pytest.raises(ScenarioError,
+                       match=r"^yaw_control\.reference_gain: must be nonpositive$"):
         scenario_from_dict(doc)
 
 
@@ -288,7 +291,7 @@ OVERRIDES = [("dt", 0.0, "dt"), ("dt", float("nan"), "dt"),
              ("waypoint_cruise_speed", float("inf"), "waypoints.cruise_speed"),
              ("waypoint_ease_s", float("-inf"), "waypoints.ease_s"),
              ("seed", 1.5, "seed"), ("seed", float("inf"), "seed"),
-             ("seed", True, "seed")]
+             ("seed", True, "seed"), ("duration", 10**400, "duration")]
 
 
 @pytest.mark.parametrize("field, bad, path", OVERRIDES)
@@ -299,28 +302,57 @@ def test_an_override_out_of_bounds_is_rejected_by_name(field, bad, path):
     if field == "seed" and type(bad) is not int:
         reason = "expected an integer"
     else:
-        reason = "must be" if np.isfinite(bad) else "must be finite"
+        reason = "must be" if abs(bad) <= sys.float_info.max else "must be finite"
     with pytest.raises(ScenarioError, match=f"^{re.escape(path)}: {reason}"):
         dataclasses.replace(scn, **{field: bad})
 
 
 # a part of a scenario built directly (or with `dataclasses.replace`), a
 # value the loader refuses in it, and the wording the refusal starts with
+YAW_PAIR = scenario.load_scenario("yaw_sync_pair").yaw_control.topology
+YAW = {"topology": YAW_PAIR, "reference_gain": -0.5, "consensus_gains": (-0.5,)}
+AGENT = {"id": 1, "kind": "ugv", "start": (0.0, 0.0)}
+PHASE = {"after_waypoints": 0, "offsets": ((100.0, 0.0),)}
+# a shipped scenario with its fields replaced
+LEADER = functools.partial(dataclasses.replace,
+                           scenario.load_scenario("moving_leader_compare"))
+COURSE = functools.partial(dataclasses.replace,
+                           scenario.load_scenario("cluttered_course"))
+SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
 DIRECT = {
     "sensing": (SensingConfig, {"carrot_advance": math.nan},
                 "^sensing.carrot_advance: must be finite$"),
     "control": (ControlConfig, {"velocity_estimate_window": 1.5},
                 "^control.velocity_estimate_window: expected an integer, got float$"),
-    "phase": (FormationPhase, {"after_waypoints": 0, "offsets": ((100.0, 0.0),),
-                               "transition_duration": math.nan},
+    "phase": (FormationPhase, {**PHASE, "transition_duration": math.nan},
               "^transition_duration: must be finite"),
+    "phase.after_waypoints": (FormationPhase, {**PHASE, "after_waypoints": 1.5},
+                              "^after_waypoints: expected an integer, got float$"),
     "gains.reference": (NiGains, {"reference": (-1.0, math.nan), "consensus": ()},
-                        "^gains must be finite"),
+                        r"^gains\.reference\[1\]: must be finite$"),
     "gains.consensus": (NiGains, {"reference": (-1.0, -1.0),
                                   "consensus": ((-math.inf, -1.0),)},
-                        "^gains must be finite"),
+                        r"^gains\.consensus\[0\]\[0\]: must be finite$"),
     "agent": (AgentSpec, {"id": 1, "kind": "boat", "start": (0.0, 0.0)},
               "^kind: must be one of"),
+    "agent.start": (AgentSpec, {**AGENT, "start": (math.nan, 0.0)},
+                    r"^start\[0\]: must be finite$"),
+    "agent.yaw": (AgentSpec, {**AGENT, "yaw": math.inf}, "^yaw: must be finite$"),
+    "yaw.target": (YawControlConfig, {**YAW, "target": math.nan},
+                   "^yaw_control.target: must be finite$"),
+    "yaw.consensus_gains": (YawControlConfig, {**YAW, "consensus_gains": (-math.inf,)},
+                            r"^yaw_control\.consensus_gains\[0\]: must be finite$"),
+    "waypoint": (LEADER, {"waypoints": ((math.nan, 0.0),)},
+                 r"^waypoints\.points\[0\]\[0\]: must be finite$"),
+    "polygon vertex": (COURSE, {"obstacles": (((math.nan, 0.0), *SQUARE[1:]),)},
+                       r"^obstacles\[0\]\[0\]\[0\]: must be finite$"),
+    "polygon of 2 vertices": (COURSE, {"obstacles": (SQUARE[:2],)},
+                              r"^obstacles\[0\]: expected a polygon with at least 3"),
+    "gain pair count": (COURSE, {"gains": NiGains(reference=(-1.0, -1.0),
+                                                  consensus=((-1.0, -1.0),))},
+                        r"^gains\.consensus: expected 2 pairs, got 1$"),
+    "phase offset count": (COURSE, {"formation": FormationSpec((FormationPhase(**PHASE),))},
+                           r"^formation\.phases\[0\]\.offsets: expected 2 pairs, got 1$"),
 }
 
 

@@ -761,12 +761,16 @@ def test_sweep_prints_the_baseline_the_cell_and_the_ratio(capsys):
     (["inspect", "cluttered_course", "--window", "nan", "1"], "--window needs T0 <= T1"),
     (["inspect", "negative_seed.yaml"], "seed: must be nonnegative"),
     (["sweep", "--scenario", "negative_seed.yaml"], "seed: must be nonnegative"),
+    (["inspect", "huge_duration.yaml"], "duration: must be finite"),
 ])
 def test_bad_input_ends_with_one_error_line_and_status_2(capsys, monkeypatch, tmp_path,
                                                          argv, message):
     monkeypatch.chdir(tmp_path)
     doc = {**DOCS["moving_leader_compare"], "seed": -1}
     (tmp_path / "negative_seed.yaml").write_text(yaml.safe_dump(doc))
+    # an integer too large for a float
+    doc = {**DOCS["moving_leader_compare"], "duration": 10**400}
+    (tmp_path / "huge_duration.yaml").write_text(yaml.safe_dump(doc))
     with pytest.raises(SystemExit) as stop:
         entry_point()(argv)
     assert stop.value.code == 2
