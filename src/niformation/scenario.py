@@ -14,9 +14,12 @@ waypoints and polygons and checks the counts across parts.  So a part built
 directly or with `dataclasses.replace` is checked as a loaded one is.  The
 loader only routes keys: it refuses an unknown key, reports a missing
 required one, converts the yaw angles from degrees and puts a list
-element's path in front of its part's message.  What no scenario varies is
-a constant, not a key: the footprints (`obstacle`), the speed and yaw-rate
-caps (`controller`) and the corner-turn angles (`sim`).
+element's path in front of its part's message.  So that the field at fault
+is named, it refuses an empty agent list before it builds the topology, and
+checks the counts against the edges before it builds the phase schedule.
+What no scenario varies is a constant, not a key: the footprints
+(`obstacle`), the speed and yaw-rate caps (`controller`) and the corner-turn
+angles (`sim`).
 
 `load_scenario` accepts a filesystem path or the bare name of a shipped
 scenario.  A shipped name is read and validated once per process, and every
@@ -115,13 +118,10 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class NiGains:
-    """Planar loop gains: per-edge consensus pairs and the reference pair.
-
-    All gains must be finite and nonpositive; the actuation block's tail
-    signs turn negative gains into attracting corrections.  `planar` is
-    derived from them: the per-row gains of the planar law (edge rows, then
-    the reference row).
-    """
+    """Planar loop gains, per-edge consensus pairs and the reference pair: all
+    finite and nonpositive, as the actuation block's tail signs turn negative
+    gains into attracting corrections.  `planar` is derived from them: the
+    planar law's per-row gains (edge rows, then the reference row)."""
 
     reference: tuple[float, float]
     consensus: tuple[tuple[float, float], ...]
@@ -140,7 +140,7 @@ class FormationPhase:
     per edge, the desired tail-minus-head displacement (cm), reached over
     `transition_duration` seconds when the schedule switches into it."""
 
-    after_waypoints: int
+    after_waypoints: int = field(metadata={"file_default": 0})
     offsets: tuple[tuple[float, float], ...]
     transition_duration: float = 2.0
 
@@ -171,10 +171,8 @@ class FormationSpec:
             raise ScenarioError(f"{p}: phase 0 must start at zero completed waypoints")
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ScenarioError(f"{p}: phase triggers must strictly increase")
-        for i, phase in enumerate(self.phases):
-            if len(phase.offsets) != len(self.phases[0].offsets):
-                raise ScenarioError(f"{p}[{i}].offsets: every phase must cover the "
-                                    "same edge count")
+        if len({len(phase.offsets) for phase in self.phases}) > 1:
+            raise ScenarioError(f"{p}: every phase must cover the same edge count")
 
     def phase_index(self, completed_waypoints: int) -> int:
         idx = 0
@@ -221,12 +219,9 @@ class ControlConfig:
 
 @dataclass(frozen=True)
 class YawControlConfig:
-    """The yaw law's topology, target, gains and corner turns.
-
-    `gains` is derived from the gains as the file spells them: the law's
-    per-row gains, one nonpositive gain per yaw edge, then the reference
-    agent's.
-    """
+    """The yaw law's topology, target, gains and corner turns.  `gains` is
+    derived from the gains as the file spells them: the law's per-row gains,
+    one nonpositive gain per yaw edge, then the reference agent's."""
 
     topology: NetworkTopology
     reference_gain: float
@@ -306,11 +301,7 @@ class Scenario:
             raise ScenarioError(f"agents: ids must be 1..{n} in order, as in the topology")
         if self.yaw_control is not None and self.yaw_control.topology.n_agents != n:
             raise ScenarioError(f"yaw_control: expected a topology of {n} agents")
-        for path, pairs in (("gains.consensus", self.gains.consensus), *(
-                (f"formation.phases[{i}].offsets", phase.offsets)
-                for i, phase in enumerate(self.formation.phases))):
-            if len(pairs) != n_edges:
-                raise ScenarioError(f"{path}: expected {n_edges} pairs, got {len(pairs)}")
+        _per_edge(n_edges, self.gains.consensus, self.formation.phases)
 
     @property
     def n_agents(self) -> int:
@@ -327,6 +318,15 @@ class Scenario:
 
     def starts(self) -> np.ndarray:
         return np.array([a.start for a in self.agents], dtype=float)
+
+
+def _per_edge(n_edges: int, consensus, phases) -> None:
+    """A gain pair per edge, and an offset pair per edge in each phase."""
+    for path, pairs in (("gains.consensus", consensus), *(
+            (f"formation.phases[{i}].offsets", phase.offsets)
+            for i, phase in enumerate(phases))):
+        if len(pairs) != n_edges:
+            raise ScenarioError(f"{path}: expected {n_edges} pairs, got {len(pairs)}")
 
 
 def _expect(doc: dict, key: str, path: str, kind: type | None = None):
@@ -353,22 +353,22 @@ def _optional(doc: dict, key: str):
 
 
 def _part(cls, doc, path: str, *keys: str, element: bool = False,
-          degrees: tuple[str, ...] = (), read=None):
-    """`cls` built from the mapping `doc` at `path`, whose keys are the
-    fields of `cls` and the `keys` that `read(doc)` turns into fields.
-
-    A field named in `degrees` is an angle, given in degrees.  Every field
-    without a default must be set.  An element of a list does not know its
-    index, so its part's message gets `path` in front.
+          degrees: tuple[str, ...] = (), **derived):
+    """`cls` built from the mapping `doc` at `path`, whose keys are the fields
+    of `cls` but those `derived`, and the `keys` that `derived[name](doc)`
+    reads into the field `name`.  A field in `degrees` is given in degrees; a
+    field without a default or a `file_default` must be set.  An element of
+    a list does not know its index, so its part's message gets `path` in front.
     """
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path[:-1]}: expected a mapping")
-    names = [f.name for f in fields(cls) if f.init]
+    names = [f.name for f in fields(cls) if f.init and f.name not in derived]
     _only(doc, path, *names, *keys)
-    values = {key: doc[key] for key in names if key in doc}
+    values = {f.name: f.metadata["file_default"] for f in fields(cls) if f.metadata}
+    values |= {key: doc[key] for key in names if key in doc}
     values |= {key: float(np.deg2rad(_scalar(doc[key], path + key)))
                for key in degrees if doc.get(key) is not None}
-    values |= read(doc) if read else {}
+    values |= {name: read(doc) for name, read in derived.items()}
     for f in fields(cls):
         if (f.init and f.name not in values
                 and f.default is MISSING and f.default_factory is MISSING):
@@ -407,26 +407,30 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
     _only(doc, "", "name", "dt", "duration", "seed", "agents", "topology",
           "gains", "yaw_control", "waypoints", "formation", "obstacles",
           "sensing", "control", "noise_std", "settle_time", "metrics_warmup_s")
+    rows = _expect(doc, "agents", "", list)
+    if not rows:
+        raise ScenarioError("agents: at least one agent is required")
     agents = tuple(_part(AgentSpec, row, f"agents[{i}].", element=True, degrees=("yaw",))
-                   for i, row in enumerate(_expect(doc, "agents", "", list)))
+                   for i, row in enumerate(rows))
+    topology = _edge_topology(_only(_expect(doc, "topology", "", dict), "topology.",
+                                    "edges", "reference_agents"), "topology", len(agents))
+    gains = _part(NiGains, _expect(doc, "gains", ""), "gains.")
     formation = _only(_expect(doc, "formation", "", dict), "formation.", "phases")
-    phases = tuple(
-        _part(FormationPhase, row, f"formation.phases[{i}].", element=True,
-              read=lambda row: {"after_waypoints": row.get("after_waypoints", 0)})
-        for i, row in enumerate(_expect(formation, "phases", "formation.", list)))
+    phases = tuple(_part(FormationPhase, row, f"formation.phases[{i}].", element=True)
+                   for i, row in enumerate(_expect(formation, "phases", "formation.", list)))
+    # the counts against the edges before `FormationSpec` compares the phases
+    # with each other, so that the phase off the edge count is the one named
+    _per_edge(topology.n_edges, gains.consensus, phases)
     wp = _only(_expect(doc, "waypoints", "", dict), "waypoints.",
                "points", "radius", "cruise_speed", "ease_s")
     yaw = None if doc.get("yaw_control") is None else _part(
         YawControlConfig, doc["yaw_control"], "yaw_control.", "edges",
-        "reference_agents", degrees=("target",), read=lambda raw: {
-            "topology": _edge_topology(raw, "yaw_control", len(agents))})
+        "reference_agents", degrees=("target",),
+        topology=lambda raw: _edge_topology(raw, "yaw_control", len(agents)))
     return Scenario(
         name=str(doc.get("name", default_name)),
         dt=_expect(doc, "dt", ""), duration=_expect(doc, "duration", ""),
-        agents=agents, topology=_edge_topology(_only(
-            _expect(doc, "topology", "", dict), "topology.", "edges",
-            "reference_agents"), "topology", len(agents)),
-        gains=_part(NiGains, _expect(doc, "gains", ""), "gains."),
+        agents=agents, topology=topology, gains=gains,
         waypoints=_expect(wp, "points", "waypoints."),
         formation=FormationSpec(phases),
         obstacles=() if doc.get("obstacles") is None else doc["obstacles"],

@@ -234,6 +234,8 @@ UNREAD = {
     "yaw_control.offsets": (("yaw_control", "offsets"), [0.0]),
     "yaw_control.corner_entry": (("yaw_control", "corner_entry"), 30.0),
     "yaw_control.corner_exit": (("yaw_control", "corner_exit"), 3.0),
+    "yaw_control.topology": (("yaw_control", "topology"),
+                             {"edges": [[1, 2]], "reference_agents": [1]}),
 }
 
 
@@ -361,6 +363,18 @@ def test_a_part_built_directly_is_checked_as_the_loader_checks_it(part):
     cls, values, message = DIRECT[part]
     with pytest.raises(ValueError, match=message):
         cls(**values)
+
+
+def test_a_count_off_is_refused_at_the_field_that_is_off():
+    # phase 0 short of an edge and phase 1 right: phase 0 is named, not the
+    # phase that differs from it; no agent at all is named as such
+    doc = mutated("cluttered_course", ("formation", "phases", 0, "offsets"), [[0.0, 0.0]])
+    with pytest.raises(ScenarioError,
+                       match=r"^formation\.phases\[0\]\.offsets: expected 2 pairs, got 1$"):
+        scenario_from_dict(doc)
+    for name in ("cluttered_course", "yaw_sync_pair"):
+        with pytest.raises(ScenarioError, match="^agents: at least one agent is required$"):
+            scenario_from_dict(mutated(name, ("agents",), []))
 
 
 def test_integral_counts_still_load():
