@@ -33,6 +33,8 @@ the footprints `FOV` and `ROBOT_RADIUS`.  All coordinates are centimeters.
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,14 +89,13 @@ class MotionBudget:
         self.stale, self.budget2 = [True] * rows, [np.inf] * len(positions)
         self.anchor, self.moved2 = np.asarray(positions).tolist(), None
 
-    def spend(self, positions):
-        """Test new positions against the budget on plain floats (numpy
-        calls cost more than the arithmetic); renew it if spent."""
+    def spend(self, stacked):
+        """Test stacked positions (x, y a robot) on floats; renew if spent."""
         self.moved2 = [(x - a) * (x - a) + (y - b) * (y - b)
-                       for (x, y), (a, b) in zip(positions.tolist(), self.anchor)]
+                       for (a, b), x, y in zip(self.anchor, stacked[::2], stacked[1::2])]
         for moved, budget in zip(self.moved2, self.budget2):
             if not moved < budget:
-                return self.renew(positions)
+                return self.renew(stacked)
 
     def renew(self, positions, row: int | None = None, radius=None):
         """Move the anchor to `positions`, the last spent, then hold decision
@@ -110,7 +111,7 @@ class MotionBudget:
                                     - (1.0 + SENSING_MARGIN) * np.sqrt(moved2), 0.0)
             for stale in left.nonzero()[0]:
                 self.expire(stale)
-            self.anchor, self.moved2 = positions.tolist(), None
+            self.anchor, self.moved2 = np.reshape(positions, (-1, 2)).tolist(), None
         if row is not None:
             self.radii[row], self.stale[row] = radius, False
         least = np.minimum.reduce(self.radii, axis=0)
@@ -317,10 +318,9 @@ class ObstacleField:
     """
 
     def __init__(self, polygons, reach: float):
-        self.polygons = [np.asarray(p, dtype=float).reshape(-1, 2)
-                         for p in polygons]
-        self.circles = [circle_from_observation(p, (i,))
-                        for i, p in enumerate(self.polygons)]
+        self.polygons = tuple(np.asarray(p, dtype=float).reshape(-1, 2) for p in polygons)
+        self.circles = tuple(circle_from_observation(p, (i,))
+                             for i, p in enumerate(self.polygons))
         self.centers, self.radii = circle_arrays(self.circles)
         counts = np.array([p.shape[0] for p in self.polygons], dtype=int)
         self.starts, self.solid = np.cumsum(counts) - counts, counts >= 3
@@ -333,6 +333,9 @@ class ObstacleField:
         self.inner = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES) - margin, 0.0)
         self.inner2 = self.inner ** 2
         self.outer2 = (self.reach + margin) ** 2
+        for values in (*self.polygons, self.centers, self.radii, self.starts,
+                       self.solid, self.vertices, self.limits, self.limits2):
+            values.flags.writeable = False
 
     def vertices_in_footprint(self, viewers) -> tuple[np.ndarray, np.ndarray]:
         """(n, vertices) for (n, 2) viewers: the vertex passes all the
@@ -379,6 +382,19 @@ class ObstacleField:
         slack -= SENSING_MARGIN * (dist + self.scale)
         return ([self.circles[i] for i in seen.nonzero()[0]],
                 np.maximum(slack.min(axis=1, initial=np.inf), 0.0))
+
+
+def shared_field(polygons, reach: float) -> ObstacleField:
+    """The `ObstacleField` of `polygons` at `reach`, read-only and built once
+    per process: keyed on bits, as `lti._bilinear` is, so 0.0 and -0.0 differ."""
+    return _field(struct.pack("d", reach),
+                  *(struct.pack(f"{2 * len(p)}d", *[c for v in p for c in v]) for p in polygons))
+
+
+@functools.lru_cache(maxsize=32)
+def _field(reach: bytes, *polygons: bytes) -> ObstacleField:
+    return ObstacleField([np.frombuffer(p).reshape(-1, 2) for p in polygons],
+                         np.frombuffer(reach)[0])
 
 
 # ---------------------------------------------------------------- grouping

@@ -290,8 +290,9 @@ class Scenario:
             raise ScenarioError("waypoints.ease_s: must be positive with cruise_speed")
         if not isinstance(self.obstacles, _SEQUENCES):
             raise ScenarioError("obstacles: expected a list of polygons")
-        _hold(self, waypoints=_pairs(self.waypoints, "waypoints.points", 1,
-                                     "at least one waypoint"),
+        _hold(self, name=_scalar(self.name, "name", str),
+              waypoints=_pairs(self.waypoints, "waypoints.points", 1,
+                               "at least one waypoint"),
               obstacles=tuple(_pairs(polygon, f"obstacles[{i}]", 3,
                                      "a polygon with at least 3 vertices")
                               for i, polygon in enumerate(self.obstacles)))
@@ -428,7 +429,7 @@ def scenario_from_dict(doc: dict, default_name: str = "scenario") -> Scenario:
         "reference_agents", degrees=("target",),
         topology=lambda raw: _edge_topology(raw, "yaw_control", len(agents)))
     return Scenario(
-        name=str(doc.get("name", default_name)),
+        name=doc.get("name", default_name),
         dt=_expect(doc, "dt", ""), duration=_expect(doc, "duration", ""),
         agents=agents, topology=topology, gains=gains,
         waypoints=_expect(wp, "points", "waypoints."),

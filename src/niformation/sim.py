@@ -14,25 +14,24 @@ saturated) velocity command; yaw is the first-order yaw-rate plant whose
 output is trapezoidally integrated and wrapped.  Everything constant for a
 run is built once at construction: the lifted topology blocks of the planar
 and yaw laws, the per-agent speed caps, one plant bank each for the planar
-axes and the yaw rates, the `obstacle.ObstacleField` that senses every
-obstacle in whole arrays, the read-only (W, 2) waypoint array, and the
-velocity ring, a deque of the last `velocity_estimate_window` + 1 measured
-positions, whose oldest and newest the finite-difference velocities read.
-Per-edge quantities (relative offsets, follower targets, the steered agents
-of a transition) are gathers through the topology's head and tail index
-arrays.  An avoidance event's circle
-arrays are built once when it fires.  Per process, what depends only on the
-shipped files, `dt` or a topology is shared and read-only: each shipped
-scenario that `load_scenario` returns, each lifted topology
-(`controller.lift`), and in `lti` the parsed model library and each (model,
-`dt`) realization.
+axes and the yaw rates, and the velocity ring, a deque of the last
+`velocity_estimate_window` + 1 measured positions, whose oldest and newest
+the finite-difference velocities read.  Per-edge quantities (relative
+offsets, follower targets, the steered agents of a transition) are gathers
+through the topology's head and tail index arrays.  An avoidance event's
+circle arrays are built once when it fires.  Per process, what depends only
+on the shipped files, `dt`, a topology or a course is shared and read-only:
+each shipped scenario, each lifted topology (`controller.lift`), each
+course's `obstacle.ObstacleField`, and in `lti` the parsed model library
+and each (model, `dt`) realization.
 
 A step's team arithmetic (the laws, the plant outputs, the delay line, the
-velocity ring and the yaw integration) runs on stacked Python floats, each
-agent's coordinates in turn, which round as numpy's ufuncs do and cost less
-than numpy calls on a few agents; see `controller` for the products that
-stay numpy.  `positions` stays the (n, 2) array that the obstacle layer and
-the state machine read, written once a step.
+velocity ring, the yaw integration, the reference point, the waypoint
+radius test and the log row) runs on stacked Python floats, each agent's
+coordinates in turn, which round as numpy's ufuncs do and cost less than
+numpy calls on a few agents; see `controller` for the products that stay
+numpy.  `positions` stays the (n, 2) array that the obstacle layer and the
+state machine read, written once a step.
 
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
@@ -77,6 +76,7 @@ import csv
 import io
 import json
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -124,6 +124,21 @@ def _ease(u: float) -> float:
     return u * u * (3.0 - 2.0 * u)
 
 
+def _beyond(dx: float, dy: float, radius: float) -> bool:
+    """The waypoint test `math.sqrt(d.dot(d)) > radius`, d = (dx, dy), on
+    floats.  Lemma: BLAS's dot may fuse a multiply and an add, but it and q =
+    dx*dx + dy*dy each round two nonnegative products and their sum: both lie
+    within 3u of the exact square (u = 2**-53; a few 2**-1074 below the normal
+    range), and r2 = radius*radius and the root move the threshold by under 3u
+    more.  So a q beyond `SENSING_MARGIN` * (q + r2) + 1e-300 of r2 decides as
+    the dot; the dot decides the rest, NaN (never beyond) and infinity."""
+    q, r2 = dx * dx + dy * dy, radius * radius
+    if abs(q - r2) > obstacle.SENSING_MARGIN * (q + r2) + 1e-300:
+        return q > r2
+    d = np.array([dx, dy])
+    return math.sqrt(d.dot(d)) > radius
+
+
 @dataclass(frozen=True)
 class Slew:
     """Reference profile from `origin` to `destination` from `start` on.
@@ -131,40 +146,39 @@ class Slew:
     With a positive `speed` it is a cruise: a trapezoidal speed profile
     that eases up over `ease_s`, holds `speed` and eases back down to land
     on the destination.  Otherwise it is a glide: a smoothstep over
-    `glide_s`.  The leg and its length are computed once.
+    `glide_s`.  The ends and the leg are float pairs, the leg computed once.
     """
 
-    origin: np.ndarray
-    destination: np.ndarray
+    origin: tuple[float, float]
+    destination: tuple[float, float]
     start: float
     glide_s: float = 0.0
     speed: float = 0.0
     ease_s: float = 0.0
-    leg: np.ndarray = field(init=False, repr=False, compare=False)
+    leg: tuple[float, float] = field(init=False, repr=False, compare=False)
     distance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        leg = self.destination - self.origin
-        object.__setattr__(self, "leg", leg)
-        object.__setattr__(self, "distance", float(np.hypot(*leg)))
+        (ox, oy), (dx, dy) = map(float, self.origin), map(float, self.destination)
+        object.__setattr__(self, "origin", (ox, oy))
+        object.__setattr__(self, "destination", (dx, dy))
+        object.__setattr__(self, "leg", (dx - ox, dy - oy))
+        object.__setattr__(self, "distance", float(np.hypot(dx - ox, dy - oy)))
 
-    def point(self, now: float) -> np.ndarray | None:
+    def point(self, now: float) -> tuple[float, float] | None:
         """Reference position at `now`, or None once the profile has landed."""
-        origin, leg = self.origin, self.leg
-        elapsed = now - self.start
-        if self.speed <= 0:
-            if elapsed >= self.glide_s:
-                return None
-            return origin + _ease(elapsed / self.glide_s) * leg
+        s = self._fraction(now - self.start)
+        (ox, oy), (lx, ly) = self.origin, self.leg
+        return None if s is None else (ox + s * lx, oy + s * ly)
+
+    def _fraction(self, elapsed: float) -> float | None:
         distance, speed, ease = self.distance, self.speed, self.ease_s
-        if distance <= 1e-9:
+        if speed > 0 and distance <= 1e-9:
             return None
-        if distance <= speed * ease:
-            # leg too short to reach cruise speed: plain ease over two ramps
-            total = 2.0 * ease
-            if elapsed >= total:
-                return None
-            return origin + _ease(elapsed / total) * leg
+        if speed <= 0 or distance <= speed * ease:
+            # a glide, or a leg too short to reach cruise speed: one ease
+            total = self.glide_s if speed <= 0 else 2.0 * ease
+            return None if elapsed >= total else _ease(elapsed / total)
         total = 2.0 * ease + (distance - speed * ease) / speed
         if elapsed >= total:
             return None
@@ -176,7 +190,7 @@ class Slew:
         else:
             u = (total - elapsed) / ease
             arc = distance - speed * ease * (u ** 3) * (1.0 - 0.5 * u)
-        return origin + (arc / distance) * leg
+        return arc / distance
 
 
 @dataclass(frozen=True)
@@ -260,8 +274,7 @@ class Simulator:
         self.master = scn.master_index
         self.origin = scn.starts()
         self.stacked_origin = self.origin.ravel().tolist()
-        self.waypoints = np.array(scn.waypoints, dtype=float)
-        self.waypoints.flags.writeable = False
+        self.waypoints = scn.waypoints   # (x, y) float pairs
         self.planar_lift = controller.lift(scn.topology, 2)
         self.speed_caps = controller.speed_caps(scn.kinds)
 
@@ -294,7 +307,7 @@ class Simulator:
         self.delay_queue = deque([([0.0] * (2 * self.n), [0.0] * self.n)]
                                  * min(scn.control.command_delay_steps, self.steps))
 
-        self.obstacles = obstacle.ObstacleField(scn.obstacles, obstacle.FOV / 2.0)
+        self.obstacles = obstacle.shared_field(scn.obstacles, obstacle.FOV / 2.0)
         self.budget = obstacle.MotionBudget(self.positions, IN_BOX + 1)
         self.sensed = self.grouped = []   # sensed circles, their group_all
         # the reference point the planning skip was decided at, and the
@@ -325,7 +338,7 @@ class Simulator:
         self.avoidance_started = 0.0
         self.avoidance_circles = obstacle.circle_arrays(())   # the event's circles
         self.ref_slew: Slew | None = None
-        self._begin_glide(0.0, self.positions[self.master].copy())
+        self._begin_glide(0.0, self.positions[self.master])
         self.phase_idx = scn.formation.phase_index(0)
         self.schedule_offsets = np.array(scn.formation.phases[self.phase_idx].offsets,
                                          dtype=float)
@@ -353,7 +366,7 @@ class Simulator:
     def _phase_duration(self) -> float:
         return self.scn.formation.phases[self.phase_idx].transition_duration
 
-    def _begin_glide(self, now: float, from_point: np.ndarray):
+    def _begin_glide(self, now: float, from_point):
         """Ease the reference to the current waypoint from a fixed point.
 
         Engaging a waypoint with a stepped reference rings the lightly
@@ -365,14 +378,13 @@ class Simulator:
         scn = self.scn
         waypoint = self.waypoints[self.target_idx]
         if scn.waypoint_cruise_speed > 0:
-            self.ref_slew = Slew(np.asarray(from_point, dtype=float), waypoint, now,
-                                 speed=scn.waypoint_cruise_speed,
+            self.ref_slew = Slew(from_point, waypoint, now, speed=scn.waypoint_cruise_speed,
                                  ease_s=scn.waypoint_ease_s)
         elif self.ref_slew is not None:
             # a glide-back still in flight lands on the new waypoint
             self.ref_slew = replace(self.ref_slew, destination=waypoint)
 
-    def _reference_point(self, now: float) -> np.ndarray:
+    def _reference_point(self, now: float) -> tuple[float, float]:
         scn = self.scn
         if self.avoidance is not None and self.avoidance.master_lateral is not None:
             # Ramp the detour over the phase's transition time: a step
@@ -382,9 +394,9 @@ class Simulator:
             # head brakes while the swing develops instead of outrunning it.
             frac = min(1.0, (now - self.avoidance_started) / self._phase_duration())
             s_m, _ = self.avoidance.frame.coords(self.positions[self.master])
-            return self.avoidance.frame.to_world(
+            return tuple(self.avoidance.frame.to_world(
                 s_m + _ease(frac * frac) * scn.sensing.carrot_advance,
-                _ease(frac) * self.avoidance.master_lateral)
+                _ease(frac) * self.avoidance.master_lateral).tolist())
         if self.ref_slew is not None:
             point = self.ref_slew.point(now)
             if point is not None:
@@ -460,7 +472,7 @@ class Simulator:
         self._observe()
         if not self.grouped:
             return
-        reference = self._reference_point(now)
+        reference = np.array(self._reference_point(now))
         if not budget.stale[PLAN_SKIP]:
             moved = reference - self.skip_reference
             if moved @ moved < self.skip_reach2:
@@ -572,11 +584,6 @@ class Simulator:
 
     # -------------------------------------------------------- waypoints
 
-    def _previous_vertex(self) -> np.ndarray:
-        if self.completed <= 0 or self.target_idx == 0:
-            return self.origin[self.master]
-        return self.waypoints[self.target_idx - 1]
-
     def _update_settle(self, now: float):
         """Start a pending waypoint transition once the dwell has settled.
 
@@ -617,9 +624,9 @@ class Simulator:
                 self._leave_vertex(now)
                 self.holding = False
             return
-        target = self.waypoints[self.target_idx]
-        d = self.positions[self.master] - target
-        if math.sqrt(d.dot(d)) > scn.waypoint_radius:
+        tx, ty = target = self.waypoints[self.target_idx]
+        x, y = self.pos_ring[-1][2 * self.master:2 * self.master + 2]
+        if _beyond(x - tx, y - ty, scn.waypoint_radius):
             return
         self.completed += 1
         self._event(now, "waypoint_reached", index=self.target_idx,
@@ -628,8 +635,9 @@ class Simulator:
 
         if (scn.yaw_control is not None and scn.yaw_control.corner_turns
                 and self.target_idx + 1 < len(self.waypoints)):
-            incoming = controller.heading_from_motion(
-                target, self._previous_vertex(), self.last_heading)
+            previous = (self.origin[self.master] if self.completed <= 0 or self.target_idx == 0
+                        else self.waypoints[self.target_idx - 1])
+            incoming = controller.heading_from_motion(target, previous, self.last_heading)
             outgoing = controller.heading_from_motion(
                 self.waypoints[self.target_idx + 1], target, incoming)
             change = controller.wrap(outgoing - incoming)
@@ -676,7 +684,7 @@ class Simulator:
 
     # ----------------------------------------------------------- stepping
 
-    def _commands(self, now: float, reference: np.ndarray):
+    def _commands(self, now: float, reference: tuple[float, float]):
         # during a corner turn the reference stays pinned at the reached
         # vertex, so the position loop station-keeps there while yaw realigns
         # (a zero velocity command would let the leaky plants drift home)
@@ -725,7 +733,7 @@ class Simulator:
         positions = [start + moved for start, moved in
                      zip(self.stacked_origin, self.plants.step(applied_planar))]
         self.positions.flat = positions
-        self.budget.spend(self.positions)
+        self.budget.spend(positions)
         if self.yaw_rows:
             rates = self.yaw_plants.step([applied_yaw[row] for row in self.yaw_rows])
             for row, rate in zip(self.yaw_rows, rates):
@@ -789,12 +797,12 @@ class Simulator:
     def run(self) -> RunLog:
         scn = self.scn
         steps = self.steps
-        positions = np.zeros((steps, self.n, 2))
-        commands = np.zeros((steps, 2 * self.n))   # stacked, as the laws give them
-        yaws = np.zeros((steps, self.n))
-        yaw_commands = np.zeros((steps, self.n))
-        phases = np.zeros(steps, dtype=int)
-        avoid_modes = np.zeros(steps, dtype=int)
+        positions, commands = np.zeros((steps, self.n, 2)), np.zeros((steps, self.n, 2))
+        yaws, yaw_commands = np.zeros((steps, self.n)), np.zeros((steps, self.n))
+        phases, avoid_modes = np.zeros(steps, dtype=int), np.zeros(steps, dtype=int)
+        # rows are packed from the step's floats, through memoryviews (cheaper)
+        pairs, singles = struct.Struct(f"{2 * self.n}d"), struct.Struct(f"{self.n}d")
+        rows = [memoryview(log) for log in (positions, commands, yaws, yaw_commands)]
         logged = 0
 
         for k in range(steps):
@@ -817,10 +825,10 @@ class Simulator:
             planar, yaw_cmds = self._commands(now, reference)
             applied_planar, applied_yaw = self._advance_plants(planar, yaw_cmds)
 
-            positions[k] = self.positions
-            commands[k] = applied_planar
-            yaws[k] = self.yaws
-            yaw_commands[k] = applied_yaw
+            pairs.pack_into(rows[0], k * pairs.size, *self.pos_ring[-1])
+            pairs.pack_into(rows[1], k * pairs.size, *applied_planar)
+            singles.pack_into(rows[2], k * singles.size, *self.yaws)
+            singles.pack_into(rows[3], k * singles.size, *applied_yaw)
             phases[k] = -1 if self.avoidance is not None else self.phase_idx
             avoid_modes[k] = 0 if self.avoidance is None else self.avoidance.mode
             logged = k + 1
@@ -843,7 +851,7 @@ class Simulator:
         # the step times are k * dt, exactly as `now` was computed
         return RunLog(
             times=np.arange(logged) * scn.dt, positions=positions[:logged],
-            commands=commands[:logged].reshape(logged, self.n, 2), yaws=yaws[:logged],
+            commands=commands[:logged], yaws=yaws[:logged],
             yaw_commands=yaw_commands[:logged], phases=phases[:logged],
             avoid_modes=avoid_modes[:logged], events=self.events,
             summary=self._summary(logged * scn.dt))

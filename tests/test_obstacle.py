@@ -355,6 +355,11 @@ def planned_events(draw):
     return event, pos, tgt, fov
 
 
+def stacked(positions) -> list[float]:
+    """(n, 2) positions as the simulator's stacked floats, each x then y."""
+    return np.ravel(positions).tolist()
+
+
 def same_bits(got, want) -> bool:
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -938,7 +943,7 @@ def test_reused_sensing_equals_a_fresh_decision_along_walks(walk):
     for moves in [None, *steps]:
         if moves is not None:
             viewers = walk_step(field, viewers, moves, np.sqrt(budget.budget2), center)
-            budget.spend(viewers)
+            budget.spend(stacked(viewers))
         if budget.stale[0]:
             circles, reuse = field.sensed(viewers)
             budget.renew(viewers, 0, reuse)
@@ -949,7 +954,7 @@ def held_at(radius, anchor, at) -> bool:
     """A decision made at `anchor` with `radius` still holds at `at`."""
     budget = obstacle.MotionBudget(anchor, 1)
     budget.renew(anchor, 0, radius)
-    budget.spend(at)
+    budget.spend(stacked(at))
     return not budget.stale[0]
 
 
@@ -1054,7 +1059,7 @@ def test_running_clearance_equals_a_per_step_evaluation_along_walks(walk):
     for moves in [None, *steps]:
         if moves is not None:
             positions = clearance_step(centers, radii, positions, moves, budget)
-            budget.spend(positions)
+            budget.spend(stacked(positions))
             want = fresh(want)
         if budget.stale[0]:
             least, radius = running_clearance(least, positions, centers, radii, floor)
@@ -1106,34 +1111,76 @@ def test_a_budget_row_holds_only_within_its_radius_of_its_decision():
     budget.renew(at(0.0), 0, 10.0)
     budget.renew(at(0.0), 1, 5.0)
     assert budget.budget2 == [25.0]
-    budget.spend(at(6.0))
+    budget.spend(stacked(at(6.0)))
     assert budget.stale == [False, True] and budget.anchor == [[6.0, 0.0]]
     assert 4.0 - 1e-6 < budget.radii[0, 0] < 4.0
     assert budget.budget2 == [budget.radii[0, 0] ** 2]
-    budget.spend(at(10.5))
+    budget.spend(stacked(at(10.5)))
     assert budget.stale == [True, True] and budget.budget2 == [np.inf]
     # a row decided where the budget still holds moves the anchor there
     budget.renew(at(10.5), 0, 10.0)
-    budget.spend(at(13.0))
+    budget.spend(stacked(at(13.0)))
     budget.renew(at(13.0), 1, 2.0)
     assert budget.anchor == [[13.0, 0.0]] and budget.radii[1, 0] == 2.0
     assert 7.5 - 1e-6 < budget.radii[0, 0] < 7.5
-    budget.spend(at(14.9))
+    budget.spend(stacked(at(14.9)))
     assert budget.stale == [False, False] and budget.anchor == [[13.0, 0.0]]
-    budget.spend(at(15.1))
+    budget.spend(stacked(at(15.1)))
     assert budget.stale == [False, True] and budget.anchor == [[15.1, 0.0]]
     # an expired row limits nothing from the next renewal on; NaN spends all
     budget.expire(0)
     budget.renew(at(15.1), 1, 3.0)
     assert budget.stale == [True, False] and budget.budget2 == [9.0]
     # a radius not above 0 holds nothing and moves neither anchor nor budget
-    budget.spend(at(16.0))
+    budget.spend(stacked(at(16.0)))
     for radius in (0.0, np.array([-1.0]), np.nan):
         budget.renew(at(16.0), 0, radius)
         assert budget.stale == [True, False] and budget.anchor == [[15.1, 0.0]]
         assert budget.budget2 == [9.0]
-    budget.spend(at(np.nan))
+    budget.spend(stacked(at(np.nan)))
     assert budget.stale == [True, True]
+
+
+def array_spend(budget, positions):
+    """`MotionBudget.spend` as it was on the (n, 2) array: the oracle of the
+    spend on stacked floats."""
+    budget.moved2 = [(x - a) * (x - a) + (y - b) * (y - b)
+                     for (x, y), (a, b) in zip(positions.tolist(), budget.anchor)]
+    for moved, limit in zip(budget.moved2, budget.budget2):
+        if not moved < limit:
+            return budget.renew(positions)
+
+
+def budget_bits(budget) -> tuple:
+    return (np.array(budget.anchor).tobytes(), np.array(budget.moved2).tobytes(),
+            budget.radii.tobytes(), budget.stale, np.array(budget.budget2).tobytes())
+
+
+coordinates = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-320, np.nan]))
+
+
+@given(n=st.integers(1, 4), rows=st.integers(1, 3), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_spend_on_stacked_floats_equals_the_spend_on_the_array(n, rows, data):
+    # two budgets, one spent as the simulator spends it and one as the
+    # former array spend, hold the same bits through renewals and expiries
+    def team():
+        return np.array(data.draw(st.lists(coordinates, min_size=2 * n, max_size=2 * n)),
+                        dtype=float).reshape(n, 2)
+
+    start = team()
+    budgets = [obstacle.MotionBudget(start, rows) for _ in range(2)]
+    for step in range(data.draw(st.integers(1, 8))):
+        positions = team() if data.draw(st.booleans()) else start + data.draw(
+            st.floats(-5.0, 5.0))
+        budgets[0].spend(stacked(positions))
+        array_spend(budgets[1], positions)
+        assert budget_bits(budgets[0]) == budget_bits(budgets[1])
+        row = data.draw(st.integers(0, rows - 1))
+        radius = data.draw(st.sampled_from([1.0, 4.0, 20.0, 0.0, np.inf]))
+        for budget in budgets:
+            budget.renew(positions, row, radius)
+        assert budget_bits(budgets[0]) == budget_bits(budgets[1])
 
 
 # the rows of a budget holding every decision the simulator holds
@@ -1219,7 +1266,7 @@ def test_one_budget_holds_every_decision_as_a_fresh_one_along_walks(walk):
                              np.sqrt(budget.budget2))
             team = walk_step(field, team, moves, sizes, center)
             reference = reference_step(reference, ref_move, skip_reach, center, field.reach)
-            budget.spend(team)
+            budget.spend(stacked(team))
         if budget.stale[SENSED]:
             circles, reuse = field.sensed(team)
             budget.renew(team, SENSED, reuse)

@@ -75,6 +75,9 @@ MUTATIONS = {
         ("topology", "edges", 0),
         st.lists(agent_ids, min_size=3, max_size=4), False),
     "seed": (("seed",), st.one_of(non_integers, st.integers(max_value=-1)), False),
+    # `name: null` and `name: [1]` once loaded as the names 'None' and '[1]'
+    "name": (("name",), st.one_of(st.none(), st.integers(), st.booleans(),
+                                  st.lists(st.integers(), min_size=1, max_size=3)), False),
     "settle_time": (("settle_time",), st.floats(-1e6, -1e-9), False),
     "topology.reference_agents": (
         ("topology", "reference_agents"),
@@ -344,6 +347,7 @@ DIRECT = {
                    "^yaw_control.target: must be finite$"),
     "yaw.consensus_gains": (YawControlConfig, {**YAW, "consensus_gains": (-math.inf,)},
                             r"^yaw_control\.consensus_gains\[0\]: must be finite$"),
+    "name": (LEADER, {"name": None}, "^name: expected a string, got NoneType$"),
     "waypoint": (LEADER, {"waypoints": ((math.nan, 0.0),)},
                  r"^waypoints\.points\[0\]\[0\]: must be finite$"),
     "polygon vertex": (COURSE, {"obstacles": (((math.nan, 0.0), *SQUARE[1:]),)},

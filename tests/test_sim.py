@@ -7,6 +7,8 @@ import hashlib
 import importlib
 import io
 import json
+import math
+import struct
 from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from niformation import controller, lti, obstacle, scenario, sim
 from test_obstacle import old_event_end
@@ -137,9 +141,11 @@ def test_shipped_scenario_matches_its_golden_run(monkeypatch, name):
 
 def test_a_cold_and_a_warm_build_give_the_golden_run():
     # the first load and build after clearing the memos computes what the
-    # second reuses: the scenario, its lifts, the plants and the library
-    memos = (lti._bilinear, lti._shipped_library, scenario._shipped, controller.lift)
-    for name in ("moving_leader_compare", "yaw_sync_pair"):
+    # second reuses: the scenario, its lifts, the plants, the library and
+    # the obstacle field
+    memos = (lti._bilinear, lti._shipped_library, scenario._shipped, controller.lift,
+             obstacle._field)
+    for name in ("moving_leader_compare", "yaw_sync_pair", "cluttered_course"):
         for memo in memos:
             memo.cache_clear()
         texts, loaded = [], []
@@ -156,6 +162,34 @@ def test_a_cold_and_a_warm_build_give_the_golden_run():
     scn = scenario.load_scenario("moving_leader_compare")
     assert scn.noise_std > 0 and scn.control.command_delay_steps > 0
     assert scenario.load_scenario("yaw_sync_pair").yaw_control is not None
+
+
+def test_equal_courses_share_one_read_only_field():
+    # scenarios built apart with equal polygons, as tuples or as arrays,
+    # get the same field, and no run can write to it
+    scn = scenario.load_scenario("cluttered_course")
+    field = sim.Simulator(scn).obstacles
+    for other in (replace(scn, seed=3),
+                  replace(scn, obstacles=[np.array(p) for p in scn.obstacles])):
+        assert sim.Simulator(other).obstacles is field
+    assert isinstance(field.polygons, tuple) and isinstance(field.circles, tuple)
+    for values in (*field.polygons, field.centers, field.radii, field.starts,
+                   field.solid, field.vertices, field.limits, field.limits2):
+        assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        field.vertices[0, 0] = 0.0
+
+
+def test_a_polygon_that_differs_only_in_the_sign_of_a_zero_gets_its_own_field():
+    scn = scenario.load_scenario("single_obstacle_line")
+    triangle = ((0.0, 5.0), (50.0, 5.0), (50.0, 55.0))
+    signed = ((-0.0, 5.0), *triangle[1:])
+    assert triangle == signed and hash(triangle) == hash(signed)
+    plus, minus = (sim.Simulator(replace(scn, obstacles=(p,))).obstacles
+                   for p in (triangle, signed))
+    assert plus is not minus
+    assert [bool(np.signbit(f.vertices[0, 0])) for f in (plus, minus)] == [False, True]
+    assert sim.Simulator(replace(scn, obstacles=(signed,))).obstacles is minus
 
 
 # shifts of every start, waypoint and obstacle (cm), and how far a shifted
@@ -216,6 +250,12 @@ def test_offset_switch_keeps_the_reference_glide():
     assert np.array_equal(simulator._reference_point(now), on_glide)
 
 
+def pair_bits(pair) -> bytes:
+    """The bits of an (x, y) pair of Python floats."""
+    assert [type(v) for v in pair] == [float, float]
+    return struct.pack("2d", *pair)
+
+
 def test_reference_point_leaves_the_landed_slew_in_place():
     scn = scenario.load_scenario("moving_leader_compare")
     simulator = sim.Simulator(scn)
@@ -223,9 +263,9 @@ def test_reference_point_leaves_the_landed_slew_in_place():
     waypoint = np.asarray(scn.waypoints[0], dtype=float)
     # long after the cruise has landed the reference is the waypoint, and
     # reading it changes no state
-    assert np.array_equal(simulator._reference_point(scn.duration * 10), waypoint)
+    assert pair_bits(simulator._reference_point(scn.duration * 10)) == waypoint.tobytes()
     assert simulator.ref_slew is slew
-    assert not np.array_equal(simulator._reference_point(1.0), waypoint)
+    assert pair_bits(simulator._reference_point(1.0)) != waypoint.tobytes()
 
 
 def test_a_glide_back_in_flight_lands_on_the_next_waypoint():
@@ -244,8 +284,103 @@ def test_a_glide_back_in_flight_lands_on_the_next_waypoint():
     following = np.asarray(scn.waypoints[1], dtype=float)
     for t in (now, start + 0.5 * glide_s, start + 0.99 * glide_s):
         want = origin + sim._ease((t - start) / glide_s) * (following - origin)
-        assert simulator._reference_point(t).tobytes() == want.tobytes()
-    assert np.array_equal(simulator._reference_point(start + glide_s), following)
+        assert pair_bits(simulator._reference_point(t)) == want.tobytes()
+    assert pair_bits(simulator._reference_point(start + glide_s)) == following.tobytes()
+
+
+def numpy_point(slew: sim.Slew, now: float) -> np.ndarray | None:
+    """`Slew.point` as it was on numpy arrays: the oracle of the float pair."""
+    origin = np.array(slew.origin)
+    leg = np.array(slew.destination) - origin
+    elapsed = now - slew.start
+    if slew.speed <= 0:
+        if elapsed >= slew.glide_s:
+            return None
+        return origin + sim._ease(elapsed / slew.glide_s) * leg
+    distance, speed, ease = float(np.hypot(*leg)), slew.speed, slew.ease_s
+    if distance <= 1e-9:
+        return None
+    if distance <= speed * ease:
+        total = 2.0 * ease
+        if elapsed >= total:
+            return None
+        return origin + sim._ease(elapsed / total) * leg
+    total = 2.0 * ease + (distance - speed * ease) / speed
+    if elapsed >= total:
+        return None
+    if elapsed < ease:
+        u = elapsed / ease
+        arc = speed * ease * (u ** 3) * (1.0 - 0.5 * u)
+    elif elapsed <= total - ease:
+        arc = 0.5 * speed * ease + speed * (elapsed - ease)
+    else:
+        u = (total - elapsed) / ease
+        arc = distance - speed * ease * (u ** 3) * (1.0 - 0.5 * u)
+    return origin + (arc / distance) * leg
+
+
+coordinates = st.one_of(st.floats(-1e4, 1e4), st.just(-0.0))
+
+
+@pytest.mark.parametrize("profile", ["glide", "short leg", "cruise"])
+@given(ends=st.lists(coordinates, min_size=4, max_size=4), start=st.floats(0.0, 100.0),
+       seconds=st.floats(0.01, 10.0), ratio=st.floats(0.05, 4.0))
+@settings(max_examples=100, deadline=None)
+def test_slew_point_equals_the_numpy_point_bit_for_bit(profile, ends, start, seconds, ratio):
+    # on every branch, before, along and after the profile: the leg too
+    # short to reach cruise speed has speed * ease >= distance
+    origin, destination = ends[:2], ends[2:]
+    distance = float(np.hypot(ends[2] - ends[0], ends[3] - ends[1]))
+    if profile == "glide":
+        slew = sim.Slew(origin, destination, start, glide_s=seconds)
+        span = seconds
+    else:
+        ratio = min(ratio, 0.9) if profile == "short leg" else max(ratio, 1.1)
+        speed = max(distance, 1e-3) / (seconds * ratio)
+        if distance > 1e-3:
+            assert (distance <= speed * seconds) == (profile == "short leg")
+        slew = sim.Slew(origin, destination, start, speed=speed, ease_s=seconds)
+        span = 2.0 * seconds + distance / speed
+    for u in np.linspace(-0.05, 1.05, 23).tolist():
+        got, want = slew.point(start + u * span), numpy_point(slew, start + u * span)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert pair_bits(got) == want.tobytes()
+
+
+def dot_beyond(position, target, radius: float) -> bool:
+    """The waypoint radius test as it was on arrays, with BLAS's dot."""
+    d = np.asarray(position, dtype=float) - np.asarray(target, dtype=float)
+    return math.sqrt(d.dot(d)) > radius
+
+
+def nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@given(target=st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=2),
+       radius=st.floats(1e-3, 1e3), angle=st.floats(0.0, 2.0 * math.pi),
+       stretch=st.sampled_from([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-3, -1e-3, 0.5, -0.5]),
+       ulps=st.lists(st.integers(-8, 8), min_size=2, max_size=2))
+@settings(max_examples=500, deadline=None)
+def test_the_waypoint_radius_test_on_floats_equals_the_dot_test(target, radius, angle,
+                                                               stretch, ulps):
+    # points a few ulps off the circle, and off it by relative stretches on
+    # both sides of the rounding band, decide as the dot decides
+    (tx, ty), reach = target, radius * (1.0 + stretch)
+    x = nudged(tx + reach * math.cos(angle), ulps[0])
+    y = nudged(ty + reach * math.sin(angle), ulps[1])
+    assert sim._beyond(x - tx, y - ty, radius) == dot_beyond((x, y), target, radius)
+
+
+def test_the_waypoint_radius_test_counts_nan_reached_and_inf_beyond():
+    for x, beyond in ((math.nan, False), (math.inf, True), (-math.inf, True)):
+        for position in ((x, 2.0), (2.0, x)):
+            d = np.subtract(position, (1.0, 0.0)).tolist()
+            assert dot_beyond(position, (1.0, 0.0), 10.0) is beyond
+            assert sim._beyond(*d, 10.0) is beyond
 
 
 def test_observe_wraps_every_sensed_polygon_whole(monkeypatch):
@@ -470,7 +605,7 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
     detect_mode, all_behind = obstacle.detect_mode, obstacle.all_behind
     simulator = sim.Simulator(scenario.load_scenario("single_obstacle_line"))
     simulator.positions[:] = [[-100.0, 110.0], [0.0, 110.0], [-200.0, 110.0]]
-    simulator.budget.spend(simulator.positions)
+    simulator.budget.spend(simulator.positions.ravel().tolist())
     simulator.ref_slew = sim.Slew(np.array([-100.0, 310.0]), np.array([-100.0, -290.0]),
                                   0.0, glide_s=10.0)
     calls = {"planned": 0, "decided": 0}
