@@ -27,17 +27,13 @@ actuation block carries -1 at each tail, negative gains yield attracting
 (stable) corrections in both the edge and the reference channels.
 
 The laws see a few numbers a step, where a numpy call costs more than its
-arithmetic, so every elementwise step runs on Python floats, which round
-as numpy's ufuncs do.  One rule keeps the output bit for bit: each law's
-two matrix products, sensing times shifted positions and actuation times
-gained errors, stay numpy products of their recorded shapes and order.  A
-product summed in Python, or fused across the planar and yaw laws, adds in
-another order than the BLAS kernel and can change the last bit or the sign
-of a zero.  The elementwise steps keep their order too: `+ 0.0` on the
-planar reference rows after the sensing product (a -0.0 becomes +0.0
-whatever order the product summed in), and the head feeds
-`velocity * (dt * horizon)` (planar) and `(rate * dt) * horizon` (yaw).
-Only a NaN's sign bit may differ from numpy's, where two NaNs meet.
+arithmetic, so every step runs on Python floats, which round as numpy's
+ufuncs do.  Each law's products through the lifted blocks, sensing times
+shifted positions and actuation times gained errors, are signed gathers
+over each row's nonzero terms, the same bits as the numpy products (the
+lemma is on `_product`).  The elementwise steps keep their order: the head
+feeds `velocity * (dt * horizon)` (planar) and `(rate * dt) * horizon`
+(yaw).  Only a NaN's sign bit may differ from numpy's, where two NaNs meet.
 """
 
 from __future__ import annotations
@@ -67,19 +63,46 @@ class LiftedTopology:
 
     `sensing_t` is the transposed sensing block (stacked agent vector to
     per-edge differences, then reference rows) and `actuation` routes gained
-    errors back to agents; both are read-only `kron_expand` products, built
-    once per process and shared by every equal topology's lift.
+    errors back to agents: read-only `kron_expand` products, with their
+    rows' `_terms`, built once per process and shared by equal topologies.
     """
 
     topology: NetworkTopology
     m: int
     sensing_t: np.ndarray
     actuation: np.ndarray
+    sensing_terms: tuple | None
+    actuation_terms: tuple | None
 
     @functools.cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Each edge's 0-based (head, tail) agent rows, as plain ints."""
         return tuple((head - 1, tail - 1) for head, tail in self.topology.edges)
+
+
+def _terms(matrix) -> tuple[tuple[float, int, float, int], ...] | None:
+    """Each row's nonzero (coefficient, column) terms padded with (0.0, 0)
+    to two, as (a, j, b, k); None if some row has three or more."""
+    rows = [[(a, j) for j, a in enumerate(row) if a] + [(0.0, 0)] * 2
+            for row in matrix.tolist()]
+    if any(len(terms) > 4 for terms in rows):
+        return None
+    return tuple(first + second for first, second, *_ in rows)
+
+
+def _product(terms, matrix, v) -> list[float]:
+    """`matrix @ v` for a block of +-1 and 0, as a list.
+
+    Lemma: with finite v every term a*v[j] is exact (+-v[j] or +-0.0), so a
+    row of at most two terms rounds once, whatever the order or FMA of the
+    kernel.  OpenBLAS starts its sums at +0.0 and numpy's dot adds to 0., so
+    a zero sum is +0.0, and `+ 0.0` gives the same.  The product decides a
+    row of three or more terms, whose order is the kernel's, and any v whose
+    sum is not finite: 0*NaN and 0*inf make every product row NaN.
+    """
+    if terms is None or 0.0 * sum(v) != 0.0:
+        return (matrix @ v).tolist()
+    return [(a * v[j] + b * v[k]) + 0.0 for a, j, b, k in terms]
 
 
 @functools.lru_cache(maxsize=64)
@@ -88,7 +111,8 @@ def lift(topology: NetworkTopology, m: int) -> LiftedTopology:
     sensing, actuation = kron_expand(topology, m)
     for matrix in (sensing, actuation):
         matrix.flags.writeable = False
-    return LiftedTopology(topology, m, sensing.T, actuation)
+    return LiftedTopology(topology, m, sensing.T, actuation,
+                          _terms(sensing.T), _terms(actuation))
 
 
 def _require_m(lifted: LiftedTopology, m: int) -> NetworkTopology:
@@ -127,10 +151,8 @@ def formation_errors(positions, lifted: LiftedTopology, offsets, waypoint) -> li
                          f"and {topology.n_edges} (x, y)")
     wx, wy = map(float, waypoint)
     shifted = [p - w for p, w in zip(positions, (wx, wy) * topology.n_agents)]
-    errors = (lifted.sensing_t @ shifted).tolist()
-    # a -0.0 from the product becomes +0.0 on the reference rows
-    return ([e + o for e, o in zip(errors, offsets)]
-            + [e + 0.0 for e in errors[len(offsets):]])
+    errors = _product(lifted.sensing_terms, lifted.sensing_t, shifted)
+    return [e + o for e, o in zip(errors, offsets)] + errors[len(offsets):]
 
 
 def _route(errors, lifted: LiftedTopology, gains, caps) -> list[float]:
@@ -142,8 +164,8 @@ def _route(errors, lifted: LiftedTopology, gains, caps) -> list[float]:
         what = "consensus gain pairs" if lifted.m == 2 else "yaw consensus gains"
         raise ValueError(f"got {len(gains) // lifted.m - 1} {what} for "
                          f"{lifted.topology.n_edges} edges")
-    routed = lifted.actuation @ [g * e for g, e in zip(gains, errors)]
-    return saturate(routed.tolist(), caps)
+    gained = [g * e for g, e in zip(gains, errors)]
+    return saturate(_product(lifted.actuation_terms, lifted.actuation, gained), caps)
 
 
 def baseline_control(positions, lifted: LiftedTopology, gains: NiGains,

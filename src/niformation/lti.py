@@ -283,16 +283,11 @@ class DiscretePlant:
         if self.noise_std and self.rng is None:
             raise ValueError("noise_std > 0 requires an rng")
 
-    def output(self, u: float) -> float:
-        """Current output for input u, without advancing the state."""
+    def step(self, u: float) -> float:
+        """Emit y[k] for input u[k] and advance the state to k+1."""
         y = float((self.c @ self.state)[0, 0]) + self.d * u
         if self.noise_std:
             y += self.noise_std * self.rng.standard_normal()
-        return y
-
-    def step(self, u: float) -> float:
-        """Emit y[k] for input u[k] and advance the state to k+1."""
-        y = self.output(u)
         self.state = self.a @ self.state + self.b * u
         return y
 
@@ -310,11 +305,14 @@ class PlantBank:
     C x and A x as one batched matmul and B u as one batched product, with
     the same per-plant arithmetic as `DiscretePlant.step`; D u and the
     output noise are added on Python floats, which cost less than numpy
-    calls at this size and round as they do.  Output noise is one
-    `standard_normal` draw covering the noisy plants in bank order, which is
-    the draw sequence of stepping them one after another.  Noisy plants must
-    share one generator.  The bank copies the plants' states and never
-    writes them back.
+    calls at this size and round as they do.  A first-order bank (the yaw
+    rates) steps on float states while they and the inputs are finite (its
+    (count, 1, 1) matmul is a dot, c*x + 0.0; `state` is a new array each
+    read); numpy steps the rest, as two NaNs meeting in its add keep a sign
+    that depends on the lane.  Output noise is one `standard_normal` draw
+    covering the noisy plants in bank order, the draw sequence of stepping
+    them one after another.  Noisy plants must share one generator.  The
+    bank copies the plants' states and never writes them back.
 
     Stepped output stays the same bit for bit only while the products keep
     their batched shapes and their order, C x + D u and then A x + B u, and
@@ -332,13 +330,13 @@ class PlantBank:
         self.a = np.zeros((count, order, order))
         self.b = np.zeros((count, order, 1))
         self.c = np.zeros((count, 1, order))
-        self.state = np.zeros((count, order, 1))
+        state = np.zeros((count, order, 1))
         for k, p in enumerate(plants):
             n = p.a.shape[0]
             self.a[k, :n, :n] = p.a
             self.b[k, :n] = p.b
             self.c[k, :, :n] = p.c
-            self.state[k, :n] = p.state
+            state[k, :n] = p.state
         self.d = [p.d for p in plants]
         self.noisy = [k for k, p in enumerate(plants) if p.noise_std]
         self.noise_std = [plants[k].noise_std for k in self.noisy]
@@ -346,18 +344,32 @@ class PlantBank:
         if len(rngs) > 1:
             raise ValueError("noisy plants in one bank must share a generator")
         self.rng = next(iter(rngs.values()), None)
+        self.floats = ([m.ravel().tolist() for m in (self.a, self.b, self.c)]
+                       if order == 1 else None)
+        self._state = state if self.floats is None else state.ravel().tolist()
+
+    @property
+    def state(self) -> np.ndarray:
+        return self._state if self.floats is None else np.reshape(self._state, (-1, 1, 1))
 
     def step(self, u) -> list[float]:
         """Emit every plant's y[k] for its input u[k], a float each; advance all states."""
-        outputs = (self.c @ self.state).ravel().tolist()
+        if self.floats is not None and 0.0 * (sum(self._state) + sum(u)) == 0.0:
+            a, b, c = self.floats
+            outputs = [ck * x + 0.0 for ck, x in zip(c, self._state)]
+            self._state = [(ak * x + 0.0) + bk * v
+                           for ak, x, bk, v in zip(a, self._state, b, u, strict=True)]
+        else:
+            state = self.state
+            outputs = (self.c @ state).ravel().tolist()
+            state = self.a @ state
+            state += self.b * np.array(u, dtype=float)[:, None, None]
+            self._state = state if self.floats is None else state.ravel().tolist()
         y = [cx + d * v for cx, d, v in zip(outputs, self.d, u, strict=True)]
         if self.noisy:
             draws = self.rng.standard_normal(len(self.noisy)).tolist()
             for k, std, z in zip(self.noisy, self.noise_std, draws):
                 y[k] += std * z
-        state = self.a @ self.state
-        state += self.b * np.array(u, dtype=float)[:, None, None]
-        self.state = state
         return y
 
 

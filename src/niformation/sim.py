@@ -25,13 +25,14 @@ each shipped scenario, each lifted topology (`controller.lift`), each
 course's `obstacle.ObstacleField`, and in `lti` the parsed model library
 and each (model, `dt`) realization.
 
-A step's team arithmetic (the laws, the plant outputs, the delay line, the
-velocity ring, the yaw integration, the reference point, the waypoint
-radius test and the log row) runs on stacked Python floats, each agent's
-coordinates in turn, which round as numpy's ufuncs do and cost less than
-numpy calls on a few agents; see `controller` for the products that stay
-numpy.  `positions` stays the (n, 2) array that the obstacle layer and the
-state machine read, written once a step.
+A step's team arithmetic (the laws and their topology products, the plant
+outputs, the yaw-rate bank, the delay line, the velocity ring, the yaw
+integration, the reference point, the waypoint radius test and the log row)
+runs on stacked Python floats, each agent's coordinates in turn, which round
+as numpy does and cost less than numpy calls on a few agents; numpy keeps
+the planar bank's products and the noise draw (`controller`, `lti.PlantBank`).
+`positions` stays the (n, 2) array the obstacle layer and the state machine
+read, written once a step.
 
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed

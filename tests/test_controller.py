@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from niformation import controller, graph, lti
+from niformation import controller, graph, lti, scenario
 from niformation.controller import (SPEED_CAPS, YAW_RATE_CAP,
                                     baseline_control, enhanced_control,
                                     heading_from_motion, lift,
@@ -354,6 +354,19 @@ def topologies(draw):
     return graph.build_topology(n, edges, refs)
 
 
+@st.composite
+def digraphs(draw):
+    """A random digraph over 1-4 agents, each pair joined at most once either
+    way, with 1-3 reference agents: an agent may be the tail of up to 3
+    edges and a reference agent too, so a row may have 3 or more terms."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [pair if draw(st.booleans()) else pair[::-1] for pair in chosen]
+    refs = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    return graph.build_topology(n, edges, refs)
+
+
 coords = st.one_of(st.floats(-500.0, 500.0), st.just(-0.0))
 nonpositive = st.one_of(st.floats(-5.0, 0.0), st.just(-0.0))
 
@@ -419,34 +432,61 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
     assert same_bits(got, want)
 
 
-class NegativeZeroProduct:
-    """A sensing block whose product gives -0.0 wherever it gives a zero.
+def test_a_gathered_row_of_negative_zero_terms_is_positive_zero():
+    # on -0.0 inputs a row with a single term sums 1 * -0.0 and its padding
+    # 0.0 * -0.0, both -0.0: the star's reference rows in either block
+    v = [-0.0] * 6
+    for terms in (STAR.sensing_terms, STAR.actuation_terms):
+        got = controller._product(terms, NoProduct(), v)
+        assert got == [0.0] * 6 and not np.signbit(got).any()
 
-    The BLAS product here sums from +0.0 and never returns -0.0; another
-    summation order can, and the error vector must not depend on it.
-    """
 
-    def __init__(self, matrix):
-        self.matrix = matrix
+class NoProduct:
+    """A block that fails when multiplied: the gather must not fall back."""
 
     def __matmul__(self, vector):
-        product = self.matrix @ vector
-        return np.where(product == 0.0, -0.0, product)
+        raise AssertionError("the matrix product ran")
 
 
-def test_formation_errors_turn_a_negative_zero_product_positive():
-    negative_zero = controller.LiftedTopology(
-        STAR.topology, 2, NegativeZeroProduct(STAR.sensing_t), STAR.actuation)
-    positions = np.array([[5.0, 0.0], [0.0, 3.0], [5.0, 3.0]])
-    offsets = np.zeros((2, 2))
-    errors = np.array(controller.formation_errors(stack_rows(positions), negative_zero,
-                                                  stack_rows(offsets), [5.0, 0.0]))
-    # the reference formula: the product plus a zero feed on every row
-    stacked = negative_zero.sensing_t @ (positions - [5.0, 0.0]).ravel()
-    want = stacked + np.concatenate([offsets.ravel(), np.zeros(2)])
-    assert np.signbit(stacked[-2:]).all()
-    assert errors.tobytes() == want.tobytes()
-    assert not np.signbit(errors[-2:]).any()
+def topology_products(topology, m, v):
+    """(got, want) of both lifted products, each of v cut to its width."""
+    lifted = lift(topology, m)
+    for terms, matrix in ((lifted.sensing_terms, lifted.sensing_t),
+                          (lifted.actuation_terms, lifted.actuation)):
+        operand = v[: matrix.shape[1]]
+        # the gather must decide every lift without a row of 3 or more terms
+        # on finite inputs whose sum is finite
+        gathers = terms is not None and math.isfinite(sum(operand))
+        got = controller._product(terms, NoProduct() if gathers else matrix, operand)
+        yield np.array(got), matrix @ np.array(operand)
+
+
+# +-0.0, NaN, +-inf, and finite values whose sums overflow
+product_inputs = st.one_of(st.floats(-300.0, 300.0), st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308]))
+
+
+@given(data=st.data(), topology=st.one_of(topologies(), digraphs()),
+       m=st.sampled_from((1, 2)))
+@settings(max_examples=300, deadline=None)
+def test_gathered_products_equal_the_numpy_products_bit_for_bit(data, topology, m):
+    width = m * max(topology.n_agents, topology.n_edges + 1)
+    values = st.floats(-300.0, 300.0) if data.draw(st.booleans()) else product_inputs
+    v = data.draw(st.lists(values, min_size=width, max_size=width))
+    with np.errstate(all="ignore"):
+        for got, want in topology_products(topology, m, v):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_every_shipped_lift_gathers():
+    for name in scenario.shipped_scenarios():
+        scn = scenario.load_scenario(name)
+        lifts = [lift(scn.topology, 2)]
+        if scn.yaw_control is not None:
+            lifts.append(lift(scn.yaw_control.topology, 1))
+        for lifted in lifts:
+            assert lifted.sensing_terms is not None, name
+            assert lifted.actuation_terms is not None, name
 
 
 def test_laws_reject_a_lift_of_the_wrong_width():
@@ -550,8 +590,8 @@ def speed_column(kinds):
     return np.array([[SPEED_CAPS[kind]] for kind in kinds])
 
 
-@given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
-       horizon=st.integers(1, 60))
+@given(data=st.data(), topology=st.one_of(topologies(), digraphs()),
+       enhanced=st.booleans(), horizon=st.integers(1, 60))
 @settings(max_examples=150, deadline=None)
 def test_float_planar_laws_equal_the_numpy_laws_bit_for_bit(
         data, topology, enhanced, horizon):
@@ -580,8 +620,8 @@ def test_float_planar_laws_equal_the_numpy_laws_bit_for_bit(
     assert same_bits(one_nan(got), one_nan(want))
 
 
-@given(data=st.data(), topology=topologies(), enhanced=st.booleans(),
-       horizon=st.integers(1, 60))
+@given(data=st.data(), topology=st.one_of(topologies(), digraphs()),
+       enhanced=st.booleans(), horizon=st.integers(1, 60))
 @settings(max_examples=150, deadline=None)
 def test_float_yaw_law_equals_the_numpy_law_bit_for_bit(
         data, topology, enhanced, horizon):

@@ -6,6 +6,8 @@ the model library, and dense numerical integration of the continuous
 state-space realization (for step responses).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,37 +421,47 @@ def test_plant_bank_equals_stepping_each_plant_in_turn(data, names, seed):
         assert np.array_equal(bank.step(u), want)
 
 
-def numpy_bank_step(bank, u):
-    """`PlantBank.step` as it was on numpy arrays: the oracle of the float step."""
-    y = (bank.c @ bank.state).ravel() + np.asarray(bank.d) * u
+def numpy_bank_step(bank, state, u):
+    """`PlantBank.step` as it was on numpy arrays, from the stacked `state`:
+    the oracle of the float step.  Returns the outputs and the next state."""
+    y = (bank.c @ state).ravel() + np.asarray(bank.d) * u
     if bank.noisy:
         noisy = np.asarray(bank.noisy)
         y[noisy] += np.asarray(bank.noise_std) * bank.rng.standard_normal(noisy.size)
-    state = bank.a @ bank.state
+    state = bank.a @ state
     state += bank.b * u.reshape(-1, 1, 1)
-    bank.state = state
-    return y
+    return y, state
 
 
-@given(data=st.data(), names=st.lists(st.sampled_from(VELOCITY_MODELS + ("lag",)),
-                                      min_size=1, max_size=6),
+@given(data=st.data(),
+       names=st.one_of(st.lists(st.sampled_from(VELOCITY_MODELS + ("lag",)),
+                                min_size=1, max_size=6),
+                       st.lists(st.just("lag"), min_size=1, max_size=6)),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_float_plant_bank_step_equals_the_numpy_step_bit_for_bit(data, names, seed):
-    # mixed orders (the lag is first order), noise on or off per plant, and
-    # inputs that hold signed zeros, NaN and infinities
+    # mixed orders (the lag is first order), or lags alone, which step on
+    # floats; noise on or off per plant, inputs that hold signed zeros, NaN
+    # and infinities, and states that start at signed zeros: c * -0.0 and
+    # a * -0.0 are -0.0, which the dot's `+ 0.0` turns positive
     library = lti.load_model_library()
     noise = data.draw(st.lists(st.sampled_from((0.0, 0.5)),
                                min_size=len(names), max_size=len(names)))
+    starts = data.draw(st.lists(st.lists(st.sampled_from((0.0, -0.0)), min_size=4,
+                                         max_size=4),
+                                min_size=len(names), max_size=len(names)))
 
     def build():
         rng = np.random.default_rng(seed)
-        return lti.PlantBank(
-            lti.discretize(LAG if name == "lag" else library[name].transfer_function,
-                           0.02, noise_std=std, rng=rng)
-            for name, std in zip(names, noise))
+        plants = [lti.discretize(LAG if name == "lag" else library[name].transfer_function,
+                                 0.02, noise_std=std, rng=rng)
+                  for name, std in zip(names, noise)]
+        for plant, start in zip(plants, starts):
+            plant.state = np.reshape(start[: plant.a.shape[0]], (-1, 1))
+        return lti.PlantBank(plants)
 
     bank, oracle = build(), build()
+    state = oracle.state
     # half the examples step finite inputs alone: a NaN or an infinity stays
     # in the states and would mask a rounding difference in later steps
     inputs = st.floats(-200.0, 200.0)
@@ -458,10 +470,30 @@ def test_float_plant_bank_step_equals_the_numpy_step_bit_for_bit(data, names, se
     for _ in range(25):
         u = data.draw(st.lists(inputs, min_size=len(names), max_size=len(names)))
         with np.errstate(all="ignore"):
-            want = numpy_bank_step(oracle, np.array(u))
+            want, state = numpy_bank_step(oracle, state, np.array(u))
             got = bank.step(u)
         assert one_nan(got).tobytes() == one_nan(want).tobytes()
-        assert bank.state.tobytes() == oracle.state.tobytes()
+        assert bank.state.tobytes() == state.tobytes()
+
+
+@pytest.mark.parametrize("start, u", [(-0.0, -0.0), (-math.nan, math.nan)])
+def test_a_first_order_bank_steps_as_numpy_on_signed_zeros_and_nan(start, u):
+    # c * -0.0 and a * -0.0 are -0.0, which numpy's dot adds to +0.0; where
+    # two NaNs meet, numpy's in-place add keeps the first's sign in its
+    # vector lanes and the second's in the rest (9 plants: 8 and 1), which
+    # no float order repeats, so a NaN state steps on numpy
+    def build():
+        plants = [lti.discretize(LAG, 0.02) for _ in range(9)]
+        for plant in plants:
+            plant.state = np.array([[start]])
+        return lti.PlantBank(plants)
+
+    bank, oracle = build(), build()
+    with np.errstate(all="ignore"):
+        want, state = numpy_bank_step(oracle, oracle.state, np.full(9, u))
+        got = bank.step([u] * 9)
+    assert one_nan(got).tobytes() == one_nan(want).tobytes()
+    assert bank.state.tobytes() == state.tobytes()
 
 
 def test_plant_bank_refuses_noisy_plants_on_two_generators(models):
