@@ -432,15 +432,6 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
     assert same_bits(got, want)
 
 
-def test_a_gathered_row_of_negative_zero_terms_is_positive_zero():
-    # on -0.0 inputs a row with a single term sums 1 * -0.0 and its padding
-    # 0.0 * -0.0, both -0.0: the star's reference rows in either block
-    v = [-0.0] * 6
-    for terms in (STAR.sensing_terms, STAR.actuation_terms):
-        got = controller._product(terms, NoProduct(), v)
-        assert got == [0.0] * 6 and not np.signbit(got).any()
-
-
 class NoProduct:
     """A block that fails when multiplied: the gather must not fall back."""
 
@@ -448,17 +439,13 @@ class NoProduct:
         raise AssertionError("the matrix product ran")
 
 
-def topology_products(topology, m, v):
-    """(got, want) of both lifted products, each of v cut to its width."""
-    lifted = lift(topology, m)
-    for terms, matrix in ((lifted.sensing_terms, lifted.sensing_t),
-                          (lifted.actuation_terms, lifted.actuation)):
-        operand = v[: matrix.shape[1]]
-        # the gather must decide every lift without a row of 3 or more terms
-        # on finite inputs whose sum is finite
-        gathers = terms is not None and math.isfinite(sum(operand))
-        got = controller._product(terms, NoProduct() if gathers else matrix, operand)
-        yield np.array(got), matrix @ np.array(operand)
+def test_a_gathered_row_of_negative_zero_terms_is_positive_zero():
+    # on -0.0 inputs a row with a single term sums 1 * -0.0 and its padding
+    # 0.0 * -0.0, both -0.0: the star's reference rows in either block
+    v = [-0.0] * 6
+    for terms in (STAR.sensing_terms, STAR.actuation_terms):
+        got = controller._product(terms, NoProduct(), v)
+        assert got == [0.0] * 6 and not np.signbit(got).any()
 
 
 # +-0.0, NaN, +-inf, and finite values whose sums overflow
@@ -473,9 +460,17 @@ def test_gathered_products_equal_the_numpy_products_bit_for_bit(data, topology, 
     width = m * max(topology.n_agents, topology.n_edges + 1)
     values = st.floats(-300.0, 300.0) if data.draw(st.booleans()) else product_inputs
     v = data.draw(st.lists(values, min_size=width, max_size=width))
-    with np.errstate(all="ignore"):
-        for got, want in topology_products(topology, m, v):
-            assert got.tobytes() == want.tobytes()
+    lifted = lift(topology, m)
+    for terms, matrix in ((lifted.sensing_terms, lifted.sensing_t),
+                          (lifted.actuation_terms, lifted.actuation)):
+        operand = v[: matrix.shape[1]]
+        # the gather must decide every lift without a row of 3 or more terms
+        # on finite inputs whose sum is finite
+        gathers = terms is not None and math.isfinite(sum(operand))
+        with np.errstate(all="ignore"):
+            got = controller._product(terms, NoProduct() if gathers else matrix, operand)
+            want = matrix @ np.array(operand)
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_every_shipped_lift_gathers():
