@@ -22,13 +22,14 @@ frame (`PathFrame`):
 
 `event_cleared` ends an event once its circles have left the reference
 agent's footprint and every robot has passed them along the frame.  Each
-decision on positions alone comes with radii within which it cannot change
-(`ObstacleField.sensed`, `running_clearance`, `behind_radius` for the
-planning skip `all_behind`, `end_radius`), held in one `MotionBudget`.
+decision on positions alone is one call that also returns the radii within
+which it cannot change (`ObstacleField.sensed`, `running_clearance`, the
+planning skip `behind`, `event_cleared`), held in one `MotionBudget`.
 `boundary_distances` is the one home of a robot's distance to a circle's
 boundary: the running clearances take its minimum, and `niformation
 inspect` reads it over a whole logged run.  Every simulated team plans with
-the footprints `FOV` and `ROBOT_RADIUS`.  All coordinates are centimeters.
+the footprints `FOV` and `ROBOT_RADIUS`, and clears by `CLEARANCE_MARGIN`.
+All coordinates are centimeters.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEGENERATE_AREA = 1e-9
-DEFAULT_MARGIN = 2.0
 DEFAULT_GROUP_RADIUS_CAP = 150.0
 DEFAULT_GROUP_MAX_MEMBERS = 3
 # the one sensor and robot footprint every team plans with (cm)
 FOV = 220.0               # sensor footprint diameter
 LOOK_AHEAD = 100.0        # obstacle reaction range
 ROBOT_RADIUS = 32.0       # planning footprint of every robot
+CLEARANCE_MARGIN = 2.0    # planned clearance beyond that footprint
 COLLISION_RADIUS = 25.0   # physical footprint: contact below this
 FOOTPRINT_SIDES = 64
 # a footprint of radius r about c is the polygon c + r * FOOTPRINT_RING
@@ -55,7 +56,7 @@ FOOTPRINT_RING = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
 SENSING_MARGIN = 1e-8   # rounding margin per cm (per cm^2 for a product) of
                         # the lengths a reuse or skip bound is computed from
 GATE_ULPS = 64          # squared gate distances this close are re-decided
-_TINY_SCALE = 2.0 ** -900  # `all_behind` rescales rows whose products fall below
+_TINY_SCALE = 2.0 ** -900  # `behind` rescales rows whose products fall below
 
 MODE_SINGLE = 1
 MODE_FACING = 2
@@ -449,9 +450,10 @@ def group_all(circles, robot_diameter: float,
 
 # --------------------------------------------------------------- detection
 
-def all_behind(centers, head, target) -> bool:
-    """Every centre lies behind `head` on its run toward `target`, by more
-    than a rounding margin, so `detect_mode` plans nothing.
+def behind(centers, head, target) -> tuple[bool, float]:
+    """Whether every centre lies behind `head` on its run toward `target`, by
+    more than a rounding margin, so `detect_mode` plans nothing; and if so,
+    how far `head` and `target` may each move with that still true.
 
     `detect_mode` passes over every circle whose along-track coordinate
     (c - head) @ (target - head) / |target - head| is <= 0, and plans only
@@ -462,34 +464,28 @@ def all_behind(centers, head, target) -> bool:
     never passes.  Products below the normal range round to a fixed grid
     rather than to an ulp, so rows that fail there are tested again with
     each row and the heading scaled up, exactly, by a power of two.
-    """
-    rel = centers - head
-    heading = target - head
-    scale = np.abs(rel) @ np.abs(heading)
-    if (rel @ heading < -SENSING_MARGIN * scale).all():
-        return True
-    if not scale.min() < _TINY_SCALE:
-        return False
-    rel = np.ldexp(rel, -np.minimum(np.frexp(np.abs(rel).max(axis=1))[1], 0)[:, None])
-    heading = np.ldexp(heading, -min(int(np.frexp(np.abs(heading).max())[1]), 0))
-    return bool((rel @ heading < -SENSING_MARGIN * (np.abs(rel) @ np.abs(heading))).all())
-
-
-def behind_radius(centers, head, target) -> float:
-    """How far `head` and `target` may each move with `all_behind`, which
-    holds for them, still true.
 
     With a = c - head, b = target - head and both moves below r, a.b and
     the margin term each change by at most 2r|a| + r|b| + 2r^2.  A radius
     r = slack / (4|a| + 3|b|), the slack being -a.b less twice the margin
     term, is at most |a|/3, so that change stays under 3/4 of the slack:
-    the rest covers rounding.  A NaN stays NaN.
+    the rest covers rounding.  A NaN stays NaN, and so does the radius of
+    a skip whose every length underflows; a skip that fails has radius 0.
     """
     rel = centers - head
     heading = target - head
-    slack = -(rel @ heading) - 2.0 * SENSING_MARGIN * (np.abs(rel) @ np.abs(heading))
+    dot, scale = rel @ heading, np.abs(rel) @ np.abs(heading)
+    if not (dot < -SENSING_MARGIN * scale).all():
+        if not scale.min() < _TINY_SCALE:
+            return False, 0.0
+        rows_up = np.ldexp(rel, -np.minimum(np.frexp(np.abs(rel).max(axis=1))[1], 0)[:, None])
+        aim_up = np.ldexp(heading, -min(int(np.frexp(np.abs(heading).max())[1]), 0))
+        if not (rows_up @ aim_up < -SENSING_MARGIN * (np.abs(rows_up) @ np.abs(aim_up))).all():
+            return False, 0.0
+    slack = -dot - 2.0 * SENSING_MARGIN * scale
     length = 4.0 * np.sqrt(np.add.reduce(rel * rel, axis=1)) + 3.0 * np.sqrt(heading @ heading)
-    return float((slack / length).min())
+    with np.errstate(invalid="ignore"):
+        return True, float((slack / length).min())
 
 
 def point_segment_distance(point, seg_a, seg_b) -> float:
@@ -504,10 +500,6 @@ def point_segment_distance(point, seg_a, seg_b) -> float:
     return float(np.linalg.norm(p - (a + t * d)))
 
 
-def segment_blocked(seg_a, seg_b, circle: ObstacleCircle, robot_radius: float) -> bool:
-    return point_segment_distance(circle.center, seg_a, seg_b) < circle.radius + robot_radius
-
-
 def _path_frame(origin, target) -> PathFrame | None:
     d = np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)
     norm = float(np.linalg.norm(d))
@@ -517,21 +509,19 @@ def _path_frame(origin, target) -> PathFrame | None:
     return PathFrame(origin, along, np.array([-along[1], along[0]]))
 
 
-def detect_mode(positions, targets, radii, master_index: int, obstacles,
-                fov: float, look_ahead: float,
-                margin: float = DEFAULT_MARGIN) -> AvoidanceEvent | None:
+def detect_mode(positions, targets, master_index: int, obstacles,
+                fov: float, look_ahead: float) -> AvoidanceEvent | None:
     """Detect and plan the highest-priority avoidance maneuver, if any.
 
     positions/targets are (n, 2): each robot's location and the point its
-    straight run currently aims at; radii is length n.  `obstacles` are the
-    already-grouped circles.  A facing pair outranks a single obstacle.
+    straight run currently aims at.  `obstacles` are the already-grouped
+    circles.  A facing pair outranks a single obstacle.
     Returns None when nothing within range threatens anyone.  The simulator
-    skips the call on a step where `all_behind` holds for the grouped
+    skips the call on a step where `behind` holds for the grouped
     circles, the reference agent and its target, since it would return None.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
     tgt = np.asarray(targets, dtype=float).reshape(-1, 2)
-    rad = np.asarray(radii, dtype=float).reshape(-1)
     n = pos.shape[0]
     frame = _path_frame(pos[master_index], tgt[master_index])
     if frame is None or not obstacles:
@@ -540,8 +530,7 @@ def detect_mode(positions, targets, radii, master_index: int, obstacles,
 
     # ---- facing pair (mode 2)
     if len(followers) == 2:
-        pair = _detect_facing_pair(pos, rad, master_index, followers, obstacles,
-                                   fov, look_ahead, margin, frame)
+        pair = _detect_facing_pair(pos, followers, obstacles, fov, look_ahead, frame)
         if pair is not None:
             return pair
 
@@ -554,26 +543,26 @@ def detect_mode(positions, targets, radii, master_index: int, obstacles,
             reach = float(np.linalg.norm(pos[robot] - np.asarray(circle.center)))
             if reach - circle.radius > look_ahead:
                 continue
-            if not segment_blocked(pos[robot], tgt[robot], circle, rad[robot]):
+            if not (point_segment_distance(circle.center, pos[robot], tgt[robot])
+                    < circle.radius + ROBOT_RADIUS):
                 continue
             others_near = any(
                 float(np.linalg.norm(np.asarray(c.center) - np.asarray(circle.center))) <= fov / 2.0
                 for c in obstacles if c is not circle)
             if others_near:
                 continue  # not an isolated single: leave it to the pair logic
-            return _plan_single(pos, rad, master_index, robot, circle, margin, frame)
+            return _plan_single(pos, master_index, robot, circle, frame)
     return None
 
 
-def _detect_facing_pair(pos, rad, master_index, followers, obstacles, fov,
-                        look_ahead, margin, frame: PathFrame):
+def _detect_facing_pair(pos, followers, obstacles, fov, look_ahead, frame: PathFrame):
     candidates = []
     for idx, circle in enumerate(obstacles):
         s, l = frame.coords(circle.center)
         if s <= 0:
             continue
         reach = float(np.linalg.norm(frame.origin - np.asarray(circle.center)))
-        if reach - circle.radius <= look_ahead + rad[master_index]:
+        if reach - circle.radius <= look_ahead + ROBOT_RADIUS:
             candidates.append((idx, circle, s, l))
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
@@ -584,13 +573,11 @@ def _detect_facing_pair(pos, rad, master_index, followers, obstacles, fov,
             span = float(np.linalg.norm(np.asarray(c2.center) - np.asarray(c1.center)))
             if span >= fov:
                 continue
-            return _plan_facing(pos, rad, master_index, followers, c1, c2,
-                                margin, frame)
+            return _plan_facing(pos, followers, c1, c2, frame)
     return None
 
 
-def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
-                 frame: PathFrame) -> AvoidanceEvent:
+def _plan_facing(pos, followers, c1, c2, frame: PathFrame) -> AvoidanceEvent:
     p1, p2 = np.asarray(c1.center), np.asarray(c2.center)
     axis = p2 - p1
     span = float(np.linalg.norm(axis))
@@ -609,9 +596,9 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
     sp_b = sc1 + float((inner_b - sc1) @ line) * line
     gap = float(np.linalg.norm(sp_b - sp_a))
 
-    master_diameter = 2.0 * rad[master_index]
-    squeeze_floor = master_diameter + rad[s1] + rad[s2]
-    pass_floor = line_len + rad[s1] + rad[s2]
+    master_diameter = 2.0 * ROBOT_RADIUS
+    squeeze_floor = master_diameter + ROBOT_RADIUS + ROBOT_RADIUS
+    pass_floor = line_len + ROBOT_RADIUS + ROBOT_RADIUS
     mid_c = 0.5 * (inner_a + inner_b)
 
     geometry = {"inner_a": tuple(inner_a), "inner_b": tuple(inner_b),
@@ -625,7 +612,7 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
     if gap > squeeze_floor:
         mid_line = 0.5 * (sp_a + sp_b)
         # assign each follower the nearer projected point, then pull both
-        # stations inward by the follower radius plus the margin
+        # stations inward by the robot radius plus the margin
         if (np.linalg.norm(sc1 - sp_a) + np.linalg.norm(sc2 - sp_b)
                 <= np.linalg.norm(sc1 - sp_b) + np.linalg.norm(sc2 - sp_a)):
             assignment = [(s1, sp_a), (s2, sp_b)]
@@ -635,7 +622,7 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
         for robot, point in assignment:
             inward = mid_line - point
             inward_len = float(np.linalg.norm(inward))
-            station = point + (rad[robot] + margin) * (inward / inward_len)
+            station = point + (ROBOT_RADIUS + CLEARANCE_MARGIN) * (inward / inward_len)
             slave_laterals[robot + 1] = frame.coords(station)[1]
         _, master_lat = frame.coords(mid_c)
         return AvoidanceEvent(sub_case=SUB_SQUEEZE, master_lateral=master_lat,
@@ -648,10 +635,9 @@ def _plan_facing(pos, rad, master_index, followers, c1, c2, margin,
                               f"reference agent's diameter")
 
 
-def _plan_single(pos, rad, master_index, robot, circle, margin,
-                 frame: PathFrame) -> AvoidanceEvent:
+def _plan_single(pos, master_index, robot, circle, frame: PathFrame) -> AvoidanceEvent:
     s_oc, l_oc = frame.coords(circle.center)
-    clearance = circle.radius + rad[robot] + margin
+    clearance = circle.radius + ROBOT_RADIUS + CLEARANCE_MARGIN
     common = dict(mode=MODE_SINGLE, obstacles=(circle,), frame=frame,
                   threatened=robot + 1)
 
@@ -679,38 +665,35 @@ def _plan_single(pos, rad, master_index, robot, circle, margin,
 
 
 def event_cleared(event: AvoidanceEvent, positions, master: int, fov: float,
-                  robot_radius: float) -> bool:
-    """The maneuver ends once no involved circle lies within fov/2 of robot
+                  robot_radius: float) -> tuple[bool, np.ndarray | None]:
+    """Whether the maneuver ends and, if not, radii per robot within which
+    it stays so.  It ends once no involved circle lies within fov/2 of robot
     `master`, the reference agent, and every robot's along-track coordinate
     is above every circle's plus its radius and `robot_radius`.  The
     reference agent's progress alone is not enough: followers stationed
     behind it are still alongside the hazards when it passes, and
     re-expanding the schedule then would sweep them into the walls.  The
     reference agent is one of the robots, so it is also past every centre.
-    A NaN coordinate passes both tests."""
+    A NaN coordinate passes both tests.
+
+    The head's slack fov/2 - min |head - c| keeps a circle within fov/2 of
+    it or, if larger, the largest along-track gap bar - s of any robot at or
+    below the highest bar keeps it there (`along` is a unit vector); the
+    others may move anywhere.  Each slack loses `SENSING_MARGIN` of the
+    lengths it is computed from; NaN never holds.  The radii's batched
+    products round apart from the decision's: neither derives the other.
+    """
     pos = np.asarray(positions, dtype=float)
-    head = pos[master]
-    for circle in event.obstacles:
-        if float(np.linalg.norm(head - np.asarray(circle.center))) <= fov / 2.0:
-            return False
     frame = event.frame
-    passed = [frame.coords(c.center)[0] + c.radius + robot_radius
-              for c in event.obstacles]
-    along = [frame.coords(p)[0] for p in pos]
-    return not any(s <= bar for s in along for bar in passed)
-
-
-def end_radius(event: AvoidanceEvent, positions, master: int, fov: float,
-               robot_radius: float) -> np.ndarray:
-    """Radii per robot within which an event `event_cleared` has not ended
-    stays so: the head's slack fov/2 - min |head - c| keeps a circle within
-    fov/2 of it or, if larger, the largest along-track gap bar - s of any
-    robot at or below the highest bar keeps it there (`along` is a unit
-    vector).  The others may move anywhere.  Each slack loses
-    `SENSING_MARGIN` of the lengths it is computed from; NaN never holds."""
-    pos = np.asarray(positions, dtype=float)
+    if not any(float(np.linalg.norm(pos[master] - np.asarray(c.center))) <= fov / 2.0
+               for c in event.obstacles):
+        passed = [frame.coords(c.center)[0] + c.radius + robot_radius
+                  for c in event.obstacles]
+        progress = [frame.coords(p)[0] for p in pos]
+        if not any(s <= bar for s in progress for bar in passed):
+            return True, None
     centers, radii = circle_arrays(event.obstacles)
-    origin, along = event.frame.origin, event.frame.along
+    origin, along = frame.origin, frame.along
     rel = pos[master] - centers
     head = fov / 2.0 - np.sqrt(np.add.reduce(rel * rel, axis=1)).min()
     bar = float(((centers - origin) @ along + radii).max()) + robot_radius
@@ -724,4 +707,4 @@ def end_radius(event: AvoidanceEvent, positions, master: int, fov: float,
         radius[master] = head
     else:
         radius[robot] = gap
-    return radius
+    return False, radius

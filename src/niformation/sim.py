@@ -37,12 +37,13 @@ read, written once a step.
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
 its outcome, so a run stays bit for bit the same: sensing (and grouping,
-when the sensed circles change), the planning skip (`obstacle.all_behind`:
+when the sensed circles change), the planning skip (`obstacle.behind`:
 every grouped circle behind the reference agent on its way to the
 reference point, so `detect_mode` would plan nothing; the reference point's
-own motion is charged apart), both clearance minima, the event's end and
-the divergence box.  A step tests one displacement; `obstacle` derives
-each radius and its rounding margin.
+own motion is charged apart), both clearance minima, the event's end
+(`obstacle.event_cleared`) and the divergence box, each one call for its
+outcome and radius.  A step tests one displacement; `obstacle` derives each
+radius and its rounding margin.
 
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
@@ -454,10 +455,10 @@ class Simulator:
         if self.avoidance is not None:
             if not budget.stale[EVENT_END]:
                 return
-            end = (self.avoidance, self.positions, self.master, obstacle.FOV,
-                   obstacle.ROBOT_RADIUS)
-            if not obstacle.event_cleared(*end):
-                budget.renew(self.positions, EVENT_END, obstacle.end_radius(*end))
+            cleared, radius = obstacle.event_cleared(
+                self.avoidance, self.positions, self.master, obstacle.FOV, obstacle.ROBOT_RADIUS)
+            if not cleared:
+                budget.renew(self.positions, EVENT_END, radius)
                 return
             # glide the reference back to the waypoint instead of stepping
             # it: the formation is cruising at the clear instant, and a step
@@ -479,8 +480,8 @@ class Simulator:
             if moved @ moved < self.skip_reach2:
                 return
         head, centers = self.positions[self.master], obstacle.circle_arrays(self.grouped)[0]
-        if obstacle.all_behind(centers, head, reference):
-            reach = obstacle.behind_radius(centers, head, reference)
+        skip, reach = obstacle.behind(centers, head, reference)
+        if skip:
             radius = np.full(self.n, np.inf)
             radius[self.master] = reach
             budget.renew(self.positions, PLAN_SKIP, radius)
@@ -488,10 +489,8 @@ class Simulator:
             return
         budget.expire(PLAN_SKIP)
         targets = self._slave_targets(reference)
-        event = obstacle.detect_mode(self.positions, targets,
-                                     [obstacle.ROBOT_RADIUS] * self.n,
-                                     self.master, self.grouped, obstacle.FOV,
-                                     obstacle.LOOK_AHEAD)
+        event = obstacle.detect_mode(self.positions, targets, self.master, self.grouped,
+                                     obstacle.FOV, obstacle.LOOK_AHEAD)
         if event is None:
             return
         self.avoidance = event
@@ -636,7 +635,7 @@ class Simulator:
 
         if (scn.yaw_control is not None and scn.yaw_control.corner_turns
                 and self.target_idx + 1 < len(self.waypoints)):
-            previous = (self.origin[self.master] if self.completed <= 0 or self.target_idx == 0
+            previous = (self.origin[self.master] if self.target_idx == 0
                         else self.waypoints[self.target_idx - 1])
             incoming = controller.heading_from_motion(target, previous, self.last_heading)
             outgoing = controller.heading_from_motion(
@@ -685,13 +684,12 @@ class Simulator:
 
     # ----------------------------------------------------------- stepping
 
-    def _commands(self, now: float, reference: tuple[float, float]):
+    def _commands(self, reference: tuple[float, float], offsets: list[float]):
         # during a corner turn the reference stays pinned at the reached
         # vertex, so the position loop station-keeps there while yaw realigns
         # (a zero velocity command would let the leaky plants drift home)
         scn = self.scn
         positions = self.pos_ring[-1]
-        offsets = self.active_offsets.ravel().tolist()
         if scn.control.mode == "enhanced":
             planar = controller.enhanced_control(
                 positions, self.velocities, self.planar_lift,
@@ -747,13 +745,12 @@ class Simulator:
         self.velocities = [(new - old) / elapsed for new, old in zip(positions, ring[0])]
         return applied_planar, applied_yaw
 
-    def _update_metrics(self, now: float):
+    def _update_metrics(self, now: float, offsets: list[float]):
         # the error maxima are steady-behaviour metrics: a scenario may
         # declare a warmup so the spin-up transient every mode shares does
         # not mask the differences under study
         if self.rel_err_max and now >= self.scn.metrics_warmup_s:
             positions = self.pos_ring[-1]
-            offsets = self.active_offsets.ravel().tolist()
             for e, (head, tail) in enumerate(self.planar_lift.pairs):
                 # the arithmetic of np.linalg.norm, then np.maximum's NaN
                 dx = positions[2 * tail] - positions[2 * head] - offsets[2 * e]
@@ -823,7 +820,9 @@ class Simulator:
             self._update_waypoints(now)
 
             reference = self._reference_point(now)
-            planar, yaw_cmds = self._commands(now, reference)
+            # the offsets as stacked floats: nothing below writes them
+            offsets = self.active_offsets.ravel().tolist()
+            planar, yaw_cmds = self._commands(reference, offsets)
             applied_planar, applied_yaw = self._advance_plants(planar, yaw_cmds)
 
             pairs.pack_into(rows[0], k * pairs.size, *self.pos_ring[-1])
@@ -834,7 +833,7 @@ class Simulator:
             avoid_modes[k] = 0 if self.avoidance is None else self.avoidance.mode
             logged = k + 1
 
-            self._update_metrics(now)
+            self._update_metrics(now, offsets)
             if not self._check_safety(now):
                 break
             if (self.terminal_time is not None

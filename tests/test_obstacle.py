@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from niformation import obstacle
 from niformation.obstacle import (ObstacleCircle, ObstacleField,
-                                  UnsupportedManeuver, all_behind, circle_arrays,
+                                  UnsupportedManeuver, behind, circle_arrays,
                                   circle_from_observation,
                                   clip_polygon_to_disc, detect_mode,
                                   enclosing_circle, event_cleared, group_all,
@@ -163,8 +163,7 @@ def line_targets(positions, advance=320.0):
 def test_no_event_when_nothing_is_in_range():
     positions = [(-100.0, -150.0), (0.0, -150.0), (-200.0, -150.0)]
     circles = [circle_from_observation(box(-100.0, 30.0, 50.0), (0,))]
-    event = detect_mode(positions, line_targets(positions),
-                        [ROBOT_RADIUS] * 3, 0, circles,
+    event = detect_mode(positions, line_targets(positions), 0, circles,
                         fov=220.0, look_ahead=100.0)
     assert event is None  # closest approach 180 - 35.4 > 100
 
@@ -172,8 +171,7 @@ def test_no_event_when_nothing_is_in_range():
 def test_obstacle_behind_the_motion_is_ignored():
     positions = [(-100.0, 100.0), (0.0, 100.0), (-200.0, 100.0)]
     circles = [circle_from_observation(box(-100.0, 30.0, 50.0), (0,))]
-    event = detect_mode(positions, line_targets(positions),
-                        [ROBOT_RADIUS] * 3, 0, circles,
+    event = detect_mode(positions, line_targets(positions), 0, circles,
                         fov=220.0, look_ahead=100.0)
     assert event is None
 
@@ -182,8 +180,7 @@ def test_reference_agent_detour_plan():
     # the box sits dead center on the reference agent's run
     positions = [(-100.0, -100.0), (0.0, -100.0), (-200.0, -100.0)]
     circles = [circle_from_observation(box(-100.0, 30.0, 50.0), (0,))]
-    event = detect_mode(positions, line_targets(positions),
-                        [ROBOT_RADIUS] * 3, 0, circles,
+    event = detect_mode(positions, line_targets(positions), 0, circles,
                         fov=220.0, look_ahead=100.0)
     assert event is not None
     assert event.mode == obstacle.MODE_SINGLE
@@ -204,7 +201,7 @@ def test_follower_dodge_plan():
     positions = [(0.0, 0.0), (80.0, -50.0), (-80.0, -50.0)]
     targets = [(0.0, 300.0), (80.0, 250.0), (-80.0, 250.0)]
     circles = [ObstacleCircle((75.0, 100.0), 20.0, (0,))]
-    event = detect_mode(positions, targets, [ROBOT_RADIUS] * 3, 0, circles,
+    event = detect_mode(positions, targets, 0, circles,
                         fov=220.0, look_ahead=200.0)
     assert event is not None
     assert event.strategy == obstacle.STRATEGY_FOLLOWER
@@ -221,7 +218,7 @@ def test_facing_pair_squeeze_plan():
     targets = [(-100.0, 220.0), (0.0, 120.0), (-200.0, 120.0)]
     circles = [circle_from_observation(box(-205.0, 30.0, 50.0), (0,)),
                circle_from_observation(box(5.0, 30.0, 50.0), (1,))]
-    event = detect_mode(positions, targets, [ROBOT_RADIUS] * 3, 0, circles,
+    event = detect_mode(positions, targets, 0, circles,
                         fov=220.0, look_ahead=100.0)
     assert event is not None
     assert event.mode == obstacle.MODE_FACING
@@ -245,7 +242,7 @@ def test_facing_pair_wide_enough_to_pass():
     # giant lateral spacing: projected gap far exceeds the formation width
     circles = [ObstacleCircle((-210.0, 100.0), 20.0, (0,)),
                ObstacleCircle((200.0, 100.0), 20.0, (1,))]
-    event = detect_mode(positions, targets, [ROBOT_RADIUS] * 3, 0, circles,
+    event = detect_mode(positions, targets, 0, circles,
                         fov=500.0, look_ahead=200.0)
     assert event is not None
     assert event.sub_case == obstacle.SUB_PASS
@@ -260,19 +257,18 @@ def test_single_file_gap_is_rejected():
     circles = [ObstacleCircle((-70.0, 80.0), 20.0, (0,)),
                ObstacleCircle((70.0, 80.0), 20.0, (1,))]
     with pytest.raises(UnsupportedManeuver, match="single-file"):
-        detect_mode(positions, targets, [ROBOT_RADIUS] * 3, 0, circles,
+        detect_mode(positions, targets, 0, circles,
                     fov=500.0, look_ahead=200.0)
 
 
 def test_event_clears_only_behind_and_outside_the_footprint():
     positions = [(-100.0, -100.0), (0.0, -100.0), (-200.0, -100.0)]
     circles = [circle_from_observation(box(-100.0, 30.0, 50.0), (0,))]
-    event = detect_mode(positions, line_targets(positions),
-                        [ROBOT_RADIUS] * 3, 0, circles,
+    event = detect_mode(positions, line_targets(positions), 0, circles,
                         fov=220.0, look_ahead=100.0)
 
     def cleared(head):
-        return event_cleared(event, [head], 0, 220.0, ROBOT_RADIUS)
+        return event_cleared(event, [head], 0, 220.0, ROBOT_RADIUS)[0]
 
     assert not cleared((-169.0, 30.0))   # abeam, inside
     assert not cleared((-100.0, 35.0))   # ahead but close
@@ -349,7 +345,7 @@ def planned_events(draw):
     pos, tgt = place(positions) + jitter, place(targets) + jitter
     obstacles = [ObstacleCircle(tuple(place(c[:2])), c[2], (i,))
                  for i, c in enumerate(circles)]
-    event = detect_mode(pos, tgt, [ROBOT_RADIUS] * 3, 0, obstacles,
+    event = detect_mode(pos, tgt, 0, obstacles,
                         fov=fov, look_ahead=look_ahead)
     assert (event.mode, event.sub_case, event.strategy) == family
     return event, pos, tgt, fov
@@ -390,7 +386,7 @@ def test_path_frame_plans_what_the_hand_built_frame_planned(case):
     point = tuple(pos[1])
     assert all(same_bits(a, b) for a, b in zip(frame.coords(point), coords(point)))
     geometry = event.geometry
-    clearance = ROBOT_RADIUS + obstacle.DEFAULT_MARGIN
+    clearance = ROBOT_RADIUS + obstacle.CLEARANCE_MARGIN
     if event.strategy == obstacle.STRATEGY_REFERENCE:
         (circle,) = event.obstacles
         s_oc, l_oc = coords(circle.center)
@@ -490,8 +486,9 @@ def end_cases(draw):
 @settings(max_examples=600, deadline=None)
 def test_event_end_is_the_former_head_and_per_robot_decision(case):
     event, positions, fov, radius = case
-    assert (event_cleared(event, positions, 0, fov, radius)
-            == old_event_end(event, positions, 0, fov, radius))
+    cleared, radii = event_cleared(event, positions, 0, fov, radius)
+    assert cleared == old_event_end(event, positions, 0, fov, radius)
+    assert (radii is None) == cleared
 
 
 def test_a_robot_right_on_its_bar_has_not_passed_it():
@@ -503,7 +500,7 @@ def test_a_robot_right_on_its_bar_has_not_passed_it():
     bar = 100.3 + SQUARE_HALF_DIAGONAL + 32.1
     assert 100.3 + (SQUARE_HALF_DIAGONAL + 32.1) < bar
     for along, cleared in ((bar, False), (np.nextafter(bar, np.inf), True)):
-        assert event_cleared(event, [(300.0, along)], 0, 220.0, 32.1) is cleared
+        assert event_cleared(event, [(300.0, along)], 0, 220.0, 32.1)[0] is cleared
 
 
 # how far a drawn centre sits ahead of the perpendicular through the head,
@@ -550,10 +547,9 @@ def plan_cases(draw):
 def test_detect_mode_plans_nothing_where_every_centre_is_behind(case):
     head, target, circles, positions = case
     centers = circle_arrays(circles)[0]
-    skipped = all_behind(centers, head, target)
+    skipped, _ = behind(centers, head, target)
     if skipped:
-        assert detect_mode(positions, positions + (target - head),
-                           [ROBOT_RADIUS] * 3, 0, circles,
+        assert detect_mode(positions, positions + (target - head), 0, circles,
                            fov=220.0, look_ahead=100.0) is None
     # in exact arithmetic: with every centre behind by two margins or more,
     # the step is skipped
@@ -571,13 +567,13 @@ def test_detect_mode_plans_nothing_where_every_centre_is_behind(case):
 
 def test_nothing_ahead_and_a_zero_heading_are_told_apart():
     head, target = np.array([10.0, -4.0]), np.array([10.0, 96.0])
-    behind = np.array([[10.0, -4.0 - 1e-3], [-60.0, -5.0]])
-    assert all_behind(behind, head, target)
+    centers = np.array([[10.0, -4.0 - 1e-3], [-60.0, -5.0]])
+    assert behind(centers, head, target)[0]
     # one centre ahead, on the perpendicular, or NaN, or no heading at all
     for extra in ([70.0, -3.9], [70.0, -4.0], [np.nan, 0.0]):
-        assert not all_behind(np.vstack([behind, extra]), head, target)
-    assert not all_behind(behind, head, head)
-    assert not all_behind(behind, np.array([np.nan, 0.0]), target)
+        assert not behind(np.vstack([centers, extra]), head, target)[0]
+    assert not behind(centers, head, head)[0]
+    assert not behind(centers, np.array([np.nan, 0.0]), target)[0]
 
 
 def test_a_centre_behind_by_subnormals_is_behind():
@@ -586,9 +582,9 @@ def test_a_centre_behind_by_subnormals_is_behind():
     tiny = np.nextafter(0.0, 1.0)
     for target in ([1e-12, 0.0], [1e-300, -1e-300], [3.0, 4.0]):
         target = np.array(target)
-        assert all_behind(np.array([[-tiny, 0.0], [-5.0, 1.0]]), head, target)
-        assert not all_behind(np.array([[tiny, 0.0], [-5.0, 1.0]]), head, target)
-        assert not all_behind(np.array([[0.0, 0.0]]), head, target)
+        assert behind(np.array([[-tiny, 0.0], [-5.0, 1.0]]), head, target)[0]
+        assert not behind(np.array([[tiny, 0.0], [-5.0, 1.0]]), head, target)[0]
+        assert not behind(np.array([[0.0, 0.0]]), head, target)[0]
 
 
 # ------------------------------------------------------------- small tools
@@ -1280,16 +1276,17 @@ def test_one_budget_holds_every_decision_as_a_fresh_one_along_walks(walk):
             assert np.float64(least[row]).tobytes() == np.float64(want[row]).tobytes()
         end = (event, team, 0, fov, robot_radius)
         if budget.stale[END]:
-            if not event_cleared(*end):
-                budget.renew(team, END, obstacle.end_radius(*end))
+            cleared, radius = event_cleared(*end)
+            if not cleared:
+                budget.renew(team, END, radius)
         else:
-            assert not event_cleared(*end)
-        behind = all_behind(plan_centers, team[0], reference)
+            assert not event_cleared(*end)[0]
+        skip, reach = behind(plan_centers, team[0], reference)
         moved = reference - skip_from if skip_from is not None else np.full(2, np.nan)
         if not budget.stale[PLAN] and moved @ moved < skip_reach * skip_reach:
-            assert behind
-        elif behind:
-            skip_reach = obstacle.behind_radius(plan_centers, team[0], reference)
+            assert skip
+        elif skip:
+            skip_reach = reach
             budget.renew(team, PLAN, np.where(np.arange(len(team)) == 0, skip_reach, np.inf))
             skip_from = reference
         else:
@@ -1311,9 +1308,10 @@ def test_moves_within_the_behind_radius_keep_every_centre_behind(case, fraction,
     # every centre behind
     head, target, circles, _ = case
     centers = circle_arrays(circles)[0]
-    if not all_behind(centers, head, target):
+    skip, reach = behind(centers, head, target)
+    if not skip:
         return
-    step = fraction * max(obstacle.behind_radius(centers, head, target), 0.0)
+    step = fraction * max(reach, 0.0)
     anywhere = np.array([np.cos(angle), np.sin(angle)])
     for center in centers:
         rel, heading = center - head, target - head
@@ -1321,8 +1319,8 @@ def test_moves_within_the_behind_radius_keep_every_centre_behind(case, fraction,
                  if np.linalg.norm(v) > 0.0]
         for head_move in [-u for u in units] + [anywhere]:
             for target_move in units + [anywhere]:
-                assert all_behind(centers, head + step * head_move,
-                                  target + step * target_move)
+                assert behind(centers, head + step * head_move,
+                              target + step * target_move)[0]
 
 
 @given(case=end_cases(), fraction=st.sampled_from([0.5, 0.99, 1.0 - 2.0 ** -20]),
@@ -1333,9 +1331,9 @@ def test_moves_within_the_end_radius_keep_the_event(case, fraction, angle):
     # nearest circle, forward along the frame or anywhere, keeps the event
     # going while every other robot passes far beyond the circles
     event, positions, fov, radius = case
-    if event_cleared(event, positions, 0, fov, radius):
+    cleared, radii = event_cleared(event, positions, 0, fov, radius)
+    if cleared:
         return
-    radii = obstacle.end_radius(event, positions, 0, fov, radius)
     if not (radii > 0.0).all():      # then `MotionBudget.renew` holds nothing
         return
     frame = event.frame
@@ -1349,4 +1347,4 @@ def test_moves_within_the_end_radius_keep_the_event(case, fraction, angle):
         for direction in directions:
             moved = np.array([frame.to_world(beyond + radius, 0.0)] * len(positions))
             moved[robot] = positions[robot] + fraction * radii[robot] * direction
-            assert not event_cleared(event, moved, 0, fov, radius)
+            assert not event_cleared(event, moved, 0, fov, radius)[0]

@@ -553,17 +553,17 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
 def test_planning_is_skipped_only_where_detect_mode_plans_nothing(monkeypatch, name):
     # an avoidance-free step with circles sensed plans only when some
     # grouped circle is not behind the head; on a skipped step, whether
-    # held or decided, a fresh `all_behind` holds and detect_mode, called
+    # held or decided, a fresh `behind` holds and detect_mode, called
     # anyway, plans nothing.  On cluttered_course planning stays rare, and
     # the skip is mostly held rather than decided
-    detect_mode, all_behind = obstacle.detect_mode, obstacle.all_behind
+    detect_mode, behind = obstacle.detect_mode, obstacle.behind
     sensed, group_all = obstacle.ObstacleField.sensed, obstacle.group_all
     update_avoidance = sim.Simulator._update_avoidance
     counts = {"sensed": 0, "planned": 0, "decided": 0}
 
-    def counting_all_behind(*args):
+    def counting_behind(*args):
         counts["decided"] += 1
-        return all_behind(*args)
+        return behind(*args)
 
     def counting_detect_mode(*args, **kwargs):
         counts["planned"] += 1
@@ -581,12 +581,11 @@ def test_planning_is_skipped_only_where_detect_mode_plans_nothing(monkeypatch, n
         centers = obstacle.circle_arrays(self.grouped)[0]
         if counts["planned"] == planned:
             reference = self._reference_point(now)
-            assert all_behind(centers, self.positions[self.master], reference)
-            assert detect_mode(self.positions, self._slave_targets(reference),
-                               [obstacle.ROBOT_RADIUS] * self.n, self.master,
+            assert behind(centers, self.positions[self.master], reference)[0]
+            assert detect_mode(self.positions, self._slave_targets(reference), self.master,
                                self.grouped, obstacle.FOV, obstacle.LOOK_AHEAD) is None
 
-    monkeypatch.setattr(obstacle, "all_behind", counting_all_behind)
+    monkeypatch.setattr(obstacle, "behind", counting_behind)
     monkeypatch.setattr(obstacle, "detect_mode", counting_detect_mode)
     monkeypatch.setattr(sim.Simulator, "_update_avoidance", checking_update_avoidance)
     assert sim.run_scenario(name).summary["status"] == "completed"
@@ -602,7 +601,7 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
     # from ahead of the head to behind the box: the skip, held while the
     # reference moves little, must give way to planning once the box is no
     # longer behind the head on its run to the reference
-    detect_mode, all_behind = obstacle.detect_mode, obstacle.all_behind
+    detect_mode, behind = obstacle.detect_mode, obstacle.behind
     simulator = sim.Simulator(scenario.load_scenario("single_obstacle_line"))
     simulator.positions[:] = [[-100.0, 110.0], [0.0, 110.0], [-200.0, 110.0]]
     simulator.budget.spend(simulator.positions.ravel().tolist())
@@ -610,14 +609,14 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
                                   0.0, glide_s=10.0)
     calls = {"planned": 0, "decided": 0}
 
-    def counting_all_behind(*args):
+    def counting_behind(*args):
         calls["decided"] += 1
-        return all_behind(*args)
+        return behind(*args)
 
     def counting_detect_mode(*args, **kwargs):
         calls["planned"] += 1
 
-    monkeypatch.setattr(obstacle, "all_behind", counting_all_behind)
+    monkeypatch.setattr(obstacle, "behind", counting_behind)
     monkeypatch.setattr(obstacle, "detect_mode", counting_detect_mode)
     skipped = []
     for now in np.arange(0.0, 10.0, 0.125):
@@ -625,8 +624,8 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
         simulator._update_avoidance(now)
         skipped.append(calls["planned"] == planned)
         centers = obstacle.circle_arrays(simulator.grouped)[0]
-        assert skipped[-1] == all_behind(centers, simulator.positions[0],
-                                         simulator._reference_point(now))
+        assert skipped[-1] == behind(centers, simulator.positions[0],
+                                     simulator._reference_point(now))[0]
     assert 0 < skipped.count(True) < len(skipped)
     assert calls["decided"] < len(skipped)
 
@@ -643,8 +642,8 @@ def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch,
         calls["made"] += 1
         return nearest_boundary(*args)
 
-    def checking_update_metrics(self, now):
-        update_metrics(self, now)
+    def checking_update_metrics(self, now, offsets):
+        update_metrics(self, now, offsets)
         calls["per_step"] += 1
         fresh["field"] = min(fresh["field"], nearest_boundary(
             self.positions, self.obstacles.centers, self.obstacles.radii)
@@ -681,10 +680,11 @@ def test_event_end_is_the_former_split_decision_on_every_event_step(monkeypatch,
     decided, steps = [], []
 
     def checking_event_cleared(event, positions, master, fov, robot_radius):
-        cleared = event_cleared(event, positions, master, fov, robot_radius)
+        cleared, radius = event_cleared(event, positions, master, fov, robot_radius)
         assert cleared == old_event_end(event, positions, master, fov, robot_radius)
+        assert (radius is None) == cleared
         decided.append(cleared)
-        return cleared
+        return cleared, radius
 
     def checking_update_avoidance(self, now):
         event = self.avoidance
