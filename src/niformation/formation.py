@@ -3,13 +3,14 @@
 The phase schedule is part of a scenario (`scenario.FormationSpec`), and
 avoidance replanning overrides it entirely while it is active.
 
-A transition records where the steered agents started, the displacement each
-one must cover, and the time budget.  One convergence test serves every
-transition: the caller passes each steered agent's per-axis residual
-(against the destination for a waypoint transition, against the target
-offsets for an avoidance override), and the transition converges once
-every participating agent has been inside the band together for a hold
-time, or times out after the deadline plus a grace window.
+A transition records the offsets the steered agents start from and land on,
+for a waypoint change where each must end, and the time budget.  One
+convergence test serves every transition: the caller passes each steered
+agent's per-axis residual (against the destination for a waypoint
+transition, against the target offsets for an avoidance override), and the
+transition converges once every participating agent has been inside the
+band together for a hold time, or times out after the deadline plus a grace
+window.
 """
 
 from __future__ import annotations
@@ -28,39 +29,32 @@ TIMED_OUT = "timed-out"
 class TransitionState:
     """One in-flight offset change for a set of steered agents.
 
-    `label` names the kind of change.  An override that slews the offsets
-    keeps the offsets it starts from and lands on; `in_band_since` is when
+    `label` names the kind of change.  A transition keeps the offsets it
+    starts from and lands on, and a waypoint change also the `destination`
+    of each steered agent, fixed when it starts; `in_band_since` is when
     the participating agents last entered the band together.  `moving`
-    indexes the agents that participate, worked out once from `dis`.
+    indexes the agents that participate, those whose offsets change.
     """
 
     start_time: float
     duration: float
     agents: tuple[int, ...]              # 1-based ids of the steered agents
-    start_positions: np.ndarray          # (len(agents), 2) at activation
-    dis: np.ndarray                      # (len(agents), 2) displacement to cover
+    start_offsets: np.ndarray            # (len(agents), 2)
+    target_offsets: np.ndarray           # (len(agents), 2)
     label: str = ""
-    start_offsets: np.ndarray | None = None
-    target_offsets: np.ndarray | None = None
+    destination: np.ndarray | None = None
     first_entry: dict[int, float] = field(default_factory=dict)
     in_band_since: float | None = None
     converged_time: float | None = None
     moving: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.start_positions = np.asarray(self.start_positions, dtype=float).reshape(-1, 2)
-        self.dis = np.asarray(self.dis, dtype=float).reshape(-1, 2)
         if self.duration <= 0:
             raise ValueError("transition duration must be positive")
-        if self.start_positions.shape != (len(self.agents), 2):
-            raise ValueError("start_positions must match the agent list")
-        if self.dis.shape != (len(self.agents), 2):
-            raise ValueError("dis must match the agent list")
-        self.moving = tuple(np.flatnonzero(np.abs(self.dis).max(axis=1) > 1e-12).tolist())
-
-    @property
-    def destination(self) -> np.ndarray:
-        return self.start_positions + self.dis
+        if {self.start_offsets.shape, self.target_offsets.shape} != {(len(self.agents), 2)}:
+            raise ValueError("offsets must match the agent list")
+        dis = self.target_offsets - self.start_offsets
+        self.moving = tuple(np.flatnonzero(np.abs(dis).max(axis=1) > 1e-12).tolist())
 
     @property
     def deadline(self) -> float:
@@ -80,7 +74,7 @@ def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
     `grace` without that happening.
     """
     res = np.asarray(residual, dtype=float).reshape(-1, 2)
-    if res.shape != state.dis.shape:
+    if res.shape != (len(state.agents), 2):
         raise ValueError("residual must match the transition agent list")
     # plain floats: the same booleans as numpy's, NaN outside the band
     inside = [abs(x) <= tolerance and abs(y) <= tolerance for x, y in res.tolist()]

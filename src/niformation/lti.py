@@ -5,7 +5,8 @@ functions: pointwise evaluation on the imaginary axis, the negative-imaginary
 (NI / strictly-NI) test, internal-stability certificates for positive-feedback
 interconnections, additive composition, and bilinear discretization to a
 stepped state-space realization for fixed-step simulation, with a bank that
-steps many such realizations as one batched update.
+steps many such realizations as one batched update and draws their output
+noise.
 
 Classification and certification are exact, not sampled.  For P = N/D the
 NI index -2*Im P(jw) has the sign of the real polynomial
@@ -257,37 +258,26 @@ def series_ni_composition(sni: TransferFunction, ni: TransferFunction,
 class DiscretePlant:
     """Stepped discrete realization of a proper transfer function.
 
-    x[k+1] = A x[k] + B u[k];  y[k] = C x[k] + D u[k] (+ optional output noise).
-    Stepping is sequential and single-owner; everything else here is
-    read-only after construction.  A simulation steps its plants through a
-    `PlantBank` built from them, which gives the same outputs as stepping
-    each plant in turn.
+    x[k+1] = A x[k] + B u[k];  y[k] = C x[k] + D u[k], with A, B and C the
+    shared read-only arrays `discretize` hands out; only the state is the
+    plant's own.  A simulation steps its plants through a `PlantBank` built
+    from them, which gives the same outputs as stepping each plant in turn
+    and adds the output noise.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: float
-    sample_time: float
-    noise_std: float = 0.0
-    rng: np.random.Generator | None = None
     state: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        self.b = np.asarray(self.b, dtype=float).reshape(self.a.shape[0], 1)
-        self.c = np.asarray(self.c, dtype=float).reshape(1, self.a.shape[0])
-        self.d = float(self.d)
         if self.state is None:
             self.state = np.zeros((self.a.shape[0], 1))
-        if self.noise_std and self.rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
 
     def step(self, u: float) -> float:
         """Emit y[k] for input u[k] and advance the state to k+1."""
         y = float((self.c @ self.state)[0, 0]) + self.d * u
-        if self.noise_std:
-            y += self.noise_std * self.rng.standard_normal()
         self.state = self.a @ self.state + self.b * u
         return y
 
@@ -309,10 +299,10 @@ class PlantBank:
     rates) steps on float states while they and the inputs are finite (its
     (count, 1, 1) matmul is a dot, c*x + 0.0; `state` is a new array each
     read); numpy steps the rest, as two NaNs meeting in its add keep a sign
-    that depends on the lane.  Output noise is one `standard_normal` draw
-    covering the noisy plants in bank order, the draw sequence of stepping
-    them one after another.  Noisy plants must share one generator.  The
-    bank copies the plants' states and never writes them back.
+    that depends on the lane.  With `noise_std` > 0 each step adds
+    `noise_std` times one `rng.standard_normal(count)` draw to the outputs,
+    in bank order.  The bank copies the plants' states and never writes
+    them back.
 
     Stepped output stays the same bit for bit only while the products keep
     their batched shapes and their order, C x + D u and then A x + B u, and
@@ -321,10 +311,13 @@ class PlantBank:
     change the last bit or the sign of a zero.
     """
 
-    def __init__(self, plants):
+    def __init__(self, plants, noise_std: float = 0.0,
+                 rng: np.random.Generator | None = None):
         plants = list(plants)
         if not plants:
             raise ValueError("a plant bank needs at least one plant")
+        if noise_std and rng is None:
+            raise ValueError("noise_std > 0 requires an rng")
         order = max(p.a.shape[0] for p in plants)
         count = len(plants)
         self.a = np.zeros((count, order, order))
@@ -338,12 +331,8 @@ class PlantBank:
             self.c[k, :, :n] = p.c
             state[k, :n] = p.state
         self.d = [p.d for p in plants]
-        self.noisy = [k for k, p in enumerate(plants) if p.noise_std]
-        self.noise_std = [plants[k].noise_std for k in self.noisy]
-        rngs = {id(plants[k].rng): plants[k].rng for k in self.noisy}
-        if len(rngs) > 1:
-            raise ValueError("noisy plants in one bank must share a generator")
-        self.rng = next(iter(rngs.values()), None)
+        self.noise_std = noise_std
+        self.rng = rng
         self.floats = ([m.ravel().tolist() for m in (self.a, self.b, self.c)]
                        if order == 1 else None)
         self._state = state if self.floats is None else state.ravel().tolist()
@@ -366,10 +355,9 @@ class PlantBank:
             state += self.b * np.array(u, dtype=float)[:, None, None]
             self._state = state if self.floats is None else state.ravel().tolist()
         y = [cx + d * v for cx, d, v in zip(outputs, self.d, u, strict=True)]
-        if self.noisy:
-            draws = self.rng.standard_normal(len(self.noisy)).tolist()
-            for k, std, z in zip(self.noisy, self.noise_std, draws):
-                y[k] += std * z
+        if self.noise_std:
+            for k, z in enumerate(self.rng.standard_normal(len(y)).tolist()):
+                y[k] += self.noise_std * z
         return y
 
 
@@ -384,27 +372,23 @@ def _bilinear(numerator: bytes, denominator: bytes, sample_time: float):
     return ad, bd, cd, float(np.asarray(dd).ravel()[0])
 
 
-def discretize(tfn: TransferFunction, sample_time: float,
-               noise_std: float = 0.0,
-               rng: np.random.Generator | None = None) -> DiscretePlant:
+def discretize(tfn: TransferFunction, sample_time: float) -> DiscretePlant:
     """Bilinear (trapezoidal) discretization of a proper transfer function.
 
     Each exact (numerator, denominator, sample_time) is realized once per
-    process and its read-only A, B and C are shared; state and noise are not.
+    process and its read-only A, B and C are shared; the state is not.
     """
-    if sample_time <= 0:
-        raise ValueError("sample_time must be positive")
+    if not 0.0 < sample_time < np.inf:
+        raise ValueError(f"sample_time must be finite and positive, got {sample_time!r}")
     if not tfn.proper:
         raise ValueError("cannot discretize an improper transfer function"
                          + (f" ('{tfn.label}')" if tfn.label else ""))
     if len(tfn.denominator) == 1:  # constant gain, no dynamics
-        gain = tfn.numerator[-1] / tfn.denominator[0] if len(tfn.numerator) == 1 else 0.0
-        return DiscretePlant(np.zeros((1, 1)), np.zeros((1, 1)),
-                             np.zeros((1, 1)), gain, sample_time,
-                             noise_std=noise_std, rng=rng)
+        return DiscretePlant(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                             float(tfn.numerator[0] / tfn.denominator[0]))
     realization = _bilinear(np.array(tfn.numerator).tobytes(),
                             np.array(tfn.denominator).tobytes(), float(sample_time))
-    return DiscretePlant(*realization, sample_time, noise_std=noise_std, rng=rng)
+    return DiscretePlant(*realization)
 
 
 def parse_yaml(text: str):
@@ -444,19 +428,23 @@ def _shipped_library() -> dict[str, ModelRecord]:
 
 def _parse_library(text: str) -> dict[str, ModelRecord]:
     doc = parse_yaml(text)
-    if not isinstance(doc, dict) or "models" not in doc or not doc["models"]:
+    models = doc.get("models") if isinstance(doc, dict) else None
+    if not isinstance(models, dict) or not models:
         raise ValueError("model library must contain a nonempty 'models' mapping")
     records: dict[str, ModelRecord] = {}
-    for name, entry in doc["models"].items():
+    for name, entry in models.items():
         try:
             tfn = TransferFunction(tuple(entry["numerator"]),
                                    tuple(entry["denominator"]), label=name)
+            gain = float(entry.get("certification_gain", -0.7))
+            if not np.isfinite(gain):
+                raise ValueError("certification_gain must be finite")
             records[name] = ModelRecord(
                 name=name,
                 kind=str(entry.get("kind", "")),
                 axis=str(entry.get("axis", "")),
                 transfer_function=tfn,
-                certification_gain=float(entry.get("certification_gain", -0.7)),
+                certification_gain=gain,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"model '{name}': {exc}") from exc

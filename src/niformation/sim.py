@@ -271,7 +271,6 @@ class Simulator:
     def __init__(self, scn: Scenario):
         self.scn = scn
         models = load_model_library()
-        self.rng = np.random.default_rng(scn.seed)
         self.n = scn.n_agents
         self.master = scn.master_index
         self.origin = scn.starts()
@@ -282,9 +281,9 @@ class Simulator:
 
         # agent-major x, y: the order the noise draws have always been taken in
         self.plants = PlantBank(
-            discretize(models[f"{agent.kind}_vel{axis}"].transfer_function,
-                       scn.dt, noise_std=scn.noise_std, rng=self.rng)
-            for agent in scn.agents for axis in ("x", "y"))
+            (discretize(models[f"{agent.kind}_vel{axis}"].transfer_function, scn.dt)
+             for agent in scn.agents for axis in ("x", "y")),
+            scn.noise_std, np.random.default_rng(scn.seed))
 
         self.yaw_rows = []   # rows the yaw law steers
         if scn.yaw_control is not None:
@@ -519,9 +518,8 @@ class Simulator:
         duration = self._phase_duration()
         self.transition = TransitionState(
             start_time=now, duration=duration, agents=tuple((tails + 1).tolist()),
-            start_positions=self.positions[tails], dis=delta, label=kind,
-            start_offsets=self.active_offsets.copy(),
-            target_offsets=new_offsets.copy())
+            start_offsets=self.active_offsets.copy(), target_offsets=new_offsets.copy(),
+            label=kind, destination=self.positions[tails] + delta if kind == "waypoint" else None)
         if kind == "waypoint":
             # formation morphs apply as a step: the switch instant is the
             # timing datum for the first-entry measurement

@@ -21,8 +21,9 @@ def two_phase_spec():
 def simple_transition(duration=2.0):
     return TransitionState(
         start_time=10.0, duration=duration, agents=(2, 3),
-        start_positions=[[100.0, 150.0], [-100.0, 150.0]],
-        dis=[[-50.0, 0.0], [50.0, 0.0]])
+        start_offsets=np.array([[100.0, 50.0], [-100.0, 50.0]]),
+        target_offsets=np.array([[50.0, 50.0], [-50.0, 50.0]]), label="waypoint",
+        destination=np.array([[50.0, 150.0], [-50.0, 150.0]]))
 
 
 def arrive(transition, positions, now, tolerance=5.0):
@@ -72,19 +73,20 @@ def test_phase_validation():
 def test_transition_destination():
     tr = simple_transition()
     np.testing.assert_allclose(tr.destination, [[50.0, 150.0], [-50.0, 150.0]])
+    assert tr.moving == (0, 1)
     assert tr.deadline == pytest.approx(12.0)
 
 
 def test_transition_validation():
-    with pytest.raises(ValueError):
-        TransitionState(0.0, 0.0, (2,), [[0.0, 0.0]], [[1.0, 1.0]])
-    with pytest.raises(ValueError):
-        TransitionState(0.0, 2.0, (2, 3), [[0.0, 0.0]], [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="duration"):
+        TransitionState(0.0, 0.0, (2,), np.zeros((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="agent list"):
+        TransitionState(0.0, 2.0, (2, 3), np.zeros((1, 2)), np.ones((1, 2)))
 
 
 def test_agents_with_zero_displacement_do_not_participate():
     tr = TransitionState(0.0, 2.0, (2, 3), np.zeros((2, 2)),
-                         [[0.0, 0.0], [10.0, 0.0]])
+                         np.array([[0.0, 0.0], [10.0, 0.0]]))
     assert tr.moving == (1,)
 
 
@@ -132,12 +134,19 @@ def test_timeout_after_deadline_plus_grace():
 
 
 def test_zero_displacement_only_transition_converges_immediately():
-    tr = TransitionState(0.0, 2.0, (2,), [[5.0, 5.0]], [[0.0, 0.0]])
+    tr = TransitionState(0.0, 2.0, (2,), np.ones((1, 2)), np.ones((1, 2)),
+                         destination=np.array([[5.0, 5.0]]))
     assert arrive(tr, [[400.0, 400.0]], 0.0) == CONVERGED
 
 
 def test_position_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
+    # offsets that are not one (x, y) row per steered agent, and a residual
+    # that is not
+    for start, target in (((2, 2), (1, 2)), ((1, 2), (2, 2)), ((2, 1), (2, 1)),
+                          ((3, 2), (3, 2))):
+        with pytest.raises(ValueError, match="agent list"):
+            TransitionState(10.0, 2.0, (2, 3), np.zeros(start), np.ones(target))
+    with pytest.raises(ValueError, match="agent list"):
         check_convergence(simple_transition(), [[0.0, 0.0]], 10.0,
                           tolerance=5.0, grace=1.0, hold=0.0)
 
@@ -172,7 +181,8 @@ def test_hold_times_out_after_deadline_plus_grace():
        t=st.floats(0.5, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_moving_to_the_exact_destination_always_converges(dx, dy, t):
-    tr = TransitionState(0.0, t, (2,), [[10.0, -10.0]], [[dx, dy]])
+    tr = TransitionState(0.0, t, (2,), np.zeros((1, 2)), np.array([[dx, dy]]),
+                         destination=np.array([[10.0, -10.0]]) + [[dx, dy]])
     status = arrive(tr, tr.destination, t * 0.5)
     assert status == CONVERGED
 
@@ -181,7 +191,8 @@ def test_moving_to_the_exact_destination_always_converges(dx, dy, t):
 
 def participating_by_loop(state):
     return [k for k in range(len(state.agents))
-            if float(np.abs(state.dis[k]).max()) > 1e-12]
+            if float(np.abs(state.target_offsets[k] - state.start_offsets[k]).max())
+            > 1e-12]
 
 
 def check_convergence_by_loop(state, residual, now, *, tolerance, grace, hold):

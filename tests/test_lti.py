@@ -352,6 +352,13 @@ def test_improper_transfer_function_cannot_be_discretized():
         lti.discretize(DIFF, 0.02)
 
 
+@pytest.mark.parametrize("tfn", [lti.tf(2.0, 1.0), LAG])
+@pytest.mark.parametrize("sample_time", [0.0, -0.02, math.nan, math.inf])
+def test_sample_time_must_be_finite_and_positive(tfn, sample_time):
+    with pytest.raises(ValueError, match="sample_time"):
+        lti.discretize(tfn, sample_time)
+
+
 def test_velocity_model_step_response_matches_dense_integration(models):
     # oracle: adaptive dense integration of the continuous realization,
     # sampled at the discrete instants
@@ -386,12 +393,12 @@ def test_zero_input_from_rest_stays_at_zero(models):
 
 def test_noise_requires_rng_and_is_reproducible(models):
     m = models["ugv_velx"].transfer_function
-    with pytest.raises(ValueError):
-        lti.discretize(m, 0.02, noise_std=1.0)
-    one = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(7))
-    two = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(7))
-    seq_one = [one.step(1.0) for _ in range(20)]
-    seq_two = [two.step(1.0) for _ in range(20)]
+    with pytest.raises(ValueError, match="rng"):
+        lti.PlantBank([lti.discretize(m, 0.02)], noise_std=1.0)
+    one, two = (lti.PlantBank([lti.discretize(m, 0.02)], 1.0, np.random.default_rng(7))
+                for _ in range(2))
+    seq_one = [one.step([1.0]) for _ in range(20)]
+    seq_two = [two.step([1.0]) for _ in range(20)]
     assert seq_one == seq_two
 
 
@@ -400,34 +407,35 @@ def test_noise_requires_rng_and_is_reproducible(models):
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_plant_bank_equals_stepping_each_plant_in_turn(data, names, seed):
-    # mixed orders (the lag is first order) and a per-plant noise on/off
+    # mixed orders (the lag is first order) and the bank's noise on or off:
+    # the noise oracle is each plant stepped noise-free in turn plus
+    # noise_std times one draw per step from a generator seeded alike
     library = lti.load_model_library()
-    noise = data.draw(st.lists(st.sampled_from((0.0, 0.5)),
-                               min_size=len(names), max_size=len(names)))
+    noise_std = data.draw(st.sampled_from((0.0, 0.5)))
 
-    def build(rng):
+    def build():
         return [lti.discretize(LAG if name == "lag"
-                               else library[name].transfer_function, 0.02,
-                               noise_std=std, rng=rng)
-                for name, std in zip(names, noise)]
+                               else library[name].transfer_function, 0.02)
+                for name in names]
 
-    one_by_one = build(np.random.default_rng(seed))
-    bank = lti.PlantBank(build(np.random.default_rng(seed)))
+    one_by_one, rng = build(), np.random.default_rng(seed)
+    bank = lti.PlantBank(build(), noise_std, np.random.default_rng(seed))
     for _ in range(25):
         u = np.array(data.draw(st.lists(st.floats(-200.0, 200.0),
                                         min_size=len(names),
                                         max_size=len(names))))
         want = np.array([plant.step(float(v)) for plant, v in zip(one_by_one, u)])
-        assert np.array_equal(bank.step(u), want)
+        if noise_std:
+            want += noise_std * rng.standard_normal(len(names))
+        assert np.array(bank.step(u)).tobytes() == want.tobytes()
 
 
 def numpy_bank_step(bank, state, u):
     """`PlantBank.step` as it was on numpy arrays, from the stacked `state`:
     the oracle of the float step.  Returns the outputs and the next state."""
     y = (bank.c @ state).ravel() + np.asarray(bank.d) * u
-    if bank.noisy:
-        noisy = np.asarray(bank.noisy)
-        y[noisy] += np.asarray(bank.noise_std) * bank.rng.standard_normal(noisy.size)
+    if bank.noise_std:
+        y += bank.noise_std * bank.rng.standard_normal(y.size)
     state = bank.a @ state
     state += bank.b * u.reshape(-1, 1, 1)
     return y, state
@@ -441,24 +449,21 @@ def numpy_bank_step(bank, state, u):
 @settings(max_examples=60, deadline=None)
 def test_float_plant_bank_step_equals_the_numpy_step_bit_for_bit(data, names, seed):
     # mixed orders (the lag is first order), or lags alone, which step on
-    # floats; noise on or off per plant, inputs that hold signed zeros, NaN
+    # floats; the bank's noise on or off, inputs that hold signed zeros, NaN
     # and infinities, and states that start at signed zeros: c * -0.0 and
     # a * -0.0 are -0.0, which the dot's `+ 0.0` turns positive
     library = lti.load_model_library()
-    noise = data.draw(st.lists(st.sampled_from((0.0, 0.5)),
-                               min_size=len(names), max_size=len(names)))
+    noise_std = data.draw(st.sampled_from((0.0, 0.5)))
     starts = data.draw(st.lists(st.lists(st.sampled_from((0.0, -0.0)), min_size=4,
                                          max_size=4),
                                 min_size=len(names), max_size=len(names)))
 
     def build():
-        rng = np.random.default_rng(seed)
-        plants = [lti.discretize(LAG if name == "lag" else library[name].transfer_function,
-                                 0.02, noise_std=std, rng=rng)
-                  for name, std in zip(names, noise)]
+        plants = [lti.discretize(LAG if name == "lag" else library[name].transfer_function, 0.02)
+                  for name in names]
         for plant, start in zip(plants, starts):
             plant.state = np.reshape(start[: plant.a.shape[0]], (-1, 1))
-        return lti.PlantBank(plants)
+        return lti.PlantBank(plants, noise_std, np.random.default_rng(seed))
 
     bank, oracle = build(), build()
     state = oracle.state
@@ -496,14 +501,6 @@ def test_a_first_order_bank_steps_as_numpy_on_signed_zeros_and_nan(start, u):
     assert bank.state.tobytes() == state.tobytes()
 
 
-def test_plant_bank_refuses_noisy_plants_on_two_generators(models):
-    m = models["ugv_velx"].transfer_function
-    plants = [lti.discretize(m, 0.02, noise_std=1.0,
-                             rng=np.random.default_rng(k)) for k in range(2)]
-    with pytest.raises(ValueError, match="share a generator"):
-        lti.PlantBank(plants)
-
-
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -538,19 +535,21 @@ def test_shared_matrices_are_read_only(models):
 
 
 def test_noisy_plants_from_one_entry_keep_their_own_states(models):
+    # the noise belongs to a bank; plants realized from one cache entry
+    # share its matrices and step their own states
     m = models["ugv_velx"].transfer_function
 
-    def alone(seed, u):
+    def alone(u):
         lti._bilinear.cache_clear()
-        plant = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(seed))
+        plant = lti.discretize(m, 0.02)
         return [plant.step(u) for _ in range(20)]
 
-    one = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(1))
-    two = lti.discretize(m, 0.02, noise_std=1.0, rng=np.random.default_rng(2))
+    one = lti.discretize(m, 0.02)
+    two = lti.discretize(m, 0.02)
     assert one.a is two.a
     ys = [(one.step(1.0), two.step(-1.0)) for _ in range(20)]
-    assert [y for y, _ in ys] == alone(1, 1.0)
-    assert [y for _, y in ys] == alone(2, -1.0)
+    assert [y for y, _ in ys] == alone(1.0)
+    assert [y for _, y in ys] == alone(-1.0)
 
 
 # ------------------------------------------------------------------- library
@@ -571,6 +570,13 @@ def test_library_rejects_malformed_documents(tmp_path):
         lti.load_model_library(bad)
     bad.write_text("models:\n  broken:\n    numerator: [1.0]\n")
     with pytest.raises(ValueError, match="broken"):
+        lti.load_model_library(bad)
+    bad.write_text("models:\n  - numerator: [1.0]\n    denominator: [1.0, 1.0]\n")
+    with pytest.raises(ValueError, match="nonempty 'models' mapping"):
+        lti.load_model_library(bad)
+    bad.write_text("models:\n  lag:\n    numerator: [1.0]\n    denominator: [1.0, 1.0]\n"
+                   "    certification_gain: .nan\n")
+    with pytest.raises(ValueError, match="lag.*finite"):
         lti.load_model_library(bad)
 
 
