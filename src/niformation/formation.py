@@ -3,22 +3,21 @@
 The phase schedule is part of a scenario (`scenario.FormationSpec`), and
 avoidance replanning overrides it entirely while it is active.
 
-A transition records the offsets the steered agents start from and land on,
-for a waypoint change where each must end, and the time budget.  One
-convergence test serves every transition: the caller passes each steered
-agent's per-axis residual (against the destination for a waypoint
-transition, against the target offsets for an avoidance override), and the
-transition converges once every participating agent has been inside the
-band together for a hold time, or times out after the deadline plus a grace
-window.
+A transition records, as stacked Python floats (each agent's x, y in turn),
+the offsets the steered agents start from and land on, for a waypoint change
+where each must end, and the time budget.  One convergence test serves every
+transition: the caller passes each steered agent's (x, y) residual (against
+the destination for a waypoint transition, against the target offsets for an
+avoidance override), and the transition converges once every participating
+agent has been inside the band together for a hold time, or times out after
+the deadline plus a grace window.  A NaN decides as on numpy arrays: never
+inside the band, and a NaN displacement does not participate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-
-import numpy as np
 
 CONVERGED = "converged"
 IN_PROGRESS = "in-progress"
@@ -39,10 +38,10 @@ class TransitionState:
     start_time: float
     duration: float
     agents: tuple[int, ...]              # 1-based ids of the steered agents
-    start_offsets: np.ndarray            # (len(agents), 2)
-    target_offsets: np.ndarray           # (len(agents), 2)
+    start_offsets: list[float]           # stacked (x, y) per steered agent
+    target_offsets: list[float]          # stacked (x, y) per steered agent
     label: str = ""
-    destination: np.ndarray | None = None
+    destination: list[float] | None = None
     first_entry: dict[int, float] = field(default_factory=dict)
     in_band_since: float | None = None
     converged_time: float | None = None
@@ -51,21 +50,22 @@ class TransitionState:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("transition duration must be positive")
-        if {self.start_offsets.shape, self.target_offsets.shape} != {(len(self.agents), 2)}:
+        if {len(self.start_offsets), len(self.target_offsets)} != {2 * len(self.agents)}:
             raise ValueError("offsets must match the agent list")
-        dis = self.target_offsets - self.start_offsets
-        self.moving = tuple(np.flatnonzero(np.abs(dis).max(axis=1) > 1e-12).tolist())
+        dis = [t - s for s, t in zip(self.start_offsets, self.target_offsets)]
+        self.moving = tuple(k for k, (dx, dy) in enumerate(zip(dis[0::2], dis[1::2]))
+                            if (abs(dx) > 1e-12 or abs(dy) > 1e-12) and dx == dx and dy == dy)
 
     @property
     def deadline(self) -> float:
         return self.start_time + self.duration
 
 
-def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
+def check_convergence(state: TransitionState, residual: list[tuple[float, float]], now: float,
                       *, tolerance: float, grace: float, hold: float) -> str:
     """Band-hold convergence test on the steered agents' residuals.
 
-    residual is (len(agents), 2), each steered agent's per-axis distance
+    residual holds one (x, y) pair per steered agent, its per-axis distance
     from where the transition wants it.  An agent is inside the band when
     both axes are within `tolerance`; its first entry time is recorded.
     The transition converges once every participating agent has been inside
@@ -73,11 +73,9 @@ def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
     stretch began) and times out when `now` passes the deadline plus
     `grace` without that happening.
     """
-    res = np.asarray(residual, dtype=float).reshape(-1, 2)
-    if res.shape != (len(state.agents), 2):
+    if len(residual) != len(state.agents):
         raise ValueError("residual must match the transition agent list")
-    # plain floats: the same booleans as numpy's, NaN outside the band
-    inside = [abs(x) <= tolerance and abs(y) <= tolerance for x, y in res.tolist()]
+    inside = [abs(x) <= tolerance and abs(y) <= tolerance for x, y in residual]
     if any(inside):
         # an agent's earlier entry wins over this one
         state.first_entry = (dict.fromkeys(compress(state.agents, inside), now)
@@ -92,6 +90,4 @@ def check_convergence(state: TransitionState, residual: np.ndarray, now: float,
             return CONVERGED
         return IN_PROGRESS
     state.in_band_since = None
-    if now > state.deadline + grace:
-        return TIMED_OUT
-    return IN_PROGRESS
+    return TIMED_OUT if now > state.deadline + grace else IN_PROGRESS

@@ -16,23 +16,24 @@ run is built once at construction: the lifted topology blocks of the planar
 and yaw laws, the per-agent speed caps, one plant bank each for the planar
 axes and the yaw rates, and the velocity ring, a deque of the last
 `velocity_estimate_window` + 1 measured positions, whose oldest and newest
-the finite-difference velocities read.  Per-edge quantities (relative
-offsets, follower targets, the steered agents of a transition) are gathers
-through the topology's head and tail index arrays.  An avoidance event's
-circle arrays are built once when it fires.  Per process, what depends only
-on the shipped files, `dt`, a topology or a course is shared and read-only:
-each shipped scenario, each lifted topology (`controller.lift`), each
-course's `obstacle.ObstacleField`, and in `lti` the parsed model library
-and each (model, `dt`) realization.
+the finite-difference velocities read.  Per-edge quantities are gathers
+through the edges' (head, tail) rows: the relative offsets and the steered
+agents of a transition through the lift's `pairs`, the follower targets
+through `tails`.  An avoidance event's circle arrays are built once when it
+fires.  Per process, what depends only on the shipped files, `dt`, a
+topology or a course is shared and read-only: each shipped scenario, each
+lifted topology (`controller.lift`), each course's `obstacle.ObstacleField`,
+and in `lti` the parsed model library and each (model, `dt`) realization.
 
 A step's team arithmetic (the laws and their topology products, the plant
 outputs, the yaw-rate bank, the delay line, the velocity ring, the yaw
-integration, the reference point, the waypoint radius test and the log row)
-runs on stacked Python floats, each agent's coordinates in turn, which round
-as numpy does and cost less than numpy calls on a few agents; numpy keeps
-the planar bank's products and the noise draw (`controller`, `lti.PlantBank`).
-`positions` stays the (n, 2) array the obstacle layer and the state machine
-read, written once a step.
+integration, the reference point, the waypoint radius test, the log row, the
+offsets, and the transition, offset-ramp and settle bookkeeping) runs on
+stacked Python floats, each agent's (or edge's) coordinates in turn, which
+round and decide NaN as numpy does and cost less than numpy calls on a few
+agents; numpy keeps the planar bank's products and the noise draw
+(`controller`, `lti.PlantBank`).  `positions` stays the (n, 2) array the
+obstacle layer reads, written once a step.
 
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
@@ -48,9 +49,9 @@ radius and its rounding margin.
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
 (`CornerTurn`) and the in-flight offset change (`formation.TransitionState`).
-The reference point is a pure function of that state and the time.  Every
-transition, waypoint or override, is tested for convergence by the one
-`formation.check_convergence`.
+The reference point is a pure function of that state, the time and the
+head's position, computed once a step.  Every transition, waypoint or
+override, is tested for convergence by the one `formation.check_convergence`.
 
 State machine summary (evaluated in priority order each step):
 
@@ -315,11 +316,13 @@ class Simulator:
         # square of how far it may move with the skip held
         self.skip_reference, self.skip_reach2 = None, 0.0
 
+        # each phase's stacked (x, y) offsets: offset lists are replaced, never written
+        self.phase_offsets = [[v for pair in phase.offsets for v in pair]
+                              for phase in scn.formation.phases]
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter
         cloud = np.vstack([self.origin, self.waypoints, self.obstacles.vertices])
-        offset_reach = max((abs(v) for ph in scn.formation.phases
-                            for pair in ph.offsets for v in pair), default=0.0)
+        offset_reach = max((abs(v) for ph in self.phase_offsets for v in ph), default=0.0)
         margin = offset_reach + 100.0
         self.box_low = cloud.min(axis=0) - margin
         self.box_high = cloud.max(axis=0) + margin
@@ -339,11 +342,11 @@ class Simulator:
         self.avoidance_started = 0.0
         self.avoidance_circles = obstacle.circle_arrays(())   # the event's circles
         self.ref_slew: Slew | None = None
+        # the last reference point, held for the same `now`, event and slew objects and target
+        self.reference, self.reference_key = None, (None,) * 4
         self._begin_glide(0.0, self.positions[self.master])
         self.phase_idx = scn.formation.phase_index(0)
-        self.schedule_offsets = np.array(scn.formation.phases[self.phase_idx].offsets,
-                                         dtype=float)
-        self.active_offsets = self.schedule_offsets.copy()
+        self.schedule_offsets = self.active_offsets = self.phase_offsets[self.phase_idx]
         self.last_heading = scn.agents[self.master].yaw
         self.terminal_time: float | None = None
         self.status = STATUS_DURATION
@@ -359,10 +362,15 @@ class Simulator:
     def _event(self, time: float, name: str, **detail):
         self.events.append({"time": time, "event": name, **detail})
 
-    def _relative_offsets(self) -> np.ndarray:
-        """Current tail-minus-head displacement per edge (cm)."""
-        top = self.scn.topology
-        return self.positions[top.tails] - self.positions[top.heads]
+    def _offset_residuals(self, offsets: list[float]) -> list[tuple[float, float]]:
+        """Each edge's (x, y) tail-minus-head displacement less its offset (cm)."""
+        p = self.pos_ring[-1]
+        return [(p[2 * tail] - p[2 * head] - offsets[2 * e],
+                 p[2 * tail + 1] - p[2 * head + 1] - offsets[2 * e + 1])
+                for e, (head, tail) in enumerate(self.planar_lift.pairs)]
+
+    def _offset_error(self) -> float:
+        return float(np.abs(self._offset_residuals(self.schedule_offsets)).max(initial=0.0))
 
     def _phase_duration(self) -> float:
         return self.scn.formation.phases[self.phase_idx].transition_duration
@@ -386,7 +394,11 @@ class Simulator:
             self.ref_slew = replace(self.ref_slew, destination=waypoint)
 
     def _reference_point(self, now: float) -> tuple[float, float]:
-        scn = self.scn
+        held = self.reference_key
+        if (held[0] is now and held[1] is self.avoidance and held[2] is self.ref_slew
+                and held[3] == self.target_idx):
+            return self.reference   # a detour reads the head, which moves only between steps
+        self.reference_key = (now, self.avoidance, self.ref_slew, self.target_idx)
         if self.avoidance is not None and self.avoidance.master_lateral is not None:
             # Ramp the detour over the phase's transition time: a step
             # reference would ring the head across the safety margin, and a
@@ -395,19 +407,18 @@ class Simulator:
             # head brakes while the swing develops instead of outrunning it.
             frac = min(1.0, (now - self.avoidance_started) / self._phase_duration())
             s_m, _ = self.avoidance.frame.coords(self.positions[self.master])
-            return tuple(self.avoidance.frame.to_world(
-                s_m + _ease(frac * frac) * scn.sensing.carrot_advance,
+            point = tuple(self.avoidance.frame.to_world(
+                s_m + _ease(frac * frac) * self.scn.sensing.carrot_advance,
                 _ease(frac) * self.avoidance.master_lateral).tolist())
-        if self.ref_slew is not None:
-            point = self.ref_slew.point(now)
-            if point is not None:
-                return point
-        return self.waypoints[self.target_idx]
+        elif self.ref_slew is None or (point := self.ref_slew.point(now)) is None:
+            point = self.waypoints[self.target_idx]   # no slew, or it has landed
+        self.reference = point
+        return point
 
     def _slave_targets(self, reference: np.ndarray) -> np.ndarray:
         targets = np.zeros((self.n, 2))
         targets[self.master] = reference
-        targets[self.scn.topology.tails] = reference + self.active_offsets
+        targets[self.scn.topology.tails] = reference + np.reshape(self.active_offsets, (-1, 2))
         return targets
 
     # ------------------------------------------------------- avoidance
@@ -433,18 +444,16 @@ class Simulator:
                 budget.expire(PLAN_SKIP)
         return self.sensed
 
-    def _avoidance_offsets(self, event: obstacle.AvoidanceEvent) -> np.ndarray:
+    def _avoidance_offsets(self, event: obstacle.AvoidanceEvent) -> list[float]:
         along, lateral = event.frame.along, event.frame.lateral
         master_lat = event.master_lateral if event.master_lateral is not None else 0.0
-        out = self.schedule_offsets.copy()
+        out = np.reshape(self.schedule_offsets, (-1, 2))
         for e, (_head, tail) in enumerate(self.scn.topology.edges):
-            if tail not in event.slave_laterals:
-                continue
-            spec = self.schedule_offsets[e]
-            along_comp = float(spec @ along)
-            out[e] = (along_comp * along
-                      + (event.slave_laterals[tail] - master_lat) * lateral)
-        return out
+            if tail in event.slave_laterals:
+                along_comp = float(out[e] @ along)
+                out[e] = (along_comp * along
+                          + (event.slave_laterals[tail] - master_lat) * lateral)
+        return out.ravel().tolist()
 
     def _update_avoidance(self, now: float):
         scn = self.scn
@@ -507,23 +516,25 @@ class Simulator:
 
     # ------------------------------------------------------ transitions
 
-    def _switch_offsets(self, new_offsets: np.ndarray, now: float, kind: str):
-        new_offsets = np.asarray(new_offsets, dtype=float)
-        delta = new_offsets - self.active_offsets
-        if float(np.abs(delta).max(initial=0.0)) < 1e-9:
+    def _switch_offsets(self, new_offsets: list[float], now: float, kind: str):
+        delta = [new - old for new, old in zip(new_offsets, self.active_offsets)]
+        # numpy's `abs(delta).max(initial=0.0) < 1e-9`: a NaN switches
+        if all(abs(d) < 1e-9 for d in delta):
             return
         if self.transition is not None:
             self._finish_transition(now, "superseded")
-        tails = self.scn.topology.tails
+        p, tails = self.pos_ring[-1], [tail for _head, tail in self.planar_lift.pairs]
+        destination = [p[2 * tail + axis] + delta[2 * e + axis] for e, tail in enumerate(tails)
+                       for axis in (0, 1)] if kind == "waypoint" else None
         duration = self._phase_duration()
         self.transition = TransitionState(
-            start_time=now, duration=duration, agents=tuple((tails + 1).tolist()),
-            start_offsets=self.active_offsets.copy(), target_offsets=new_offsets.copy(),
-            label=kind, destination=self.positions[tails] + delta if kind == "waypoint" else None)
+            start_time=now, duration=duration, agents=tuple(tail + 1 for tail in tails),
+            start_offsets=self.active_offsets, target_offsets=list(new_offsets),
+            label=kind, destination=destination)
         if kind == "waypoint":
             # formation morphs apply as a step: the switch instant is the
             # timing datum for the first-entry measurement
-            self.active_offsets = new_offsets.copy()
+            self.active_offsets = self.transition.target_offsets
         self._event(now, "transition_start", kind=kind, duration=duration)
 
     def _apply_offset_ramp(self, now: float):
@@ -536,9 +547,10 @@ class Simulator:
         state = self.transition
         if state is None or state.label == "waypoint":
             return
-        frac = min(1.0, (now - state.start_time) / state.duration)
-        start = state.start_offsets
-        self.active_offsets = start + _ease(frac) * (state.target_offsets - start)
+        ease = _ease(min(1.0, (now - state.start_time) / state.duration))
+        # numpy's `start + ease * (target - start)`, coordinate by coordinate
+        self.active_offsets = [s + ease * (t - s) for s, t in
+                               zip(state.start_offsets, state.target_offsets)]
 
     def _transition_status(self, now: float) -> str | None:
         """Advance the active transition's bookkeeping; return its status."""
@@ -548,27 +560,24 @@ class Simulator:
         if state.label == "waypoint":
             # the head dwells, so the residual to the destination frozen at
             # the switch is the transition-time measurement
-            residual = state.destination - self.positions[self.scn.topology.tails]
+            p, dest = self.pos_ring[-1], state.destination
+            residual = [(dest[2 * e] - p[2 * tail], dest[2 * e + 1] - p[2 * tail + 1])
+                        for e, (_head, tail) in enumerate(self.planar_lift.pairs)]
             return check_convergence(state, residual, now,
                                      tolerance=CONVERGENCE_BAND_CM,
                                      grace=0.5 * state.duration, hold=0.0)
-        # avoidance/restore transitions run while the head keeps moving, so
-        # they converge on the relative offsets, which must sit inside the
-        # band together and stay there (a single sample can coincide with a
-        # zero crossing of a decaying swing, which is not a held formation);
-        # the per-axis band cannot close while the head is still cruising
-        # (tracking lag scales with its speed), so overrides get extra time
-        return check_convergence(state, self._relative_offsets() - state.target_offsets,
+        # overrides run while the head moves, so they converge on the relative
+        # offsets, held inside the band (one sample may be a zero crossing of
+        # a decaying swing); the band cannot close while the head cruises
+        # (the lag scales with its speed), so overrides get extra time
+        return check_convergence(state, self._offset_residuals(state.target_offsets),
                                  now, tolerance=CONVERGENCE_BAND_CM,
                                  grace=OVERRIDE_GRACE_S, hold=OVERRIDE_HOLD_S)
 
     def _finish_transition(self, now: float, status: str):
         state = self.transition
         kind = state.label
-        restored = {}
-        if kind == "restore":
-            restored["offset_error_cm"] = float(np.abs(
-                self._relative_offsets() - self.schedule_offsets).max())
+        restored = {"offset_error_cm": self._offset_error()} if kind == "restore" else {}
         self._event(now, f"transition_{status}", kind=kind, start_time=state.start_time,
                     duration=state.duration, agents=list(state.agents),
                     participating=[state.agents[k] for k in state.moving],
@@ -577,7 +586,7 @@ class Simulator:
         if kind != "waypoint" and status != "superseded":
             # land the slewed override on its target; a superseding
             # transition instead takes over from the mid-ramp value
-            self.active_offsets = state.target_offsets.copy()
+            self.active_offsets = state.target_offsets
         self.transition = None
 
     # -------------------------------------------------------- waypoints
@@ -592,17 +601,16 @@ class Simulator:
         """
         if self.pending_since is None or self.avoidance is not None:
             return
-        speed = float(np.linalg.norm(np.reshape(self.velocities, (self.n, 2)), axis=1).max())
-        residual = np.abs(self._relative_offsets() - self.active_offsets)
-        quiet = (speed <= SETTLE_SPEED_CM_S
-                 and (residual.size == 0
-                      or float(residual.max()) <= SETTLE_BAND_CM))
+        # every speed (np.linalg.norm's arithmetic) and residual within bounds
+        quiet = (all(math.sqrt(vx * vx + vy * vy) <= SETTLE_SPEED_CM_S
+                     for vx, vy in zip(self.velocities[0::2], self.velocities[1::2]))
+                 and all(abs(x) <= SETTLE_BAND_CM and abs(y) <= SETTLE_BAND_CM
+                         for x, y in self._offset_residuals(self.active_offsets)))
         if not quiet:
             self.settle_ok_since = None
         elif self.settle_ok_since is None:
             self.settle_ok_since = now
-        held = (self.settle_ok_since is not None
-                and now - self.settle_ok_since >= SETTLE_HOLD_S)
+        held = quiet and now - self.settle_ok_since >= SETTLE_HOLD_S
         if held or now - self.pending_since > SETTLE_TIMEOUT_S:
             if not held:
                 self._event(now, "settle_timeout")
@@ -651,8 +659,7 @@ class Simulator:
             # the previous ones: scenarios use a repeated phase to force the
             # formation to settle before tackling what comes next
             self.phase_idx = new_phase
-            self.schedule_offsets = np.asarray(scn.formation.phases[new_phase].offsets,
-                                               dtype=float)
+            self.schedule_offsets = self.phase_offsets[new_phase]
             self.pending_since = now
             hold = True
 
@@ -817,9 +824,7 @@ class Simulator:
             self._update_settle(now)
             self._update_waypoints(now)
 
-            reference = self._reference_point(now)
-            # the offsets as stacked floats: nothing below writes them
-            offsets = self.active_offsets.ravel().tolist()
+            reference, offsets = self._reference_point(now), self.active_offsets
             planar, yaw_cmds = self._commands(reference, offsets)
             applied_planar, applied_yaw = self._advance_plants(planar, yaw_cmds)
 
@@ -856,7 +861,6 @@ class Simulator:
 
     def _summary(self, final_time: float) -> dict:
         scn = self.scn
-        rel_final = np.abs(self._relative_offsets() - self.schedule_offsets)
         transitions, avoidance, restorations = [], [], []
         for k, ev in enumerate(self.events):
             name = ev["event"]
@@ -886,7 +890,7 @@ class Simulator:
             "waypoints_completed": int(self.completed),
             "final_positions_m": (self.positions / 100.0).tolist(),
             "final_yaw_deg": [float(np.rad2deg(y)) for y in self.yaws],
-            "final_offset_error_cm": float(rel_final.max(initial=0.0)),
+            "final_offset_error_cm": self._offset_error(),
             "relative_error_max_cm": {f"edge_{e}": float(v)
                                       for e, v in enumerate(self.rel_err_max)},
             "relative_error_max_overall_cm": float(np.max(self.rel_err_max, initial=0.0)),

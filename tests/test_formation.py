@@ -21,16 +21,17 @@ def two_phase_spec():
 def simple_transition(duration=2.0):
     return TransitionState(
         start_time=10.0, duration=duration, agents=(2, 3),
-        start_offsets=np.array([[100.0, 50.0], [-100.0, 50.0]]),
-        target_offsets=np.array([[50.0, 50.0], [-50.0, 50.0]]), label="waypoint",
-        destination=np.array([[50.0, 150.0], [-50.0, 150.0]]))
+        start_offsets=[100.0, 50.0, -100.0, 50.0],
+        target_offsets=[50.0, 50.0, -50.0, 50.0], label="waypoint",
+        destination=[50.0, 150.0, -50.0, 150.0])
 
 
 def arrive(transition, positions, now, tolerance=5.0):
-    """The waypoint-transition test: residuals to the destination, no hold,
-    half the duration as grace."""
-    return check_convergence(transition, transition.destination - np.asarray(positions),
-                             now, tolerance=tolerance,
+    """The waypoint-transition test: (x, y) residuals from each position to
+    its stacked destination, no hold, half the duration as grace."""
+    dest = transition.destination
+    residual = [(dest[2 * k] - x, dest[2 * k + 1] - y) for k, (x, y) in enumerate(positions)]
+    return check_convergence(transition, residual, now, tolerance=tolerance,
                              grace=0.5 * transition.duration, hold=0.0)
 
 
@@ -72,21 +73,20 @@ def test_phase_validation():
 
 def test_transition_destination():
     tr = simple_transition()
-    np.testing.assert_allclose(tr.destination, [[50.0, 150.0], [-50.0, 150.0]])
+    assert tr.destination == [50.0, 150.0, -50.0, 150.0]
     assert tr.moving == (0, 1)
     assert tr.deadline == pytest.approx(12.0)
 
 
 def test_transition_validation():
     with pytest.raises(ValueError, match="duration"):
-        TransitionState(0.0, 0.0, (2,), np.zeros((1, 2)), np.ones((1, 2)))
+        TransitionState(0.0, 0.0, (2,), [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="agent list"):
-        TransitionState(0.0, 2.0, (2, 3), np.zeros((1, 2)), np.ones((1, 2)))
+        TransitionState(0.0, 2.0, (2, 3), [0.0, 0.0], [1.0, 1.0])
 
 
 def test_agents_with_zero_displacement_do_not_participate():
-    tr = TransitionState(0.0, 2.0, (2, 3), np.zeros((2, 2)),
-                         np.array([[0.0, 0.0], [10.0, 0.0]]))
+    tr = TransitionState(0.0, 2.0, (2, 3), [0.0] * 4, [0.0, 0.0, 10.0, 0.0])
     assert tr.moving == (1,)
 
 
@@ -134,18 +134,16 @@ def test_timeout_after_deadline_plus_grace():
 
 
 def test_zero_displacement_only_transition_converges_immediately():
-    tr = TransitionState(0.0, 2.0, (2,), np.ones((1, 2)), np.ones((1, 2)),
-                         destination=np.array([[5.0, 5.0]]))
+    tr = TransitionState(0.0, 2.0, (2,), [1.0, 1.0], [1.0, 1.0], destination=[5.0, 5.0])
     assert arrive(tr, [[400.0, 400.0]], 0.0) == CONVERGED
 
 
 def test_position_shape_mismatch_rejected():
-    # offsets that are not one (x, y) row per steered agent, and a residual
-    # that is not
-    for start, target in (((2, 2), (1, 2)), ((1, 2), (2, 2)), ((2, 1), (2, 1)),
-                          ((3, 2), (3, 2))):
+    # offsets that do not stack one (x, y) per steered agent, and a residual
+    # that is not one pair per steered agent
+    for start, target in ((4, 2), (2, 4), (2, 2), (6, 6), (3, 3)):
         with pytest.raises(ValueError, match="agent list"):
-            TransitionState(10.0, 2.0, (2, 3), np.zeros(start), np.ones(target))
+            TransitionState(10.0, 2.0, (2, 3), [0.0] * start, [1.0] * target)
     with pytest.raises(ValueError, match="agent list"):
         check_convergence(simple_transition(), [[0.0, 0.0]], 10.0,
                           tolerance=5.0, grace=1.0, hold=0.0)
@@ -181,18 +179,18 @@ def test_hold_times_out_after_deadline_plus_grace():
        t=st.floats(0.5, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_moving_to_the_exact_destination_always_converges(dx, dy, t):
-    tr = TransitionState(0.0, t, (2,), np.zeros((1, 2)), np.array([[dx, dy]]),
-                         destination=np.array([[10.0, -10.0]]) + [[dx, dy]])
-    status = arrive(tr, tr.destination, t * 0.5)
+    tr = TransitionState(0.0, t, (2,), [0.0, 0.0], [dx, dy],
+                         destination=[10.0 + dx, -10.0 + dy])
+    status = arrive(tr, [tr.destination], t * 0.5)
     assert status == CONVERGED
 
 
 # ------------------------------------------ the per-agent loop as the oracle
 
 def participating_by_loop(state):
-    return [k for k in range(len(state.agents))
-            if float(np.abs(state.target_offsets[k] - state.start_offsets[k]).max())
-            > 1e-12]
+    with np.errstate(invalid="ignore"):   # inf - inf is NaN, as on floats
+        dis = np.subtract(state.target_offsets, state.start_offsets).reshape(-1, 2)
+    return [k for k in range(len(state.agents)) if float(np.abs(dis[k]).max()) > 1e-12]
 
 
 def check_convergence_by_loop(state, residual, now, *, tolerance, grace, hold):
@@ -218,12 +216,18 @@ def check_convergence_by_loop(state, residual, now, *, tolerance, grace, hold):
 
 
 TOLERANCE = 5.0
+INF, NAN = float("inf"), float("nan")
 # displacements about the participation threshold, and none at all
 DISPLACEMENTS = st.one_of(
     st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (1e-12, -1e-12),
                      (0.0, float(np.nextafter(1e-12, 1.0))), (-1e-13, 3e-13),
-                     (float("nan"), 0.0)]),
+                     (NAN, 0.0), (0.0, NAN), (INF, 0.0), (-INF, 5.0)]),
     st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0)))
+# start offsets: none, signed zeros, plain, or infinite and NaN ones, which
+# turn a displacement into NaN (inf - inf) or keep it infinite
+STARTS = st.one_of(st.just((0.0, 0.0)),
+                   st.tuples(st.sampled_from([0.0, -0.0, 40.0, INF, -INF, NAN]),
+                             st.sampled_from([0.0, -0.0, -25.0, INF, NAN])))
 # a residual axis inside the band, on its edge, outside it, or NaN
 AXIS = st.one_of(st.floats(-TOLERANCE, TOLERANCE),
                  st.sampled_from([TOLERANCE, -TOLERANCE,
@@ -233,11 +237,14 @@ AXIS = st.one_of(st.floats(-TOLERANCE, TOLERANCE),
 
 @st.composite
 def convergence_walks(draw):
-    """A transition of 1 to 4 agents, some with zero displacement, and a
-    run of residuals at increasing times that enter, leave and re-enter
-    the band, with no hold or a hold."""
+    """A transition of 1 to 4 agents, some with zero displacement, as its
+    stacked start and target offsets, and a run of (x, y) residuals at
+    increasing times that enter, leave and re-enter the band, with no hold
+    or a hold."""
     n = draw(st.integers(1, 4))
-    dis = np.array(draw(st.lists(DISPLACEMENTS, min_size=n, max_size=n)))
+    start = [v for pair in draw(st.lists(STARTS, min_size=n, max_size=n)) for v in pair]
+    dis = [v for pair in draw(st.lists(DISPLACEMENTS, min_size=n, max_size=n)) for v in pair]
+    target = [s + d for s, d in zip(start, dis)]
     duration = draw(st.floats(0.1, 3.0))
     times = np.cumsum(draw(st.lists(st.sampled_from([0.01, 0.02, 0.3, 1.0]),
                                     min_size=1, max_size=30)))
@@ -245,17 +252,17 @@ def convergence_walks(draw):
                  for _ in times]
     hold = draw(st.sampled_from([0.0, 0.0, 0.02, 0.05, 1.0]))
     grace = draw(st.sampled_from([0.0, 0.5, 12.0]))
-    return dis, duration, list(zip(times.tolist(), residuals)), hold, grace
+    return (start, target), duration, list(zip(times.tolist(), residuals)), hold, grace
 
 
 @given(walk=convergence_walks())
 @settings(max_examples=300, deadline=None)
 def test_convergence_equals_the_per_agent_loop(walk):
-    dis, duration, steps, hold, grace = walk
-    agents = tuple(range(2, 2 + len(dis)))
+    (start, target), duration, steps, hold, grace = walk
+    agents = tuple(range(2, 2 + len(start) // 2))
 
     def transition():
-        return TransitionState(0.0, duration, agents, np.zeros_like(dis), dis)
+        return TransitionState(0.0, duration, agents, list(start), list(target))
 
     got, want = transition(), transition()
     assert list(got.moving) == participating_by_loop(want)

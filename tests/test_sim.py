@@ -19,7 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from niformation import controller, lti, obstacle, scenario, sim
+from niformation import controller, formation, graph, lti, obstacle, scenario, sim
 from test_obstacle import old_event_end
 from test_scenario import DOCS
 
@@ -243,7 +243,7 @@ def test_offset_switch_keeps_the_reference_glide():
     assert slew is not None
     now = 0.5
     on_glide = simulator._reference_point(now)
-    simulator._switch_offsets(simulator.active_offsets + 40.0, now,
+    simulator._switch_offsets([v + 40.0 for v in simulator.active_offsets], now,
                               kind="avoidance")
     assert simulator.transition is not None
     assert simulator.ref_slew is slew
@@ -454,6 +454,19 @@ def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
     assert summary == log.summary
     assert summary["final_positions_m"] == [[None, None]] * simulator.n
     assert summary["min_obstacle_clearance_cm"] is None
+    # the NaN offsets reach the largest offset error, taken on floats
+    assert summary["final_offset_error_cm"] is None
+
+
+def test_a_nan_on_any_edge_is_the_largest_offset_error():
+    # as numpy's max did: a NaN residual wins wherever it sits
+    simulator = sim.Simulator(scenario.load_scenario("rect_varying_formation"))
+    for tail in (1, 2):   # the tail of the first edge, then of the last
+        positions = list(simulator.stacked_origin)
+        positions[2 * tail + 1] = math.nan
+        simulator.pos_ring.append(positions)
+        assert math.isnan(simulator._offset_error())
+        assert simulator._summary(0.0)["final_offset_error_cm"] is None
 
 
 def test_a_run_cut_mid_transition_logs_it_interrupted():
@@ -498,7 +511,7 @@ def test_a_dwell_that_never_settles_times_out_into_the_pending_offsets():
     # SETTLE_TIMEOUT_S has passed, and logs the timeout first
     scn = scenario.load_scenario("rect_varying_formation")
     simulator = sim.Simulator(scn)
-    start, target = 3.0, simulator.schedule_offsets + 40.0
+    start, target = 3.0, [v + 40.0 for v in simulator.schedule_offsets]
     simulator.schedule_offsets, simulator.pending_since = target, start
     simulator.velocities = [2.0 * sim.SETTLE_SPEED_CM_S] * (2 * simulator.n)
     now = start
@@ -514,6 +527,119 @@ def test_a_dwell_that_never_settles_times_out_into_the_pending_offsets():
     assert simulator.pending_since is None
     assert np.array_equal(simulator.transition.target_offsets, target)
     assert np.array_equal(simulator.active_offsets, target)
+
+
+def test_the_reference_point_is_computed_once_for_its_key(monkeypatch):
+    # moving_leader_compare cruises on a slew: its point is computed again
+    # only for a new time, slew or target (or avoidance event)
+    calls, point = [], sim.Slew.point
+
+    def counting_point(slew, now):
+        calls.append(now)
+        return point(slew, now)
+
+    monkeypatch.setattr(sim.Slew, "point", counting_point)
+    simulator = sim.Simulator(scenario.load_scenario("moving_leader_compare"))
+    now = 0.5
+    first = simulator._reference_point(now)
+    assert simulator._reference_point(now) is first and calls == [now]
+    simulator.ref_slew = replace(simulator.ref_slew)   # an equal slew is a new key
+    assert simulator._reference_point(now) == first and len(calls) == 2
+    simulator.target_idx += 1
+    assert simulator._reference_point(now) == first and len(calls) == 3
+    assert simulator._reference_point(0.75) != first and len(calls) == 4
+
+
+def same_bits(got: list[float], want: np.ndarray) -> bool:
+    """Equal bits in every place, where any two NaNs count as equal: a NaN's
+    sign may differ from numpy's where two NaNs meet (`controller`)."""
+    return len(got) == want.size and all(
+        (g != g and w != w) or struct.pack("d", g) == struct.pack("d", w)
+        for g, w in zip(got, want.tolist()))
+
+
+# an offset or a displacement: plain, a signed zero, NaN or infinite
+SPECIAL = st.one_of(st.floats(-300.0, 300.0),
+                    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@given(start=st.lists(SPECIAL, min_size=4, max_size=4),
+       target=st.lists(SPECIAL, min_size=4, max_size=4),
+       duration=st.floats(0.5, 5.0), elapsed=st.one_of(st.floats(0.0, 6.0), st.just(0.0)))
+@settings(max_examples=300, deadline=None)
+def test_the_offset_ramp_equals_the_numpy_ramp(start, target, duration, elapsed):
+    # an override's offsets ease from its start to its target coordinate by
+    # coordinate, as `start + _ease(frac) * (target - start)` did on arrays
+    simulator = sim.Simulator(scenario.load_scenario("rect_varying_formation"))
+    for kind in ("avoidance", "restore"):
+        simulator.transition = formation.TransitionState(2.0, duration, (2, 3), start, target,
+                                                         label=kind)
+        now = 2.0 + elapsed
+        simulator._apply_offset_ramp(now)
+        frac = min(1.0, (now - 2.0) / duration)
+        with np.errstate(invalid="ignore"):   # inf - inf and 0 * inf are NaN
+            first, last = np.array(start), np.array(target)
+            want = first + sim._ease(frac) * (last - first)
+        assert same_bits(simulator.active_offsets, want)
+
+
+def settle_scenario(edges: bool) -> scenario.Scenario:
+    """rect_varying_formation, or its head alone with no edge to settle."""
+    scn = scenario.load_scenario("rect_varying_formation")
+    if edges:
+        return scn
+    return replace(scn, agents=scn.agents[:1], topology=graph.build_topology(1, [], [1]),
+                   gains=replace(scn.gains, consensus=()),
+                   formation=scenario.FormationSpec((scenario.FormationPhase(0, ()),)))
+
+
+def numpy_settled(simulator: sim.Simulator) -> bool:
+    """The settle gate as it was on arrays: the largest speed and the
+    largest per-axis offset residual within their bounds."""
+    top, positions = simulator.scn.topology, simulator.positions
+    speed = float(np.linalg.norm(np.reshape(simulator.velocities, (simulator.n, 2)),
+                                 axis=1).max())
+    with np.errstate(invalid="ignore"):
+        residual = np.abs(positions[top.tails] - positions[top.heads]
+                          - np.reshape(simulator.active_offsets, (-1, 2)))
+    return (speed <= sim.SETTLE_SPEED_CM_S
+            and (residual.size == 0 or float(residual.max()) <= sim.SETTLE_BAND_CM))
+
+
+# an agent's velocity and an edge's residual: plain, on the speed bound
+# ((1.8, 2.4) too: its squares sum to 9.0) or the band, just past it, or not
+# finite
+VELOCITIES = st.one_of(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), st.sampled_from(
+    [(3.0, 0.0), (-0.0, -3.0), (1.8, 2.4), (math.nextafter(3.0, 4.0), 0.0),
+     (math.nan, 0.0), (0.0, math.inf)]))
+RESIDUALS = st.one_of(st.tuples(st.floats(-2.6, 2.6), st.floats(-2.6, 2.6)), st.sampled_from(
+    [(2.5, -2.5), (-0.0, math.nextafter(2.5, 3.0)), (math.nan, 0.0), (1.0, -math.inf)]))
+
+
+@pytest.mark.parametrize("edges", [True, False])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_settle_gate_equals_the_numpy_gate(edges, data):
+    # a dwell counts as settled while every agent is slow and every edge is
+    # inside the band, NaN never: as the maxima decided it on arrays, with
+    # no edge at all too
+    simulator = sim.Simulator(settle_scenario(edges))
+    n, n_edges = simulator.n, simulator.scn.topology.n_edges
+    moved = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * n, max_size=2 * n))
+    positions = [p + d for p, d in zip(simulator.stacked_origin, moved)]
+    simulator.positions.flat = positions
+    simulator.pos_ring.append(positions)
+    simulator.velocities = [v for pair in data.draw(st.lists(VELOCITIES, min_size=n, max_size=n))
+                            for v in pair]
+    residual = [r for pair in data.draw(st.lists(RESIDUALS, min_size=n_edges,
+                                                 max_size=n_edges)) for r in pair]
+    relative = [positions[2 * tail + axis] - positions[2 * head + axis]
+                for head, tail in simulator.planar_lift.pairs for axis in (0, 1)]
+    simulator.active_offsets = [d - r for d, r in zip(relative, residual)]
+    now = simulator.pending_since = 5.0
+    simulator._update_settle(now)
+    assert simulator.events == [] and simulator.transition is None
+    assert (simulator.settle_ok_since == now) == numpy_settled(simulator)
 
 
 def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch):
