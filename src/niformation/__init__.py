@@ -1,3 +1,3 @@
-"""Deterministic multi-agent formation-control simulator and NI certification toolkit."""
+"""Deterministic multi-agent formation-control simulator and NI classifier of its plant models."""
 
 __version__ = "0.1.0"

@@ -23,6 +23,14 @@ from niformation.scenario import ScenarioError, load_scenario
 from niformation.sim import Simulator
 
 WINDOW_HALF_S = 1.5    # the default window: this far either side of the worst approach
+# the prediction horizons `sweep` tries by default
+SWEEP_HORIZONS = (10, 20, 30, 38, 45, 55)
+
+
+def fixed(value, spec: str = ".2f") -> str:
+    """`value` formatted by `spec`; a summary's null (a run that diverged)
+    prints as None, padded to the spec's width."""
+    return format("None", spec.split(".")[0]) if value is None else format(value, spec)
 
 
 def inspect(scn, window, stride: int) -> None:
@@ -33,10 +41,10 @@ def inspect(scn, window, stride: int) -> None:
           f"t={s['final_time']:.2f}")
     print(f"    min_clearance={s['min_obstacle_clearance_cm']}, "
           f"boundary={s['avoidance_min_boundary_clearance_cm']}, "
-          f"final_offset_err={s['final_offset_error_cm']:.2f}")
+          f"final_offset_err={fixed(s['final_offset_error_cm'])}")
     for r in s["restorations"]:
         print(f"    restore: start={r['start_time']:.2f} "
-              f"err={r['offset_error_cm']:.2f} status={r['status']}")
+              f"err={fixed(r['offset_error_cm'])} status={r['status']}")
     for ev in log.events:
         extras = {k: v for k, v in ev.items() if k not in ("time", "event")}
         print(f"      ev {ev['time']:.2f} {ev['event']} {extras}")
@@ -73,17 +81,21 @@ def sweep(base, cells) -> None:
     print(f"course: {base.name}  dt={base.dt}  noise_std={base.noise_std}  "
           f"delay={base.control.command_delay_steps} steps")
     baseline = worst_error(replace(base, control=replace(base.control, mode="baseline")))
-    print(f"baseline worst-case relative error: {baseline:.2f} cm\n")
+    print(f"baseline worst-case relative error: {fixed(baseline)} cm\n")
     print(f"{'horizon':>8} {'window':>7} {'enhanced':>9} {'ratio':>6}")
     best = None
     for scn in cells:
         horizon = scn.control.prediction_horizon_steps
         window = scn.control.velocity_estimate_window
         enhanced = worst_error(scn)
-        ratio = baseline / enhanced if enhanced else float("inf")
-        print(f"{horizon:>8} {window:>7} {enhanced:>9.2f} {ratio:>6.2f}")
-        if best is None or ratio > best[0]:
+        ratio = (None if baseline is None or enhanced is None
+                 else baseline / enhanced if enhanced else float("inf"))
+        print(f"{horizon:>8} {window:>7} {fixed(enhanced, '>9.2f')} {fixed(ratio, '>6.2f')}")
+        if ratio is not None and (best is None or ratio > best[0]):
             best = (ratio, horizon, window, enhanced)
+    if best is None:
+        print("\nbest: None")
+        return
     ratio, horizon, window, enhanced = best
     print(f"\nbest: horizon={horizon} window={window} "
           f"enhanced={enhanced:.2f} ratio={ratio:.2f}")
@@ -101,7 +113,7 @@ def main(argv=None) -> int:
     grid = commands.add_parser("sweep", help="rank the prediction knobs on a course")
     grid.add_argument("--scenario", default="moving_leader_compare",
                       help="scenario name or path to sweep")
-    grid.add_argument("--horizons", type=int, nargs="+", default=[10, 20, 30, 38, 45, 55],
+    grid.add_argument("--horizons", type=int, nargs="+", default=list(SWEEP_HORIZONS),
                       help="prediction_horizon_steps values to try")
     grid.add_argument("--windows", type=int, nargs="+", default=[5, 10, 15, 25, 40],
                       help="velocity_estimate_window values to try")

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graph import NetworkTopology, kron_expand
-from .lti import TransferFunction, tf_mul
 
 if TYPE_CHECKING:
     from .scenario import NiGains
@@ -236,17 +235,3 @@ def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains,
     errors.append(wrap(yaws[topology.reference_agents[0] - 1] - target_angle))
     return _route(errors, lifted, gains, (YAW_RATE_CAP,) * topology.n_agents)
 
-
-def prediction_path_tf(plant: TransferFunction, dt: float,
-                       horizon_steps: int = 1) -> TransferFunction:
-    """Transfer function of the prediction branch: (horizon*dt) * s * P(s).
-
-    This is the rate-like parallel branch whose additive composition with
-    the plant itself is certified by `series_ni_composition`; the branch on
-    its own dips below the NI boundary near DC, the composite does not.
-    """
-    tau = dt * horizon_steps
-    if tau <= 0:
-        raise ValueError("dt * horizon_steps must be positive")
-    return tf_mul(TransferFunction((tau, 0.0), (1.0,)), plant,
-                  label=f"rate branch of {plant.label}" if plant.label else "")

@@ -1,19 +1,17 @@
 """Continuous-time LTI transfer functions with negative-imaginary classification.
 
-Frequency-domain tools for single-input single-output rational transfer
-functions: pointwise evaluation on the imaginary axis, the negative-imaginary
-(NI / strictly-NI) test, internal-stability certificates for positive-feedback
-interconnections, additive composition, and bilinear discretization to a
-stepped state-space realization for fixed-step simulation, with a bank that
-steps many such realizations as one batched update and draws their output
-noise.
+Single-input single-output rational transfer functions: the exact
+negative-imaginary (NI / strictly-NI) class on a frequency band, the DC
+gain, and bilinear discretization to a stepped state-space realization for
+fixed-step simulation, with a bank that steps many such realizations as one
+batched update and draws their output noise.  `load_model_library` reads
+the named fitted plants.
 
-Classification and certification are exact, not sampled.  For P = N/D the
-NI index -2*Im P(jw) has the sign of the real polynomial
--Im[N(jw) * conj D(jw)], so the real roots of that polynomial decide the
-class on a frequency band (lo, hi], which may reach to infinity.  The default
-band, (0, 2] rad/s, is the one the shipped velocity models are certified on.
-A certificate's closed-loop poles are the roots of Dp*Dc - Np*Nc.
+Classification is exact, not sampled.  For P = N/D the NI index
+-2*Im P(jw) has the sign of the real polynomial -Im[N(jw) * conj D(jw)], so
+the real roots of that polynomial decide the class on a frequency band
+(lo, hi], which may reach to infinity.  The default band, (0, 2] rad/s, is
+the one on which the shipped velocity models classify SNI.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import numpy as np
 import yaml
 from scipy import signal
 
-POLE_FLOOR = 1e-12
 DEFAULT_BAND = (0.0, 2.0)
 # a root counts as real (a pole as on the axis) within this fraction of its
 # magnitude, and real roots closer than that count as one: `np.roots` splits
@@ -43,15 +40,11 @@ NEITHER = "neither"
 
 
 class PoleOnAxisError(ValueError):
-    """The denominator vanishes (within floor) at the requested frequency."""
+    """The denominator has a root on the imaginary axis within the band."""
 
 
 class IntegratorError(ValueError):
     """DC gain requested for a model with a pole at the origin."""
-
-
-class ClassificationError(ValueError):
-    """An interconnection precondition on NI/SNI classes does not hold."""
 
 
 def _as_coeffs(values) -> tuple[float, ...]:
@@ -84,49 +77,6 @@ class TransferFunction:
     @property
     def proper(self) -> bool:
         return len(self.numerator) <= len(self.denominator)
-
-
-def tf(numerator, denominator, label: str = "") -> TransferFunction:
-    return TransferFunction(tuple(np.atleast_1d(numerator)),
-                            tuple(np.atleast_1d(denominator)), label)
-
-
-def tf_add(a: TransferFunction, b: TransferFunction, label: str = "") -> TransferFunction:
-    """Parallel (additive) connection a + b."""
-    num = np.polyadd(np.polymul(a.numerator, b.denominator),
-                     np.polymul(b.numerator, a.denominator))
-    den = np.polymul(a.denominator, b.denominator)
-    return TransferFunction(tuple(num), tuple(den), label)
-
-
-def tf_mul(a: TransferFunction, b: TransferFunction, label: str = "") -> TransferFunction:
-    """Series connection a * b."""
-    return TransferFunction(tuple(np.polymul(a.numerator, b.numerator)),
-                            tuple(np.polymul(a.denominator, b.denominator)), label)
-
-
-def evaluate(tfn: TransferFunction, omega: float) -> complex:
-    """P(j*omega) by direct polynomial evaluation; omega >= 0."""
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
-    s = 1j * float(omega)
-    den = np.polyval(tfn.denominator, s)
-    if abs(den) < POLE_FLOOR:
-        raise PoleOnAxisError(
-            f"denominator magnitude below {POLE_FLOOR:g} at omega={omega:g} rad/s"
-            + (f" for '{tfn.label}'" if tfn.label else ""))
-    return complex(np.polyval(tfn.numerator, s) / den)
-
-
-def sni_index(tfn: TransferFunction, omega: float) -> float:
-    """j*(P(jw) - conj(P(jw))) as a real number, i.e. -2*Im P(jw).
-
-    Positive means the frequency-response point lies strictly below the real
-    axis at this frequency.
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return -2.0 * evaluate(tfn, omega).imag
 
 
 def _on_axis(coeffs) -> np.ndarray:
@@ -183,77 +133,6 @@ def dc_gain(tfn: TransferFunction) -> float:
     return tfn.numerator[-1] / den0
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Internal-stability certificate for a positive-feedback pair."""
-
-    plant_class: str
-    controller_class: str
-    dc_product: float
-    dc_condition_met: bool
-    closed_loop_poles: tuple[complex, ...]
-    stable: bool
-    reasons: tuple[str, ...]
-
-
-def certify_interconnection(plant: TransferFunction, controller: TransferFunction,
-                            band=DEFAULT_BAND) -> Certificate:
-    """Internal-stability certificate for the positive feedback loop.
-
-    The pair must classify into complementary NI classes on the band, at
-    least one strictly: the hypotheses of the NI stability theorem (Lanzon
-    & Petersen, IEEE TAC 2008; Xiong, Petersen & Lanzon, IEEE TAC 2010).
-    Under them the theorem's DC-gain condition, P(0) * C(0) < 1, gives
-    internal stability.  The certificate also carries the closed-loop poles,
-    the roots of Dp*Dc - Np*Nc, and `stable` holds when the DC-gain
-    condition holds and every pole has a negative real part.
-    """
-    plant_class = classify_ni(plant, band)
-    controller_class = classify_ni(controller, band)
-    for role, tfn, cls in (("plant", plant, plant_class),
-                           ("controller", controller, controller_class)):
-        if cls == NEITHER:
-            raise ClassificationError(f"{role} classifies 'neither' on the band "
-                                      f"(label='{tfn.label}')")
-    if SNI not in (plant_class, controller_class):
-        raise ClassificationError("at least one of the pair must classify SNI")
-
-    reasons: list[str] = []
-    product = dc_gain(plant) * dc_gain(controller)
-    dc_ok = bool(product < 1.0)
-    if not dc_ok:
-        reasons.append(f"dc gain product {product:.6g} >= 1")
-
-    poles = np.sort_complex(np.roots(np.polysub(
-        np.polymul(plant.denominator, controller.denominator),
-        np.polymul(plant.numerator, controller.numerator))))
-    poles_ok = bool(np.all(poles.real < 0.0))
-    if not poles_ok:
-        reasons.append(f"closed-loop pole {poles[-1]:.6g} has Re >= 0")
-    return Certificate(
-        plant_class=plant_class,
-        controller_class=controller_class,
-        dc_product=float(product),
-        dc_condition_met=dc_ok,
-        closed_loop_poles=tuple(complex(p) for p in poles),
-        stable=dc_ok and poles_ok,
-        reasons=tuple(reasons),
-    )
-
-
-def series_ni_composition(sni: TransferFunction, ni: TransferFunction,
-                          band=DEFAULT_BAND) -> str:
-    """Classify the additive positive connection of the two inputs.
-
-    The declared contract is an SNI branch plus an NI branch; the inputs'
-    own classes are the caller's responsibility and are not re-checked here
-    (rate-like branches dip below the NI boundary near DC while the composite
-    remains SNI, which is exactly the case this composition exists for).
-    Returns the composite's exact classification on the band.
-    """
-    return classify_ni(tf_add(sni, ni, label=f"{sni.label}+{ni.label}"), band)
-
-
 @dataclass
 class DiscretePlant:
     """Stepped discrete realization of a proper transfer function.
@@ -280,11 +159,6 @@ class DiscretePlant:
         y = float((self.c @ self.state)[0, 0]) + self.d * u
         self.state = self.a @ self.state + self.b * u
         return y
-
-    def dc_gain(self) -> float:
-        n = self.a.shape[0]
-        gain = self.c @ np.linalg.solve(np.eye(n) - self.a, self.b)
-        return float(gain[0, 0]) + self.d
 
 
 class PlantBank:
@@ -396,24 +270,15 @@ def parse_yaml(text: str):
     return yaml.load(text, Loader=YAML_LOADER)
 
 
-@dataclass(frozen=True)
-class ModelRecord:
-    """One named plant from the model library."""
-
-    name: str
-    kind: str
-    axis: str
-    transfer_function: TransferFunction
-    certification_gain: float
-
-
-def load_model_library(path: str | Path | None = None) -> dict[str, ModelRecord]:
-    """Load the named transfer-function library (YAML).
+def load_model_library(path: str | Path | None = None) -> dict[str, TransferFunction]:
+    """Load the named transfer-function library (YAML), each transfer
+    function labelled with its name.
 
     Defaults to the library shipped with the package: the fitted velocity
     models for both vehicle kinds plus the first-order yaw-rate model.  The
     shipped file is parsed once per process, and each call returns a new
-    dict of the same frozen records; a `path` is read on every call.
+    dict of the same frozen transfer functions; a `path` is read on every
+    call.  Each entry holds exactly `numerator` and `denominator`.
     """
     if path is None:
         return dict(_shipped_library())
@@ -421,31 +286,26 @@ def load_model_library(path: str | Path | None = None) -> dict[str, ModelRecord]
 
 
 @functools.lru_cache(maxsize=1)
-def _shipped_library() -> dict[str, ModelRecord]:
+def _shipped_library() -> dict[str, TransferFunction]:
     source = importlib.resources.files("niformation").joinpath("data/models.yaml")
     return _parse_library(source.read_text())
 
 
-def _parse_library(text: str) -> dict[str, ModelRecord]:
+def _parse_library(text: str) -> dict[str, TransferFunction]:
     doc = parse_yaml(text)
     models = doc.get("models") if isinstance(doc, dict) else None
     if not isinstance(models, dict) or not models:
         raise ValueError("model library must contain a nonempty 'models' mapping")
-    records: dict[str, ModelRecord] = {}
+    library: dict[str, TransferFunction] = {}
     for name, entry in models.items():
         try:
-            tfn = TransferFunction(tuple(entry["numerator"]),
-                                   tuple(entry["denominator"]), label=name)
-            gain = float(entry.get("certification_gain", -0.7))
-            if not np.isfinite(gain):
-                raise ValueError("certification_gain must be finite")
-            records[name] = ModelRecord(
-                name=name,
-                kind=str(entry.get("kind", "")),
-                axis=str(entry.get("axis", "")),
-                transfer_function=tfn,
-                certification_gain=gain,
-            )
+            if not isinstance(entry, dict):
+                raise TypeError("expected a mapping")
+            unknown = [key for key in entry if key not in ("numerator", "denominator")]
+            if unknown:
+                raise ValueError(f"{unknown[0]}: unknown field")
+            library[name] = TransferFunction(tuple(entry["numerator"]),
+                                             tuple(entry["denominator"]), label=name)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"model '{name}': {exc}") from exc
-    return records
+    return library

@@ -35,6 +35,7 @@ All coordinates are centimeters.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -108,8 +109,9 @@ class MotionBudget:
         if self.moved2 is not None:
             moved2 = np.array(self.moved2)
             left = ~(moved2 < self.radii * self.radii).all(axis=1)
-            self.radii = np.maximum((1.0 - SENSING_MARGIN) * self.radii
-                                    - (1.0 + SENSING_MARGIN) * np.sqrt(moved2), 0.0)
+            if math.inf not in self.moved2:   # else every row is left: no inf - inf
+                self.radii = np.maximum((1.0 - SENSING_MARGIN) * self.radii
+                                        - (1.0 + SENSING_MARGIN) * np.sqrt(moved2), 0.0)
             for stale in left.nonzero()[0]:
                 self.expire(stale)
             self.anchor, self.moved2 = np.reshape(positions, (-1, 2)).tolist(), None

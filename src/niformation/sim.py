@@ -282,7 +282,7 @@ class Simulator:
 
         # agent-major x, y: the order the noise draws have always been taken in
         self.plants = PlantBank(
-            (discretize(models[f"{agent.kind}_vel{axis}"].transfer_function, scn.dt)
+            (discretize(models[f"{agent.kind}_vel{axis}"], scn.dt)
              for agent in scn.agents for axis in ("x", "y")),
             scn.noise_std, np.random.default_rng(scn.seed))
 
@@ -292,8 +292,7 @@ class Simulator:
             self.yaw_lift = controller.lift(top, 1)
             self.yaw_rows = np.unique(np.concatenate(
                 [top.heads, top.tails, np.subtract(top.reference_agents, 1)])).tolist()
-            rate_tf = models["ugv_yaw_rate"].transfer_function
-            self.yaw_plants = PlantBank(discretize(rate_tf, scn.dt)
+            self.yaw_plants = PlantBank(discretize(models["ugv_yaw_rate"], scn.dt)
                                         for _ in self.yaw_rows)
 
         self.positions = self.origin.copy()

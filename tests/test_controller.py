@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from niformation import controller, graph, lti, scenario
+from niformation import controller, graph, scenario
 from niformation.controller import (SPEED_CAPS, YAW_RATE_CAP,
                                     baseline_control, enhanced_control,
-                                    heading_from_motion, lift,
-                                    prediction_path_tf, saturate, speed_caps,
-                                    wrap, yaw_consensus)
+                                    heading_from_motion, lift, saturate,
+                                    speed_caps, wrap, yaw_consensus)
 from niformation.scenario import NiGains
 
 PAIR_TOPOLOGY = graph.build_topology(2, [(1, 2)], [1])
@@ -286,24 +285,6 @@ def test_heading_from_motion():
     assert heading_from_motion([1.0, 1.0], [0.0, 0.0], 0.0) == pytest.approx(np.pi / 4)
     assert heading_from_motion([0.0, -1.0], [0.0, 0.0], 0.0) == pytest.approx(-np.pi / 2)
     assert heading_from_motion([5.0, 5.0], [5.0, 5.0], 1.234) == 1.234
-
-
-# -------------------------------------------------------- prediction branch
-
-def test_prediction_path_tf_is_scaled_derivative_of_plant():
-    models = lti.load_model_library()
-    plant = models["uav_velx"].transfer_function
-    branch = prediction_path_tf(plant, 0.02, 1)
-    for w in (0.1, 1.0, 1.9):
-        assert lti.evaluate(branch, w) == pytest.approx(
-            1j * w * 0.02 * lti.evaluate(plant, w))
-
-
-def test_prediction_branch_composes_to_sni_with_its_plant():
-    models = lti.load_model_library()
-    plant = models["uav_velx"].transfer_function
-    branch = prediction_path_tf(plant, 0.02, 1)
-    assert lti.series_ni_composition(plant, branch) == lti.SNI
 
 
 # ------------------------------------------- prebuilt lifts vs inline kron

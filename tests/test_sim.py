@@ -9,6 +9,7 @@ import io
 import json
 import math
 import struct
+import warnings
 from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
@@ -455,6 +456,17 @@ def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
     assert summary["final_positions_m"] == [[None, None]] * simulator.n
     assert summary["min_obstacle_clearance_cm"] is None
     # the NaN offsets reach the largest offset error, taken on floats
+    assert summary["final_offset_error_cm"] is None
+
+
+def test_an_overflowing_run_diverges_without_a_warning():
+    # noise_std 1e308 moves a robot an infinite squared distance in the
+    # first step, which leaves every motion budget row: none is shrunk by it
+    scn = replace(scenario.load_scenario("yaw_sync_pair"), noise_std=1e308, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = sim.Simulator(scn).run().summary
+    assert summary["status"] == sim.STATUS_DIVERGED
     assert summary["final_offset_error_cm"] is None
 
 
@@ -1011,6 +1023,26 @@ def test_sweep_prints_the_baseline_the_cell_and_the_ratio(capsys):
     assert "baseline worst-case relative error: 21.70 cm\n" in out
     assert "      22     300      5.34   4.06\n" in out
     assert out.endswith("best: horizon=22 window=300 enhanced=5.34 ratio=4.06\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["inspect", "huge_noise.yaml"],
+     "=== yaw_sync_pair: status=diverged wp=1 t=0.02\n"
+     "    min_clearance=None, boundary=None, final_offset_err=None\n"),
+    (["sweep", "--scenario", "huge_noise.yaml", "--horizons", "22", "--windows", "300"],
+     "baseline worst-case relative error: None cm\n\n"
+     " horizon  window  enhanced  ratio\n"
+     "      22     300      None   None\n\nbest: None\n"),
+], ids=["inspect", "sweep"])
+def test_a_diverged_run_prints_its_nulls_as_none(capsys, monkeypatch, tmp_path, argv,
+                                                 expected):
+    # yaw_sync_pair diverges in its first step at noise_std 1e308: its
+    # summary's offset and relative errors are null
+    monkeypatch.chdir(tmp_path)
+    doc = {**DOCS["yaw_sync_pair"], "noise_std": 1e308, "seed": 1}
+    (tmp_path / "huge_noise.yaml").write_text(yaml.safe_dump(doc))
+    assert entry_point()(argv) == 0
+    assert expected in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, message", [
