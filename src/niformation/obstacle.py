@@ -25,11 +25,18 @@ agent's footprint and every robot has passed them along the frame.  Each
 decision on positions alone is one call that also returns the radii within
 which it cannot change (`ObstacleField.sensed`, `running_clearance`, the
 planning skip `behind`, `event_cleared`), held in one `MotionBudget`.
-`boundary_distances` is the one home of a robot's distance to a circle's
-boundary: the running clearances take its minimum, and `niformation
-inspect` reads it over a whole logged run.  Every simulated team plans with
-the footprints `FOV` and `ROBOT_RADIUS`, and clears by `CLEARANCE_MARGIN`.
-All coordinates are centimeters.
+A robot's distance to a circle's boundary is `norm(p - c) - r`: the running
+clearances take its minimum, and `niformation inspect` reads
+`boundary_distances` over a whole logged run.  Every simulated team plans
+with the footprints `FOV` and `ROBOT_RADIUS`, and clears by
+`CLEARANCE_MARGIN`.  All coordinates are centimeters.
+
+The budget, sensing and the clearances take the team as stacked Python
+floats (x, y a robot) and run on floats, in numpy's operation order, so
+they round as the former array code did; a min or max keeps numpy's rule
+(`minimum_of`, `maximum_of`): the first NaN wins, and of equal values the
+later.  Everything that goes through a BLAS dot keeps numpy: the gate's
+scalar norm, `behind`, `PathFrame`, `detect_mode` and `event_cleared`.
 """
 
 from __future__ import annotations
@@ -72,6 +79,34 @@ class UnsupportedManeuver(ValueError):
     """The detected geometry calls for a maneuver this planner does not do."""
 
 
+def minimum_of(values) -> float:
+    """numpy's `min` of floats: the first NaN, else the least, the later of
+    equal values (so of 0.0 and -0.0)."""
+    out = None
+    for value in values:
+        if out is None or not (out < value or out != out):
+            out = value
+    return out
+
+
+def maximum_of(values) -> float:
+    """numpy's `max` of floats, by `minimum_of`'s rule."""
+    out = None
+    for value in values:
+        if out is None or not (out > value or out != out):
+            out = value
+    return out
+
+
+def _nonnegative(value: float) -> float:
+    """numpy's `maximum(value, 0.0)`: NaN stays NaN, -0.0 becomes 0.0."""
+    return value if value > 0.0 or value != value else 0.0
+
+
+def _pairs(stacked) -> list[list[float]]:
+    return [[x, y] for x, y in zip(stacked[0::2], stacked[1::2])]
+
+
 class MotionBudget:
     """One anchor for every decision held on the robots' positions alone.
 
@@ -84,15 +119,20 @@ class MotionBudget:
     triangle inequality) and by `SENSING_MARGIN` of that distance and its
     radius, far above the few ulps a displacement and its test round by.
     An expired row limits the budget until the next renewal.
+
+    Positions are stacked floats (x, y a robot); `radii` is a float list a
+    row and `anchor` an [x, y] list a robot.  The arithmetic is the former
+    (rows, robots) array's, in its order, with `np.maximum`'s and
+    `np.minimum.reduce`'s rule for NaN and equal values (`minimum_of`).
     """
 
     def __init__(self, positions, rows: int):
-        self.radii = np.full((rows, len(positions)), np.inf)
-        self.stale, self.budget2 = [True] * rows, [np.inf] * len(positions)
-        self.anchor, self.moved2 = np.asarray(positions).tolist(), None
+        self.anchor, self.moved2 = _pairs(positions), None
+        self.radii = [[math.inf] * len(self.anchor) for _ in range(rows)]
+        self.stale, self.budget2 = [True] * rows, [math.inf] * len(self.anchor)
 
     def spend(self, stacked):
-        """Test stacked positions (x, y a robot) on floats; renew if spent."""
+        """Test stacked positions on floats; renew if spent."""
         self.moved2 = [(x - a) * (x - a) + (y - b) * (y - b)
                        for (a, b), x, y in zip(self.anchor, stacked[::2], stacked[1::2])]
         for moved, budget in zip(self.moved2, self.budget2):
@@ -101,27 +141,33 @@ class MotionBudget:
 
     def renew(self, positions, row: int | None = None, radius=None):
         """Move the anchor to `positions`, the last spent, then hold decision
-        `row`, just made there, within `radius` (one, or one per robot).  A
-        radius not above 0 everywhere (NaN included) holds nothing: the row
-        stays stale, and neither the anchor nor the budget moves."""
-        if row is not None and not np.all(radius > 0.0):
-            return self.expire(row)
+        `row`, just made there, within `radius` (a float, or a float list
+        per robot).  A radius not above 0 everywhere (NaN included) holds
+        nothing: the row stays stale, and neither the anchor nor the budget
+        moves."""
+        if row is not None:
+            radius = radius[:] if isinstance(radius, list) else [radius] * len(self.anchor)
+            if not all(r > 0.0 for r in radius):
+                return self.expire(row)
         if self.moved2 is not None:
-            moved2 = np.array(self.moved2)
-            left = ~(moved2 < self.radii * self.radii).all(axis=1)
-            if math.inf not in self.moved2:   # else every row is left: no inf - inf
-                self.radii = np.maximum((1.0 - SENSING_MARGIN) * self.radii
-                                        - (1.0 + SENSING_MARGIN) * np.sqrt(moved2), 0.0)
-            for stale in left.nonzero()[0]:
-                self.expire(stale)
-            self.anchor, self.moved2 = np.reshape(positions, (-1, 2)).tolist(), None
+            shrink = [(1.0 + SENSING_MARGIN) * math.sqrt(m) for m in self.moved2]
+            for k, radii in enumerate(self.radii):
+                if self.stale[k]:   # inf everywhere, which neither test nor shrink moves
+                    continue
+                for moved2, r in zip(self.moved2, radii):
+                    if not moved2 < r * r:   # left, as is every row after an inf move
+                        self.expire(k)
+                        break
+                else:   # np.maximum(shrunk, 0.0)
+                    self.radii[k] = [v if (v := (1.0 - SENSING_MARGIN) * r - s) > 0.0
+                                     or v != v else 0.0 for r, s in zip(radii, shrink)]
+            self.anchor, self.moved2 = _pairs(positions), None
         if row is not None:
             self.radii[row], self.stale[row] = radius, False
-        least = np.minimum.reduce(self.radii, axis=0)
-        self.budget2 = (least * least).tolist()
+        self.budget2 = [r * r for r in map(minimum_of, zip(*self.radii))]
 
     def expire(self, row: int):
-        self.radii[row], self.stale[row] = np.inf, True
+        self.radii[row], self.stale[row] = [math.inf] * len(self.anchor), True
 
 
 @dataclass(frozen=True)
@@ -258,6 +304,11 @@ def circle_arrays(circles) -> tuple[np.ndarray, np.ndarray]:
             np.array([c.radius for c in circles], dtype=float))
 
 
+def circle_floats(circles) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """Centers, (x, y) float pairs, and radii of a sequence of circles."""
+    return tuple(c.center for c in circles), tuple(c.radius for c in circles)
+
+
 def boundary_distances(positions, centers, radii) -> np.ndarray:
     """|p - c| - r for every position p and circle (c, r): shape (..., n, m)
     for (..., n, 2) positions, so a whole logged run at once.  Each distance
@@ -266,32 +317,39 @@ def boundary_distances(positions, centers, radii) -> np.ndarray:
     return np.sqrt(np.add.reduce(diff * diff, axis=-1)) - radii
 
 
-def nearest_boundary(positions, centers, radii) -> float:
-    """The least `boundary_distances` (inf without circles).  The simulator
-    calls it through `running_clearance`, and skips the call while the
-    budget holds the minimum."""
-    return float(boundary_distances(positions, centers, radii).min(initial=np.inf))
-
-
 def running_clearance(least: float, positions, centers, radii,
                       floor: float) -> tuple[float, float]:
-    """The running minimum `least` lowered to this evaluation's `gap` =
-    `nearest_boundary(positions, centers, radii) - floor`, and the radius
+    """The running minimum `least` lowered to this evaluation's `gap`, the
+    least `boundary_distances` of the stacked `positions` to the circles
+    (`circle_floats`; inf without circles) less `floor`, and the radius
     within which no robot can set a lower one: a distance to a boundary
     shrinks by at most the displacement, so it is the slack `gap - least`
     less `SENSING_MARGIN` * (|gap| + |least| + |floor| + the largest radius),
     far above the few ulps the gaps and the slack round by, clamped at 0 (a
-    team that has just set the minimum never holds).  NaN stays NaN."""
-    gap = nearest_boundary(positions, centers, radii) - floor
+    team that has just set the minimum never holds).
+
+    On floats: each distance is `math.sqrt(dx*dx + dy*dy) - r`, the bits of
+    `boundary_distances`, and a Python float product overflows to inf
+    without a warning.  A NaN distance makes the gap NaN, as numpy's `min`
+    did: the minimum keeps `least`, and the radius is NaN, which never
+    holds."""
+    gap = math.inf
+    for x, y in zip(positions[0::2], positions[1::2]):
+        for (cx, cy), r in zip(centers, radii):
+            dx, dy = x - cx, y - cy
+            distance = math.sqrt(dx * dx + dy * dy) - r
+            if not (gap < distance or gap != gap):
+                gap = distance
+    gap -= floor
     least = min(least, gap)
-    scale = abs(gap) + abs(least) + abs(floor) + float(radii.max(initial=0.0))
-    return least, float(np.maximum(gap - least - SENSING_MARGIN * scale, 0.0))
+    scale = abs(gap) + abs(least) + abs(floor) + maximum_of((0.0, *radii))
+    return least, _nonnegative(gap - least - SENSING_MARGIN * scale)
 
 
 class ObstacleField:
-    """A run's obstacle polygons at one sensor reach, stacked once (polygon
-    i's vertices from `vertices[starts[i]]`; wrap circles as `circles` and
-    `centers`/`radii`), so a whole team's sensing is decided as the clip's.
+    """A run's obstacle polygons at one sensor reach, built once (wrap
+    circles as `circles`, `centers`/`radii`, and `circle_floats`), so a
+    whole team's sensing is decided as the clip's.
 
     Squared distances settle almost every (viewer, vertex) pair: nearer
     than the footprint's incircle radius less a margin passes every clip
@@ -318,6 +376,11 @@ class ObstacleField:
     test, and of pairs within `GATE_ULPS` of the gate.  v's reuse radius,
     which `sensed` returns for a `MotionBudget` row, is its least slack,
     clamped at 0; a NaN stays NaN and never passes.
+
+    `sensed` runs on floats the field copies once: each polygon's gate
+    (centre, `reach` + radius, its square and the square's `GATE_ULPS`
+    tolerance) and `points`, its vertices as (x, y) pairs, and `ring`, the
+    footprint's vertex offsets `reach * FOOTPRINT_RING`.
     """
 
     def __init__(self, polygons, reach: float):
@@ -325,66 +388,82 @@ class ObstacleField:
         self.circles = tuple(circle_from_observation(p, (i,))
                              for i, p in enumerate(self.polygons))
         self.centers, self.radii = circle_arrays(self.circles)
-        counts = np.array([p.shape[0] for p in self.polygons], dtype=int)
-        self.starts, self.solid = np.cumsum(counts) - counts, counts >= 3
-        self.vertices = np.concatenate([np.zeros((0, 2)), *self.polygons])
         self.reach = float(reach)
-        self.limits = self.reach + self.radii
-        self.limits2 = self.limits ** 2
-        self.scale = np.abs(self.vertices).max(initial=0.0) + 2.0 * self.reach
-        margin = SENSING_MARGIN * self.scale
-        self.inner = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES) - margin, 0.0)
-        self.inner2 = self.inner ** 2
-        self.outer2 = (self.reach + margin) ** 2
-        for values in (*self.polygons, self.centers, self.radii, self.starts,
-                       self.solid, self.vertices, self.limits, self.limits2):
+        limits = self.reach + self.radii
+        limits2 = limits ** 2
+        scale = np.abs(np.concatenate([np.zeros((0, 2)), *self.polygons])).max(
+            initial=0.0) + 2.0 * self.reach
+        margin = SENSING_MARGIN * scale
+        inner = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES) - margin, 0.0)
+        self.scale, self.inner, self.inner2 = float(scale), float(inner), float(inner ** 2)
+        self.outer2 = float((self.reach + margin) ** 2)
+        for values in (*self.polygons, self.centers, self.radii):
             values.flags.writeable = False
+        self.circle_floats = circle_floats(self.circles)
+        self.points = tuple(tuple(map(tuple, p.tolist())) for p in self.polygons)
+        self.gates = tuple(zip(self.circle_floats[0], limits.tolist(), limits2.tolist(),
+                               (GATE_ULPS * np.spacing(limits2)).tolist()))
+        self.ring = tuple(map(tuple, (self.reach * FOOTPRINT_RING).tolist()))
 
-    def vertices_in_footprint(self, viewers) -> tuple[np.ndarray, np.ndarray]:
-        """(n, vertices) for (n, 2) viewers: the vertex passes all the
-        half-plane tests of `clip_polygon_to_disc(_, viewer, reach)`; and the
-        squared distances from each viewer to each vertex."""
-        diff = self.vertices - viewers[:, None, :]
-        dist2 = np.add.reduce(diff * diff, axis=2)
-        inside = dist2 < self.inner2
-        band = ~inside & (dist2 <= self.outer2)
-        if band.any():
-            v, p = band.nonzero()
-            ring = viewers[v, None, :] + self.reach * FOOTPRINT_RING
-            edge = np.roll(ring, -1, axis=1) - ring
-            x, y = self.vertices[p, 0, None], self.vertices[p, 1, None]
-            test = edge[..., 0] * (y - ring[..., 1]) - edge[..., 1] * (x - ring[..., 0])
-            inside[v, p] = (test >= 0.0).all(axis=1)
-        return inside, dist2
+    def _in_footprint(self, vx: float, vy: float, px: float, py: float) -> bool:
+        """Vertex (px, py) passes every half-plane test of
+        `clip_polygon_to_disc(_, (vx, vy), reach)`, in the clip's arithmetic."""
+        ring = [(vx + ox, vy + oy) for ox, oy in self.ring]
+        ax, ay = ring[-1]
+        for bx, by in ring:
+            # the edge from ring[k - 1] to ring[k], as the clip forms it
+            if not (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0:
+                return False
+            ax, ay = bx, by
+        return True
 
-    def sensed(self, viewers) -> tuple[list[ObstacleCircle], np.ndarray]:
-        """Circles of the polygons i that some viewer v senses: v passes the
-        gate `not norm(v - c_i) > reach + r_i` and the clip of P_i to v's
-        footprint keeps at least 3 vertices.  Squared gate distances within
-        `GATE_ULPS` ulps of the squared limit (the squared norms differ by
-        about 10 u at most) are re-decided by the scalar norm.  Each viewer
-        also gets its reuse radius."""
-        diff = viewers[:, None, :] - self.centers
-        centre2 = np.add.reduce(diff * diff, axis=2)
-        gate = centre2 <= self.limits2
-        tol = GATE_ULPS * np.spacing(self.limits2)
-        for v, i in zip(*(abs(centre2 - self.limits2) <= tol).nonzero()):
-            gate[v, i] = not (np.linalg.norm(viewers[v] - self.centers[i])
-                              > self.reach + self.radii[i])
-        inside, dist2 = self.vertices_in_footprint(viewers)
-        hit = self.solid & np.logical_or.reduceat(inside, self.starts, axis=1)
-        seen = (gate & hit).any(axis=0)
-        for v, i in zip(*(gate & ~hit).nonzero()):
+    def sensed(self, viewers) -> tuple[list[ObstacleCircle], list[float]]:
+        """Circles of the polygons i that some viewer v senses, for stacked
+        viewers: v passes the gate `not norm(v - c_i) > reach + r_i` and the
+        clip of P_i to v's footprint keeps at least 3 vertices.  Squared gate
+        distances within `GATE_ULPS` ulps of the squared limit (the squared
+        norms differ by about 10 u at most) are re-decided by the scalar
+        norm.  Each viewer also gets its reuse radius.  The clip runs last,
+        in (viewer, polygon) order, for the gate-passing pairs no vertex
+        settles, and only while the polygon is not yet seen."""
+        seen, clips, reuse = [False] * len(self.circles), [], []
+        inner, inner2, outer2, scale = self.inner, self.inner2, self.outer2, self.scale
+        for v, (vx, vy) in enumerate(zip(viewers[0::2], viewers[1::2])):
+            nearest = math.inf
+            for i, (((cx, cy), limit, limit2, tol), points) in enumerate(
+                    zip(self.gates, self.points)):
+                dx, dy = vx - cx, vy - cy
+                centre2 = dx * dx + dy * dy
+                gate = centre2 <= limit2
+                if abs(centre2 - limit2) <= tol:
+                    gate = not np.linalg.norm(np.array((dx, dy))) > limit
+                solid, hit, near2 = len(points) >= 3, False, math.inf
+                for px, py in points if solid else ():
+                    ex, ey = px - vx, py - vy
+                    dist2 = ex * ex + ey * ey
+                    if not (near2 < dist2 or near2 != near2):
+                        near2 = dist2
+                    if gate and not hit:
+                        hit = dist2 < inner2 or (dist2 <= outer2
+                                                 and self._in_footprint(vx, vy, px, py))
+                if hit:
+                    seen[i] = True
+                elif gate:
+                    clips.append((v, i))
+                dist = math.sqrt(centre2)
+                witness = inner - math.sqrt(near2) if solid else 0.0
+                slack = dist - limit
+                if not (slack > witness or slack != slack):
+                    slack = witness
+                slack -= SENSING_MARGIN * (dist + scale)
+                if not (nearest < slack or nearest != nearest):
+                    nearest = slack
+            reuse.append(_nonnegative(nearest))
+        for v, i in clips:
             if not seen[i]:
-                seen[i] = clip_polygon_to_disc(self.polygons[i], viewers[v],
+                seen[i] = clip_polygon_to_disc(self.polygons[i], viewers[2 * v:2 * v + 2],
                                                self.reach).shape[0] >= 3
-        dist = np.sqrt(centre2)
-        near = np.sqrt(np.minimum.reduceat(dist2, self.starts, axis=1))
-        witness = np.where(self.solid, self.inner - near, 0.0)
-        slack = np.maximum(dist - self.limits, witness)
-        slack -= SENSING_MARGIN * (dist + self.scale)
-        return ([self.circles[i] for i in seen.nonzero()[0]],
-                np.maximum(slack.min(axis=1, initial=np.inf), 0.0))
+        return [circle for circle, hit in zip(self.circles, seen) if hit], reuse
 
 
 def shared_field(polygons, reach: float) -> ObstacleField:

@@ -19,7 +19,7 @@ axes and the yaw rates, and the velocity ring, a deque of the last
 the finite-difference velocities read.  Per-edge quantities are gathers
 through the edges' (head, tail) rows: the relative offsets and the steered
 agents of a transition through the lift's `pairs`, the follower targets
-through `tails`.  An avoidance event's circle arrays are built once when it
+through `tails`.  An avoidance event's circle floats are built once when it
 fires.  Per process, what depends only on the shipped files, `dt`, a
 topology or a course is shared and read-only: each shipped scenario, each
 lifted topology (`controller.lift`), each course's `obstacle.ObstacleField`,
@@ -31,9 +31,13 @@ integration, the reference point, the waypoint radius test, the log row, the
 offsets, and the transition, offset-ramp and settle bookkeeping) runs on
 stacked Python floats, each agent's (or edge's) coordinates in turn, which
 round and decide NaN as numpy does and cost less than numpy calls on a few
-agents; numpy keeps the planar bank's products and the noise draw
-(`controller`, `lti.PlantBank`).  `positions` stays the (n, 2) array the
-obstacle layer reads, written once a step.
+agents.  So does the obstacle layer's position-only bookkeeping: the motion
+budget, sensing, both clearance minima and the divergence box.  numpy keeps
+the planar bank's products and the noise draw (`controller`,
+`lti.PlantBank`), and the obstacle layer's BLAS dots: the planning skip
+`obstacle.behind`, the event frame's `PathFrame.coords` and `to_world`,
+`detect_mode`, `event_cleared` and the sensing gate's scalar norm.
+`positions` stays the (n, 2) array those read, written once a step.
 
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
@@ -309,7 +313,7 @@ class Simulator:
                                  * min(scn.control.command_delay_steps, self.steps))
 
         self.obstacles = obstacle.shared_field(scn.obstacles, obstacle.FOV / 2.0)
-        self.budget = obstacle.MotionBudget(self.positions, IN_BOX + 1)
+        self.budget = obstacle.MotionBudget(self.stacked_origin, IN_BOX + 1)
         self.sensed = self.grouped = []   # sensed circles, their group_all
         # the reference point the planning skip was decided at, and the
         # square of how far it may move with the skip held
@@ -319,14 +323,16 @@ class Simulator:
         self.phase_offsets = [[v for pair in phase.offsets for v in pair]
                               for phase in scn.formation.phases]
         # divergence box: everything the scenario mentions, inflated by the
-        # largest offset component plus one meter
-        cloud = np.vstack([self.origin, self.waypoints, self.obstacles.vertices])
+        # largest offset component plus one meter; (x, y) float pairs, each
+        # the least or greatest coordinate as numpy's min and max take it
+        cloud = [*self.origin.tolist(), *self.waypoints,
+                 *(point for points in self.obstacles.points for point in points)]
         offset_reach = max((abs(v) for ph in self.phase_offsets for v in ph), default=0.0)
         margin = offset_reach + 100.0
-        self.box_low = cloud.min(axis=0) - margin
-        self.box_high = cloud.max(axis=0) + margin
-        self.box_margin = obstacle.SENSING_MARGIN * np.abs(
-            [self.box_low, self.box_high]).max()
+        self.box_low = tuple(obstacle.minimum_of(axis) - margin for axis in zip(*cloud))
+        self.box_high = tuple(obstacle.maximum_of(axis) + margin for axis in zip(*cloud))
+        self.box_margin = obstacle.SENSING_MARGIN * obstacle.maximum_of(
+            map(abs, (*self.box_low, *self.box_high)))
 
         # ---- state machine
         self.completed = 0
@@ -339,7 +345,7 @@ class Simulator:
         self.settle_ok_since: float | None = None
         self.avoidance: obstacle.AvoidanceEvent | None = None
         self.avoidance_started = 0.0
-        self.avoidance_circles = obstacle.circle_arrays(())   # the event's circles
+        self.avoidance_circles = obstacle.circle_floats(())   # the event's circles
         self.ref_slew: Slew | None = None
         # the last reference point, held for the same `now`, event and slew objects and target
         self.reference, self.reference_key = None, (None,) * 4
@@ -435,8 +441,9 @@ class Simulator:
         """
         budget = self.budget
         if budget.stale[SENSED]:
-            sensed, reuse = self.obstacles.sensed(self.positions)
-            budget.renew(self.positions, SENSED, reuse)
+            positions = self.pos_ring[-1]
+            sensed, reuse = self.obstacles.sensed(positions)
+            budget.renew(positions, SENSED, reuse)
             if sensed != self.sensed:
                 self.sensed = sensed
                 self.grouped = obstacle.group_all(sensed, 2.0 * obstacle.ROBOT_RADIUS)
@@ -465,7 +472,7 @@ class Simulator:
             cleared, radius = obstacle.event_cleared(
                 self.avoidance, self.positions, self.master, obstacle.FOV, obstacle.ROBOT_RADIUS)
             if not cleared:
-                budget.renew(self.positions, EVENT_END, radius)
+                budget.renew(self.pos_ring[-1], EVENT_END, radius.tolist())
                 return
             # glide the reference back to the waypoint instead of stepping
             # it: the formation is cruising at the clear instant, and a step
@@ -489,9 +496,9 @@ class Simulator:
         head, centers = self.positions[self.master], obstacle.circle_arrays(self.grouped)[0]
         skip, reach = obstacle.behind(centers, head, reference)
         if skip:
-            radius = np.full(self.n, np.inf)
+            radius = [math.inf] * self.n
             radius[self.master] = reach
-            budget.renew(self.positions, PLAN_SKIP, radius)
+            budget.renew(self.pos_ring[-1], PLAN_SKIP, radius)
             self.skip_reference, self.skip_reach2 = reference, reach * reach
             return
         budget.expire(PLAN_SKIP)
@@ -502,7 +509,7 @@ class Simulator:
             return
         self.avoidance = event
         self.avoidance_started = now
-        self.avoidance_circles = obstacle.circle_arrays(event.obstacles)
+        self.avoidance_circles = obstacle.circle_floats(event.obstacles)
         budget.expire(EVENT_MIN)   # its end is stale: only a stale end clears
         self.ref_slew = None
         planned = {"mode": event.mode, "sub_case": event.sub_case,
@@ -765,16 +772,16 @@ class Simulator:
         # planning radius holds back slack for tracking transients.
         # Subtracting after the min is exact: rounding is monotone.  Each
         # minimum is evaluated again only once its budget row has gone stale
-        budget = self.budget
+        budget, positions = self.budget, self.pos_ring[-1]
         if self.obstacles.circles and budget.stale[FIELD_MIN]:
             self.min_clearance, radius = obstacle.running_clearance(
-                self.min_clearance, self.positions, self.obstacles.centers,
-                self.obstacles.radii, obstacle.COLLISION_RADIUS)
-            budget.renew(self.positions, FIELD_MIN, radius)
+                self.min_clearance, positions, *self.obstacles.circle_floats,
+                obstacle.COLLISION_RADIUS)
+            budget.renew(positions, FIELD_MIN, radius)
         if self.avoidance is not None and budget.stale[EVENT_MIN]:
             self.min_boundary_clearance, radius = obstacle.running_clearance(
-                self.min_boundary_clearance, self.positions, *self.avoidance_circles, 0.0)
-            budget.renew(self.positions, EVENT_MIN, radius)
+                self.min_boundary_clearance, positions, *self.avoidance_circles, 0.0)
+            budget.renew(positions, EVENT_MIN, radius)
 
     def _check_safety(self, now: float) -> bool:
         if self.min_clearance < 0.0:
@@ -784,14 +791,19 @@ class Simulator:
         if not self.budget.stale[IN_BOX]:
             return True
         # each robot's distance to the box's nearest face, "not inside" it
-        # below 0, so that a NaN position diverges too
-        positions = self.positions
-        faces = np.minimum(positions - self.box_low, self.box_high - positions).min(axis=1)
-        if not (faces >= 0.0).all():
-            self.status = STATUS_DIVERGED
-            self._event(now, "divergence", agent=int(np.argmin(faces >= 0.0)) + 1)
-            return False
-        self.budget.renew(positions, IN_BOX, faces - self.box_margin)
+        # below 0, so that a NaN position diverges too: numpy's
+        # `minimum(p - low, high - p).min(axis=1)`, robot by robot
+        positions, (lx, ly), (hx, hy) = self.pos_ring[-1], self.box_low, self.box_high
+        radius = []
+        for agent, (x, y) in enumerate(zip(positions[0::2], positions[1::2]), 1):
+            face = obstacle.minimum_of((obstacle.minimum_of((x - lx, hx - x)),
+                                        obstacle.minimum_of((y - ly, hy - y))))
+            if not face >= 0.0:
+                self.status = STATUS_DIVERGED
+                self._event(now, "divergence", agent=agent)
+                return False
+            radius.append(face - self.box_margin)
+        self.budget.renew(positions, IN_BOX, radius)
         return True
 
     # --------------------------------------------------------------- run

@@ -1,7 +1,10 @@
 """Obstacle geometry: observations, grouping, and maneuver planning."""
 
 import dataclasses
+import math
+import struct
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +13,11 @@ from hypothesis import strategies as st
 
 from niformation import obstacle
 from niformation.obstacle import (ObstacleCircle, ObstacleField,
-                                  UnsupportedManeuver, behind, circle_arrays,
+                                  UnsupportedManeuver, behind, boundary_distances,
+                                  circle_arrays, circle_floats,
                                   circle_from_observation,
                                   clip_polygon_to_disc, detect_mode,
                                   enclosing_circle, event_cleared, group_all,
-                                  nearest_boundary,
                                   point_segment_distance,
                                   polygon_area_centroid, running_clearance)
 
@@ -354,6 +357,17 @@ def planned_events(draw):
 def stacked(positions) -> list[float]:
     """(n, 2) positions as the simulator's stacked floats, each x then y."""
     return np.ravel(positions).tolist()
+
+
+def nearest(positions, centers, radii) -> float:
+    """The least boundary distance of (n, 2) positions to the circles (inf
+    without any): the oracle of the minimum `running_clearance` takes."""
+    return float(boundary_distances(np.asarray(positions), centers, radii).min(initial=np.inf))
+
+
+def float_circles(centers, radii) -> tuple[tuple, tuple]:
+    """(m, 2) centers and (m,) radii as `circle_floats` gives them."""
+    return tuple(map(tuple, np.asarray(centers).tolist())), tuple(np.asarray(radii).tolist())
 
 
 def same_bits(got, want) -> bool:
@@ -725,6 +739,141 @@ def test_clip_of_the_footprint_itself_is_bitwise_the_numpy_clip():
     assert got.shape[0] >= obstacle.FOOTPRINT_SIDES
 
 
+# ------------------------------- the former numpy paths, as oracles
+
+class NumpyBudget:
+    """`MotionBudget` as it was on a (rows, robots) array, the oracle of the
+    budget on floats.  Positions are stacked floats, as the simulator's."""
+
+    def __init__(self, positions, rows: int):
+        positions = np.reshape(positions, (-1, 2))
+        self.radii = np.full((rows, len(positions)), np.inf)
+        self.stale, self.budget2 = [True] * rows, [np.inf] * len(positions)
+        self.anchor, self.moved2 = positions.tolist(), None
+
+    def spend(self, stacked):
+        self.moved2 = [(x - a) * (x - a) + (y - b) * (y - b)
+                       for (a, b), x, y in zip(self.anchor, stacked[::2], stacked[1::2])]
+        for moved, budget in zip(self.moved2, self.budget2):
+            if not moved < budget:
+                return self.renew(stacked)
+
+    def renew(self, positions, row=None, radius=None):
+        if row is not None and not np.all(np.asarray(radius) > 0.0):
+            return self.expire(row)
+        if self.moved2 is not None:
+            moved2 = np.array(self.moved2)
+            left = ~(moved2 < self.radii * self.radii).all(axis=1)
+            if math.inf not in self.moved2:   # else every row is left: no inf - inf
+                self.radii = np.maximum((1.0 - obstacle.SENSING_MARGIN) * self.radii
+                                        - (1.0 + obstacle.SENSING_MARGIN) * np.sqrt(moved2),
+                                        0.0)
+            for stale in left.nonzero()[0]:
+                self.expire(stale)
+            self.anchor, self.moved2 = np.reshape(positions, (-1, 2)).tolist(), None
+        if row is not None:
+            self.radii[row], self.stale[row] = radius, False
+        least = np.minimum.reduce(self.radii, axis=0)
+        self.budget2 = (least * least).tolist()
+
+    def expire(self, row: int):
+        self.radii[row], self.stale[row] = np.inf, True
+
+
+def numpy_running_clearance(least, positions, centers, radii, floor):
+    """`running_clearance` as it was on (n, 2) positions and the circles'
+    arrays."""
+    gap = nearest(positions, centers, radii) - floor
+    least = min(least, gap)
+    scale = abs(gap) + abs(least) + abs(floor) + float(radii.max(initial=0.0))
+    return least, float(np.maximum(gap - least - obstacle.SENSING_MARGIN * scale, 0.0))
+
+
+class NumpyField:
+    """`ObstacleField` as it was, stacked into arrays, with its sensing on
+    (n, 2) viewers: the oracle of the field on floats."""
+
+    def __init__(self, polygons, reach: float):
+        self.polygons = tuple(np.asarray(p, dtype=float).reshape(-1, 2) for p in polygons)
+        self.circles = tuple(circle_from_observation(p, (i,))
+                             for i, p in enumerate(self.polygons))
+        self.centers, self.radii = circle_arrays(self.circles)
+        counts = np.array([p.shape[0] for p in self.polygons], dtype=int)
+        self.starts, self.solid = np.cumsum(counts) - counts, counts >= 3
+        self.vertices = np.concatenate([np.zeros((0, 2)), *self.polygons])
+        self.reach = float(reach)
+        self.limits = self.reach + self.radii
+        self.limits2 = self.limits ** 2
+        self.scale = np.abs(self.vertices).max(initial=0.0) + 2.0 * self.reach
+        margin = obstacle.SENSING_MARGIN * self.scale
+        self.inner = max(self.reach * np.cos(np.pi / obstacle.FOOTPRINT_SIDES) - margin, 0.0)
+        self.inner2 = self.inner ** 2
+        self.outer2 = (self.reach + margin) ** 2
+
+    def vertices_in_footprint(self, viewers) -> tuple[np.ndarray, np.ndarray]:
+        """(n, vertices) for (n, 2) viewers: the vertex passes all the
+        half-plane tests of `clip_polygon_to_disc(_, viewer, reach)`; and the
+        squared distances from each viewer to each vertex."""
+        diff = self.vertices - viewers[:, None, :]
+        dist2 = np.add.reduce(diff * diff, axis=2)
+        inside = dist2 < self.inner2
+        band = ~inside & (dist2 <= self.outer2)
+        if band.any():
+            v, p = band.nonzero()
+            ring = viewers[v, None, :] + self.reach * obstacle.FOOTPRINT_RING
+            edge = np.roll(ring, -1, axis=1) - ring
+            x, y = self.vertices[p, 0, None], self.vertices[p, 1, None]
+            test = edge[..., 0] * (y - ring[..., 1]) - edge[..., 1] * (x - ring[..., 0])
+            inside[v, p] = (test >= 0.0).all(axis=1)
+        return inside, dist2
+
+    def sensed(self, viewers) -> tuple[list[ObstacleCircle], np.ndarray]:
+        diff = viewers[:, None, :] - self.centers
+        centre2 = np.add.reduce(diff * diff, axis=2)
+        gate = centre2 <= self.limits2
+        tol = obstacle.GATE_ULPS * np.spacing(self.limits2)
+        for v, i in zip(*(abs(centre2 - self.limits2) <= tol).nonzero()):
+            gate[v, i] = not (np.linalg.norm(viewers[v] - self.centers[i])
+                              > self.reach + self.radii[i])
+        inside, dist2 = self.vertices_in_footprint(viewers)
+        hit = self.solid & np.logical_or.reduceat(inside, self.starts, axis=1)
+        seen = (gate & hit).any(axis=0)
+        for v, i in zip(*(gate & ~hit).nonzero()):
+            if not seen[i]:
+                seen[i] = obstacle.clip_polygon_to_disc(self.polygons[i], viewers[v],
+                                                        self.reach).shape[0] >= 3
+        dist = np.sqrt(centre2)
+        near = np.sqrt(np.minimum.reduceat(dist2, self.starts, axis=1))
+        witness = np.where(self.solid, self.inner - near, 0.0)
+        slack = np.maximum(dist - self.limits, witness)
+        slack -= obstacle.SENSING_MARGIN * (dist + self.scale)
+        return ([self.circles[i] for i in seen.nonzero()[0]],
+                np.maximum(slack.min(axis=1, initial=np.inf), 0.0))
+
+
+def float_bits(values) -> bytes:
+    """The bits of a flat sequence of floats, zero signs included.  Every
+    NaN reads as one: numpy's min reduction sets the sign of the NaN it
+    returns by the array's length (its SIMD lanes), and no decision reads
+    a NaN's sign, since NaN never holds and never lowers a minimum."""
+    values = [math.nan if v != v else v for v in np.asarray(values, dtype=float).ravel().tolist()]
+    return struct.pack(f"{len(values)}d", *values)
+
+
+# the special values every float path must treat as its oracle does
+SPECIALS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-320, 1e300, -1e300])
+
+
+def with_specials(draw, values, most=2):
+    """`values` with up to `most` entries replaced by `SPECIALS`."""
+    values = list(values)
+    if values:
+        for k, special in draw(st.lists(st.tuples(st.integers(0, len(values) - 1), SPECIALS),
+                                        max_size=most)):
+            values[k] = special
+    return values
+
+
 # ----------------------------- stacked sensing and clearance vs the loops
 
 def sensed_by_loop(polygons, viewers, reach):
@@ -769,7 +918,7 @@ def sensing_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_field_senses_what_the_viewer_obstacle_loop_senses(case):
     polygons, viewers, reach = case
-    assert (ObstacleField(polygons, reach).sensed(viewers)[0]
+    assert (ObstacleField(polygons, reach).sensed(stacked(viewers))[0]
             == sensed_by_loop(polygons, viewers, reach))
 
 
@@ -777,7 +926,7 @@ def test_field_senses_what_the_viewer_obstacle_loop_senses(case):
 @settings(max_examples=150, deadline=None)
 def test_vertices_in_the_footprint_pass_every_half_plane_test(case):
     polygons, viewers, reach = case
-    field = ObstacleField(polygons, reach)
+    field = NumpyField(polygons, reach)
     inside, dist2 = field.vertices_in_footprint(viewers)
     # a single vertex survives the clip exactly when it passes all its tests
     want = [[clip_polygon_to_disc(p, v, reach).shape[0] == 1
@@ -822,15 +971,16 @@ def test_gate_at_its_limit_is_the_scalar_norms(monkeypatch):
         squared_differs += passes != (diff[0] * diff[0] + diff[1] * diff[1]
                                       <= limit * limit)
         clipped.clear()
-        assert ObstacleField([polygon], reach).sensed(viewer[None])[0] == []
+        assert ObstacleField([polygon], reach).sensed(viewer.tolist())[0] == []
         assert len(clipped) == passes
     assert squared_differs > 0
 
 
 def test_a_field_without_polygons_senses_nothing():
     field = ObstacleField([], 110.0)
-    assert field.sensed(np.zeros((3, 2)))[0] == []
-    assert nearest_boundary(np.zeros((3, 2)), field.centers, field.radii) == np.inf
+    assert field.sensed([0.0] * 6) == ([], [np.inf] * 3)
+    assert nearest(np.zeros((3, 2)), field.centers, field.radii) == np.inf
+    assert running_clearance(np.inf, [0.0] * 6, *field.circle_floats, 25.0)[0] == np.inf
 
 
 @given(positions=st.lists(st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
@@ -849,9 +999,13 @@ def test_stacked_clearance_equals_the_per_circle_loop(positions, circles,
         boundary = min(boundary, float((dist - circle.radius).min()))
         clearance = min(clearance, float(
             (dist - circle.radius - collision_radius).min()))
-    gap = nearest_boundary(positions, *circle_arrays(circles))
+    gap = nearest(positions, *circle_arrays(circles))
     assert gap == boundary
     assert gap - collision_radius == clearance
+    # the simulator's float evaluation, with no minimum carried in
+    for floor, want in ((0.0, boundary), (collision_radius, clearance)):
+        assert running_clearance(np.inf, stacked(positions), *circle_floats(circles),
+                                 floor)[0] == want
 
 
 # ------------------------------- reused sensing vs a fresh decision
@@ -886,9 +1040,10 @@ def sensing_walks(draw):
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             k = draw(st.integers(0, len(field.circles) - 1))
-            anchor, bound = field.centers[k], field.limits[k]
+            anchor, bound = field.centers[k], field.reach + field.radii[k]
         else:
-            anchor = field.vertices[draw(st.integers(0, len(field.vertices) - 1))]
+            vertices = np.concatenate(field.polygons)
+            anchor = vertices[draw(st.integers(0, len(vertices) - 1))]
             bound = draw(st.sampled_from((field.inner, np.sqrt(field.outer2))))
         dist = (bound * (1.0 + draw(st.integers(-8, 8)) * 2.0 ** -52)
                 + draw(st.sampled_from((-3.0, -1.5, 0.0, 1.5, 3.0))) * margin)
@@ -935,21 +1090,55 @@ def test_reused_sensing_equals_a_fresh_decision_along_walks(walk):
     # the decision a simulator keeps while it holds must be the one a fresh
     # decision would give, at every step
     field, viewers, steps, center = walk
-    budget = obstacle.MotionBudget(viewers, 1)
+    budget = obstacle.MotionBudget(stacked(viewers), 1)
     for moves in [None, *steps]:
         if moves is not None:
             viewers = walk_step(field, viewers, moves, np.sqrt(budget.budget2), center)
             budget.spend(stacked(viewers))
         if budget.stale[0]:
-            circles, reuse = field.sensed(viewers)
-            budget.renew(viewers, 0, reuse)
-        assert circles == field.sensed(viewers)[0]
+            circles, reuse = field.sensed(stacked(viewers))
+            budget.renew(stacked(viewers), 0, reuse)
+        assert circles == field.sensed(stacked(viewers))[0]
+
+
+def recorded_sensing(field, viewers):
+    """`field.sensed(viewers)` and the clips it made, in order, each as its
+    polygon's and viewer's bits and the reach."""
+    clip, clips = obstacle.clip_polygon_to_disc, []
+
+    def recording_clip(vertices, center, radius):
+        clips.append((np.asarray(vertices).tobytes(), float_bits(center), radius))
+        return clip(vertices, center, radius)
+
+    with mock.patch.object(obstacle, "clip_polygon_to_disc", recording_clip):
+        return (*field.sensed(viewers), clips)
+
+
+@given(walk=sensing_walks(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sensing_on_floats_is_the_numpy_sensing_bit_for_bit(walk, data):
+    # the circles, the reuse radii and the clips made, in order, are the
+    # former array code's along a walk sized by the reuse radii, whose
+    # viewers also take NaN, infinities, -0.0, subnormal and huge coordinates
+    field, viewers, steps, center = walk
+    oracle = NumpyField(field.polygons, field.reach)
+    sizes = np.ones(len(viewers))
+    for moves in [None, *steps]:
+        if moves is not None:
+            viewers = walk_step(field, viewers, moves, sizes, center)
+        team = with_specials(data.draw, stacked(viewers), 1)
+        circles, reuse, clips = recorded_sensing(field, team)
+        with np.errstate(all="ignore"):
+            want = recorded_sensing(oracle, np.reshape(team, (-1, 2)))
+        assert circles == want[0] and clips == want[2]
+        assert float_bits(reuse) == float_bits(want[1])
+        sizes = np.where(np.isfinite(reuse), reuse, 1.0)
 
 
 def held_at(radius, anchor, at) -> bool:
     """A decision made at `anchor` with `radius` still holds at `at`."""
-    budget = obstacle.MotionBudget(anchor, 1)
-    budget.renew(anchor, 0, radius)
+    budget = obstacle.MotionBudget(stacked(anchor), 1)
+    budget.renew(stacked(anchor), 0, radius)
     budget.spend(stacked(at))
     return not budget.stale[0]
 
@@ -970,7 +1159,7 @@ def test_reuse_radius_is_the_least_slack_less_the_margin():
         [0.0, 120.0],      # inside box 0's gate with no vertex in: clipped
         [150.0, 130.0],    # inside the segment's gate; it has 2 vertices
         [np.nan, 0.0]])
-    circles, reuse = field.sensed(viewers)
+    circles, reuse = field.sensed(stacked(viewers))
     assert [c.members for c in circles] == [(0,)]
     to_segment = np.hypot(160.0, 150.0)
     want = [to_segment - (reach + 10.0) - margin(to_segment),
@@ -1048,18 +1237,19 @@ def test_running_clearance_equals_a_per_step_evaluation_along_walks(walk):
     centers, radii, floor, least, positions, steps = walk
 
     def fresh(least):
-        return min(least, nearest_boundary(positions, centers, radii) - floor)
+        return min(least, nearest(positions, centers, radii) - floor)
 
     want = fresh(least)
-    budget = obstacle.MotionBudget(positions, 1)
+    budget = obstacle.MotionBudget(stacked(positions), 1)
     for moves in [None, *steps]:
         if moves is not None:
             positions = clearance_step(centers, radii, positions, moves, budget)
             budget.spend(stacked(positions))
             want = fresh(want)
         if budget.stale[0]:
-            least, radius = running_clearance(least, positions, centers, radii, floor)
-            budget.renew(positions, 0, radius)
+            least, radius = running_clearance(least, stacked(positions),
+                                              *float_circles(centers, radii), floor)
+            budget.renew(stacked(positions), 0, radius)
         assert np.float64(least).tobytes() == np.float64(want).tobytes()
 
 
@@ -1068,7 +1258,7 @@ def test_a_zero_or_clamped_clearance_radius_never_holds():
     positions = np.array([[30.0, 40.0], [-60.0, 0.0]])   # gaps 40 and 50
 
     def anchor(least, at=positions):
-        return running_clearance(least, at, centers, radii, floor)
+        return running_clearance(least, stacked(at), *float_circles(centers, radii), floor)
 
     def margin(least):
         return obstacle.SENSING_MARGIN * (32.5 + abs(least) + floor + 10.0)
@@ -1093,6 +1283,27 @@ def test_a_zero_or_clamped_clearance_radius_never_holds():
     assert not held_at(radius, nan, nan)
 
 
+@given(n=st.integers(1, 4), m=st.integers(0, 5), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_running_clearance_on_floats_is_the_numpy_clearance_bit_for_bit(n, m, data):
+    # the minimum and the radius are the former array code's, with NaN,
+    # infinities, -0.0, subnormal and huge positions, centres and radii
+    def floats(count, low, high, most):
+        return with_specials(data.draw, data.draw(
+            st.lists(st.floats(low, high), min_size=count, max_size=count)), most)
+
+    positions, centers = floats(2 * n, -300.0, 300.0, 2), floats(2 * m, -300.0, 300.0, 1)
+    radii = floats(m, 0.0, 100.0, 1)
+    floor = data.draw(st.one_of(st.sampled_from([0.0, 25.0]), st.floats(0.0, 40.0)))
+    least = data.draw(st.one_of(st.just(np.inf), st.floats(-10.0, 150.0), SPECIALS))
+    centers = np.reshape(centers, (-1, 2))
+    got = running_clearance(least, positions, *float_circles(centers, radii), floor)
+    with np.errstate(all="ignore"):
+        want = numpy_running_clearance(least, np.reshape(positions, (-1, 2)), centers,
+                                       np.array(radii), floor)
+    assert float_bits(got) == float_bits(want)
+
+
 # ----------------------------- one budget over every decision vs fresh ones
 
 def test_a_budget_row_holds_only_within_its_radius_of_its_decision():
@@ -1100,40 +1311,40 @@ def test_a_budget_row_holds_only_within_its_radius_of_its_decision():
     # 6 cm away expires the second and shrinks the first to under 4 cm, so
     # 4.5 cm on, 10.5 cm from its decision, the first expires too
     def at(x):
-        return np.array([[x, 0.0]])
+        return [x, 0.0]
 
     budget = obstacle.MotionBudget(at(0.0), 2)
     assert budget.stale == [True, True] and budget.budget2 == [np.inf]
     budget.renew(at(0.0), 0, 10.0)
     budget.renew(at(0.0), 1, 5.0)
     assert budget.budget2 == [25.0]
-    budget.spend(stacked(at(6.0)))
+    budget.spend(at(6.0))
     assert budget.stale == [False, True] and budget.anchor == [[6.0, 0.0]]
-    assert 4.0 - 1e-6 < budget.radii[0, 0] < 4.0
-    assert budget.budget2 == [budget.radii[0, 0] ** 2]
-    budget.spend(stacked(at(10.5)))
+    assert 4.0 - 1e-6 < budget.radii[0][0] < 4.0
+    assert budget.budget2 == [budget.radii[0][0] ** 2]
+    budget.spend(at(10.5))
     assert budget.stale == [True, True] and budget.budget2 == [np.inf]
     # a row decided where the budget still holds moves the anchor there
     budget.renew(at(10.5), 0, 10.0)
-    budget.spend(stacked(at(13.0)))
+    budget.spend(at(13.0))
     budget.renew(at(13.0), 1, 2.0)
-    assert budget.anchor == [[13.0, 0.0]] and budget.radii[1, 0] == 2.0
-    assert 7.5 - 1e-6 < budget.radii[0, 0] < 7.5
-    budget.spend(stacked(at(14.9)))
+    assert budget.anchor == [[13.0, 0.0]] and budget.radii[1][0] == 2.0
+    assert 7.5 - 1e-6 < budget.radii[0][0] < 7.5
+    budget.spend(at(14.9))
     assert budget.stale == [False, False] and budget.anchor == [[13.0, 0.0]]
-    budget.spend(stacked(at(15.1)))
+    budget.spend(at(15.1))
     assert budget.stale == [False, True] and budget.anchor == [[15.1, 0.0]]
     # an expired row limits nothing from the next renewal on; NaN spends all
     budget.expire(0)
     budget.renew(at(15.1), 1, 3.0)
     assert budget.stale == [True, False] and budget.budget2 == [9.0]
     # a radius not above 0 holds nothing and moves neither anchor nor budget
-    budget.spend(stacked(at(16.0)))
-    for radius in (0.0, np.array([-1.0]), np.nan):
+    budget.spend(at(16.0))
+    for radius in (0.0, [-1.0], np.nan):
         budget.renew(at(16.0), 0, radius)
         assert budget.stale == [True, False] and budget.anchor == [[15.1, 0.0]]
         assert budget.budget2 == [9.0]
-    budget.spend(stacked(at(np.nan)))
+    budget.spend(at(np.nan))
     assert budget.stale == [True, True]
 
 
@@ -1144,12 +1355,12 @@ def array_spend(budget, positions):
                      for (x, y), (a, b) in zip(positions.tolist(), budget.anchor)]
     for moved, limit in zip(budget.moved2, budget.budget2):
         if not moved < limit:
-            return budget.renew(positions)
+            return budget.renew(stacked(positions))
 
 
 def budget_bits(budget) -> tuple:
     return (np.array(budget.anchor).tobytes(), np.array(budget.moved2).tobytes(),
-            budget.radii.tobytes(), budget.stale, np.array(budget.budget2).tobytes())
+            np.array(budget.radii).tobytes(), budget.stale, np.array(budget.budget2).tobytes())
 
 
 coordinates = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-320, np.nan]))
@@ -1165,7 +1376,7 @@ def test_spend_on_stacked_floats_equals_the_spend_on_the_array(n, rows, data):
                         dtype=float).reshape(n, 2)
 
     start = team()
-    budgets = [obstacle.MotionBudget(start, rows) for _ in range(2)]
+    budgets = [obstacle.MotionBudget(stacked(start), rows) for _ in range(2)]
     for step in range(data.draw(st.integers(1, 8))):
         positions = team() if data.draw(st.booleans()) else start + data.draw(
             st.floats(-5.0, 5.0))
@@ -1175,8 +1386,53 @@ def test_spend_on_stacked_floats_equals_the_spend_on_the_array(n, rows, data):
         row = data.draw(st.integers(0, rows - 1))
         radius = data.draw(st.sampled_from([1.0, 4.0, 20.0, 0.0, np.inf]))
         for budget in budgets:
-            budget.renew(positions, row, radius)
+            budget.renew(stacked(positions), row, radius)
         assert budget_bits(budgets[0]) == budget_bits(budgets[1])
+
+
+def budget_state(budget) -> tuple:
+    return (float_bits(budget.anchor),
+            None if budget.moved2 is None else float_bits(budget.moved2),
+            float_bits(budget.radii), list(budget.stale), float_bits(budget.budget2))
+
+
+BUDGET_RADII = st.one_of(st.floats(-1.0, 50.0), SPECIALS)
+
+
+@given(n=st.integers(1, 4), rows=st.integers(1, 4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_budget_on_floats_is_the_numpy_budget_bit_for_bit(n, rows, data):
+    # spends, renewals with one radius or one a robot, and expiries leave
+    # the float budget in the former array budget's state, bit for bit,
+    # with NaN, infinities, -0.0, subnormal and huge positions and radii
+    def team(near=None):
+        if near is not None and data.draw(st.booleans()):
+            return [v + d for v, d in zip(near, data.draw(
+                st.lists(st.floats(-5.0, 5.0), min_size=2 * n, max_size=2 * n)))]
+        return with_specials(data.draw, data.draw(
+            st.lists(st.floats(-1e3, 1e3), min_size=2 * n, max_size=2 * n)))
+
+    last = team()
+    budget, oracle = obstacle.MotionBudget(last, rows), NumpyBudget(last, rows)
+    assert budget_state(budget) == budget_state(oracle)
+    for _ in range(data.draw(st.integers(1, 8))):
+        last = team(last)
+        action, row = data.draw(st.sampled_from(["renew", "renew", "expire", "spend"])), \
+            data.draw(st.integers(0, rows - 1))
+        radius = data.draw(st.one_of(BUDGET_RADII, st.lists(BUDGET_RADII, min_size=n,
+                                                            max_size=n)))
+        budget.spend(last)
+        with np.errstate(all="ignore"):
+            oracle.spend(last)
+        assert budget_state(budget) == budget_state(oracle)
+        if action == "renew":
+            budget.renew(last, row, radius)
+            with np.errstate(all="ignore"):
+                oracle.renew(last, row, np.array(radius) if isinstance(radius, list) else radius)
+        elif action == "expire":
+            budget.expire(row)
+            oracle.expire(row)
+        assert budget_state(budget) == budget_state(oracle)
 
 
 # the rows of a budget holding every decision the simulator holds
@@ -1247,38 +1503,38 @@ def test_one_budget_holds_every_decision_as_a_fresh_one_along_walks(walk):
     field, team, center, event = walk["field"], walk["team"], walk["center"], walk["event"]
     reference, (low, high), floor = walk["reference"], walk["box"], walk["floor"]
     fov, robot_radius = 2.0 * field.reach, walk["robot_radius"]
-    minima = {FIELD: ((field.centers, field.radii), floor),
-              EVENT: (circle_arrays(event.obstacles), 0.0)}
+    minima = {FIELD: (field.circle_floats, (field.centers, field.radii), floor),
+              EVENT: (circle_floats(event.obstacles), circle_arrays(event.obstacles), 0.0)}
     least = dict(zip((FIELD, EVENT), walk["least"]))
     want = dict(least)
-    plan_centers = minima[EVENT][0][0]
+    plan_centers = minima[EVENT][1][0]
     box_margin = obstacle.SENSING_MARGIN * np.abs([low, high]).max()
-    budget = obstacle.MotionBudget(team, BOX + 1)
+    budget = obstacle.MotionBudget(stacked(team), BOX + 1)
     skip_from, skip_reach = None, np.nan
     for moves, ref_move, row in zip([None, *walk["steps"]], [None, *walk["reference_moves"]],
                                     [None, *walk["rows"]]):
         if moves is not None:
-            sizes = np.where(np.isfinite(budget.radii[row]), budget.radii[row],
-                             np.sqrt(budget.budget2))
+            radii = np.array(budget.radii[row])
+            sizes = np.where(np.isfinite(radii), radii, np.sqrt(budget.budget2))
             team = walk_step(field, team, moves, sizes, center)
             reference = reference_step(reference, ref_move, skip_reach, center, field.reach)
             budget.spend(stacked(team))
         if budget.stale[SENSED]:
-            circles, reuse = field.sensed(team)
-            budget.renew(team, SENSED, reuse)
-        assert circles == field.sensed(team)[0]
-        for row, ((centers, radii), row_floor) in minima.items():
+            circles, reuse = field.sensed(stacked(team))
+            budget.renew(stacked(team), SENSED, reuse)
+        assert circles == field.sensed(stacked(team))[0]
+        for row, (floats, (centers, radii), row_floor) in minima.items():
             if budget.stale[row]:
-                least[row], radius = running_clearance(least[row], team, centers,
-                                                       radii, row_floor)
-                budget.renew(team, row, radius)
-            want[row] = min(want[row], nearest_boundary(team, centers, radii) - row_floor)
+                least[row], radius = running_clearance(least[row], stacked(team), *floats,
+                                                       row_floor)
+                budget.renew(stacked(team), row, radius)
+            want[row] = min(want[row], nearest(team, centers, radii) - row_floor)
             assert np.float64(least[row]).tobytes() == np.float64(want[row]).tobytes()
         end = (event, team, 0, fov, robot_radius)
         if budget.stale[END]:
             cleared, radius = event_cleared(*end)
             if not cleared:
-                budget.renew(team, END, radius)
+                budget.renew(stacked(team), END, radius.tolist())
         else:
             assert not event_cleared(*end)[0]
         skip, reach = behind(plan_centers, team[0], reference)
@@ -1287,7 +1543,8 @@ def test_one_budget_holds_every_decision_as_a_fresh_one_along_walks(walk):
             assert skip
         elif skip:
             skip_reach = reach
-            budget.renew(team, PLAN, np.where(np.arange(len(team)) == 0, skip_reach, np.inf))
+            budget.renew(stacked(team), PLAN,
+                         np.where(np.arange(len(team)) == 0, skip_reach, np.inf).tolist())
             skip_from = reference
         else:
             budget.expire(PLAN)
@@ -1296,7 +1553,7 @@ def test_one_budget_holds_every_decision_as_a_fresh_one_along_walks(walk):
             assert inside
         elif inside:
             faces = np.minimum(team - low, high - team)
-            budget.renew(team, BOX, faces.min(axis=1) - box_margin)
+            budget.renew(stacked(team), BOX, (faces.min(axis=1) - box_margin).tolist())
 
 
 @given(case=plan_cases(), fraction=st.sampled_from([0.5, 0.99, 1.0 - 2.0 ** -20]),

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niformation import controller, formation, graph, lti, obstacle, scenario, sim
-from test_obstacle import old_event_end
+from test_obstacle import SPECIALS, float_bits, nearest, old_event_end
 from test_scenario import DOCS
 
 # (status, waypoints completed, avoid_enter modes, sha256 of
@@ -174,11 +174,13 @@ def test_equal_courses_share_one_read_only_field():
                   replace(scn, obstacles=[np.array(p) for p in scn.obstacles])):
         assert sim.Simulator(other).obstacles is field
     assert isinstance(field.polygons, tuple) and isinstance(field.circles, tuple)
-    for values in (*field.polygons, field.centers, field.radii, field.starts,
-                   field.solid, field.vertices, field.limits, field.limits2):
+    for values in (*field.polygons, field.centers, field.radii):
         assert not values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        field.vertices[0, 0] = 0.0
+        field.polygons[0][0, 0] = 0.0
+    # the float copies the step reads are tuples all the way down
+    for copies in (field.circle_floats, field.points, field.gates, field.ring):
+        assert isinstance(copies, tuple) and all(isinstance(c, tuple) for c in copies)
 
 
 def test_a_polygon_that_differs_only_in_the_sign_of_a_zero_gets_its_own_field():
@@ -189,7 +191,8 @@ def test_a_polygon_that_differs_only_in_the_sign_of_a_zero_gets_its_own_field():
     plus, minus = (sim.Simulator(replace(scn, obstacles=(p,))).obstacles
                    for p in (triangle, signed))
     assert plus is not minus
-    assert [bool(np.signbit(f.vertices[0, 0])) for f in (plus, minus)] == [False, True]
+    assert [bool(np.signbit(f.polygons[0][0, 0])) for f in (plus, minus)] == [False, True]
+    assert [math.copysign(1.0, f.points[0][0][0]) for f in (plus, minus)] == [1.0, -1.0]
     assert sim.Simulator(replace(scn, obstacles=(signed,))).obstacles is minus
 
 
@@ -399,6 +402,7 @@ def test_observe_wraps_every_sensed_polygon_whole(monkeypatch):
                 wall, square + [reach + 22.0, 0.0])
     simulator = sim.Simulator(replace(scn, obstacles=polygons))
     simulator.positions[:] = 0.0
+    simulator.pos_ring.append([0.0] * 2 * simulator.n)
     clipped = {}
     clip = obstacle.clip_polygon_to_disc
 
@@ -468,6 +472,62 @@ def test_an_overflowing_run_diverges_without_a_warning():
         summary = sim.Simulator(scn).run().summary
     assert summary["status"] == sim.STATUS_DIVERGED
     assert summary["final_offset_error_cm"] is None
+
+
+@pytest.mark.parametrize("noise_std", [1e160, 1e200, 1e308])
+@pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
+def test_a_far_flung_run_among_obstacles_diverges_without_a_warning(name, noise_std):
+    # noise this large throws the team far off in the first steps: its
+    # distances to the obstacles overflow to inf on floats, silently, and
+    # the run ends diverged with a JSON summary
+    for seed in (0, 1):
+        scn = replace(scenario.load_scenario(name), noise_std=noise_std, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = sim.Simulator(scn).run()
+            summary = json.loads(log.summary_json())
+        assert summary["status"] == log.summary["status"] == sim.STATUS_DIVERGED
+        assert "divergence" in [ev["event"] for ev in log.events]
+
+
+@given(name=st.sampled_from(sorted(OBSTACLE_SCENARIOS)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_box_on_floats_decides_and_sizes_as_the_arrays_did(name, data):
+    # the box, the first robot outside it (a NaN is never inside) and the
+    # radii the box's budget row holds are the former array code's
+    simulator = sim.Simulator(scenario.load_scenario(name))
+    cloud = np.vstack([simulator.origin, simulator.waypoints, np.zeros((0, 2)),
+                       *simulator.obstacles.polygons])
+    margin = max((abs(v) for ph in simulator.phase_offsets for v in ph), default=0.0) + 100.0
+    low, high = cloud.min(axis=0) - margin, cloud.max(axis=0) + margin
+    box_margin = obstacle.SENSING_MARGIN * np.abs([low, high]).max()
+    assert float_bits(simulator.box_low) == float_bits(low)
+    assert float_bits(simulator.box_high) == float_bits(high)
+    assert float_bits([simulator.box_margin]) == float_bits([box_margin])
+
+    def coordinate(axis):
+        face = data.draw(st.sampled_from([low[axis], high[axis]]))
+        return data.draw(st.one_of(
+            st.floats(low[axis] - 50.0, high[axis] + 50.0), SPECIALS,
+            st.sampled_from([face, np.nextafter(face, 0.0), np.nextafter(face, np.inf),
+                             np.nextafter(face, -np.inf)])))
+
+    team = [float(coordinate(k % 2)) for k in range(2 * simulator.n)]
+    simulator.positions.flat = team
+    simulator.pos_ring.append(team)
+    positions = np.reshape(team, (-1, 2))
+    faces = np.minimum(positions - low, high - positions).min(axis=1)
+    inside = bool((faces >= 0.0).all())
+    assert simulator._check_safety(0.0) == inside
+    if inside:
+        assert simulator.status == sim.STATUS_DURATION and simulator.events == []
+        assert (float_bits(simulator.budget.radii[sim.IN_BOX])
+                == float_bits(faces - box_margin if (faces - box_margin > 0.0).all()
+                              else np.full(simulator.n, np.inf)))
+    else:
+        assert simulator.status == sim.STATUS_DIVERGED
+        assert simulator.events == [{"time": 0.0, "event": "divergence",
+                                     "agent": int(np.argmin(faces >= 0.0)) + 1}]
 
 
 def test_a_nan_on_any_edge_is_the_largest_offset_error():
@@ -672,7 +732,7 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
     def recording_observe(self):
         circles = observe(self)
         # the held decision is the one a fresh decision gives
-        assert circles == sensed(self.obstacles, self.positions)[0]
+        assert circles == sensed(self.obstacles, self.pos_ring[-1])[0]
         observed.append(tuple(c.members for c in circles))
         return circles
 
@@ -714,7 +774,7 @@ def test_planning_is_skipped_only_where_detect_mode_plans_nothing(monkeypatch, n
             return
         counts["sensed"] += 1
         # the grouped circles are those of the circles sensed now
-        assert self.grouped == group_all(sensed(self.obstacles, self.positions)[0],
+        assert self.grouped == group_all(sensed(self.obstacles, self.pos_ring[-1])[0],
                                          2.0 * obstacle.ROBOT_RADIUS)
         centers = obstacle.circle_arrays(self.grouped)[0]
         if counts["planned"] == planned:
@@ -742,7 +802,8 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
     detect_mode, behind = obstacle.detect_mode, obstacle.behind
     simulator = sim.Simulator(scenario.load_scenario("single_obstacle_line"))
     simulator.positions[:] = [[-100.0, 110.0], [0.0, 110.0], [-200.0, 110.0]]
-    simulator.budget.spend(simulator.positions.ravel().tolist())
+    simulator.pos_ring.append(simulator.positions.ravel().tolist())
+    simulator.budget.spend(simulator.pos_ring[-1])
     simulator.ref_slew = sim.Slew(np.array([-100.0, 310.0]), np.array([-100.0, -290.0]),
                                   0.0, glide_s=10.0)
     calls = {"planned": 0, "decided": 0}
@@ -772,35 +833,36 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
 def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch, name):
     # both running minima equal an evaluation at every step, bit for bit,
     # and on cluttered_course few of those evaluations are made
-    nearest_boundary, update_metrics = obstacle.nearest_boundary, sim.Simulator._update_metrics
+    running_clearance = obstacle.running_clearance
+    update_metrics = sim.Simulator._update_metrics
     calls = {"made": 0, "per_step": 0}
     fresh = {"field": np.inf, "event": np.inf}
 
-    def counting_nearest_boundary(*args):
+    def counting_running_clearance(*args):
         calls["made"] += 1
-        return nearest_boundary(*args)
+        return running_clearance(*args)
 
     def checking_update_metrics(self, now, offsets):
         update_metrics(self, now, offsets)
         calls["per_step"] += 1
-        fresh["field"] = min(fresh["field"], nearest_boundary(
+        fresh["field"] = min(fresh["field"], nearest(
             self.positions, self.obstacles.centers, self.obstacles.radii)
             - obstacle.COLLISION_RADIUS)
         if self.avoidance is not None:
             calls["per_step"] += 1
-            fresh["event"] = min(fresh["event"], nearest_boundary(
-                self.positions, *self.avoidance_circles))
+            fresh["event"] = min(fresh["event"], nearest(
+                self.positions, *obstacle.circle_arrays(self.avoidance.obstacles)))
         assert (np.float64(self.min_clearance).tobytes()
                 == np.float64(fresh["field"]).tobytes())
         assert (np.float64(self.min_boundary_clearance).tobytes()
                 == np.float64(fresh["event"]).tobytes())
 
-    monkeypatch.setattr(obstacle, "nearest_boundary", counting_nearest_boundary)
+    monkeypatch.setattr(obstacle, "running_clearance", counting_running_clearance)
     monkeypatch.setattr(sim.Simulator, "_update_metrics", checking_update_metrics)
     simulator = sim.Simulator(scenario.load_scenario(name))
     # a budget row left from other circles says nothing about an event's:
     # one that holds anywhere must be dropped when the event fires
-    simulator.budget.renew(simulator.positions, sim.EVENT_MIN, np.inf)
+    simulator.budget.renew(simulator.pos_ring[-1], sim.EVENT_MIN, np.inf)
     assert simulator.run().summary["status"] == "completed"
     assert calls["made"] < calls["per_step"]
     if name == "cluttered_course":
@@ -997,8 +1059,7 @@ def test_inspect_reports_the_worst_boundary_approach(capsys):
     assert "ev 26.08 avoid_enter {'mode': 2, 'sub_case': 2, 'obstacles': [[2], [3]]}" in out
     log = sim.run_scenario("cluttered_course")
     field = obstacle.ObstacleField(scenario.load_scenario("cluttered_course").obstacles, 0.0)
-    worst = min(obstacle.nearest_boundary(p, field.centers, field.radii)
-                for p in log.positions)
+    worst = min(nearest(p, field.centers, field.radii) for p in log.positions)
     assert worst == 29.333726053762845
     assert (f"worst boundary {worst:.3f} cm at t=32.40 s, agent 3, obstacle 2, "
             "pos=(-138.21, 229.55)\n") in out
