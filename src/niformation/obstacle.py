@@ -146,7 +146,7 @@ class MotionBudget:
         nothing: the row stays stale, and neither the anchor nor the budget
         moves."""
         if row is not None:
-            radius = radius[:] if isinstance(radius, list) else [radius] * len(self.anchor)
+            radius = radius if isinstance(radius, list) else [radius] * len(self.anchor)
             if not all(r > 0.0 for r in radius):
                 return self.expire(row)
         if self.moved2 is not None:
