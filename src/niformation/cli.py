@@ -23,8 +23,9 @@ from niformation.scenario import ScenarioError, load_scenario
 from niformation.sim import Simulator
 
 WINDOW_HALF_S = 1.5    # the default window: this far either side of the worst approach
-# the prediction horizons `sweep` tries by default
+# the prediction horizons and velocity-estimate windows `sweep` tries by default
 SWEEP_HORIZONS = (10, 20, 30, 38, 45, 55)
+SWEEP_WINDOWS = (5, 10, 15, 25, 40)
 
 
 def fixed(value, spec: str = ".2f") -> str:
@@ -49,9 +50,9 @@ def inspect(scn, window, stride: int) -> None:
         extras = {k: v for k, v in ev.items() if k not in ("time", "event")}
         print(f"      ev {ev['time']:.2f} {ev['event']} {extras}")
 
-    field = simulator.obstacles
+    centers, radii = obstacle.circle_arrays(simulator.obstacles.circles)
     # (T, n, m): every logged position against every wrap circle
-    bound = obstacle.boundary_distances(log.positions, field.centers, field.radii)
+    bound = obstacle.boundary_distances(log.positions, centers, radii)
     if bound.size:
         k, i, j = np.unravel_index(np.argmin(bound), bound.shape)
         x, y = log.positions[k, i].tolist()
@@ -59,7 +60,7 @@ def inspect(scn, window, stride: int) -> None:
               f"agent {i + 1}, obstacle {j}, pos=({x:.2f}, {y:.2f})")
         if window is None:
             window = (log.times[k] - WINDOW_HALF_S, log.times[k] + WINDOW_HALF_S)
-    elif not field.radii.size:
+    elif not radii.size:
         print(f"{scn.name}: the run has no obstacles")
     if window is None:
         return
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
                       help="scenario name or path to sweep")
     grid.add_argument("--horizons", type=int, nargs="+", default=list(SWEEP_HORIZONS),
                       help="prediction_horizon_steps values to try")
-    grid.add_argument("--windows", type=int, nargs="+", default=[5, 10, 15, 25, 40],
+    grid.add_argument("--windows", type=int, nargs="+", default=list(SWEEP_WINDOWS),
                       help="velocity_estimate_window values to try")
     args = parser.parse_args(argv)
 

@@ -348,8 +348,8 @@ def running_clearance(least: float, positions, centers, radii,
 
 class ObstacleField:
     """A run's obstacle polygons at one sensor reach, built once (wrap
-    circles as `circles`, `centers`/`radii`, and `circle_floats`), so a
-    whole team's sensing is decided as the clip's.
+    circles as `circles` and `circle_floats`), so a whole team's sensing is
+    decided as the clip's.
 
     Squared distances settle almost every (viewer, vertex) pair: nearer
     than the footprint's incircle radius less a margin passes every clip
@@ -387,9 +387,9 @@ class ObstacleField:
         self.polygons = tuple(np.asarray(p, dtype=float).reshape(-1, 2) for p in polygons)
         self.circles = tuple(circle_from_observation(p, (i,))
                              for i, p in enumerate(self.polygons))
-        self.centers, self.radii = circle_arrays(self.circles)
+        radii = circle_arrays(self.circles)[1]
         self.reach = float(reach)
-        limits = self.reach + self.radii
+        limits = self.reach + radii
         limits2 = limits ** 2
         scale = np.abs(np.concatenate([np.zeros((0, 2)), *self.polygons])).max(
             initial=0.0) + 2.0 * self.reach
@@ -397,7 +397,7 @@ class ObstacleField:
         inner = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES) - margin, 0.0)
         self.scale, self.inner, self.inner2 = float(scale), float(inner), float(inner ** 2)
         self.outer2 = float((self.reach + margin) ** 2)
-        for values in (*self.polygons, self.centers, self.radii):
+        for values in self.polygons:
             values.flags.writeable = False
         self.circle_floats = circle_floats(self.circles)
         self.points = tuple(tuple(map(tuple, p.tolist())) for p in self.polygons)

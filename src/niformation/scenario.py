@@ -317,9 +317,6 @@ class Scenario:
     def kinds(self) -> tuple[str, ...]:
         return tuple(a.kind for a in self.agents)
 
-    def starts(self) -> np.ndarray:
-        return np.array([a.start for a in self.agents], dtype=float)
-
 
 def _per_edge(n_edges: int, consensus, phases) -> None:
     """A gain pair per edge, and an offset pair per edge in each phase."""

@@ -1,43 +1,37 @@
 """Fixed-step closed-loop simulation of a formation scenario.
 
-Each step reads the previous step's measured outputs, runs the avoidance
-manager and the waypoint/turn/transition state machines, evaluates the
-cooperative control pipeline, and advances every agent's discretized plant
-by one sample.  Positions are centimeters internally; the exported logs use
-meters.  Runs are bit-deterministic for a fixed scenario and seed: every
-random draw comes from one seeded generator consumed in a fixed order, and
-log files format floats with a fixed precision.
+A run is two machines.  `Loop` is the team's linear loop, the NI
+interconnection: each planar axis is the fitted velocity-to-position plant
+of the agent's kind, driven by the (possibly delayed and saturated) velocity
+command of the cooperative law; yaw is the first-order yaw-rate plant,
+integrated trapezoidally and wrapped.  `Simulator`, its supervisor, reads
+the loop's newest positions, velocities and yaws and never writes them: it
+runs the avoidance manager and the waypoint/turn/transition state machines,
+steps the loop once a step with the reference point, offsets and yaw target
+they give, and keeps the metrics, safety checks and event log.  Positions
+are centimeters internally; the exported logs use meters.  Runs are
+bit-deterministic for a fixed scenario and seed: every random draw comes
+from one seeded generator consumed in a fixed order, and log files format
+floats with a fixed precision.
 
-Per-agent dynamics: each planar axis is the fitted velocity-to-position
-plant for the agent's kind, stepped with the (possibly delayed and
-saturated) velocity command; yaw is the first-order yaw-rate plant whose
-output is trapezoidally integrated and wrapped.  Everything constant for a
-run is built once at construction: the lifted topology blocks of the planar
-and yaw laws, the per-agent speed caps, one plant bank each for the planar
-axes and the yaw rates, and the velocity ring, a deque of the last
-`velocity_estimate_window` + 1 measured positions, whose oldest and newest
-the finite-difference velocities read.  Per-edge quantities are gathers
-through the edges' (head, tail) rows: the relative offsets and the steered
-agents of a transition through the lift's `pairs`, the follower targets
-through `tails`.  An avoidance event's circle floats are built once when it
-fires.  Per process, what depends only on the shipped files, `dt`, a
-topology or a course is shared and read-only: each shipped scenario, each
-lifted topology (`controller.lift`), each course's `obstacle.ObstacleField`,
-and in `lti` the parsed model library and each (model, `dt`) realization.
+Per-edge quantities are gathers through the lift's (head, tail) `pairs`,
+the follower targets through `tails`.  Per process, what depends only on
+the shipped files, `dt`, a topology or a course is shared and read-only:
+each shipped scenario, each lifted topology (`controller.lift`), each
+course's `obstacle.ObstacleField`, and in `lti` the parsed model library and
+each (model, `dt`) realization.
 
-A step's team arithmetic (the laws and their topology products, the plant
-outputs, the yaw-rate bank, the delay line, the velocity ring, the yaw
-integration, the reference point, the waypoint radius test, the log row, the
-offsets, and the transition, offset-ramp and settle bookkeeping) runs on
-stacked Python floats, each agent's (or edge's) coordinates in turn, which
-round and decide NaN as numpy does and cost less than numpy calls on a few
-agents.  So does the obstacle layer's position-only bookkeeping: the motion
-budget, sensing, both clearance minima and the divergence box.  numpy keeps
-the planar bank's products and the noise draw (`controller`,
-`lti.PlantBank`), and the obstacle layer's BLAS dots: the planning skip
-`obstacle.behind`, the event frame's `PathFrame.coords` and `to_world`,
-`detect_mode`, `event_cleared` and the sensing gate's scalar norm.
-`positions` stays the (n, 2) array those read, written once a step.
+A step's team arithmetic (the laws, the plant outputs, the yaw-rate bank,
+the delay line, the velocity ring, the yaw integration and the supervisor's
+bookkeeping) runs on stacked Python floats, each agent's (or edge's)
+coordinates in turn, which round and decide NaN as numpy does and cost less
+than numpy calls on a few agents; so does the obstacle layer's position-only
+bookkeeping (the motion budget, sensing, both clearance minima and the
+divergence box).  numpy keeps the planar bank's products and the noise draw
+(`controller`, `lti.PlantBank`), and the obstacle layer's BLAS dots
+(`obstacle.behind`, `PathFrame.coords` and `to_world`, `detect_mode`,
+`event_cleared` and the sensing gate's scalar norm), which take the ring's
+newest floats as the head's (x, y) or reshaped to (n, 2).
 
 Every decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
@@ -64,9 +58,10 @@ State machine summary (evaluated in priority order each step):
   detours, replaces the waypoint reference with a pursuit point that slides
   along the planned lateral line, both in the event's path frame; waypoint
   progress is frozen until `obstacle.event_cleared` ends the event;
-* corner turns (when enabled) zero the planar commands at a vertex whose
-  heading change exceeds `CORNER_ENTRY` and realign every yaw-steered agent
-  to within `CORNER_EXIT` of the next leg's heading;
+* corner turns (when enabled) pin the reference at a vertex whose heading
+  change exceeds `CORNER_ENTRY`, so the position loop station-keeps there (a
+  zero command would let the leaky plants drift home), until every
+  yaw-steered agent is within `CORNER_EXIT` of the next leg's heading;
 * reaching a waypoint that starts a new formation phase holds ("dwells")
   the reference agent at the reached vertex until the offset transition
   converges, so transition timing is measured against a stationary head.
@@ -270,27 +265,28 @@ class RunLog:
         return out
 
 
-class Simulator:
-    """Stateful engine for a single run of one scenario."""
+class Loop:
+    """The team's linear loop, built once from a `Scenario`: the laws, called
+    through `controller`, the delay line and the plant banks (planar,
+    agent-major x, y with the run's generator; yaw rates for the `yaw_rows`
+    the yaw law steers).  Its state, which only `advance` writes: the ring of
+    the last `velocity_estimate_window` + 1 stacked positions (`start` first,
+    the newest at the right) whose ends give the finite-difference
+    `velocities`, the delay line of `command_delay_steps` (planar, yaw)
+    commands, the `yaws` and the `yaw_rates`; neither line outgrows the run's
+    `steps` (+ 1)."""
 
     def __init__(self, scn: Scenario):
-        self.scn = scn
         models = load_model_library()
-        self.n = scn.n_agents
-        self.master = scn.master_index
-        self.origin = scn.starts()
-        self.stacked_origin = self.origin.ravel().tolist()
-        self.waypoints = scn.waypoints   # (x, y) float pairs
+        self.scn, self.n = scn, scn.n_agents
+        self.start = [v for agent in scn.agents for v in agent.start]   # stacked (x, y)
         self.planar_lift = controller.lift(scn.topology, 2)
         self.speed_caps = controller.speed_caps(scn.kinds)
-
-        # agent-major x, y: the order the noise draws have always been taken in
         self.plants = PlantBank(
             (discretize(models[f"{agent.kind}_vel{axis}"], scn.dt)
              for agent in scn.agents for axis in ("x", "y")),
             scn.noise_std, np.random.default_rng(scn.seed))
-
-        self.yaw_rows = []   # rows the yaw law steers
+        self.yaw_rows = []
         if scn.yaw_control is not None:
             top = scn.yaw_control.topology
             self.yaw_lift = controller.lift(top, 1)
@@ -298,22 +294,66 @@ class Simulator:
                 [top.heads, top.tails, np.subtract(top.reference_agents, 1)])).tolist()
             self.yaw_plants = PlantBank(discretize(models["ugv_yaw_rate"], scn.dt)
                                         for _ in self.yaw_rows)
-
-        self.positions = self.origin.copy()
         self.velocities = [0.0] * (2 * self.n)   # stacked (vx, vy)
         self.yaws = [float(a.yaw) for a in scn.agents]
         self.yaw_rates = [0.0] * self.n
-        # the last window + 1 stacked positions, the newest (`positions` as
-        # floats) at the right; a run never holds more than its steps + 1,
-        # nor takes more commands from the delay line
         self.steps = int(round(scn.duration / scn.dt))
-        self.pos_ring = deque([self.stacked_origin], maxlen=min(
+        self.ring = deque([self.start], maxlen=min(
             scn.control.velocity_estimate_window, self.steps) + 1)
-        self.delay_queue = deque([([0.0] * (2 * self.n), [0.0] * self.n)]
-                                 * min(scn.control.command_delay_steps, self.steps))
+        self.delay_line = deque([([0.0] * (2 * self.n), [0.0] * self.n)]
+                                * min(scn.control.command_delay_steps, self.steps))
+
+    def step(self, reference: tuple[float, float], offsets: list[float],
+             yaw_target: float | None):
+        """Run the laws on the newest positions and `advance` with their
+        commands; without yaw control the yaw commands are zeros."""
+        scn, positions = self.scn, self.ring[-1]
+        if scn.control.mode == "enhanced":
+            planar = controller.enhanced_control(
+                positions, self.velocities, self.planar_lift, scn.gains, offsets, reference,
+                self.speed_caps, dt=scn.dt,
+                prediction_horizon_steps=scn.control.prediction_horizon_steps)
+        else:
+            planar = controller.baseline_control(
+                positions, self.planar_lift, scn.gains, offsets, reference, self.speed_caps)
+        yaw = [0.0] * self.n if scn.yaw_control is None else controller.yaw_consensus(
+            self.yaws, self.yaw_rates, self.yaw_lift, scn.yaw_control.gains, yaw_target,
+            dt=scn.dt, prediction_horizon_steps=scn.control.prediction_horizon_steps,
+            enhanced=(scn.control.mode == "enhanced"))
+        return self.advance(planar, yaw)
+
+    def advance(self, planar: list[float], yaw: list[float]):
+        """Queue the commands and apply the delayed ones, which it returns:
+        the planar bank turns the stacked (vx, vy) into displacements from
+        `start`, the yaw bank into yaw rates, integrated trapezoidally into
+        wrapped yaws."""
+        dt = self.scn.dt
+        self.delay_line.append((planar, yaw))
+        applied_planar, applied_yaw = self.delay_line.popleft()
+        positions = [start + moved for start, moved in
+                     zip(self.start, self.plants.step(applied_planar))]
+        if self.yaw_rows:
+            rates = self.yaw_plants.step([applied_yaw[row] for row in self.yaw_rows])
+            for row, rate in zip(self.yaw_rows, rates):
+                self.yaws[row] = controller.wrap(
+                    self.yaws[row] + dt * 0.5 * (self.yaw_rates[row] + rate))
+                self.yaw_rates[row] = rate
+        self.ring.append(positions)
+        elapsed = (len(self.ring) - 1) * dt
+        self.velocities = [(new - old) / elapsed for new, old in zip(positions, self.ring[0])]
+        return applied_planar, applied_yaw
+
+
+class Simulator:
+    """The supervisor of one run of one scenario, and its `Loop`."""
+
+    def __init__(self, scn: Scenario):
+        self.scn, self.n, self.master = scn, scn.n_agents, scn.master_index
+        self.waypoints = scn.waypoints   # (x, y) float pairs
+        self.loop = loop = Loop(scn)
 
         self.obstacles = obstacle.shared_field(scn.obstacles, obstacle.FOV / 2.0)
-        self.budget = obstacle.MotionBudget(self.stacked_origin, IN_BOX + 1)
+        self.budget = obstacle.MotionBudget(loop.start, IN_BOX + 1)
         self.sensed = self.grouped = []   # sensed circles, their group_all
         # the reference point the planning skip was decided at, and the
         # square of how far it may move with the skip held
@@ -325,7 +365,7 @@ class Simulator:
         # divergence box: everything the scenario mentions, inflated by the
         # largest offset component plus one meter; (x, y) float pairs, each
         # the least or greatest coordinate as numpy's min and max take it
-        cloud = [*self.origin.tolist(), *self.waypoints,
+        cloud = [*zip(loop.start[0::2], loop.start[1::2]), *self.waypoints,
                  *(point for points in self.obstacles.points for point in points)]
         offset_reach = max((abs(v) for ph in self.phase_offsets for v in ph), default=0.0)
         margin = offset_reach + 100.0
@@ -349,7 +389,7 @@ class Simulator:
         self.ref_slew: Slew | None = None
         # the last reference point, held for the same `now`, event and slew objects and target
         self.reference, self.reference_key = None, (None,) * 4
-        self._begin_glide(0.0, self.positions[self.master])
+        self._begin_glide(0.0, self._head())
         self.phase_idx = scn.formation.phase_index(0)
         self.schedule_offsets = self.active_offsets = self.phase_offsets[self.phase_idx]
         self.last_heading = scn.agents[self.master].yaw
@@ -367,12 +407,16 @@ class Simulator:
     def _event(self, time: float, name: str, **detail):
         self.events.append({"time": time, "event": name, **detail})
 
+    def _head(self) -> list[float]:
+        """The reference agent's newest (x, y), read from the loop's ring."""
+        return self.loop.ring[-1][2 * self.master:2 * self.master + 2]
+
     def _offset_residuals(self, offsets: list[float]) -> list[tuple[float, float]]:
         """Each edge's (x, y) tail-minus-head displacement less its offset (cm)."""
-        p = self.pos_ring[-1]
+        p = self.loop.ring[-1]
         return [(p[2 * tail] - p[2 * head] - offsets[2 * e],
                  p[2 * tail + 1] - p[2 * head + 1] - offsets[2 * e + 1])
-                for e, (head, tail) in enumerate(self.planar_lift.pairs)]
+                for e, (head, tail) in enumerate(self.loop.planar_lift.pairs)]
 
     def _offset_error(self) -> float:
         return float(np.abs(self._offset_residuals(self.schedule_offsets)).max(initial=0.0))
@@ -411,7 +455,7 @@ class Simulator:
             # coupling.  The pursuit-point advance grows quadratically so the
             # head brakes while the swing develops instead of outrunning it.
             frac = min(1.0, (now - self.avoidance_started) / self._phase_duration())
-            s_m, _ = self.avoidance.frame.coords(self.positions[self.master])
+            s_m, _ = self.avoidance.frame.coords(self._head())
             point = tuple(self.avoidance.frame.to_world(
                 s_m + _ease(frac * frac) * self.scn.sensing.carrot_advance,
                 _ease(frac) * self.avoidance.master_lateral).tolist())
@@ -441,7 +485,7 @@ class Simulator:
         """
         budget = self.budget
         if budget.stale[SENSED]:
-            positions = self.pos_ring[-1]
+            positions = self.loop.ring[-1]
             sensed, reuse = self.obstacles.sensed(positions)
             budget.renew(positions, SENSED, reuse)
             if sensed != self.sensed:
@@ -470,9 +514,10 @@ class Simulator:
             if not budget.stale[EVENT_END]:
                 return
             cleared, radius = obstacle.event_cleared(
-                self.avoidance, self.positions, self.master, obstacle.FOV, obstacle.ROBOT_RADIUS)
+                self.avoidance, np.reshape(self.loop.ring[-1], (-1, 2)), self.master,
+                obstacle.FOV, obstacle.ROBOT_RADIUS)
             if not cleared:
-                budget.renew(self.pos_ring[-1], EVENT_END, radius.tolist())
+                budget.renew(self.loop.ring[-1], EVENT_END, radius.tolist())
                 return
             # glide the reference back to the waypoint instead of stepping
             # it: the formation is cruising at the clear instant, and a step
@@ -493,17 +538,17 @@ class Simulator:
             moved = reference - self.skip_reference
             if moved @ moved < self.skip_reach2:
                 return
-        head, centers = self.positions[self.master], obstacle.circle_arrays(self.grouped)[0]
-        skip, reach = obstacle.behind(centers, head, reference)
+        skip, reach = obstacle.behind(obstacle.circle_arrays(self.grouped)[0],
+                                      self._head(), reference)
         if skip:
             radius = [math.inf] * self.n
             radius[self.master] = reach
-            budget.renew(self.pos_ring[-1], PLAN_SKIP, radius)
+            budget.renew(self.loop.ring[-1], PLAN_SKIP, radius)
             self.skip_reference, self.skip_reach2 = reference, reach * reach
             return
         budget.expire(PLAN_SKIP)
         targets = self._slave_targets(reference)
-        event = obstacle.detect_mode(self.positions, targets, self.master, self.grouped,
+        event = obstacle.detect_mode(self.loop.ring[-1], targets, self.master, self.grouped,
                                      obstacle.FOV, obstacle.LOOK_AHEAD)
         if event is None:
             return
@@ -529,7 +574,7 @@ class Simulator:
             return
         if self.transition is not None:
             self._finish_transition(now, "superseded")
-        p, tails = self.pos_ring[-1], [tail for _head, tail in self.planar_lift.pairs]
+        p, tails = self.loop.ring[-1], [tail for _head, tail in self.loop.planar_lift.pairs]
         destination = [p[2 * tail + axis] + delta[2 * e + axis] for e, tail in enumerate(tails)
                        for axis in (0, 1)] if kind == "waypoint" else None
         duration = self._phase_duration()
@@ -566,9 +611,9 @@ class Simulator:
         if state.label == "waypoint":
             # the head dwells, so the residual to the destination frozen at
             # the switch is the transition-time measurement
-            p, dest = self.pos_ring[-1], state.destination
+            p, dest = self.loop.ring[-1], state.destination
             residual = [(dest[2 * e] - p[2 * tail], dest[2 * e + 1] - p[2 * tail + 1])
-                        for e, (_head, tail) in enumerate(self.planar_lift.pairs)]
+                        for e, (_head, tail) in enumerate(self.loop.planar_lift.pairs)]
             return check_convergence(state, residual, now,
                                      tolerance=CONVERGENCE_BAND_CM,
                                      grace=0.5 * state.duration, hold=0.0)
@@ -608,8 +653,9 @@ class Simulator:
         if self.pending_since is None or self.avoidance is not None:
             return
         # every speed (np.linalg.norm's arithmetic) and residual within bounds
+        velocities = self.loop.velocities
         quiet = (all(math.sqrt(vx * vx + vy * vy) <= SETTLE_SPEED_CM_S
-                     for vx, vy in zip(self.velocities[0::2], self.velocities[1::2]))
+                     for vx, vy in zip(velocities[0::2], velocities[1::2]))
                  and all(abs(x) <= SETTLE_BAND_CM and abs(y) <= SETTLE_BAND_CM
                          for x, y in self._offset_residuals(self.active_offsets)))
         if not quiet:
@@ -637,7 +683,7 @@ class Simulator:
                 self.holding = False
             return
         tx, ty = target = self.waypoints[self.target_idx]
-        x, y = self.pos_ring[-1][2 * self.master:2 * self.master + 2]
+        x, y = self._head()
         if _beyond(x - tx, y - ty, scn.waypoint_radius):
             return
         self.completed += 1
@@ -647,8 +693,8 @@ class Simulator:
 
         if (scn.yaw_control is not None and scn.yaw_control.corner_turns
                 and self.target_idx + 1 < len(self.waypoints)):
-            previous = (self.origin[self.master] if self.target_idx == 0
-                        else self.waypoints[self.target_idx - 1])
+            previous = (self.loop.start[2 * self.master:2 * self.master + 2]
+                        if self.target_idx == 0 else self.waypoints[self.target_idx - 1])
             incoming = controller.heading_from_motion(target, previous, self.last_heading)
             outgoing = controller.heading_from_motion(
                 self.waypoints[self.target_idx + 1], target, incoming)
@@ -686,8 +732,9 @@ class Simulator:
         if self.corner is None:
             return
         target = self.corner.heading
-        if all(abs(controller.wrap(self.yaws[row] - target)) < CORNER_EXIT
-               for row in self.yaw_rows):
+        yaws = self.loop.yaws
+        if all(abs(controller.wrap(yaws[row] - target)) < CORNER_EXIT
+               for row in self.loop.yaw_rows):
             self._event(now, "corner_turn_end",
                         held=float(now - self.corner.start))
             self.corner = None
@@ -695,74 +742,27 @@ class Simulator:
 
     # ----------------------------------------------------------- stepping
 
-    def _commands(self, reference: tuple[float, float], offsets: list[float]):
-        # during a corner turn the reference stays pinned at the reached
-        # vertex, so the position loop station-keeps there while yaw realigns
-        # (a zero velocity command would let the leaky plants drift home)
-        scn = self.scn
-        positions = self.pos_ring[-1]
-        if scn.control.mode == "enhanced":
-            planar = controller.enhanced_control(
-                positions, self.velocities, self.planar_lift,
-                scn.gains, offsets, reference,
-                self.speed_caps, dt=scn.dt,
-                prediction_horizon_steps=scn.control.prediction_horizon_steps)
-        else:
-            planar = controller.baseline_control(
-                positions, self.planar_lift, scn.gains,
-                offsets, reference, self.speed_caps)
-
-        cfg = scn.yaw_control
+    def _yaw_target(self, reference: tuple[float, float]) -> float | None:
+        """The heading the yaw law steers to: the corner turn's, the
+        configured one, or the head's motion toward the reference point."""
+        cfg = self.scn.yaw_control
         if cfg is None:
-            return planar, [0.0] * self.n
+            return None
         if self.corner is not None:
-            target = self.corner.heading
-        elif cfg.target is not None:
-            target = cfg.target
-        else:
-            target = controller.heading_from_motion(
-                reference, self.positions[self.master], self.last_heading)
-            self.last_heading = target
-        yaw_cmds = controller.yaw_consensus(
-            self.yaws, self.yaw_rates, self.yaw_lift, cfg.gains,
-            target, dt=scn.dt,
-            prediction_horizon_steps=scn.control.prediction_horizon_steps,
-            enhanced=(scn.control.mode == "enhanced"))
-        return planar, yaw_cmds
-
-    def _advance_plants(self, planar: list[float], yaw_cmds: list[float]):
-        """Queue this step's commands, apply the delayed ones to the banks.
-
-        The planar bank takes the stacked (vx, vy) commands and returns each
-        axis's displacement from the agent's start; the yaw bank returns yaw
-        rates, integrated trapezoidally into wrapped yaws.
-        """
-        scn = self.scn
-        self.delay_queue.append((planar, yaw_cmds))
-        applied_planar, applied_yaw = self.delay_queue.popleft()
-        positions = [start + moved for start, moved in
-                     zip(self.stacked_origin, self.plants.step(applied_planar))]
-        self.positions.flat = positions
-        self.budget.spend(positions)
-        if self.yaw_rows:
-            rates = self.yaw_plants.step([applied_yaw[row] for row in self.yaw_rows])
-            for row, rate in zip(self.yaw_rows, rates):
-                self.yaws[row] = controller.wrap(
-                    self.yaws[row] + scn.dt * 0.5 * (self.yaw_rates[row] + rate))
-                self.yaw_rates[row] = rate
-        ring = self.pos_ring
-        ring.append(positions)
-        elapsed = (len(ring) - 1) * scn.dt
-        self.velocities = [(new - old) / elapsed for new, old in zip(positions, ring[0])]
-        return applied_planar, applied_yaw
+            return self.corner.heading
+        if cfg.target is not None:
+            return cfg.target
+        self.last_heading = controller.heading_from_motion(
+            reference, self._head(), self.last_heading)
+        return self.last_heading
 
     def _update_metrics(self, now: float, offsets: list[float]):
         # the error maxima are steady-behaviour metrics: a scenario may
         # declare a warmup so the spin-up transient every mode shares does
         # not mask the differences under study
         if self.rel_err_max and now >= self.scn.metrics_warmup_s:
-            positions = self.pos_ring[-1]
-            for e, (head, tail) in enumerate(self.planar_lift.pairs):
+            positions = self.loop.ring[-1]
+            for e, (head, tail) in enumerate(self.loop.planar_lift.pairs):
                 # the arithmetic of np.linalg.norm, then np.maximum's NaN
                 dx = positions[2 * tail] - positions[2 * head] - offsets[2 * e]
                 dy = positions[2 * tail + 1] - positions[2 * head + 1] - offsets[2 * e + 1]
@@ -772,7 +772,7 @@ class Simulator:
         # planning radius holds back slack for tracking transients.
         # Subtracting after the min is exact: rounding is monotone.  Each
         # minimum is evaluated again only once its budget row has gone stale
-        budget, positions = self.budget, self.pos_ring[-1]
+        budget, positions = self.budget, self.loop.ring[-1]
         if self.obstacles.circles and budget.stale[FIELD_MIN]:
             self.min_clearance, radius = obstacle.running_clearance(
                 self.min_clearance, positions, *self.obstacles.circle_floats,
@@ -793,7 +793,7 @@ class Simulator:
         # each robot's distance to the box's nearest face, "not inside" it
         # below 0, so that a NaN position diverges too: numpy's
         # `minimum(p - low, high - p).min(axis=1)`, robot by robot
-        positions, (lx, ly), (hx, hy) = self.pos_ring[-1], self.box_low, self.box_high
+        positions, (lx, ly), (hx, hy) = self.loop.ring[-1], self.box_low, self.box_high
         radius = []
         for agent, (x, y) in enumerate(zip(positions[0::2], positions[1::2]), 1):
             face = obstacle.minimum_of((obstacle.minimum_of((x - lx, hx - x)),
@@ -809,8 +809,8 @@ class Simulator:
     # --------------------------------------------------------------- run
 
     def run(self) -> RunLog:
-        scn = self.scn
-        steps = self.steps
+        scn, loop = self.scn, self.loop
+        steps = loop.steps
         positions, commands = np.zeros((steps, self.n, 2)), np.zeros((steps, self.n, 2))
         yaws, yaw_commands = np.zeros((steps, self.n)), np.zeros((steps, self.n))
         phases, avoid_modes = np.zeros(steps, dtype=int), np.zeros(steps, dtype=int)
@@ -836,12 +836,13 @@ class Simulator:
             self._update_waypoints(now)
 
             reference, offsets = self._reference_point(now), self.active_offsets
-            planar, yaw_cmds = self._commands(reference, offsets)
-            applied_planar, applied_yaw = self._advance_plants(planar, yaw_cmds)
+            applied_planar, applied_yaw = loop.step(reference, offsets,
+                                                    self._yaw_target(reference))
+            self.budget.spend(loop.ring[-1])
 
-            pairs.pack_into(rows[0], k * pairs.size, *self.pos_ring[-1])
+            pairs.pack_into(rows[0], k * pairs.size, *loop.ring[-1])
             pairs.pack_into(rows[1], k * pairs.size, *applied_planar)
-            singles.pack_into(rows[2], k * singles.size, *self.yaws)
+            singles.pack_into(rows[2], k * singles.size, *loop.yaws)
             singles.pack_into(rows[3], k * singles.size, *applied_yaw)
             phases[k] = -1 if self.avoidance is not None else self.phase_idx
             avoid_modes[k] = 0 if self.avoidance is None else self.avoidance.mode
@@ -899,8 +900,9 @@ class Simulator:
             "status": self.status,
             "final_time": float(final_time),
             "waypoints_completed": int(self.completed),
-            "final_positions_m": (self.positions / 100.0).tolist(),
-            "final_yaw_deg": [float(np.rad2deg(y)) for y in self.yaws],
+            "final_positions_m": [[x / 100.0, y / 100.0] for x, y in
+                                  zip(self.loop.ring[-1][0::2], self.loop.ring[-1][1::2])],
+            "final_yaw_deg": [float(np.rad2deg(y)) for y in self.loop.yaws],
             "final_offset_error_cm": self._offset_error(),
             "relative_error_max_cm": {f"edge_{e}": float(v)
                                       for e, v in enumerate(self.rel_err_max)},

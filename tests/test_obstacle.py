@@ -979,7 +979,7 @@ def test_gate_at_its_limit_is_the_scalar_norms(monkeypatch):
 def test_a_field_without_polygons_senses_nothing():
     field = ObstacleField([], 110.0)
     assert field.sensed([0.0] * 6) == ([], [np.inf] * 3)
-    assert nearest(np.zeros((3, 2)), field.centers, field.radii) == np.inf
+    assert nearest(np.zeros((3, 2)), *circle_arrays(field.circles)) == np.inf
     assert running_clearance(np.inf, [0.0] * 6, *field.circle_floats, 25.0)[0] == np.inf
 
 
@@ -1039,8 +1039,8 @@ def sensing_walks(draw):
     candidates = list(candidates)
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
-            k = draw(st.integers(0, len(field.circles) - 1))
-            anchor, bound = field.centers[k], field.reach + field.radii[k]
+            circle = field.circles[draw(st.integers(0, len(field.circles) - 1))]
+            anchor, bound = np.array(circle.center), field.reach + circle.radius
         else:
             vertices = np.concatenate(field.polygons)
             anchor = vertices[draw(st.integers(0, len(vertices) - 1))]
@@ -1050,7 +1050,7 @@ def sensing_walks(draw):
         angle = draw(st.floats(0.0, 2.0 * np.pi))
         candidates.append(anchor + dist * np.array([np.cos(angle), np.sin(angle)]))
     for _ in range(draw(st.integers(0, 3))):
-        candidates.append(field.centers[0] + reach * np.array(
+        candidates.append(np.array(field.circles[0].center) + reach * np.array(
             [draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))]))
     picked = draw(st.lists(st.integers(0, len(candidates) - 1), min_size=1,
                            max_size=draw(st.sampled_from((1, 1, 1, 2, 3))),
@@ -1073,7 +1073,7 @@ def walk_step(field, viewers, moves, sizes, center):
             if not np.isfinite(radius) or not np.isfinite(viewers[v]).all():
                 continue
             if aim != "angle":
-                to = field.centers - viewers[v]
+                to = circle_arrays(field.circles)[0] - viewers[v]
                 to = to[np.argmin(np.add.reduce(to * to, axis=1))]
                 angle = np.arctan2(to[1], to[0]) + (np.pi if aim == "away" else 0.0)
             out[v] += fraction * radius * np.array([np.cos(angle), np.sin(angle)])
@@ -1503,7 +1503,7 @@ def test_one_budget_holds_every_decision_as_a_fresh_one_along_walks(walk):
     field, team, center, event = walk["field"], walk["team"], walk["center"], walk["event"]
     reference, (low, high), floor = walk["reference"], walk["box"], walk["floor"]
     fov, robot_radius = 2.0 * field.reach, walk["robot_radius"]
-    minima = {FIELD: (field.circle_floats, (field.centers, field.radii), floor),
+    minima = {FIELD: (field.circle_floats, circle_arrays(field.circles), floor),
               EVENT: (circle_floats(event.obstacles), circle_arrays(event.obstacles), 0.0)}
     least = dict(zip((FIELD, EVENT), walk["least"]))
     want = dict(least)

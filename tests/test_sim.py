@@ -3,6 +3,7 @@ outputs and regressions."""
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -174,10 +175,14 @@ def test_equal_courses_share_one_read_only_field():
                   replace(scn, obstacles=[np.array(p) for p in scn.obstacles])):
         assert sim.Simulator(other).obstacles is field
     assert isinstance(field.polygons, tuple) and isinstance(field.circles, tuple)
-    for values in (*field.polygons, field.centers, field.radii):
+    for values in field.polygons:
         assert not values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         field.polygons[0][0, 0] = 0.0
+    # the wrap circles are frozen, their centres float pairs
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.circles[0].radius = 0.0
+    assert all(isinstance(c.center, tuple) for c in field.circles)
     # the float copies the step reads are tuples all the way down
     for copies in (field.circle_floats, field.points, field.gates, field.ring):
         assert isinstance(copies, tuple) and all(isinstance(c, tuple) for c in copies)
@@ -401,8 +406,7 @@ def test_observe_wraps_every_sensed_polygon_whole(monkeypatch):
     polygons = (square + [0.0, reach - 5.0], square + [4.0 * reach, 0.0],
                 wall, square + [reach + 22.0, 0.0])
     simulator = sim.Simulator(replace(scn, obstacles=polygons))
-    simulator.positions[:] = 0.0
-    simulator.pos_ring.append([0.0] * 2 * simulator.n)
+    simulator.loop.ring.append([0.0] * 2 * simulator.n)
     clipped = {}
     clip = obstacle.clip_polygon_to_disc
 
@@ -446,7 +450,7 @@ def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
     # number in the summary is written as null
     scn = scenario.load_scenario("single_obstacle_line")
     simulator = sim.Simulator(replace(scn, duration=1.0))
-    simulator.plants.state[:] = np.nan
+    simulator.loop.plants.state[:] = np.nan
     log = simulator.run()
     assert log.summary["status"] == sim.STATUS_DIVERGED
     assert [ev["event"] for ev in log.events] == ["divergence"]
@@ -496,7 +500,8 @@ def test_the_box_on_floats_decides_and_sizes_as_the_arrays_did(name, data):
     # the box, the first robot outside it (a NaN is never inside) and the
     # radii the box's budget row holds are the former array code's
     simulator = sim.Simulator(scenario.load_scenario(name))
-    cloud = np.vstack([simulator.origin, simulator.waypoints, np.zeros((0, 2)),
+    cloud = np.vstack([np.reshape(simulator.loop.start, (-1, 2)), simulator.waypoints,
+                       np.zeros((0, 2)),
                        *simulator.obstacles.polygons])
     margin = max((abs(v) for ph in simulator.phase_offsets for v in ph), default=0.0) + 100.0
     low, high = cloud.min(axis=0) - margin, cloud.max(axis=0) + margin
@@ -513,8 +518,7 @@ def test_the_box_on_floats_decides_and_sizes_as_the_arrays_did(name, data):
                              np.nextafter(face, -np.inf)])))
 
     team = [float(coordinate(k % 2)) for k in range(2 * simulator.n)]
-    simulator.positions.flat = team
-    simulator.pos_ring.append(team)
+    simulator.loop.ring.append(team)
     positions = np.reshape(team, (-1, 2))
     faces = np.minimum(positions - low, high - positions).min(axis=1)
     inside = bool((faces >= 0.0).all())
@@ -534,9 +538,9 @@ def test_a_nan_on_any_edge_is_the_largest_offset_error():
     # as numpy's max did: a NaN residual wins wherever it sits
     simulator = sim.Simulator(scenario.load_scenario("rect_varying_formation"))
     for tail in (1, 2):   # the tail of the first edge, then of the last
-        positions = list(simulator.stacked_origin)
+        positions = list(simulator.loop.start)
         positions[2 * tail + 1] = math.nan
-        simulator.pos_ring.append(positions)
+        simulator.loop.ring.append(positions)
         assert math.isnan(simulator._offset_error())
         assert simulator._summary(0.0)["final_offset_error_cm"] is None
 
@@ -585,7 +589,7 @@ def test_a_dwell_that_never_settles_times_out_into_the_pending_offsets():
     simulator = sim.Simulator(scn)
     start, target = 3.0, [v + 40.0 for v in simulator.schedule_offsets]
     simulator.schedule_offsets, simulator.pending_since = target, start
-    simulator.velocities = [2.0 * sim.SETTLE_SPEED_CM_S] * (2 * simulator.n)
+    simulator.loop.velocities = [2.0 * sim.SETTLE_SPEED_CM_S] * (2 * simulator.n)
     now = start
     while now - start <= sim.SETTLE_TIMEOUT_S:
         simulator._update_settle(now)
@@ -668,8 +672,8 @@ def settle_scenario(edges: bool) -> scenario.Scenario:
 def numpy_settled(simulator: sim.Simulator) -> bool:
     """The settle gate as it was on arrays: the largest speed and the
     largest per-axis offset residual within their bounds."""
-    top, positions = simulator.scn.topology, simulator.positions
-    speed = float(np.linalg.norm(np.reshape(simulator.velocities, (simulator.n, 2)),
+    top, positions = simulator.scn.topology, np.reshape(simulator.loop.ring[-1], (-1, 2))
+    speed = float(np.linalg.norm(np.reshape(simulator.loop.velocities, (simulator.n, 2)),
                                  axis=1).max())
     with np.errstate(invalid="ignore"):
         residual = np.abs(positions[top.tails] - positions[top.heads]
@@ -698,15 +702,14 @@ def test_the_settle_gate_equals_the_numpy_gate(edges, data):
     simulator = sim.Simulator(settle_scenario(edges))
     n, n_edges = simulator.n, simulator.scn.topology.n_edges
     moved = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * n, max_size=2 * n))
-    positions = [p + d for p, d in zip(simulator.stacked_origin, moved)]
-    simulator.positions.flat = positions
-    simulator.pos_ring.append(positions)
-    simulator.velocities = [v for pair in data.draw(st.lists(VELOCITIES, min_size=n, max_size=n))
+    positions = [p + d for p, d in zip(simulator.loop.start, moved)]
+    simulator.loop.ring.append(positions)
+    simulator.loop.velocities = [v for pair in data.draw(st.lists(VELOCITIES, min_size=n, max_size=n))
                             for v in pair]
     residual = [r for pair in data.draw(st.lists(RESIDUALS, min_size=n_edges,
                                                  max_size=n_edges)) for r in pair]
     relative = [positions[2 * tail + axis] - positions[2 * head + axis]
-                for head, tail in simulator.planar_lift.pairs for axis in (0, 1)]
+                for head, tail in simulator.loop.planar_lift.pairs for axis in (0, 1)]
     simulator.active_offsets = [d - r for d, r in zip(relative, residual)]
     now = simulator.pending_since = 5.0
     simulator._update_settle(now)
@@ -732,7 +735,7 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
     def recording_observe(self):
         circles = observe(self)
         # the held decision is the one a fresh decision gives
-        assert circles == sensed(self.obstacles, self.pos_ring[-1])[0]
+        assert circles == sensed(self.obstacles, self.loop.ring[-1])[0]
         observed.append(tuple(c.members for c in circles))
         return circles
 
@@ -774,13 +777,14 @@ def test_planning_is_skipped_only_where_detect_mode_plans_nothing(monkeypatch, n
             return
         counts["sensed"] += 1
         # the grouped circles are those of the circles sensed now
-        assert self.grouped == group_all(sensed(self.obstacles, self.pos_ring[-1])[0],
+        assert self.grouped == group_all(sensed(self.obstacles, self.loop.ring[-1])[0],
                                          2.0 * obstacle.ROBOT_RADIUS)
         centers = obstacle.circle_arrays(self.grouped)[0]
         if counts["planned"] == planned:
             reference = self._reference_point(now)
-            assert behind(centers, self.positions[self.master], reference)[0]
-            assert detect_mode(self.positions, self._slave_targets(reference), self.master,
+            positions = np.reshape(self.loop.ring[-1], (-1, 2))
+            assert behind(centers, positions[self.master], reference)[0]
+            assert detect_mode(positions, self._slave_targets(reference), self.master,
                                self.grouped, obstacle.FOV, obstacle.LOOK_AHEAD) is None
 
     monkeypatch.setattr(obstacle, "behind", counting_behind)
@@ -801,9 +805,8 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
     # longer behind the head on its run to the reference
     detect_mode, behind = obstacle.detect_mode, obstacle.behind
     simulator = sim.Simulator(scenario.load_scenario("single_obstacle_line"))
-    simulator.positions[:] = [[-100.0, 110.0], [0.0, 110.0], [-200.0, 110.0]]
-    simulator.pos_ring.append(simulator.positions.ravel().tolist())
-    simulator.budget.spend(simulator.pos_ring[-1])
+    simulator.loop.ring.append([-100.0, 110.0, 0.0, 110.0, -200.0, 110.0])
+    simulator.budget.spend(simulator.loop.ring[-1])
     simulator.ref_slew = sim.Slew(np.array([-100.0, 310.0]), np.array([-100.0, -290.0]),
                                   0.0, glide_s=10.0)
     calls = {"planned": 0, "decided": 0}
@@ -823,7 +826,7 @@ def test_a_held_planning_skip_is_decided_again_once_the_reference_moves(monkeypa
         simulator._update_avoidance(now)
         skipped.append(calls["planned"] == planned)
         centers = obstacle.circle_arrays(simulator.grouped)[0]
-        assert skipped[-1] == behind(centers, simulator.positions[0],
+        assert skipped[-1] == behind(centers, np.array(simulator.loop.ring[-1][:2]),
                                      simulator._reference_point(now))[0]
     assert 0 < skipped.count(True) < len(skipped)
     assert calls["decided"] < len(skipped)
@@ -845,13 +848,14 @@ def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch,
     def checking_update_metrics(self, now, offsets):
         update_metrics(self, now, offsets)
         calls["per_step"] += 1
+        positions = np.reshape(self.loop.ring[-1], (-1, 2))
         fresh["field"] = min(fresh["field"], nearest(
-            self.positions, self.obstacles.centers, self.obstacles.radii)
+            positions, *obstacle.circle_arrays(self.obstacles.circles))
             - obstacle.COLLISION_RADIUS)
         if self.avoidance is not None:
             calls["per_step"] += 1
             fresh["event"] = min(fresh["event"], nearest(
-                self.positions, *obstacle.circle_arrays(self.avoidance.obstacles)))
+                positions, *obstacle.circle_arrays(self.avoidance.obstacles)))
         assert (np.float64(self.min_clearance).tobytes()
                 == np.float64(fresh["field"]).tobytes())
         assert (np.float64(self.min_boundary_clearance).tobytes()
@@ -862,7 +866,7 @@ def test_clearance_is_evaluated_only_when_a_robot_may_set_a_minimum(monkeypatch,
     simulator = sim.Simulator(scenario.load_scenario(name))
     # a budget row left from other circles says nothing about an event's:
     # one that holds anywhere must be dropped when the event fires
-    simulator.budget.renew(simulator.pos_ring[-1], sim.EVENT_MIN, np.inf)
+    simulator.budget.renew(simulator.loop.ring[-1], sim.EVENT_MIN, np.inf)
     assert simulator.run().summary["status"] == "completed"
     assert calls["made"] < calls["per_step"]
     if name == "cluttered_course":
@@ -890,8 +894,8 @@ def test_event_end_is_the_former_split_decision_on_every_event_step(monkeypatch,
         event = self.avoidance
         if event is None:
             return update_avoidance(self, now)
-        ends = old_event_end(event, self.positions, self.master, obstacle.FOV,
-                             obstacle.ROBOT_RADIUS)
+        ends = old_event_end(event, np.reshape(self.loop.ring[-1], (-1, 2)), self.master,
+                             obstacle.FOV, obstacle.ROBOT_RADIUS)
         update_avoidance(self, now)
         assert (self.avoidance is None) == ends
         steps.append(ends)
@@ -990,16 +994,16 @@ def test_velocity_ring_equals_a_deque_of_positions(window, steps):
     # oracle of the ring of stacked floats, under random commands and noise
     scn = scenario.load_scenario("moving_leader_compare")
     scn = replace(scn, control=replace(scn.control, velocity_estimate_window=window))
-    simulator = sim.Simulator(scn)
-    history = deque([simulator.positions.copy()], maxlen=window + 1)
+    loop = sim.Loop(scn)
+    history = deque([np.array(loop.start)], maxlen=window + 1)
     rng = np.random.default_rng(window + steps)
     for _ in range(steps):
-        planar = rng.normal(0.0, 50.0, size=2 * simulator.n).tolist()
-        simulator._advance_plants(planar, [0.0] * simulator.n)
-        history.append(simulator.positions.copy())
+        planar = rng.normal(0.0, 50.0, size=2 * loop.n).tolist()
+        loop.advance(planar, [0.0] * loop.n)
+        history.append(np.array(loop.ring[-1]))
         span = len(history) - 1
         want = (history[-1] - history[0]) / (span * scn.dt)
-        assert np.array(simulator.velocities).tobytes() == want.tobytes()
+        assert np.array(loop.velocities).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name, mode", [("moving_leader_compare", "enhanced"),
@@ -1024,6 +1028,38 @@ def test_each_logged_step_calls_each_law_once_through_the_module(monkeypatch, na
         assert calls["yaw_consensus"] == steps
 
 
+@pytest.mark.parametrize("delay", [0, 1, 10])
+@pytest.mark.parametrize("name", ["moving_leader_compare", "yaw_sync_pair"])
+def test_the_delay_line_applies_each_command_delay_steps_later(monkeypatch, name, delay):
+    # the loop, driven alone, applies at step k the commands its laws gave
+    # at step k - delay, and zeros before step `delay`, and the planar bank
+    # takes exactly the applied planar commands.  Once the first command is
+    # applied no two steps give equal commands, so a line one step too long
+    # or too short fails
+    scn = scenario.load_scenario(name)
+    scn = replace(scn, control=replace(scn.control, command_delay_steps=delay))
+    given = {"planar": [], "yaw": []}
+    for law, kind in (("baseline_control", "planar"), ("enhanced_control", "planar"),
+                      ("yaw_consensus", "yaw")):
+        def recording(*args, _kind=kind, _call=getattr(controller, law), **kwargs):
+            given[_kind].append(_call(*args, **kwargs))
+            return given[_kind][-1]
+        monkeypatch.setattr(controller, law, recording)
+    loop = sim.Loop(scn)
+    bank_step, taken = loop.plants.step, []
+    loop.plants.step = lambda u: taken.append(list(u)) or bank_step(u)
+    offsets = [v for pair in scn.formation.phases[0].offsets for v in pair]
+    steps = 3 * delay + 5
+    applied = [loop.step(scn.waypoints[0], offsets, 1.0) for _ in range(steps)]
+    if not given["yaw"]:   # no yaw control: the yaw commands are zeros
+        given["yaw"] = [[0.0] * loop.n] * steps
+    laws = list(zip(given["planar"], given["yaw"]))
+    assert len(laws) == steps and len({repr(law) for law in laws[delay:]}) == steps - delay
+    zeros = ([0.0] * (2 * loop.n), [0.0] * loop.n)
+    assert applied == [zeros] * delay + laws[:steps - delay]
+    assert taken == [planar for planar, _yaw in applied]
+
+
 def test_the_velocity_ring_and_delay_line_are_sized_by_the_run():
     # a run never reads more than its steps back nor takes more than its
     # steps of commands from the delay line, so knobs far beyond a 10-step
@@ -1033,7 +1069,7 @@ def test_the_velocity_ring_and_delay_line_are_sized_by_the_run():
     def run_digest(knob):
         control = replace(scn.control, velocity_estimate_window=knob, command_delay_steps=knob)
         simulator = sim.Simulator(replace(scn, control=control))
-        assert simulator.pos_ring.maxlen == 11 and len(simulator.delay_queue) == 10
+        assert simulator.loop.ring.maxlen == 11 and len(simulator.loop.delay_line) == 10
         log = simulator.run()
         assert len(log.times) == 10
         return digest(log.trajectory_csv() + log.summary_json())
@@ -1059,7 +1095,7 @@ def test_inspect_reports_the_worst_boundary_approach(capsys):
     assert "ev 26.08 avoid_enter {'mode': 2, 'sub_case': 2, 'obstacles': [[2], [3]]}" in out
     log = sim.run_scenario("cluttered_course")
     field = obstacle.ObstacleField(scenario.load_scenario("cluttered_course").obstacles, 0.0)
-    worst = min(nearest(p, field.centers, field.radii) for p in log.positions)
+    worst = min(nearest(p, *obstacle.circle_arrays(field.circles)) for p in log.positions)
     assert worst == 29.333726053762845
     assert (f"worst boundary {worst:.3f} cm at t=32.40 s, agent 3, obstacle 2, "
             "pos=(-138.21, 229.55)\n") in out
