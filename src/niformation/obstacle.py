@@ -351,12 +351,10 @@ class ObstacleField:
     circles as `circles` and `circle_floats`), so a whole team's sensing is
     decided as the clip's.
 
-    Squared distances settle almost every (viewer, vertex) pair: nearer
-    than the footprint's incircle radius less a margin passes every clip
-    half-plane, farther than `reach` plus the margin does not, and the band
-    between is tested with the clip's arithmetic on the same ring.  Rounding
-    moves a tested edge line by under 100*u*(|c| + reach), u = 2**-53, for
-    viewer c; the margin, `SENSING_MARGIN` * (largest vertex coordinate +
+    A vertex nearer a viewer than the inner bound, the footprint's incircle
+    radius less a margin, passes every clip half-plane.  Rounding moves a
+    tested edge line by under 100*u*(|c| + reach), u = 2**-53, for viewer
+    c; the margin, `SENSING_MARGIN` * (largest vertex coordinate +
     2*reach), covers that 1e5 times over (1e-6 against 1e-12 cm at reach
     110 cm).  The inner bound is clamped at 0.
 
@@ -364,7 +362,8 @@ class ObstacleField:
     half-plane clips to at least 3 vertices: p leaves each stage unchanged,
     and a stage outputs its whole input or its in-vertices plus a crossing
     per in/out change around the cycle, p and at least 2 more.  So only
-    gate-passing pairs with no vertex in, or under 3 vertices, are clipped.
+    gate-passing pairs with no vertex inside the inner bound, or under 3
+    vertices, are clipped, and the clip decides them.
 
     Reuse: v's decision on P_i cannot flip while v moves less than the
     larger of `norm(v - c_i) - (reach + r_i)`, which keeps the gate failing,
@@ -379,8 +378,7 @@ class ObstacleField:
 
     `sensed` runs on floats the field copies once: each polygon's gate
     (centre, `reach` + radius, its square and the square's `GATE_ULPS`
-    tolerance) and `points`, its vertices as (x, y) pairs, and `ring`, the
-    footprint's vertex offsets `reach * FOOTPRINT_RING`.
+    tolerance) and `points`, its vertices as (x, y) pairs.
     """
 
     def __init__(self, polygons, reach: float):
@@ -396,26 +394,12 @@ class ObstacleField:
         margin = SENSING_MARGIN * scale
         inner = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES) - margin, 0.0)
         self.scale, self.inner, self.inner2 = float(scale), float(inner), float(inner ** 2)
-        self.outer2 = float((self.reach + margin) ** 2)
         for values in self.polygons:
             values.flags.writeable = False
         self.circle_floats = circle_floats(self.circles)
         self.points = tuple(tuple(map(tuple, p.tolist())) for p in self.polygons)
         self.gates = tuple(zip(self.circle_floats[0], limits.tolist(), limits2.tolist(),
                                (GATE_ULPS * np.spacing(limits2)).tolist()))
-        self.ring = tuple(map(tuple, (self.reach * FOOTPRINT_RING).tolist()))
-
-    def _in_footprint(self, vx: float, vy: float, px: float, py: float) -> bool:
-        """Vertex (px, py) passes every half-plane test of
-        `clip_polygon_to_disc(_, (vx, vy), reach)`, in the clip's arithmetic."""
-        ring = [(vx + ox, vy + oy) for ox, oy in self.ring]
-        ax, ay = ring[-1]
-        for bx, by in ring:
-            # the edge from ring[k - 1] to ring[k], as the clip forms it
-            if not (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0:
-                return False
-            ax, ay = bx, by
-        return True
 
     def sensed(self, viewers) -> tuple[list[ObstacleCircle], list[float]]:
         """Circles of the polygons i that some viewer v senses, for stacked
@@ -424,10 +408,10 @@ class ObstacleField:
         distances within `GATE_ULPS` ulps of the squared limit (the squared
         norms differ by about 10 u at most) are re-decided by the scalar
         norm.  Each viewer also gets its reuse radius.  The clip runs last,
-        in (viewer, polygon) order, for the gate-passing pairs no vertex
-        settles, and only while the polygon is not yet seen."""
+        in (viewer, polygon) order, for the gate-passing pairs with no vertex
+        inside the inner bound, and only while the polygon is not yet seen."""
         seen, clips, reuse = [False] * len(self.circles), [], []
-        inner, inner2, outer2, scale = self.inner, self.inner2, self.outer2, self.scale
+        inner, inner2, scale = self.inner, self.inner2, self.scale
         for v, (vx, vy) in enumerate(zip(viewers[0::2], viewers[1::2])):
             nearest = math.inf
             for i, (((cx, cy), limit, limit2, tol), points) in enumerate(
@@ -443,9 +427,7 @@ class ObstacleField:
                     dist2 = ex * ex + ey * ey
                     if not (near2 < dist2 or near2 != near2):
                         near2 = dist2
-                    if gate and not hit:
-                        hit = dist2 < inner2 or (dist2 <= outer2
-                                                 and self._in_footprint(vx, vy, px, py))
+                    hit = hit or (gate and dist2 < inner2)
                 if hit:
                     seen[i] = True
                 elif gate:

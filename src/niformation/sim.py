@@ -26,23 +26,23 @@ the delay line, the velocity ring, the yaw integration and the supervisor's
 bookkeeping) runs on stacked Python floats, each agent's (or edge's)
 coordinates in turn, which round and decide NaN as numpy does and cost less
 than numpy calls on a few agents; so does the obstacle layer's position-only
-bookkeeping (the motion budget, sensing, both clearance minima and the
-divergence box).  numpy keeps the planar bank's products and the noise draw
-(`controller`, `lti.PlantBank`), and the obstacle layer's BLAS dots
-(`obstacle.behind`, `PathFrame.coords` and `to_world`, `detect_mode`,
-`event_cleared` and the sensing gate's scalar norm), which take the ring's
-newest floats as the head's (x, y) or reshaped to (n, 2).
+bookkeeping (the motion budget, sensing and both clearance minima).  numpy
+keeps the planar bank's products and the noise draw (`controller`,
+`lti.PlantBank`), and the obstacle layer's BLAS dots (`obstacle.behind`,
+`PathFrame.coords` and `to_world`, `detect_mode`, `event_cleared` and the
+sensing gate's scalar norm), which take the ring's newest floats as the
+head's (x, y) or reshaped to (n, 2).
 
-Every decision on the robots' positions alone is held in one
+Every obstacle decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
 its outcome, so a run stays bit for bit the same: sensing (and grouping,
 when the sensed circles change), the planning skip (`obstacle.behind`:
 every grouped circle behind the reference agent on its way to the
 reference point, so `detect_mode` would plan nothing; the reference point's
-own motion is charged apart), both clearance minima, the event's end
-(`obstacle.event_cleared`) and the divergence box, each one call for its
-outcome and radius.  A step tests one displacement; `obstacle` derives each
-radius and its rounding margin.
+own motion is charged apart), both clearance minima and the event's end
+(`obstacle.event_cleared`), each one call for its outcome and radius.  A
+step among obstacles tests one displacement; `obstacle` derives each radius
+and its rounding margin.
 
 The state machine's state is typed: the reference slew (`Slew`, a point as
 a function of time toward the current waypoint), the corner turn
@@ -104,8 +104,8 @@ STATUS_DURATION = "duration"
 STATUS_COLLISION = "collision"
 STATUS_DIVERGED = "diverged"
 STATUS_UNSUPPORTED = "unsupported-maneuver"
-# the rows of `Simulator.budget`, one a position-only decision
-SENSED, PLAN_SKIP, FIELD_MIN, EVENT_MIN, EVENT_END, IN_BOX = range(6)
+# the rows of `Simulator.budget`, one an obstacle decision on positions alone
+SENSED, PLAN_SKIP, FIELD_MIN, EVENT_MIN, EVENT_END = range(5)
 
 
 def _fmt(value) -> str:
@@ -268,13 +268,13 @@ class RunLog:
 class Loop:
     """The team's linear loop, built once from a `Scenario`: the laws, called
     through `controller`, the delay line and the plant banks (planar,
-    agent-major x, y with the run's generator; yaw rates for the `yaw_rows`
-    the yaw law steers).  Its state, which only `advance` writes: the ring of
-    the last `velocity_estimate_window` + 1 stacked positions (`start` first,
-    the newest at the right) whose ends give the finite-difference
-    `velocities`, the delay line of `command_delay_steps` (planar, yaw)
-    commands, the `yaws` and the `yaw_rates`; neither line outgrows the run's
-    `steps` (+ 1)."""
+    agent-major x, y, with the run's generator if it draws noise; yaw rates
+    for the `yaw_rows` the yaw law steers).  Its state, which only `advance`
+    writes: the ring of the last `velocity_estimate_window` + 1 stacked
+    positions (`start` first, the newest at the right) whose ends give the
+    finite-difference `velocities`, the delay line of `command_delay_steps`
+    (planar, yaw) commands, the `yaws` and the `yaw_rates`; neither line
+    outgrows the run's `steps` (+ 1)."""
 
     def __init__(self, scn: Scenario):
         models = load_model_library()
@@ -285,7 +285,7 @@ class Loop:
         self.plants = PlantBank(
             (discretize(models[f"{agent.kind}_vel{axis}"], scn.dt)
              for agent in scn.agents for axis in ("x", "y")),
-            scn.noise_std, np.random.default_rng(scn.seed))
+            scn.noise_std, np.random.default_rng(scn.seed) if scn.noise_std > 0 else None)
         self.yaw_rows = []
         if scn.yaw_control is not None:
             top = scn.yaw_control.topology
@@ -353,7 +353,7 @@ class Simulator:
         self.loop = loop = Loop(scn)
 
         self.obstacles = obstacle.shared_field(scn.obstacles, obstacle.FOV / 2.0)
-        self.budget = obstacle.MotionBudget(loop.start, IN_BOX + 1)
+        self.budget = obstacle.MotionBudget(loop.start, EVENT_END + 1)
         self.sensed = self.grouped = []   # sensed circles, their group_all
         # the reference point the planning skip was decided at, and the
         # square of how far it may move with the skip held
@@ -363,16 +363,15 @@ class Simulator:
         self.phase_offsets = [[v for pair in phase.offsets for v in pair]
                               for phase in scn.formation.phases]
         # divergence box: everything the scenario mentions, inflated by the
-        # largest offset component plus one meter; (x, y) float pairs, each
-        # the least or greatest coordinate as numpy's min and max take it
+        # largest offset component plus one meter; (x, y) float pairs.  The
+        # coordinates are finite, and the margin erases the sign of a zero,
+        # so `min` and `max` give numpy's bits
         cloud = [*zip(loop.start[0::2], loop.start[1::2]), *self.waypoints,
                  *(point for points in self.obstacles.points for point in points)]
         offset_reach = max((abs(v) for ph in self.phase_offsets for v in ph), default=0.0)
         margin = offset_reach + 100.0
-        self.box_low = tuple(obstacle.minimum_of(axis) - margin for axis in zip(*cloud))
-        self.box_high = tuple(obstacle.maximum_of(axis) + margin for axis in zip(*cloud))
-        self.box_margin = obstacle.SENSING_MARGIN * obstacle.maximum_of(
-            map(abs, (*self.box_low, *self.box_high)))
+        self.box_low = tuple(min(axis) - margin for axis in zip(*cloud))
+        self.box_high = tuple(max(axis) + margin for axis in zip(*cloud))
 
         # ---- state machine
         self.completed = 0
@@ -788,22 +787,13 @@ class Simulator:
             self.status = STATUS_COLLISION
             self._event(now, "collision", clearance_cm=float(self.min_clearance))
             return False
-        if not self.budget.stale[IN_BOX]:
-            return True
-        # each robot's distance to the box's nearest face, "not inside" it
-        # below 0, so that a NaN position diverges too: numpy's
-        # `minimum(p - low, high - p).min(axis=1)`, robot by robot
-        positions, (lx, ly), (hx, hy) = self.loop.ring[-1], self.box_low, self.box_high
-        radius = []
-        for agent, (x, y) in enumerate(zip(positions[0::2], positions[1::2]), 1):
-            face = obstacle.minimum_of((obstacle.minimum_of((x - lx, hx - x)),
-                                        obstacle.minimum_of((y - ly, hy - y))))
-            if not face >= 0.0:
+        # the first robot outside the box, or at a NaN, diverges the run
+        p, (lx, ly), (hx, hy) = self.loop.ring[-1], self.box_low, self.box_high
+        for k in range(0, len(p), 2):
+            if not (lx <= p[k] <= hx and ly <= p[k + 1] <= hy):
                 self.status = STATUS_DIVERGED
-                self._event(now, "divergence", agent=agent)
+                self._event(now, "divergence", agent=k // 2 + 1)
                 return False
-            radius.append(face - self.box_margin)
-        self.budget.renew(positions, IN_BOX, radius)
         return True
 
     # --------------------------------------------------------------- run
@@ -838,7 +828,8 @@ class Simulator:
             reference, offsets = self._reference_point(now), self.active_offsets
             applied_planar, applied_yaw = loop.step(reference, offsets,
                                                     self._yaw_target(reference))
-            self.budget.spend(loop.ring[-1])
+            if scn.obstacles:   # every budget row is an obstacle decision
+                self.budget.spend(loop.ring[-1])
 
             pairs.pack_into(rows[0], k * pairs.size, *loop.ring[-1])
             pairs.pack_into(rows[1], k * pairs.size, *applied_planar)

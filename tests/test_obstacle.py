@@ -808,24 +808,15 @@ class NumpyField:
         margin = obstacle.SENSING_MARGIN * self.scale
         self.inner = max(self.reach * np.cos(np.pi / obstacle.FOOTPRINT_SIDES) - margin, 0.0)
         self.inner2 = self.inner ** 2
-        self.outer2 = (self.reach + margin) ** 2
 
     def vertices_in_footprint(self, viewers) -> tuple[np.ndarray, np.ndarray]:
-        """(n, vertices) for (n, 2) viewers: the vertex passes all the
-        half-plane tests of `clip_polygon_to_disc(_, viewer, reach)`; and the
-        squared distances from each viewer to each vertex."""
+        """(n, vertices) for (n, 2) viewers: the vertex lies inside the inner
+        bound, so it passes all the half-plane tests of
+        `clip_polygon_to_disc(_, viewer, reach)`; and the squared distances
+        from each viewer to each vertex."""
         diff = self.vertices - viewers[:, None, :]
         dist2 = np.add.reduce(diff * diff, axis=2)
-        inside = dist2 < self.inner2
-        band = ~inside & (dist2 <= self.outer2)
-        if band.any():
-            v, p = band.nonzero()
-            ring = viewers[v, None, :] + self.reach * obstacle.FOOTPRINT_RING
-            edge = np.roll(ring, -1, axis=1) - ring
-            x, y = self.vertices[p, 0, None], self.vertices[p, 1, None]
-            test = edge[..., 0] * (y - ring[..., 1]) - edge[..., 1] * (x - ring[..., 0])
-            inside[v, p] = (test >= 0.0).all(axis=1)
-        return inside, dist2
+        return dist2 < self.inner2, dist2
 
     def sensed(self, viewers) -> tuple[list[ObstacleCircle], np.ndarray]:
         diff = viewers[:, None, :] - self.centers
@@ -894,8 +885,8 @@ def sensed_by_loop(polygons, viewers, reach):
 @st.composite
 def sensing_cases(draw):
     """Viewers and polygons about one footprint (see `clip_cases`), with
-    vertices packed at both band edges, and viewers placed a few ulps either
-    side of some wrap circle's gate limit."""
+    vertices packed at its incircle and rim, and viewers placed a few ulps
+    either side of some wrap circle's gate limit."""
     first, center, reach = draw(clip_cases())
     places = ("free", "vertex", "midpoint", "incircle", "rim")
     polygons = [first] * (first.shape[0] > 0) + [
@@ -928,10 +919,11 @@ def test_vertices_in_the_footprint_pass_every_half_plane_test(case):
     polygons, viewers, reach = case
     field = NumpyField(polygons, reach)
     inside, dist2 = field.vertices_in_footprint(viewers)
-    # a single vertex survives the clip exactly when it passes all its tests
-    want = [[clip_polygon_to_disc(p, v, reach).shape[0] == 1
-             for p in field.vertices] for v in viewers]
-    assert np.array_equal(inside, want)
+    # a single vertex survives the clip exactly when it passes all its
+    # tests, as every vertex inside the inner bound does
+    passes = [[clip_polygon_to_disc(p, v, reach).shape[0] == 1
+               for p in field.vertices] for v in viewers]
+    assert not (inside & ~np.array(passes, dtype=bool)).any()
     assert np.array_equal(dist2, ((field.vertices - viewers[:, None]) ** 2).sum(axis=2))
     # the lemma: a polygon with a vertex in clips to at least 3 vertices
     for v, viewer in enumerate(viewers):
@@ -1030,9 +1022,9 @@ def sensing_walks(draw):
     """A field from `sensing_cases`, 1 to 3 viewers and a walk: a move per
     viewer per step.  Besides that case's viewers (some a few ulps either
     side of a gate limit), viewers may start at a gate limit, or put a
-    vertex at the footprint's inner or outer bound, offset by a few ulps
-    and by 0, 1.5 or 3 rounding margins either way, or anywhere within 4
-    reaches of the field."""
+    vertex at the footprint's inner bound or at `reach` plus a rounding
+    margin, offset by a few ulps and by 0, 1.5 or 3 rounding margins either
+    way, or anywhere within 4 reaches of the field."""
     polygons, candidates, reach = draw(sensing_cases())
     field = ObstacleField(polygons, reach)
     margin = obstacle.SENSING_MARGIN * field.scale
@@ -1044,7 +1036,7 @@ def sensing_walks(draw):
         else:
             vertices = np.concatenate(field.polygons)
             anchor = vertices[draw(st.integers(0, len(vertices) - 1))]
-            bound = draw(st.sampled_from((field.inner, np.sqrt(field.outer2))))
+            bound = draw(st.sampled_from((field.inner, field.reach + margin)))
         dist = (bound * (1.0 + draw(st.integers(-8, 8)) * 2.0 ** -52)
                 + draw(st.sampled_from((-3.0, -1.5, 0.0, 1.5, 3.0))) * margin)
         angle = draw(st.floats(0.0, 2.0 * np.pi))
@@ -1435,7 +1427,8 @@ def test_the_budget_on_floats_is_the_numpy_budget_bit_for_bit(n, rows, data):
         assert budget_state(budget) == budget_state(oracle)
 
 
-# the rows of a budget holding every decision the simulator holds
+# the rows of a budget holding every decision the simulator holds, and a
+# box's, which it no longer holds: one more row of a radius a robot
 SENSED, PLAN, FIELD, EVENT, END, BOX = range(6)
 
 

@@ -184,7 +184,7 @@ def test_equal_courses_share_one_read_only_field():
         field.circles[0].radius = 0.0
     assert all(isinstance(c.center, tuple) for c in field.circles)
     # the float copies the step reads are tuples all the way down
-    for copies in (field.circle_floats, field.points, field.gates, field.ring):
+    for copies in (field.circle_floats, field.points, field.gates):
         assert isinstance(copies, tuple) and all(isinstance(c, tuple) for c in copies)
 
 
@@ -468,8 +468,9 @@ def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
 
 
 def test_an_overflowing_run_diverges_without_a_warning():
-    # noise_std 1e308 moves a robot an infinite squared distance in the
-    # first step, which leaves every motion budget row: none is shrunk by it
+    # noise_std 1e308 throws the robots about 1e308 cm off in the first
+    # step, far outside the divergence box: the run diverges there, and
+    # nothing it computes on the way overflows with a warning
     scn = replace(scenario.load_scenario("yaw_sync_pair"), noise_std=1e308, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -497,18 +498,16 @@ def test_a_far_flung_run_among_obstacles_diverges_without_a_warning(name, noise_
 @given(name=st.sampled_from(sorted(OBSTACLE_SCENARIOS)), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_the_box_on_floats_decides_and_sizes_as_the_arrays_did(name, data):
-    # the box, the first robot outside it (a NaN is never inside) and the
-    # radii the box's budget row holds are the former array code's
+    # the box and the first robot outside it (a NaN is never inside) are
+    # the former array code's
     simulator = sim.Simulator(scenario.load_scenario(name))
     cloud = np.vstack([np.reshape(simulator.loop.start, (-1, 2)), simulator.waypoints,
                        np.zeros((0, 2)),
                        *simulator.obstacles.polygons])
     margin = max((abs(v) for ph in simulator.phase_offsets for v in ph), default=0.0) + 100.0
     low, high = cloud.min(axis=0) - margin, cloud.max(axis=0) + margin
-    box_margin = obstacle.SENSING_MARGIN * np.abs([low, high]).max()
     assert float_bits(simulator.box_low) == float_bits(low)
     assert float_bits(simulator.box_high) == float_bits(high)
-    assert float_bits([simulator.box_margin]) == float_bits([box_margin])
 
     def coordinate(axis):
         face = data.draw(st.sampled_from([low[axis], high[axis]]))
@@ -525,13 +524,26 @@ def test_the_box_on_floats_decides_and_sizes_as_the_arrays_did(name, data):
     assert simulator._check_safety(0.0) == inside
     if inside:
         assert simulator.status == sim.STATUS_DURATION and simulator.events == []
-        assert (float_bits(simulator.budget.radii[sim.IN_BOX])
-                == float_bits(faces - box_margin if (faces - box_margin > 0.0).all()
-                              else np.full(simulator.n, np.inf)))
     else:
         assert simulator.status == sim.STATUS_DIVERGED
         assert simulator.events == [{"time": 0.0, "event": "divergence",
                                      "agent": int(np.argmin(faces >= 0.0)) + 1}]
+
+
+def test_an_obstacle_free_run_never_spends_the_budget():
+    # every budget row is an obstacle decision: a run without obstacles
+    # leaves the budget as it was built, its anchor at the loop's start
+    simulator = sim.Simulator(scenario.load_scenario("moving_leader_compare"))
+    assert simulator.run().summary["status"] == "completed"
+    assert simulator.budget.anchor == np.reshape(simulator.loop.start, (-1, 2)).tolist()
+    assert simulator.budget.moved2 is None and all(simulator.budget.stale)
+
+
+def test_only_a_noisy_loop_has_a_generator():
+    # the noise is the generator's only reader
+    for name in sorted(set(GOLDEN) - set(MODE_RUNS)):
+        scn = scenario.load_scenario(name)
+        assert (sim.Loop(scn).plants.rng is None) == (scn.noise_std == 0.0)
 
 
 def test_a_nan_on_any_edge_is_the_largest_offset_error():
@@ -717,12 +729,19 @@ def test_the_settle_gate_equals_the_numpy_gate(edges, data):
     assert (simulator.settle_ok_since == now) == numpy_settled(simulator)
 
 
+# per obstacle course: the steps that observe, the changes of the sensed
+# circles (one grouping each) and the clips sensing makes in a run
+SENSING_COUNTS = {"cluttered_course": (1781, 22, 223), "corridor_squeeze": (467, 4, 100),
+                  "single_obstacle_line": (860, 2, 10)}
+
+
 def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch):
-    # on cluttered_course the sensed circles change a few dozen times; a
-    # full decision must stay rare, and grouping must run only on a change
-    observed, counts = [], {"sensed": 0, "group_all": 0}
+    # on each course the sensed circles change a few dozen times at most; a
+    # full decision must stay rare, grouping must run only on a change, and
+    # only the pairs no vertex settles are clipped
+    observed, counts = [], {}
     sensed, group_all = obstacle.ObstacleField.sensed, obstacle.group_all
-    observe = sim.Simulator._observe
+    clip, observe = obstacle.clip_polygon_to_disc, sim.Simulator._observe
 
     def counting_sensed(self, viewers):
         counts["sensed"] += 1
@@ -732,22 +751,34 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
         counts["group_all"] += 1
         return group_all(*args, **kwargs)
 
+    def counting_clip(*args):
+        counts["clips"] += 1
+        return clip(*args)
+
     def recording_observe(self):
         circles = observe(self)
-        # the held decision is the one a fresh decision gives
-        assert circles == sensed(self.obstacles, self.loop.ring[-1])[0]
+        # the held decision is the one a fresh decision gives (its clips
+        # are not counted)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(obstacle, "clip_polygon_to_disc", clip)
+            assert circles == sensed(self.obstacles, self.loop.ring[-1])[0]
         observed.append(tuple(c.members for c in circles))
         return circles
 
     monkeypatch.setattr(obstacle.ObstacleField, "sensed", counting_sensed)
     monkeypatch.setattr(obstacle, "group_all", counting_group_all)
+    monkeypatch.setattr(obstacle, "clip_polygon_to_disc", counting_clip)
     monkeypatch.setattr(sim.Simulator, "_observe", recording_observe)
-    log = sim.run_scenario("cluttered_course")
-    assert log.summary["status"] == "completed"
-    changes = sum(now != before for before, now in zip([()] + observed, observed))
-    assert len(observed) == 1781
-    assert counts["sensed"] <= 0.15 * len(observed)
-    assert counts["group_all"] == changes == 22
+    for name, (steps, groupings, clips) in sorted(SENSING_COUNTS.items()):
+        observed.clear()
+        counts.update(sensed=0, group_all=0, clips=0)
+        assert sim.run_scenario(name).summary["status"] == "completed"
+        changes = sum(now != before for before, now in zip([()] + observed, observed))
+        assert len(observed) == steps
+        assert counts["group_all"] == changes == groupings
+        assert counts["clips"] == clips
+        if name == "cluttered_course":   # the most full decisions of the three
+            assert counts["sensed"] <= 0.15 * len(observed)
 
 
 @pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
