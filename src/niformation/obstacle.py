@@ -4,7 +4,9 @@ Obstacles are boundary polygons wrapped in circles (polygon centroid, radius
 to the farthest vertex).  A robot senses a polygon when its clip to the
 robot's footprint, the `FOOTPRINT_SIDES`-gon inscribed in the sensor disc,
 keeps at least three vertices; `ObstacleField` decides that for a whole team
-at once, bit for bit as the clip would.  Nearby circles whose boundary gap
+at once, as the clip would, from each robot's distance to the polygon's
+edges and to its hull, and clips only the pairs at the footprint's rim.
+Nearby circles whose boundary gap
 is too narrow for a robot merge into enclosing circles.  Against the merged
 circles two maneuver families are planned in the reference agent's path
 frame (`PathFrame`):
@@ -45,6 +47,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,6 +67,9 @@ FOOTPRINT_RING = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
 SENSING_MARGIN = 1e-8   # rounding margin per cm (per cm^2 for a product) of
                         # the lengths a reuse or skip bound is computed from
 GATE_ULPS = 64          # squared gate distances this close are re-decided
+ALIGNED_ANGLE = 1e-3    # rad: an edge this close to a clip line's direction
+                        # keeps its polygon from `apart` (`ObstacleField`)
+_RIM_COS, _RIM_SIN = math.cos(math.pi / FOOTPRINT_SIDES), math.sin(math.pi / FOOTPRINT_SIDES)
 _TINY_SCALE = 2.0 ** -900  # `behind` rescales rows whose products fall below
 
 MODE_SINGLE = 1
@@ -269,8 +275,9 @@ def clip_polygon_to_disc(vertices, center, radius) -> np.ndarray:
     """Clip a polygon to the regular `FOOTPRINT_SIDES`-gon inscribed in the
     disc (Sutherland-Hodgman against each polygon edge).
 
-    The clip loop runs on plain floats: numpy scalars would cost far more
-    than the arithmetic.
+    `ObstacleField.sensed` calls it only for the pairs its two distances
+    leave undecided, at the footprint's rim.  The clip loop runs on plain
+    floats: numpy scalars would cost far more than the arithmetic.
     """
     c = np.asarray(center, dtype=float)
     clip = (c + radius * FOOTPRINT_RING).tolist()
@@ -349,36 +356,79 @@ def running_clearance(least: float, positions, centers, radii,
 class ObstacleField:
     """A run's obstacle polygons at one sensor reach, built once (wrap
     circles as `circles` and `circle_floats`), so a whole team's sensing is
-    decided as the clip's.
+    decided as the clip's, mostly by two distances per (viewer, polygon)
+    pair.
 
-    A vertex nearer a viewer than the inner bound, the footprint's incircle
-    radius less a margin, passes every clip half-plane.  Rounding moves a
-    tested edge line by under 100*u*(|c| + reach), u = 2**-53, for viewer
-    c; the margin, `SENSING_MARGIN` * (largest vertex coordinate +
-    2*reach), covers that 1e5 times over (1e-6 against 1e-12 cm at reach
-    110 cm).  The inner bound is clamped at 0.
+    For viewer v and polygon P_i, wrap circle (c_i, r_i): `near` is the
+    least distance from v to the edges of P_i's vertex list, the closing
+    edge included, for a list of at least 3 vertices; `apart` is the
+    distance from v to P_i's convex hull (0 inside it) less `reach`,
+    capped by the line-0 clearance below, or -inf where the hull lemma
+    does not cover P_i.  A gate-passing pair with `near` under the inner
+    bound (the footprint's incircle radius less `SENSING_MARGIN` * scale,
+    clamped at 0) is sensed; one with `apart` above the pair margin
+    `SENSING_MARGIN` * (norm(v - c_i) + scale) is not; only the pairs
+    between, at the footprint's rim, are clipped.  Here `scale` is the
+    largest vertex coordinate plus 2*reach, u = 2**-53, and L <= 6*scale
+    bounds every length the clip of a gate-passing pair subtracts (the gate
+    bounds |v|).  Rounding moves a clip line by under 100*u*L and a
+    computed distance by a few u*L; each margin covers that 1e5 times over.
 
-    Lemma: a polygon of at least 3 vertices with a vertex p passing every
-    half-plane clips to at least 3 vertices: p leaves each stage unchanged,
-    and a stage outputs its whole input or its in-vertices plus a crossing
-    per in/out change around the cycle, p and at least 2 more.  So only
-    gate-passing pairs with no vertex inside the inner bound, or under 3
-    vertices, are clipped, and the clip decides them.
+    Edge-witness lemma: a vertex list of at least 3 vertices with a point q
+    of an edge inside the inner bound clips to at least 3 vertices.  q
+    passes every half-plane by the margin, so at each stage one end of q's
+    edge is in (q is a convex combination of the two).  The stage keeps
+    that end and either the other or their crossing, whose t is well
+    conditioned since the in end lies a margin inside; so an edge through
+    q, moved by a few u*L at most, goes on to the next stage.  A stage
+    outputs its whole input, or its in-vertices plus a crossing per in/out
+    change around the cycle: at least 3 either way.
+
+    Hull lemma: if the hull lies farther than `reach` plus the pair margin
+    from v, and every crossing the clip computes lies on its input edge up
+    to rounding, the clip keeps no vertex: each crossing stays in the hull
+    and in the half-planes already passed, and no point of the hull passes
+    all 64.  A crossing's t = -S(p) / (e x d), S the in-test's cross
+    product, is off by a few u*L*|e| / |e x d|: when both ends of an input
+    edge lie within rounding of the clip line, the crossing can land
+    anywhere along that line, and the clip keeps points of a polygon wholly
+    outside its disc.  Two kinds of such edge are ruled out.  (1) Part of a
+    polygon edge: a polygon with an edge within `ALIGNED_ANGLE` of a clip
+    line's direction ((2k+1)*pi/64 + pi/2) gets `apart` -inf, and any
+    other edge's crossing is off by under 10*u*L / sin(ALIGNED_ANGLE / 2)
+    < 1e-10 * scale (while reach >= 1e-6 * scale keeps the footprint's
+    edge directions within 1e-7 rad; else `apart` decides nothing).  (2)
+    An edge ending at a crossing of an earlier clip line k: that crossing
+    lies in the hull, so beyond the disc on line k's ray past footprint
+    vertex k + 1 (the one past vertex k fails half-plane k - 1, which both
+    ends passed), decisively outside half-plane k + 1, which drops it; but
+    line 0's ray past vertex 0 fails only half-plane 63, tested last.  So
+    `apart` is capped by the hull's line-0 clearance, the largest of min
+    s_p, -max s_p and min a_p over its vertices p, for s_p the signed
+    distance of p beyond line 0 and a_p its distance along that line past
+    footprint vertex 0, toward vertex 1: a positive clearance keeps the
+    hull off line 0 or off that ray.
 
     Reuse: v's decision on P_i cannot flip while v moves less than the
-    larger of `norm(v - c_i) - (reach + r_i)`, which keeps the gate failing,
-    and, for P_i of 3 or more vertices, the inner bound less the nearest
-    vertex's distance, which keeps that vertex the lemma's witness (and the
-    gate passing: it lies within r_i of c_i).  Each such slack loses
-    `SENSING_MARGIN` * (largest vertex coordinate + 2*reach + norm(v - c_i)),
+    largest of `norm(v - c_i) - (reach + r_i)`, which keeps the gate
+    failing, `apart`, which keeps the hull and its clearance clear, and,
+    for a gate-passing pair, `inner - near`, which keeps an edge point the
+    witness; each is 1-Lipschitz in v.  Each slack loses the pair margin,
     far above the few ulps of those distances, the displacement and its
     test, and of pairs within `GATE_ULPS` of the gate.  v's reuse radius,
     which `sensed` returns for a `MotionBudget` row, is its least slack,
-    clamped at 0; a NaN stays NaN and never passes.
+    clamped at 0; a NaN stays NaN and never passes.  A pair whose gate
+    slack alone cannot lower that least slack skips `apart`.
 
     `sensed` runs on floats the field copies once: each polygon's gate
     (centre, `reach` + radius, its square and the square's `GATE_ULPS`
-    tolerance) and `points`, its vertices as (x, y) pairs.
+    tolerance), `points`, its vertices as (x, y) pairs, `rim`, line 0's
+    unit normal, its distance from the viewer and footprint vertex 0's
+    distance from the normal's foot, and `sides`: the polygon's edges (none
+    under 3 vertices), its hull's edges and vertices (with 3 or more the
+    hull has an inside) and whether `apart` may decide it.  An edge is
+    (ax, ay, dx, dy, |d|^2, bx, by) for d = b - a; a hull runs
+    counterclockwise.
     """
 
     def __init__(self, polygons, reach: float):
@@ -393,13 +443,41 @@ class ObstacleField:
             initial=0.0) + 2.0 * self.reach
         margin = SENSING_MARGIN * scale
         inner = max(self.reach * np.cos(np.pi / FOOTPRINT_SIDES) - margin, 0.0)
-        self.scale, self.inner, self.inner2 = float(scale), float(inner), float(inner ** 2)
+        self.scale, self.inner = float(scale), float(inner)
         for values in self.polygons:
             values.flags.writeable = False
         self.circle_floats = circle_floats(self.circles)
         self.points = tuple(tuple(map(tuple, p.tolist())) for p in self.polygons)
         self.gates = tuple(zip(self.circle_floats[0], limits.tolist(), limits2.tolist(),
                                (GATE_ULPS * np.spacing(limits2)).tolist()))
+        self.rim = (_RIM_COS, _RIM_SIN, self.reach * _RIM_COS, self.reach * _RIM_SIN)
+        footprint = self.reach >= 1e-6 * self.scale
+        self.sides = tuple(_sides(points, footprint) for points in self.points)
+
+    def settle(self, i: int, vx: float, vy: float, margin: float) -> tuple[bool | None, float]:
+        """The distance rule for gate-passing viewer (vx, vy) and polygon i,
+        `margin` the pair margin: (True, inner - near) where `near` settles
+        the pair sensed, (False, apart) where `apart` settles it not, and
+        (None, apart) where the clip must decide."""
+        edges = self.sides[i][0]
+        if edges and (near := math.sqrt(_edge_pass(edges, vx, vy)[0])) < self.inner:
+            return True, self.inner - near
+        apart = self.apart(i, vx, vy)
+        return (False if apart > margin else None), apart
+
+    def apart(self, i: int, vx: float, vy: float) -> float:
+        """`apart` of viewer (vx, vy) and polygon i.  The hull's line-0
+        clearance is taken only where the wrap circle's, a lower bound,
+        does not clear the hull distance by far more than rounding."""
+        _, hull, corners, clear = self.sides[i]
+        if not clear:
+            return -math.inf
+        hull2, outside = _edge_pass(hull, vx, vy)
+        distance = (math.sqrt(hull2) if outside or len(corners) < 3 else 0.0) - self.reach
+        circle = _clearance((self.gates[i][0],), vx, vy, self.rim) - self.circle_floats[1][i]
+        if circle > distance + SENSING_MARGIN * self.scale:
+            return distance
+        return min(distance, _clearance(corners, vx, vy, self.rim))
 
     def sensed(self, viewers) -> tuple[list[ObstacleCircle], list[float]]:
         """Circles of the polygons i that some viewer v senses, for stacked
@@ -407,37 +485,35 @@ class ObstacleField:
         clip of P_i to v's footprint keeps at least 3 vertices.  Squared gate
         distances within `GATE_ULPS` ulps of the squared limit (the squared
         norms differ by about 10 u at most) are re-decided by the scalar
-        norm.  Each viewer also gets its reuse radius.  The clip runs last,
-        in (viewer, polygon) order, for the gate-passing pairs with no vertex
-        inside the inner bound, and only while the polygon is not yet seen."""
+        norm.  A gate-passing pair is settled by `near`, else by `apart`;
+        the clip runs last, in (viewer, polygon) order, for the pairs
+        neither settles, and only while the polygon is not yet seen.  Each
+        viewer also gets its reuse radius."""
         seen, clips, reuse = [False] * len(self.circles), [], []
-        inner, inner2, scale = self.inner, self.inner2, self.scale
+        scale = self.scale
         for v, (vx, vy) in enumerate(zip(viewers[0::2], viewers[1::2])):
             nearest = math.inf
-            for i, (((cx, cy), limit, limit2, tol), points) in enumerate(
-                    zip(self.gates, self.points)):
+            for i, ((cx, cy), limit, limit2, tol) in enumerate(self.gates):
                 dx, dy = vx - cx, vy - cy
                 centre2 = dx * dx + dy * dy
                 gate = centre2 <= limit2
                 if abs(centre2 - limit2) <= tol:
                     gate = not np.linalg.norm(np.array((dx, dy))) > limit
-                solid, hit, near2 = len(points) >= 3, False, math.inf
-                for px, py in points if solid else ():
-                    ex, ey = px - vx, py - vy
-                    dist2 = ex * ex + ey * ey
-                    if not (near2 < dist2 or near2 != near2):
-                        near2 = dist2
-                    hit = hit or (gate and dist2 < inner2)
-                if hit:
-                    seen[i] = True
-                elif gate:
-                    clips.append((v, i))
                 dist = math.sqrt(centre2)
-                witness = inner - math.sqrt(near2) if solid else 0.0
-                slack = dist - limit
-                if not (slack > witness or slack != slack):
-                    slack = witness
-                slack -= SENSING_MARGIN * (dist + scale)
+                slack, margin = dist - limit, SENSING_MARGIN * (dist + scale)
+                if gate:
+                    hit, settled = self.settle(i, vx, vy, margin)
+                    if hit:
+                        seen[i] = True
+                    elif hit is None:
+                        clips.append((v, i))
+                elif slack - margin < nearest:   # else it cannot lower the least slack
+                    settled = self.apart(i, vx, vy)
+                else:
+                    settled = slack
+                if not (slack > settled or slack != slack):
+                    slack = settled
+                slack -= margin
                 if not (nearest < slack or nearest != nearest):
                     nearest = slack
             reuse.append(_nonnegative(nearest))
@@ -446,6 +522,99 @@ class ObstacleField:
                 seen[i] = clip_polygon_to_disc(self.polygons[i], viewers[2 * v:2 * v + 2],
                                                self.reach).shape[0] >= 3
         return [circle for circle, hit in zip(self.circles, seen) if hit], reuse
+
+
+def _edge_pass(edges, vx, vy) -> tuple[float, bool]:
+    """The least squared distance from (vx, vy) to the edges, and whether
+    the point lies strictly right of one of them (outside a
+    counterclockwise hull)."""
+    near2, outside = math.inf, False
+    for ax, ay, dx, dy, length2, bx, by in edges:
+        wx, wy = vx - ax, vy - ay
+        cross = wx * dy - wy * dx
+        outside = outside or cross > 0.0
+        along = wx * dx + wy * dy
+        if along <= 0.0:
+            dist2 = wx * wx + wy * wy
+        elif along >= length2:
+            ex, ey = vx - bx, vy - by
+            dist2 = ex * ex + ey * ey
+        else:
+            dist2 = cross * cross / length2
+        if dist2 < near2:
+            near2 = dist2
+    return near2, outside
+
+
+def _clearance(points, vx, vy, rim) -> float:
+    """The line-0 clearance (see `ObstacleField`) of `points` from viewer
+    (vx, vy): the largest of min s, -max s and min a over them, for s the
+    signed distance beyond line 0 and a the distance along it past
+    footprint vertex 0; `rim` is `ObstacleField.rim`."""
+    nx, ny, offset, behind = rim
+    low, high, ahead = math.inf, -math.inf, math.inf
+    for px, py in points:
+        rx, ry = px - vx, py - vy
+        beyond = nx * rx + ny * ry - offset
+        along = nx * ry - ny * rx + behind
+        low, high, ahead = min(low, beyond), max(high, beyond), min(ahead, along)
+    return max(low, -high, ahead)
+
+
+def _convex_hull(points) -> list[tuple[float, float]]:
+    """The vertices of the convex hull of float (x, y) pairs,
+    counterclockwise from the least (x, y), with duplicate and collinear
+    points dropped: Andrew's monotone chain on exact orientation tests."""
+    unique = sorted(set(points))
+    if len(unique) < 3:
+        return unique
+
+    def turns_left(o, a, b) -> bool:
+        (ox, oy), (ax, ay), (bx, by) = (tuple(map(Fraction, p)) for p in (o, a, b))
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0
+
+    chains = []
+    for run in (unique, unique[::-1]):
+        chain = []
+        for point in run:
+            while len(chain) >= 2 and not turns_left(chain[-2], chain[-1], point):
+                chain.pop()
+            chain.append(point)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
+def _edges(corners) -> tuple[tuple[float, ...], ...]:
+    """(ax, ay, dx, dy, |d|^2, bx, by) of each edge a -> b of a closed
+    vertex list."""
+    out = []
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        dx, dy = bx - ax, by - ay
+        out.append((ax, ay, dx, dy, dx * dx + dy * dy, bx, by))
+    return tuple(out)
+
+
+def _aligned(points) -> bool:
+    """Whether some edge of the closed vertex list (a zero edge aside) lies
+    within `ALIGNED_ANGLE` of a clip line's direction, (2k+1)*pi/64 + pi/2."""
+    step = 2.0 * math.pi / FOOTPRINT_SIDES
+    for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1]):
+        if (ax, ay) != (bx, by):
+            turn = (math.atan2(by - ay, bx - ax) - 0.5 * step) % step
+            if min(turn, step - turn) < ALIGNED_ANGLE:
+                return True
+    return False
+
+
+def _sides(points, footprint: bool):
+    """`ObstacleField.sides` of one polygon's vertex pairs: `apart` decides
+    it only for a usable `footprint` and finite, non-aligned edges."""
+    points = list(points)
+    finite = all(math.isfinite(c) for p in points for c in p)
+    corners = _convex_hull(points) if finite else []
+    edges = _edges(points) if len(points) >= 3 else ()
+    clear = footprint and finite and not _aligned(points)
+    return edges, _edges(corners), tuple(corners), clear
 
 
 def shared_field(polygons, reach: float) -> ObstacleField:

@@ -35,8 +35,10 @@ head's (x, y) or reshaped to (n, 2).
 
 Every obstacle decision on the robots' positions alone is held in one
 `obstacle.MotionBudget` and made again only once the team may have changed
-its outcome, so a run stays bit for bit the same: sensing (and grouping,
-when the sensed circles change), the planning skip (`obstacle.behind`:
+its outcome, so a run stays bit for bit the same: sensing (decided from
+each robot's distances to a polygon's edges and to its hull, with the
+polygon clip only for pairs at a footprint's rim, and grouping when the
+sensed circles change), the planning skip (`obstacle.behind`:
 every grouped circle behind the reference agent on its way to the
 reference point, so `detect_mode` would plan nothing; the reference point's
 own motion is charged apart), both clearance minima and the event's end
@@ -479,7 +481,7 @@ class Simulator:
         footprint; its circle is then the full-boundary wrap, since a sliver
         seen at first contact would undersize every clearance computed from
         it.  One `ObstacleField.sensed` call decides every robot and polygon,
-        and is held in the budget.  There is no persistent map, which is
+        mostly by distance, and is held in the budget.  There is no persistent map, which is
         fine because events freeze their geometry at detection time.
         """
         budget = self.budget

@@ -789,9 +789,36 @@ def numpy_running_clearance(least, positions, centers, radii, floor):
     return least, float(np.maximum(gap - least - obstacle.SENSING_MARGIN * scale, 0.0))
 
 
+def numpy_edge_pass(edges, viewers) -> tuple[np.ndarray, np.ndarray]:
+    """`obstacle._edge_pass` on (n, 2) viewers and an (edges, 7) array: the
+    least squared distance per viewer (NaN distances passed over) and
+    whether the viewer lies strictly right of some edge."""
+    ax, ay, dx, dy, length2, bx, by = np.reshape(edges, (-1, 7)).T
+    wx, wy = viewers[:, :1] - ax, viewers[:, 1:] - ay
+    ex, ey = viewers[:, :1] - bx, viewers[:, 1:] - by
+    cross, along = wx * dy - wy * dx, wx * dx + wy * dy
+    with np.errstate(all="ignore"):
+        dist2 = np.where(along <= 0.0, wx * wx + wy * wy,
+                         np.where(along >= length2, ex * ex + ey * ey, cross * cross / length2))
+    return np.fmin.reduce(dist2, axis=1, initial=np.inf), (cross > 0.0).any(axis=1)
+
+
+def numpy_clearance(corners, viewers, rim) -> np.ndarray:
+    """`obstacle._clearance` of (k, 2) points from each of (n, 2) viewers."""
+    nx, ny, offset, behind = rim
+    rx = np.reshape(corners, (-1, 2))[:, 0] - viewers[:, :1]
+    ry = np.reshape(corners, (-1, 2))[:, 1] - viewers[:, 1:]
+    beyond, along = nx * rx + ny * ry - offset, nx * ry - ny * rx + behind
+    return np.maximum(np.maximum(beyond.min(axis=1, initial=np.inf),
+                                 -beyond.max(axis=1, initial=-np.inf)),
+                      along.min(axis=1, initial=np.inf))
+
+
 class NumpyField:
-    """`ObstacleField` as it was, stacked into arrays, with its sensing on
-    (n, 2) viewers: the oracle of the field on floats."""
+    """`ObstacleField` stacked into arrays, with its sensing on (n, 2)
+    viewers: `near` and `apart` for every pair at once, the oracle of the
+    field on floats.  The set-up geometry (edges, hulls, which polygons
+    `apart` may decide) is the field's own `sides`."""
 
     def __init__(self, polygons, reach: float):
         self.polygons = tuple(np.asarray(p, dtype=float).reshape(-1, 2) for p in polygons)
@@ -808,6 +835,8 @@ class NumpyField:
         margin = obstacle.SENSING_MARGIN * self.scale
         self.inner = max(self.reach * np.cos(np.pi / obstacle.FOOTPRINT_SIDES) - margin, 0.0)
         self.inner2 = self.inner ** 2
+        field = ObstacleField(self.polygons, reach)
+        self.sides, self.rim = field.sides, field.rim
 
     def vertices_in_footprint(self, viewers) -> tuple[np.ndarray, np.ndarray]:
         """(n, vertices) for (n, 2) viewers: the vertex lies inside the inner
@@ -818,6 +847,21 @@ class NumpyField:
         dist2 = np.add.reduce(diff * diff, axis=2)
         return dist2 < self.inner2, dist2
 
+    def distances(self, viewers) -> tuple[np.ndarray, np.ndarray]:
+        """`near` (inf for under 3 vertices) and `apart` (-inf where the
+        field may not decide by it), (n, polygons) each."""
+        near = np.full((len(viewers), len(self.polygons)), np.inf)
+        apart = np.full_like(near, -np.inf)
+        for i, (edges, hull, corners, clear) in enumerate(self.sides):
+            if edges:
+                near[:, i] = np.sqrt(numpy_edge_pass(edges, viewers)[0])
+            if clear:
+                hull2, outside = numpy_edge_pass(hull, viewers)
+                distance = np.where(outside | (len(corners) < 3), np.sqrt(hull2), 0.0)
+                apart[:, i] = np.minimum(distance - self.reach,
+                                         numpy_clearance(corners, viewers, self.rim))
+        return near, apart
+
     def sensed(self, viewers) -> tuple[list[ObstacleCircle], np.ndarray]:
         diff = viewers[:, None, :] - self.centers
         centre2 = np.add.reduce(diff * diff, axis=2)
@@ -826,18 +870,17 @@ class NumpyField:
         for v, i in zip(*(abs(centre2 - self.limits2) <= tol).nonzero()):
             gate[v, i] = not (np.linalg.norm(viewers[v] - self.centers[i])
                               > self.reach + self.radii[i])
-        inside, dist2 = self.vertices_in_footprint(viewers)
-        hit = self.solid & np.logical_or.reduceat(inside, self.starts, axis=1)
-        seen = (gate & hit).any(axis=0)
-        for v, i in zip(*(gate & ~hit).nonzero()):
+        dist = np.sqrt(centre2)
+        margin = obstacle.SENSING_MARGIN * (dist + self.scale)
+        near, apart = self.distances(viewers)
+        witness = gate & (near < self.inner)
+        seen = witness.any(axis=0)
+        for v, i in zip(*(gate & ~witness & ~(apart > margin)).nonzero()):
             if not seen[i]:
                 seen[i] = obstacle.clip_polygon_to_disc(self.polygons[i], viewers[v],
                                                         self.reach).shape[0] >= 3
-        dist = np.sqrt(centre2)
-        near = np.sqrt(np.minimum.reduceat(dist2, self.starts, axis=1))
-        witness = np.where(self.solid, self.inner - near, 0.0)
-        slack = np.maximum(dist - self.limits, witness)
-        slack -= obstacle.SENSING_MARGIN * (dist + self.scale)
+        slack = np.maximum(dist - self.limits, np.where(witness, self.inner - near, apart))
+        slack -= margin
         return ([self.circles[i] for i in seen.nonzero()[0]],
                 np.maximum(slack.min(axis=1, initial=np.inf), 0.0))
 
@@ -934,22 +977,124 @@ def test_vertices_in_the_footprint_pass_every_half_plane_test(case):
                 assert clip_polygon_to_disc(polygon, viewer, reach).shape[0] >= 3
 
 
+@st.composite
+def rim_polygon(draw, center, reach, margin):
+    """A polygon about a viewer at `center` that sits on a distance rule's
+    bound: an edge (alone, a 2-vertex polygon, or with 1 to 3 vertices
+    beyond it) whose nearest point to the viewer lies inside it, or the
+    walls of a notch the viewer stands in, at the inner bound or at
+    `reach`, offset by 0 to 3 `margin`s either way.  Edge midpoints may be
+    added (collinear vertices) and a vertex repeated; either orientation."""
+    rim = reach * np.cos(np.pi / obstacle.FOOTPRINT_SIDES)
+    dist = (draw(st.sampled_from((rim, reach)))
+            + draw(st.sampled_from((0.0, *MARGIN_STEPS))) * margin)
+    angle = draw(st.one_of(st.floats(0.0, 2.0 * np.pi),
+                           st.integers(0, 2 * obstacle.FOOTPRINT_SIDES - 1).map(
+                               lambda k: np.pi * k / obstacle.FOOTPRINT_SIDES)))
+    out, along = np.array([np.cos(angle), np.sin(angle)]), np.array([-np.sin(angle), np.cos(angle)])
+    kind = draw(st.sampled_from(("edge", "segment", "notch")))
+    if kind == "notch":
+        wide = dist + reach * draw(st.floats(0.2, 1.0))
+        high = dist + reach * draw(st.floats(0.2, 1.0))
+        local = [(-wide, -wide), (wide, -wide), (wide, high), (dist, high), (dist, -dist),
+                 (-dist, -dist), (-dist, high), (-wide, high)]
+        vertices = [x * along + y * out for x, y in local]
+    else:
+        foot = dist * out
+        vertices = [foot - reach * draw(st.floats(0.05, 1.5)) * along,
+                    foot + reach * draw(st.floats(0.05, 1.5)) * along]
+        for _ in range(draw(st.integers(1, 3)) if kind == "edge" else 0):
+            vertices.append(foot + reach * (draw(st.floats(0.1, 2.0)) * out
+                                            + draw(st.floats(-1.5, 1.5)) * along))
+    vertices = [np.asarray(center) + v for v in vertices]
+    if len(vertices) >= 3:
+        for k in sorted(draw(st.sets(st.integers(0, len(vertices) - 1), max_size=2)),
+                        reverse=True):
+            vertices.insert(k + 1, 0.5 * (vertices[k] + vertices[(k + 1) % len(vertices)]))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(vertices) - 1))
+        vertices.insert(k, vertices[k])
+    if draw(st.booleans()):
+        vertices.reverse()
+    return np.array(vertices, dtype=float)
+
+
+@st.composite
+def rim_cases(draw):
+    """1 to 3 `rim_polygon`s about a viewer, and 0 or 1 more viewer within
+    two reaches of it."""
+    center = (draw(st.floats(-300, 300)), draw(st.floats(-300, 300)))
+    reach = draw(st.floats(1.0, 150.0))
+    margin = obstacle.SENSING_MARGIN * (max(map(abs, center)) + 5.0 * reach)
+    polygons = draw(st.lists(rim_polygon(center, reach, margin), min_size=1, max_size=3))
+    viewers = [center] + [(center[0] + draw(st.floats(-2 * reach, 2 * reach)),
+                           center[1] + draw(st.floats(-2 * reach, 2 * reach)))
+                          for _ in range(draw(st.integers(0, 1)))]
+    return polygons, np.array(viewers, dtype=float), reach
+
+
+@given(case=rim_cases())
+@settings(max_examples=200, deadline=None)
+def test_every_pair_the_distances_settle_is_settled_as_the_clip(case):
+    # edges and notch walls a few margins either side of both bounds, in
+    # convex, concave, collinear, repeated-vertex and 2-vertex polygons of
+    # either orientation: the field senses what clipping every gate-passing
+    # pair senses, and each pair `near` or `apart` settles is the clip's
+    polygons, viewers, reach = case
+    settle, settled = ObstacleField.settle, []
+
+    def recording_settle(self, i, vx, vy, margin):
+        hit, slack = settle(self, i, vx, vy, margin)
+        settled.append((i, (vx, vy), hit))
+        return hit, slack
+
+    with mock.patch.object(ObstacleField, "settle", recording_settle):
+        circles = ObstacleField(polygons, reach).sensed(stacked(viewers))[0]
+    assert circles == sensed_by_loop(polygons, viewers, reach)
+    for i, viewer, hit in settled:
+        if hit is not None:
+            assert (clip_polygon_to_disc(polygons[i], viewer, reach).shape[0] >= 3) == hit
+
+
+def test_a_polygon_along_a_clip_line_is_left_to_the_clip():
+    # the triangle's first edge lies along footprint line 24, on its ray
+    # beyond the footprint: the clip's crossing of that edge is ill
+    # conditioned and lands inside the footprint, so the clip keeps 3
+    # vertices of a triangle wholly outside its disc.  `apart` would settle
+    # the pair the other way; the field leaves it to the clip
+    viewer, reach = np.array([106.4973129811325, -65.16812101595201]), 110.0
+    triangle = np.array([[-5.49886380160104, -25.136182247338905],
+                         [16.336714496994787, -1.0443341730228077],
+                         [-18.574852066638506, 8.656434023377614]])
+    gap = min(point_segment_distance(viewer, a, b)
+              for a, b in zip(triangle, np.roll(triangle, -1, axis=0)))
+    assert gap > reach + 0.5
+    assert clip_polygon_to_disc(triangle, viewer, reach).shape[0] >= 3
+    field = ObstacleField([triangle], reach)
+    assert not field.sides[0][3]
+    assert field.sensed(viewer.tolist())[0] == list(field.circles) == sensed_by_loop(
+        [triangle], viewer[None], reach)
+    with mock.patch.object(obstacle, "_aligned", lambda points: False):
+        assert ObstacleField([triangle], reach).sensed(viewer.tolist())[0] == []
+
+
 def test_gate_at_its_limit_is_the_scalar_norms(monkeypatch):
     # a viewer a few ulps either side of the wrap circle's gate limit has
-    # no vertex in its footprint, so the field clips exactly the pairs
-    # whose gate passes: those must be the pairs the scalar norm passes,
-    # although the squared distance decides many of them the other way
+    # the box outside its footprint, so the field takes exactly the pairs
+    # whose gate passes to the distance rule: those must be the pairs the
+    # scalar norm passes, although the squared distance decides many of
+    # them the other way
     polygon = box(3.3, -7.1, 36.0)
     circle = circle_from_observation(polygon)
     center = np.asarray(circle.center)
-    clip = obstacle.clip_polygon_to_disc
-    clipped = []
+    settle = ObstacleField.settle
+    settled = []
 
-    def recording_clip(vertices, viewer, reach):
-        clipped.append(viewer)
-        return clip(vertices, viewer, reach)
+    def recording_settle(self, i, vx, vy, margin):
+        settled.append((vx, vy))
+        return settle(self, i, vx, vy, margin)
 
-    monkeypatch.setattr(obstacle, "clip_polygon_to_disc", recording_clip)
+    monkeypatch.setattr(ObstacleField, "settle", recording_settle)
     rng = np.random.default_rng(5)
     squared_differs = 0
     for _ in range(300):
@@ -962,9 +1107,9 @@ def test_gate_at_its_limit_is_the_scalar_norms(monkeypatch):
         passes = not (np.linalg.norm(diff) > limit)
         squared_differs += passes != (diff[0] * diff[0] + diff[1] * diff[1]
                                       <= limit * limit)
-        clipped.clear()
+        settled.clear()
         assert ObstacleField([polygon], reach).sensed(viewer.tolist())[0] == []
-        assert len(clipped) == passes
+        assert settled == [tuple(viewer)] * passes
     assert squared_differs > 0
 
 
@@ -1147,16 +1292,16 @@ def test_reuse_radius_is_the_least_slack_less_the_margin():
 
     viewers = np.array([
         [0.0, 300.0],      # outside every gate, nearest to the segment's
-        [30.0, 0.0],       # a vertex of box 0 deep in its footprint
-        [0.0, 120.0],      # inside box 0's gate with no vertex in: clipped
-        [150.0, 130.0],    # inside the segment's gate; it has 2 vertices
+        [30.0, 0.0],       # box 0's near edge deep in its footprint
+        [0.0, 120.0],      # inside box 0's gate, its hull 2 cm beyond reach
+        [150.0, 130.0],    # inside the segment's gate, 20 cm from it: clipped
         [np.nan, 0.0]])
     circles, reuse = field.sensed(stacked(viewers))
     assert [c.members for c in circles] == [(0,)]
     to_segment = np.hypot(160.0, 150.0)
     want = [to_segment - (reach + 10.0) - margin(to_segment),
-            field.inner - np.hypot(12.0, 18.0) - margin(30.0),
-            0.0, 0.0]
+            field.inner - 12.0 - margin(30.0),
+            2.0 - margin(120.0), 0.0]
     assert np.allclose(reuse[:4], want, rtol=0.0, atol=1e-10)
     assert np.isnan(reuse[4])
 
@@ -1165,13 +1310,14 @@ def test_reuse_radius_is_the_least_slack_less_the_margin():
     def held(v, at):
         return held_at(reuse[v:v + 1], viewers[v:v + 1], at[None])
 
-    assert held(1, viewers[1]) and not held(2, viewers[2])
-    assert not held(4, viewers[4])
-    radius = reuse[0]
-    for step, holds in ((radius, False), (np.nextafter(radius, 0.0), True)):
-        moved = viewers[0] + [step, 0.0]
-        assert moved[0] - viewers[0, 0] == step
-        assert held(0, moved) == holds
+    assert held(1, viewers[1]) and held(2, viewers[2])
+    assert not held(3, viewers[3]) and not held(4, viewers[4])
+    for v in (0, 2):
+        radius = reuse[v]
+        for step, holds in ((radius, False), (np.nextafter(radius, 0.0), True)):
+            moved = viewers[v] + [step, 0.0]
+            assert moved[0] - viewers[v, 0] == step
+            assert held(v, moved) == holds
 
 
 # ------------------------------- reused clearance vs a per-step evaluation

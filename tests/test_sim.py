@@ -184,7 +184,7 @@ def test_equal_courses_share_one_read_only_field():
         field.circles[0].radius = 0.0
     assert all(isinstance(c.center, tuple) for c in field.circles)
     # the float copies the step reads are tuples all the way down
-    for copies in (field.circle_floats, field.points, field.gates):
+    for copies in (field.circle_floats, field.points, field.gates, field.sides):
         assert isinstance(copies, tuple) and all(isinstance(c, tuple) for c in copies)
 
 
@@ -407,24 +407,29 @@ def test_observe_wraps_every_sensed_polygon_whole(monkeypatch):
                 wall, square + [reach + 22.0, 0.0])
     simulator = sim.Simulator(replace(scn, obstacles=polygons))
     simulator.loop.ring.append([0.0] * 2 * simulator.n)
-    clipped = {}
-    clip = obstacle.clip_polygon_to_disc
+    settled, clipped = {}, []
+    settle, clip = obstacle.ObstacleField.settle, obstacle.clip_polygon_to_disc
 
-    def recording_clip(vertices, center, radius):
-        part = clip(vertices, center, radius)
-        index = next(i for i, p in enumerate(polygons) if np.array_equal(p, vertices))
-        clipped[index] = part.shape[0]
-        return part
+    def recording_settle(self, i, vx, vy, margin):
+        hit, slack = settle(self, i, vx, vy, margin)
+        settled.setdefault(i, set()).add(hit)
+        return hit, slack
 
+    def recording_clip(*args):
+        clipped.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(obstacle.ObstacleField, "settle", recording_settle)
     monkeypatch.setattr(obstacle, "clip_polygon_to_disc", recording_clip)
     seen = simulator._observe()
     assert [circle.members for circle in seen] == [(0,), (2,)]
     assert seen[0].radius == pytest.approx(18.0 * np.sqrt(2.0))
     assert seen[0].center == pytest.approx((0.0, reach - 5.0))
-    # a vertex in the footprint settles the square; the wall and the box
-    # have none, so the clip decides them
-    assert sorted(clipped) == [2, 3]
-    assert clipped[2] >= 3 and clipped[3] < 3
+    # every robot passes the gates of all but the far square: the square's
+    # vertex and the wall's near edge inside the footprint settle them by
+    # `near`, the box's hull beyond it by `apart`, and nothing is clipped
+    assert settled == {0: {True}, 2: {True}, 3: {False}}
+    assert clipped == []
 
 
 def test_summary_of_a_run_that_logs_no_step_is_json():
@@ -730,18 +735,39 @@ def test_the_settle_gate_equals_the_numpy_gate(edges, data):
 
 
 # per obstacle course: the steps that observe, the changes of the sensed
-# circles (one grouping each) and the clips sensing makes in a run
-SENSING_COUNTS = {"cluttered_course": (1781, 22, 223), "corridor_squeeze": (467, 4, 100),
-                  "single_obstacle_line": (860, 2, 10)}
+# circles (one grouping each), the full sensing decisions and the clips they
+# make in a run
+SENSING_COUNTS = {"cluttered_course": (1781, 22, 132, 9), "corridor_squeeze": (467, 4, 29, 0),
+                  "single_obstacle_line": (860, 2, 28, 0)}
+# the shipped polygons moved across the courses (cm)
+ACROSS = [(-70.0, 0.0), (-30.0, 0.0), (30.0, 0.0), (70.0, 0.0)]
+
+
+def held_sensing_recorder(monkeypatch, observed):
+    """`Simulator._observe` that checks each held decision against a fresh
+    one (its clips uncounted) and appends the sensed members to
+    `observed`."""
+    sensed, clip, observe = (obstacle.ObstacleField.sensed, obstacle.clip_polygon_to_disc,
+                             sim.Simulator._observe)
+
+    def recording_observe(self):
+        circles = observe(self)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(obstacle, "clip_polygon_to_disc", clip)
+            assert circles == sensed(self.obstacles, self.loop.ring[-1])[0]
+        observed.append(tuple(c.members for c in circles))
+        return circles
+
+    return recording_observe
 
 
 def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch):
     # on each course the sensed circles change a few dozen times at most; a
     # full decision must stay rare, grouping must run only on a change, and
-    # only the pairs no vertex settles are clipped
+    # only the pairs at the footprint's rim are clipped
     observed, counts = [], {}
     sensed, group_all = obstacle.ObstacleField.sensed, obstacle.group_all
-    clip, observe = obstacle.clip_polygon_to_disc, sim.Simulator._observe
+    clip = obstacle.clip_polygon_to_disc
 
     def counting_sensed(self, viewers):
         counts["sensed"] += 1
@@ -755,30 +781,36 @@ def test_sensing_is_re_decided_only_when_a_robot_may_have_changed_it(monkeypatch
         counts["clips"] += 1
         return clip(*args)
 
-    def recording_observe(self):
-        circles = observe(self)
-        # the held decision is the one a fresh decision gives (its clips
-        # are not counted)
-        with monkeypatch.context() as fresh:
-            fresh.setattr(obstacle, "clip_polygon_to_disc", clip)
-            assert circles == sensed(self.obstacles, self.loop.ring[-1])[0]
-        observed.append(tuple(c.members for c in circles))
-        return circles
-
+    recording_observe = held_sensing_recorder(monkeypatch, observed)
     monkeypatch.setattr(obstacle.ObstacleField, "sensed", counting_sensed)
     monkeypatch.setattr(obstacle, "group_all", counting_group_all)
     monkeypatch.setattr(obstacle, "clip_polygon_to_disc", counting_clip)
     monkeypatch.setattr(sim.Simulator, "_observe", recording_observe)
-    for name, (steps, groupings, clips) in sorted(SENSING_COUNTS.items()):
+    for name, (steps, groupings, decisions, clips) in sorted(SENSING_COUNTS.items()):
         observed.clear()
         counts.update(sensed=0, group_all=0, clips=0)
         assert sim.run_scenario(name).summary["status"] == "completed"
         changes = sum(now != before for before, now in zip([()] + observed, observed))
         assert len(observed) == steps
         assert counts["group_all"] == changes == groupings
-        assert counts["clips"] == clips
+        assert (counts["sensed"], counts["clips"]) == (decisions, clips)
         if name == "cluttered_course":   # the most full decisions of the three
-            assert counts["sensed"] <= 0.15 * len(observed)
+            assert counts["sensed"] <= 0.075 * len(observed)
+
+
+@pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
+def test_a_held_sensing_decision_is_a_fresh_one_off_the_shipped_layouts(monkeypatch, name):
+    # the polygons moved across the course put other edges and corners at
+    # the footprints' rims along the run: at every step that observes, the
+    # held decision is still the one a fresh decision gives, however the
+    # run ends
+    observed = []
+    monkeypatch.setattr(sim.Simulator, "_observe", held_sensing_recorder(monkeypatch, observed))
+    scn = scenario.load_scenario(name)
+    for shift in ACROSS:
+        observed.clear()
+        sim.Simulator(replace(scn, obstacles=tuple(np.add(p, shift) for p in scn.obstacles))).run()
+        assert observed
 
 
 @pytest.mark.parametrize("name", sorted(OBSTACLE_SCENARIOS))
