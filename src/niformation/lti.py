@@ -7,6 +7,10 @@ fixed-step simulation, with a bank that steps many such realizations as one
 batched update and draws their output noise.  `load_model_library` reads
 the named fitted plants.
 
+The realization repeats scipy's bilinear `cont2discrete(tf2ss(...))`
+operation for operation on numpy's LAPACK, so a run imports no scipy;
+`_bilinear` says where its bits are known to equal scipy's.
+
 Classification is exact, not sampled.  For P = N/D the NI index
 -2*Im P(jw) has the sign of the real polynomial -Im[N(jw) * conj D(jw)], so
 the real roots of that polynomial decide the class on a frequency band
@@ -18,12 +22,12 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy import signal
 
 DEFAULT_BAND = (0.0, 2.0)
 # a root counts as real (a pole as on the axis) within this fraction of its
@@ -238,18 +242,54 @@ class PlantBank:
 # keyed on the coefficients' exact bits, so 0.0 and -0.0 never share an entry
 @functools.lru_cache(maxsize=64)
 def _bilinear(numerator: bytes, denominator: bytes, sample_time: float):
-    a, b, c, d = signal.tf2ss(np.frombuffer(numerator), np.frombuffer(denominator))
-    ad, bd, cd, dd, _ = signal.cont2discrete((a, b, c, d), sample_time,
-                                             method="bilinear")
+    """scipy's `cont2discrete(tf2ss(num, den), dt, "bilinear")`, on numpy.
+
+    The same operations in the same order: `signal.normalize` (divide by
+    den[0]; trim leading numerator coefficients with |c| <= 1e-14, keeping
+    one, with a `UserWarning`), `tf2ss`'s controllable canonical form
+    A = [-den[1:]; eye(K-2, K-1)], B = eye(K-1, 1), C = num[1:] -
+    num[0]*den[1:], D = num[0] (num padded to den's length K), and
+    `cont2discrete`'s gbt branch at alpha = 1/2: with M = I - (dt/2) A,
+    Ad = solve(M, I + (dt/2) A), Bd = solve(M, dt B), Cd = solve(M^T, C^T)^T
+    and Dd = D + (C Bd)/2, each solve LAPACK's LU in `np.linalg.solve`.
+
+    numpy's and scipy's wheels each bundle their own OpenBLAS.  The shipped
+    models give scipy's bits under the SkylakeX, Haswell, Prescott and Zen
+    cores, and so do random proper models of orders 1-5 wherever scipy's
+    solve also factors M by LU.  scipy 1.17 solves a triangular, symmetric
+    or tridiagonal M with other routines instead (a pole at the origin
+    makes M triangular or tridiagonal); there, and at order 6 and above on
+    an ill-conditioned M, the two differ within a small multiple of
+    cond(M) * eps.
+    """
+    num, den = np.frombuffer(numerator), np.frombuffer(denominator)
+    num, den = num / den[0], den / den[0]
+    if abs(num[0]) <= 1e-14:
+        warnings.warn("Badly conditioned filter coefficients (numerator): "
+                      "the results may be meaningless", stacklevel=3)
+        kept = np.flatnonzero(np.abs(num) > 1e-14)
+        num = num[kept[0] if kept.size else -1:]
+    order = den.size - 1
+    num = np.concatenate((np.zeros(den.size - num.size), num))
+    a = np.vstack((-den[1:], np.eye(order - 1, order)))
+    b = np.eye(order, 1)
+    c = (num[1:] - num[0] * den[1:]).reshape(1, order)
+    half = 0.5 * sample_time
+    ima = np.eye(order) - half * a
+    ad = np.linalg.solve(ima, np.eye(order) + half * a)
+    bd = np.linalg.solve(ima, sample_time * b)
+    cd = np.linalg.solve(ima.transpose(), c.transpose()).transpose()
+    dd = num[0] + 0.5 * np.dot(c, bd)
     for matrix in (ad, bd, cd):
         matrix.flags.writeable = False
-    return ad, bd, cd, float(np.asarray(dd).ravel()[0])
+    return ad, bd, cd, float(dd[0, 0])
 
 
 def discretize(tfn: TransferFunction, sample_time: float) -> DiscretePlant:
     """Bilinear (trapezoidal) discretization of a proper transfer function.
 
-    Each exact (numerator, denominator, sample_time) is realized once per
+    Realized by `_bilinear`, scipy's operations on numpy's LAPACK.  Each
+    exact (numerator, denominator, sample_time) is realized once per
     process and its read-only A, B and C are shared; the state is not.
     """
     if not 0.0 < sample_time < np.inf:

@@ -1,16 +1,19 @@
 """Frequency-domain classification, the model library, and discretization.
 
-Expected values come from three kinds of oracle: the frequency response
+Expected values come from five kinds of oracle: the frequency response
 evaluated directly on the imaginary axis (`ni_index`), coefficient ratios
-read straight off the model library, and dense numerical integration of the
-continuous state-space realization (for step responses).
+read straight off the model library, dense numerical integration of the
+continuous state-space realization (for step responses), scipy's own
+bilinear realization, which the simulator does not import, and the
+bilinear map's frequency warp.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 from scipy.integrate import solve_ivp
@@ -392,6 +395,122 @@ def test_shared_realizations_equal_a_direct_discretization(models, dt):
                 assert np.shape(got) == np.shape(ref) or np.size(ref) == 1
                 assert bits(got) == bits(ref), (name, dt)
     assert lti._bilinear.cache_info().hits == len(models)
+
+
+# proper transfer functions for the scipy oracle: coefficients of either
+# sign between 0.01 and 100, a quarter of them signed zeros (a zero scale
+# keeps the sign), and nonzero leading coefficients
+NONZERO = st.builds(operator.mul, st.sampled_from((1.0, -1.0)),
+                    st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+COEFFICIENTS = st.builds(operator.mul, st.sampled_from((0.0, 1.0, 1.0, 1.0)), NONZERO)
+
+
+@st.composite
+def proper_transfer_functions(draw, lo, hi):
+    """A proper transfer function of order lo..hi, and a sample time."""
+    order = draw(st.integers(lo, hi))
+    den = [draw(NONZERO)] + draw(st.lists(COEFFICIENTS, min_size=order, max_size=order))
+    num = [draw(NONZERO)] + draw(st.lists(COEFFICIENTS, max_size=order))
+    return lti.TransferFunction(num, den), draw(st.floats(1e-3, 0.5))
+
+
+def scipy_bilinear(tfn, dt):
+    """scipy's bilinear realization of `tfn` at `dt`, the matrix
+    I - (dt/2) A its solves factor, and the continuous C and D."""
+    a, b, c, d = signal.tf2ss(tfn.numerator, tfn.denominator)
+    ima = np.eye(len(a)) - 0.5 * dt * a
+    assume(np.linalg.cond(ima) < 1e12)  # scipy warns when it is near singular
+    return signal.cont2discrete((a, b, c, d), dt, method="bilinear"), ima, c, d
+
+
+def solved_by_lu_in_scipy(ima) -> bool:
+    """Whether scipy's `linalg.solve` factors `ima` by LU, as numpy's does.
+
+    It detects triangular, symmetric and tridiagonal matrices and solves
+    them with other LAPACK routines.  I - (dt/2) A, for tf2ss's companion
+    A, is lower triangular when the denominator's coefficients after the
+    second are zero, tridiagonal when those after the third are, and a
+    symmetric 2x2 when den[2] == -den[0].  A 1x1 solve is one division
+    either way.
+    """
+    n = len(ima)
+    structured = (not np.triu(ima, 1).any() or (n >= 3 and not np.triu(ima, 2).any())
+                  or np.array_equal(ima, ima.T))
+    return n == 1 or not structured
+
+
+def assert_within_conditioning(plant, want, ima, c, d):
+    # each side's solve is backward stable, so each lies within a small
+    # multiple of cond(ima) * eps of the exact realization, relative to the
+    # largest entry; Dd = D + C Bd / 2 carries Bd's error through C
+    tol = 8 * len(ima) * np.linalg.cond(ima) * np.finfo(float).eps
+    for got, ref in zip((plant.a, plant.b, plant.c), want):
+        assert np.shape(got) == np.shape(ref)
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+    scale = abs(d[0, 0]) + 0.5 * np.sum(np.abs(c)) * np.max(np.abs(want[1]))
+    assert abs(plant.d - want[3][0, 0]) <= tol * scale
+
+
+@given(drawn=proper_transfer_functions(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_realizations_up_to_order_five_equal_scipys_bit_for_bit(drawn):
+    # where scipy's solve takes its LU path; where it detects a structure,
+    # its other LAPACK routine may round differently
+    tfn, dt = drawn
+    want, ima, c, d = scipy_bilinear(tfn, dt)
+    plant = lti.discretize(tfn, dt)
+    if not solved_by_lu_in_scipy(ima):
+        assert_within_conditioning(plant, want, ima, c, d)
+        return
+    for got, ref in zip((plant.a, plant.b, plant.c, plant.d), want):
+        assert np.shape(got) == np.shape(ref) or np.size(ref) == 1
+        assert bits(got) == bits(ref)
+
+
+@given(drawn=proper_transfer_functions(6, 8))
+@settings(max_examples=100, deadline=None)
+def test_realizations_of_orders_six_to_eight_agree_with_scipys(drawn):
+    # numpy's and scipy's wheels bundle their own OpenBLAS, whose LU can
+    # round differently on an ill-conditioned I - (dt/2) A at these orders
+    tfn, dt = drawn
+    want, ima, c, d = scipy_bilinear(tfn, dt)
+    assert_within_conditioning(lti.discretize(tfn, dt), want, ima, c, d)
+
+
+@pytest.mark.parametrize("numerator, denominator", [
+    ((1e-20, 1.0), (1.0, 2.0, 1.0)),
+    ((1e-15, -1e-16, 3.0), (1.0, 2.0, 1.0)),
+    ((1e-13, 1.0), (100.0, 2.0, 1.0)),  # trimmed after the division by den[0]
+    ((1e-20,), (1.0, 2.0, 1.0)),        # one coefficient is always kept
+])
+def test_tiny_leading_numerator_coefficients_are_trimmed_as_scipy_trims_them(
+        numerator, denominator):
+    tfn = lti.TransferFunction(numerator, denominator)
+    lti._bilinear.cache_clear()
+    with pytest.warns(UserWarning, match="Badly conditioned"):
+        plant = lti.discretize(tfn, 0.02)
+    with pytest.warns(signal.BadCoefficients):
+        want = signal.cont2discrete(signal.tf2ss(tfn.numerator, tfn.denominator),
+                                    0.02, method="bilinear")
+    for got, ref in zip((plant.a, plant.b, plant.c, plant.d), want):
+        assert bits(got) == bits(ref)
+
+
+def test_realizations_follow_the_bilinear_frequency_warp(models):
+    # an oracle that shares no arithmetic with the realization: the bilinear
+    # map sends z = exp(j w h) to s = j (2/h) tan(w h / 2), where the
+    # discrete response must equal the continuous one
+    h = 0.02
+    for name, tfn in models.items():
+        plant = lti.discretize(tfn, h)
+        eye = np.eye(plant.a.shape[0])
+        for fraction in (0.001, 0.1, 0.5, 0.9):
+            w = fraction * np.pi / h
+            z = np.exp(1j * w * h)
+            got = (plant.c @ np.linalg.solve(z * eye - plant.a, plant.b))[0, 0] + plant.d
+            s = 2j / h * np.tan(w * h / 2)
+            want = np.polyval(tfn.numerator, s) / np.polyval(tfn.denominator, s)
+            assert abs(got - want) <= 1e-9 * abs(want), (name, fraction)
 
 
 def test_coefficients_that_differ_in_the_sign_of_a_zero_share_no_entry():

@@ -9,7 +9,10 @@ import importlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from collections import Counter, deque
 from dataclasses import replace
@@ -441,6 +444,19 @@ def test_summary_of_a_run_that_logs_no_step_is_json():
 
     summary = json.loads(log.summary_json(), parse_constant=reject)
     assert summary["min_obstacle_clearance_cm"] is None
+
+
+def test_a_run_loads_no_scipy():
+    # in a new interpreter, since tests/test_lti.py loads scipy into this
+    # one as its oracle; yaw_sync_pair realizes both plant kinds
+    code = ("import sys; from niformation import sim; "
+            "sim.run_scenario('yaw_sync_pair', duration=1.0); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = [str(Path(sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("override, path", [({"duration": -1.0}, "duration"),
