@@ -1,10 +1,13 @@
 """Cooperative formation controller over a directed topology.
 
 The topology's sensing and actuation blocks are constant, so `lift` builds
-their read-only Kronecker lifts once per (topology, m) per process and every
-law below reuses them.
-Both the planar and the yaw law are one pipeline evaluated per step on
-stacked floats, each agent's (or edge's) coordinates in turn:
+their read-only Kronecker lifts once per (topology, m) per process, and a
+run binds each law once: `planar_law` and `yaw_law` check the lift's width,
+the gain count and the cap count, and keep the gains, the heads and each
+actuation row's terms and cap in a read-only record.  A step's law then only
+checks the lengths of the stacked positions and offsets it is handed, and
+runs one pipeline on stacked floats, each agent's (or edge's) coordinates in
+turn:
 
 1. sense: the errors are per-edge differences (head - tail) followed by the
    reference-agent row.  The planar law gets them from the transposed
@@ -20,26 +23,28 @@ stacked floats, each agent's (or edge's) coordinates in turn:
    steers to close that edge, reference agents additionally steer toward
    the waypoint;
 3. clip: commands clip to the per-axis speed caps (built once a run by
-   `speed_caps` from the agents' kinds) or to `YAW_RATE_CAP`.
+   `speed_caps` from the agents' kinds) or to `YAW_RATE_CAP`, in the same
+   loop over the bound rows as the route.
 
-Steps 2 and 3 are one private route shared by every law.  Because the
-actuation block carries -1 at each tail, negative gains yield attracting
-(stable) corrections in both the edge and the reference channels.
+Because the actuation block carries -1 at each tail, negative gains yield
+attracting (stable) corrections in both the edge and the reference channels.
 
 The laws see a few numbers a step, where a numpy call costs more than its
 arithmetic, so every step runs on Python floats, which round as numpy's
 ufuncs do.  Each law's products through the lifted blocks, sensing times
 shifted positions and actuation times gained errors, are signed gathers
 over each row's nonzero terms, the same bits as the numpy products (the
-lemma is on `_product`).  The elementwise steps keep their order: the head
-feeds `velocity * (dt * horizon)` (planar) and `(rate * dt) * horizon`
-(yaw).  Only a NaN's sign bit may differ from numpy's, where two NaNs meet.
+lemma is on `_product`), and the clip keeps `saturate`'s rule.  The
+elementwise steps keep their order: the head feeds `velocity * tau`
+(planar, tau = dt * horizon) and `(rate * dt) * horizon` (yaw).  Only a
+NaN's sign bit may differ from numpy's, where two NaNs meet.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -114,13 +119,6 @@ def lift(topology: NetworkTopology, m: int) -> LiftedTopology:
                           _terms(sensing.T), _terms(actuation))
 
 
-def _require_m(lifted: LiftedTopology, m: int) -> NetworkTopology:
-    if lifted.m != m:
-        raise ValueError(f"this law needs a topology lifted to {m} "
-                         f"coordinates, got {lifted.m}")
-    return lifted.topology
-
-
 def speed_caps(kinds) -> tuple[float, ...]:
     """Per-axis speed caps (cm/s): x and y of each agent in turn."""
     return tuple(SPEED_CAPS[kind] for kind in kinds for _axis in "xy")
@@ -136,63 +134,73 @@ def saturate(commands, caps) -> list[float]:
     return clipped
 
 
-def formation_errors(positions, lifted: LiftedTopology, offsets, waypoint) -> list[float]:
-    """Stacked error vector: edge rows then reference rows (x, y each).
-
-    positions are the n agents' stacked (x, y) in cm; lifted is the
-    topology lifted to 2 coordinates; offsets are stacked per edge, edge e's
-    the desired tail-minus-head displacement; waypoint is the reference
-    agents' target point.
-    """
-    topology = _require_m(lifted, 2)
-    if (len(positions), len(offsets)) != (2 * topology.n_agents, 2 * topology.n_edges):
-        raise ValueError(f"positions and offsets must stack {topology.n_agents} "
-                         f"and {topology.n_edges} (x, y)")
-    wx, wy = map(float, waypoint)
-    shifted = [p - w for p, w in zip(positions, (wx, wy) * topology.n_agents)]
-    errors = _product(lifted.sensing_terms, lifted.sensing_t, shifted)
-    return [e + o for e, o in zip(errors, offsets)] + errors[len(offsets):]
+# The laws bound to a run by `planar_law` and `yaw_law`: `stacks` the lengths
+# of the stacked positions and offsets, `heads` each edge row's head (empty
+# without prediction, where `tau` is None), `rows` each actuation row's
+# ((a, j, b, k), cap), None if a row has three or more terms.
+PlanarLaw = namedtuple("PlanarLaw", "stacks sensing sensing_t heads tau gains rows "
+                                    "actuation caps")
+YawLaw = namedtuple("YawLaw", "pairs reference heads dt horizon gains rows actuation caps")
 
 
-def _route(errors, lifted: LiftedTopology, gains, caps) -> list[float]:
-    """Gain the stacked errors, route them to agents and clip to the caps.
-
-    Returns each agent's lifted coordinates in turn.
-    """
-    if len(gains) != len(errors):
-        what = "consensus gain pairs" if lifted.m == 2 else "yaw consensus gains"
-        raise ValueError(f"got {len(gains) // lifted.m - 1} {what} for "
+def _bind(lifted: LiftedTopology, m: int, gains, caps):
+    """Check the lift's width and the gain and cap counts; return the gains
+    and the actuation rows' (terms, cap), None if a row has three or more."""
+    if lifted.m != m:
+        raise ValueError(f"this law needs a topology lifted to {m} "
+                         f"coordinates, got {lifted.m}")
+    if len(gains) != len(lifted.sensing_t):
+        what = "consensus gain pairs" if m == 2 else "yaw consensus gains"
+        raise ValueError(f"got {len(gains) // m - 1} {what} for "
                          f"{lifted.topology.n_edges} edges")
-    gained = [g * e for g, e in zip(gains, errors)]
-    return saturate(_product(lifted.actuation_terms, lifted.actuation, gained), caps)
+    # one cap per actuation row, or zip's ValueError, as the step's clip gave
+    rows = tuple(zip(lifted.actuation_terms or lifted.actuation, caps, strict=True))
+    return tuple(map(float, gains)), rows if lifted.actuation_terms else None
 
 
-def baseline_control(positions, lifted: LiftedTopology, gains: NiGains,
-                     offsets, waypoint, caps) -> list[float]:
-    """Planar commands without head-motion prediction, stacked (vx, vy) in cm/s.
+def planar_law(lifted: LiftedTopology, gains: NiGains, caps, tau: float | None) -> PlanarLaw:
+    """Bind the planar law to the topology lifted to 2 coordinates, the
+    `speed_caps` and the lookahead `tau` = dt * horizon (None for baseline)."""
+    planar, rows = _bind(lifted, 2, gains.planar, caps)
+    top = lifted.topology
+    heads = () if tau is None else tuple(2 * h + axis for h, _ in lifted.pairs for axis in (0, 1))
+    return PlanarLaw((2 * top.n_agents, 2 * top.n_edges), lifted.sensing_terms,
+                     lifted.sensing_t, heads, tau, planar, rows, lifted.actuation, tuple(caps))
 
-    lifted is the topology lifted to 2 coordinates; caps the per-axis
-    speed caps from `speed_caps`.
-    """
-    errors = formation_errors(positions, lifted, offsets, waypoint)
-    return _route(errors, lifted, gains.planar, caps)
 
-
-def enhanced_control(positions, velocities, lifted: LiftedTopology,
-                     gains: NiGains, offsets, waypoint, caps, *,
-                     dt: float, prediction_horizon_steps: int = 1) -> list[float]:
+def enhanced_control(positions, velocities, law: PlanarLaw, offsets, waypoint) -> list[float]:
     """Planar commands with per-edge head-motion prediction, stacked (vx, vy) in cm/s.
 
-    velocities are stacked like positions: each edge row is fed the
-    displacement its own head agent is predicted to cover over horizon*dt
-    seconds.
+    positions (cm) and velocities are the n agents' stacked (x, y); offsets
+    are stacked per edge, edge e's the desired tail-minus-head displacement;
+    waypoint is the reference agents' target point (x, y), as floats.  Each
+    edge row is fed its head's displacement over tau; a baseline law's none.
     """
-    errors = formation_errors(positions, lifted, offsets, waypoint)
-    tau = dt * prediction_horizon_steps
-    for row, (head, _tail) in enumerate(lifted.pairs):
-        errors[2 * row] += velocities[2 * head] * tau
-        errors[2 * row + 1] += velocities[2 * head + 1] * tau
-    return _route(errors, lifted, gains.planar, caps)
+    stacks, sensing, sensing_t, heads, tau, gains, rows, actuation, caps = law
+    if (len(positions), len(offsets)) != stacks:
+        raise ValueError(f"positions and offsets must stack {stacks[0] // 2} "
+                         f"and {stacks[1] // 2} (x, y)")
+    wx, wy = waypoint
+    shifted = [p - w for p, w in zip(positions, (wx, wy) * (stacks[0] // 2))]
+    errors = _product(sensing, sensing_t, shifted)
+    for row, offset in enumerate(offsets):
+        errors[row] += offset
+    for row, head in enumerate(heads):
+        errors[row] += velocities[head] * tau
+    gained = [g * e for g, e in zip(gains, errors)]
+    if rows is None or 0.0 * sum(gained) != 0.0:
+        return saturate(_product(None, actuation, gained), caps)
+    return [cap if (c := (a * gained[j] + b * gained[k]) + 0.0) > cap
+            else -cap if c < -cap else c for (a, j, b, k), cap in rows]
+
+
+_planar = enhanced_control   # the body: wrapping the attribute leaves baseline steps out
+
+
+def baseline_control(positions, law: PlanarLaw, offsets, waypoint) -> list[float]:
+    """Planar commands without head-motion prediction, stacked (vx, vy) in
+    cm/s, from a law bound with tau None."""
+    return _planar(positions, None, law, offsets, waypoint)
 
 
 def wrap(angle: float) -> float:
@@ -212,26 +220,32 @@ def heading_from_motion(target, current, previous_heading: float) -> float:
     return float(np.arctan2(d[1], d[0]))
 
 
-def yaw_consensus(yaws, yaw_rates, lifted: LiftedTopology, gains,
-                  target_angle: float, *, dt: float = 0.0,
-                  prediction_horizon_steps: int = 1,
-                  enhanced: bool = False) -> list[float]:
+def yaw_law(lifted: LiftedTopology, gains, dt: float, horizon: int, enhanced: bool) -> YawLaw:
+    """Bind the yaw law to the yaw topology lifted to 1 coordinate and its
+    per-row gains, one nonpositive gain per yaw edge and then the reference
+    gain (a scenario's `YawControlConfig.gains`)."""
+    top, caps = lifted.topology, (YAW_RATE_CAP,) * lifted.topology.n_agents
+    gains, rows = _bind(lifted, 1, gains, caps)
+    heads = tuple(head for head, _ in lifted.pairs) if enhanced else ()
+    return YawLaw(lifted.pairs, top.reference_agents[0] - 1, heads, dt, horizon,
+                  gains, rows, lifted.actuation, caps)
+
+
+def yaw_consensus(yaws, yaw_rates, law: YawLaw, target_angle: float) -> list[float]:
     """Yaw-rate commands (rad/s), one per agent, from the one-dimensional
     consensus pipeline.
 
-    lifted is the yaw topology lifted to 1 coordinate; gains holds the
-    per-row gains, one nonpositive gain per yaw edge and then the reference
-    gain (a scenario's `YawControlConfig.gains`).  Edge errors are the
-    wrapped head-tail angle differences; the reference row is the first
-    reference agent's wrapped error to `target_angle`.  The enhanced
-    variant adds each head's predicted yaw travel over the horizon.
+    Edge errors are the wrapped head-tail angle differences; the reference
+    row is the first reference agent's wrapped error to `target_angle`.  The
+    enhanced law adds each head's predicted yaw travel over the horizon.
     """
-    topology = _require_m(lifted, 1)
-    pairs = lifted.pairs
+    pairs, reference, heads, dt, horizon, gains, rows, actuation, caps = law
     errors = [wrap(yaws[head] - yaws[tail]) for head, tail in pairs]
-    if enhanced:
-        errors = [e + yaw_rates[head] * dt * prediction_horizon_steps
-                  for e, (head, _tail) in zip(errors, pairs)]
-    errors.append(wrap(yaws[topology.reference_agents[0] - 1] - target_angle))
-    return _route(errors, lifted, gains, (YAW_RATE_CAP,) * topology.n_agents)
-
+    for row, head in enumerate(heads):
+        errors[row] += (yaw_rates[head] * dt) * horizon
+    errors.append(wrap(yaws[reference] - target_angle))
+    gained = [g * e for g, e in zip(gains, errors)]
+    if rows is None or 0.0 * sum(gained) != 0.0:
+        return saturate(_product(None, actuation, gained), caps)
+    return [cap if (c := (a * gained[j] + b * gained[k]) + 0.0) > cap
+            else -cap if c < -cap else c for (a, j, b, k), cap in rows]

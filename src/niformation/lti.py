@@ -246,7 +246,8 @@ def _bilinear(numerator: bytes, denominator: bytes, sample_time: float):
 
     The same operations in the same order: `signal.normalize` (divide by
     den[0]; trim leading numerator coefficients with |c| <= 1e-14, keeping
-    one, with a `UserWarning`), `tf2ss`'s controllable canonical form
+    one, with a `UserWarning`; but an all-zero numerator, the zero function,
+    is one zero, without the warning), `tf2ss`'s controllable canonical form
     A = [-den[1:]; eye(K-2, K-1)], B = eye(K-1, 1), C = num[1:] -
     num[0]*den[1:], D = num[0] (num padded to den's length K), and
     `cont2discrete`'s gbt branch at alpha = 1/2: with M = I - (dt/2) A,
@@ -264,7 +265,9 @@ def _bilinear(numerator: bytes, denominator: bytes, sample_time: float):
     """
     num, den = np.frombuffer(numerator), np.frombuffer(denominator)
     num, den = num / den[0], den / den[0]
-    if abs(num[0]) <= 1e-14:
+    if not num.any():   # nothing to trim: C and D are zero
+        num = np.zeros(1)
+    elif abs(num[0]) <= 1e-14:
         warnings.warn("Badly conditioned filter coefficients (numerator): "
                       "the results may be meaningless", stacklevel=3)
         kept = np.flatnonzero(np.abs(num) > 1e-14)

@@ -268,8 +268,9 @@ class RunLog:
 
 
 class Loop:
-    """The team's linear loop, built once from a `Scenario`: the laws, called
-    through `controller`, the delay line and the plant banks (planar,
+    """The team's linear loop, built once from a `Scenario`: the laws, bound
+    here (`controller.planar_law`, `yaw_law`) and called through `controller`
+    once a step each, the delay line and the plant banks (planar,
     agent-major x, y, with the run's generator if it draws noise; yaw rates
     for the `yaw_rows` the yaw law steers).  Its state, which only `advance`
     writes: the ring of the last `velocity_estimate_window` + 1 stacked
@@ -282,16 +283,21 @@ class Loop:
         models = load_model_library()
         self.scn, self.n = scn, scn.n_agents
         self.start = [v for agent in scn.agents for v in agent.start]   # stacked (x, y)
+        control = scn.control
+        horizon, enhanced = control.prediction_horizon_steps, control.mode == "enhanced"
         self.planar_lift = controller.lift(scn.topology, 2)
-        self.speed_caps = controller.speed_caps(scn.kinds)
+        self.planar_law = controller.planar_law(
+            self.planar_lift, scn.gains, controller.speed_caps(scn.kinds),
+            scn.dt * horizon if enhanced else None)
         self.plants = PlantBank(
             (discretize(models[f"{agent.kind}_vel{axis}"], scn.dt)
              for agent in scn.agents for axis in ("x", "y")),
             scn.noise_std, np.random.default_rng(scn.seed) if scn.noise_std > 0 else None)
-        self.yaw_rows = []
+        self.yaw_rows, self.yaw_law = [], None
         if scn.yaw_control is not None:
             top = scn.yaw_control.topology
-            self.yaw_lift = controller.lift(top, 1)
+            self.yaw_law = controller.yaw_law(controller.lift(top, 1), scn.yaw_control.gains,
+                                              scn.dt, horizon, enhanced)
             self.yaw_rows = np.unique(np.concatenate(
                 [top.heads, top.tails, np.subtract(top.reference_agents, 1)])).tolist()
             self.yaw_plants = PlantBank(discretize(models["ugv_yaw_rate"], scn.dt)
@@ -301,27 +307,22 @@ class Loop:
         self.yaw_rates = [0.0] * self.n
         self.steps = int(round(scn.duration / scn.dt))
         self.ring = deque([self.start], maxlen=min(
-            scn.control.velocity_estimate_window, self.steps) + 1)
+            control.velocity_estimate_window, self.steps) + 1)
         self.delay_line = deque([([0.0] * (2 * self.n), [0.0] * self.n)]
-                                * min(scn.control.command_delay_steps, self.steps))
+                                * min(control.command_delay_steps, self.steps))
 
     def step(self, reference: tuple[float, float], offsets: list[float],
              yaw_target: float | None):
         """Run the laws on the newest positions and `advance` with their
         commands; without yaw control the yaw commands are zeros."""
-        scn, positions = self.scn, self.ring[-1]
-        if scn.control.mode == "enhanced":
-            planar = controller.enhanced_control(
-                positions, self.velocities, self.planar_lift, scn.gains, offsets, reference,
-                self.speed_caps, dt=scn.dt,
-                prediction_horizon_steps=scn.control.prediction_horizon_steps)
+        law, positions = self.planar_law, self.ring[-1]
+        if law.tau is None:
+            planar = controller.baseline_control(positions, law, offsets, reference)
         else:
-            planar = controller.baseline_control(
-                positions, self.planar_lift, scn.gains, offsets, reference, self.speed_caps)
-        yaw = [0.0] * self.n if scn.yaw_control is None else controller.yaw_consensus(
-            self.yaws, self.yaw_rates, self.yaw_lift, scn.yaw_control.gains, yaw_target,
-            dt=scn.dt, prediction_horizon_steps=scn.control.prediction_horizon_steps,
-            enhanced=(scn.control.mode == "enhanced"))
+            planar = controller.enhanced_control(positions, self.velocities, law, offsets,
+                                                 reference)
+        yaw = [0.0] * self.n if self.yaw_law is None else controller.yaw_consensus(
+            self.yaws, self.yaw_rates, self.yaw_law, yaw_target)
         return self.advance(planar, yaw)
 
     def advance(self, planar: list[float], yaw: list[float]):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from niformation import controller, graph, scenario
 from niformation.controller import (SPEED_CAPS, YAW_RATE_CAP,
                                     baseline_control, enhanced_control,
-                                    heading_from_motion, lift, saturate,
-                                    speed_caps, wrap, yaw_consensus)
+                                    heading_from_motion, lift, planar_law,
+                                    saturate, speed_caps, wrap, yaw_consensus,
+                                    yaw_law)
 from niformation.scenario import NiGains
 
 PAIR_TOPOLOGY = graph.build_topology(2, [(1, 2)], [1])
@@ -28,17 +29,27 @@ def stack_rows(rows) -> list[float]:
 
 
 def baseline_rows(positions, lifted, gains, offsets, waypoint, caps) -> np.ndarray:
-    """`baseline_control` on (x, y) rows, its commands as (n, 2) rows."""
-    return np.reshape(baseline_control(stack_rows(positions), lifted, gains,
-                                       stack_rows(offsets), waypoint, caps), (-1, 2))
+    """`baseline_control` bound to the lift, gains and caps, on (x, y) rows;
+    its commands as (n, 2) rows."""
+    law = planar_law(lifted, gains, caps, None)
+    return np.reshape(baseline_control(stack_rows(positions), law, stack_rows(offsets),
+                                       stack_rows(waypoint)), (-1, 2))
 
 
 def enhanced_rows(positions, velocities, lifted, gains, offsets, waypoint, caps,
-                  **timing) -> np.ndarray:
-    """`enhanced_control` on (x, y) rows, its commands as (n, 2) rows."""
+                  tau) -> np.ndarray:
+    """`enhanced_control` bound to the lift, gains, caps and lookahead tau,
+    on (x, y) rows; its commands as (n, 2) rows."""
+    law = planar_law(lifted, gains, caps, tau)
     return np.reshape(enhanced_control(stack_rows(positions), stack_rows(velocities),
-                                       lifted, gains, stack_rows(offsets), waypoint,
-                                       caps, **timing), (-1, 2))
+                                       law, stack_rows(offsets), stack_rows(waypoint)),
+                      (-1, 2))
+
+
+def yaw_commands(yaws, rates, lifted, gains, target, dt=0.02, horizon=1,
+                 enhanced=False) -> list[float]:
+    """`yaw_consensus` bound to the lift, gains and lookahead."""
+    return yaw_consensus(yaws, rates, yaw_law(lifted, gains, dt, horizon, enhanced), target)
 
 
 def star_gains(kc=-0.5, kr=-0.002):
@@ -95,22 +106,31 @@ def test_zero_gains_give_zero_commands():
 
 
 def test_gain_count_mismatch_is_rejected():
+    # when the law is bound, once a run
     with pytest.raises(ValueError, match="consensus gain pairs"):
-        baseline_control([0.0] * 6, STAR,
-                         NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),)),
-                         [0.0] * 4, [0.0, 0.0], CAPS3)
+        planar_law(STAR, NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),)),
+                   CAPS3, None)
+    with pytest.raises(ValueError, match="yaw consensus gains"):
+        yaw_law(PAIR_YAW, (-0.5, -0.5, -0.5), 0.02, 1, False)
 
 
 def test_position_shape_mismatch_is_rejected():
+    # by the bound law, on the stacks it is handed
     with pytest.raises(ValueError, match="positions"):
-        baseline_control([0.0] * 4, STAR, star_gains(), [0.0] * 4, [0.0, 0.0], CAPS3)
+        baseline_control([0.0] * 4, planar_law(STAR, star_gains(), CAPS3, None),
+                         [0.0] * 4, [0.0, 0.0])
+    with pytest.raises(ValueError, match="positions"):
+        enhanced_control([0.0] * 8, [0.0] * 8, planar_law(STAR, star_gains(), CAPS3, 0.02),
+                         [0.0] * 4, [0.0, 0.0])
 
 
 def test_offset_and_cap_count_mismatches_are_rejected():
     with pytest.raises(ValueError, match="offsets"):
-        baseline_control([0.0] * 6, STAR, star_gains(), [0.0] * 2, [0.0, 0.0], CAPS3)
-    with pytest.raises(ValueError):   # a cap missing
-        baseline_control([0.0] * 6, STAR, star_gains(), [0.0] * 4, [0.0, 0.0], CAPS3[:-1])
+        baseline_control([0.0] * 6, planar_law(STAR, star_gains(), CAPS3, None),
+                         [0.0] * 2, [0.0, 0.0])
+    for caps in (CAPS3[:-1], CAPS3 + (100.0,)):   # a cap missing or one too many
+        with pytest.raises(ValueError):
+            planar_law(STAR, star_gains(), caps, None)
 
 
 # --------------------------------------------------------------- prediction
@@ -122,8 +142,7 @@ def test_enhanced_minus_baseline_equals_gained_prediction():
     base = baseline_rows(positions, STAR, star_gains(), offsets,
                          [50.0, 10.0], CAPS3)
     enh = enhanced_rows(positions, velocities, STAR, star_gains(), offsets,
-                        [50.0, 10.0], CAPS3, dt=0.02,
-                        prediction_horizon_steps=1)
+                        [50.0, 10.0], CAPS3, tau=0.02)
     # each follower's command shifts by -(Kc * head displacement)
     np.testing.assert_allclose(enh[0], base[0])
     np.testing.assert_allclose(enh[1] - base[1], [0.1, -0.2])
@@ -135,11 +154,9 @@ def test_enhanced_prediction_scales_with_horizon():
     velocities = [[30.0, 0.0], [0.0, 0.0]]
     gains = NiGains(reference=(0.0, 0.0), consensus=((-0.5, -0.5),))
     one = enhanced_rows(positions, velocities, PAIR, gains, [[0.0, 0.0]],
-                        [0.0, 0.0], CAPS_UGV2, dt=0.02,
-                        prediction_horizon_steps=1)
+                        [0.0, 0.0], CAPS_UGV2, tau=0.02 * 1)
     sixty = enhanced_rows(positions, velocities, PAIR, gains, [[0.0, 0.0]],
-                          [0.0, 0.0], CAPS_UGV2, dt=0.02,
-                          prediction_horizon_steps=60)
+                          [0.0, 0.0], CAPS_UGV2, tau=0.02 * 60)
     base = baseline_rows(positions, PAIR, gains, [[0.0, 0.0]],
                          [0.0, 0.0], CAPS_UGV2)
     np.testing.assert_allclose(one[1] - base[1], [0.3, 0.0])
@@ -152,7 +169,7 @@ def test_enhanced_with_zero_velocity_equals_baseline():
     base = baseline_rows(positions, STAR, star_gains(), offsets,
                          [0.0, 0.0], CAPS3)
     enh = enhanced_rows(positions, np.zeros((3, 2)), STAR, star_gains(),
-                        offsets, [0.0, 0.0], CAPS3, dt=0.02)
+                        offsets, [0.0, 0.0], CAPS3, tau=0.02)
     np.testing.assert_allclose(enh, base)
 
 
@@ -242,16 +259,14 @@ def test_wrap_angle_equals_the_numpy_formula_bit_for_bit(values):
 
 def test_yaw_reference_agent_turns_toward_target():
     gains = np.array([-0.02, -0.066])
-    u = yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR_YAW, gains,
-                      target_angle=np.pi / 2)
+    u = yaw_commands([0.0, 0.0], [0.0, 0.0], PAIR_YAW, gains, np.pi / 2)
     assert u[0] == pytest.approx(-0.066 * (0.0 - np.pi / 2))
     assert u[1] == pytest.approx(0.0)
 
 
 def test_yaw_follower_aligns_with_head():
     gains = np.array([-0.02, -0.066])
-    u = yaw_consensus([np.pi / 2, 0.0], [0.0, 0.0], PAIR_YAW, gains,
-                      target_angle=np.pi / 2)
+    u = yaw_commands([np.pi / 2, 0.0], [0.0, 0.0], PAIR_YAW, gains, np.pi / 2)
     # follower error pi/2, actuation sign flips: positive rate toward head
     assert u[1] == pytest.approx(0.02 * np.pi / 2)
 
@@ -260,23 +275,32 @@ def test_yaw_error_wraps_across_the_cut():
     gains = np.array([-0.5, -0.5])
     # head at +175 deg, follower at -175 deg: the short way is +10 deg
     yaws = [np.deg2rad(175.0), np.deg2rad(-175.0)]
-    u = yaw_consensus(yaws, [0.0, 0.0], PAIR_YAW, gains, target_angle=np.deg2rad(175.0))
+    u = yaw_commands(yaws, [0.0, 0.0], PAIR_YAW, gains, np.deg2rad(175.0))
     assert u[1] == pytest.approx(0.5 * np.deg2rad(-10.0))
 
 
 def test_yaw_rate_commands_clip():
     gains = np.array([-10.0, -10.0])
-    u = yaw_consensus([0.0, np.pi], [0.0, 0.0], PAIR_YAW, gains, target_angle=np.pi)
+    u = yaw_commands([0.0, np.pi], [0.0, 0.0], PAIR_YAW, gains, np.pi)
     assert np.all(np.abs(u) <= 1.5)
 
 
 def test_yaw_enhanced_adds_head_rate_lookahead():
     gains = np.array([-0.5, 0.0])
-    base = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, target_angle=0.0)
-    enh = yaw_consensus([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, target_angle=0.0,
-                        dt=0.02, prediction_horizon_steps=1, enhanced=True)
+    base = yaw_commands([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, 0.0)
+    enh = yaw_commands([0.3, 0.3], [0.2, 0.0], PAIR_YAW, gains, 0.0, enhanced=True)
     assert base[1] == pytest.approx(0.0)
     assert enh[1] == pytest.approx(0.5 * 0.2 * 0.02)
+
+
+def test_the_yaw_feed_keeps_its_operand_order():
+    # (rate * dt) * horizon and rate * (dt * horizon) round apart here; the
+    # follower's command is its edge error, the head's feed alone
+    rate, dt, horizon = 0.1, 0.02, 7
+    assert (rate * dt) * horizon != rate * (dt * horizon)
+    u = yaw_commands([0.3, 0.3], [rate, 0.0], PAIR_YAW, [-1.0, 0.0], 0.0,
+                     dt=dt, horizon=horizon, enhanced=True)
+    assert u[1] == (rate * dt) * horizon
 
 
 # ------------------------------------------------------------------ heading
@@ -381,7 +405,7 @@ def test_planar_laws_with_a_prebuilt_lift_equal_the_inline_products(
     lifted, caps = lift(topology, 2), speed_caps(kinds)
     if enhanced:
         got = enhanced_rows(positions, velocities, lifted, gains, offsets,
-                            waypoint, caps, dt=0.02, prediction_horizon_steps=horizon)
+                            waypoint, caps, tau=0.02 * horizon)
         want = inline_planar(positions, velocities, topology, gains, offsets,
                              waypoint, kinds, 0.02 * horizon)
     else:
@@ -406,9 +430,8 @@ def test_yaw_law_with_a_prebuilt_lift_equals_the_inline_products(
         # -0.0 - +0.0 on the reference row before it is wrapped
         yaws[topology.reference_agents[0] - 1] = -0.0
         target = 0.0
-    got = np.array(yaw_consensus(yaws, rates, lift(topology, 1), gains, target,
-                                 dt=0.02, prediction_horizon_steps=3,
-                                 enhanced=enhanced))
+    got = np.array(yaw_commands(yaws, rates, lift(topology, 1), gains, target,
+                                dt=0.02, horizon=3, enhanced=enhanced))
     want = inline_yaw(yaws, rates, topology, gains, target, 0.02, 3, enhanced)
     assert same_bits(got, want)
 
@@ -466,11 +489,11 @@ def test_every_shipped_lift_gathers():
 
 
 def test_laws_reject_a_lift_of_the_wrong_width():
+    # when the law is bound, once a run
     with pytest.raises(ValueError, match="lifted to 2"):
-        baseline_control(np.zeros((2, 2)), PAIR_YAW, star_gains(),
-                         np.zeros((1, 2)), [0.0, 0.0], CAPS_UGV2)
+        planar_law(PAIR_YAW, star_gains(), CAPS_UGV2, None)
     with pytest.raises(ValueError, match="lifted to 1"):
-        yaw_consensus([0.0, 0.0], [0.0, 0.0], PAIR, np.zeros(2), target_angle=0.0)
+        yaw_law(PAIR, np.zeros(2), 0.02, 1, False)
 
 
 def test_equal_topologies_share_one_read_only_lift_per_width():
@@ -589,8 +612,7 @@ def test_float_planar_laws_equal_the_numpy_laws_bit_for_bit(
         caps = speed_caps(kinds)
         if enhanced:
             got = enhanced_rows(positions, velocities, lifted, gains, offsets,
-                                waypoint, caps, dt=0.02,
-                                prediction_horizon_steps=horizon)
+                                waypoint, caps, tau=0.02 * horizon)
         else:
             got = baseline_rows(positions, lifted, gains, offsets, waypoint, caps)
     assert same_bits(one_nan(got), one_nan(want))
@@ -612,8 +634,8 @@ def test_float_yaw_law_equals_the_numpy_law_bit_for_bit(
     lifted = lift(topology, 1)
     with np.errstate(all="ignore"):
         want = numpy_yaw(yaws, rates, lifted, gains, target, 0.02, horizon, enhanced)
-        got = yaw_consensus(yaws, rates, lifted, gains, target, dt=0.02,
-                            prediction_horizon_steps=horizon, enhanced=enhanced)
+        got = yaw_commands(yaws, rates, lifted, gains, target, dt=0.02,
+                           horizon=horizon, enhanced=enhanced)
     assert same_bits(one_nan(got), one_nan(want))
 
 

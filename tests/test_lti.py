@@ -496,6 +496,23 @@ def test_tiny_leading_numerator_coefficients_are_trimmed_as_scipy_trims_them(
         assert bits(got) == bits(ref)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("numerator, denominator", [
+    ((0.0,), (1.0, 1.0)),
+    ((0.0, -0.0, 0.0), (1.0, -3.0, 2.0)),
+    ((-0.0,), (-2.0, 1.0, 5.0, 3.0)),
+])
+def test_a_zero_numerator_is_realized_without_a_warning(numerator, denominator):
+    # the zero function has no leading coefficient to trim, so it warns of
+    # none, under -W error too: C and D are zero, and A and B are those of
+    # any other numerator over the same denominator
+    lti._bilinear.cache_clear()
+    plant = lti.discretize(lti.TransferFunction(numerator, denominator), 0.02)
+    unit = lti.discretize(lti.TransferFunction((1.0,), denominator), 0.02)
+    assert bits(plant.a) == bits(unit.a) and bits(plant.b) == bits(unit.b)
+    assert bits(plant.c) == bits(np.zeros(unit.c.shape)) and bits(plant.d) == bits(0.0)
+
+
 def test_realizations_follow_the_bilinear_frequency_warp(models):
     # an oracle that shares no arithmetic with the realization: the bilinear
     # map sends z = exp(j w h) to s = j (2/h) tan(w h / 2), where the

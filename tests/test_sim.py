@@ -1107,6 +1107,23 @@ def test_each_logged_step_calls_each_law_once_through_the_module(monkeypatch, na
         assert calls["yaw_consensus"] == steps
 
 
+@pytest.mark.parametrize("name, mode", [("yaw_sync_pair", "enhanced"),
+                                        ("yaw_sync_pair", "baseline"),
+                                        ("moving_leader_compare", "enhanced"),
+                                        ("moving_leader_compare", "baseline")])
+def test_each_law_is_bound_only_when_the_loop_is_built(monkeypatch, name, mode):
+    # a step runs the laws the loop bound at construction and binds none
+    scn = scenario.load_scenario(name)
+    scn = replace(scn, duration=1.0, control=replace(scn.control, mode=mode))
+    simulator = sim.Simulator(scn)
+
+    def unbound(*args):
+        raise AssertionError("a law was bound during a step")
+    for binder in ("planar_law", "yaw_law"):
+        monkeypatch.setattr(controller, binder, unbound)
+    assert len(simulator.run().times) == 50
+
+
 @pytest.mark.parametrize("delay", [0, 1, 10])
 @pytest.mark.parametrize("name", ["moving_leader_compare", "yaw_sync_pair"])
 def test_the_delay_line_applies_each_command_delay_steps_later(monkeypatch, name, delay):
