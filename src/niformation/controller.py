@@ -4,10 +4,13 @@ The topology's sensing and actuation blocks are constant, so `lift` builds
 their read-only Kronecker lifts once per (topology, m) per process, and a
 run binds each law once: `planar_law` and `yaw_law` check the lift's width,
 the gain count and the cap count, and keep the gains, the heads and each
-actuation row's terms and cap in a read-only record.  A step's law then only
-checks the lengths of the stacked positions and offsets it is handed, and
-runs one pipeline on stacked floats, each agent's (or edge's) coordinates in
-turn:
+actuation row's terms and cap in a read-only record; the planar law also
+keeps each sensing row's terms with its gain and, if it predicts, its head.
+A step's law then only checks the lengths of the stacked positions and
+offsets it is handed, and runs one pipeline on stacked floats, each agent's
+(or edge's) coordinates in turn.  The planar law senses, adds the offsets
+and the head feed and applies the gains in one pass over its bound sensing
+rows; both laws route and clip in one pass over their bound actuation rows:
 
 1. sense: the errors are per-edge differences (head - tail) followed by the
    reference-agent row.  The planar law gets them from the transposed
@@ -35,15 +38,17 @@ ufuncs do.  Each law's products through the lifted blocks, sensing times
 shifted positions and actuation times gained errors, are signed gathers
 over each row's nonzero terms, the same bits as the numpy products (the
 lemma is on `_product`), and the clip keeps `saturate`'s rule.  The
-elementwise steps keep their order: the head feeds `velocity * tau`
-(planar, tau = dt * horizon) and `(rate * dt) * horizon` (yaw).  Only a
-NaN's sign bit may differ from numpy's, where two NaNs meet.
+elementwise steps keep their order: a planar edge row's error is
+`((s + offset) + velocity * tau)` on its sensed sum s (tau = dt * horizon)
+and a yaw edge row's head feeds `(rate * dt) * horizon`.  Only a NaN's sign
+bit may differ from numpy's, where two NaNs meet.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -82,6 +87,11 @@ class LiftedTopology:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Each edge's 0-based (head, tail) agent rows, as plain ints."""
         return tuple((head - 1, tail - 1) for head, tail in self.topology.edges)
+
+    @functools.cached_property
+    def heads(self) -> tuple[int, ...]:
+        """Each edge row's head coordinate in the stacked agent vector."""
+        return tuple(self.m * head + axis for head, _ in self.pairs for axis in range(self.m))
 
 
 def _terms(matrix) -> tuple[tuple[float, int, float, int], ...] | None:
@@ -137,9 +147,12 @@ def saturate(commands, caps) -> list[float]:
 # The laws bound to a run by `planar_law` and `yaw_law`: `stacks` the lengths
 # of the stacked positions and offsets, `heads` each edge row's head (empty
 # without prediction, where `tau` is None), `rows` each actuation row's
-# ((a, j, b, k), cap), None if a row has three or more terms.
-PlanarLaw = namedtuple("PlanarLaw", "stacks sensing sensing_t heads tau gains rows "
-                                    "actuation caps")
+# ((a, j, b, k), cap), None if a row has three or more terms.  The planar
+# law's `edges` are each edge row's sensing terms and gain (a, j, b, k, g),
+# then its head if it predicts, and `references` each reference row's
+# (a, j, b, k, g); both None if a sensing row has three or more terms.
+PlanarLaw = namedtuple("PlanarLaw", "stacks edges references sensing_t heads tau gains "
+                                    "rows actuation caps")
 YawLaw = namedtuple("YawLaw", "pairs reference heads dt horizon gains rows actuation caps")
 
 
@@ -162,10 +175,14 @@ def planar_law(lifted: LiftedTopology, gains: NiGains, caps, tau: float | None) 
     """Bind the planar law to the topology lifted to 2 coordinates, the
     `speed_caps` and the lookahead `tau` = dt * horizon (None for baseline)."""
     planar, rows = _bind(lifted, 2, gains.planar, caps)
-    top = lifted.topology
-    heads = () if tau is None else tuple(2 * h + axis for h, _ in lifted.pairs for axis in (0, 1))
-    return PlanarLaw((2 * top.n_agents, 2 * top.n_edges), lifted.sensing_terms,
-                     lifted.sensing_t, heads, tau, planar, rows, lifted.actuation, tuple(caps))
+    top, n = lifted.topology, 2 * lifted.topology.n_edges
+    heads, terms = (() if tau is None else lifted.heads), lifted.sensing_terms
+    edges = references = None
+    if terms is not None:   # each row's terms, then its gain and any head
+        edges = tuple(map(operator.add, terms, zip(planar, heads) if heads else zip(planar[:n])))
+        references = tuple(map(operator.add, terms[n:], zip(planar[n:])))
+    return PlanarLaw((2 * top.n_agents, n), edges, references, lifted.sensing_t, heads,
+                     tau, planar, rows, lifted.actuation, tuple(caps))
 
 
 def enhanced_control(positions, velocities, law: PlanarLaw, offsets, waypoint) -> list[float]:
@@ -176,18 +193,28 @@ def enhanced_control(positions, velocities, law: PlanarLaw, offsets, waypoint) -
     waypoint is the reference agents' target point (x, y), as floats.  Each
     edge row is fed its head's displacement over tau; a baseline law's none.
     """
-    stacks, sensing, sensing_t, heads, tau, gains, rows, actuation, caps = law
+    stacks, edges, references, sensing_t, heads, tau, gains, rows, actuation, caps = law
     if (len(positions), len(offsets)) != stacks:
         raise ValueError(f"positions and offsets must stack {stacks[0] // 2} "
                          f"and {stacks[1] // 2} (x, y)")
     wx, wy = waypoint
-    shifted = [p - w for p, w in zip(positions, (wx, wy) * (stacks[0] // 2))]
-    errors = _product(sensing, sensing_t, shifted)
-    for row, offset in enumerate(offsets):
-        errors[row] += offset
-    for row, head in enumerate(heads):
-        errors[row] += velocities[head] * tau
-    gained = [g * e for g, e in zip(gains, errors)]
+    v = [p - w for p, w in zip(positions, (wx, wy) * (stacks[0] // 2))]
+    if edges is None or 0.0 * sum(v) != 0.0:
+        errors = _product(None, sensing_t, v)
+        for row, offset in enumerate(offsets):
+            errors[row] += offset
+        for row, head in enumerate(heads):
+            errors[row] += velocities[head] * tau
+        gained = [g * e for g, e in zip(gains, errors)]
+    else:
+        # `_product`'s gather, the offset and the head feed, each row in one pass
+        if tau is None:
+            gained = [g * (((a * v[j] + b * v[k]) + 0.0) + o)
+                      for (a, j, b, k, g), o in zip(edges, offsets)]
+        else:
+            gained = [g * ((((a * v[j] + b * v[k]) + 0.0) + o) + velocities[h] * tau)
+                      for (a, j, b, k, g, h), o in zip(edges, offsets)]
+        gained += [g * ((a * v[j] + b * v[k]) + 0.0) for a, j, b, k, g in references]
     if rows is None or 0.0 * sum(gained) != 0.0:
         return saturate(_product(None, actuation, gained), caps)
     return [cap if (c := (a * gained[j] + b * gained[k]) + 0.0) > cap
@@ -226,7 +253,7 @@ def yaw_law(lifted: LiftedTopology, gains, dt: float, horizon: int, enhanced: bo
     gain (a scenario's `YawControlConfig.gains`)."""
     top, caps = lifted.topology, (YAW_RATE_CAP,) * lifted.topology.n_agents
     gains, rows = _bind(lifted, 1, gains, caps)
-    heads = tuple(head for head, _ in lifted.pairs) if enhanced else ()
+    heads = lifted.heads if enhanced else ()
     return YawLaw(lifted.pairs, top.reference_agents[0] - 1, heads, dt, horizon,
                   gains, rows, lifted.actuation, caps)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,10 @@ import numpy as np
 import yaml
 
 DEFAULT_BAND = (0.0, 2.0)
+# a noisy `PlantBank` draws its output noise this many steps at a time: a
+# block of 256 stepped no faster and left the noisy sweep's peak memory up
+# to 1 MB higher
+NOISE_BLOCK = 32
 # a root counts as real (a pole as on the axis) within this fraction of its
 # magnitude, and real roots closer than that count as one: `np.roots` splits
 # a double root into two about sqrt(eps) apart, along or across the line
@@ -171,16 +176,22 @@ class PlantBank:
     The plants' matrices are stacked once (lower-order realizations are
     zero-padded to the largest order) and each step evaluates every plant's
     C x and A x as one batched matmul and B u as one batched product, with
-    the same per-plant arithmetic as `DiscretePlant.step`; D u and the
-    output noise are added on Python floats, which cost less than numpy
-    calls at this size and round as they do.  A first-order bank (the yaw
-    rates) steps on float states while they and the inputs are finite (its
-    (count, 1, 1) matmul is a dot, c*x + 0.0; `state` is a new array each
-    read); numpy steps the rest, as two NaNs meeting in its add keep a sign
-    that depends on the lane.  With `noise_std` > 0 each step adds
-    `noise_std` times one `rng.standard_normal(count)` draw to the outputs,
-    in bank order.  The bank copies the plants' states and never writes
-    them back.
+    the same per-plant arithmetic as `DiscretePlant.step`.  The products
+    write into arrays the bank keeps, allocated on its first numpy step: u
+    is packed into one with `struct`, and the state and A x trade places
+    each step.  D u and the output noise are added on Python floats, which
+    cost less than numpy calls at this size and round as they do.  A
+    first-order bank (the yaw rates) steps on float states while they and
+    the inputs are finite (its (count, 1, 1) matmul is a dot, c*x + 0.0);
+    numpy steps the rest, as two NaNs meeting in its add keep a sign that
+    depends on the lane.  `state` is a snapshot, a new array each read;
+    assigning it replaces the stacked state.  With `noise_std` > 0 each
+    step adds `noise_std` times one row of standard normals to the outputs,
+    in bank order: the rows are drawn `NOISE_BLOCK` at a time as one
+    `rng.standard_normal((NOISE_BLOCK, count))`, the same stream as one
+    `rng.standard_normal(count)` a step, so the bank must be the generator's
+    only reader.  The bank copies the plants' states and never writes them
+    back.
 
     Stepped output stays the same bit for bit only while the products keep
     their batched shapes and their order, C x + D u and then A x + B u, and
@@ -214,29 +225,57 @@ class PlantBank:
         self.floats = ([m.ravel().tolist() for m in (self.a, self.b, self.c)]
                        if order == 1 else None)
         self._state = state if self.floats is None else state.ravel().tolist()
+        # C x (and its flat view), B u and u (its view and packer) and the next
+        # A x, from the first step on numpy
+        self._kept = self._ax = None
+        self._noise = iter(())   # the rows of the current noise block
 
     @property
     def state(self) -> np.ndarray:
-        return self._state if self.floats is None else np.reshape(self._state, (-1, 1, 1))
+        return np.array(self._state).reshape(self.b.shape)
+
+    @state.setter
+    def state(self, value):
+        value = np.array(value, dtype=float).reshape(self.b.shape)
+        self._state = value if self.floats is None else value.ravel().tolist()
 
     def step(self, u) -> list[float]:
         """Emit every plant's y[k] for its input u[k], a float each; advance all states."""
-        if self.floats is not None and 0.0 * (sum(self._state) + sum(u)) == 0.0:
-            a, b, c = self.floats
-            outputs = [ck * x + 0.0 for ck, x in zip(c, self._state)]
-            self._state = [(ak * x + 0.0) + bk * v
-                           for ak, x, bk, v in zip(a, self._state, b, u, strict=True)]
+        x = self._state
+        if self.floats is None or 0.0 * (sum(x) + sum(u)) != 0.0:
+            if self._kept is None:
+                count = len(self.d)
+                cx, u_array = np.empty((count, 1, 1)), np.empty((count, 1, 1))
+                self._kept = (cx, cx.reshape(-1), np.empty(self.b.shape), u_array,
+                              memoryview(u_array), struct.Struct(f"{count}d"))
+                self._ax = np.empty(self.b.shape)
+            cx, outputs, bu, u_array, u_view, pack = self._kept
+            ax = self._ax
+            if self.floats is not None:
+                x = np.reshape(x, self.b.shape)
+            np.matmul(self.c, x, cx)
+            np.matmul(self.a, x, ax)
+            pack.pack_into(u_view, 0, *u)
+            np.multiply(self.b, u_array, bu)
+            ax += bu
+            # the new state is A x's array, and the old state's is the next A x's
+            self._state, self._ax = ax if self.floats is None else ax.ravel().tolist(), x
+            outputs = outputs.tolist()
         else:
-            state = self.state
-            outputs = (self.c @ state).ravel().tolist()
-            state = self.a @ state
-            state += self.b * np.array(u, dtype=float)[:, None, None]
-            self._state = state if self.floats is None else state.ravel().tolist()
-        y = [cx + d * v for cx, d, v in zip(outputs, self.d, u, strict=True)]
-        if self.noise_std:
-            for k, z in enumerate(self.rng.standard_normal(len(y)).tolist()):
-                y[k] += self.noise_std * z
-        return y
+            a, b, c = self.floats
+            self._state = [(ak * xk + 0.0) + bk * v
+                           for ak, xk, bk, v in zip(a, x, b, u, strict=True)]
+            if not self.noise_std:
+                return [(ck * xk + 0.0) + d * v for ck, xk, d, v in zip(c, x, self.d, u)]
+            outputs = [ck * xk + 0.0 for ck, xk in zip(c, x)]
+        if not self.noise_std:
+            return [cx + d * v for cx, d, v in zip(outputs, self.d, u, strict=True)]
+        z = next(self._noise, None)
+        if z is None:
+            self._noise = iter(self.rng.standard_normal((NOISE_BLOCK, len(self.d))).tolist())
+            z = next(self._noise)
+        s = self.noise_std
+        return [(cx + d * v) + s * zk for cx, d, v, zk in zip(outputs, self.d, u, z, strict=True)]
 
 
 # keyed on the coefficients' exact bits, so 0.0 and -0.0 never share an entry

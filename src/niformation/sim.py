@@ -27,8 +27,10 @@ bookkeeping) runs on stacked Python floats, each agent's (or edge's)
 coordinates in turn, which round and decide NaN as numpy does and cost less
 than numpy calls on a few agents; so does the obstacle layer's position-only
 bookkeeping (the motion budget, sensing and both clearance minima).  numpy
-keeps the planar bank's products and the noise draw (`controller`,
-`lti.PlantBank`), and the obstacle layer's BLAS dots (`obstacle.behind`,
+keeps the planar bank's products, written into arrays the bank keeps, and
+the noise, drawn `lti.NOISE_BLOCK` steps at a time (`lti.PlantBank`), a
+law's products where a row has three or more terms or a sum is not finite
+(`controller`), and the obstacle layer's BLAS dots (`obstacle.behind`,
 `PathFrame.coords` and `to_world`, `detect_mode`, `event_cleared` and the
 sensing gate's scalar norm), which take the ring's newest floats as the
 head's (x, y) or reshaped to (n, 2).

@@ -639,6 +639,59 @@ def test_float_yaw_law_equals_the_numpy_law_bit_for_bit(
     assert same_bits(one_nan(got), one_nan(want))
 
 
+# Draws that keep every command inside its cap, so that a one-ulp change
+# anywhere in a law reaches the commands instead of being clipped away.  On
+# a tree each agent steers by at most one edge row and the reference row.
+# Planar: an edge error is at most 100 + 50 + 25 * 1.2 cm and the reference
+# error 2 * 100 cm, each times a gain of at most 0.25, under 95 < 100 cm/s.
+# Yaw: an edge error is at most pi + 3 * 0.02 * 60 and the reference error
+# pi, each times a gain of at most 0.1, under 1 < `YAW_RATE_CAP`.
+inside = st.floats(-50.0, 50.0)
+small_gains = st.floats(-0.25, 0.0)
+
+
+@given(data=st.data(), topology=topologies(), horizon=st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_the_enhanced_planar_law_inside_its_caps_equals_the_numpy_law_bit_for_bit(
+        data, topology, horizon):
+    # the fused rows keep the order ((s + o) + v * tau), tau = dt * horizon
+    n, n_edges = topology.n_agents, topology.n_edges
+    arrays = lambda rows, values: np.array(data.draw(  # noqa: E731
+        st.lists(values, min_size=2 * rows, max_size=2 * rows))).reshape(rows, 2)
+    positions, offsets, waypoint = arrays(n, inside), arrays(n_edges, inside), arrays(1, inside)[0]
+    velocities = arrays(n, st.floats(-25.0, 25.0))
+    kinds = data.draw(st.lists(st.sampled_from(("ugv", "uav")), min_size=n, max_size=n))
+    gains = NiGains(reference=data.draw(st.tuples(small_gains, small_gains)),
+                    consensus=tuple(data.draw(st.tuples(small_gains, small_gains))
+                                    for _ in range(n_edges)))
+    lifted, column = lift(topology, 2), speed_column(kinds)
+    want = numpy_planar(positions, velocities, lifted, gains, offsets, waypoint, column,
+                        0.02, horizon)
+    assert np.all(np.abs(want) < column)
+    got = enhanced_rows(positions, velocities, lifted, gains, offsets, waypoint,
+                        speed_caps(kinds), tau=0.02 * horizon)
+    assert same_bits(got, want)
+
+
+@given(data=st.data(), topology=topologies(), horizon=st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_the_enhanced_yaw_law_inside_its_cap_equals_the_numpy_law_bit_for_bit(
+        data, topology, horizon):
+    # the head feeds (rate * dt) * horizon
+    n, n_edges = topology.n_agents, topology.n_edges
+    draw = lambda values, size: data.draw(  # noqa: E731
+        st.lists(values, min_size=size, max_size=size))
+    yaws, rates = draw(st.floats(-4.0, 4.0), n), draw(st.floats(-3.0, 3.0), n)
+    target = data.draw(st.floats(-4.0, 4.0))
+    gains = draw(st.floats(-0.1, 0.0), n_edges + 1)
+    lifted = lift(topology, 1)
+    want = numpy_yaw(yaws, rates, lifted, gains, target, 0.02, horizon, True)
+    assert np.all(np.abs(want) < YAW_RATE_CAP)
+    got = yaw_commands(yaws, rates, lifted, gains, target, dt=0.02, horizon=horizon,
+                       enhanced=True)
+    assert same_bits(np.array(got), want)
+
+
 @given(values=st.lists(cut_angles, min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_float_wrap_equals_the_numpy_wrap_bit_for_bit(values):

@@ -308,6 +308,51 @@ def test_plant_bank_equals_stepping_each_plant_in_turn(data, names, seed):
         assert np.array(bank.step(u)).tobytes() == want.tobytes()
 
 
+def test_a_noisy_bank_draws_one_row_a_step_across_its_noise_blocks():
+    # the bank draws NOISE_BLOCK rows at a time; each step is the oracle's:
+    # every plant stepped in turn plus noise_std times one
+    # `standard_normal(count)` a step from a generator seeded alike, over
+    # two block boundaries and into a third block
+    library = lti.load_model_library()
+    names = ("ugv_velx", "lag", "uav_vely", "ugv_vely", "lag")
+
+    def build():
+        return [lti.discretize(LAG if name == "lag" else library[name], 0.02)
+                for name in names]
+
+    one_by_one, rng = build(), np.random.default_rng(11)
+    bank = lti.PlantBank(build(), 0.5, np.random.default_rng(11))
+    inputs = np.random.default_rng(3).uniform(-200.0, 200.0, (2 * lti.NOISE_BLOCK + 37,
+                                                              len(names)))
+    for u in inputs.tolist():
+        want = np.array([plant.step(v) for plant, v in zip(one_by_one, u)])
+        want += 0.5 * rng.standard_normal(len(names))
+        assert np.array(bank.step(u)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("names", [VELOCITY_MODELS, ("lag", "lag", "lag")])
+def test_a_state_read_is_a_snapshot(names):
+    # the bank keeps its product arrays and trades its state array with A x's
+    # each step: a read state is a copy, which the bank's steps leave as
+    # written and whose writes leave the bank as it was
+    library = lti.load_model_library()
+
+    def build():
+        plants = [lti.discretize(LAG if name == "lag" else library[name], 0.02)
+                  for name in names]
+        return lti.PlantBank(plants, 0.5, np.random.default_rng(2))
+
+    bank, twin = build(), build()
+    inputs = np.random.default_rng(4).uniform(-200.0, 200.0, (3, len(names))).tolist()
+    assert bank.step(inputs[0]) == twin.step(inputs[0])
+    snapshot = bank.state
+    snapshot[:] = 7.0
+    for u in inputs[1:]:
+        assert bank.step(u) == twin.step(u)
+    assert (snapshot == 7.0).all()
+    assert bank.state.tobytes() == twin.state.tobytes()
+
+
 def numpy_bank_step(bank, state, u):
     """`PlantBank.step` as it was on numpy arrays, from the stacked `state`:
     the oracle of the float step.  Returns the outputs and the next state."""

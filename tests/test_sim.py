@@ -471,7 +471,8 @@ def test_a_run_whose_plants_go_nan_diverges_with_a_json_summary():
     # number in the summary is written as null
     scn = scenario.load_scenario("single_obstacle_line")
     simulator = sim.Simulator(replace(scn, duration=1.0))
-    simulator.loop.plants.state[:] = np.nan
+    plants = simulator.loop.plants
+    plants.state = np.full_like(plants.state, np.nan)   # a read is a snapshot
     log = simulator.run()
     assert log.summary["status"] == sim.STATUS_DIVERGED
     assert [ev["event"] for ev in log.events] == ["divergence"]
@@ -565,6 +566,28 @@ def test_only_a_noisy_loop_has_a_generator():
     for name in sorted(set(GOLDEN) - set(MODE_RUNS)):
         scn = scenario.load_scenario(name)
         assert (sim.Loop(scn).plants.rng is None) == (scn.noise_std == 0.0)
+
+
+def test_a_noisy_run_draws_its_noise_in_blocks():
+    # one draw of NOISE_BLOCK rows of standard normals, one row a step, and
+    # the run is the golden one
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng, self.sizes = rng, []
+
+        def standard_normal(self, size):
+            self.sizes.append(size)
+            return self.rng.standard_normal(size)
+
+    simulator = sim.Simulator(scenario.load_scenario("moving_leader_compare"))
+    plants = simulator.loop.plants
+    plants.rng = counting = CountingGenerator(plants.rng)
+    log = simulator.run()
+    assert len(log.times) > lti.NOISE_BLOCK
+    assert counting.sizes == [(lti.NOISE_BLOCK, 2 * simulator.n)] * math.ceil(
+        len(log.times) / lti.NOISE_BLOCK)
+    assert digest(log.trajectory_csv() + log.summary_json()) == GOLDEN[
+        "moving_leader_compare"][3]
 
 
 def test_a_nan_on_any_edge_is_the_largest_offset_error():
